@@ -25,9 +25,6 @@ ctest --test-dir build --output-on-failure -j
 echo "== smoke: sec39_dispatch =="
 ./build/bench/sec39_dispatch
 
-echo "== smoke: sec32_asyncjit (background promotion) =="
-./build/bench/sec32_asyncjit
-
 echo "== smoke: trace tier (third-tier JIT) =="
 # A hot multi-block workload with the trace tier on must actually stitch
 # traces: the --profile report's trace section is the contract.
@@ -103,12 +100,6 @@ echo "== smoke: sec314_sched (quick soak) =="
 # and byte-identical trace replay per seed.
 VG_SOAK_QUICK=1 ./build/bench/sec314_sched
 
-echo "== smoke: sec314_mtscale (sharded scheduler) =="
-# Correctness always (identical checksums at --sched-threads=1/2/4); the
-# >=1.5x speedup target is enforced only on hosts with >=4 hardware
-# threads (the bench reports overhead instead on smaller machines).
-VG_MTSCALE_QUICK=1 ./build/bench/sec314_mtscale
-
 echo "== smoke: sec54_shadowmem (quick) =="
 # Quick mode: every layout x pattern cell runs and BENCH_shadowmem.json is
 # written, but the micro cells use fewer ops and the vortex macro
@@ -125,16 +116,12 @@ FUZZ_ITERS=200
 ./build/src/vgfuzz --self-test --seed=1 --quiet
 
 echo "== smoke: ThreadSanitizer (concurrency label) =="
-# The TranslationService worker/guest-thread protocol, the sharded
-# scheduler (--sched-threads=N), and the MT client-request path under
-# TSan: service, persistent-cache, MT-scheduler, and client-request unit
-# tests (everything carrying the `concurrency` ctest label, via the tsan
-# preset).
+# The only tests that still start host threads: concurrent --tt-cache
+# writers and the vgserve daemon with its clients (everything carrying the
+# `concurrency` ctest label, via the tsan preset).
 cmake --preset tsan >/dev/null
 cmake --build --preset tsan -j \
-    --target test_translationservice --target test_transcache \
-    --target test_transserver --target test_mtsched \
-    --target test_clientrequest >/dev/null
+    --target test_transcache --target test_transserver >/dev/null
 ctest --preset tsan
 
 if [ "$FUZZ_SOAK" = "1" ]; then

@@ -73,12 +73,6 @@ Core::Core(Tool *ToolPlugin)
   Opts.addOption("trace-dump", "no",
                  "dump the event trace at exit (a fatal signal always "
                  "dumps it)");
-  Opts.addOption("jit-threads", "0",
-                 "background translation workers for hot-block promotion "
-                 "(0 = fully synchronous, deterministic)");
-  Opts.addOption("jit-queue-depth", "8",
-                 "bounded promotion-queue depth; a full queue falls back "
-                 "to inline translation");
   Opts.addOption("tt-cache", "",
                  "directory for the persistent translation cache: warm "
                  "runs install serialized translations instead of "
@@ -94,10 +88,6 @@ Core::Core(Tool *ToolPlugin)
   Opts.addOption("tt-server-timeout-ms", "200",
                  "per-request deadline for --tt-server traffic; a deadline "
                  "that fires is retried with backoff, then degraded");
-  Opts.addOption("sched-threads", "1",
-                 "host threads executing guest threads in parallel (1 = the "
-                 "serialised big-lock scheduler of Section 3.14; >1 needs a "
-                 "tool that declares supportsParallelGuests)");
   if (ToolPlugin)
     ToolPlugin->registerOptions(Opts);
   Kernel = std::make_unique<SimKernel>(AS, &Events, this);
@@ -155,21 +145,6 @@ void Core::applyOptions() {
     Tracer->setClock(&Stats.BlocksDispatched);
   }
   TraceDumpAtExit = Opts.getBool("trace-dump");
-  SchedThreads = static_cast<unsigned>(
-      Opts.getIntChecked("sched-threads", 1, 16));
-  if (SchedThreads > 1 && ToolPlugin &&
-      !ToolPlugin->supportsParallelGuests()) {
-    Out.printf("core: tool '%s' does not support parallel guest execution; "
-               "forcing --sched-threads=1\n",
-               ToolPlugin->name());
-    SchedThreads = 1;
-  }
-  unsigned JT = static_cast<unsigned>(
-      Opts.getIntChecked("jit-threads", 0, 16));
-  unsigned QD = static_cast<unsigned>(
-      Opts.getIntChecked("jit-queue-depth", 1, 1024));
-  if (JT)
-    XS->configure(JT, QD);
   std::string CacheDir = Opts.getString("tt-cache");
   std::string ServerSock = Opts.getString("tt-server");
   if (!CacheDir.empty() || !ServerSock.empty()) {
@@ -186,7 +161,7 @@ void Core::applyOptions() {
       return It.first == "tt-cache" || It.first == "tt-cache-max-mb" ||
              It.first == "tt-server" || It.first == "tt-server-timeout-ms" ||
              It.first == "log-file" || It.first == "profile" ||
-             It.first == "trace-dump" || It.first == "sched-threads";
+             It.first == "trace-dump";
     });
     uint64_t CH = TransCache::configHash(
         ToolPlugin ? ToolPlugin->name() : "none", Items);
@@ -213,8 +188,6 @@ int Core::liveThreads() const {
       ++N;
   return N;
 }
-
-bool Core::isParallel() const { return Dispatch->isParallel(); }
 
 //===----------------------------------------------------------------------===//
 // Start-up (Section 3.3)
@@ -357,10 +330,7 @@ uint64_t Core::helperTrackSp(void *Env, uint64_t, uint64_t, uint64_t,
                              uint64_t) {
   auto *Ctx = static_cast<ExecContext *>(Env);
   Core *C = static_cast<Core *>(Ctx->Core);
-  // Index through the context's tid, never the scheduler's "current"
-  // thread: under --sched-threads=N several contexts execute at once and
-  // CurTid is meaningless (satellite of the big-lock break-up — this was
-  // the one helper that still assumed the serialised world).
+  // The thread executing this block, as recorded in its context.
   ThreadState &TS = C->Threads[Ctx->Tid];
   uint32_t NewSP = TS.gpr(RegSP);
   uint32_t Old = TS.TrackedSP;
@@ -497,9 +467,8 @@ void Core::setupTranslation(TranslationOptions &TO, uint32_t PC, bool Hot,
     TO.Preserve.Lo = gso::gpr(RegSP);
     TO.Preserve.Hi = gso::gpr(RegSP) + 4;
   }
-  // The SMC policy consults live stack geometry, so it is sampled here on
-  // the guest thread; a worker running this hook later must not recompute
-  // it.
+  // The SMC policy consults live stack geometry, so it is sampled once,
+  // here, rather than inside the instrument hook.
   bool WantSmc = Smc == SmcMode::All ||
                  (Smc == SmcMode::Stack && addrOnAnyStack(PC));
   // An SMC prelude embeds this run's Translation* in the blob, and under
@@ -509,8 +478,7 @@ void Core::setupTranslation(TranslationOptions &TO, uint32_t PC, bool Hot,
   // run's branch bias and chain graph, which no byte-content key captures.
   Raw->Cacheable = !WantSmc && TO.Trace.Entries.empty();
   // Seam entries (constituents after the head) for the per-seam SMC
-  // checks; copied now so the worker-side instrument call needs nothing
-  // from the guest thread.
+  // checks, captured by the instrument hook.
   std::vector<uint32_t> Seams(
       TO.Trace.Entries.empty() ? TO.Trace.Entries.begin()
                                : TO.Trace.Entries.begin() + 1,
@@ -530,11 +498,6 @@ void Core::noteTranslation(uint32_t PC, const Translation &T,
     Prof->noteTranslation(PC, T.NumInsns, T.Tier, Seconds);
 }
 
-void Core::mergePhaseTimes(const PhaseTimes &PT) {
-  if (Prof)
-    Prof->mergePhases(PT);
-}
-
 void Core::promotionInstalled(Translation *T, uint64_t GenBefore) {
   Dispatch->promotionInstalled(T, GenBefore);
 }
@@ -551,11 +514,6 @@ uint32_t Core::callGuest(ThreadState &TS, uint32_t Addr,
 }
 
 CoreExit Core::finishRun() {
-  // Stop the translation workers before reporting: unpublished jobs are
-  // abandoned (counted), and the counters below must be final. Any
-  // callGuest from a tool's fini degrades to inline promotion.
-  XS->shutdown();
-
   if (ToolPlugin)
     ToolPlugin->fini(ProcessExitCode);
   Dispatch->dumpProfile();
@@ -593,7 +551,6 @@ int Core::spawnThread(uint32_t Entry, uint32_t SP, uint32_t Arg) {
     TS.TrackedSP = SP;
     TS.StackBase = SP;
     TS.StackLimit = SP > (1u << 20) ? SP - (1u << 20) : 0;
-    Dispatch->threadSpawned(I);
     return I;
   }
   return -1;
@@ -610,11 +567,10 @@ void Core::exitThread(int Tid, int Code) {
   if (liveThreads() == 0) {
     ProcessExited = true;
     ProcessExitCode = Code;
-    Dispatch->stopWorld();
   }
 }
 
-void Core::requestYield(int Tid) { Dispatch->requestYield(Tid); }
+void Core::requestYield(int) { Dispatch->requestYield(); }
 
 //===----------------------------------------------------------------------===//
 // Signals (KernelHost forwards into the signal engine)

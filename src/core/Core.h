@@ -5,7 +5,7 @@
 /// Once a monolith, it is now an owner/wiring class over four layered
 /// engines plus the extracted TranslationService:
 ///
-///   DispatchLoop        dispatcher + serial/sharded schedulers (3.9, 3.14)
+///   DispatchLoop        dispatcher + scheduler (3.9, 3.14)
 ///   SignalEngine        signal queueing, masking, delivery (3.15)
 ///   RedirectEngine      replacement, redirection, wrapping (3.13)
 ///   ClientRequestEngine client requests, registered stacks, the
@@ -41,7 +41,6 @@
 #include "support/Output.h"
 
 #include <array>
-#include <atomic>
 #include <memory>
 
 namespace vg {
@@ -84,7 +83,7 @@ struct CoreStats {
   uint64_t TracesFormed = 0;
   uint64_t TraceExecs = 0;
   uint64_t TraceSideExits = 0;
-  /// Guest-thread seconds producing installed translations: pipeline time
+  /// Guest seconds spent producing installed translations: pipeline time
   /// for fresh ones, load+validate time for --tt-cache hits. The warm-start
   /// bench compares this across cold/warm runs.
   double TranslateSeconds = 0;
@@ -101,7 +100,7 @@ enum Signals : int {
 /// The core. Construct, configure (setTool/options), loadImage, run.
 /// The TranslationHost side is the seam to the extracted
 /// TranslationService: the service calls back for pipeline options and
-/// guest-thread accounting, the core calls down for translations.
+/// translation accounting, the core calls down for translations.
 class Core : public KernelHost, public TranslationHost {
 public:
   static constexpr int MaxThreads = 32;
@@ -223,10 +222,6 @@ public:
   ThreadState &thread(int Tid) { return Threads[Tid]; }
   int currentTid() const { return CurTid; }
   int liveThreads() const;
-  /// True while the sharded scheduler is running (--sched-threads > 1).
-  /// Tools use this to avoid world-lock-only services from lock-free
-  /// helper context (e.g. stack capture walks the segment map).
-  bool isParallel() const;
 
   // --- KernelHost (threads & signals, called by the simulated kernel) -----
   int spawnThread(uint32_t Entry, uint32_t SP, uint32_t Arg) override;
@@ -246,7 +241,6 @@ public:
                         Translation *Raw) override;
   void noteTranslation(uint32_t PC, const Translation &T,
                        double Seconds) override;
-  void mergePhaseTimes(const PhaseTimes &PT) override;
   void promotionInstalled(Translation *T, uint64_t GenBefore) override;
 
   // Helper callees referenced from generated code (public because the
@@ -267,20 +261,20 @@ private:
   friend class RedirectEngine;
   friend class ClientRequestEngine;
 
-  /// The shared run epilogue: worker shutdown, tool fini, profile/trace
-  /// dumps, exit-status construction. Called by DispatchLoop::run.
+  /// The run epilogue: tool fini, profile/trace dumps, exit-status
+  /// construction. Called by DispatchLoop::run.
   CoreExit finishRun();
 
   [[noreturn]] void internalError(const char *Msg);
 
   /// The core's own instrumentation layered around the tool's: SMC check
-  /// prelude (when \p WantSmc — sampled on the guest thread at options-
-  /// build time, since stack geometry must not be read from a worker) and
-  /// SP-change tracking (R7). For trace pipelines \p SeamEntries lists the
-  /// non-head constituent entry PCs: under WantSmc each seam gets its own
-  /// SMC check + SmcFail exit, because the trace inlines its constituents
-  /// without their own preludes and mid-path self-modification must still
-  /// abort at the seam it invalidates.
+  /// prelude (when \p WantSmc — sampled at options-build time from the
+  /// live stack geometry) and SP-change tracking (R7). For trace
+  /// pipelines \p SeamEntries lists the non-head constituent entry PCs:
+  /// under WantSmc each seam gets its own SMC check + SmcFail exit,
+  /// because the trace inlines its constituents without their own
+  /// preludes and mid-path self-modification must still abort at the seam
+  /// it invalidates.
   void instrumentBlock(ir::IRSB &SB, uint32_t Addr, Translation *Trans,
                        bool WantSmc,
                        const std::vector<uint32_t> &SeamEntries);
@@ -293,15 +287,14 @@ private:
   GuestMemory Memory;
   AddressSpace AS;
   std::unique_ptr<SimKernel> Kernel;
-  /// The extracted translation layer; owns the TransTab and, under
-  /// --jit-threads=N, the promotion queue and workers.
+  /// The extracted translation layer; owns the TransTab.
   std::unique_ptr<TranslationService> XS;
-  TransTab &TT; ///< alias into XS (guest-thread access only)
+  TransTab &TT; ///< alias into XS
   Tool *ToolPlugin;
 
   // The engines. Heap-allocated so their headers only need Core forward-
   // declared (DispatchLoop's header needs Core complete, hence the pointer
-  // plus out-of-line isParallel/dtor).
+  // plus out-of-line dtor).
   std::unique_ptr<SignalEngine> Signals;
   std::unique_ptr<RedirectEngine> Redirects;
   std::unique_ptr<ClientRequestEngine> ClReqs;
@@ -309,14 +302,10 @@ private:
 
   std::array<ThreadState, MaxThreads> Threads;
   int CurTid = 0;
-  /// Atomic because MT shards read them in their loop conditions while
-  /// another shard's locked section sets them; the serial scheduler uses
-  /// them exactly as the plain flags they replaced.
-  std::atomic<bool> ProcessExited{false};
+  bool ProcessExited = false;
   int ProcessExitCode = 0;
-  std::atomic<int> FatalSignal{0};
+  int FatalSignal = 0;
 
-  unsigned SchedThreads = 1; // --sched-threads
   SmcMode Smc = SmcMode::Stack;
   bool ChainingEnabled = false;
   uint64_t HotThreshold = 0;   // 0 = hotness tier off

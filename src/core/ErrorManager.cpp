@@ -9,7 +9,6 @@ using namespace vg;
 
 bool ErrorManager::record(const std::string &Kind, const std::string &Message,
                           uint32_t PC, std::vector<uint32_t> Stack) {
-  std::lock_guard<std::mutex> L(Mu);
   if (matchesSuppression(Kind, PC)) {
     ++NumSuppressed;
     return false;

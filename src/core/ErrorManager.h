@@ -14,7 +14,6 @@
 #include "support/Output.h"
 
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -42,9 +41,7 @@ class ErrorManager {
 public:
   /// Records one error occurrence. Returns true if this is a new
   /// (unsuppressed, previously unseen) error site — tools use this to
-  /// decide whether to print the full message. Internally serialised:
-  /// tool helpers report from inside Exec.run, which under
-  /// --sched-threads=N runs on several host threads at once.
+  /// decide whether to print the full message.
   bool record(const std::string &Kind, const std::string &Message,
               uint32_t PC, std::vector<uint32_t> Stack = {});
 
@@ -63,7 +60,6 @@ public:
 private:
   bool matchesSuppression(const std::string &Kind, uint32_t PC) const;
 
-  mutable std::mutex Mu; ///< guards Records/NumSuppressed (record vs record)
   std::vector<ErrorRecord> Records;
   std::vector<Suppression> Sups;
   uint64_t NumSuppressed = 0;

@@ -16,8 +16,7 @@
 /// re-enters the wrapped guest function via Core::callGuest with a
 /// one-shot redirect bypass (so the dispatcher does not loop back into the
 /// wrapper), then runs the Post hook with the original's result, which it
-/// may rewrite. Host redirects are world-lock property under the sharded
-/// scheduler, so the one-shot bypass needs no further synchronisation.
+/// may rewrite.
 ///
 /// Registering any redirect invalidates existing translations of the
 /// target byte: a predecessor chained straight into the old code would
@@ -101,8 +100,7 @@ private:
   std::map<std::string, WrapHooks> PendingSymbolWraps;
   std::map<uint32_t, uint32_t> GuestRedirects;
   std::map<std::string, uint32_t> ImageSymbols;
-  /// One-shot wrapping bypass address (world-lock property in MT; see
-  /// hostReplacement above).
+  /// One-shot wrapping bypass address (see hostReplacement above).
   uint32_t BypassOnce = NoBypass;
 };
 

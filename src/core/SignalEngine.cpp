@@ -68,7 +68,6 @@ bool SignalEngine::deliverPending(ThreadState &TS) {
         C.Tracer->record(TS.Tid, TraceEvent::SigFatal,
                          static_cast<uint32_t>(Sig));
       C.FatalSignal = Sig; // default action: terminate
-      C.Dispatch->stopWorld();
       return true;
     }
     deliver(TS, Sig);
@@ -126,7 +125,6 @@ void SignalEngine::handleFault(ThreadState &TS, uint32_t FaultPC,
   if (C.Tracer)
     C.Tracer->record(TS.Tid, TraceEvent::SigFatal, static_cast<uint32_t>(Sig));
   C.FatalSignal = Sig;
-  C.Dispatch->stopWorld();
 }
 
 void SignalEngine::sigreturn(int Tid) {

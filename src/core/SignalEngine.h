@@ -11,9 +11,7 @@
 ///
 /// The engine owns the handler table and nothing else; thread state
 /// (pending queues, frames, masks) lives in each ThreadState, and fatal
-/// outcomes are published through Core's run-state flags. Under the
-/// sharded scheduler every entry point here runs with the world lock held
-/// (block-boundary work by construction).
+/// outcomes are published through Core's run-state flags.
 ///
 //===----------------------------------------------------------------------===//
 #ifndef VG_CORE_SIGNALENGINE_H

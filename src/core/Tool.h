@@ -49,14 +49,6 @@ public:
   /// directly; returning null makes every probe punt to the helper call.
   virtual ShadowMap *shadowMap() { return nullptr; }
 
-  /// Whether the tool's analysis state tolerates several guest threads
-  /// executing concurrently (--sched-threads=N). Requires: instrument()
-  /// already reentrant (the async JIT demands that of every tool), all
-  /// helper-side counters atomic, and shadow state kept in the MT-safe
-  /// ShadowMap (or none at all). Tools that keep plain mutable state must
-  /// leave this false — the core then clamps --sched-threads to 1.
-  virtual bool supportsParallelGuests() const { return false; }
-
   /// Tool client requests (codes >= 0x10000 are tool space). Returns true
   /// if the request was recognised.
   virtual bool handleClientRequest(int Tid, uint32_t Code,

@@ -11,8 +11,8 @@
 ///
 ///  - The cache key includes a hash of the live guest bytes at the entry
 ///    PC, and a loaded entry is only ever installed after the same
-///    hashLive(Extents) == CodeHash check the asynchronous promotion path
-///    performs — different code at the same address can never be served.
+///    hashLive(Extents) == CodeHash check against the live guest bytes —
+///    different code at the same address can never be served.
 ///  - Encoded blobs embed raw host Callee pointers (HOp::CALL), which are
 ///    meaningless across processes. store() rewrites every callee field
 ///    into an index into a serialized name table; load() resolves the
@@ -34,9 +34,6 @@
 /// whose extents intersect a poisoned range is rejected for the rest of
 /// the run. On-disk entries are content-keyed, so they need no versioning
 /// across runs: a future run installs its own redirects and re-poisons.
-///
-/// All methods are guest-thread-only (the workers never touch the cache),
-/// which is what keeps --jit-threads=N with --tt-cache race-free.
 ///
 //===----------------------------------------------------------------------===//
 #ifndef VG_CORE_TRANSCACHE_H

@@ -102,12 +102,10 @@ void TransTab::eraseSlot(size_t Idx) {
       assert(From != Sl.T.get() && "stale waiter survives retirement");
     }
 #endif
-  if (RetireFn)
-    RetireFn(std::move(Sl.T)); // epoch-deferred destruction (MT scheduler)
   Sl.T.reset();
   Sl.St = Slot::State::Tomb;
   --Count;
-  Gen.fetch_add(1, std::memory_order_release);
+  ++Gen;
 }
 
 void TransTab::evictChunk() {
@@ -160,7 +158,6 @@ void TransTab::rehash() {
 }
 
 unsigned TransTab::invalidateRange(uint32_t Addr, uint32_t Len) {
-  FlushEpoch.fetch_add(1, std::memory_order_release);
   // End as a 64-bit bound: a range reaching the top of the guest space
   // (Addr + Len == 2^32) must cover the final byte 0xFFFFFFFF rather than
   // wrapping to 0 and matching nothing.
@@ -182,7 +179,6 @@ unsigned TransTab::invalidateRange(uint32_t Addr, uint32_t Len) {
 }
 
 void TransTab::invalidateAll() {
-  FlushEpoch.fetch_add(1, std::memory_order_release);
   for (size_t I = 0; I != Slots.size(); ++I)
     if (Slots[I].St == Slot::State::Full)
       eraseSlot(I);
@@ -212,15 +208,12 @@ void TransTab::removeWaiter(uint32_t Target, const Translation *From,
 void TransTab::chainTo(Translation *From, uint32_t Slot, Translation *To) {
   if (!From || !To || Slot >= From->Chain.size())
     return;
-  if (From->Chain[Slot].load(std::memory_order_relaxed) == To)
+  if (From->Chain[Slot] == To)
     return;
-  assert(!From->Chain[Slot].load(std::memory_order_relaxed) &&
-         "chain slot already linked elsewhere");
+  assert(!From->Chain[Slot] && "chain slot already linked elsewhere");
   if (Slot < From->Blob.ChainTargets.size())
     removeWaiter(From->Blob.ChainTargets[Slot], From, Slot);
-  // Release: a shard's chain thunk that acquire-loads the slot must see the
-  // successor's fully-initialised blob.
-  From->Chain[Slot].store(To, std::memory_order_release);
+  From->Chain[Slot] = To;
   To->ChainedFrom.push_back(From);
   ++S.ChainsFilled;
 }
@@ -252,8 +245,8 @@ void TransTab::unlinkChains(Translation *T) {
   // it, so a retranslation of T->Addr relinks the predecessors eagerly.
   for (Translation *P : T->ChainedFrom) {
     for (uint32_t Slot = 0; Slot != P->Chain.size(); ++Slot) {
-      if (P->Chain[Slot].load(std::memory_order_relaxed) == T) {
-        P->Chain[Slot].store(nullptr, std::memory_order_release);
+      if (P->Chain[Slot] == T) {
+        P->Chain[Slot] = nullptr;
         ++S.Unchains;
         Pending[T->Addr].push_back({P, Slot});
       }
@@ -264,12 +257,12 @@ void TransTab::unlinkChains(Translation *T) {
   // for slots that never linked.
   const std::vector<uint32_t> &Targets = T->Blob.ChainTargets;
   for (uint32_t Slot = 0; Slot != T->Chain.size(); ++Slot) {
-    if (Translation *Succ = T->Chain[Slot].load(std::memory_order_relaxed)) {
+    if (Translation *Succ = T->Chain[Slot]) {
       auto &BF = Succ->ChainedFrom;
       auto It = std::find(BF.begin(), BF.end(), T);
       if (It != BF.end())
         BF.erase(It);
-      T->Chain[Slot].store(nullptr, std::memory_order_release);
+      T->Chain[Slot] = nullptr;
     } else if (Slot < Targets.size() &&
                Targets[Slot] != hvm::NoChainTarget) {
       removeWaiter(Targets[Slot], T, Slot);

@@ -19,24 +19,12 @@
 /// hot-tier retranslation — so the dispatcher almost never has to fill a
 /// chain slot lazily.
 ///
-/// Concurrency (DESIGN section 14): the table structure (slots, waiter map,
-/// back-edge vectors) is only ever mutated by a thread holding the core's
-/// world lock; the per-translation execution profile (ExecCount, EdgeExecs),
-/// the chain slots themselves, and the generation/flush-epoch counters are
-/// atomics so that shard dispatch loops and the chain thunk may read them —
-/// and bump the profile — without any lock. Chain installs are release
-/// stores; unchaining happens under the world lock and the freed
-/// translation is handed to the retire hook (when set) instead of being
-/// destroyed, so a shard that loaded the slot just before the unchain can
-/// finish its run through the old blob during the epoch grace period.
-///
 //===----------------------------------------------------------------------===//
 #ifndef VG_CORE_TRANSTAB_H
 #define VG_CORE_TRANSTAB_H
 
 #include "hvm/Exec.h"
 
-#include <atomic>
 #include <functional>
 #include <map>
 #include <memory>
@@ -55,10 +43,8 @@ struct Translation {
   uint32_t NumInsns = 0;
   uint64_t Seq = 0; ///< insertion order (FIFO eviction key)
   /// Times the block was entered (dispatcher entries plus chained
-  /// transfers); drives hot-tier promotion. Relaxed-atomic: bumped by
-  /// whichever shard executes the block, read by promotion gates and the
-  /// trace selector (an approximate profile is all either needs).
-  std::atomic<uint64_t> ExecCount{0};
+  /// transfers); drives hot-tier promotion.
+  uint64_t ExecCount = 0;
   /// 0 = baseline block, 1 = hot superblock (branch-chasing
   /// retranslation), 2 = trace (stitched hot path over several former
   /// superblocks; Extents then cover every constituent, so SMC or
@@ -70,15 +56,7 @@ struct Translation {
   /// Tier 1 only: do not re-attempt trace formation until ExecCount
   /// reaches this (backoff after an unbiased chain graph or a failed
   /// stitch). 0 = eligible immediately once over the trace threshold.
-  /// Relaxed-atomic: written under the world lock (drain/backoff), read by
-  /// the lock-free trace gate in every shard's dispatch loop.
-  std::atomic<uint64_t> TraceRetryAt{0};
-  /// An asynchronous hot promotion of this address is in flight (queued or
-  /// being translated). Stops the dispatcher and the chain thunk from
-  /// re-requesting promotion on every execution while the worker runs;
-  /// written under the world lock, read lock-free by the promotion gates.
-  /// Always false when --jit-threads=0.
-  std::atomic<bool> PromoPending{false};
+  uint64_t TraceRetryAt = 0;
   /// The blob is position-independent (no SMC-check prelude, which embeds
   /// this Translation's own address as an immediate), so it may be served
   /// from or written to the persistent translation cache. Decided by the
@@ -86,18 +64,15 @@ struct Translation {
   bool Cacheable = false;
   /// Chain slots: successor translations for constant Boring exits. Filled
   /// eagerly by TransTab when the successor exists; otherwise parked as a
-  /// pending waiter and filled on the successor's insertion. Atomic:
-  /// installs are release stores under the world lock; the chain thunk
-  /// acquire-loads the slot with no lock at all.
-  std::vector<std::atomic<Translation *>> Chain;
+  /// pending waiter and filled on the successor's insertion.
+  std::vector<Translation *> Chain;
   /// Per-slot transfer counts (parallel to Chain), bumped by the chain
-  /// thunk on every chained transfer out of this translation. True edge
-  /// profiles: trace formation follows the dominant *edge*, which a
-  /// successor's ExecCount cannot substitute for when the successor has
-  /// other predecessors. Relaxed-atomic: the guest thread bumped these
-  /// while --jit-threads workers read them for trace-path selection — a
-  /// pre-existing data race now pinned by MtSchedTests under TSan.
-  std::vector<std::atomic<uint64_t>> EdgeExecs;
+  /// thunk on every chained transfer out of this translation and by the
+  /// dispatcher when it fills or bounces through the slot. True edge
+  /// profiles: trace formation (DispatchLoop::selectTracePath) follows the
+  /// dominant *edge*, which a successor's ExecCount cannot substitute for
+  /// when the successor has other predecessors.
+  std::vector<uint64_t> EdgeExecs;
   /// Back-edges: one entry per filled chain slot pointing at this
   /// translation (duplicates allowed when a predecessor has several slots
   /// targeting us). Maintained by TransTab; makes unchaining O(degree).
@@ -146,9 +121,7 @@ public:
   size_t capacity() const { return Slots.size(); }
 
   /// Visits every resident translation, insertion-order agnostic. The
-  /// visitor must not mutate the table. Callers must hold the world lock
-  /// (or run after the schedulers have joined — e.g. tool fini reports
-  /// walking the chain graph).
+  /// visitor must not mutate the table.
   void forEach(const std::function<void(const Translation &)> &Fn) const {
     for (const Slot &S : Slots)
       if (S.St == Slot::State::Full)
@@ -170,38 +143,8 @@ public:
   const Stats &stats() const { return S; }
 
   /// Generation counter bumped on any eviction/invalidation so the
-  /// dispatcher's fast cache can drop stale pointers. Relaxed-atomic so
-  /// shard fast caches may validate without taking the world lock.
-  uint64_t generation() const { return Gen.load(std::memory_order_relaxed); }
-
-  /// Flush-epoch counter: bumped only by invalidateRange/invalidateAll
-  /// (never by capacity eviction). The translation service stamps each
-  /// async job with the epoch at enqueue time and discards the result if
-  /// the epoch moved — the guest code the job translated from may have
-  /// been redirected or unmapped even when the bytes still hash equal.
-  uint64_t flushEpoch() const {
-    return FlushEpoch.load(std::memory_order_relaxed);
-  }
-
-  /// Deferred reclamation (sharded scheduler): when set, eraseSlot hands
-  /// the evicted translation to this hook instead of destroying it, so the
-  /// core can park it in an epoch-stamped limbo list until every shard has
-  /// passed a quiescent point (a shard may still be executing the blob it
-  /// loaded from a chain slot just before the unchain). Unset (the
-  /// default, and always at --sched-threads=1) destruction is immediate —
-  /// byte-identical to the single-threaded scheduler.
-  void setRetireHook(std::function<void(std::unique_ptr<Translation>)> Fn) {
-    RetireFn = std::move(Fn);
-  }
-
-  /// Folds fast-cache hits counted privately by a shard into the table's
-  /// statistics view at shard exit (the single-threaded dispatcher calls
-  /// countFastHit per hit instead).
-  void addFastHits(uint64_t N) {
-    S.Lookups += N;
-    S.Hits += N;
-    S.FastHits += N;
-  }
+  /// dispatcher's fast cache can drop stale pointers.
+  uint64_t generation() const { return Gen; }
 
 private:
   struct Slot {
@@ -234,9 +177,7 @@ private:
   std::vector<Slot> Slots;
   size_t Count = 0;
   uint64_t NextSeq = 0;
-  std::atomic<uint64_t> Gen{0};
-  std::atomic<uint64_t> FlushEpoch{0};
-  std::function<void(std::unique_ptr<Translation>)> RetireFn;
+  uint64_t Gen = 0;
   /// target guest address -> (translation, slot) pairs waiting for a
   /// translation of that address to appear.
   std::map<uint32_t, std::vector<std::pair<Translation *, uint32_t>>> Pending;

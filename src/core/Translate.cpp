@@ -15,9 +15,8 @@ using namespace vg;
 
 namespace {
 
-/// RAII phase timer with two optional sinks: the (guest-thread-only)
-/// Profiler and a thread-private PhaseTimes. Background workers pass only
-/// the latter; the guest thread merges it at install time.
+/// RAII phase timer with two optional sinks: the Profiler and a standalone
+/// PhaseTimes.
 class PhaseTimer {
 public:
   PhaseTimer(Profiler *Prof, PhaseTimes *Out, ProfPhase Ph)
@@ -134,13 +133,9 @@ TranslatedBlock vg::translateBlock(uint32_t Addr, const FetchFn &Fetch,
   if (Art)
     Art->FlatIR = ir::toString(*SB, ir::vg1OffsetName);
 
-  // Phase 3: instrumentation (the tool plug-in). Tools are stateful, so
-  // concurrent pipelines for the same tool serialise here.
+  // Phase 3: instrumentation (the tool plug-in).
   if (Opts.Instrument) {
     {
-      std::unique_lock<std::mutex> ToolLock;
-      if (Opts.InstrumentLock)
-        ToolLock = std::unique_lock<std::mutex>(*Opts.InstrumentLock);
       PhaseTimer Tm(Prof, Out, ProfPhase::Instrument);
       Opts.Instrument(*SB);
     }

@@ -13,7 +13,7 @@ TranslationService::TranslationService(TranslationHost &Host,
                                        size_t TTCapacityPow2)
     : Host(Host), Memory(Memory), TT(TTCapacityPow2) {}
 
-TranslationService::~TranslationService() { shutdown(); }
+TranslationService::~TranslationService() = default;
 
 double TranslationService::now() {
   using Clock = std::chrono::steady_clock;
@@ -22,7 +22,7 @@ double TranslationService::now() {
 }
 
 //===----------------------------------------------------------------------===//
-// The synchronous pipeline (the only pipeline when --jit-threads=0)
+// The pipeline
 //===----------------------------------------------------------------------===//
 
 void TranslationService::fillTranslation(Translation &T, uint32_t PC,
@@ -42,10 +42,8 @@ void TranslationService::fillTranslation(Translation &T, uint32_t PC,
   if (T.Extents.empty())
     T.Extents.push_back({PC, PC + 1}); // NoDecode-at-entry blocks
   T.NumInsns = TB.Meta.NumInsns;
-  // vector<atomic<..>> has no assign(); size-construction value-initialises
-  // every element (null slots, zero edge counts).
-  T.Chain = std::vector<std::atomic<Translation *>>(T.Blob.NumChainSlots);
-  T.EdgeExecs = std::vector<std::atomic<uint64_t>>(T.Blob.NumChainSlots);
+  T.Chain.assign(T.Blob.NumChainSlots, nullptr);
+  T.EdgeExecs.assign(T.Blob.NumChainSlots, 0);
 }
 
 uint64_t TranslationService::hashLive(
@@ -59,25 +57,6 @@ uint64_t TranslationService::hashLive(
       H *= 0x100000001b3ULL;
     }
   }
-  return H;
-}
-
-uint64_t TranslationService::hashSnapshot(
-    const GuestMemory::ExecSnapshot &Snap,
-    const std::vector<std::pair<uint32_t, uint32_t>> &Extents, bool &Ok) {
-  uint64_t H = 0xcbf29ce484222325ULL;
-  for (auto [Lo, Hi] : Extents) {
-    for (uint32_t A = Lo; A != Hi; ++A) {
-      uint8_t B = 0;
-      if (!Snap.fetch(A, &B, 1)) {
-        Ok = false;
-        return 0;
-      }
-      H ^= B;
-      H *= 0x100000001b3ULL;
-    }
-  }
-  Ok = true;
   return H;
 }
 
@@ -150,8 +129,7 @@ TranslationService::loadFromServer(uint64_t Key, TransCacheEntry &E,
 
 Translation *
 TranslationService::installFromCache(std::unique_ptr<Translation> &TPtr,
-                                     uint64_t Key, uint32_t PC, bool Hot,
-                                     bool Promotion) {
+                                     uint64_t Key, uint32_t PC, bool Hot) {
   double T0 = now();
   TransCacheEntry E;
   TransCache::LoadResult R = TransCache::LoadResult::NotFound;
@@ -169,8 +147,8 @@ TranslationService::installFromCache(std::unique_ptr<Translation> &TPtr,
     JS.CacheLoadSeconds += now() - T0;
     return nullptr;
   }
-  // Found entries still run the gauntlet the async install path defined:
-  // the live guest bytes must hash to what the entry was translated from,
+  // Found entries still run a gauntlet before install: the live guest
+  // bytes must hash to what the entry was translated from,
   // and no same-run invalidation (redirect/unmap/flush) may have poisoned
   // the range. Anything else is a reject — fall through to the pipeline.
   if (R == TransCache::LoadResult::Malformed || E.Addr != PC ||
@@ -201,20 +179,14 @@ TranslationService::installFromCache(std::unique_ptr<Translation> &TPtr,
   Raw->Blob.NumSpillSlots = E.NumSpillSlots;
   Raw->Blob.NumChainSlots = E.NumChainSlots;
   Raw->Blob.ChainTargets = std::move(E.ChainTargets);
-  Raw->Chain = std::vector<std::atomic<Translation *>>(Raw->Blob.NumChainSlots);
-  Raw->EdgeExecs = std::vector<std::atomic<uint64_t>>(Raw->Blob.NumChainSlots);
+  Raw->Chain.assign(Raw->Blob.NumChainSlots, nullptr);
+  Raw->EdgeExecs.assign(Raw->Blob.NumChainSlots, 0);
 
   ++JS.CacheHits;
   double Seconds = now() - T0;
   JS.CacheLoadSeconds += Seconds;
-  uint64_t GenBefore = TT.generation();
   Host.noteTranslation(PC, *Raw, Seconds);
-  Translation *NT = TT.insert(std::move(TPtr));
-  if (Promotion) {
-    NT->PromoPending = false;
-    Host.promotionInstalled(NT, GenBefore);
-  }
-  return NT;
+  return TT.insert(std::move(TPtr));
 }
 
 void TranslationService::writeBackToCache(uint64_t Key, const Translation &T) {
@@ -263,14 +235,13 @@ Translation *TranslationService::translateSync(uint32_t PC, bool Hot) {
   Host.setupTranslation(TO, PC, Hot, Raw);
 
   // The persistent cache sits in front of the pipeline. Eligibility
-  // (Raw->Cacheable) was just decided by setupTranslation on this thread,
-  // so position-dependent blobs (SMC prelude) never consult the disk.
+  // (Raw->Cacheable) was just decided by setupTranslation, so
+  // position-dependent blobs (SMC prelude) never consult the disk.
   uint64_t Key = 0;
   bool UseCache = (Cache || Server) && Raw->Cacheable;
   if (UseCache) {
     Key = TransCache::entryKey(PC, Hot, cachePrefixHash(PC));
-    if (Translation *T = installFromCache(TPtr, Key, PC, Hot,
-                                          /*Promotion=*/false))
+    if (Translation *T = installFromCache(TPtr, Key, PC, Hot))
       return T;
   }
 
@@ -336,273 +307,4 @@ Translation *TranslationService::translateTrace(const TraceSpec &Spec) {
   ++JS.TraceInstalled;
   Host.promotionInstalled(Res, GenBefore);
   return Res;
-}
-
-Translation *TranslationService::promoteFromCache(uint32_t PC) {
-  if (!Cache && !Server)
-    return nullptr;
-  auto TPtr = std::make_unique<Translation>();
-  TranslationOptions TO;
-  Host.setupTranslation(TO, PC, /*Hot=*/true, TPtr.get());
-  if (!TPtr->Cacheable)
-    return nullptr;
-  uint64_t Key = TransCache::entryKey(PC, /*Hot=*/true, cachePrefixHash(PC));
-  return installFromCache(TPtr, Key, PC, /*Hot=*/true, /*Promotion=*/true);
-}
-
-//===----------------------------------------------------------------------===//
-// The asynchronous promotion pipeline
-//===----------------------------------------------------------------------===//
-
-void TranslationService::configure(unsigned Threads, unsigned Depth) {
-  if (Threads == 0 || !Workers.empty())
-    return;
-  QueueDepth = Depth ? Depth : 1;
-  Workers.reserve(Threads);
-  for (unsigned I = 0; I != Threads; ++I) {
-    try {
-      Workers.emplace_back([this] { workerMain(); });
-    } catch (...) {
-      break; // keep whatever workers did start
-    }
-  }
-  NumThreads = static_cast<unsigned>(Workers.size());
-}
-
-void TranslationService::shutdown() {
-  if (Stopped)
-    return;
-  Stopped = true;
-  if (Workers.empty())
-    return;
-  {
-    std::lock_guard<std::mutex> L(QueueMu);
-    Stop = true;
-  }
-  QueueCV.notify_all();
-  for (std::thread &W : Workers)
-    W.join();
-  Workers.clear();
-  // Whatever never made it into the table is abandoned: jobs still queued,
-  // plus completed jobs nobody will drain. (Workers pushed their final
-  // jobs to the done list before joining, so the two buckets are exact.)
-  JS.AsyncAbandoned += Queue.size();
-  Queue.clear();
-  {
-    std::lock_guard<std::mutex> L(DoneMu);
-    JS.AsyncAbandoned += Done.size();
-    Done.clear();
-    DoneCount.store(0, std::memory_order_relaxed);
-  }
-}
-
-std::shared_ptr<const GuestMemory::ExecSnapshot>
-TranslationService::snapshotForEpoch(uint32_t Addr, uint64_t Epoch) {
-  // Rebuild when the epoch moved or the block lives in exec pages mapped
-  // after the cached snapshot was taken (same epoch — a plain mmap
-  // invalidates nothing).
-  uint8_t Probe = 0;
-  if (!SnapCache || SnapCacheEpoch != Epoch ||
-      !SnapCache->fetch(Addr, &Probe, 1)) {
-    SnapCache = std::make_shared<GuestMemory::ExecSnapshot>(
-        Memory.snapshotExecRanges());
-    SnapCacheEpoch = Epoch;
-  }
-  return SnapCache;
-}
-
-bool TranslationService::submitJob(std::unique_ptr<Job> J, Translation *Cur,
-                                   double T0) {
-  {
-    std::lock_guard<std::mutex> L(QueueMu);
-    if (Stop)
-      return false;
-    if (Queue.size() >= QueueDepth) {
-      ++JS.QueueFullFallbacks;
-      return false; // backpressure: caller promotes inline
-    }
-    Queue.push_back(std::move(J));
-    JS.QueueHighWater =
-        std::max<uint64_t>(JS.QueueHighWater, Queue.size());
-  }
-  QueueCV.notify_one();
-  Cur->PromoPending = true;
-  ++JS.AsyncRequests;
-  JS.EnqueueSeconds += now() - T0;
-  return true;
-}
-
-bool TranslationService::enqueuePromotion(Translation *Cur) {
-  if (!asyncEnabled())
-    return false;
-  double T0 = now();
-
-  auto J = std::make_unique<Job>();
-  J->Addr = Cur->Addr;
-  J->EnqueueTime = T0;
-  J->EpochAtEnqueue = TT.flushEpoch();
-  J->Snap = snapshotForEpoch(Cur->Addr, J->EpochAtEnqueue);
-  J->Result = std::make_unique<Translation>();
-  // Pin everything guest-thread-dependent now: options, the SMC policy
-  // sampled inside the instrument hook, the per-tool lock.
-  Host.setupTranslation(J->TO, Cur->Addr, /*Hot=*/true, J->Result.get());
-  J->TO.Prof = nullptr; // the Profiler is guest-thread-only
-  J->TO.PhaseOut = &J->Phases;
-  J->TO.InstrumentLock = &InstrLock;
-  return submitJob(std::move(J), Cur, T0);
-}
-
-bool TranslationService::enqueueTrace(Translation *Cur,
-                                      const TraceSpec &Spec) {
-  if (!asyncEnabled())
-    return false;
-  double T0 = now();
-
-  auto J = std::make_unique<Job>();
-  J->Addr = Cur->Addr;
-  J->EnqueueTime = T0;
-  J->EpochAtEnqueue = TT.flushEpoch();
-  J->Snap = snapshotForEpoch(Cur->Addr, J->EpochAtEnqueue);
-  J->Result = std::make_unique<Translation>();
-  // The spec goes in BEFORE setupTranslation so the host can scale the
-  // frontend limits, force Cacheable off, and capture the seam list for
-  // the per-seam SMC checks — all on the guest thread.
-  J->TO.Trace = Spec;
-  J->TO.TraceStats = &J->TraceStats; // Job outlives the pipeline
-  Host.setupTranslation(J->TO, Cur->Addr, /*Hot=*/true, J->Result.get());
-  J->TO.Prof = nullptr;
-  J->TO.PhaseOut = &J->Phases;
-  J->TO.InstrumentLock = &InstrLock;
-  if (!submitJob(std::move(J), Cur, T0))
-    return false;
-  ++JS.TraceRequests;
-  return true;
-}
-
-void TranslationService::workerMain() {
-  for (;;) {
-    std::unique_ptr<Job> J;
-    {
-      std::unique_lock<std::mutex> L(QueueMu);
-      QueueCV.wait(L, [this] { return Stop || !Queue.empty(); });
-      if (Stop)
-        return; // remaining jobs are counted abandoned by shutdown()
-      J = std::move(Queue.front());
-      Queue.pop_front();
-      ++InFlight;
-    }
-    runJob(*J);
-    {
-      std::lock_guard<std::mutex> L(DoneMu);
-      Done.push_back(std::move(J));
-    }
-    DoneCount.fetch_add(1, std::memory_order_relaxed);
-    {
-      std::lock_guard<std::mutex> L(QueueMu);
-      --InFlight;
-    }
-    QueueCV.notify_all(); // waitIdle watches InFlight
-  }
-}
-
-void TranslationService::runJob(Job &J) {
-  try {
-    const GuestMemory::ExecSnapshot &Snap = *J.Snap;
-    FetchFn Fetch = [&Snap](uint32_t Addr, uint8_t *Buf,
-                            uint32_t MaxLen) -> uint32_t {
-      uint32_t N = 0;
-      while (N < MaxLen && Snap.fetch(Addr + N, Buf + N, 1))
-        ++N;
-      return N;
-    };
-    double T0 = now();
-    TranslatedBlock TB = translateBlock(J.Addr, Fetch, J.TO);
-    J.TranslateSeconds = now() - T0;
-    if (TB.SpillOverflow) {
-      // A stitched path outgrew the executor frame. Legitimate outcome,
-      // not a bug: settle the job as failed so the head stays tier-1.
-      J.SpillOverflow = true;
-      J.Failed = true;
-      return;
-    }
-    fillTranslation(*J.Result, J.Addr, /*Hot=*/true, std::move(TB));
-    bool Ok = false;
-    J.Result->CodeHash = hashSnapshot(Snap, J.Result->Extents, Ok);
-    J.Failed = !Ok;
-  } catch (...) {
-    J.Failed = true;
-  }
-}
-
-unsigned TranslationService::drainCompleted() {
-  std::vector<std::unique_ptr<Job>> Batch;
-  {
-    std::lock_guard<std::mutex> L(DoneMu);
-    Batch.swap(Done);
-    DoneCount.store(0, std::memory_order_relaxed);
-  }
-
-  unsigned Installed = 0;
-  for (std::unique_ptr<Job> &J : Batch) {
-    const bool IsTrace = !J->TO.Trace.Entries.empty();
-    // The promotion request is settled either way: let the block become
-    // hot again if this job dies below.
-    if (Translation *Cur = TT.find(J->Addr))
-      Cur->PromoPending = false;
-    Host.mergePhaseTimes(J->Phases);
-    if (J->Failed) {
-      ++JS.WorkerFailures;
-      if (IsTrace) {
-        ++JS.TraceAborts;
-        // Back off: don't re-stitch the same head until it has run twice
-        // as long again (the chain graph that produced an overflowing or
-        // untranslatable path is unlikely to shrink soon).
-        if (Translation *Cur = TT.find(J->Addr))
-          if (Cur->Tier == 1)
-            Cur->TraceRetryAt = Cur->ExecCount * 2;
-      }
-      continue;
-    }
-    ++JS.AsyncCompleted;
-    if (J->EpochAtEnqueue != TT.flushEpoch()) {
-      // A flush/invalidation ran since enqueue. The bytes might still
-      // hash equal (redirects rewrite meaning, not memory), so the hash
-      // check below would be insufficient: discard outright.
-      ++JS.AsyncDiscardedEpoch;
-      continue;
-    }
-    if (hashLive(J->Result->Extents) != J->Result->CodeHash) {
-      ++JS.AsyncDiscardedStale; // SMC since the snapshot
-      continue;
-    }
-    uint64_t GenBefore = TT.generation();
-    double T1 = now();
-    Translation *NT = TT.insert(std::move(J->Result));
-    NT->PromoPending = false;
-    ++JS.AsyncInstalled;
-    if (IsTrace) {
-      ++JS.TraceInstalled;
-      JS.TraceDeadFlagPuts += J->TraceStats.DeadFlagPuts;
-      JS.TraceProbesCSEd += J->TraceStats.ProbesCSEd;
-    }
-    JS.InstallLatencySeconds += T1 - J->EnqueueTime;
-    Host.noteTranslation(NT->Addr, *NT, J->TranslateSeconds);
-    Host.promotionInstalled(NT, GenBefore);
-    ++Installed;
-    // Persist the freshly-installed superblock. The live-hash check just
-    // passed, so a key derived from live bytes matches what a future
-    // lookup (which also reads live bytes) will compute.
-    if ((Cache || Server) && NT->Cacheable && !poisonedExtents(NT->Extents))
-      writeBackToCache(
-          TransCache::entryKey(NT->Addr, /*Hot=*/true, cachePrefixHash(NT->Addr)),
-          *NT);
-  }
-  return Installed;
-}
-
-void TranslationService::waitIdle() {
-  if (Workers.empty())
-    return;
-  std::unique_lock<std::mutex> L(QueueMu);
-  QueueCV.wait(L, [this] { return Queue.empty() && InFlight == 0; });
 }

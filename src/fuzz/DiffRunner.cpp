@@ -115,36 +115,14 @@ std::vector<FuzzConfig> vg::fuzz::defaultMatrix(const FuzzProgram &P) {
     M.push_back({"nulgrind-fault", "nulgrind", {Spec.str()}, false, false,
                  /*CheckSmcRetrans=*/false});
   }
-  // Asynchronous tiered translation: two workers racing the guest thread.
-  // Guest-visible behaviour must still match the oracle exactly — only
-  // timing (which tier runs when) may differ, so the SMC-retranslation
-  // invariant is waived (an async superblock installed from fresh bytes
-  // legitimately swallows the SmcFail, just like the hot cell above).
-  M.push_back({"nulgrind-async",
-               "nulgrind",
-               {"--chaining=yes", "--hot-threshold=2", "--jit-threads=2"},
-               false,
-               false,
-               /*CheckSmcRetrans=*/false});
   // Trace tier: aggressive thresholds so fuzz-sized loops actually stitch
-  // traces. Same SMC waiver as the hot/async cells — a trace formed after
+  // traces. Same SMC waiver as the hot cell — a trace formed after
   // the patch was translated from the patched bytes, so SmcFail may
   // legitimately never fire.
   M.push_back({"nulgrind-traces",
                "nulgrind",
                {"--chaining=yes", "--hot-threshold=2", "--trace-tier=yes",
                 "--trace-threshold=8"},
-               false,
-               false,
-               /*CheckSmcRetrans=*/false});
-  // Sharded scheduler: the fuzz programs are single-threaded, so all but
-  // one shard park — but the dispatch path, fast-cache policy, chain
-  // publication, and epoch-based translation reclaim are the MT ones, and
-  // every guest-visible observation must still match the serial oracle.
-  // The SMC waiver matches the other retranslation-perturbing cells.
-  M.push_back({"nulgrind-mt",
-               "nulgrind",
-               {"--sched-threads=4"},
                false,
                false,
                /*CheckSmcRetrans=*/false});
@@ -156,24 +134,10 @@ std::vector<FuzzConfig> vg::fuzz::defaultMatrix(const FuzzProgram &P) {
                false,
                true,
                /*CheckSmcRetrans=*/false});
-  M.push_back({"memcheck-async",
-               "memcheck",
-               {"--chaining=yes", "--hot-threshold=3", "--jit-threads=2"},
-               false,
-               true,
-               /*CheckSmcRetrans=*/false});
   M.push_back({"memcheck-traces",
                "memcheck",
                {"--chaining=yes", "--hot-threshold=2", "--trace-tier=yes",
                 "--trace-threshold=8"},
-               false,
-               true,
-               /*CheckSmcRetrans=*/false});
-  // Memcheck under the sharded scheduler with the JIT lit up: shadow
-  // memory, error recording, and hot promotion all take their MT paths.
-  M.push_back({"memcheck-mt",
-               "memcheck",
-               {"--chaining=yes", "--hot-threshold=3", "--sched-threads=4"},
                false,
                true,
                /*CheckSmcRetrans=*/false});
@@ -182,12 +146,12 @@ std::vector<FuzzConfig> vg::fuzz::defaultMatrix(const FuzzProgram &P) {
   // Client-request cell: requests end blocks with JumpKind::ClientReq, and
   // the ClReq/ClReqCore/ClReqTool atoms put them in every program, so this
   // cell drives them across every tier boundary at once — chained blocks,
-  // async hot promotion, and trace stitching racing the guest. The JIT and
-  // the RefInterp oracle must agree on every request's result.
+  // hot promotion, and trace stitching. The JIT and the RefInterp oracle
+  // must agree on every request's result.
   M.push_back({"nulgrind-creq",
                "nulgrind",
                {"--chaining=yes", "--hot-threshold=2", "--trace-tier=yes",
-                "--trace-threshold=8", "--jit-threads=2"},
+                "--trace-threshold=8"},
                false,
                false,
                /*CheckSmcRetrans=*/false});

@@ -6,90 +6,11 @@
 
 using namespace vg;
 
-GuestMemory::~GuestMemory() {
-  for (std::atomic<Leaf *> &TS : Top) {
-    Leaf *L = TS.load(std::memory_order_relaxed);
-    if (!L)
-      continue;
-    for (std::atomic<Page *> &PS : L->Slots)
-      delete PS.load(std::memory_order_relaxed);
-    delete L;
-  }
-  // Graveyard pages free themselves (unique_ptr).
-}
-
-bool GuestMemory::ExecSnapshot::fetch(uint32_t Addr, void *Out,
-                                      uint32_t Len) const {
-  if (Len == 0)
-    return true;
-  // Binary search for the last range with Base <= Addr; a fetch never
-  // straddles two ranges (coalescing merged adjacent pages, so a gap means
-  // non-executable memory anyway).
-  auto It = std::upper_bound(
-      Ranges.begin(), Ranges.end(), Addr,
-      [](uint32_t A, const Range &R) { return A < R.Base; });
-  if (It == Ranges.begin())
-    return false;
-  const Range &R = *--It;
-  uint64_t Off = static_cast<uint64_t>(Addr) - R.Base;
-  if (Off + Len > R.Bytes.size())
-    return false;
-  std::memcpy(Out, R.Bytes.data() + Off, Len);
-  return true;
-}
-
-GuestMemory::ExecSnapshot GuestMemory::snapshotExecRanges() const {
-  // The radix tree iterates in address order, so runs coalesce in one
-  // pass with no sort.
-  ExecSnapshot Snap;
-  uint32_t PrevIdx = ~0u;
-  for (uint32_t TI = 0; TI != TopSize; ++TI) {
-    const Leaf *L = Top[TI].load(std::memory_order_acquire);
-    if (!L)
-      continue;
-    for (uint32_t LI = 0; LI != LeafSize; ++LI) {
-      const Page *P = L->Slots[LI].load(std::memory_order_acquire);
-      if (!P || !(P->Perms.load(std::memory_order_relaxed) & PermExec))
-        continue;
-      uint32_t Idx = (TI << LeafBits) | LI;
-      if (Snap.Ranges.empty() || PrevIdx + 1 != Idx) {
-        Snap.Ranges.push_back({Idx << PageShift, {}});
-        Snap.Ranges.back().Bytes.reserve(PageSize);
-      }
-      ExecSnapshot::Range &R = Snap.Ranges.back();
-      R.Bytes.insert(R.Bytes.end(), P->Data.begin(), P->Data.end());
-      PrevIdx = Idx;
-    }
-  }
-  return Snap;
-}
-
-GuestMemory::Leaf *GuestMemory::ensureLeaf(uint32_t PageIdx) {
-  std::atomic<Leaf *> &Slot = Top[PageIdx >> LeafBits];
-  Leaf *L = Slot.load(std::memory_order_relaxed);
-  if (!L) {
-    // Mutators are serialised by the world lock, so a plain
-    // check-then-publish cannot double-install.
-    L = new Leaf();
-    Slot.store(L, std::memory_order_release);
-  }
-  return L;
-}
-
-void GuestMemory::dropPage(uint32_t PageIdx) {
-  Leaf *L = Top[PageIdx >> LeafBits].load(std::memory_order_relaxed);
+std::unique_ptr<GuestMemory::Page> &GuestMemory::slot(uint32_t PageIdx) {
+  std::unique_ptr<Leaf> &L = Top[PageIdx >> LeafBits];
   if (!L)
-    return;
-  std::atomic<Page *> &Slot = L->Slots[PageIdx & (LeafSize - 1)];
-  Page *P = Slot.load(std::memory_order_relaxed);
-  if (!P)
-    return;
-  Slot.store(nullptr, std::memory_order_release);
-  PageCount.fetch_sub(1, std::memory_order_relaxed);
-  if (DeferReclaim)
-    Graveyard.emplace_back(P); // a concurrent reader may still hold P
-  else
-    delete P;
+    L = std::make_unique<Leaf>();
+  return L->Slots[PageIdx & (LeafSize - 1)];
 }
 
 void GuestMemory::map(uint32_t Addr, uint32_t Len, uint8_t Perms) {
@@ -98,20 +19,12 @@ void GuestMemory::map(uint32_t Addr, uint32_t Len, uint8_t Perms) {
   uint32_t First = Addr >> PageShift;
   uint32_t Last = (Addr + Len - 1) >> PageShift;
   for (uint32_t PI = First;; ++PI) {
-    Leaf *L = ensureLeaf(PI);
-    std::atomic<Page *> &Slot = L->Slots[PI & (LeafSize - 1)];
-    Page *P = Slot.load(std::memory_order_relaxed);
+    std::unique_ptr<Page> &P = slot(PI);
     if (!P) {
-      P = new Page();
-      P->Data.fill(0);
-      P->Perms.store(Perms, std::memory_order_relaxed);
-      // Release: a lock-free reader that sees the pointer sees the
-      // zero-fill and the permissions.
-      Slot.store(P, std::memory_order_release);
-      PageCount.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      P->Perms.store(Perms, std::memory_order_relaxed);
+      P = std::make_unique<Page>();
+      ++PageCount;
     }
+    P->Perms = Perms;
     if (PI == Last)
       break;
   }
@@ -123,7 +36,13 @@ void GuestMemory::unmap(uint32_t Addr, uint32_t Len) {
   uint32_t First = Addr >> PageShift;
   uint32_t Last = (Addr + Len - 1) >> PageShift;
   for (uint32_t PI = First;; ++PI) {
-    dropPage(PI);
+    if (Leaf *L = Top[PI >> LeafBits].get()) {
+      std::unique_ptr<Page> &P = L->Slots[PI & (LeafSize - 1)];
+      if (P) {
+        P.reset();
+        --PageCount;
+      }
+    }
     if (PI == Last)
       break;
   }
@@ -136,24 +55,21 @@ void GuestMemory::protect(uint32_t Addr, uint32_t Len, uint8_t Perms) {
   uint32_t Last = (Addr + Len - 1) >> PageShift;
   for (uint32_t PI = First;; ++PI) {
     if (Page *Pg = lookup(PI))
-      Pg->Perms.store(Perms, std::memory_order_relaxed);
+      Pg->Perms = Perms;
     if (PI == Last)
       break;
   }
 }
 
-// VG_NO_TSAN: the byte copy lands in guest data (see Sanitizers.h);
-// the page-table walk alongside it is already atomic.
 template <bool IsWrite>
-VG_NO_TSAN MemFault GuestMemory::access(uint32_t Addr, void *Buf, uint32_t Len,
+MemFault GuestMemory::access(uint32_t Addr, void *Buf, uint32_t Len,
                              uint8_t NeedPerm) const {
   uint8_t *Bytes = static_cast<uint8_t *>(Buf);
   uint32_t Done = 0;
   while (Done != Len) {
     uint32_t A = Addr + Done;
     Page *P = lookup(A >> PageShift);
-    if (!P ||
-        (NeedPerm && !(P->Perms.load(std::memory_order_relaxed) & NeedPerm)))
+    if (!P || (NeedPerm && !(P->Perms & NeedPerm)))
       return MemFault{true, A, IsWrite};
     uint32_t Off = A & (PageSize - 1);
     uint32_t Chunk = std::min(Len - Done, PageSize - Off);

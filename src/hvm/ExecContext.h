@@ -30,9 +30,7 @@ struct ExecContext {
   /// The running tool (tool helpers downcast this).
   void *Tool = nullptr;
   /// Guest thread id this context executes. Helpers that need the owning
-  /// ThreadState must index through this, never through the core's
-  /// "current tid" — under --sched-threads=N several contexts run
-  /// concurrently and there is no single current thread.
+  /// ThreadState index through this.
   int Tid = 0;
   /// The tool's shadow map, when it has one (Tool::shadowMap()). Services
   /// SHPROBE instructions — the JIT-inlined Memcheck fast path — without a

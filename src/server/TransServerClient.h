@@ -19,9 +19,8 @@
 ///    a translation is installed from the server only after the SAME
 ///    validation a local --tt-cache file gets.
 ///
-/// Guest-thread-only, exactly like TransCache: lookups happen in
-/// translateSync/promoteFromCache and write-backs after installs, so no
-/// locking is needed and --jit-threads=N stays race-free.
+/// Called only from the translation service: lookups happen in
+/// translateSync and write-backs after installs, so no locking is needed.
 ///
 //===----------------------------------------------------------------------===//
 #ifndef VG_SERVER_TRANSSERVERCLIENT_H

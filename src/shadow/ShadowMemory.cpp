@@ -9,15 +9,8 @@ using namespace vg;
 ShadowMap::Secondary ShadowMap::DsmNoAccess;
 ShadowMap::Secondary ShadowMap::DsmDefined;
 bool ShadowMap::DsmInit = false;
-thread_local ShadowMap::TLCache ShadowMap::TLC;
 
-namespace {
-std::atomic<uint64_t> NextMapId{1};
-} // namespace
-
-ShadowMap::ShadowMap()
-    : Primary(NumChunks), Id(NextMapId.fetch_add(1,
-                                                 std::memory_order_relaxed)) {
+ShadowMap::ShadowMap() : Primary(NumChunks, &DsmNoAccess) {
   if (!DsmInit) {
     DsmNoAccess.V.fill(0xFF);
     DsmNoAccess.A.fill(0x00);
@@ -25,65 +18,33 @@ ShadowMap::ShadowMap()
     DsmDefined.A.fill(0xFF);
     DsmInit = true;
   }
-  for (std::atomic<Secondary *> &P : Primary)
-    P.store(&DsmNoAccess, std::memory_order_relaxed);
 }
 
 ShadowMap::~ShadowMap() {
-  for (std::atomic<Secondary *> &P : Primary) {
-    Secondary *S = P.load(std::memory_order_relaxed);
+  for (Secondary *S : Primary)
     if (ownedSec(S))
       delete S;
-  }
-  // Graveyard secondaries free themselves (unique_ptr).
 }
 
 ShadowMap::Secondary *ShadowMap::materialise(uint32_t ChunkIdx) {
-  std::lock_guard<std::mutex> Lock(Stripes[ChunkIdx % NumStripes]);
-  Secondary *Cur = Primary[ChunkIdx].load(std::memory_order_relaxed);
-  if (ownedSec(Cur)) {
-    // Another thread materialised this chunk while we waited on the
-    // stripe; adopt its secondary.
-    TLC = {Id, CacheEpoch.load(std::memory_order_acquire), ChunkIdx, Cur,
-           Cur};
-    return Cur;
-  }
   // Materialise a copy of the distinguished secondary (copy-on-write).
-  Secondary *Raw = new Secondary(*Cur);
-  // Release: a lock-free reader that sees the pointer sees the copy.
-  Primary[ChunkIdx].store(Raw, std::memory_order_release);
-  St.Materialised.fetch_add(1, std::memory_order_relaxed);
-  uint64_t Live = St.LiveChunks.fetch_add(1, std::memory_order_relaxed) + 1;
-  uint64_t HW = St.HighWater.load(std::memory_order_relaxed);
-  while (Live > HW &&
-         !St.HighWater.compare_exchange_weak(HW, Live,
-                                             std::memory_order_relaxed)) {
-  }
-  // Invalidate every thread's cached line for this chunk, then update
-  // (don't just drop) our own: the caller is about to write here.
-  uint64_t E = CacheEpoch.fetch_add(1, std::memory_order_release) + 1;
-  TLC = {Id, E, ChunkIdx, Raw, Raw};
+  Secondary *Raw = new Secondary(*Primary[ChunkIdx]);
+  Primary[ChunkIdx] = Raw;
+  ++St.Materialised;
+  St.HighWater = std::max(St.HighWater, ++St.LiveChunks);
+  Cache = {ChunkIdx, Raw, Raw}; // the caller is about to write here
   return Raw;
 }
 
 void ShadowMap::setWholeChunk(uint32_t ChunkIdx, Secondary *Dsm) {
-  std::lock_guard<std::mutex> Lock(Stripes[ChunkIdx % NumStripes]);
-  Secondary *Old = Primary[ChunkIdx].load(std::memory_order_relaxed);
-  Primary[ChunkIdx].store(Dsm, std::memory_order_release);
+  Secondary *Old = Primary[ChunkIdx];
+  Primary[ChunkIdx] = Dsm;
   if (ownedSec(Old)) {
-    St.Reclaimed.fetch_add(1, std::memory_order_relaxed);
-    St.LiveChunks.fetch_sub(1, std::memory_order_relaxed);
-    if (DeferReclaim) {
-      // A concurrent probe may still hold Old: park it until destruction.
-      std::lock_guard<std::mutex> RLock(ReclaimMu);
-      Graveyard.emplace_back(Old);
-    } else {
-      delete Old;
-    }
+    ++St.Reclaimed;
+    --St.LiveChunks;
+    delete Old;
   }
-  // The epoch bump drops every thread's cached pointer for this map —
-  // including our own entry for this chunk, which just died.
-  CacheEpoch.fetch_add(1, std::memory_order_release);
+  Cache = {};
 }
 
 namespace {
@@ -257,8 +218,7 @@ void ShadowMap::setByte(uint32_t Addr, bool Addressable, uint8_t V) {
     S->A[Off >> 3] &= static_cast<uint8_t>(~(1u << (Off & 7)));
 }
 
-// VG_NO_TSAN: V/A bytes of racy guest data (see Sanitizers.h).
-VG_NO_TSAN uint64_t ShadowMap::loadVSlow(uint32_t Addr, uint32_t Size,
+uint64_t ShadowMap::loadVSlow(uint32_t Addr, uint32_t Size,
                               AddrCheck &Check) const {
   uint64_t V = 0;
   for (uint32_t I = 0; I != Size; ++I) {
@@ -278,7 +238,7 @@ VG_NO_TSAN uint64_t ShadowMap::loadVSlow(uint32_t Addr, uint32_t Size,
   return V;
 }
 
-VG_NO_TSAN void ShadowMap::storeVSlow(uint32_t Addr, uint32_t Size, uint64_t Vbits,
+void ShadowMap::storeVSlow(uint32_t Addr, uint32_t Size, uint64_t Vbits,
                            AddrCheck &Check) {
   for (uint32_t I = 0; I != Size; ++I) {
     uint32_t A = Addr + I;

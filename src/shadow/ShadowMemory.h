@@ -25,38 +25,18 @@
 /// Fast paths (Section 5.4: shadow access dominates shadow-value tool
 /// cost): aligned power-of-two accesses take a whole-word path — one
 /// secondary lookup, one A-byte mask test, one memcpy of V-bytes — and a
-/// per-thread last-secondary cache short-circuits the primary table for
-/// consecutive accesses to the same 64KB chunk. probeLoadW32/probeStoreW32
-/// are the non-faulting entry points for the JIT-inlined Memcheck fast
-/// path (hvm SHPROBE); they never report errors, only succeed or punt.
-///
-/// Concurrency (DESIGN section 14): the primary is an array of atomic
-/// Secondary pointers, so probes and loads are lock-free — one acquire
-/// load plus plain byte reads. The chunk state transitions (CoW
-/// materialise, whole-chunk DSM swap/reclaim) take a per-chunk striped
-/// mutex; the last-secondary cache is thread-local and validated against a
-/// per-map cache epoch bumped on every transition, which closes the
-/// stale-pointer window where a cached secondary outlives its chunk's
-/// reclamation. Under the sharded scheduler reclaimed secondaries are
-/// parked in a graveyard until destruction (never freed or reused
-/// mid-run), so even a racy guest's stale probe reads allocated memory.
-/// Concurrent accesses to the same A-byte (guest bytes within the same
-/// 8-byte group) are the guest's own data race; the MT heap allocator
-/// rounds allocations to 8-byte granularity so race-free guests never
-/// share an A-byte across threads.
+/// last-secondary cache short-circuits the primary table for consecutive
+/// accesses to the same 64KB chunk. probeLoadW32/probeStoreW32 are the
+/// non-faulting entry points for the JIT-inlined Memcheck fast path (hvm
+/// SHPROBE); they never report errors, only succeed or punt.
 ///
 //===----------------------------------------------------------------------===//
 #ifndef VG_SHADOW_SHADOWMEMORY_H
 #define VG_SHADOW_SHADOWMEMORY_H
 
-#include "support/Sanitizers.h"
-
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <cstring>
-#include <memory>
-#include <mutex>
 #include <vector>
 
 namespace vg {
@@ -68,32 +48,17 @@ struct AddrCheck {
 };
 
 /// Counters for the shadow fast/slow split (surfaced by --profile).
-/// Relaxed atomics: bumped lock-free from every shard; the totals are
-/// exact, the interleaving is not observable.
 struct ShadowStats {
-  std::atomic<uint64_t> FastLoads{0};  ///< JIT probe loads resolved inline
-  std::atomic<uint64_t> SlowLoads{0};  ///< probe loads punted to mc_LOADV
-  std::atomic<uint64_t> FastStores{0}; ///< JIT probe stores resolved inline
-  std::atomic<uint64_t> SlowStores{0}; ///< probe stores punted to mc_STOREV
-  std::atomic<uint64_t> SecCacheHits{0};   ///< last-secondary cache hits
-  std::atomic<uint64_t> SecCacheMisses{0}; ///< went to the primary table
-  std::atomic<uint64_t> Materialised{0};   ///< CoW events (monotonic)
-  std::atomic<uint64_t> Reclaimed{0}; ///< owned secondaries released
-  std::atomic<uint64_t> LiveChunks{0}; ///< currently owned secondaries
-  std::atomic<uint64_t> HighWater{0};  ///< maximum LiveChunks ever reached
-
-  void reset() {
-    FastLoads = 0;
-    SlowLoads = 0;
-    FastStores = 0;
-    SlowStores = 0;
-    SecCacheHits = 0;
-    SecCacheMisses = 0;
-    Materialised = 0;
-    Reclaimed = 0;
-    LiveChunks = 0;
-    HighWater = 0;
-  }
+  uint64_t FastLoads = 0;      ///< JIT probe loads resolved inline
+  uint64_t SlowLoads = 0;      ///< probe loads punted to mc_LOADV
+  uint64_t FastStores = 0;     ///< JIT probe stores resolved inline
+  uint64_t SlowStores = 0;     ///< probe stores punted to mc_STOREV
+  uint64_t SecCacheHits = 0;   ///< last-secondary cache hits
+  uint64_t SecCacheMisses = 0; ///< went to the primary table
+  uint64_t Materialised = 0;   ///< CoW events (monotonic)
+  uint64_t Reclaimed = 0;      ///< owned secondaries released
+  uint64_t LiveChunks = 0;     ///< currently owned secondaries
+  uint64_t HighWater = 0;      ///< maximum LiveChunks ever reached
 };
 
 /// The two-level Memcheck-style shadow map.
@@ -112,13 +77,6 @@ public:
   ShadowMap(const ShadowMap &) = delete;
   ShadowMap &operator=(const ShadowMap &) = delete;
 
-  /// Sharded-scheduler mode: reclaimed secondaries go to a graveyard freed
-  /// at destruction instead of being deleted, so a concurrent lock-free
-  /// probe that resolved the secondary just before the reclaim never
-  /// touches freed memory. Off by default (single-threaded reclamation
-  /// frees immediately, as before).
-  void setDeferredReclaim(bool On) { DeferReclaim = On; }
-
   // --- range operations (the make_mem_* of Table 1) -----------------------
   void makeNoAccess(uint32_t Addr, uint32_t Len);
   void makeUndefined(uint32_t Addr, uint32_t Len);
@@ -130,10 +88,7 @@ public:
   /// Loads V-bits for \p Size (1/2/4/8) bytes at \p Addr, low byte first.
   /// Unaddressable bytes contribute 0xFF. \p Check reports the first
   /// unaddressable byte.
-  // VG_NO_TSAN on the V/A byte paths: shadow bytes describing guest
-  // data a guest race touches are racy by construction; any candidate
-  // value is a correct shadow of the racy guest bytes (Sanitizers.h).
-  VG_NO_TSAN uint64_t loadV(uint32_t Addr, uint32_t Size, AddrCheck &Check) const {
+  uint64_t loadV(uint32_t Addr, uint32_t Size, AddrCheck &Check) const {
     // Whole-word path: an aligned power-of-two access never crosses a
     // chunk and its A-bits sit in one A-byte. (V-byte order assumes a
     // little-endian host, as does the rest of hvm.)
@@ -152,7 +107,7 @@ public:
   }
   /// Stores V-bits for \p Size bytes; \p Check as for loadV. Stores to
   /// unaddressable bytes leave their shadow untouched.
-  VG_NO_TSAN void storeV(uint32_t Addr, uint32_t Size, uint64_t Vbits, AddrCheck &Check) {
+  void storeV(uint32_t Addr, uint32_t Size, uint64_t Vbits, AddrCheck &Check) {
     if (Size >= 2 && Size <= 8 && (Size & (Size - 1)) == 0 &&
         (Addr & (Size - 1)) == 0) {
       uint32_t Chunk = Addr >> ChunkBits;
@@ -160,9 +115,9 @@ public:
       uint8_t Mask = wordMask(Off, Size);
       const Secondary *S = readable(Chunk);
       if ((S->A[Off >> 3] & Mask) == Mask) {
-        // readable() just validated/refilled the thread-local cache for
-        // this chunk, so its owned pointer is current.
-        Secondary *W = TLC.Owned;
+        // readable() just refilled the cache for this chunk, so its owned
+        // pointer is current.
+        Secondary *W = Cache.Owned;
         if (!W) {
           // A-bits full but not owned => the Defined DSM. Storing
           // all-defined V-bits there is a no-op; anything else must CoW.
@@ -184,7 +139,7 @@ public:
   /// i.e. 0 — when the access is aligned, fully addressable, and fully
   /// defined; returns ProbeSlow otherwise so the JIT falls back to the
   /// mc_LOADV helper (which handles errors and partial definedness).
-  VG_NO_TSAN uint64_t probeLoadW32(uint32_t Addr) const {
+  uint64_t probeLoadW32(uint32_t Addr) const {
     if ((Addr & 3) == 0) {
       const Secondary *S = readable(Addr >> ChunkBits);
       uint32_t Off = Addr & (ChunkSize - 1);
@@ -193,35 +148,35 @@ public:
         uint32_t W;
         std::memcpy(&W, S->V.data() + Off, 4);
         if (W == 0) {
-          St.FastLoads.fetch_add(1, std::memory_order_relaxed);
+          ++St.FastLoads;
           return 0;
         }
       }
     }
-    St.SlowLoads.fetch_add(1, std::memory_order_relaxed);
+    ++St.SlowLoads;
     return ProbeSlow;
   }
   /// Non-faulting aligned-4 store probe. Returns 0 when the V-word was
   /// stored inline (chunk fully addressable and either owned, or the
   /// Defined DSM receiving an all-defined word); returns 1 to punt.
-  VG_NO_TSAN uint64_t probeStoreW32(uint32_t Addr, uint32_t VWord) {
+  uint64_t probeStoreW32(uint32_t Addr, uint32_t VWord) {
     if ((Addr & 3) == 0) {
       const Secondary *S = readable(Addr >> ChunkBits);
       uint32_t Off = Addr & (ChunkSize - 1);
       uint8_t Mask = static_cast<uint8_t>(0x0Fu << (Off & 7));
       if ((S->A[Off >> 3] & Mask) == Mask) {
-        if (Secondary *W = TLC.Owned) {
+        if (Secondary *W = Cache.Owned) {
           std::memcpy(W->V.data() + Off, &VWord, 4);
-          St.FastStores.fetch_add(1, std::memory_order_relaxed);
+          ++St.FastStores;
           return 0;
         }
         if (VWord == 0) { // defined word into the Defined DSM: no-op
-          St.FastStores.fetch_add(1, std::memory_order_relaxed);
+          ++St.FastStores;
           return 0;
         }
       }
     }
-    St.SlowStores.fetch_add(1, std::memory_order_relaxed);
+    ++St.SlowStores;
     return 1;
   }
 
@@ -244,7 +199,7 @@ public:
   uint64_t chunksReclaimed() const { return St.Reclaimed; }
 
   const ShadowStats &stats() const { return St; }
-  void resetStats() { St.reset(); }
+  void resetStats() { St = {}; }
 
 private:
   struct Secondary {
@@ -253,7 +208,6 @@ private:
   };
 
   static constexpr uint32_t NoChunk = ~0u;
-  static constexpr uint32_t NumStripes = 64;
 
   /// A-byte mask for an aligned \p Size-byte access at chunk offset
   /// \p Off (the bits all land in A[Off >> 3]).
@@ -265,72 +219,53 @@ private:
     return S != &DsmNoAccess && S != &DsmDefined;
   }
 
-  /// Per-thread last-secondary cache line. Keyed by (map instance, cache
-  /// epoch, chunk): any chunk state transition anywhere in the map bumps
-  /// the epoch and invalidates every thread's cached entry, so a cached
-  /// secondary can never outlive its chunk's reclamation — the PR 2
-  /// shared one-entry cache could, once a second thread existed.
-  struct TLCache {
-    uint64_t Map = 0; ///< ShadowMap::Id of the owning map (0 = empty)
-    uint64_t Epoch = 0;
+  /// The last-secondary cache. materialise() points it at the fresh copy
+  /// (the caller is about to write there) and setWholeChunk() empties it,
+  /// so it can never hold a secondary that has been released.
+  struct LastSecondary {
     uint32_t Chunk = NoChunk;
     const Secondary *Sec = nullptr;
-    Secondary *Owned = nullptr;
+    Secondary *Owned = nullptr; ///< Sec when owned (writable without CoW)
   };
-  static thread_local TLCache TLC;
 
-  /// Cached secondary lookup: lock-free (one epoch load + one primary
-  /// acquire load on miss). Also records, in TLC.Owned, whether the
+  /// Cached secondary lookup. Also records, in Cache.Owned, whether the
   /// resolved secondary is owned (writable without CoW).
   const Secondary *readable(uint32_t ChunkIdx) const {
-    uint64_t E = CacheEpoch.load(std::memory_order_acquire);
-    if (TLC.Map == Id && TLC.Epoch == E && TLC.Chunk == ChunkIdx) {
-      St.SecCacheHits.fetch_add(1, std::memory_order_relaxed);
-      return TLC.Sec;
+    if (Cache.Chunk == ChunkIdx) {
+      ++St.SecCacheHits;
+      return Cache.Sec;
     }
-    St.SecCacheMisses.fetch_add(1, std::memory_order_relaxed);
-    Secondary *S = Primary[ChunkIdx].load(std::memory_order_acquire);
-    TLC = {Id, E, ChunkIdx, S, ownedSec(S) ? S : nullptr};
+    ++St.SecCacheMisses;
+    Secondary *S = Primary[ChunkIdx];
+    Cache = {ChunkIdx, S, ownedSec(S) ? S : nullptr};
     return S;
   }
   Secondary *writable(uint32_t ChunkIdx) {
-    uint64_t E = CacheEpoch.load(std::memory_order_acquire);
-    if (TLC.Map == Id && TLC.Epoch == E && TLC.Chunk == ChunkIdx &&
-        TLC.Owned) {
-      St.SecCacheHits.fetch_add(1, std::memory_order_relaxed);
-      return TLC.Owned;
+    if (Cache.Chunk == ChunkIdx && Cache.Owned) {
+      ++St.SecCacheHits;
+      return Cache.Owned;
     }
-    Secondary *S = Primary[ChunkIdx].load(std::memory_order_acquire);
+    Secondary *S = Primary[ChunkIdx];
     if (ownedSec(S)) {
-      TLC = {Id, E, ChunkIdx, S, S};
+      Cache = {ChunkIdx, S, S};
       return S;
     }
     return materialise(ChunkIdx);
   }
 
   Secondary *materialise(uint32_t ChunkIdx);
-  /// Swaps the whole chunk to a distinguished secondary, reclaiming any
-  /// owned secondary (deleted, or parked in the graveyard under the
-  /// sharded scheduler).
+  /// Swaps the whole chunk to a distinguished secondary, freeing any owned
+  /// secondary.
   void setWholeChunk(uint32_t ChunkIdx, Secondary *Dsm);
 
   uint64_t loadVSlow(uint32_t Addr, uint32_t Size, AddrCheck &Check) const;
   void storeVSlow(uint32_t Addr, uint32_t Size, uint64_t Vbits,
                   AddrCheck &Check);
 
-  /// The primary: one atomic pointer per 64KB chunk — an owned secondary
-  /// or one of the two distinguished ones. Readers acquire-load it with
-  /// no lock; transitions happen under the chunk's stripe.
-  std::vector<std::atomic<Secondary *>> Primary;
-  std::array<std::mutex, NumStripes> Stripes;
-  /// Bumped (release) on every materialise and whole-chunk swap;
-  /// invalidates every thread's TLC entry for this map.
-  std::atomic<uint64_t> CacheEpoch{0};
-  std::mutex ReclaimMu; ///< guards Graveyard
-  std::vector<std::unique_ptr<Secondary>> Graveyard;
-  bool DeferReclaim = false;
-  uint64_t Id; ///< process-unique map instance id (TLC key)
-
+  /// The primary: one pointer per 64KB chunk — an owned secondary or one
+  /// of the two distinguished ones.
+  std::vector<Secondary *> Primary;
+  mutable LastSecondary Cache;
   mutable ShadowStats St;
 
   static Secondary DsmNoAccess, DsmDefined;

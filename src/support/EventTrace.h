@@ -15,9 +15,7 @@
 #ifndef VG_SUPPORT_EVENTTRACE_H
 #define VG_SUPPORT_EVENTTRACE_H
 
-#include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -85,16 +83,6 @@ public:
   /// made before this is called carry timestamp 0.
   void setClock(const uint64_t *Counter) { Clock = Counter; }
 
-  /// Sharded-scheduler mode: timestamps come from the core's global atomic
-  /// block clock (the per-shard plain counters would race), and record()
-  /// serialises internally so shards can trace concurrently. Timestamps
-  /// are then only approximately ordered — MT traces are diagnostic, the
-  /// byte-identical replay property belongs to --sched-threads=1.
-  void setAtomicClock(const std::atomic<uint64_t> *Counter) {
-    AtomicClock = Counter;
-    ThreadSafe = true;
-  }
-
   void record(int Tid, TraceEvent E, uint32_t A = 0, uint32_t B = 0,
               uint32_t C = 0);
 
@@ -126,9 +114,6 @@ private:
   };
 
   const uint64_t *Clock = nullptr;
-  const std::atomic<uint64_t> *AtomicClock = nullptr;
-  bool ThreadSafe = false;
-  std::mutex Mu; ///< guards Ring/Recorded/Counts when ThreadSafe
   std::vector<Record> Ring;
   uint64_t Recorded = 0; ///< total record() calls; ring keeps the tail
   uint64_t Counts[NumTraceEvents] = {};

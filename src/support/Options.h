@@ -34,8 +34,8 @@ public:
   std::string getString(const std::string &Name) const;
   int64_t getInt(const std::string &Name) const;
   /// getInt with hard validation: the value must parse completely as an
-  /// integer and lie in [Lo, Hi]; anything else (--jit-threads=abc,
-  /// --jit-queue-depth=-1) is a usage error naming the option, the
+  /// integer and lie in [Lo, Hi]; anything else (--trace-max-blocks=abc,
+  /// --tt-cache-max-mb=-1) is a usage error naming the option, the
   /// offending value, and the accepted range. The predecessor of this API
   /// silently clamped, which turned typos into surprising-but-running
   /// configurations.

@@ -47,7 +47,6 @@ void OutputSink::vprintf(const char *Fmt, va_list Ap) {
 }
 
 void OutputSink::write(const std::string &S) {
-  std::lock_guard<std::mutex> L(Mu);
   switch (TheMode) {
   case Mode::Stderr:
     std::fwrite(S.data(), 1, S.size(), stderr);
@@ -62,7 +61,6 @@ void OutputSink::write(const std::string &S) {
 }
 
 std::string OutputSink::takeBuffer() {
-  std::lock_guard<std::mutex> L(Mu);
   std::string Out;
   Out.swap(Buf);
   return Out;

@@ -12,7 +12,6 @@
 
 #include <cstdarg>
 #include <cstdio>
-#include <mutex>
 #include <string>
 
 namespace vg {
@@ -42,9 +41,7 @@ public:
   /// printf-style formatted output.
   void printf(const char *Fmt, ...) __attribute__((format(printf, 2, 3)));
 
-  /// Writes a raw string. All output funnels through here; the internal
-  /// lock keeps concurrent writers (tool helpers running on several shards
-  /// under --sched-threads=N) from interleaving mid-line.
+  /// Writes a raw string. All output funnels through here.
   void write(const std::string &S);
 
   /// Returns and clears the accumulated buffer (Buffer mode only).
@@ -60,7 +57,6 @@ private:
 
   Mode TheMode;
   std::FILE *File = nullptr;
-  std::mutex Mu; ///< guards Buf and the FILE against concurrent write()
   std::string Buf;
 };
 

@@ -108,6 +108,9 @@ void Profiler::report(OutputSink &Out, const ProfCounters &C,
              static_cast<unsigned long long>(C.EvictionRuns),
              static_cast<unsigned long long>(C.Evicted),
              static_cast<unsigned long long>(C.Invalidated));
+  Out.printf("promotion stall: hot-promotions=%llu inline=%.1fus\n",
+             static_cast<unsigned long long>(C.HotPromotions),
+             C.PromotionStallSeconds * 1e6);
 
   if (C.HasShadow) {
     Out.printf("\n== profile: shadow memory ==\n");
@@ -159,34 +162,6 @@ void Profiler::report(OutputSink &Out, const ProfCounters &C,
                  static_cast<unsigned long long>(C.FaultsInjected[I]));
   }
 
-  if (C.HasJit) {
-    Out.printf("\n== profile: translation service ==\n");
-    Out.printf("jit-threads=%llu queue-depth=%llu high-water=%llu\n",
-               static_cast<unsigned long long>(C.JitThreads),
-               static_cast<unsigned long long>(C.JitQueueDepth),
-               static_cast<unsigned long long>(C.QueueHighWater));
-    Out.printf("async requests=%llu completed=%llu installed=%llu\n",
-               static_cast<unsigned long long>(C.AsyncRequests),
-               static_cast<unsigned long long>(C.AsyncCompleted),
-               static_cast<unsigned long long>(C.AsyncInstalled));
-    Out.printf("discarded epoch=%llu stale=%llu abandoned=%llu\n",
-               static_cast<unsigned long long>(C.AsyncDiscardedEpoch),
-               static_cast<unsigned long long>(C.AsyncDiscardedStale),
-               static_cast<unsigned long long>(C.AsyncAbandoned));
-    Out.printf("sync promotions=%llu queue-full-fallbacks=%llu "
-               "worker-failures=%llu\n",
-               static_cast<unsigned long long>(C.SyncPromotions),
-               static_cast<unsigned long long>(C.QueueFullFallbacks),
-               static_cast<unsigned long long>(C.WorkerFailures));
-    Out.printf("install latency total=%.1fus mean=%.1fus\n",
-               C.InstallLatencySeconds * 1e6,
-               C.AsyncInstalled ? C.InstallLatencySeconds * 1e6 /
-                                      static_cast<double>(C.AsyncInstalled)
-                                : 0.0);
-    Out.printf("guest stall: inline-promotion=%.1fus enqueue=%.1fus\n",
-               C.SyncPromoStallSeconds * 1e6, C.EnqueueSeconds * 1e6);
-  }
-
   if (C.HasTraces) {
     Out.printf("\n== profile: trace tier ==\n");
     Out.printf("requests=%llu traces-formed=%llu aborts=%llu\n",
@@ -202,26 +177,6 @@ void Profiler::report(OutputSink &Out, const ProfCounters &C,
     Out.printf("dead-flag-puts-eliminated=%llu probes-csed=%llu\n",
                static_cast<unsigned long long>(C.TraceDeadFlagPuts),
                static_cast<unsigned long long>(C.TraceProbesCSEd));
-  }
-
-  if (C.HasSched) {
-    Out.printf("\n== profile: sharded scheduler ==\n");
-    Out.printf("sched-threads=%llu quanta=%llu\n",
-               static_cast<unsigned long long>(C.SchedThreads),
-               static_cast<unsigned long long>(C.SchedQuanta));
-    Out.printf("run-queue pushes=%llu pops=%llu waits=%llu\n",
-               static_cast<unsigned long long>(C.RunQueuePushes),
-               static_cast<unsigned long long>(C.RunQueuePops),
-               static_cast<unsigned long long>(C.RunQueueWaits));
-    Out.printf("world-lock acquisitions=%llu (%.1f blocks/acquisition)\n",
-               static_cast<unsigned long long>(C.WorldLockAcquisitions),
-               C.WorldLockAcquisitions
-                   ? static_cast<double>(C.BlocksDispatched) /
-                         static_cast<double>(C.WorldLockAcquisitions)
-                   : 0.0);
-    Out.printf("translations retired=%llu limbo-high-water=%llu\n",
-               static_cast<unsigned long long>(C.TranslationsRetired),
-               static_cast<unsigned long long>(C.LimboHighWater));
   }
 
   if (C.HasTransCache) {

@@ -33,11 +33,8 @@ enum class ProfPhase : unsigned {
 
 const char *profPhaseName(ProfPhase P);
 
-/// Per-phase wall time accumulated by ONE thread. Each translation worker
-/// owns its own instance and the guest thread merges them at install time,
-/// so the asynchronous pipeline never shares a counter (the pre-service
-/// code mutated the Profiler's plain fields straight from the translation
-/// path, which a background worker would race).
+/// Per-phase wall time, as a standalone sink for pipeline runs that have
+/// no Profiler (TranslationOptions::PhaseOut).
 struct PhaseTimes {
   static constexpr unsigned NPhases =
       static_cast<unsigned>(ProfPhase::NumPhases);
@@ -48,12 +45,6 @@ struct PhaseTimes {
     unsigned I = static_cast<unsigned>(Ph);
     Seconds[I] += S;
     ++Counts[I];
-  }
-  void merge(const PhaseTimes &O) {
-    for (unsigned I = 0; I != NPhases; ++I) {
-      Seconds[I] += O.Seconds[I];
-      Counts[I] += O.Counts[I];
-    }
   }
 };
 
@@ -67,6 +58,7 @@ struct ProfCounters {
   uint64_t ChainedTransfers = 0;
   uint64_t Translations = 0;
   uint64_t HotPromotions = 0;
+  double PromotionStallSeconds = 0; ///< guest time lost to hot promotion
   uint64_t TableLookups = 0;
   uint64_t TableHits = 0;
   uint64_t ChainsFilled = 0;
@@ -101,42 +93,15 @@ struct ProfCounters {
   uint64_t TraceDropped = 0;
   uint64_t TraceSyscalls = 0;
   uint64_t TraceSignals = 0; ///< queue+deliver+return+drop records
-  // Translation-service counters (only when --jit-threads > 0).
-  bool HasJit = false;
-  uint64_t JitThreads = 0;
-  uint64_t JitQueueDepth = 0;
-  uint64_t AsyncRequests = 0;       ///< promotions enqueued
-  uint64_t AsyncCompleted = 0;      ///< pipelines finished by workers
-  uint64_t AsyncInstalled = 0;      ///< superblocks published into the TT
-  uint64_t AsyncDiscardedEpoch = 0; ///< lost to a TT flush/invalidation
-  uint64_t AsyncDiscardedStale = 0; ///< guest code changed under the job
-  uint64_t AsyncAbandoned = 0;      ///< still queued/unpublished at exit
-  uint64_t QueueFullFallbacks = 0;  ///< backpressure -> inline translation
-  uint64_t WorkerFailures = 0;
-  uint64_t QueueHighWater = 0;
-  uint64_t SyncPromotions = 0;      ///< promotions run inline (stalls)
-  double InstallLatencySeconds = 0; ///< enqueue -> publication, summed
-  double SyncPromoStallSeconds = 0; ///< guest time lost to inline promotion
-  double EnqueueSeconds = 0;        ///< guest time spent snapshotting/queueing
   // Trace-tier counters (only when --trace-tier is on).
   bool HasTraces = false;
   uint64_t TraceRequests = 0;     ///< trace formations attempted
   uint64_t TracesFormed = 0;      ///< traces installed over tier-1 heads
-  uint64_t TraceAborts = 0;       ///< spill overflow / worker failure
+  uint64_t TraceAborts = 0;       ///< spill overflow
   uint64_t TraceExecs = 0;        ///< trace entries executed
   uint64_t TraceSideExits = 0;    ///< exits taken through a guarded side exit
   uint64_t TraceDeadFlagPuts = 0; ///< dead CC-thunk writes deleted
   uint64_t TraceProbesCSEd = 0;   ///< shadow probes CSE'd across seams
-  // Sharded-scheduler counters (only when --sched-threads > 1).
-  bool HasSched = false;
-  uint64_t SchedThreads = 0;
-  uint64_t SchedQuanta = 0;          ///< run-queue pops that ran a quantum
-  uint64_t RunQueuePushes = 0;
-  uint64_t RunQueuePops = 0;
-  uint64_t RunQueueWaits = 0;        ///< pops that had to park
-  uint64_t WorldLockAcquisitions = 0;///< block-boundary lock round-trips
-  uint64_t TranslationsRetired = 0;  ///< QSBR limbo traffic
-  uint64_t LimboHighWater = 0;       ///< peak translations awaiting grace
   // Persistent translation-cache counters (only when --tt-cache is set).
   bool HasTransCache = false;
   uint64_t CacheHits = 0;    ///< entries validated and installed
@@ -187,15 +152,6 @@ public:
   /// One phase sample (the sync pipeline's RAII timer lands here).
   void notePhase(ProfPhase Ph, double Seconds) {
     notePhaseSeconds(Ph, Seconds);
-  }
-
-  /// Folds a worker's privately-accumulated phase times in. Guest thread
-  /// only; workers never touch the Profiler directly.
-  void mergePhases(const PhaseTimes &PT) {
-    for (unsigned I = 0; I != NPhases; ++I) {
-      PhaseSeconds[I] += PT.Seconds[I];
-      PhaseCounts[I] += PT.Counts[I];
-    }
   }
 
   /// A translation of \p Addr finished (Tier 1 = hot superblock).

@@ -161,12 +161,10 @@ void Loopgrind::fini(int ExitCode) {
   std::vector<std::pair<uint64_t, std::pair<uint32_t, uint32_t>>> Edges;
   C->transTab().forEach([&](const Translation &T) {
     for (size_t S = 0; S != T.Chain.size(); ++S) {
-      const Translation *To = T.Chain[S].load(std::memory_order_acquire);
+      const Translation *To = T.Chain[S];
       if (!To || To->Addr > T.Addr)
         continue;
-      uint64_t N = S < T.EdgeExecs.size()
-                       ? T.EdgeExecs[S].load(std::memory_order_relaxed)
-                       : 0;
+      uint64_t N = S < T.EdgeExecs.size() ? T.EdgeExecs[S] : 0;
       if (N)
         Edges.push_back({N, {T.Addr, To->Addr}});
     }

@@ -33,7 +33,6 @@ std::string hexAddr(uint32_t A) {
 uint64_t Memcheck::helperLoadV(void *Env, uint64_t Addr, uint64_t Size,
                                uint64_t PC, uint64_t) {
   Memcheck *MC = toolOf(Env);
-  MC->ShadowLoads.fetch_add(1, std::memory_order_relaxed);
   AddrCheck Check;
   uint64_t V = MC->SM.loadV(static_cast<uint32_t>(Addr),
                             static_cast<uint32_t>(Size), Check);
@@ -49,7 +48,6 @@ uint64_t Memcheck::helperLoadV(void *Env, uint64_t Addr, uint64_t Size,
 uint64_t Memcheck::helperStoreV(void *Env, uint64_t Addr, uint64_t Vbits,
                                 uint64_t Size, uint64_t PC) {
   Memcheck *MC = toolOf(Env);
-  MC->ShadowStores.fetch_add(1, std::memory_order_relaxed);
   AddrCheck Check;
   MC->SM.storeV(static_cast<uint32_t>(Addr), static_cast<uint32_t>(Size),
                 Vbits, Check);
@@ -713,15 +711,8 @@ void Memcheck::reportError(const char *Kind, const std::string &Msg,
                            uint32_t PC, int Tid) {
   if (Tid < 0)
     Tid = C->currentTid();
-  // The stack scan consults the address-space segment map, which is only
-  // stable under the world lock; helpers run lock-free under
-  // --sched-threads=N, so parallel runs record errors without a stack
-  // (deduplication is by kind + PC and unaffected).
-  std::vector<uint32_t> Stack;
-  if (!C->isParallel())
-    Stack = C->captureStackTrace(C->thread(Tid));
-  bool IsNew =
-      C->errors().record(Kind, "==memcheck== " + Msg, PC, std::move(Stack));
+  bool IsNew = C->errors().record(Kind, "==memcheck== " + Msg, PC,
+                                  C->captureStackTrace(C->thread(Tid)));
   if (IsNew) {
     C->output().printf("==memcheck== %s\n==memcheck==    at %s\n",
                        Msg.c_str(), hexAddr(PC).c_str());

@@ -41,8 +41,6 @@
 #include "core/Tool.h"
 #include "shadow/ShadowMemory.h"
 
-#include <atomic>
-
 namespace vg {
 
 /// Memcheck's client-request namespace tag.
@@ -80,17 +78,6 @@ public:
   void fini(int ExitCode) override;
   bool handleClientRequest(int Tid, uint32_t Code, const uint32_t Args[4],
                            uint32_t &Result) override;
-  /// The V/A state lives in the MT-safe ShadowMap, the helper-side
-  /// counters below are atomic, and error recording is serialised inside
-  /// the ErrorManager, so concurrent guest threads are supported. Shadow
-  /// bit granularity caveat: A-bits pack 8 guest bytes per shadow byte, so
-  /// two threads flipping addressability of *adjacent* bytes in the same
-  /// 8-byte group race on the A-byte. The replacement allocator hands out
-  /// 16-byte-aligned blocks, which keeps distinct heap blocks in distinct
-  /// groups; guests that carve one block across threads must align their
-  /// sub-allocations just as they must under real memcheck --partial-ok.
-  bool supportsParallelGuests() const override { return true; }
-
   // Heap replacement (R8).
   bool tracksHeap() const override { return true; }
   uint32_t redzoneBytes() const override { return 16; }
@@ -116,10 +103,8 @@ public:
                                   uint64_t);
 
 private:
-  /// Records (and on first sight prints) an error. \p Tid attributes the
-  /// stack trace; -1 means "the scheduler's current thread", which is only
-  /// meaningful on the serialised scheduler — parallel callers must pass
-  /// the tid from their ExecContext or event argument.
+  /// Records (and on first sight prints) an error with the guest stack of
+  /// thread \p Tid; -1 means the scheduler's current thread.
   void reportError(const char *Kind, const std::string &Msg, uint32_t PC,
                    int Tid = -1);
   void checkDefinedRange(int Tid, uint32_t Addr, uint32_t Len,
@@ -129,11 +114,6 @@ private:
   Core *C = nullptr;
   ShadowMap SM;
   bool LeakCheckEnabled = true;
-
-  // Statistics for the summary line. Atomic (relaxed): the helpers run
-  // lock-free inside Exec.run, concurrently across shards under
-  // --sched-threads=N and racing the guest thread under --jit-threads=N.
-  std::atomic<uint64_t> ShadowLoads{0}, ShadowStores{0};
 };
 
 } // namespace vg

@@ -16,9 +16,6 @@ namespace vg {
 class Nulgrind : public Tool {
 public:
   const char *name() const override { return "nulgrind"; }
-  /// No analysis state at all, so parallel guest execution is trivially
-  /// safe.
-  bool supportsParallelGuests() const override { return true; }
 };
 
 } // namespace vg

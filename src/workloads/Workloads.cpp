@@ -998,8 +998,7 @@ void wlSigMt(Assembler &C, Assembler &D, GuestLibLabels &Lib,
 /// mtcpu: four cloned children, each hash-mixing over its own private
 /// mmap'd buffer — CPU-bound, no shared writable data beyond the go/done
 /// handshake, and each child's sum is deterministic regardless of how the
-/// threads interleave. The parallel-scheduler scaling bench runs this at
-/// --sched-threads=1 vs 4; the concurrency tests hammer it for divergence.
+/// threads interleave, so Nulgrind and Memcheck must print the same sum.
 void wlMtCpu(Assembler &C, Assembler &D, GuestLibLabels &Lib,
              uint32_t Scale) {
   constexpr uint32_t NumChildren = 4;

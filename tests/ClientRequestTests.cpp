@@ -5,7 +5,7 @@
 /// requests (tagged encoding + legacy-code compatibility), unknown-request
 /// accounting, RefInterp-vs-JIT agreement, function wrapping ordering, the
 /// Loopgrind tool end to end (golden report), and client requests hammered
-/// from four guest threads under the sharded scheduler.
+/// from four guest threads.
 ///
 /// Regenerate the Loopgrind golden after an intentional report change:
 ///
@@ -412,16 +412,14 @@ TEST(Loopgrind, StartStopGateCollection) {
 }
 
 //===----------------------------------------------------------------------===//
-// Client requests from four concurrent guest threads (sharded scheduler)
+// Client requests from four guest threads
 //===----------------------------------------------------------------------===//
 
-TEST(MtClientRequests, FourThreadsHammerRequestsUnderShardedScheduler) {
+TEST(MtClientRequests, FourThreadsHammerRequests) {
   // Four cloned threads each issue a mix of canonical, legacy, and
-  // unknown-tag requests in a loop; every request takes the world lock
-  // exactly like a syscall, so results must be correct under --sched-
-  // threads=4 and the run must be TSan-clean (this test carries the
-  // concurrency label). Each thread accumulates wrong answers into an
-  // error word; main sums them into the exit code.
+  // unknown-tag requests in a loop while the scheduler switches between
+  // them; every answer must still be right. Each thread accumulates wrong
+  // answers into an error word; main sums them into the exit code.
   constexpr int NThreads = 4;
   constexpr uint32_t DoneBase = DataBase;     // 4 done flags
   constexpr uint32_t ErrBase = DataBase + 16; // 4 error words
@@ -508,9 +506,9 @@ TEST(MtClientRequests, FourThreadsHammerRequestsUnderShardedScheduler) {
     Code.sys();
   });
   Nulgrind T;
-  RunReport R = runUnderCore(Img, &T, {"--sched-threads=4"});
+  RunReport R = runUnderCore(Img, &T, {});
   ASSERT_TRUE(R.Completed);
-  EXPECT_EQ(R.ExitCode, 0) << "a request returned a wrong result under MT";
+  EXPECT_EQ(R.ExitCode, 0) << "a request returned a wrong result";
 }
 
 } // namespace

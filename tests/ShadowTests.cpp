@@ -198,8 +198,8 @@ TEST(ShadowFast, ReclaimThenImmediateProbeNeverSeesStaleSecondary) {
   // secondary, whole-chunk reclamation releases that secondary, and the
   // very next probe of the same chunk address must re-resolve through the
   // primary — a stale pointer would read freed memory (or, with slot
-  // reuse, another chunk's shadow). The epoch-validated per-thread cache
-  // makes the reload unconditional; probe every cached entry point.
+  // reuse, another chunk's shadow). Every whole-chunk swap empties the
+  // cache, so the reload is unconditional; probe every cached entry point.
   ShadowMap SM;
   uint32_t Base = 21 * CS;
   SM.makeUndefined(Base, 64);
@@ -217,11 +217,10 @@ TEST(ShadowFast, ReclaimThenImmediateProbeNeverSeesStaleSecondary) {
   EXPECT_EQ(SM.loadV(Base, 4, C2) & 0xFFFFFFFFull, 0xFFFFFFFFull);
   EXPECT_FALSE(C2.Ok);
 
-  // Same window under deferred reclamation (the sharded scheduler's
-  // mode): the reclaimed secondary is parked, not freed, and the probe
-  // still re-resolves to the DSM.
+  // Same window for a swap to the Defined DSM: the cached owned secondary
+  // dies, the probe resolves to the DSM, and a non-defined store must
+  // copy-on-write a fresh secondary instead of writing the freed one.
   ShadowMap SD;
-  SD.setDeferredReclaim(true);
   SD.makeUndefined(Base, 64);
   AddrCheck C3;
   SD.storeV(Base, 4, 0, C3);

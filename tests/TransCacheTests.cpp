@@ -6,8 +6,8 @@
 /// rejection of stale/poisoned/corrupt entries (truncations and bit flips
 /// must be misses, never crashes, never garbage installs), size-budget
 /// eviction, the hard option-validation errors, and end-to-end cold/warm
-/// equivalence under a full Core — including with background workers on
-/// (the ThreadSanitizer target of the `concurrency` ctest label).
+/// equivalence under a full Core. The two-writer race on one entry is the
+/// ThreadSanitizer target of the `concurrency` ctest label.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -94,7 +94,6 @@ struct CacheStubHost : TranslationHost {
   void noteTranslation(uint32_t, const Translation &, double) override {
     ++Notes;
   }
-  void mergePhaseTimes(const PhaseTimes &) override {}
   void promotionInstalled(Translation *, uint64_t) override { ++Installs; }
 };
 
@@ -502,20 +501,20 @@ GuestImage trivialProgram() {
 
 using OptionDeathTest = ::testing::Test;
 
-TEST(OptionDeathTest, NonNumericJitThreadsIsFatal) {
+TEST(OptionDeathTest, NonNumericTraceMaxBlocksIsFatal) {
   GuestImage Img = trivialProgram();
   Nulgrind T;
-  EXPECT_EXIT(runUnderCore(Img, &T, {"--jit-threads=abc"}),
+  EXPECT_EXIT(runUnderCore(Img, &T, {"--trace-max-blocks=abc"}),
               ::testing::ExitedWithCode(1),
-              "--jit-threads=abc: expected an integer in \\[0, 16\\]");
+              "--trace-max-blocks=abc: expected an integer in \\[2, 8\\]");
 }
 
-TEST(OptionDeathTest, NegativeQueueDepthIsFatal) {
+TEST(OptionDeathTest, NegativeTraceMaxBlocksIsFatal) {
   GuestImage Img = trivialProgram();
   Nulgrind T;
-  EXPECT_EXIT(runUnderCore(Img, &T, {"--jit-queue-depth=-1"}),
+  EXPECT_EXIT(runUnderCore(Img, &T, {"--trace-max-blocks=-1"}),
               ::testing::ExitedWithCode(1),
-              "--jit-queue-depth=-1: expected an integer in \\[1, 1024\\]");
+              "--trace-max-blocks=-1: expected an integer in \\[2, 8\\]");
 }
 
 TEST(OptionDeathTest, NonNumericCacheBudgetIsFatal) {
@@ -532,10 +531,21 @@ TEST(OptionDeathTest, NonNumericCacheBudgetIsFatal) {
 TEST(OptionDeathTest, TrailingJunkAndRangeViolationsAreFatal) {
   GuestImage Img = trivialProgram();
   Nulgrind T;
-  EXPECT_EXIT(runUnderCore(Img, &T, {"--jit-threads=2x"}),
+  EXPECT_EXIT(runUnderCore(Img, &T, {"--trace-max-blocks=2x"}),
               ::testing::ExitedWithCode(1), "expected an integer");
-  EXPECT_EXIT(runUnderCore(Img, &T, {"--jit-threads=17"}),
+  EXPECT_EXIT(runUnderCore(Img, &T, {"--trace-max-blocks=9"}),
               ::testing::ExitedWithCode(1), "expected an integer");
+}
+
+// The scheduler and JIT run on the one host thread; the options that once
+// asked for more are gone and fail like any other unknown option.
+TEST(OptionDeathTest, RemovedThreadOptionsAreUnknown) {
+  GuestImage Img = trivialProgram();
+  Nulgrind T;
+  for (const char *Opt :
+       {"--sched-threads=1", "--jit-threads=0", "--jit-queue-depth=8"})
+    EXPECT_EXIT(runUnderCore(Img, &T, {Opt}), ::testing::ExitedWithCode(1),
+                std::string("unknown option: ") + Opt);
 }
 
 TEST(OptionDeathTest, NonNumericHotAndTraceThresholdsAreFatal) {
@@ -607,11 +617,12 @@ GuestImage loopProgram() {
 }
 
 // Valid values at the range edges still work (the check is not
-// over-eager): hex syntax parses and the run behaves like --jit-threads=2.
+// over-eager): hex syntax parses and the run behaves like
+// --trace-max-blocks=8.
 TEST(TransCacheEndToEnd, ValidOptionValuesStillParse) {
   GuestImage Img = loopProgram();
   Nulgrind T;
-  RunReport R = runUnderCore(Img, &T, {"--jit-threads=0x2"});
+  RunReport R = runUnderCore(Img, &T, {"--trace-max-blocks=0x8"});
   EXPECT_TRUE(R.Completed);
 }
 
@@ -720,36 +731,6 @@ TEST(TransCacheEndToEnd, TraceTierTranslationsBypassCache) {
   EXPECT_GT(Warm.Stats.TracesFormed, 0u);
   // And nothing about the warm run's traces was newly persisted either.
   EXPECT_EQ(Warm.Jit.CacheWrites, 0u);
-}
-
-//===----------------------------------------------------------------------===//
-// Concurrency: cache + background workers (TSan target)
-//===----------------------------------------------------------------------===//
-
-// All cache traffic stays on the guest thread by construction; this runs
-// the full cold/warm cycle with two workers racing the guest thread so the
-// tsan preset can prove it. The async accounting identity must also hold
-// on both runs.
-TEST(TransCacheConcurrency, ColdWarmWithBackgroundWorkers) {
-  ScratchDir Dir;
-  GuestImage Img = buildWorkload("crafty", 1);
-  std::vector<std::string> Opts = {"--chaining=yes", "--hot-threshold=2",
-                                   "--jit-threads=2",
-                                   "--tt-cache=" + Dir.str()};
-  Nulgrind T1, T2;
-  RunReport Cold = runUnderCore(Img, &T1, Opts);
-  RunReport Warm = runUnderCore(Img, &T2, Opts);
-  ASSERT_TRUE(Cold.Completed);
-  ASSERT_TRUE(Warm.Completed);
-  EXPECT_EQ(Warm.Stdout, Cold.Stdout);
-  EXPECT_GT(Cold.Jit.CacheWrites, 0u);
-  EXPECT_GT(Warm.Jit.CacheHits, 0u);
-  for (const RunReport *R : {&Cold, &Warm}) {
-    const JitStats &J = R->Jit;
-    EXPECT_EQ(J.AsyncRequests, J.AsyncInstalled + J.AsyncDiscardedEpoch +
-                                   J.AsyncDiscardedStale + J.WorkerFailures +
-                                   J.AsyncAbandoned);
-  }
 }
 
 } // namespace

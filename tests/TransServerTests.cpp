@@ -114,7 +114,6 @@ struct StubHost : TranslationHost {
   void noteTranslation(uint32_t, const Translation &, double) override {
     ++Notes;
   }
-  void mergePhaseTimes(const PhaseTimes &) override {}
   void promotionInstalled(Translation *, uint64_t) override {}
 };
 

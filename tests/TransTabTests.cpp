@@ -28,7 +28,7 @@ makeT(uint32_t Addr, std::vector<uint32_t> ChainTargets = {},
   T->Extents = Extents.empty()
                    ? std::vector<std::pair<uint32_t, uint32_t>>{{Addr, Addr + 4}}
                    : std::move(Extents);
-  T->Chain = std::vector<std::atomic<vg::Translation *>>(ChainTargets.size());
+  T->Chain.assign(ChainTargets.size(), nullptr);
   T->Blob.ChainTargets = std::move(ChainTargets);
   return T;
 }
