@@ -124,6 +124,15 @@ cmake --build --preset tsan -j \
     --target test_transcache --target test_transserver >/dev/null
 ctest --preset tsan
 
+echo "== smoke: AddressSanitizer + UBSan (unit tests, fuzz corpus) =="
+# Every test_* binary plus the committed fuzz corpus replay, built with
+# -fsanitize=address,undefined: use-after-free, out-of-bounds access and
+# calls through destroyed objects fail the run. The whole tree is rebuilt
+# instrumented, so the job count is bounded.
+cmake --preset asan >/dev/null
+cmake --build --preset asan -j "$(nproc)" >/dev/null
+ctest --preset asan
+
 if [ "$FUZZ_SOAK" = "1" ]; then
   echo "== fuzz soak: 2000-iteration acceptance campaign =="
   ./build/src/vgfuzz --iters=2000 --seed=1 --quiet

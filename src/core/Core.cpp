@@ -436,7 +436,7 @@ void Core::setupTranslation(TranslationOptions &TO, uint32_t PC, bool Hot,
                             Translation *Raw) {
   TO.Spec = Spec;
   TO.Verify = Opts.getBool("verify-ir");
-  TO.Prof = Prof.get();
+  TO.PhaseOut = Prof ? &Prof->phases() : nullptr;
   if (Hot) {
     // Hot tier: chase branches aggressively so the loop body becomes one
     // superblock with chainable internal exits. Cold translations keep the

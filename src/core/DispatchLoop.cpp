@@ -9,7 +9,6 @@
 #include "support/Hashing.h"
 
 #include <algorithm>
-#include <chrono>
 
 using namespace vg;
 using namespace vg::vg1;
@@ -49,13 +48,9 @@ Translation *DispatchLoop::promoteHot(uint32_t PC) {
   // are re-parked and relink to the superblock immediately (TransTab's
   // eager waiter resolution), so the hot path re-forms without further
   // dispatcher round-trips.
-  using Clock = std::chrono::steady_clock;
-  double T0 =
-      std::chrono::duration<double>(Clock::now().time_since_epoch()).count();
+  double T0 = steadySeconds();
   Translation *T = C.XS->translateSync(PC, /*Hot=*/true);
-  double T1 =
-      std::chrono::duration<double>(Clock::now().time_since_epoch()).count();
-  C.XS->noteSyncPromotion(T1 - T0);
+  C.XS->noteSyncPromotion(steadySeconds() - T0);
   return T;
 }
 
@@ -453,99 +448,174 @@ uint32_t DispatchLoop::callGuest(ThreadState &TS, uint32_t Addr,
 // The --profile report
 //===----------------------------------------------------------------------===//
 
+namespace {
+
+/// \p Part as a percentage of \p Whole; 0 when \p Whole is.
+double pct(uint64_t Part, uint64_t Whole) {
+  return Whole ? 100.0 * static_cast<double>(Part) / static_cast<double>(Whole)
+               : 0.0;
+}
+
+/// Mean microseconds per event; 0 when there were none.
+double meanUs(double Seconds, uint64_t Events) {
+  return Events ? Seconds * 1e6 / static_cast<double>(Events) : 0.0;
+}
+
+} // namespace
+
 void DispatchLoop::dumpProfile() {
   if (!C.Prof)
     return;
+  OutputSink &Out = C.Out;
+  const CoreStats &S = C.Stats;
   const TransTab::Stats &TS = C.TT.stats();
-  ProfCounters PC;
-  PC.BlocksDispatched = C.Stats.BlocksDispatched;
-  PC.DispatcherEntries = C.Stats.BlocksDispatched - C.Stats.ChainedTransfers;
-  PC.FastCacheHits = C.Stats.FastCacheHits;
-  PC.FastCacheMisses = C.Stats.FastCacheMisses;
-  PC.ChainedTransfers = C.Stats.ChainedTransfers;
-  PC.Translations = C.Stats.Translations;
-  PC.HotPromotions = C.Stats.HotPromotions;
-  PC.PromotionStallSeconds = C.XS->jitStats().SyncPromoStallSeconds;
-  PC.TableLookups = TS.Lookups;
-  PC.TableHits = TS.Hits;
-  PC.ChainsFilled = TS.ChainsFilled;
-  PC.Unchains = TS.Unchains;
-  PC.EvictionRuns = TS.EvictionRuns;
-  PC.Evicted = TS.Evicted;
-  PC.Invalidated = TS.Invalidated;
-  if (ShadowMap *SM = C.ToolPlugin ? C.ToolPlugin->shadowMap() : nullptr) {
+  const JitStats &J = C.XS->jitStats();
+  C.Prof->reportPhases(Out);
+
+  Out.printf("\n== profile: dispatcher ==\n");
+  Out.printf("blocks=%llu dispatcher-entries=%llu chained=%llu\n",
+             static_cast<unsigned long long>(S.BlocksDispatched),
+             static_cast<unsigned long long>(S.BlocksDispatched -
+                                             S.ChainedTransfers),
+             static_cast<unsigned long long>(S.ChainedTransfers));
+  Out.printf("fast-cache hits=%llu misses=%llu (%.2f%%)\n",
+             static_cast<unsigned long long>(S.FastCacheHits),
+             static_cast<unsigned long long>(S.FastCacheMisses),
+             pct(S.FastCacheHits, S.FastCacheHits + S.FastCacheMisses));
+  Out.printf("table lookups=%llu hits=%llu chains-filled=%llu "
+             "unchains=%llu\n",
+             static_cast<unsigned long long>(TS.Lookups),
+             static_cast<unsigned long long>(TS.Hits),
+             static_cast<unsigned long long>(TS.ChainsFilled),
+             static_cast<unsigned long long>(TS.Unchains));
+  Out.printf("translations=%llu hot-promotions=%llu eviction-runs=%llu "
+             "evicted=%llu invalidated=%llu\n",
+             static_cast<unsigned long long>(S.Translations),
+             static_cast<unsigned long long>(S.HotPromotions),
+             static_cast<unsigned long long>(TS.EvictionRuns),
+             static_cast<unsigned long long>(TS.Evicted),
+             static_cast<unsigned long long>(TS.Invalidated));
+  Out.printf("promotion stall: hot-promotions=%llu inline=%.1fus\n",
+             static_cast<unsigned long long>(S.HotPromotions),
+             J.SyncPromoStallSeconds * 1e6);
+
+  if (const ShadowMap *SM =
+          C.ToolPlugin ? C.ToolPlugin->shadowMap() : nullptr) {
     const ShadowStats &SS = SM->stats();
-    PC.HasShadow = true;
-    PC.ShadowFastLoads = SS.FastLoads;
-    PC.ShadowSlowLoads = SS.SlowLoads;
-    PC.ShadowFastStores = SS.FastStores;
-    PC.ShadowSlowStores = SS.SlowStores;
-    PC.ShadowSecCacheHits = SS.SecCacheHits;
-    PC.ShadowSecCacheMisses = SS.SecCacheMisses;
-    PC.ShadowChunksMaterialised = SS.Materialised;
-    PC.ShadowChunksReclaimed = SS.Reclaimed;
-    PC.ShadowChunksLive = SS.LiveChunks;
-    PC.ShadowChunksHighWater = SS.HighWater;
+    Out.printf("\n== profile: shadow memory ==\n");
+    Out.printf("probe loads fast=%llu slow=%llu (%.2f%% fast)\n",
+               static_cast<unsigned long long>(SS.FastLoads),
+               static_cast<unsigned long long>(SS.SlowLoads),
+               pct(SS.FastLoads, SS.FastLoads + SS.SlowLoads));
+    Out.printf("probe stores fast=%llu slow=%llu (%.2f%% fast)\n",
+               static_cast<unsigned long long>(SS.FastStores),
+               static_cast<unsigned long long>(SS.SlowStores),
+               pct(SS.FastStores, SS.FastStores + SS.SlowStores));
+    Out.printf("secondary cache hits=%llu misses=%llu (%.2f%%)\n",
+               static_cast<unsigned long long>(SS.SecCacheHits),
+               static_cast<unsigned long long>(SS.SecCacheMisses),
+               pct(SS.SecCacheHits, SS.SecCacheHits + SS.SecCacheMisses));
+    Out.printf("chunks materialised=%llu reclaimed=%llu live=%llu "
+               "high-water=%llu\n",
+               static_cast<unsigned long long>(SS.Materialised),
+               static_cast<unsigned long long>(SS.Reclaimed),
+               static_cast<unsigned long long>(SS.LiveChunks),
+               static_cast<unsigned long long>(SS.HighWater));
   }
-  PC.ThreadSwitches = C.Stats.ThreadSwitches;
-  PC.SignalsDelivered = C.Stats.SignalsDelivered;
-  PC.SignalsDropped = C.Stats.SignalsDropped;
-  if (C.Faults) {
-    PC.HasFaults = true;
-    PC.FaultRolls = C.Faults->rolls();
+
+  Out.printf("\n== profile: scheduler/signals ==\n");
+  Out.printf("thread-switches=%llu signals delivered=%llu dropped=%llu\n",
+             static_cast<unsigned long long>(S.ThreadSwitches),
+             static_cast<unsigned long long>(S.SignalsDelivered),
+             static_cast<unsigned long long>(S.SignalsDropped));
+
+  if (const FaultPlan *F = C.Faults.get()) {
+    Out.printf("\n== profile: fault injection ==\n");
+    Out.printf("rolls=%llu injected=%llu\n",
+               static_cast<unsigned long long>(F->rolls()),
+               static_cast<unsigned long long>(F->injectedTotal()));
     for (unsigned I = 0; I != NumFaultKinds; ++I) {
-      PC.FaultsInjected[I] = C.Faults->injected(static_cast<FaultKind>(I));
-      PC.FaultNames[I] = faultKindName(static_cast<FaultKind>(I));
+      FaultKind K = static_cast<FaultKind>(I);
+      Out.printf("  %-12s %llu\n", faultKindName(K),
+                 static_cast<unsigned long long>(F->injected(K)));
     }
   }
+
   if (C.TraceTier) {
-    const JitStats &J = C.XS->jitStats();
-    PC.HasTraces = true;
-    PC.TraceRequests = J.TraceRequests;
-    PC.TracesFormed = C.Stats.TracesFormed;
-    PC.TraceAborts = J.TraceAborts;
-    PC.TraceExecs = C.Stats.TraceExecs;
-    PC.TraceSideExits = C.Stats.TraceSideExits;
-    PC.TraceDeadFlagPuts = J.TraceDeadFlagPuts;
-    PC.TraceProbesCSEd = J.TraceProbesCSEd;
+    Out.printf("\n== profile: trace tier ==\n");
+    Out.printf("requests=%llu traces-formed=%llu aborts=%llu\n",
+               static_cast<unsigned long long>(J.TraceRequests),
+               static_cast<unsigned long long>(S.TracesFormed),
+               static_cast<unsigned long long>(J.TraceAborts));
+    Out.printf("trace-execs=%llu side-exits=%llu (%.2f%% side-exit rate)\n",
+               static_cast<unsigned long long>(S.TraceExecs),
+               static_cast<unsigned long long>(S.TraceSideExits),
+               pct(S.TraceSideExits, S.TraceExecs));
+    Out.printf("dead-flag-puts-eliminated=%llu probes-csed=%llu\n",
+               static_cast<unsigned long long>(J.TraceDeadFlagPuts),
+               static_cast<unsigned long long>(J.TraceProbesCSEd));
   }
+
   if (const TransCache *TC = C.XS->cache()) {
-    const JitStats &J = C.XS->jitStats();
-    PC.HasTransCache = true;
-    PC.CacheHits = J.CacheHits;
-    PC.CacheMisses = J.CacheMisses;
-    PC.CacheRejects = J.CacheRejects;
-    PC.CacheWrites = J.CacheWrites;
-    PC.CacheEvictedFiles = TC->evictedFiles();
-    PC.CacheDirBytes = TC->totalBytes();
-    PC.CacheLoadSeconds = J.CacheLoadSeconds;
-    PC.CacheStoreSeconds = J.CacheStoreSeconds;
+    uint64_t Lookups = J.CacheHits + J.CacheMisses + J.CacheRejects;
+    Out.printf("\n== profile: translation cache ==\n");
+    Out.printf("lookups=%llu hits=%llu misses=%llu rejects=%llu "
+               "(%.2f%% hit)\n",
+               static_cast<unsigned long long>(Lookups),
+               static_cast<unsigned long long>(J.CacheHits),
+               static_cast<unsigned long long>(J.CacheMisses),
+               static_cast<unsigned long long>(J.CacheRejects),
+               pct(J.CacheHits, Lookups));
+    Out.printf("writes=%llu evicted-files=%llu dir-bytes=%llu\n",
+               static_cast<unsigned long long>(J.CacheWrites),
+               static_cast<unsigned long long>(TC->evictedFiles()),
+               static_cast<unsigned long long>(TC->totalBytes()));
+    Out.printf("load total=%.1fus mean=%.1fus store total=%.1fus "
+               "mean=%.1fus\n",
+               J.CacheLoadSeconds * 1e6,
+               meanUs(J.CacheLoadSeconds, J.CacheHits),
+               J.CacheStoreSeconds * 1e6,
+               meanUs(J.CacheStoreSeconds, J.CacheWrites));
   }
+
   if (const TransServerClient *SC = C.XS->server()) {
-    const JitStats &J = C.XS->jitStats();
-    PC.HasTransServer = true;
-    PC.ServerRequests = J.ServerRequests;
-    PC.ServerHits = J.ServerHits;
-    PC.ServerMisses = J.ServerMisses;
-    PC.ServerRejects = J.ServerRejects;
-    PC.ServerTimeouts = J.ServerTimeouts;
-    PC.ServerRetries = J.ServerRetries;
-    PC.ServerFallbacks = J.ServerFallbacks;
-    PC.ServerWrites = J.ServerWrites;
-    PC.ServerBytesFetched = J.ServerBytesFetched;
-    PC.ServerBytesSent = J.ServerBytesSent;
-    PC.ServerFetchSeconds = J.ServerFetchSeconds;
-    PC.ServerAlive = SC->alive();
+    Out.printf("\n== profile: translation server ==\n");
+    Out.printf("server requests=%llu hits=%llu misses=%llu rejects=%llu "
+               "(%.2f%% hit)\n",
+               static_cast<unsigned long long>(J.ServerRequests),
+               static_cast<unsigned long long>(J.ServerHits),
+               static_cast<unsigned long long>(J.ServerMisses),
+               static_cast<unsigned long long>(J.ServerRejects),
+               pct(J.ServerHits, J.ServerRequests));
+    Out.printf("server timeouts=%llu retries=%llu fallbacks=%llu "
+               "writes=%llu alive-at-exit=%s\n",
+               static_cast<unsigned long long>(J.ServerTimeouts),
+               static_cast<unsigned long long>(J.ServerRetries),
+               static_cast<unsigned long long>(J.ServerFallbacks),
+               static_cast<unsigned long long>(J.ServerWrites),
+               SC->alive() ? "yes" : "no");
+    Out.printf("server bytes fetched=%llu sent=%llu fetch total=%.1fus "
+               "mean=%.1fus\n",
+               static_cast<unsigned long long>(J.ServerBytesFetched),
+               static_cast<unsigned long long>(J.ServerBytesSent),
+               J.ServerFetchSeconds * 1e6,
+               meanUs(J.ServerFetchSeconds, J.ServerHits));
   }
-  if (C.Tracer) {
-    PC.HasTrace = true;
-    PC.TraceRecorded = C.Tracer->recorded();
-    PC.TraceDropped = C.Tracer->dropped();
-    PC.TraceSyscalls = C.Tracer->count(TraceEvent::SyscallEnter);
-    PC.TraceSignals = C.Tracer->count(TraceEvent::SigQueue) +
-                      C.Tracer->count(TraceEvent::SigDeliver) +
-                      C.Tracer->count(TraceEvent::SigReturn) +
-                      C.Tracer->count(TraceEvent::SigDrop);
+
+  if (const EventTracer *Tr = C.Tracer.get()) {
+    Out.printf("\n== profile: event trace ==\n");
+    Out.printf("recorded=%llu dropped=%llu syscalls=%llu signal-records="
+               "%llu\n",
+               static_cast<unsigned long long>(Tr->recorded()),
+               static_cast<unsigned long long>(Tr->dropped()),
+               static_cast<unsigned long long>(
+                   Tr->count(TraceEvent::SyscallEnter)),
+               static_cast<unsigned long long>(
+                   Tr->count(TraceEvent::SigQueue) +
+                   Tr->count(TraceEvent::SigDeliver) +
+                   Tr->count(TraceEvent::SigReturn) +
+                   Tr->count(TraceEvent::SigDrop)));
   }
-  C.Prof->report(C.Out, PC);
+
+  C.Prof->reportHotBlocks(Out);
 }

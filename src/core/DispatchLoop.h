@@ -51,8 +51,9 @@ public:
   /// cache's line when only the replaced tier-1 head died.
   void promotionInstalled(Translation *T, uint64_t GenBefore);
 
-  /// The --profile report (reads the dispatch/scheduler counters this
-  /// engine owns alongside Core's stats).
+  /// The --profile report: the Profiler's phase and hot-block sections
+  /// around one section per subsystem, each printed straight from the
+  /// struct that owns its counters.
   void dumpProfile();
 
 private:

@@ -2,20 +2,10 @@
 
 #include "core/Launcher.h"
 
-#include <chrono>
+#include "support/Profile.h"
 
 using namespace vg;
 using namespace vg::vg1;
-
-namespace {
-
-double now() {
-  using Clock = std::chrono::steady_clock;
-  return std::chrono::duration<double>(Clock::now().time_since_epoch())
-      .count();
-}
-
-} // namespace
 
 RunReport vg::runNative(const GuestImage &Img, const std::string &StdinData,
                         uint64_t MaxInsns) {
@@ -50,9 +40,9 @@ RunReport vg::runNative(const GuestImage &Img, const std::string &StdinData,
   Cpu.PC = Img.Entry;
   Cpu.R[RegSP] = ClientStackTop - ClientInitialSPGap;
 
-  double T0 = now();
+  double T0 = steadySeconds();
   RunResult RR = Cpu.run(MaxInsns);
-  R.Seconds = now() - T0;
+  R.Seconds = steadySeconds() - T0;
 
   R.NativeInsns = RR.InsnsExecuted;
   R.Syscalls = Kernel.syscallCount();
@@ -81,9 +71,9 @@ RunReport vg::runUnderCoreWith(const GuestImage &Img, Tool *ToolPlugin,
   if (Setup)
     Setup(C);
 
-  double T0 = now();
+  double T0 = steadySeconds();
   CoreExit E = C.run(MaxBlocks);
-  R.Seconds = now() - T0;
+  R.Seconds = steadySeconds() - T0;
 
   R.Completed = E.K == CoreExit::Kind::Exited;
   R.ExitCode = E.Code;

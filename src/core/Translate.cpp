@@ -9,38 +9,25 @@
 #include "support/Errors.h"
 
 #include <algorithm>
-#include <chrono>
 
 using namespace vg;
 
 namespace {
 
-/// RAII phase timer with two optional sinks: the Profiler and a standalone
-/// PhaseTimes.
+/// RAII phase timer feeding TranslationOptions::PhaseOut; a no-op when
+/// that is null.
 class PhaseTimer {
 public:
-  PhaseTimer(Profiler *Prof, PhaseTimes *Out, ProfPhase Ph)
-      : Prof(Prof), Out(Out), Ph(Ph),
-        T0((Prof || Out) ? now() : 0) {}
+  PhaseTimer(PhaseTimes *Out, ProfPhase Ph)
+      : Out(Out), Ph(Ph), T0(Out ? steadySeconds() : 0) {}
   ~PhaseTimer() {
-    if (!Prof && !Out)
-      return;
-    double S = now() - T0;
-    if (Prof)
-      Prof->notePhase(Ph, S);
     if (Out)
-      Out->add(Ph, S);
+      Out->add(Ph, steadySeconds() - T0);
   }
   PhaseTimer(const PhaseTimer &) = delete;
   PhaseTimer &operator=(const PhaseTimer &) = delete;
 
 private:
-  static double now() {
-    using Clock = std::chrono::steady_clock;
-    return std::chrono::duration<double>(Clock::now().time_since_epoch())
-        .count();
-  }
-  Profiler *Prof;
   PhaseTimes *Out;
   ProfPhase Ph;
   double T0;
@@ -70,7 +57,6 @@ TranslatedBlock vg::translateBlock(uint32_t Addr, const FetchFn &Fetch,
                                    const TranslationOptions &Opts,
                                    TranslationArtifacts *Art) {
   const ir::SpecFn Spec = Opts.Spec ? Opts.Spec : vg1SpecFn();
-  Profiler *Prof = Opts.Prof;
   PhaseTimes *Out = Opts.PhaseOut;
 
   const bool IsTrace = !Opts.Trace.Entries.empty();
@@ -78,7 +64,7 @@ TranslatedBlock vg::translateBlock(uint32_t Addr, const FetchFn &Fetch,
   // Phase 1: disassembly.
   DisasmResult Dis;
   {
-    PhaseTimer Tm(Prof, Out, ProfPhase::Disasm);
+    PhaseTimer Tm(Out, ProfPhase::Disasm);
     Dis = IsTrace ? disassembleTrace(Opts.Trace, Fetch, Opts.Frontend)
                   : disassembleSB(Addr, Fetch, Opts.Frontend);
   }
@@ -123,7 +109,7 @@ TranslatedBlock vg::translateBlock(uint32_t Addr, const FetchFn &Fetch,
   // Phase 2: flatten + optimisation 1.
   std::unique_ptr<ir::IRSB> SB;
   {
-    PhaseTimer Tm(Prof, Out, ProfPhase::Optimise1);
+    PhaseTimer Tm(Out, ProfPhase::Optimise1);
     SB = ir::flatten(*Dis.SB);
     if (Opts.RunOptimise1)
       ir::optimise1(*SB, Spec, Opts.Preserve, TC);
@@ -136,7 +122,7 @@ TranslatedBlock vg::translateBlock(uint32_t Addr, const FetchFn &Fetch,
   // Phase 3: instrumentation (the tool plug-in).
   if (Opts.Instrument) {
     {
-      PhaseTimer Tm(Prof, Out, ProfPhase::Instrument);
+      PhaseTimer Tm(Out, ProfPhase::Instrument);
       Opts.Instrument(*SB);
     }
     if (Opts.Verify)
@@ -150,7 +136,7 @@ TranslatedBlock vg::translateBlock(uint32_t Addr, const FetchFn &Fetch,
 
   // Phase 4: optimisation 2.
   if (Opts.RunOptimise2) {
-    PhaseTimer Tm(Prof, Out, ProfPhase::Optimise2);
+    PhaseTimer Tm(Out, ProfPhase::Optimise2);
     ir::optimise2(*SB, Spec, Opts.Preserve, TC);
   }
   if (Opts.Verify)
@@ -162,7 +148,7 @@ TranslatedBlock vg::translateBlock(uint32_t Addr, const FetchFn &Fetch,
 
   // Phase 5: tree building.
   {
-    PhaseTimer Tm(Prof, Out, ProfPhase::TreeBuild);
+    PhaseTimer Tm(Out, ProfPhase::TreeBuild);
     ir::buildTrees(*SB);
   }
   if (Opts.Verify)
@@ -173,7 +159,7 @@ TranslatedBlock vg::translateBlock(uint32_t Addr, const FetchFn &Fetch,
   // Phase 6: instruction selection.
   hvm::HostCode Host;
   {
-    PhaseTimer Tm(Prof, Out, ProfPhase::ISel);
+    PhaseTimer Tm(Out, ProfPhase::ISel);
     Host = hvm::selectInstructions(*SB);
   }
   if (Art)
@@ -182,7 +168,7 @@ TranslatedBlock vg::translateBlock(uint32_t Addr, const FetchFn &Fetch,
   // Phase 7: register allocation.
   unsigned Coalesced;
   {
-    PhaseTimer Tm(Prof, Out, ProfPhase::RegAlloc);
+    PhaseTimer Tm(Out, ProfPhase::RegAlloc);
     Coalesced = hvm::allocateRegisters(Host);
   }
   if (Art) {
@@ -205,7 +191,7 @@ TranslatedBlock vg::translateBlock(uint32_t Addr, const FetchFn &Fetch,
   // Phase 8: assembly.
   TranslatedBlock TB;
   {
-    PhaseTimer Tm(Prof, Out, ProfPhase::Encode);
+    PhaseTimer Tm(Out, ProfPhase::Encode);
     TB.Blob.Bytes = hvm::encode(Host);
   }
   TB.Blob.NumSpillSlots = Host.NumSpillSlots;

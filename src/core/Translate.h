@@ -42,10 +42,8 @@ struct TranslationOptions {
   /// Guest-state Puts in this range survive redundancy elimination (the
   /// SP offset when a tool wants stack events, R7).
   ir::PreservedPuts Preserve;
-  /// When set (--profile), each phase's wall time is recorded here.
-  Profiler *Prof = nullptr;
-  /// Standalone phase-time sink (for callers without a Profiler). When
-  /// both this and Prof are set, samples land in both.
+  /// When set, each phase's wall time is recorded here (under --profile,
+  /// the Profiler's PhaseTimes).
   PhaseTimes *PhaseOut = nullptr;
   /// Tier 2: when Trace.Entries is non-empty, Phase 1 stitches the hot
   /// path into one superblock (disassembleTrace) and Phases 2/4 run the

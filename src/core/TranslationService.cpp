@@ -2,8 +2,6 @@
 
 #include "core/TranslationService.h"
 
-#include <chrono>
-
 using namespace vg;
 
 TranslationHost::~TranslationHost() = default;
@@ -14,12 +12,6 @@ TranslationService::TranslationService(TranslationHost &Host,
     : Host(Host), Memory(Memory), TT(TTCapacityPow2) {}
 
 TranslationService::~TranslationService() = default;
-
-double TranslationService::now() {
-  using Clock = std::chrono::steady_clock;
-  return std::chrono::duration<double>(Clock::now().time_since_epoch())
-      .count();
-}
 
 //===----------------------------------------------------------------------===//
 // The pipeline
@@ -98,13 +90,13 @@ TransCache::LoadResult
 TranslationService::loadFromServer(uint64_t Key, TransCacheEntry &E,
                                    std::vector<uint8_t> &Image,
                                    bool &FromServer) {
-  double T0 = now();
+  double T0 = steadySeconds();
   ++JS.ServerRequests;
   TransServerClient::CallStats CS;
   TransServerClient::FetchResult FR = Server->get(ServerCfg, Key, Image, &CS);
   JS.ServerRetries += CS.Retries;
   JS.ServerTimeouts += CS.Timeouts;
-  JS.ServerFetchSeconds += now() - T0;
+  JS.ServerFetchSeconds += steadySeconds() - T0;
   switch (FR) {
   case TransServerClient::FetchResult::Failed:
     // Timeout / EOF / malformed frame / dead-latched daemon: the ladder's
@@ -130,7 +122,7 @@ TranslationService::loadFromServer(uint64_t Key, TransCacheEntry &E,
 Translation *
 TranslationService::installFromCache(std::unique_ptr<Translation> &TPtr,
                                      uint64_t Key, uint32_t PC, bool Hot) {
-  double T0 = now();
+  double T0 = steadySeconds();
   TransCacheEntry E;
   TransCache::LoadResult R = TransCache::LoadResult::NotFound;
   if (Cache)
@@ -144,7 +136,7 @@ TranslationService::installFromCache(std::unique_ptr<Translation> &TPtr,
     R = loadFromServer(Key, E, ServerImage, FromServer);
   if (R == TransCache::LoadResult::NotFound) {
     ++JS.CacheMisses;
-    JS.CacheLoadSeconds += now() - T0;
+    JS.CacheLoadSeconds += steadySeconds() - T0;
     return nullptr;
   }
   // Found entries still run a gauntlet before install: the live guest
@@ -157,7 +149,7 @@ TranslationService::installFromCache(std::unique_ptr<Translation> &TPtr,
     ++JS.CacheRejects;
     if (FromServer)
       ++JS.ServerRejects;
-    JS.CacheLoadSeconds += now() - T0;
+    JS.CacheLoadSeconds += steadySeconds() - T0;
     return nullptr;
   }
   if (FromServer) {
@@ -183,14 +175,14 @@ TranslationService::installFromCache(std::unique_ptr<Translation> &TPtr,
   Raw->EdgeExecs.assign(Raw->Blob.NumChainSlots, 0);
 
   ++JS.CacheHits;
-  double Seconds = now() - T0;
+  double Seconds = steadySeconds() - T0;
   JS.CacheLoadSeconds += Seconds;
   Host.noteTranslation(PC, *Raw, Seconds);
   return TT.insert(std::move(TPtr));
 }
 
 void TranslationService::writeBackToCache(uint64_t Key, const Translation &T) {
-  double T0 = now();
+  double T0 = steadySeconds();
   TransCacheEntry E;
   E.Addr = T.Addr;
   E.Tier = T.Tier;
@@ -209,7 +201,7 @@ void TranslationService::writeBackToCache(uint64_t Key, const Translation &T) {
   if (!TransCache::encodeEntryFile(CH, Key, E, File)) {
     if (Cache)
       Cache->noteWriteFailure();
-    JS.CacheStoreSeconds += now() - T0;
+    JS.CacheStoreSeconds += steadySeconds() - T0;
     return;
   }
   if (Cache && Cache->storeFile(Key, File))
@@ -224,7 +216,7 @@ void TranslationService::writeBackToCache(uint64_t Key, const Translation &T) {
       JS.ServerBytesSent += File.size();
     }
   }
-  JS.CacheStoreSeconds += now() - T0;
+  JS.CacheStoreSeconds += steadySeconds() - T0;
 }
 
 Translation *TranslationService::translateSync(uint32_t PC, bool Hot) {
@@ -257,11 +249,11 @@ Translation *TranslationService::translateSync(uint32_t PC, bool Hot) {
   // the total so the warm-start bench can compare pipeline time against
   // cache-load time. Two clock reads per translation is noise next to the
   // eight-phase pipeline they bracket.
-  double T0 = now();
+  double T0 = steadySeconds();
   TranslatedBlock TB = translateBlock(PC, Fetch, TO);
   fillTranslation(*Raw, PC, Hot, std::move(TB));
   Raw->CodeHash = hashLive(Raw->Extents);
-  Host.noteTranslation(PC, *Raw, now() - T0);
+  Host.noteTranslation(PC, *Raw, steadySeconds() - T0);
   Translation *Res = TT.insert(std::move(TPtr));
   if (UseCache && !poisonedExtents(Res->Extents))
     writeBackToCache(Key, *Res);
@@ -291,7 +283,7 @@ Translation *TranslationService::translateTrace(const TraceSpec &Spec) {
     return N;
   };
 
-  double T0 = now();
+  double T0 = steadySeconds();
   TranslatedBlock TB = translateBlock(PC, Fetch, TO);
   if (TB.SpillOverflow) {
     ++JS.TraceAborts;
@@ -299,7 +291,7 @@ Translation *TranslationService::translateTrace(const TraceSpec &Spec) {
   }
   fillTranslation(*Raw, PC, /*Hot=*/true, std::move(TB));
   Raw->CodeHash = hashLive(Raw->Extents);
-  Host.noteTranslation(PC, *Raw, now() - T0);
+  Host.noteTranslation(PC, *Raw, steadySeconds() - T0);
   JS.TraceDeadFlagPuts += TS.DeadFlagPuts;
   JS.TraceProbesCSEd += TS.ProbesCSEd;
   uint64_t GenBefore = TT.generation();

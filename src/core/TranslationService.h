@@ -168,7 +168,6 @@ public:
   }
 
 private:
-  static double now();
   /// FNV-1a over the first (up to) 64 live guest bytes at \p PC — the
   /// content component of the cache key. Short reads (unmapped tail) just
   /// shorten the window; see TransCache::entryKey for why any window is

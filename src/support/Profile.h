@@ -1,22 +1,32 @@
 //===-- support/Profile.h - Dispatcher/translation profiling ---*- C++ -*-==//
 ///
 /// \file
-/// The --profile observability layer: records per-phase translation time
-/// (Section 3.7's eight phases), per-translation execution counts, and the
-/// dispatcher/translation-table counters, then renders a ranked hot-block
-/// report at fini(). Everything here is off the hot path unless profiling
-/// was requested; the core only consults a null-checked pointer otherwise.
+/// The --profile observability layer's own measurements: per-phase
+/// translation time (Section 3.7's eight phases) and per-translation
+/// execution counts, rendered as the report's first section and its ranked
+/// hot-block list. Every section in between is printed by the core
+/// straight from the struct that owns its counters. Everything here is off
+/// the hot path unless profiling was requested; the core only consults a
+/// null-checked pointer otherwise.
 ///
 //===----------------------------------------------------------------------===//
 #ifndef VG_SUPPORT_PROFILE_H
 #define VG_SUPPORT_PROFILE_H
 
+#include <chrono>
 #include <cstdint>
 #include <map>
 
 namespace vg {
 
 class OutputSink;
+
+/// Monotonic wall-clock seconds: the one clock every timing here reads.
+inline double steadySeconds() {
+  return std::chrono::duration<double>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
 
 /// The translation-pipeline phases timed under --profile (Section 3.7).
 enum class ProfPhase : unsigned {
@@ -33,8 +43,8 @@ enum class ProfPhase : unsigned {
 
 const char *profPhaseName(ProfPhase P);
 
-/// Per-phase wall time, as a standalone sink for pipeline runs that have
-/// no Profiler (TranslationOptions::PhaseOut).
+/// Per-phase wall time: the pipeline's one phase-time sink
+/// (TranslationOptions::PhaseOut).
 struct PhaseTimes {
   static constexpr unsigned NPhases =
       static_cast<unsigned>(ProfPhase::NumPhases);
@@ -48,124 +58,26 @@ struct PhaseTimes {
   }
 };
 
-/// Counters snapshotted by the core at report time (kept as a plain struct
-/// so support/ does not depend on core/ headers).
-struct ProfCounters {
-  uint64_t BlocksDispatched = 0;
-  uint64_t DispatcherEntries = 0; ///< blocks minus chained transfers
-  uint64_t FastCacheHits = 0;
-  uint64_t FastCacheMisses = 0;
-  uint64_t ChainedTransfers = 0;
-  uint64_t Translations = 0;
-  uint64_t HotPromotions = 0;
-  double PromotionStallSeconds = 0; ///< guest time lost to hot promotion
-  uint64_t TableLookups = 0;
-  uint64_t TableHits = 0;
-  uint64_t ChainsFilled = 0;
-  uint64_t Unchains = 0;
-  uint64_t EvictionRuns = 0;
-  uint64_t Evicted = 0;
-  uint64_t Invalidated = 0;
-  // Shadow-memory fast-path counters (only when the tool has a ShadowMap).
-  bool HasShadow = false;
-  uint64_t ShadowFastLoads = 0;
-  uint64_t ShadowSlowLoads = 0;
-  uint64_t ShadowFastStores = 0;
-  uint64_t ShadowSlowStores = 0;
-  uint64_t ShadowSecCacheHits = 0;
-  uint64_t ShadowSecCacheMisses = 0;
-  uint64_t ShadowChunksMaterialised = 0;
-  uint64_t ShadowChunksReclaimed = 0;
-  uint64_t ShadowChunksLive = 0;
-  uint64_t ShadowChunksHighWater = 0;
-  // Scheduler/signal counters (PR 3).
-  uint64_t ThreadSwitches = 0;
-  uint64_t SignalsDelivered = 0;
-  uint64_t SignalsDropped = 0;
-  // Fault-injection counters (only when --fault-inject is active).
-  bool HasFaults = false;
-  uint64_t FaultRolls = 0;
-  uint64_t FaultsInjected[8] = {};  ///< indexed by FaultKind
-  const char *FaultNames[8] = {};   ///< parallel names, null-terminated set
-  // Event-tracer counters (only when --trace-events is active).
-  bool HasTrace = false;
-  uint64_t TraceRecorded = 0;
-  uint64_t TraceDropped = 0;
-  uint64_t TraceSyscalls = 0;
-  uint64_t TraceSignals = 0; ///< queue+deliver+return+drop records
-  // Trace-tier counters (only when --trace-tier is on).
-  bool HasTraces = false;
-  uint64_t TraceRequests = 0;     ///< trace formations attempted
-  uint64_t TracesFormed = 0;      ///< traces installed over tier-1 heads
-  uint64_t TraceAborts = 0;       ///< spill overflow
-  uint64_t TraceExecs = 0;        ///< trace entries executed
-  uint64_t TraceSideExits = 0;    ///< exits taken through a guarded side exit
-  uint64_t TraceDeadFlagPuts = 0; ///< dead CC-thunk writes deleted
-  uint64_t TraceProbesCSEd = 0;   ///< shadow probes CSE'd across seams
-  // Persistent translation-cache counters (only when --tt-cache is set).
-  bool HasTransCache = false;
-  uint64_t CacheHits = 0;    ///< entries validated and installed
-  uint64_t CacheMisses = 0;  ///< key not present on disk
-  uint64_t CacheRejects = 0; ///< present but malformed/stale/poisoned
-  uint64_t CacheWrites = 0;  ///< entries written back after a pipeline run
-  uint64_t CacheEvictedFiles = 0; ///< files removed to honour the budget
-  uint64_t CacheDirBytes = 0;     ///< on-disk footprint at exit
-  double CacheLoadSeconds = 0;    ///< read+validate+install, summed
-  double CacheStoreSeconds = 0;   ///< serialize+write-back, summed
-  // Translation-server counters (only when --tt-server is set).
-  bool HasTransServer = false;
-  uint64_t ServerRequests = 0;  ///< server lookups settled
-  uint64_t ServerHits = 0;      ///< fetched, validated, installed
-  uint64_t ServerMisses = 0;
-  uint64_t ServerRejects = 0;   ///< fetched but failed validation
-  uint64_t ServerTimeouts = 0;
-  uint64_t ServerRetries = 0;
-  uint64_t ServerFallbacks = 0; ///< lookups degraded down the ladder
-  uint64_t ServerWrites = 0;    ///< entries pushed to the daemon
-  uint64_t ServerBytesFetched = 0;
-  uint64_t ServerBytesSent = 0;
-  double ServerFetchSeconds = 0;
-  bool ServerAlive = false; ///< daemon still reachable at exit
-};
-
-/// Accumulates profile data for one run.
+/// Accumulates what --profile measures itself for one run.
 class Profiler {
 public:
-  /// RAII phase timer; a null profiler makes it a no-op, so call sites can
-  /// be written unconditionally.
-  class Timer {
-  public:
-    Timer(Profiler *P, ProfPhase Ph);
-    ~Timer();
-    Timer(const Timer &) = delete;
-    Timer &operator=(const Timer &) = delete;
-
-  private:
-    Profiler *P;
-    ProfPhase Ph;
-    double T0;
-  };
+  /// Where the pipeline's phase timers land (Core::setupTranslation).
+  PhaseTimes &phases() { return Phases; }
 
   /// One block entry (dispatcher entry or chained transfer) at \p Addr.
   void noteExec(uint32_t Addr) { ++Blocks[Addr].Execs; }
-
-  /// One phase sample (the sync pipeline's RAII timer lands here).
-  void notePhase(ProfPhase Ph, double Seconds) {
-    notePhaseSeconds(Ph, Seconds);
-  }
 
   /// A translation of \p Addr finished (Tier 1 = hot superblock).
   void noteTranslation(uint32_t Addr, uint32_t NumInsns, unsigned Tier,
                        double Seconds);
 
-  /// Renders the report: per-phase translation timings, dispatcher and
-  /// table counters, and the TopN blocks ranked by execution count.
-  void report(OutputSink &Out, const ProfCounters &C,
-              unsigned TopN = 10) const;
+  /// The report's first section: per-phase translation timings.
+  void reportPhases(OutputSink &Out) const;
+
+  /// The report's last section: the TopN blocks ranked by execution count.
+  void reportHotBlocks(OutputSink &Out, unsigned TopN = 10) const;
 
 private:
-  void notePhaseSeconds(ProfPhase Ph, double Seconds);
-
   struct BlockInfo {
     uint64_t Execs = 0;
     uint32_t NumInsns = 0;
@@ -174,10 +86,7 @@ private:
     double TranslateSeconds = 0;
   };
 
-  static constexpr unsigned NPhases =
-      static_cast<unsigned>(ProfPhase::NumPhases);
-  double PhaseSeconds[NPhases] = {};
-  uint64_t PhaseCounts[NPhases] = {};
+  PhaseTimes Phases;
   std::map<uint32_t, BlockInfo> Blocks; ///< survives eviction, keyed by PC
 };
 

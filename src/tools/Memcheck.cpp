@@ -547,6 +547,7 @@ void Memcheck::registerOptions(OptionRegistry &Opts) {
 
 void Memcheck::init(Core &Core_) {
   C = &Core_;
+  FinalErrors = NoFinalErrors;
   LeakCheckEnabled = C->options().getBool("leak-check");
   EventHub &E = C->events();
 
@@ -719,7 +720,10 @@ void Memcheck::reportError(const char *Kind, const std::string &Msg,
   }
 }
 
-uint64_t Memcheck::uniqueErrors() const { return C->errors().uniqueErrors(); }
+uint64_t Memcheck::uniqueErrors() const {
+  return FinalErrors != NoFinalErrors ? FinalErrors
+                                      : C->errors().uniqueErrors();
+}
 
 void Memcheck::leakCheck() {
   const auto &Blocks = C->heapBlocks();
@@ -795,4 +799,5 @@ void Memcheck::fini(int ExitCode) {
   if (LeakCheckEnabled)
     leakCheck();
   C->errors().printSummary(C->output());
+  FinalErrors = static_cast<uint32_t>(C->errors().uniqueErrors());
 }

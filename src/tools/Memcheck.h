@@ -87,6 +87,7 @@ public:
 
   ShadowMap *shadowMap() override { return &SM; }
   ShadowMap &shadow() { return SM; }
+  /// Distinct errors reported; still valid after the run's Core is gone.
   uint64_t uniqueErrors() const;
 
   // --- helpers called from generated code (public: bound into Callee
@@ -114,6 +115,10 @@ private:
   Core *C = nullptr;
   ShadowMap SM;
   bool LeakCheckEnabled = true;
+  /// uniqueErrors() as of fini(), or NoFinalErrors while the run is live:
+  /// callers read the count after the Core that held the errors is gone.
+  static constexpr uint32_t NoFinalErrors = ~0u;
+  uint32_t FinalErrors = NoFinalErrors;
 };
 
 } // namespace vg
