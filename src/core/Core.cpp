@@ -37,7 +37,7 @@ Core::Core(Tool *ToolPlugin)
   Dispatch = std::make_unique<DispatchLoop>(*this);
   Opts.addOption("smc-check", "stack",
                  "when to check for self-modifying code: none|stack|all");
-  Opts.addOption("chaining", "no",
+  Opts.addOption("chaining", "yes",
                  "chain translations directly (ablation of Section 3.9)");
   Opts.addOption("hot-threshold", "0",
                  "executions before a block is retranslated as a "
@@ -437,6 +437,15 @@ void Core::setupTranslation(TranslationOptions &TO, uint32_t PC, bool Hot,
   TO.Spec = Spec;
   TO.Verify = Opts.getBool("verify-ir");
   TO.PhaseOut = Prof ? &Prof->phases() : nullptr;
+  // Redirects are checked only at dispatcher entries (Section 3.13), so a
+  // redirected address must be reached through the dispatcher: its
+  // translation (a wrapped original, made via the wrapper's bypass) takes
+  // no chained jumps, and no block chases a branch into its code.
+  Raw->NoChainIn = Redirects->isRedirected(PC);
+  TO.Frontend.ChaseOk = [](void *Ctx, uint32_t Target) {
+    return !static_cast<const RedirectEngine *>(Ctx)->isRedirected(Target);
+  };
+  TO.Frontend.ChaseCtx = Redirects.get();
   if (Hot) {
     // Hot tier: chase branches aggressively so the loop body becomes one
     // superblock with chainable internal exits. Cold translations keep the

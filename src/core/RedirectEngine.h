@@ -20,7 +20,10 @@
 ///
 /// Registering any redirect invalidates existing translations of the
 /// target byte: a predecessor chained straight into the old code would
-/// bypass the dispatcher's redirect check.
+/// bypass the dispatcher's redirect check. Translations made afterwards
+/// keep the redirect visible by construction: a translation of a
+/// redirected address (a wrapped original, reached through the bypass) is
+/// never a chain target, and the frontend does not chase into one.
 ///
 //===----------------------------------------------------------------------===//
 #ifndef VG_CORE_REDIRECTENGINE_H
@@ -89,6 +92,15 @@ public:
     }
     auto It = HostRedirects.find(PC);
     return It == HostRedirects.end() ? nullptr : &It->second;
+  }
+
+  /// True if the dispatcher redirects \p PC: a guest redirect or a host
+  /// replacement (wrappers included). Ignores the one-shot bypass, so a
+  /// wrapped original answers true even while its bypass is armed. The
+  /// translation host uses this to keep redirected entries out of chained
+  /// jumps and superblock chases.
+  bool isRedirected(uint32_t PC) const {
+    return GuestRedirects.count(PC) != 0 || HostRedirects.count(PC) != 0;
   }
 
 private:

@@ -206,7 +206,7 @@ void TransTab::removeWaiter(uint32_t Target, const Translation *From,
 }
 
 void TransTab::chainTo(Translation *From, uint32_t Slot, Translation *To) {
-  if (!From || !To || Slot >= From->Chain.size())
+  if (!From || !To || To->NoChainIn || Slot >= From->Chain.size())
     return;
   if (From->Chain[Slot] == To)
     return;

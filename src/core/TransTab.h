@@ -62,6 +62,12 @@ struct Translation {
   /// from or written to the persistent translation cache. Decided by the
   /// host in setupTranslation; false is always the safe default.
   bool Cacheable = false;
+  /// Entering this address must go through the dispatcher, which runs the
+  /// redirect registered there (RedirectEngine::isRedirected): chainTo
+  /// never links an exit into this translation. Set by the host in
+  /// setupTranslation; the translation itself exists only because a
+  /// wrapper's one-shot bypass dispatched the original.
+  bool NoChainIn = false;
   /// Chain slots: successor translations for constant Boring exits. Filled
   /// eagerly by TransTab when the successor exists; otherwise parked as a
   /// pending waiter and filled on the successor's insertion.
@@ -105,7 +111,8 @@ public:
 
   /// Fills one chain slot (dispatcher's lazy fallback path). Records the
   /// back-edge and removes any pending waiter for the slot. No-op if the
-  /// slot is out of range or already chained to \p To.
+  /// slot is out of range, already chained to \p To, or \p To is marked
+  /// NoChainIn (a chained jump would skip its redirect).
   void chainTo(Translation *From, uint32_t Slot, Translation *To);
 
   /// The dispatcher's fast cache resolved a block without consulting the

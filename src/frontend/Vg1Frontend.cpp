@@ -128,7 +128,8 @@ public:
           endBlock(ChaseTarget, JumpKind::Boring);
           return std::move(Res);
         }
-        if (Chases >= Cfg.MaxChases) {
+        if (Chases >= Cfg.MaxChases ||
+            (Cfg.ChaseOk && !Cfg.ChaseOk(Cfg.ChaseCtx, ChaseTarget))) {
           endBlock(ChaseTarget, JumpKind::Boring);
           return std::move(Res);
         }

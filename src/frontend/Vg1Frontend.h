@@ -11,7 +11,8 @@
 /// instructions until (a) an instruction limit (~50) is reached, (b) a
 /// conditional branch is hit, (c) a branch to an unknown target is hit, or
 /// (d) more than three unconditional branches to known targets have been
-/// chased.
+/// chased. A target the core vetoes (FrontendConfig::ChaseOk) ends the
+/// block like (d).
 ///
 /// Condition codes use a lazy thunk (CC_OP/CC_DEP1/CC_DEP2) exactly as
 /// Valgrind models x86 %eflags; conditional branches call a clean helper
@@ -60,6 +61,12 @@ struct DisasmResult {
 struct FrontendConfig {
   unsigned MaxInsns = 50;
   unsigned MaxChases = 3;
+  /// Chase veto (VEX's chase_into_ok): when set and it returns false for
+  /// an unconditional branch target, the block ends there with a Boring
+  /// exit instead of inlining the target. The core vetoes redirected
+  /// addresses, whose code must be entered through the dispatcher.
+  bool (*ChaseOk)(void *Ctx, uint32_t Target) = nullptr;
+  void *ChaseCtx = nullptr;
 };
 
 /// Disassembles one superblock starting at \p Addr.

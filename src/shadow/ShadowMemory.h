@@ -181,6 +181,12 @@ public:
   }
 
   bool isAddressable(uint32_t Addr, uint32_t Len, uint32_t &FirstBad) const;
+  /// True if the whole 64KB chunk holding \p Addr is the NoAccess DSM: no
+  /// byte in it is addressable. One primary-table load; bypasses the
+  /// last-secondary cache and its counters. Lets scans skip a chunk at once.
+  bool chunkIsNoAccess(uint32_t Addr) const {
+    return Primary[Addr >> ChunkBits] == &DsmNoAccess;
+  }
   /// True if [Addr,Addr+Len) is fully addressable and defined; else sets
   /// \p FirstBad to the first offending byte and \p BadIsUnaddressable.
   bool isDefined(uint32_t Addr, uint32_t Len, uint32_t &FirstBad,

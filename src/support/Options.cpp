@@ -89,7 +89,15 @@ OptionRegistry::items() const {
 
 bool OptionRegistry::getBool(const std::string &Name) const {
   std::string V = getString(Name);
-  return V == "yes" || V == "true" || V == "1" || V == "on";
+  if (V == "yes" || V == "true" || V == "1" || V == "on")
+    return true;
+  if (V == "no" || V == "false" || V == "0" || V == "off")
+    return false;
+  char Msg[256];
+  std::snprintf(Msg, sizeof(Msg),
+                "--%s=%s: expected yes|no (or true|false, 1|0, on|off)",
+                Name.c_str(), V.c_str());
+  fatalError(Msg);
 }
 
 std::string OptionRegistry::helpText() const {

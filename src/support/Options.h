@@ -40,6 +40,8 @@ public:
   /// silently clamped, which turned typos into surprising-but-running
   /// configurations.
   int64_t getIntChecked(const std::string &Name, int64_t Lo, int64_t Hi) const;
+  /// yes/true/1/on or no/false/0/off; any other spelling (--chaining=ye)
+  /// is a usage error, like a malformed integer for getIntChecked.
   bool getBool(const std::string &Name) const;
 
   /// Every registered option as (name, value) pairs, in name order. The

@@ -4,6 +4,7 @@
 
 #include "guest/GuestArch.h"
 
+#include <algorithm>
 #include <cinttypes>
 
 using namespace vg;
@@ -729,18 +730,23 @@ void Memcheck::leakCheck() {
   const auto &Blocks = C->heapBlocks();
   if (Blocks.empty())
     return;
-  // Conservative pointer scan: any aligned, defined word anywhere in
-  // addressable memory or in the registers that points into a block keeps
-  // it. (Real Memcheck distinguishes start/interior pointers; we treat
-  // both as reachable.)
+  // Conservative pointer scan: any aligned word anywhere in addressable
+  // memory or in the registers that points into a block keeps it. (Real
+  // Memcheck distinguishes start/interior pointers; we treat both as
+  // reachable.)
   std::vector<std::pair<uint32_t, uint32_t>> Ranges; // payload, size
   for (auto [A, S] : Blocks)
     Ranges.push_back({A, S});
+  // Ranges is sorted by payload (heapBlocks() is a map) and blocks never
+  // overlap, so only the last block starting at or below V can hold it.
   auto FindBlock = [&](uint32_t V) -> int {
-    for (size_t I = 0; I != Ranges.size(); ++I)
-      if (V >= Ranges[I].first && V < Ranges[I].first + Ranges[I].second)
-        return static_cast<int>(I);
-    return -1;
+    auto It = std::upper_bound(Ranges.begin(), Ranges.end(),
+                               std::make_pair(V, UINT32_MAX));
+    if (It == Ranges.begin())
+      return -1;
+    --It;
+    return V - It->first < It->second ? static_cast<int>(It - Ranges.begin())
+                                      : -1;
   };
 
   std::vector<bool> Reached(Ranges.size(), false);
@@ -762,6 +768,17 @@ void Memcheck::leakCheck() {
     if (S.Kind == SegKind::CoreReserved || S.Kind == SegKind::ClientText)
       continue;
     for (uint32_t A = S.Start; A + 4 <= S.End; A += 4) {
+      if (SM.chunkIsNoAccess(A)) {
+        // No word of a NoAccess chunk (most of the replacement heap's
+        // arena) can be a root: resume at the next chunk, where the
+        // per-word walk below would have resumed too.
+        uint64_t Next =
+            (static_cast<uint64_t>(A) | (ShadowMap::ChunkSize - 1)) + 1;
+        if (Next + 4 > S.End)
+          break;
+        A = static_cast<uint32_t>(Next) - 4;
+        continue;
+      }
       uint32_t Bad;
       if (!SM.isAddressable(A, 4, Bad)) {
         A = (Bad & ~3u); // skip to the next aligned word after the hole

@@ -321,6 +321,83 @@ TEST(Wrap, PreOnlyWrapObservesWithoutChangingBehaviour) {
   EXPECT_EQ(R.ExitCode, 10); // behaviour unchanged
 }
 
+/// Three rounds of: a wrapped call to victim, then an entry into victim
+/// that is not a call — from a trampoline that reaches it by a conditional
+/// branch (\p ByJmp false) or by an unconditional jmp (\p ByJmp true). The
+/// trampoline was itself called, so victim returns to its caller. Exits
+/// with the sum of the six results.
+GuestImage victimEnteredSixWays(bool ByJmp) {
+  return buildProgram([ByJmp](Assembler &Code, Assembler &,
+                              GuestLibLabels &) {
+    Label Victim = Code.newLabel(), Tramp = Code.newLabel();
+    Code.movi(Reg::R6, 0); // running sum
+    Code.movi(Reg::R7, 3); // rounds left
+    Label Loop = Code.boundLabel();
+    Code.movi(Reg::R1, 1);
+    Code.call(Victim);
+    Code.add(Reg::R6, Reg::R6, Reg::R0);
+    Code.movi(Reg::R1, 2);
+    Code.call(Tramp);
+    Code.add(Reg::R6, Reg::R6, Reg::R0);
+    Code.addi(Reg::R7, Reg::R7, -1);
+    Code.cmpi(Reg::R7, 0);
+    Code.bne(Loop);
+    Code.mov(Reg::R0, Reg::R6);
+    Code.ret();
+    Code.bind(Tramp);
+    if (ByJmp) {
+      Code.jmp(Victim);
+    } else {
+      Code.cmpi(Reg::R1, 2);
+      Code.beq(Victim); // always taken
+      Code.movi(Reg::R0, 0);
+      Code.ret();
+    }
+    Code.bind(Victim);
+    Code.symbol("victim");
+    Code.addi(Reg::R0, Reg::R1, 10); // original: arg + 10
+    Code.ret();
+  });
+}
+
+/// Runs victimEnteredSixWays under \p Chaining with victim wrapped; every
+/// entry must run Pre and Post (which adds 1000 to the result).
+void expectEveryEntryWrapped(bool ByJmp, const std::string &Chaining) {
+  SCOPED_TRACE(Chaining);
+  Nulgrind T;
+  int PreCount = 0, PostCount = 0;
+  WrapHooks H;
+  H.Pre = [&](Core &, ThreadState &) { ++PreCount; };
+  H.Post = [&](Core &, ThreadState &, uint32_t &Result) {
+    ++PostCount;
+    Result += 1000;
+  };
+  RunReport R = runUnderCoreWith(victimEnteredSixWays(ByJmp), &T, {Chaining},
+                                 "", ~0ull, [&](Core &C) {
+                                   C.wrapSymbolFunction("victim", H);
+                                 });
+  ASSERT_TRUE(R.Completed);
+  EXPECT_EQ(PreCount, 6);
+  EXPECT_EQ(PostCount, 6);
+  EXPECT_EQ(R.ExitCode, 3 * ((1 + 10 + 1000) + (2 + 10 + 1000)));
+}
+
+TEST(Wrap, ConditionalBranchEntryIsNeverChainedPastTheWrapper) {
+  // Redirects are checked at dispatcher entries only. The wrapped call
+  // translates the original through the wrapper's bypass; a chain from the
+  // trampoline's branch exit straight into that translation would skip
+  // the wrapper on every later entry.
+  for (const char *Chaining : {"--chaining=no", "--chaining=yes"})
+    expectEveryEntryWrapped(/*ByJmp=*/false, Chaining);
+}
+
+TEST(Wrap, JmpEntryIsNeverChasedIntoTheOriginal) {
+  // The frontend chases unconditional jumps; chasing into victim would
+  // inline the original's body into the trampoline's block.
+  for (const char *Chaining : {"--chaining=no", "--chaining=yes"})
+    expectEveryEntryWrapped(/*ByJmp=*/true, Chaining);
+}
+
 //===----------------------------------------------------------------------===//
 // Loopgrind end to end
 //===----------------------------------------------------------------------===//

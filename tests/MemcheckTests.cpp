@@ -405,6 +405,95 @@ TEST(Memcheck, ReachableBlockNotLeaked) {
   EXPECT_TRUE(M.has("definitely lost: 0 bytes in 0 blocks")) << M.Output;
 }
 
+TEST(Memcheck, LeakScanAcrossShadowChunks) {
+  // Blocks in several 64KB shadow chunks of the replacement heap, a freed
+  // 192KB block leaving whole NoAccess chunks in the heap, and a mapping
+  // with a NoAccess chunk on each side of the words that hold pointers.
+  // Roots are registers and every addressable word outside client text,
+  // heap words included.
+  McRun M = runMc(buildProgram([](Assembler &Code, Assembler &Data,
+                                  GuestLibLabels &Lib) {
+    Label Globals = Data.boundLabel();
+    Data.emitZeros(24);
+    auto Malloc = [&](uint32_t Size, Reg Into) {
+      Code.movi(Reg::R1, Size);
+      Code.call(Lib.Malloc);
+      Code.mov(Into, Reg::R0);
+    };
+    Code.movi(Reg::R13, Data.labelAddr(Globals));
+    Malloc(16, Reg::R2); // S: in a global
+    Code.st(Reg::R13, 0, Reg::R2);
+    Malloc(24, Reg::R3); // held only inside S
+    Code.st(Reg::R2, 4, Reg::R3);
+    Malloc(40, Reg::R3); // held only by an interior pointer in a global
+    Code.addi(Reg::R3, Reg::R3, 8);
+    Code.st(Reg::R13, 4, Reg::R3);
+    Malloc(72, Reg::R12); // the leak
+    // Globals pointing one byte before it and one past its end keep
+    // nothing: both land in its red zones.
+    Code.addi(Reg::R3, Reg::R12, -1);
+    Code.st(Reg::R13, 16, Reg::R3);
+    Code.addi(Reg::R3, Reg::R12, 72);
+    Code.st(Reg::R13, 20, Reg::R3);
+    Malloc(32, Reg::R9);  // held only in r9
+    Malloc(0x20000, Reg::R8); // L: in a global, spans three chunks
+    Code.st(Reg::R13, 8, Reg::R8);
+    // P1 in the last word before the first chunk boundary inside L, P2 in
+    // the first word after it.
+    Code.addi(Reg::R4, Reg::R8, 0x10000);
+    Code.andi(Reg::R4, Reg::R4, 0xFFFF0000u);
+    Malloc(8, Reg::R3);
+    Code.st(Reg::R4, -4, Reg::R3);
+    Malloc(12, Reg::R3);
+    Code.st(Reg::R4, 0, Reg::R3);
+    // A three-chunk mapping whose first and last chunks are made NoAccess:
+    // the only pointers to two more blocks sit in the first and the last
+    // word of the middle chunk, and a stale one to the leak in the first.
+    constexpr uint32_t Map = 0x50000000;
+    Code.movi(Reg::R0, SysMmap);
+    Code.movi(Reg::R1, Map);
+    Code.movi(Reg::R2, 3 * ShadowMap::ChunkSize);
+    Code.movi(Reg::R3, 3);
+    Code.movi(Reg::R4, 1); // fixed
+    Code.sys();
+    Code.movi(Reg::R4, Map + ShadowMap::ChunkSize);
+    Malloc(28, Reg::R3);
+    Code.st(Reg::R4, 0, Reg::R3);
+    Code.movi(Reg::R4, Map + 2 * ShadowMap::ChunkSize);
+    Malloc(36, Reg::R3);
+    Code.st(Reg::R4, -4, Reg::R3);
+    Code.movi(Reg::R4, Map);
+    Code.st(Reg::R4, 0, Reg::R12);
+    emitClientRequest(Code, McMakeMemNoAccess, Map, ShadowMap::ChunkSize);
+    emitClientRequest(Code, McMakeMemNoAccess, Map + 2 * ShadowMap::ChunkSize,
+                      ShadowMap::ChunkSize);
+    Malloc(0x30000, Reg::R10); // G: freed below
+    Malloc(20, Reg::R3);       // past G: in a global
+    Code.st(Reg::R13, 12, Reg::R3);
+    // Stale pointers to the leak in G's first word and in a chunk G covers
+    // whole: freed memory is NoAccess, so neither is a root.
+    Code.st(Reg::R10, 0, Reg::R12);
+    Code.movi(Reg::R4, 0x10000);
+    Code.add(Reg::R4, Reg::R10, Reg::R4);
+    Code.st(Reg::R4, 0, Reg::R12);
+    Code.mov(Reg::R1, Reg::R10);
+    Code.call(Lib.Free);
+    for (Reg R : {Reg::R1, Reg::R2, Reg::R3, Reg::R4, Reg::R10, Reg::R12})
+      Code.movi(R, 0);
+    Code.movi(Reg::R0, 0);
+    Code.ret();
+  }));
+  EXPECT_TRUE(M.has("in use at exit: 131360 bytes in 11 blocks")) << M.Output;
+  EXPECT_TRUE(M.has("definitely lost: 72 bytes in 1 blocks")) << M.Output;
+  // The one leak record, at the fourth block's payload.
+  EXPECT_TRUE(M.has("72 bytes definitely lost at 0x600000D0")) << M.Output;
+  size_t Records = 0;
+  for (size_t P = M.Output.find("definitely lost at"); P != std::string::npos;
+       P = M.Output.find("definitely lost at", P + 1))
+    ++Records;
+  EXPECT_EQ(Records, 1u) << M.Output;
+}
+
 TEST(Memcheck, LeakCheckCanBeDisabled) {
   McRun M = runMc(buildProgram([](Assembler &Code, Assembler &,
                                   GuestLibLabels &Lib) {

@@ -4,8 +4,9 @@
 /// Pins the text of the --profile report against golden files in
 /// tests/goldens/. Two deterministic runs between them put every section
 /// on the page: Memcheck on vortex with chaining, the hot and trace tiers,
-/// the event tracer and fault injection; and Nulgrind on gcc against a
-/// fresh --tt-cache directory and a --tt-server socket nobody listens on.
+/// the event tracer and fault injection; and Nulgrind on gcc, unchained
+/// (the paper's dispatcher), against a fresh --tt-cache directory and a
+/// --tt-server socket nobody listens on.
 /// Wall-clock figures are masked; every count, ratio and percentage is
 /// compared byte for byte.
 ///
@@ -93,7 +94,8 @@ TEST(ProfileGolden, NulgrindGccColdCacheAndAbsentServer) {
   fs::remove_all(Dir);
   Nulgrind T;
   RunReport R = runUnderCore(buildWorkload("gcc"), &T,
-                             {"--tt-cache=" + (Dir / "cache").string(),
+                             {"--chaining=no",
+                              "--tt-cache=" + (Dir / "cache").string(),
                               "--tt-server=" + (Dir / "absent.sock").string(),
                               "--profile=yes"});
   fs::remove_all(Dir);

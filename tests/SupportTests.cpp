@@ -49,6 +49,18 @@ TEST(Options, BareFlagMeansYes) {
   EXPECT_TRUE(O.getBool("chaining"));
 }
 
+TEST(Options, YesNoSpellings) {
+  OptionRegistry O;
+  O.addOption("flag", "no", "");
+  const std::pair<const char *, bool> Spellings[] = {
+      {"yes", true}, {"true", true},   {"1", true}, {"on", true},
+      {"no", false}, {"false", false}, {"0", false}, {"off", false}};
+  for (auto [V, Want] : Spellings) {
+    O.parse({std::string("--flag=") + V});
+    EXPECT_EQ(O.getBool("flag"), Want) << V;
+  }
+}
+
 TEST(Options, DefaultsSurviveAndHelpRendered) {
   OptionRegistry O;
   O.addOption("smc-check", "stack", "when to check for SMC");

@@ -567,6 +567,21 @@ TEST(OptionDeathTest, ZeroTraceEventsIsFatal) {
               "--trace-events=0: expected an integer in \\[1,");
 }
 
+// A yes/no option takes yes|no, true|false, 1|0 or on|off; anything else
+// is a usage error, so a typo such as --chaining=ye cannot silently pick
+// the unchained dispatcher.
+TEST(OptionDeathTest, MalformedYesNoValuesAreFatal) {
+  GuestImage Img = trivialProgram();
+  Nulgrind N;
+  EXPECT_EXIT(runUnderCore(Img, &N, {"--chaining=bogus"}),
+              ::testing::ExitedWithCode(1),
+              "--chaining=bogus: expected yes\\|no");
+  Memcheck M;
+  EXPECT_EXIT(runUnderCore(Img, &M, {"--leak-check=maybe"}),
+              ::testing::ExitedWithCode(1),
+              "--leak-check=maybe: expected yes\\|no");
+}
+
 TEST(OptionDeathTest, MalformedFaultInjectSpecIsFatal) {
   GuestImage Img = trivialProgram();
   Nulgrind T;
