@@ -107,6 +107,12 @@ echo "== smoke: sec54_shadowmem (quick) =="
 VG_SEC54_QUICK=1 ./build/bench/sec54_shadowmem \
     --benchmark_min_time=0.05
 
+echo "== smoke: sec54_hostcode (executed host-code mix) =="
+# Host instructions per guest instruction under Nulgrind and Memcheck on
+# every Table 2 workload; the bench fails if more than 2% of ALU-family
+# and sized host instructions run on a generic executor handler.
+./build/bench/sec54_hostcode
+
 echo "== smoke: vgfuzz (differential fuzzing) =="
 # Short deterministic campaign + the planted-bug self-test. Honours
 # VG_SOAK_QUICK like the scheduler soak: quick mode trims the campaign.

@@ -47,8 +47,10 @@
 namespace vg {
 
 /// Bump on any change to the entry layout or to anything that alters
-/// generated code without being captured by the option fingerprint.
-constexpr uint32_t TransCacheFormatVersion = 1;
+/// generated code without being captured by the option fingerprint. 2:
+/// blobs carry specialised HVM opcode bytes (hvm::SpecOp), which a
+/// version-1 build cannot decode.
+constexpr uint32_t TransCacheFormatVersion = 2;
 
 /// Same-run semantic-invalidation ranges. Redirects, unmaps, and TT
 /// flushes change what an address *means* without changing its bytes, so

@@ -260,8 +260,9 @@ struct RenderCtx {
       // code or its legacy flat alias (the engine must normalise both to
       // the same answer). The result differs by construction — 1 under the
       // core, 0 natively — so r0 is renormalised to a seeded constant.
-      A.movi(Reg::R0, (At.A & 1) ? CrLegacyRunningOnValgrind
-                                 : CrRunningOnValgrind);
+      A.movi(Reg::R0,
+             (At.A & 1) ? static_cast<uint32_t>(CrLegacyRunningOnValgrind)
+                        : static_cast<uint32_t>(CrRunningOnValgrind));
       A.clreq();
       A.movi(Reg::R0, normConst(At, 0x43));
       break;

@@ -6,6 +6,12 @@
 /// what makes the cost ratios between inline analysis code, C-call
 /// analysis code, and client code representative (Section 5.4).
 ///
+/// One dispatch per host instruction: every opcode byte has its own
+/// handler, and the encoder writes a specialised byte for hot ir::Ops and
+/// for every access size (HostVM.h), so no handler switches a second time
+/// on an op or a size. The generic ALU handlers serve the long tail of ops
+/// through ir::evalOp.
+///
 //===----------------------------------------------------------------------===//
 
 #include "hvm/Exec.h"
@@ -13,7 +19,9 @@
 #include "guest/GuestMemory.h"
 #include "hvm/HostVM.h"
 #include "shadow/ShadowMemory.h"
+#include "support/FpCanon.h"
 
+#include <bit>
 #include <cstring>
 
 using namespace vg;
@@ -39,11 +47,23 @@ uint64_t rdU64(const uint8_t *P) {
   return V;
 }
 
-/// Fast paths for the most frequent operations: avoids evalOp's
-/// metadata lookups (result-type table + truncation switch) on the hot
-/// path. Falls back to evalOp for everything else — both are verified
-/// against each other by the differential test suite.
-inline uint64_t aluOp(ir::Op O, uint64_t A, uint64_t B) {
+template <unsigned N> struct UIntOf;
+template <> struct UIntOf<1> { using T = uint8_t; };
+template <> struct UIntOf<2> { using T = uint16_t; };
+template <> struct UIntOf<4> { using T = uint32_t; };
+template <> struct UIntOf<8> { using T = uint64_t; };
+template <unsigned N> using UInt = typename UIntOf<N>::T;
+
+double asF64(uint64_t Bits) { return std::bit_cast<double>(Bits); }
+uint64_t fromF64(double D) { return std::bit_cast<uint64_t>(D); }
+
+/// The semantics of every op with specialised handlers (VG_HVM_BINOPS,
+/// VG_HVM_UNOPS), written once. Each handler passes its op as a constant,
+/// so the switch folds away and the handler is just the operation. Must
+/// agree with ir::evalOp, which serves the generic handlers; OpProperty in
+/// tests/HvmTests.cpp checks every op in every form against it.
+[[gnu::always_inline]] inline uint64_t aluOp(ir::Op O, uint64_t A,
+                                             uint64_t B) {
   using ir::Op;
   switch (O) {
   case Op::Add32:
@@ -68,6 +88,8 @@ inline uint64_t aluOp(ir::Op O, uint64_t A, uint64_t B) {
     return A + B;
   case Op::Or64:
     return A | B;
+  case Op::And64:
+    return A & B;
   case Op::CmpEQ32:
     return static_cast<uint32_t>(A) == static_cast<uint32_t>(B);
   case Op::CmpNE32:
@@ -80,19 +102,46 @@ inline uint64_t aluOp(ir::Op O, uint64_t A, uint64_t B) {
     return static_cast<uint32_t>(A) < static_cast<uint32_t>(B);
   case Op::CmpLE32U:
     return static_cast<uint32_t>(A) <= static_cast<uint32_t>(B);
+  // F64 results are NaN-canonicalised exactly as evalOp does
+  // (support/FpCanon.h).
+  case Op::AddF64:
+    return fromF64(canonF64(asF64(A) + asF64(B)));
+  case Op::SubF64:
+    return fromF64(canonF64(asF64(A) - asF64(B)));
+  case Op::MulF64:
+    return fromF64(canonF64(asF64(A) * asF64(B)));
   case Op::CmpNEZ32:
     return (A & 0xFFFFFFFFull) != 0;
   case Op::U1to32:
     return A & 1;
   case Op::Neg32:
     return static_cast<uint32_t>(0 - A);
+  case Op::CmpNEZ64:
+    return A != 0;
+  case Op::U1to64:
+    return A & 1;
+  case Op::Neg64:
+    return 0 - A;
+  case Op::T64to32:
+    return A & 0xFFFFFFFFull;
+  case Op::T64HIto32:
+    return A >> 32;
   case Op::T32to8:
     return A & 0xFF;
   case Op::U8to32:
     return A & 0xFF;
   default:
-    return ir::evalOp(O, A, B);
+    unreachable("aluOp: op has no specialised handler");
   }
+}
+
+RunOutcome &memFault(RunOutcome &Out, const MemFault &F, bool Write,
+                     uint32_t PC) {
+  Out.K = RunOutcome::Kind::Fault;
+  Out.FaultAddr = F.Addr;
+  Out.FaultWrite = Write;
+  Out.FaultPC = PC;
+  return Out;
 }
 
 } // namespace
@@ -110,12 +159,26 @@ RunOutcome Executor::run(const CodeBlob &Blob, uint64_t ChainBudget) {
   void *Env = &Ctx;
   uint64_t *R = Regs;
 
-  // Label table indexed by HOp. Must match the enum order in HostVM.h.
+  // Label table indexed by opcode byte: the generic HOps in enum order,
+  // then the SpecOps in their HostVM.h order. Unsized accesses are never
+  // encoded (every size has its own byte).
   static const void *const Table[] = {
-      &&L_LI,    &&L_MOV,   &&L_ALU,   &&L_ALU1,  &&L_ALUI,   &&L_LDG,
-      &&L_STG,   &&L_LDM,   &&L_STM,   &&L_SEL,   &&L_CALL,   &&L_JZ,
-      &&L_EXITI, &&L_EXITR, &&L_IMARK, &&L_SPILL, &&L_RELOAD, &&L_ALUIS,
-      &&L_SHPROBE};
+      &&L_LI,      &&L_MOV,     &&L_ALU,     &&L_ALU1,   &&L_ALUI,
+      &&L_UNSIZED, &&L_UNSIZED, &&L_UNSIZED, &&L_UNSIZED, &&L_SEL,
+      &&L_CALL,    &&L_JZ,      &&L_EXITI,   &&L_EXITR,  &&L_IMARK,
+      &&L_SPILL,   &&L_RELOAD,  &&L_ALUIS,   &&L_SHPROBE,
+#define VG_HVM_X(Form, Size) &&L_##Form##Size,
+      VG_HVM_SIZED_OPS(VG_HVM_X)
+#undef VG_HVM_X
+#define VG_HVM_X(O) &&L_ALU_##O, &&L_ALUI_##O, &&L_ALUIS_##O,
+      VG_HVM_BINOPS(VG_HVM_X)
+#undef VG_HVM_X
+#define VG_HVM_X(O) &&L_ALU1_##O,
+      VG_HVM_UNOPS(VG_HVM_X)
+#undef VG_HVM_X
+  };
+  static_assert(sizeof(Table) / sizeof(Table[0]) == NumOpcodes,
+                "label table out of step with the opcode bytes");
 
 #define DISPATCH() goto *Table[Code[Ip]]
 
@@ -131,137 +194,104 @@ L_MOV:
   Ip += 3;
   DISPATCH();
 
-L_ALU: {
-  ir::Op O = static_cast<ir::Op>(rdU16(Code + Ip + 1));
-  R[Code[Ip + 3]] = aluOp(O, R[Code[Ip + 4]], R[Code[Ip + 5]]);
+  // Generic ALU forms: the long tail of ops, evaluated by ir::evalOp.
+L_ALU:
+  R[Code[Ip + 3]] = ir::evalOp(static_cast<ir::Op>(rdU16(Code + Ip + 1)),
+                               R[Code[Ip + 4]], R[Code[Ip + 5]]);
   Ip += 6;
   DISPATCH();
-}
 
-L_ALU1: {
-  ir::Op O = static_cast<ir::Op>(rdU16(Code + Ip + 1));
-  R[Code[Ip + 3]] = aluOp(O, R[Code[Ip + 4]], 0);
+L_ALU1:
+  R[Code[Ip + 3]] =
+      ir::evalOp(static_cast<ir::Op>(rdU16(Code + Ip + 1)), R[Code[Ip + 4]], 0);
   Ip += 5;
   DISPATCH();
-}
 
-L_ALUI: {
-  ir::Op O = static_cast<ir::Op>(rdU16(Code + Ip + 1));
-  R[Code[Ip + 3]] = aluOp(O, R[Code[Ip + 4]], rdU64(Code + Ip + 5));
+L_ALUI:
+  R[Code[Ip + 3]] = ir::evalOp(static_cast<ir::Op>(rdU16(Code + Ip + 1)),
+                               R[Code[Ip + 4]], rdU64(Code + Ip + 5));
   Ip += 13;
   DISPATCH();
-}
 
-L_LDG: {
-  uint8_t *Slot = Gst + rdU32(Code + Ip + 2);
-  uint64_t V;
-  switch (Code[Ip + 6]) {
-  case 4: {
-    uint32_t W;
-    std::memcpy(&W, Slot, 4);
-    V = W;
-    break;
-  }
-  case 8:
-    std::memcpy(&V, Slot, 8);
-    break;
-  default:
-    V = 0;
-    std::memcpy(&V, Slot, Code[Ip + 6]);
-    break;
-  }
-  R[Code[Ip + 1]] = V;
-  Ip += 7;
+L_ALUIS:
+  R[Code[Ip + 3]] = ir::evalOp(static_cast<ir::Op>(rdU16(Code + Ip + 1)),
+                               R[Code[Ip + 4]], Code[Ip + 5]);
+  Ip += 6;
   DISPATCH();
-}
 
-L_STG: {
-  uint8_t *Slot = Gst + rdU32(Code + Ip + 2);
-  uint64_t V = R[Code[Ip + 1]];
-  switch (Code[Ip + 6]) {
-  case 4: {
-    uint32_t W = static_cast<uint32_t>(V);
-    std::memcpy(Slot, &W, 4);
-    break;
-  }
-  case 8:
-    std::memcpy(Slot, &V, 8);
-    break;
-  default:
-    std::memcpy(Slot, &V, Code[Ip + 6]);
-    break;
-  }
-  Ip += 7;
+  // Specialised ALU forms: same layouts, the op fixed by the opcode byte.
+#define VG_HVM_X(O)                                                            \
+  L_ALU_##O:                                                                   \
+  R[Code[Ip + 3]] = aluOp(ir::Op::O, R[Code[Ip + 4]], R[Code[Ip + 5]]);        \
+  Ip += 6;                                                                     \
+  DISPATCH();                                                                  \
+  L_ALUI_##O:                                                                  \
+  R[Code[Ip + 3]] = aluOp(ir::Op::O, R[Code[Ip + 4]], rdU64(Code + Ip + 5));   \
+  Ip += 13;                                                                    \
+  DISPATCH();                                                                  \
+  L_ALUIS_##O:                                                                 \
+  R[Code[Ip + 3]] = aluOp(ir::Op::O, R[Code[Ip + 4]], Code[Ip + 5]);           \
+  Ip += 6;                                                                     \
   DISPATCH();
-}
+  VG_HVM_BINOPS(VG_HVM_X)
+#undef VG_HVM_X
 
-L_LDM: {
-  uint32_t Addr = static_cast<uint32_t>(R[Code[Ip + 2]]) + rdU32(Code + Ip + 3);
-  uint64_t V = 0;
-  MemFault F;
-  switch (Code[Ip + 7]) {
-  case 4: {
-    uint32_t W = 0;
-    F = Mem.readU32(Addr, W);
-    V = W;
-    break;
-  }
-  case 1: {
-    uint8_t W = 0;
-    F = Mem.readU8(Addr, W);
-    V = W;
-    break;
-  }
-  case 2: {
-    uint16_t W = 0;
-    F = Mem.readU16(Addr, W);
-    V = W;
-    break;
-  }
-  default:
-    F = Mem.readU64(Addr, V);
-    break;
-  }
-  if (F.Faulted) {
-    Out.K = RunOutcome::Kind::Fault;
-    Out.FaultAddr = F.Addr;
-    Out.FaultWrite = false;
-    Out.FaultPC = CurPC;
-    return Out;
-  }
-  R[Code[Ip + 1]] = V;
-  Ip += 8;
+#define VG_HVM_X(O)                                                            \
+  L_ALU1_##O:                                                                  \
+  R[Code[Ip + 3]] = aluOp(ir::Op::O, R[Code[Ip + 4]], 0);                      \
+  Ip += 5;                                                                     \
   DISPATCH();
-}
+  VG_HVM_UNOPS(VG_HVM_X)
+#undef VG_HVM_X
 
-L_STM: {
-  uint32_t Addr = static_cast<uint32_t>(R[Code[Ip + 1]]) + rdU32(Code + Ip + 3);
-  uint64_t V = R[Code[Ip + 2]];
-  MemFault F;
-  switch (Code[Ip + 7]) {
-  case 4:
-    F = Mem.writeU32(Addr, static_cast<uint32_t>(V));
-    break;
-  case 1:
-    F = Mem.writeU8(Addr, static_cast<uint8_t>(V));
-    break;
-  case 2:
-    F = Mem.writeU16(Addr, static_cast<uint16_t>(V));
-    break;
-  default:
-    F = Mem.writeU64(Addr, V);
-    break;
+  // Sized accesses: the opcode byte fixes the width; values are
+  // zero-extended into the 64-bit register.
+#define VG_HVM_LDG(Size)                                                       \
+  L_LDG##Size: {                                                               \
+    UInt<Size> W;                                                              \
+    std::memcpy(&W, Gst + rdU32(Code + Ip + 2), Size);                         \
+    R[Code[Ip + 1]] = W;                                                       \
+    Ip += 7;                                                                   \
+    DISPATCH();                                                                \
   }
-  if (F.Faulted) {
-    Out.K = RunOutcome::Kind::Fault;
-    Out.FaultAddr = F.Addr;
-    Out.FaultWrite = true;
-    Out.FaultPC = CurPC;
-    return Out;
+#define VG_HVM_STG(Size)                                                       \
+  L_STG##Size: {                                                               \
+    auto W = static_cast<UInt<Size>>(R[Code[Ip + 1]]);                         \
+    std::memcpy(Gst + rdU32(Code + Ip + 2), &W, Size);                         \
+    Ip += 7;                                                                   \
+    DISPATCH();                                                                \
   }
-  Ip += 8;
-  DISPATCH();
-}
+#define VG_HVM_LDM(Size)                                                       \
+  L_LDM##Size: {                                                               \
+    uint32_t Addr =                                                            \
+        static_cast<uint32_t>(R[Code[Ip + 2]]) + rdU32(Code + Ip + 3);         \
+    UInt<Size> W = 0;                                                          \
+    if (MemFault F = Mem.readT(Addr, W); F.Faulted)                            \
+      return memFault(Out, F, /*Write=*/false, CurPC);                         \
+    R[Code[Ip + 1]] = W;                                                       \
+    Ip += 8;                                                                   \
+    DISPATCH();                                                                \
+  }
+#define VG_HVM_STM(Size)                                                       \
+  L_STM##Size: {                                                               \
+    uint32_t Addr =                                                            \
+        static_cast<uint32_t>(R[Code[Ip + 1]]) + rdU32(Code + Ip + 3);         \
+    auto W = static_cast<UInt<Size>>(R[Code[Ip + 2]]);                         \
+    if (MemFault F = Mem.writeT(Addr, W); F.Faulted)                           \
+      return memFault(Out, F, /*Write=*/true, CurPC);                          \
+    Ip += 8;                                                                   \
+    DISPATCH();                                                                \
+  }
+#define VG_HVM_X(Form, Size) VG_HVM_##Form(Size)
+  VG_HVM_SIZED_OPS(VG_HVM_X)
+#undef VG_HVM_X
+#undef VG_HVM_LDG
+#undef VG_HVM_STG
+#undef VG_HVM_LDM
+#undef VG_HVM_STM
+
+L_UNSIZED:
+  unreachable("HVM: unsized guest-state or memory access in encoded code");
 
 L_SEL:
   R[Code[Ip + 1]] = R[Code[Ip + 2]] ? R[Code[Ip + 3]] : R[Code[Ip + 4]];
@@ -346,13 +376,6 @@ L_IMARK:
   CurPC = rdU32(Code + Ip + 1);
   Ip += 5;
   DISPATCH();
-
-L_ALUIS: {
-  ir::Op O = static_cast<ir::Op>(rdU16(Code + Ip + 1));
-  R[Code[Ip + 3]] = aluOp(O, R[Code[Ip + 4]], Code[Ip + 5]);
-  Ip += 6;
-  DISPATCH();
-}
 
 L_SPILL:
   Frame[rdU32(Code + Ip + 2)] = R[Code[Ip + 1]];

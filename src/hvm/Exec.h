@@ -3,13 +3,16 @@
 /// \file
 /// Executes encoded HVM code blobs — the contents of the code cache. Plays
 /// the role of the host CPU in this reproduction; the dispatcher/scheduler
-/// (core/Dispatcher.cpp) sits on top, exactly as in Section 3.9.
+/// (core/DispatchLoop.cpp) sits on top, exactly as in Section 3.9. Each
+/// opcode byte has its own handler, chosen by the encoder (hvm::SpecOp), so
+/// a host instruction costs one dispatch.
 ///
-/// Supports optional translation chaining: when a chain resolver is
-/// supplied, a Boring constant-target exit whose chain slot has been filled
-/// transfers directly to the successor translation without returning to the
-/// dispatcher (the technique Valgrind 3.2 lacked; reproduced here so
-/// bench/sec39_dispatch can ablate it).
+/// Translation chaining: when a chain resolver is supplied, a Boring
+/// constant-target exit whose chain slot has been filled transfers directly
+/// to the successor translation without returning to the dispatcher (the
+/// technique Valgrind 3.2 lacked). The core supplies one by default;
+/// --chaining=no withholds it, giving the paper's unchained dispatcher for
+/// bench/sec39_dispatch's ablation.
 ///
 //===----------------------------------------------------------------------===//
 #ifndef VG_HVM_EXEC_H
@@ -75,13 +78,15 @@ public:
   Executor(ExecContext &Ctx, uint32_t PCOffset)
       : Ctx(Ctx), PCOffset(PCOffset) {}
 
-  /// Enables chaining: \p Budget limits how many chained transfers a single
-  /// run may make before returning (the scheduler's quantum accounting).
+  /// Enables chaining: exits resolve their successors through \p Fn.
   void setChaining(ChainResolveFn Fn, void *User) {
     ChainFn = Fn;
     ChainUser = User;
   }
 
+  /// Runs \p Blob, following chained exits while \p ChainBudget lasts:
+  /// it limits how many chained transfers one run may make before
+  /// returning (the scheduler's quantum accounting).
   RunOutcome run(const CodeBlob &Blob, uint64_t ChainBudget = 0);
 
   /// Maximum spill slots a translation may use.

@@ -2,8 +2,10 @@
 
 #include "hvm/HostVM.h"
 
+#include <cassert>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 
 using namespace vg;
 using namespace vg::hvm;
@@ -53,6 +55,67 @@ unsigned encodedSizeFor(HOp Op) {
 
 unsigned encodedSize(const HInstr &I) { return encodedSizeFor(I.Op); }
 
+/// Generic form of each specialised opcode, in SpecOp order.
+constexpr HOp SpecForm[] = {
+#define VG_HVM_X(Form, Size) HOp::Form,
+    VG_HVM_SIZED_OPS(VG_HVM_X)
+#undef VG_HVM_X
+#define VG_HVM_X(O) HOp::ALU, HOp::ALUI, HOp::ALUIS,
+    VG_HVM_BINOPS(VG_HVM_X)
+#undef VG_HVM_X
+#define VG_HVM_X(O) HOp::ALU1,
+    VG_HVM_UNOPS(VG_HVM_X)
+#undef VG_HVM_X
+};
+static_assert(std::size(SpecForm) == static_cast<size_t>(SpecOp::Count),
+              "SpecForm out of step with SpecOp");
+
+bool isAccess(HOp Op) {
+  return Op == HOp::LDG || Op == HOp::STG || Op == HOp::LDM || Op == HOp::STM;
+}
+
+/// An instruction form paired with the field that picks its specialised
+/// opcode: the access size, or the ir::Op.
+constexpr uint32_t specKey(HOp Form, uint32_t Field) {
+  return static_cast<uint32_t>(Form) << 16 | Field;
+}
+constexpr uint32_t specKey(HOp Form, ir::Op O) {
+  return specKey(Form, static_cast<uint32_t>(O));
+}
+
+constexpr uint8_t specByte(SpecOp S) {
+  return static_cast<uint8_t>(NumGenericOps + static_cast<unsigned>(S));
+}
+
+/// The opcode byte that selects \p I's handler: its specialised opcode
+/// where one exists, else its generic form.
+uint8_t opcodeByte(const HInstr &I) {
+  bool Sized = isAccess(I.Op);
+  switch (specKey(I.Op, Sized ? I.Size : static_cast<uint32_t>(I.IrOp))) {
+#define VG_HVM_X(Form, Size)                                                   \
+  case specKey(HOp::Form, Size):                                               \
+    return specByte(SpecOp::Form##Size);
+    VG_HVM_SIZED_OPS(VG_HVM_X)
+#undef VG_HVM_X
+#define VG_HVM_X(O)                                                            \
+  case specKey(HOp::ALU, ir::Op::O):                                           \
+    return specByte(SpecOp::ALU_##O);                                          \
+  case specKey(HOp::ALUI, ir::Op::O):                                          \
+    return specByte(SpecOp::ALUI_##O);                                         \
+  case specKey(HOp::ALUIS, ir::Op::O):                                         \
+    return specByte(SpecOp::ALUIS_##O);
+    VG_HVM_BINOPS(VG_HVM_X)
+#undef VG_HVM_X
+#define VG_HVM_X(O)                                                            \
+  case specKey(HOp::ALU1, ir::Op::O):                                          \
+    return specByte(SpecOp::ALU1_##O);
+    VG_HVM_UNOPS(VG_HVM_X)
+#undef VG_HVM_X
+  }
+  assert(!Sized && "access of unsupported size reaches encoder");
+  return static_cast<uint8_t>(I.Op);
+}
+
 void putU16(std::vector<uint8_t> &B, uint16_t V) {
   B.push_back(static_cast<uint8_t>(V));
   B.push_back(static_cast<uint8_t>(V >> 8));
@@ -95,7 +158,7 @@ std::vector<uint8_t> hvm::encode(const HostCode &CodeIn) {
   std::vector<uint8_t> B;
   B.reserve(Pos);
   for (const HInstr &I : Code.Instrs) {
-    B.push_back(static_cast<uint8_t>(I.Op));
+    B.push_back(opcodeByte(I));
     switch (I.Op) {
     case HOp::LI:
       B.push_back(r8(I.Dst));
@@ -202,22 +265,24 @@ std::vector<uint8_t> hvm::encode(const HostCode &CodeIn) {
   return B;
 }
 
+OpcodeInfo hvm::opcodeInfo(uint8_t Byte) {
+  if (Byte >= NumOpcodes)
+    return {HOp::LI, 0};
+  HOp Form = Byte < NumGenericOps ? static_cast<HOp>(Byte)
+                                  : SpecForm[Byte - NumGenericOps];
+  // Accesses are always encoded with their size-specialised byte.
+  if (Byte < NumGenericOps && isAccess(Form))
+    return {Form, 0};
+  return {Form, static_cast<uint8_t>(encodedSizeFor(Form))};
+}
+
 bool hvm::findCalleeSlots(const std::vector<uint8_t> &Bytes,
                           std::vector<uint32_t> &Slots) {
   Slots.clear();
-  size_t Off = 0;
-  while (Off < Bytes.size()) {
-    uint8_t Op = Bytes[Off];
-    if (Op > static_cast<uint8_t>(HOp::SHPROBE))
-      return false;
-    unsigned Sz = encodedSizeFor(static_cast<HOp>(Op));
-    if (Sz == 0 || Off + Sz > Bytes.size())
-      return false;
-    if (static_cast<HOp>(Op) == HOp::CALL)
-      Slots.push_back(static_cast<uint32_t>(Off + 1)); // field follows opcode
-    Off += Sz;
-  }
-  return true;
+  return walkOpcodes(Bytes, [&](uint32_t Off, uint8_t, HOp Form) {
+    if (Form == HOp::CALL)
+      Slots.push_back(Off + 1); // field follows opcode
+  });
 }
 
 std::string hvm::toString(const HInstr &I) {

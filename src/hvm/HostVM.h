@@ -11,7 +11,8 @@
 ///                           via greedy top-down tree matching.
 ///   Phase 7 (RegAlloc.cpp): linear-scan register allocation with move
 ///                           coalescing hints and spill slots.
-///   Phase 8 (encode()):     HInstr list -> code bytes.
+///   Phase 8 (encode()):     HInstr list -> code bytes; each opcode byte
+///                           picks the executor handler.
 ///
 /// Host register conventions (Section 3.4/3.9): registers h0..h9 are
 /// allocatable, h10..h13 are spill-reload scratch, h14 conceptually holds
@@ -51,7 +52,10 @@ constexpr unsigned FirstScratch = 10;
 constexpr RegId VirtBase = 0x10000;
 inline bool isVirtual(RegId R) { return R >= VirtBase; }
 
-/// Host opcodes.
+/// Host opcodes: the instruction forms ISel and the register allocator
+/// work with. Each is also an encoded opcode byte, served by a generic
+/// executor handler; encode() writes a specialised byte (SpecOp) instead
+/// wherever one exists, so that byte alone selects the handler.
 enum class HOp : uint8_t {
   LI,     ///< Dst = Imm
   MOV,    ///< Dst = A
@@ -75,6 +79,64 @@ enum class HOp : uint8_t {
            ///< the tool's ShadowMap services it inline — no helper call,
            ///< no caller-saved clobber. Imm bit 0: 1 = store, 0 = load.
 };
+
+/// Opcode bytes [0, NumGenericOps) are the HOps themselves.
+constexpr unsigned NumGenericOps = static_cast<unsigned>(HOp::SHPROBE) + 1;
+
+//===----------------------------------------------------------------------===//
+// Specialised opcodes (encode-time)
+//
+// The executor is a threaded interpreter: one computed goto per host
+// instruction. A generic ALU-form handler would pay a second dispatch on
+// the instruction's ir::Op, and an access a second dispatch on its size, so
+// encode() picks the handler instead: it writes a dedicated opcode byte
+// for every access size of LDG/STG/LDM/STM and for every (ir::Op, form)
+// pair listed below. A specialised byte keeps its generic form's operand
+// layout (the size or ir::Op field stays, unread), so no blob changes
+// length. The generic ALU forms serve the long tail of ops. The op lists
+// follow the measured host-instruction mix (bench/sec54_hostcode prints
+// the share still left on generic handlers).
+//===----------------------------------------------------------------------===//
+
+/// Binary ir::Ops with a specialised byte in each binary form: ALU
+/// (reg-reg), ALUI (reg-imm64) and ALUIS (reg-imm8).
+#define VG_HVM_BINOPS(X)                                                       \
+  X(Add32) X(Sub32) X(And32) X(Or32) X(Xor32) X(Mul32) X(Shl32) X(Shr32)       \
+  X(Sar32) X(Add64) X(Or64) X(And64) X(CmpEQ32) X(CmpNE32) X(CmpLT32S)         \
+  X(CmpLE32S) X(CmpLT32U) X(CmpLE32U) X(AddF64) X(SubF64) X(MulF64)
+
+/// Unary ir::Ops with a specialised ALU1 byte.
+#define VG_HVM_UNOPS(X)                                                        \
+  X(CmpNEZ32) X(U1to32) X(Neg32) X(CmpNEZ64) X(U1to64) X(Neg64) X(T64to32)     \
+  X(T64HIto32) X(T32to8) X(U8to32)
+
+/// Guest-state and memory accesses: X(form, size in bytes). Every size has
+/// its own byte, so the generic LDG/STG/LDM/STM bytes never appear in
+/// encoded code.
+#define VG_HVM_SIZED_OPS(X)                                                    \
+  X(LDG, 1) X(LDG, 2) X(LDG, 4) X(LDG, 8)                                      \
+  X(STG, 1) X(STG, 2) X(STG, 4) X(STG, 8)                                      \
+  X(LDM, 1) X(LDM, 2) X(LDM, 4) X(LDM, 8)                                      \
+  X(STM, 1) X(STM, 2) X(STM, 4) X(STM, 8)
+
+/// Specialised opcodes; the byte of SpecOp S is NumGenericOps + S.
+enum class SpecOp : uint8_t {
+#define VG_HVM_X(Form, Size) Form##Size,
+  VG_HVM_SIZED_OPS(VG_HVM_X)
+#undef VG_HVM_X
+#define VG_HVM_X(O) ALU_##O, ALUI_##O, ALUIS_##O,
+  VG_HVM_BINOPS(VG_HVM_X)
+#undef VG_HVM_X
+#define VG_HVM_X(O) ALU1_##O,
+  VG_HVM_UNOPS(VG_HVM_X)
+#undef VG_HVM_X
+  Count
+};
+
+/// Every opcode byte encode() can write lies below this.
+constexpr unsigned NumOpcodes =
+    NumGenericOps + static_cast<unsigned>(SpecOp::Count);
+static_assert(NumOpcodes <= 256, "opcode bytes overflow");
 
 /// One host instruction (pre- or post-register-allocation).
 struct HInstr {
@@ -115,10 +177,35 @@ struct HostCode {
 };
 
 /// Phase 8: encodes an instruction list into code-cache bytes. JZ labels
-/// are resolved to byte offsets.
+/// are resolved to byte offsets; each instruction's opcode byte selects
+/// its executor handler (a SpecOp where one exists).
 std::vector<uint8_t> encode(const HostCode &Code);
 
-/// Decodes the opcode stream of an encoded blob and reports the byte
+/// The decoder's view of one opcode byte: the generic form whose operand
+/// layout it uses, and its encoded length in bytes. Length 0 marks a byte
+/// encode() never writes (beyond NumOpcodes, or an unsized LDG/STG/LDM/STM).
+struct OpcodeInfo {
+  HOp Form;
+  uint8_t Len;
+};
+OpcodeInfo opcodeInfo(uint8_t Byte);
+
+/// The opcode walker: calls Visit(Offset, Byte, Form) for each instruction
+/// of an encoded blob in order. Returns false when the bytes do not decode
+/// cleanly (an opcode byte encode() never writes, or a truncated tail).
+template <typename Fn>
+bool walkOpcodes(const std::vector<uint8_t> &Bytes, Fn &&Visit) {
+  for (size_t Off = 0; Off < Bytes.size();) {
+    OpcodeInfo Info = opcodeInfo(Bytes[Off]);
+    if (Info.Len == 0 || Off + Info.Len > Bytes.size())
+      return false;
+    Visit(static_cast<uint32_t>(Off), Bytes[Off], Info.Form);
+    Off += Info.Len;
+  }
+  return true;
+}
+
+/// Walks the opcode stream of an encoded blob and reports the byte
 /// offset of every CALL instruction's 8-byte callee field — the only
 /// host-pointer-sized immediate encode() ever emits, and the reason a raw
 /// blob is meaningless outside the process that produced it. The

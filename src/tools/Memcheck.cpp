@@ -523,6 +523,11 @@ private:
       SB.append(S);
       return;
     }
+
+    case StmtKind::ShadowProbe:
+      // Only this instrumenter creates probes, and it never sees its own
+      // output.
+      unreachable("Memcheck: shadow probe in uninstrumented IR");
     }
   }
 

@@ -320,6 +320,9 @@ private:
       }
       SB.append(S);
       return;
+    case StmtKind::ShadowProbe:
+      // Only Memcheck's instrumenter creates probes.
+      unreachable("TaintGrind: shadow probe in uninstrumented IR");
     }
   }
 

@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <random>
 
@@ -38,6 +39,42 @@ RunOutcome runSB(IRSB &SB, uint8_t *Gst, GuestMemory &Mem) {
   Ctx.Mem = &Mem;
   Executor Exec(Ctx, /*PCOffset=*/64);
   return Exec.run(Blob);
+}
+
+/// Encodes and runs a hand-built, already allocated instruction list.
+RunOutcome runHost(const HostCode &HC, uint8_t *Gst, GuestMemory &Mem) {
+  CodeBlob Blob;
+  Blob.Bytes = encode(HC);
+  ExecContext Ctx;
+  Ctx.GuestState = Gst;
+  Ctx.Mem = &Mem;
+  Executor Exec(Ctx, /*PCOffset=*/64);
+  return Exec.run(Blob);
+}
+
+HInstr hi(HOp Op) {
+  HInstr I;
+  I.Op = Op;
+  return I;
+}
+
+HInstr exitTo(uint32_t PC) {
+  HInstr I = hi(HOp::EXITI);
+  I.Imm = PC;
+  I.ChainSlot = 0;
+  return I;
+}
+
+bool isSpecialisedOp(Op O) {
+  switch (O) {
+#define VG_HVM_X(Name) case Op::Name:
+    VG_HVM_BINOPS(VG_HVM_X)
+    VG_HVM_UNOPS(VG_HVM_X)
+#undef VG_HVM_X
+    return true;
+  default:
+    return false;
+  }
 }
 
 TEST(ISel, FoldsAddressDisplacements) {
@@ -197,42 +234,257 @@ TEST(Exec, MemoryFaultReportsIMarkPC) {
   EXPECT_EQ(O.K, RunOutcome::Kind::Fault);
   EXPECT_EQ(O.FaultPC, 0xABC0u);
   EXPECT_EQ(O.FaultAddr, 0x00990000u);
+  EXPECT_FALSE(O.FaultWrite);
+}
+
+TEST(Exec, StoreFaultReportsIMarkPC) {
+  // The store straddles from a writable page into an unmapped one: the
+  // fault names the first unmapped byte and the store's own instruction.
+  IRSB SB;
+  SB.imark(0xABC0, 4);
+  SB.put(0, SB.constI32(7));
+  SB.imark(0xABC4, 4);
+  SB.store(SB.constI32(0x00990FFC), SB.constI64(0x1122334455667788ull));
+  SB.setNext(SB.constI32(0), JumpKind::Boring);
+  alignas(8) uint8_t Gst[384] = {};
+  GuestMemory Mem;
+  Mem.map(0x00990000, GuestMemory::PageSize, PermRW);
+  RunOutcome O = runSB(SB, Gst, Mem);
+  EXPECT_EQ(O.K, RunOutcome::Kind::Fault);
+  EXPECT_EQ(O.FaultPC, 0xABC4u);
+  EXPECT_EQ(O.FaultAddr, 0x00991000u);
+  EXPECT_TRUE(O.FaultWrite);
+}
+
+// Every access size has its own opcode; each must move exactly its width
+// and zero-extend loads into the 64-bit register.
+TEST(Exec, SizedAccessesMoveTheirWidthAndZeroExtend) {
+  constexpr uint32_t Base = 0x00400000;
+  constexpr uint64_t Pattern = 0xF1E2D3C4B5A69788ull;
+  for (uint8_t Size : {1, 2, 4, 8}) {
+    uint64_t Mask = Size == 8 ? ~0ull : (1ull << (8 * Size)) - 1;
+    alignas(8) uint8_t Gst[384] = {};
+    std::memcpy(Gst + 0, &Pattern, 8);
+    std::memset(Gst + 16, 0xAA, 16);
+    GuestMemory Mem;
+    Mem.map(Base, GuestMemory::PageSize, PermRW);
+    Mem.write(Base, &Pattern, 8);
+    uint64_t Fill = 0xAAAAAAAAAAAAAAAAull;
+    Mem.write(Base + 16, &Fill, 8);
+
+    HostCode HC;
+    HInstr LdG = hi(HOp::LDG); // h0 = gst[0], Size bytes
+    LdG.Dst = 0, LdG.Off = 0, LdG.Size = Size;
+    HInstr Wide = hi(HOp::STG); // gst[8] = h0, all 8 bytes
+    Wide.A = 0, Wide.Off = 8, Wide.Size = 8;
+    HInstr StG = hi(HOp::STG); // gst[16] = ~0, Size bytes
+    StG.A = 1, StG.Off = 16, StG.Size = Size;
+    // h1 = ~0 is the store data; h0 and h3 start as ~0 too, so a load
+    // that wrote only its low bytes would show.
+    HInstr Ones = hi(HOp::LI);
+    Ones.Dst = 1, Ones.Imm = ~0ull;
+    HInstr Dirty0 = Ones, Dirty3 = Ones;
+    Dirty0.Dst = 0, Dirty3.Dst = 3;
+    HInstr Addr = hi(HOp::LI);
+    Addr.Dst = 2, Addr.Imm = Base;
+    HInstr LdM = hi(HOp::LDM); // h3 = mem[Base], Size bytes
+    LdM.Dst = 3, LdM.A = 2, LdM.Size = Size;
+    HInstr WideM = hi(HOp::STG); // gst[32] = h3, all 8 bytes
+    WideM.A = 3, WideM.Off = 32, WideM.Size = 8;
+    HInstr StM = hi(HOp::STM); // mem[Base + 16] = ~0, Size bytes
+    StM.A = 2, StM.B = 1, StM.Disp = 16, StM.Size = Size;
+    HC.Instrs = {Ones, Dirty0, Dirty3, LdG, Wide, StG,
+                 Addr, LdM, WideM, StM, exitTo(0)};
+
+    // The walker rejects unsized access bytes: every access must have
+    // been encoded with its size's specialised byte.
+    EXPECT_TRUE(walkOpcodes(encode(HC), [](uint32_t, uint8_t, HOp) {}))
+        << "size " << unsigned(Size);
+
+    RunOutcome O = runHost(HC, Gst, Mem);
+    ASSERT_EQ(O.K, RunOutcome::Kind::BlockEnd);
+    uint64_t V;
+    std::memcpy(&V, Gst + 8, 8);
+    EXPECT_EQ(V, Pattern & Mask) << "LDG size " << unsigned(Size);
+    std::memcpy(&V, Gst + 16, 8);
+    EXPECT_EQ(V, (Fill & ~Mask) | Mask) << "STG size " << unsigned(Size);
+    std::memcpy(&V, Gst + 24, 8);
+    EXPECT_EQ(V, Fill) << "STG size " << unsigned(Size) << " overran";
+    std::memcpy(&V, Gst + 32, 8);
+    EXPECT_EQ(V, Pattern & Mask) << "LDM size " << unsigned(Size);
+    V = 0;
+    Mem.read(Base + 16, &V, 8);
+    EXPECT_EQ(V, (Fill & ~Mask) | Mask) << "STM size " << unsigned(Size);
+  }
+}
+
+// Memory accesses that cross a page boundary take the byte-exact path in
+// GuestMemory; the sized handlers must hand it the right width.
+TEST(Exec, PageStraddlingLoadsAndStores) {
+  constexpr uint32_t Page1 = 0x00500000, Edge = Page1 + GuestMemory::PageSize;
+  for (uint8_t Size : {2, 4, 8}) {
+    uint64_t Mask = Size == 8 ? ~0ull : (1ull << (8 * Size)) - 1;
+    GuestMemory Mem;
+    Mem.map(Page1, 2 * GuestMemory::PageSize, PermRW);
+    uint8_t Bytes[16];
+    for (int I = 0; I != 16; ++I)
+      Bytes[I] = static_cast<uint8_t>(0x10 + I);
+    Mem.write(Edge - 8, Bytes, 16);
+    uint32_t At = Edge - 1; // one byte before the boundary
+
+    IRSB SB;
+    Ty T = Size == 2 ? Ty::I16 : Size == 4 ? Ty::I32 : Ty::I64;
+    TmpId V = SB.wrTmp(SB.load(T, SB.constI32(At)));
+    SB.put(0, SB.rdTmp(V));
+    SB.store(SB.constI32(At - 4), SB.rdTmp(V));
+    SB.setNext(SB.constI32(0), JumpKind::Boring);
+    alignas(8) uint8_t Gst[384] = {};
+    RunOutcome O = runSB(SB, Gst, Mem);
+    ASSERT_EQ(O.K, RunOutcome::Kind::BlockEnd);
+
+    uint64_t Want = 0;
+    std::memcpy(&Want, Bytes + 7, Size);
+    uint64_t Got = 0;
+    std::memcpy(&Got, Gst, Size);
+    EXPECT_EQ(Got, Want & Mask) << "load size " << unsigned(Size);
+    uint64_t Stored = 0;
+    Mem.read(At - 4, &Stored, Size);
+    EXPECT_EQ(Stored, Want) << "store size " << unsigned(Size);
+  }
 }
 
 //===----------------------------------------------------------------------===//
 // Property sweep: every op agrees with evalOp through the whole back end
 //===----------------------------------------------------------------------===//
 
+/// Operand values that sit on the edges the handlers must get right:
+/// sign and width boundaries, shift counts of 32 and more, and F64 NaN
+/// payloads, signed zeros and infinities (as raw bits).
+const uint64_t EdgeValues[] = {
+    0,
+    1,
+    0x7FFFFFFFull,
+    0x80000000ull,
+    0xFFFFFFFFull,
+    1ull << 32,
+    ~0ull,
+    31,
+    32,
+    33,
+    63,
+    64,
+    255,
+    0x7FF8000000000001ull, // quiet NaN with a payload
+    0xFFF8000000000000ull, // negative quiet NaN
+    0x7FF0000000000001ull, // signalling NaN
+    0x8000000000000000ull, // -0.0
+    0x3FF0000000000000ull, // 1.0
+    0x7FF0000000000000ull, // +inf
+};
+
+/// How the back end sees the operands of one op instance.
+enum class Form {
+  Reg,      ///< every operand a guest-state GET (ALU / ALU1)
+  ImmLarge, ///< binary op, constant RHS above 255 (ALUI)
+  ImmSmall, ///< binary op, constant RHS of 255 or less (ALUIS)
+};
+
+const char *formName(Form F) {
+  return F == Form::Reg ? "reg" : F == Form::ImmLarge ? "imm64" : "imm8";
+}
+
+/// Lowers \p O in form \p F over operands \p A and \p B, checks the
+/// ALU-family instruction got the specialised opcode byte exactly when
+/// the op is listed, runs it, and compares the result with evalOp.
+void checkOp(Op O, Form F, uint64_t A, uint64_t B) {
+  unsigned Arity = opArity(O);
+  Ty RT = opResultTy(O);
+  alignas(8) uint8_t Gst[384] = {};
+  std::memcpy(Gst + 0, &A, 8);
+  std::memcpy(Gst + 8, &B, 8);
+  IRSB SB;
+  Expr *LHS = SB.get(0, opArgTy(O, 0));
+  Expr *E = Arity == 1 ? SB.unop(O, LHS)
+            : F == Form::Reg
+                ? SB.binop(O, LHS, SB.get(8, opArgTy(O, 1)))
+                : SB.binop(O, LHS, SB.mkConst(opArgTy(O, 1), B));
+  SB.put(16, SB.rdTmp(SB.wrTmp(E)));
+  SB.setNext(SB.constI32(0), JumpKind::Boring);
+  // Deliberately NOT optimised: operands must flow through isel/exec.
+  HostCode HC = selectInstructions(SB);
+  allocateRegisters(HC);
+  CodeBlob Blob;
+  Blob.Bytes = encode(HC);
+
+  HOp Want = Arity == 1           ? HOp::ALU1
+             : F == Form::Reg     ? HOp::ALU
+             : F == Form::ImmLarge ? HOp::ALUI
+                                   : HOp::ALUIS;
+  unsigned Seen = 0;
+  walkOpcodes(Blob.Bytes, [&](uint32_t, uint8_t Byte, HOp Form) {
+    if (Form != Want)
+      return;
+    ++Seen;
+    EXPECT_EQ(Byte >= NumGenericOps, isSpecialisedOp(O))
+        << opName(O) << " " << formName(F) << ": opcode byte "
+        << unsigned(Byte);
+  });
+  EXPECT_EQ(Seen, 1u) << opName(O) << " " << formName(F);
+
+  GuestMemory Mem;
+  ExecContext Ctx;
+  Ctx.GuestState = Gst;
+  Ctx.Mem = &Mem;
+  Executor Exec(Ctx, /*PCOffset=*/64);
+  Exec.run(Blob);
+  uint64_t Got = 0;
+  unsigned Bytes = tySizeBits(RT) / 8;
+  std::memcpy(&Got, Gst + 16, Bytes == 0 ? 1 : Bytes);
+  if (RT == Ty::I1) // I1 puts store a single byte
+    Got &= 1;
+  uint64_t Expect = truncToTy(evalOp(O, A, B), RT);
+  EXPECT_EQ(Got, Expect) << opName(O) << " " << formName(F) << "(0x"
+                         << std::hex << A << ", 0x" << B << ")";
+}
+
 class OpProperty : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(OpProperty, BackEndMatchesEvaluator) {
   Op O = static_cast<Op>(GetParam());
+  bool Binary = opArity(O) == 2;
+  Ty TA = opArgTy(O, 0), TB = Binary ? opArgTy(O, 1) : TA;
+  // Operand pairs: every pair of edge values, then 16 random ones.
+  std::vector<std::pair<uint64_t, uint64_t>> Pairs;
+  for (uint64_t A : EdgeValues)
+    for (uint64_t B : Binary ? std::vector<uint64_t>(std::begin(EdgeValues),
+                                                     std::end(EdgeValues))
+                             : std::vector<uint64_t>{0})
+      Pairs.emplace_back(truncToTy(A, TA), truncToTy(B, TB));
   std::mt19937_64 Rng(GetParam() * 7919 + 3);
   for (int Trial = 0; Trial != 16; ++Trial) {
-    uint64_t A = truncToTy(Rng(), opArgTy(O, 0));
-    uint64_t B = opArity(O) == 2 ? truncToTy(Rng(), opArgTy(O, 1)) : 0;
-    IRSB SB;
-    Expr *E = opArity(O) == 1
-                  ? SB.unop(O, SB.mkConst(opArgTy(O, 0), A))
-                  : SB.binop(O, SB.mkConst(opArgTy(O, 0), A),
-                             SB.mkConst(opArgTy(O, 1), B));
-    TmpId T = SB.wrTmp(E);
-    // Widen to I64 through guest-state bytes: just PUT the raw tmp.
-    SB.put(0, SB.rdTmp(T));
-    SB.setNext(SB.constI32(0), JumpKind::Boring);
-    // Deliberately NOT optimised: constants must flow through isel/exec.
-    alignas(8) uint8_t Gst[384] = {};
-    GuestMemory Mem;
-    runSB(SB, Gst, Mem);
-    uint64_t Got = 0;
-    std::memcpy(&Got, Gst, tySizeBits(opResultTy(O)) / 8 == 0
-                               ? 1
-                               : tySizeBits(opResultTy(O)) / 8);
-    uint64_t Want = truncToTy(evalOp(O, A, B), opResultTy(O));
-    // I1 puts store a single byte.
-    if (opResultTy(O) == Ty::I1)
-      Got &= 1;
-    EXPECT_EQ(Got, Want) << opName(O) << "(" << A << "," << B << ")";
+    uint64_t A = truncToTy(Rng(), TA);
+    uint64_t B = Binary ? truncToTy(Rng(), TB) : 0;
+    Pairs.emplace_back(A, B);
+  }
+  std::sort(Pairs.begin(), Pairs.end());
+  Pairs.erase(std::unique(Pairs.begin(), Pairs.end()), Pairs.end());
+
+  bool SawLarge = false, SawSmall = false;
+  for (auto [A, B] : Pairs) {
+    checkOp(O, Form::Reg, A, B);
+    if (!Binary)
+      continue;
+    bool Large = B > 0xFF;
+    checkOp(O, Large ? Form::ImmLarge : Form::ImmSmall, A, B);
+    SawLarge |= Large;
+    SawSmall |= !Large;
+  }
+  // Both immediate encodings ran, unless the RHS type cannot hold an
+  // immediate above 255 (Encode.EveryListedOpIsSpecialisedInEveryForm
+  // covers ALUI for those).
+  if (Binary) {
+    EXPECT_TRUE(SawSmall) << opName(O);
+    EXPECT_EQ(SawLarge, tySizeBits(TB) > 8) << opName(O);
   }
 }
 
@@ -242,5 +494,77 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<unsigned> &I) {
       return opName(static_cast<Op>(I.param));
     });
+
+// The encoder writes a specialised byte for every listed op in every form
+// it has, including the reg-imm64 form of ops whose immediate is 8 bits
+// wide in well-typed IR (so the sweep above cannot reach it); the decoder
+// maps each back to its generic form and length, and each handler agrees
+// with evalOp.
+TEST(Encode, EveryListedOpIsSpecialisedInEveryForm) {
+  struct Case {
+    Op O;
+    HOp Form;
+    uint64_t Imm;
+  };
+  std::vector<Case> Cases;
+#define VG_HVM_X(Name)                                                         \
+  Cases.push_back({Op::Name, HOp::ALU, 0});                                    \
+  Cases.push_back({Op::Name, HOp::ALUI, 0x3F000021ull});                       \
+  Cases.push_back({Op::Name, HOp::ALUI, 0x21});
+  VG_HVM_BINOPS(VG_HVM_X)
+#undef VG_HVM_X
+#define VG_HVM_X(Name) Cases.push_back({Op::Name, HOp::ALU1, 0});
+  VG_HVM_UNOPS(VG_HVM_X)
+#undef VG_HVM_X
+
+  const uint64_t A = 0xC000000F80000007ull, B = 0x4000000000000023ull;
+  for (const Case &C : Cases) {
+    HostCode HC;
+    HInstr LA = hi(HOp::LI), LB = hi(HOp::LI);
+    LA.Dst = 0, LA.Imm = A;
+    LB.Dst = 1, LB.Imm = B;
+    HInstr I = hi(C.Form);
+    I.IrOp = C.O, I.Dst = 2, I.A = 0, I.B = C.Form == HOp::ALU ? 1 : NoReg;
+    I.Imm = C.Imm;
+    HInstr Out = hi(HOp::STG);
+    Out.A = 2, Out.Off = 0, Out.Size = 8;
+    HC.Instrs = {LA, LB, I, Out, exitTo(0)};
+    std::vector<uint8_t> Bytes = encode(HC);
+
+    HOp Expected = C.Form == HOp::ALUI && C.Imm <= 0xFF ? HOp::ALUIS : C.Form;
+    std::vector<uint32_t> Offsets;
+    ASSERT_TRUE(walkOpcodes(Bytes, [&](uint32_t Off, uint8_t, HOp) {
+      Offsets.push_back(Off);
+    }));
+    ASSERT_EQ(Offsets.size(), 5u);
+    uint8_t Byte = Bytes[Offsets[2]];
+    EXPECT_GE(Byte, NumGenericOps) << opName(C.O) << " form " << unsigned(C.Form);
+    OpcodeInfo Info = opcodeInfo(Byte);
+    EXPECT_EQ(Info.Form, Expected) << opName(C.O);
+    EXPECT_EQ(Offsets[3] - Offsets[2], Info.Len) << opName(C.O);
+    EXPECT_EQ(Info.Len, opcodeInfo(static_cast<uint8_t>(Expected)).Len);
+
+    alignas(8) uint8_t Gst[384] = {};
+    GuestMemory Mem;
+    runHost(HC, Gst, Mem);
+    uint64_t Got;
+    std::memcpy(&Got, Gst, 8);
+    uint64_t RHS = C.Form == HOp::ALU ? B : C.Imm;
+    EXPECT_EQ(Got, evalOp(C.O, A, RHS))
+        << opName(C.O) << " form " << unsigned(Expected);
+  }
+}
+
+TEST(Encode, DecoderRejectsBytesTheEncoderNeverWrites) {
+  for (HOp Unsized : {HOp::LDG, HOp::STG, HOp::LDM, HOp::STM})
+    EXPECT_EQ(opcodeInfo(static_cast<uint8_t>(Unsized)).Len, 0u);
+  for (unsigned Byte = NumOpcodes; Byte != 256; ++Byte)
+    EXPECT_EQ(opcodeInfo(static_cast<uint8_t>(Byte)).Len, 0u);
+  std::vector<uint32_t> Slots;
+  EXPECT_FALSE(findCalleeSlots({static_cast<uint8_t>(HOp::LDG), 0, 0, 0, 0,
+                                0, 4},
+                               Slots));
+  EXPECT_FALSE(findCalleeSlots({static_cast<uint8_t>(NumOpcodes)}, Slots));
+}
 
 } // namespace

@@ -63,8 +63,9 @@ void expectRoundTrip(const Instr &I) {
   EXPECT_EQ(D.Scale, I.Scale);
   EXPECT_EQ(D.Imm, I.Imm);
   EXPECT_EQ(D.Imm64, I.Imm64);
-  if (I.Op == Opcode::BCC)
+  if (I.Op == Opcode::BCC) {
     EXPECT_EQ(D.BCond, I.BCond);
+  }
 
   uint8_t Buf2[MaxInstrLen] = {0};
   unsigned Len2 = encodeInstr(D, Buf2);
