@@ -63,7 +63,7 @@ int main() {
        {"support/", "guest/", "ir/", "frontend/", "hvm/", "core/",
         "kernel/", "guestlib/"},
        "170,280 C + 3,207 asm"},
-      {"shadow-memory substrate", {"shadow/"}, "(part of Memcheck)"},
+      {"shadow-value support", {"shadow/"}, "(part of Memcheck)"},
       {"memcheck", {"tools/Memcheck"}, "10,509"},
       {"cachegrind", {"tools/Cachegrind"}, "2,431"},
       {"massif", {"tools/Massif"}, "1,764"},

@@ -128,22 +128,7 @@ public:
 
   // --- the engines (direct access for tools and tests) --------------------
   ClientRequestEngine &clientRequests() { return *ClReqs; }
-  RedirectEngine &redirects() { return *Redirects; }
-  SignalEngine &signals() { return *Signals; }
-  DispatchLoop &dispatcher() { return *Dispatch; }
 
-  void setSmcMode(SmcMode M) { Smc = M; }
-  void setChaining(bool On) { ChainingEnabled = On; }
-  /// Executions before a block is retranslated as a hot superblock with
-  /// branch chasing (0 disables the hotness tier).
-  void setHotThreshold(uint64_t N) { HotThreshold = N; }
-  /// Enables the trace tier: hot superblocks whose chain edges are strongly
-  /// biased get stitched into optimised traces (requires chaining and the
-  /// hot tier to be on — traces form over tier-1 blocks only).
-  void setTraceTier(bool On) { TraceTier = On; }
-  /// Executions before a tier-1 superblock is considered for trace
-  /// formation (0 = 4x the hot threshold).
-  void setTraceThreshold(uint64_t N) { TraceThreshold = N; }
   /// Maximum superblocks stitched into one trace (clamped to [2, 8]).
   void setTraceMaxBlocks(unsigned N) {
     TraceMaxBlocks = N < 2 ? 2 : (N > 8 ? 8 : N);
@@ -308,8 +293,8 @@ private:
 
   SmcMode Smc = SmcMode::Stack;
   bool ChainingEnabled = false;
-  uint64_t HotThreshold = 0;   // 0 = hotness tier off
-  bool TraceTier = false;      // --trace-tier
+  uint64_t HotThreshold = 0;   // runs before hot retranslation; 0 = off
+  bool TraceTier = false;      // --trace-tier (needs chaining + hot tier)
   uint64_t TraceThreshold = 0; // 0 = 4x HotThreshold
   unsigned TraceMaxBlocks = 8; // constituents per trace, [2, 8]
   /// The effective trace-formation threshold (never 0 when the hot tier is

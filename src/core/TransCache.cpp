@@ -225,8 +225,8 @@ TransCache::decodeEntryFile(const std::vector<uint8_t> &File,
   if (!C.Ok || C.Off != C.N || E.ChainTargets.size() != E.NumChainSlots)
     return LoadResult::Malformed;
 
-  // Re-walk the blob with the same decoder store() used, so a stored
-  // entry whose bytes do not decode — or that somehow smuggled an
+  // Re-walk the blob with the same decoder encodeEntryFile() used, so a
+  // stored entry whose bytes do not decode — or that somehow smuggled an
   // unpatched field — can never reach the executor. The structural walk
   // and index bounds checks always run; only the name -> live pointer
   // patch is skipped for out-of-process validators (the server daemon,
@@ -249,15 +249,6 @@ TransCache::decodeEntryFile(const std::vector<uint8_t> &File,
 
   Out = std::move(E);
   return LoadResult::Found;
-}
-
-bool TransCache::store(uint64_t Key, const TransCacheEntry &E) {
-  std::vector<uint8_t> File;
-  if (!encodeEntryFile(ConfigHash, Key, E, File)) {
-    ++WriteFailures;
-    return false;
-  }
-  return storeFile(Key, File);
 }
 
 bool TransCache::encodeEntryFile(uint64_t ConfigHash, uint64_t Key,

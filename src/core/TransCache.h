@@ -14,10 +14,11 @@
 ///    hashLive(Extents) == CodeHash check against the live guest bytes —
 ///    different code at the same address can never be served.
 ///  - Encoded blobs embed raw host Callee pointers (HOp::CALL), which are
-///    meaningless across processes. store() rewrites every callee field
-///    into an index into a serialized name table; load() resolves the
-///    names back through the ir callee registry. A file therefore never
-///    contains a host pointer, and an unresolvable name rejects the entry.
+///    meaningless across processes. encodeEntryFile() rewrites every
+///    callee field into an index into a serialized name table; load()
+///    resolves the names back through the ir callee registry. A file
+///    therefore never contains a host pointer, and an unresolvable name
+///    rejects the entry.
 ///  - Translations whose blob is position-dependent (the SMC-check
 ///    prelude embeds the owning Translation's address) are never stored;
 ///    see Translation::Cacheable.
@@ -115,12 +116,6 @@ public:
 
   LoadResult load(uint64_t Key, TransCacheEntry &Out);
 
-  /// Serializes \p E under \p Key. Returns false when the entry cannot be
-  /// made position-independent (undecodable bytes, a callee with no
-  /// registered name) or the write failed; the run simply continues
-  /// without persisting that translation.
-  bool store(uint64_t Key, const TransCacheEntry &E);
-
   /// Serializes \p E into the complete on-disk file image (header +
   /// checksummed payload) under (\p ConfigHash, \p Key). Callee pointers
   /// are rewritten into name-table indexes, so the image is position- and
@@ -144,9 +139,10 @@ public:
                                     TransCacheEntry &Out,
                                     bool ResolveCallees);
 
-  /// Atomically publishes a pre-encoded file image under \p Key — the
-  /// write-through path for validated server-fetched entries. Honours the
-  /// size budget exactly like store().
+  /// Atomically publishes a file image from encodeEntryFile (or a
+  /// validated server-fetched one) under \p Key, honouring the size
+  /// budget. False when the write failed; the run simply continues
+  /// without persisting that translation.
   bool storeFile(uint64_t Key, const std::vector<uint8_t> &File);
 
   /// The filename an entry lives under: hex16(config)-hex16(key).vgtc.
@@ -175,8 +171,7 @@ public:
   uint64_t totalBytes() const { return TotalBytes; }
   uint64_t evictedFiles() const { return EvictedFiles; }
   uint64_t writeFailures() const { return WriteFailures; }
-  /// Accounts an encode failure detected by a caller that serializes
-  /// through encodeEntryFile directly (the service's shared write-back).
+  /// Accounts an encodeEntryFile failure in the service's write-back.
   void noteWriteFailure() { ++WriteFailures; }
 
 private:

@@ -3,12 +3,9 @@
 #include "fuzz/DiffRunner.h"
 
 #include "server/TransServer.h"
-#include "tools/Cachegrind.h"
 #include "tools/ICnt.h"
-#include "tools/Loopgrind.h"
 #include "tools/Memcheck.h"
-#include "tools/Nulgrind.h"
-#include "tools/TaintGrind.h"
+#include "tools/ToolFactory.h"
 
 #include <atomic>
 #include <filesystem>
@@ -27,24 +24,6 @@ namespace {
 // in well under a second.
 constexpr uint64_t OracleMaxInsns = 20'000'000;
 constexpr uint64_t CoreMaxBlocks = 300'000;
-
-std::unique_ptr<Tool> makeTool(const std::string &Name) {
-  if (Name == "nulgrind")
-    return std::make_unique<Nulgrind>();
-  if (Name == "icnt")
-    return std::make_unique<ICnt>(ICnt::Mode::Inline);
-  if (Name == "icntc")
-    return std::make_unique<ICnt>(ICnt::Mode::CCall);
-  if (Name == "memcheck")
-    return std::make_unique<Memcheck>();
-  if (Name == "cachegrind")
-    return std::make_unique<Cachegrind>();
-  if (Name == "taintgrind")
-    return std::make_unique<TaintGrind>();
-  if (Name == "loopgrind")
-    return std::make_unique<Loopgrind>();
-  return nullptr;
-}
 
 std::string brief(const std::string &S) {
   if (S.size() <= 96)

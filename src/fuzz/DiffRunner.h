@@ -25,8 +25,7 @@ namespace fuzz {
 /// One cell of the config matrix.
 struct FuzzConfig {
   std::string Name;
-  std::string ToolName; ///< nulgrind|icnt|icntc|memcheck|cachegrind|
-                        ///< taintgrind|loopgrind
+  std::string ToolName; ///< a makeTool() name
   std::vector<std::string> Opts;
   bool CheckInsnCount = false;     ///< ICnt count == oracle instruction count
   bool CheckMemcheckClean = false; ///< zero unique Memcheck errors expected

@@ -10,6 +10,7 @@
 #include <cstring>
 #include <filesystem>
 
+#include <fcntl.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -129,6 +130,12 @@ bool TransServer::start(std::string &Err) {
     Err = "cannot bind/listen on '" + O.SocketPath + "'";
     return false;
   }
+  if (pipe2(WakeFds, O_CLOEXEC) < 0) {
+    close(ListenFd);
+    ListenFd = -1;
+    Err = "cannot create the acceptor's wake pipe";
+    return false;
+  }
   Running = true;
   Acceptor = std::thread([this] { acceptLoop(); });
   return true;
@@ -138,8 +145,14 @@ void TransServer::stop() {
   if (!Running)
     return;
   StopFlag = true;
+  // Wake the acceptor's poll now rather than at its next timeout.
+  char Wake = 0;
+  [[maybe_unused]] ssize_t N = write(WakeFds[1], &Wake, 1);
   if (Acceptor.joinable())
     Acceptor.join();
+  close(WakeFds[0]);
+  close(WakeFds[1]);
+  WakeFds[0] = WakeFds[1] = -1;
   // The acceptor closed the listen socket on its way out; now every
   // connection thread notices StopFlag at its next idle slice.
   std::map<uint64_t, std::thread> ToJoin;
@@ -184,8 +197,10 @@ TransServer::Stats TransServer::stats() const {
 
 void TransServer::acceptLoop() {
   while (!StopFlag) {
-    struct pollfd P = {ListenFd, POLLIN, 0};
-    int R = poll(&P, 1, 100);
+    // The timeout only paces the reaping below; stop() wakes the poll
+    // through the pipe.
+    struct pollfd P[2] = {{ListenFd, POLLIN, 0}, {WakeFds[0], POLLIN, 0}};
+    int R = poll(P, 2, 100);
     if (R < 0 && errno != EINTR)
       break;
     // Reap connection threads that announced completion, so a long-lived
@@ -201,7 +216,7 @@ void TransServer::acceptLoop() {
       }
       FinishedConns.clear();
     }
-    if (R <= 0)
+    if (R <= 0 || !(P[0].revents & POLLIN))
       continue;
     int Fd = accept(ListenFd, nullptr, nullptr);
     if (Fd < 0)

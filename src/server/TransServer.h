@@ -132,6 +132,7 @@ private:
   std::atomic<bool> Running{false};
   std::atomic<bool> StopFlag{false};
   int ListenFd = -1;
+  int WakeFds[2] = {-1, -1}; ///< self-pipe: stop() writes, acceptLoop polls
   std::thread Acceptor;
 
   mutable std::mutex Mu;

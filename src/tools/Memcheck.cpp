@@ -3,6 +3,7 @@
 #include "tools/Memcheck.h"
 
 #include "guest/GuestArch.h"
+#include "shadow/ShadowInstrumenter.h"
 
 #include <algorithm>
 #include <cinttypes>
@@ -121,63 +122,15 @@ const ir::CalleeRegistrar RegisterCallees{
 
 namespace {
 
-/// Instruments one flat superblock in place.
-class McInstrumenter {
+/// Memcheck's V-bit rules on the shared shadow-value scaffold.
+class McInstrumenter : public ShadowInstrumenter<McInstrumenter> {
 public:
-  McInstrumenter(IRSB &SB) : SB(SB) {}
-
-  void run() {
-    std::vector<Stmt *> Old;
-    Old.swap(SB.stmts()); // factories now append to the fresh list
-    for (Stmt *S : Old)
-      visit(S);
-    // Indirect block ends: check the target address is defined.
-    Expr *Next = SB.next();
-    if (Next->isRdTmp()) {
-      Expr *VN = vAtom(Next);
-      Expr *G = atom(SB.unop(Op::CmpNEZ32, VN));
-      SB.dirty(&JumpUndefCallee, {SB.constI64(CurPC)}, NoTmp, G);
-    }
-  }
+  explicit McInstrumenter(IRSB &SB)
+      : ShadowInstrumenter(SB, &JumpUndefCallee, &CondUndefCallee) {}
 
 private:
-  static Ty shTy(Ty T) { return T == Ty::F64 ? Ty::I64 : T; }
+  friend ShadowInstrumenter;
 
-  TmpId shadowOf(TmpId T) {
-    if (T >= ShadowTmp.size())
-      ShadowTmp.resize(T + 1, NoTmp);
-    if (ShadowTmp[T] == NoTmp)
-      ShadowTmp[T] = SB.newTmp(shTy(SB.typeOfTmp(T)));
-    return ShadowTmp[T];
-  }
-
-  /// Shadow value of an original-program atom.
-  Expr *vAtom(const Expr *A) {
-    if (A->isConst())
-      return SB.mkConst(shTy(A->T), 0); // literals are fully defined
-    return SB.rdTmp(shadowOf(A->Tmp));
-  }
-
-  /// Materialises an expression into an atom (emitting a WrTmp).
-  Expr *atom(Expr *E) {
-    if (E->isAtom())
-      return E;
-    return SB.rdTmp(SB.wrTmp(E));
-  }
-
-  // --- V-bit combinators -------------------------------------------------
-  static Op orOp(Ty T) {
-    switch (T) {
-    case Ty::I8:
-      return Op::Or8;
-    case Ty::I16:
-      return Op::Or16;
-    case Ty::I32:
-      return Op::Or32;
-    default:
-      return Op::Or64;
-    }
-  }
   static Op negOp(Ty T) {
     switch (T) {
     case Ty::I8:
@@ -190,22 +143,6 @@ private:
       return Op::Neg64;
     }
   }
-  static Op cmpNEZOp(Ty T) {
-    switch (T) {
-    case Ty::I8:
-      return Op::CmpNEZ8;
-    case Ty::I16:
-      return Op::CmpNEZ16;
-    case Ty::I32:
-      return Op::CmpNEZ32;
-    default:
-      return Op::CmpNEZ64;
-    }
-  }
-
-  /// UifU: undefined if either input is (paper Figure 2, "shadow addl
-  /// 1/3").
-  Expr *uifu(Ty T, Expr *A, Expr *B) { return atom(SB.binop(orOp(T), A, B)); }
 
   /// Left: smear undefinedness towards the MSB — Or(x, Neg(x)) (Figure 2,
   /// "shadow addl 2/3 and 3/3": carries propagate leftward).
@@ -214,36 +151,13 @@ private:
     return atom(SB.binop(orOp(T), V, N));
   }
 
-  /// PCast: if any input bit is undefined, every output bit is.
-  Expr *pcast(Ty From, Ty To, Expr *V) {
-    Expr *C = From == Ty::I1 ? V : atom(SB.unop(cmpNEZOp(From), V));
-    switch (To) {
-    case Ty::I1:
-      return C;
-    case Ty::I8: {
-      Expr *W = atom(SB.unop(Op::U1to8, C));
-      return atom(SB.unop(Op::Neg8, W));
-    }
-    case Ty::I16: {
-      Expr *W32 = atom(SB.unop(Op::U1to32, C));
-      Expr *N32 = atom(SB.unop(Op::Neg32, W32));
-      return atom(SB.unop(Op::T32to16, N32));
-    }
-    case Ty::I32: {
-      Expr *W = atom(SB.unop(Op::U1to32, C));
-      return atom(SB.unop(Op::Neg32, W));
-    }
-    case Ty::I64:
-    case Ty::F64: {
-      Expr *W = atom(SB.unop(Op::U1to64, C));
-      return atom(SB.unop(Op::Neg64, W));
-    }
-    }
-    unreachable("pcast: bad target type");
-  }
-
   /// Shadow for a unary operation.
   Expr *shadowUnop(Op O, Expr *V) {
+    // Conversions: the same conversion on V-bits preserves per-bit
+    // correspondence (sign-extension deliberately smears an undefined
+    // sign bit).
+    if (isWidthConversion(O))
+      return atom(SB.unop(O, V));
     switch (O) {
     case Op::Not8:
     case Op::Not16:
@@ -259,41 +173,8 @@ private:
     case Op::Neg32:
     case Op::Neg64:
       return left(opResultTy(O), V);
-    // Conversions: the same conversion on V-bits preserves per-bit
-    // correspondence (sign-extension deliberately smears an undefined
-    // sign bit).
-    case Op::U1to8:
-    case Op::U1to32:
-    case Op::U1to64:
-    case Op::U8to16:
-    case Op::U8to32:
-    case Op::S8to32:
-    case Op::U8to64:
-    case Op::U16to32:
-    case Op::S16to32:
-    case Op::U16to64:
-    case Op::U32to64:
-    case Op::S32to64:
-    case Op::T16to8:
-    case Op::T32to8:
-    case Op::T32to16:
-    case Op::T64to32:
-    case Op::T64HIto32:
-    case Op::T32to1:
-    case Op::T64to1:
-      return atom(SB.unop(O, V));
-    case Op::CmpNEZ8:
-    case Op::CmpNEZ16:
-    case Op::CmpNEZ32:
-    case Op::CmpNEZ64:
-      return pcast(opArgTy(O, 0), Ty::I1, V);
-    case Op::I32StoF64:
-      return pcast(Ty::I32, Ty::I64, V);
-    case Op::F64toI32S:
-      return pcast(Ty::I64, Ty::I32, V);
-    case Op::SqrtF64:
-      return pcast(Ty::I64, Ty::I64, V);
     default:
+      // CmpNEZ, int/FP conversions, sqrt: PCast.
       return pcast(shTy(opArgTy(O, 0)), shTy(opResultTy(O)), V);
     }
   }
@@ -374,166 +255,53 @@ private:
              NoTmp, G);
   }
 
-  static uint32_t sizeOfTy(Ty T) { return tySizeBits(T) / 8; }
-
-  void visit(Stmt *S) {
-    switch (S->Kind) {
-    case StmtKind::NoOp:
-      return;
-    case StmtKind::IMark:
-      CurPC = S->IAddr;
-      SB.append(S);
-      return;
-
-    case StmtKind::Put: {
-      // Shadow register write first (paper: every operation on guest
-      // values is preceded by the shadow operation).
-      SB.put(S->Offset + gso::ShadowOffset, vAtom(S->Data));
-      SB.append(S);
-      return;
+  Expr *shadowLoad(const Expr *D) {
+    emitAddrCheck(D->Arg[0], sizeOfTy(D->T));
+    if (D->T == Ty::I32) {
+      // JIT-inlined fast path (Section 5.4): a non-faulting probe
+      // resolves aligned, fully-addressable, fully-defined words
+      // without leaving generated code. The probe result has bit 32
+      // set when it punted; only then does the guarded mc_LOADV call
+      // run (errors, partial definedness, unaligned, chunk edges).
+      TmpId TP = SB.newTmp(Ty::I64);
+      SB.shadowProbe(D->Arg[0], nullptr, TP, 4);
+      Expr *Hi = atom(SB.unop(Op::T64HIto32, SB.rdTmp(TP)));
+      Expr *G = atom(SB.unop(Op::CmpNEZ32, Hi));
+      // TSlow is defined only by the guarded call; the SEL discards
+      // its (unwritten) value whenever the fast path was taken.
+      TmpId TSlow = SB.newTmp(Ty::I64);
+      SB.dirty(&LoadVCallee,
+               {D->Arg[0], SB.constI64(4), SB.constI64(CurPC)}, TSlow, G);
+      // Select in I64 and truncate once (one op fewer than truncating
+      // both arms).
+      Expr *Sel = atom(SB.ite(G, SB.rdTmp(TSlow), SB.rdTmp(TP)));
+      return atom(SB.unop(Op::T64to32, Sel));
     }
-
-    case StmtKind::WrTmp: {
-      Expr *D = S->Data;
-      Expr *VShadow = nullptr;
-      switch (D->Kind) {
-      case ExprKind::Const:
-        VShadow = SB.mkConst(shTy(D->T), 0);
-        break;
-      case ExprKind::RdTmp:
-        VShadow = vAtom(D);
-        break;
-      case ExprKind::Get:
-        VShadow = atom(SB.get(D->Offset + gso::ShadowOffset, shTy(D->T)));
-        break;
-      case ExprKind::Unop:
-        VShadow = shadowUnop(D->Opc, vAtom(D->Arg[0]));
-        break;
-      case ExprKind::Binop:
-        VShadow = shadowBinop(D, vAtom(D->Arg[0]), vAtom(D->Arg[1]));
-        break;
-      case ExprKind::Load: {
-        emitAddrCheck(D->Arg[0], sizeOfTy(D->T));
-        if (D->T == Ty::I32) {
-          // JIT-inlined fast path (Section 5.4): a non-faulting probe
-          // resolves aligned, fully-addressable, fully-defined words
-          // without leaving generated code. The probe result has bit 32
-          // set when it punted; only then does the guarded mc_LOADV call
-          // run (errors, partial definedness, unaligned, chunk edges).
-          TmpId TP = SB.newTmp(Ty::I64);
-          SB.shadowProbe(D->Arg[0], nullptr, TP, 4);
-          Expr *Hi = atom(SB.unop(Op::T64HIto32, SB.rdTmp(TP)));
-          Expr *G = atom(SB.unop(Op::CmpNEZ32, Hi));
-          // TSlow is defined only by the guarded call; the SEL discards
-          // its (unwritten) value whenever the fast path was taken.
-          TmpId TSlow = SB.newTmp(Ty::I64);
-          SB.dirty(&LoadVCallee,
-                   {D->Arg[0], SB.constI64(4), SB.constI64(CurPC)}, TSlow,
-                   G);
-          // Select in I64 and truncate once (one op fewer than truncating
-          // both arms).
-          Expr *Sel = atom(SB.ite(G, SB.rdTmp(TSlow), SB.rdTmp(TP)));
-          VShadow = atom(SB.unop(Op::T64to32, Sel));
-          break;
-        }
-        TmpId TV = SB.newTmp(shTy(D->T));
-        SB.dirty(&LoadVCallee,
-                 {D->Arg[0], SB.constI64(sizeOfTy(D->T)),
-                  SB.constI64(CurPC)},
-                 TV);
-        VShadow = SB.rdTmp(TV);
-        break;
-      }
-      case ExprKind::ITE: {
-        Expr *VC = vAtom(D->Arg[0]);
-        Expr *VT = vAtom(D->Arg[1]);
-        Expr *VF = vAtom(D->Arg[2]);
-        Expr *Sel = atom(SB.ite(D->Arg[0], VT, VF));
-        VShadow = uifu(shTy(D->T), Sel, pcast(Ty::I1, shTy(D->T), VC));
-        break;
-      }
-      case ExprKind::CCall: {
-        // Conservative: any undefined argument bit poisons the result.
-        Expr *Acc = SB.constI32(0);
-        for (const Expr *A : D->CallArgs) {
-          Expr *VA = vAtom(A);
-          Expr *C1 = pcast(shTy(A->T), Ty::I32, VA);
-          Acc = uifu(Ty::I32, Acc, C1);
-        }
-        VShadow = pcast(Ty::I32, shTy(D->T), Acc);
-        break;
-      }
-      }
-      // Shadow assignment precedes the original computation.
-      SB.wrTmpTo(shadowOf(S->Tmp), VShadow);
-      SB.append(S);
-      return;
-    }
-
-    case StmtKind::Store: {
-      uint32_t Size = sizeOfTy(S->Data->T);
-      emitAddrCheck(S->Addr, Size);
-      if (S->Data->T == Ty::I32) {
-        // Store-form probe: writes the V-word inline when the chunk is
-        // fully addressable and writable without CoW (or the store is a
-        // no-op on the Defined DSM); returns nonzero to punt.
-        Expr *VD = vAtom(S->Data);
-        TmpId TP = SB.newTmp(Ty::I64);
-        SB.shadowProbe(S->Addr, VD, TP, 4);
-        Expr *G = atom(SB.unop(Op::CmpNEZ64, SB.rdTmp(TP)));
-        SB.dirty(&StoreVCallee,
-                 {S->Addr, VD, SB.constI64(4), SB.constI64(CurPC)}, NoTmp,
-                 G);
-        SB.append(S);
-        return;
-      }
-      SB.dirty(&StoreVCallee,
-               {S->Addr, vAtom(S->Data), SB.constI64(Size),
-                SB.constI64(CurPC)});
-      SB.append(S);
-      return;
-    }
-
-    case StmtKind::Dirty: {
-      SB.append(S);
-      // Trust the helper's effect annotations: written guest-state regions
-      // become defined, and a destination temporary is defined.
-      for (const GuestFx &F : S->Fx) {
-        if (!F.IsWrite)
-          continue;
-        uint32_t Off = F.Offset + gso::ShadowOffset;
-        if (F.Size == 4)
-          SB.put(Off, SB.constI32(0));
-        else if (F.Size == 8)
-          SB.put(Off, SB.constI64(0));
-        else
-          for (uint32_t I = 0; I != F.Size; ++I)
-            SB.put(Off + I, SB.constI8(0));
-      }
-      if (S->Tmp != NoTmp)
-        SB.wrTmpTo(shadowOf(S->Tmp),
-                   SB.mkConst(shTy(SB.typeOfTmp(S->Tmp)), 0));
-      return;
-    }
-
-    case StmtKind::Exit: {
-      // Branching on undefined flags: the classic Memcheck error.
-      Expr *VG = vAtom(S->Guard); // I1
-      SB.dirty(&CondUndefCallee, {SB.constI64(CurPC)}, NoTmp, VG);
-      SB.append(S);
-      return;
-    }
-
-    case StmtKind::ShadowProbe:
-      // Only this instrumenter creates probes, and it never sees its own
-      // output.
-      unreachable("Memcheck: shadow probe in uninstrumented IR");
-    }
+    TmpId TV = SB.newTmp(shTy(D->T));
+    SB.dirty(&LoadVCallee,
+             {D->Arg[0], SB.constI64(sizeOfTy(D->T)), SB.constI64(CurPC)},
+             TV);
+    return SB.rdTmp(TV);
   }
 
-  IRSB &SB;
-  std::vector<TmpId> ShadowTmp;
-  uint32_t CurPC = 0;
+  void instrumentStore(Stmt *S) {
+    uint32_t Size = sizeOfTy(S->Data->T);
+    emitAddrCheck(S->Addr, Size);
+    if (S->Data->T == Ty::I32) {
+      // Store-form probe: writes the V-word inline when the chunk is
+      // fully addressable and writable without CoW (or the store is a
+      // no-op on the Defined DSM); returns nonzero to punt.
+      Expr *VD = vAtom(S->Data);
+      TmpId TP = SB.newTmp(Ty::I64);
+      SB.shadowProbe(S->Addr, VD, TP, 4);
+      Expr *G = atom(SB.unop(Op::CmpNEZ64, SB.rdTmp(TP)));
+      SB.dirty(&StoreVCallee,
+               {S->Addr, VD, SB.constI64(4), SB.constI64(CurPC)}, NoTmp, G);
+      return;
+    }
+    SB.dirty(&StoreVCallee, {S->Addr, vAtom(S->Data), SB.constI64(Size),
+                             SB.constI64(CurPC)});
+  }
 };
 
 } // namespace

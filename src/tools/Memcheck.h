@@ -14,7 +14,8 @@
 ///   InvalidFree      free() of a non-heap pointer (or double free)
 ///   Leak             blocks still reachable from nowhere at exit
 ///
-/// Mechanically it is the paper's Figure 2 instrumentation: every value
+/// Mechanically it is the paper's Figure 2 instrumentation, built on the
+/// shared shadow-value scaffold (shadow/ShadowInstrumenter.h): every value
 /// carries shadow V-bits (one per bit, stored one shadow byte per byte);
 /// shadow registers live in the ThreadState at gso::ShadowOffset (R1);
 /// shadow memory is the two-level ShadowMap (R2); every load/store is

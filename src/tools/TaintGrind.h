@@ -15,11 +15,13 @@
 /// with "tainted:", plus the TAINT client request. The MAKE_UNTAINTED
 /// request models sanitisation.
 ///
-/// Shadow plumbing is a second, independent instance of the shadow-value
-/// machinery: taint registers live in the same first-class shadow slots
-/// (only one tool runs at a time), taint memory in a page-hashed map, and
-/// propagation is pure UifU — one taint bit per byte, like TaintCheck,
-/// which is why such tools run faster than Memcheck (paper Section 5.4).
+/// Shadow plumbing is Memcheck's: the same Phase 3 scaffold
+/// (shadow/ShadowInstrumenter.h) with TaintGrind's own rules, taint
+/// registers in the same first-class shadow slots (only one tool runs at a
+/// time), taint memory in a page-hashed map. Propagation is pure UifU —
+/// one taint bit per byte, like TaintCheck, which is why such tools run
+/// faster than Memcheck (paper Section 5.4). What the kernel or the core
+/// writes (post_mem_write, post_reg_write) is untainted.
 ///
 //===----------------------------------------------------------------------===//
 #ifndef VG_TOOLS_TAINTGRIND_H

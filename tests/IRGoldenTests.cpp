@@ -19,6 +19,7 @@
 #include "ir/IRPrinter.h"
 #include "tools/ICnt.h"
 #include "tools/Memcheck.h"
+#include "tools/TaintGrind.h"
 
 #include "gtest/gtest.h"
 
@@ -109,9 +110,24 @@ std::vector<uint8_t> figureOneBlock() {
   return A.finalize();
 }
 
-TEST(IRGolden, AluCcBranch) {
-  // CMP feeding Bcc: the CC thunk is written, then the branch's calcCond
-  // helper call is partially evaluated by the spec hook (constant CC_OP).
+/// Phase 3 and phase 4 IR of the block at \p Base instrumented by \p T.
+void checkInstrumented(const std::string &Name, uint32_t Base,
+                       const std::vector<uint8_t> &Img, Tool &T) {
+  FetchFn F = fetchOf(Base, Img);
+  TranslationOptions TO;
+  TO.Verify = true;
+  TO.Instrument = [&](ir::IRSB &SB) { T.instrument(SB); };
+  TranslationArtifacts Art;
+  translateBlock(Base, F, TO, &Art);
+  checkGolden(Name, renderSections({{"instrumented flat IR (phase 3)",
+                                     &Art.InstrumentedIR},
+                                    {"optimised flat IR (phase 4)",
+                                     &Art.OptimisedIR}}));
+}
+
+// CMP feeding Bcc: the CC thunk is written, then the branch's calcCond
+// helper call is partially evaluated by the spec hook (constant CC_OP).
+std::vector<uint8_t> aluCcBranchBlock() {
   Assembler B(0x2000);
   Label L = B.newLabel();
   B.movi(Reg::R1, 5);
@@ -121,7 +137,11 @@ TEST(IRGolden, AluCcBranch) {
   B.hlt();
   B.bind(L);
   B.hlt();
-  std::vector<uint8_t> Img = B.finalize();
+  return B.finalize();
+}
+
+TEST(IRGolden, AluCcBranch) {
+  std::vector<uint8_t> Img = aluCcBranchBlock();
   FetchFn F = fetchOf(0x2000, Img);
   TranslationOptions TO;
   TO.Verify = true;
@@ -151,40 +171,18 @@ TEST(IRGolden, LdxNulgrind) {
 }
 
 TEST(IRGolden, LdxMemcheck) {
-  std::vector<uint8_t> Img = figureOneBlock();
-  FetchFn F = fetchOf(0x24F275, Img);
   Memcheck MC;
-  TranslationOptions TO;
-  TO.Verify = true;
-  TO.Instrument = [&](ir::IRSB &SB) { MC.instrument(SB); };
-  TranslationArtifacts Art;
-  translateBlock(0x24F275, F, TO, &Art);
-  checkGolden("ldx_memcheck",
-              renderSections({{"instrumented flat IR (phase 3)",
-                               &Art.InstrumentedIR},
-                              {"optimised flat IR (phase 4)",
-                               &Art.OptimisedIR}}));
+  checkInstrumented("ldx_memcheck", 0x24F275, figureOneBlock(), MC);
 }
 
 TEST(IRGolden, LdxIcntInline) {
-  std::vector<uint8_t> Img = figureOneBlock();
-  FetchFn F = fetchOf(0x24F275, Img);
   ICnt IC(ICnt::Mode::Inline);
-  TranslationOptions TO;
-  TO.Verify = true;
-  TO.Instrument = [&](ir::IRSB &SB) { IC.instrument(SB); };
-  TranslationArtifacts Art;
-  translateBlock(0x24F275, F, TO, &Art);
-  checkGolden("ldx_icnt_inline",
-              renderSections({{"instrumented flat IR (phase 3)",
-                               &Art.InstrumentedIR},
-                              {"optimised flat IR (phase 4)",
-                               &Art.OptimisedIR}}));
+  checkInstrumented("ldx_icnt_inline", 0x24F275, figureOneBlock(), IC);
 }
 
-TEST(IRGolden, FpSimdCpuinfo) {
-  // FP moves/conversions/compare, packed SIMD, and the CPUINFO dirty
-  // helper with its register-effect annotations.
+// FP moves/conversions/compare, packed SIMD, and the CPUINFO dirty
+// helper with its register-effect annotations.
+std::vector<uint8_t> fpSimdCpuinfoBlock() {
   Assembler A(0x3000);
   A.fmovi(FReg::F0, 1.5);
   A.fitod(FReg::F1, Reg::R2);
@@ -193,7 +191,11 @@ TEST(IRGolden, FpSimdCpuinfo) {
   A.vadd8(Reg::R4, Reg::R5, Reg::R6);
   A.cpuinfo();
   A.ret();
-  std::vector<uint8_t> Img = A.finalize();
+  return A.finalize();
+}
+
+TEST(IRGolden, FpSimdCpuinfo) {
+  std::vector<uint8_t> Img = fpSimdCpuinfoBlock();
   FetchFn F = fetchOf(0x3000, Img);
   TranslationOptions TO;
   TO.Verify = true;
@@ -202,6 +204,79 @@ TEST(IRGolden, FpSimdCpuinfo) {
   checkGolden("fp_simd_cpuinfo",
               renderSections({{"tree IR (phase 1)", &Art.TreeIR},
                               {"flat IR (phase 2)", &Art.FlatIR}}));
+}
+
+// The shadow-value tools on the blocks above: AluCcBranch folds to
+// constant PUTs (every shadow is a clean literal); FpSimdCpuinfo has FP
+// and SIMD ops and a dirty helper's register effects.
+TEST(IRGolden, AluCcBranchMemcheck) {
+  Memcheck MC;
+  checkInstrumented("alu_cc_branch_memcheck", 0x2000, aluCcBranchBlock(),
+                    MC);
+}
+
+TEST(IRGolden, FpSimdCpuinfoMemcheck) {
+  Memcheck MC;
+  checkInstrumented("fp_simd_cpuinfo_memcheck", 0x3000,
+                    fpSimdCpuinfoBlock(), MC);
+}
+
+TEST(IRGolden, FpSimdCpuinfoTaintgrind) {
+  TaintGrind TG;
+  checkInstrumented("fp_simd_cpuinfo_taintgrind", 0x3000,
+                    fpSimdCpuinfoBlock(), TG);
+}
+
+// Byte, half-word and 8-byte FP accesses (the sizes Memcheck does not
+// probe inline), a shift by a register and a shift by a constant, and a
+// RET's indirect jump.
+std::vector<uint8_t> shadowRulesBlock() {
+  Assembler A(0x5000);
+  A.ldb(Reg::R1, Reg::R5, 1);
+  A.ldh(Reg::R2, Reg::R5, 2);
+  A.shl(Reg::R3, Reg::R1, Reg::R2);
+  A.sari(Reg::R4, Reg::R3, 3);
+  A.stb(Reg::R5, 4, Reg::R4);
+  A.sth(Reg::R5, 6, Reg::R3);
+  A.fld(FReg::F0, Reg::R5, 8);
+  A.fst(Reg::R5, 16, FReg::F0);
+  A.ret();
+  return A.finalize();
+}
+
+TEST(IRGolden, ShadowRulesMemcheck) {
+  Memcheck MC;
+  checkInstrumented("shadow_rules_memcheck", 0x5000, shadowRulesBlock(), MC);
+}
+
+TEST(IRGolden, ShadowRulesTaintgrind) {
+  TaintGrind TG;
+  checkInstrumented("shadow_rules_taintgrind", 0x5000, shadowRulesBlock(),
+                    TG);
+}
+
+// The AluCcBranch compare on registers the block does not set: the
+// specialised condition survives folding as a compare with an I1 result,
+// guarding the side exit.
+std::vector<uint8_t> cmpBranchBlock() {
+  Assembler A(0x6000);
+  Label L = A.newLabel();
+  A.cmp(Reg::R1, Reg::R2);
+  A.bcc(Cond::LES, L);
+  A.hlt();
+  A.bind(L);
+  A.hlt();
+  return A.finalize();
+}
+
+TEST(IRGolden, CmpBranchMemcheck) {
+  Memcheck MC;
+  checkInstrumented("cmp_branch_memcheck", 0x6000, cmpBranchBlock(), MC);
+}
+
+TEST(IRGolden, CmpBranchTaintgrind) {
+  TaintGrind TG;
+  checkInstrumented("cmp_branch_taintgrind", 0x6000, cmpBranchBlock(), TG);
 }
 
 /// A 3-constituent hot path for the trace (tier 2) pipeline. Each

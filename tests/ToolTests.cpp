@@ -9,6 +9,7 @@
 
 #include "core/Launcher.h"
 #include "guestlib/GuestLib.h"
+#include "ir/IRPrinter.h"
 #include "kernel/SimKernel.h"
 #include "tools/Cachegrind.h"
 #include "tools/Massif.h"
@@ -160,6 +161,81 @@ TEST(TaintGrind, TaintedSyscallArgumentReported) {
   });
   TaintGrind T;
   RunReport R = runUnderCore(Img, &T, {}, std::string(4, '\x01'));
+  EXPECT_NE(R.ToolOutput.find("Tainted value passed to syscall"),
+            std::string::npos)
+      << R.ToolOutput;
+}
+
+TEST(TaintGrind, NotLeavesTaintInPlace) {
+  // Bitwise Not moves no bits, so the shadow is the operand's shadow; the
+  // tool must not apply Not to the taint mask (that would taint every
+  // clean bit).
+  using namespace vg::ir;
+  IRSB SB;
+  TmpId T0 = SB.wrTmp(SB.get(gso::gpr(1), Ty::I32));
+  TmpId T1 = SB.wrTmp(SB.unop(Op::Not32, SB.rdTmp(T0)));
+  SB.put(gso::gpr(2), SB.rdTmp(T1));
+  SB.setNext(SB.constI32(0x1000), JumpKind::Boring);
+  TaintGrind T;
+  T.instrument(SB);
+  std::string IR = toString(SB);
+  EXPECT_EQ(IR.find("Not32"), IR.rfind("Not32")) << IR;
+}
+
+TEST(TaintGrind, KernelWrittenMemoryIsUntainted) {
+  // R4: gettimeofday overwrites a buffer that held stdin bytes; what the
+  // kernel wrote there is trusted.
+  GuestImage Img = buildProgram([](Assembler &Code, Assembler &Data,
+                                   GuestLibLabels &) {
+    Label Buf = Data.boundLabel();
+    Data.emitZeros(8);
+    Code.movi(Reg::R0, SysRead);
+    Code.movi(Reg::R1, 0);
+    Code.movi(Reg::R2, Data.labelAddr(Buf));
+    Code.movi(Reg::R3, 8);
+    Code.sys();
+    Code.movi(Reg::R0, SysGettimeofday);
+    Code.movi(Reg::R1, Data.labelAddr(Buf));
+    Code.sys();
+    Code.movi(Reg::R0, TgIsTainted);
+    Code.movi(Reg::R1, Data.labelAddr(Buf));
+    Code.movi(Reg::R2, 8);
+    Code.clreq();
+    Code.ret(); // 1 if tainted
+  });
+  TaintGrind T;
+  RunReport R = runUnderCore(Img, &T, {}, "abcdefgh");
+  ASSERT_TRUE(R.Completed);
+  EXPECT_EQ(R.ExitCode, 0);
+}
+
+TEST(TaintGrind, KernelWrittenRegisterIsUntainted) {
+  // R4: the syscall number is tainted (12 derived from a stdin zero), but
+  // the pid the kernel returns in r0 is not.
+  GuestImage Img = buildProgram([](Assembler &Code, Assembler &Data,
+                                   GuestLibLabels &) {
+    Label Buf = Data.boundLabel();
+    Data.emitZeros(8);
+    Code.movi(Reg::R0, SysRead);
+    Code.movi(Reg::R1, 0);
+    Code.movi(Reg::R2, Data.labelAddr(Buf));
+    Code.movi(Reg::R3, 4);
+    Code.sys();
+    Code.movi(Reg::R2, Data.labelAddr(Buf));
+    Code.ld(Reg::R0, Reg::R2, 0);
+    Code.addi(Reg::R0, Reg::R0, SysGetpid); // tainted 12
+    Code.sys();
+    Code.st(Reg::R2, 4, Reg::R0); // the pid, parked at Buf+4
+    Code.movi(Reg::R0, TgIsTainted);
+    Code.addi(Reg::R1, Reg::R2, 4);
+    Code.movi(Reg::R2, 4);
+    Code.clreq();
+    Code.ret(); // 1 if tainted
+  });
+  TaintGrind T;
+  RunReport R = runUnderCore(Img, &T, {}, std::string(4, '\0'));
+  ASSERT_TRUE(R.Completed);
+  EXPECT_EQ(R.ExitCode, 0);
   EXPECT_NE(R.ToolOutput.find("Tainted value passed to syscall"),
             std::string::npos)
       << R.ToolOutput;

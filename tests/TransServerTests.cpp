@@ -27,6 +27,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -617,6 +618,20 @@ TEST(TransServerDaemon, EvictionHonoursByteBudget) {
   EXPECT_GT(S.Evicted, 0u);
   EXPECT_LE(D.Server.totalBytes(), 2 * OneEntry + OneEntry / 2);
   EXPECT_LT(D.Server.indexedEntries(), 4u);
+}
+
+TEST(TransServerDaemon, StopWakesAnIdleAcceptor) {
+  // stop() must not wait out the acceptor's poll timeout (100 ms): a
+  // caller that starts and stops a daemon per run pays it every time.
+  ScratchDir Dir;
+  Daemon D(Dir.str());
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  auto T0 = std::chrono::steady_clock::now();
+  D.Server.stop();
+  std::chrono::duration<double, std::milli> Took =
+      std::chrono::steady_clock::now() - T0;
+  EXPECT_LT(Took.count(), 50.0);
+  EXPECT_FALSE(D.Server.running());
 }
 
 //===----------------------------------------------------------------------===//
