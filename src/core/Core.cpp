@@ -105,6 +105,8 @@ void Core::applyOptions() {
   else
     Smc = SmcMode::Stack;
   ChainingEnabled = Opts.getBool("chaining");
+  VerifyIR = Opts.getBool("verify-ir");
+  NoIROpt = Opts.getBool("no-iropt");
   HotThreshold = static_cast<uint64_t>(
       Opts.getIntChecked("hot-threshold", 0, INT64_MAX));
   TraceTier = Opts.getBool("trace-tier");
@@ -114,8 +116,8 @@ void Core::applyOptions() {
       Opts.getIntChecked("trace-max-blocks", 2, 8)));
   if (Opts.getBool("profile") && !Prof)
     Prof = std::make_unique<Profiler>();
-  StackSwitchThreshold =
-      static_cast<uint32_t>(Opts.getInt("stack-switch-threshold"));
+  StackSwitchThreshold = static_cast<uint32_t>(
+      Opts.getIntChecked("stack-switch-threshold", 1, UINT32_MAX));
   if (std::string F = Opts.getString("log-file"); !F.empty())
     Out.openFile(F);
   if (std::string Sup = Opts.getString("suppressions"); !Sup.empty()) {
@@ -313,17 +315,9 @@ uint64_t Core::helperSmcCheck(void *Env, uint64_t TransPtr, uint64_t,
                               uint64_t, uint64_t) {
   auto *Ctx = static_cast<ExecContext *>(Env);
   auto *T = reinterpret_cast<Translation *>(static_cast<uintptr_t>(TransPtr));
-  GuestMemory &Mem = *Ctx->Mem;
-  uint64_t H = 0xcbf29ce484222325ULL;
-  for (auto [Lo, Hi] : T->Extents) {
-    for (uint32_t A = Lo; A != Hi; ++A) {
-      uint8_t B = 0;
-      Mem.read(A, &B, 1, /*IgnorePerms=*/true);
-      H ^= B;
-      H *= 0x100000001b3ULL;
-    }
-  }
-  return H != T->CodeHash ? 1 : 0;
+  return TranslationService::hashLive(*Ctx->Mem, T->Extents) != T->CodeHash
+             ? 1
+             : 0;
 }
 
 uint64_t Core::helperTrackSp(void *Env, uint64_t, uint64_t, uint64_t,
@@ -435,7 +429,7 @@ bool Core::addrOnAnyStack(uint32_t Addr) const {
 void Core::setupTranslation(TranslationOptions &TO, uint32_t PC, bool Hot,
                             Translation *Raw) {
   TO.Spec = Spec;
-  TO.Verify = Opts.getBool("verify-ir");
+  TO.Verify = VerifyIR;
   TO.PhaseOut = Prof ? &Prof->phases() : nullptr;
   // Redirects are checked only at dispatcher entries (Section 3.13), so a
   // redirected address must be reached through the dispatcher: its
@@ -463,7 +457,7 @@ void Core::setupTranslation(TranslationOptions &TO, uint32_t PC, bool Hot,
     TO.Frontend.MaxChases =
         static_cast<uint32_t>(std::min<size_t>(16 * N, 64));
   }
-  if (Opts.getBool("no-iropt")) {
+  if (NoIROpt) {
     TO.RunOptimise1 = false;
     TO.RunOptimise2 = false;
     TO.Spec = [](ir::IRSB &, const ir::Callee *,

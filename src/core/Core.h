@@ -293,6 +293,8 @@ private:
 
   SmcMode Smc = SmcMode::Stack;
   bool ChainingEnabled = false;
+  bool VerifyIR = false; // --verify-ir: typecheck between phases
+  bool NoIROpt = false;  // --no-iropt: the Phase 2/4 ablation
   uint64_t HotThreshold = 0;   // runs before hot retranslation; 0 = off
   bool TraceTier = false;      // --trace-tier (needs chaining + hot tier)
   uint64_t TraceThreshold = 0; // 0 = 4x HotThreshold

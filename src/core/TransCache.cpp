@@ -4,6 +4,7 @@
 
 #include "hvm/HostVM.h"
 #include "ir/IR.h"
+#include "support/Hashing.h"
 
 #include <algorithm>
 #include <atomic>
@@ -22,14 +23,6 @@ namespace {
 
 constexpr char Magic[4] = {'V', 'G', 'T', 'C'};
 constexpr size_t HeaderSize = 4 + 4 + 8 + 8 + 4 + 8;
-
-uint64_t fnv1a(const uint8_t *P, size_t N, uint64_t H = 0xcbf29ce484222325ULL) {
-  for (size_t I = 0; I != N; ++I) {
-    H ^= P[I];
-    H *= 0x100000001b3ULL;
-  }
-  return H;
-}
 
 void putU32(std::vector<uint8_t> &B, uint32_t V) {
   for (int I = 0; I != 4; ++I)
@@ -137,19 +130,21 @@ uint64_t TransCache::entryKey(uint32_t PC, bool Hot, uint64_t PrefixHash) {
   Seed[4] = Hot ? 1 : 0;
   for (int I = 0; I != 8; ++I)
     Seed[5 + I] = static_cast<uint8_t>(PrefixHash >> (8 * I));
-  return fnv1a(Seed, sizeof(Seed));
+  return hashBytes(Seed, sizeof(Seed));
 }
 
 uint64_t TransCache::configHash(
     const std::string &ToolId,
     const std::vector<std::pair<std::string, std::string>> &Options) {
-  uint64_t H = fnv1a(reinterpret_cast<const uint8_t *>(&TransCacheFormatVersion),
-                     sizeof(TransCacheFormatVersion));
-  H = fnv1a(reinterpret_cast<const uint8_t *>(ToolId.data()), ToolId.size(),
-            H);
+  uint64_t H =
+      hashBytes(reinterpret_cast<const uint8_t *>(&TransCacheFormatVersion),
+                sizeof(TransCacheFormatVersion));
+  H = hashBytes(reinterpret_cast<const uint8_t *>(ToolId.data()),
+                ToolId.size(), H);
   for (const auto &[Name, Value] : Options) {
     std::string Item = Name + "=" + Value + "\n";
-    H = fnv1a(reinterpret_cast<const uint8_t *>(Item.data()), Item.size(), H);
+    H = hashBytes(reinterpret_cast<const uint8_t *>(Item.data()), Item.size(),
+                  H);
   }
   return H;
 }
@@ -189,7 +184,7 @@ TransCache::decodeEntryFile(const std::vector<uint8_t> &File,
   if (!H.Ok || File.size() != HeaderSize + PayloadLen)
     return LoadResult::Malformed;
   const uint8_t *Payload = File.data() + HeaderSize;
-  if (fnv1a(Payload, PayloadLen) != Checksum)
+  if (hashBytes(Payload, PayloadLen) != Checksum)
     return LoadResult::Malformed;
 
   Cursor C{Payload, PayloadLen};
@@ -306,7 +301,7 @@ bool TransCache::encodeEntryFile(uint64_t ConfigHash, uint64_t Key,
   putU64(File, ConfigHash);
   putU64(File, Key);
   putU32(File, static_cast<uint32_t>(Payload.size()));
-  putU64(File, fnv1a(Payload.data(), Payload.size()));
+  putU64(File, hashBytes(Payload.data(), Payload.size()));
   File.insert(File.end(), Payload.begin(), Payload.end());
   return true;
 }

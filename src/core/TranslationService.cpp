@@ -2,6 +2,8 @@
 
 #include "core/TranslationService.h"
 
+#include "support/Hashing.h"
+
 using namespace vg;
 
 TranslationHost::~TranslationHost() = default;
@@ -39,27 +41,26 @@ void TranslationService::fillTranslation(Translation &T, uint32_t PC,
 }
 
 uint64_t TranslationService::hashLive(
-    const std::vector<std::pair<uint32_t, uint32_t>> &Extents) const {
-  uint64_t H = 0xcbf29ce484222325ULL;
+    GuestMemory &Mem,
+    const std::vector<std::pair<uint32_t, uint32_t>> &Extents) {
+  uint64_t H = FnvOffsetBasis;
   for (auto [Lo, Hi] : Extents) {
     for (uint32_t A = Lo; A != Hi; ++A) {
       uint8_t B = 0;
-      Memory.read(A, &B, 1, /*IgnorePerms=*/true);
-      H ^= B;
-      H *= 0x100000001b3ULL;
+      Mem.read(A, &B, 1, /*IgnorePerms=*/true);
+      H = hashBytes(&B, 1, H);
     }
   }
   return H;
 }
 
 uint64_t TranslationService::cachePrefixHash(uint32_t PC) const {
-  uint64_t H = 0xcbf29ce484222325ULL;
+  uint64_t H = FnvOffsetBasis;
   for (uint32_t I = 0; I != 64; ++I) {
     uint8_t B = 0;
     if (Memory.read(PC + I, &B, 1, /*IgnorePerms=*/true).Faulted)
       break;
-    H ^= B;
-    H *= 0x100000001b3ULL;
+    H = hashBytes(&B, 1, H);
   }
   return H;
 }
@@ -145,7 +146,8 @@ TranslationService::installFromCache(std::unique_ptr<Translation> &TPtr,
   // the range. Anything else is a reject — fall through to the pipeline.
   if (R == TransCache::LoadResult::Malformed || E.Addr != PC ||
       E.Tier != (Hot ? 1 : 0) || E.Extents.empty() ||
-      hashLive(E.Extents) != E.CodeHash || poisonedExtents(E.Extents)) {
+      hashLive(Memory, E.Extents) != E.CodeHash ||
+      poisonedExtents(E.Extents)) {
     ++JS.CacheRejects;
     if (FromServer)
       ++JS.ServerRejects;
@@ -252,7 +254,7 @@ Translation *TranslationService::translateSync(uint32_t PC, bool Hot) {
   double T0 = steadySeconds();
   TranslatedBlock TB = translateBlock(PC, Fetch, TO);
   fillTranslation(*Raw, PC, Hot, std::move(TB));
-  Raw->CodeHash = hashLive(Raw->Extents);
+  Raw->CodeHash = hashLive(Memory, Raw->Extents);
   Host.noteTranslation(PC, *Raw, steadySeconds() - T0);
   Translation *Res = TT.insert(std::move(TPtr));
   if (UseCache && !poisonedExtents(Res->Extents))
@@ -290,7 +292,7 @@ Translation *TranslationService::translateTrace(const TraceSpec &Spec) {
     return nullptr; // keep running the constituent tier-1 blocks
   }
   fillTranslation(*Raw, PC, /*Hot=*/true, std::move(TB));
-  Raw->CodeHash = hashLive(Raw->Extents);
+  Raw->CodeHash = hashLive(Memory, Raw->Extents);
   Host.noteTranslation(PC, *Raw, steadySeconds() - T0);
   JS.TraceDeadFlagPuts += TS.DeadFlagPuts;
   JS.TraceProbesCSEd += TS.ProbesCSEd;

@@ -167,6 +167,13 @@ public:
     JS.SyncPromoStallSeconds += Seconds;
   }
 
+  /// FNV-1a over the live guest bytes of \p Extents, in order: a
+  /// translation's CodeHash at install, and what the SMC check and a cache
+  /// hit compare against it.
+  static uint64_t
+  hashLive(GuestMemory &Mem,
+           const std::vector<std::pair<uint32_t, uint32_t>> &Extents);
+
 private:
   /// FNV-1a over the first (up to) 64 live guest bytes at \p PC — the
   /// content component of the cache key. Short reads (unmapped tail) just
@@ -197,8 +204,6 @@ private:
   /// published to the local cache (counts CacheWrites) and pushed to the
   /// daemon (counts ServerWrites).
   void writeBackToCache(uint64_t Key, const Translation &T);
-  uint64_t hashLive(
-      const std::vector<std::pair<uint32_t, uint32_t>> &Extents) const;
   static void fillTranslation(Translation &T, uint32_t PC, bool Hot,
                               TranslatedBlock TB);
   TranslationHost &Host;

@@ -693,41 +693,12 @@ struct Checker {
       if (S->Tmp >= SB.numTmps())
         return fail("WrTmp to out-of-range temporary");
       // The RHS of a WrTmp may be a (one-level or tree) expression; in flat
-      // IR its *operands* must be atoms, which checkExpr enforces.
+      // IR its *operands* must be atoms, which checkExpr enforces, so a
+      // flat RHS is exactly one operation deep.
       if (!checkExpr(S->Data, false))
         return false;
       if (SB.typeOfTmp(S->Tmp) != S->Data->T)
         return fail("WrTmp type disagrees with type environment");
-      if (RequireFlat) {
-        // Flat IR: RHS must be exactly one operation deep.
-        const Expr *D = S->Data;
-        switch (D->Kind) {
-        case ExprKind::Unop:
-          if (!D->Arg[0]->isAtom())
-            return fail("flat IR: nested unop operand");
-          break;
-        case ExprKind::Binop:
-          if (!D->Arg[0]->isAtom() || !D->Arg[1]->isAtom())
-            return fail("flat IR: nested binop operand");
-          break;
-        case ExprKind::Load:
-          if (!D->Arg[0]->isAtom())
-            return fail("flat IR: nested load address");
-          break;
-        case ExprKind::ITE:
-          for (int I = 0; I != 3; ++I)
-            if (!D->Arg[I]->isAtom())
-              return fail("flat IR: nested ITE operand");
-          break;
-        case ExprKind::CCall:
-          for (const Expr *A : D->CallArgs)
-            if (!A->isAtom())
-              return fail("flat IR: nested CCall argument");
-          break;
-        default:
-          break;
-        }
-      }
       return true;
     case StmtKind::Store:
       return checkExpr(S->Addr, RequireFlat) && checkExpr(S->Data, RequireFlat);

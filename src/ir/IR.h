@@ -346,6 +346,83 @@ struct Stmt {
 };
 
 //===----------------------------------------------------------------------===//
+// Operand visitors
+//
+// The one statement of which Expr and Stmt fields are operands, and in what
+// order. A pass that only recurses into or rewrites operands walks them
+// with these; a pass whose cases each do different work keeps its own
+// switch. Each slot is passed by reference (Expr *& through a mutable
+// node, Expr *const & through a const one); null slots are skipped. The
+// order is part of the contract: PropFold allocates temporaries and
+// TreeBuilder consumes held definitions in it.
+//===----------------------------------------------------------------------===//
+
+/// Calls \p F on each operand slot of \p E: Arg[0] of a Unop or Load,
+/// Arg[0..1] of a Binop, Arg[0..2] of an ITE, the CallArgs of a CCall.
+template <typename ExprT, typename Fn> void forEachOperand(ExprT &E, Fn &&F) {
+  auto Visit = [&F](auto &Slot) {
+    if (Slot)
+      F(Slot);
+  };
+  switch (E.Kind) {
+  case ExprKind::Const:
+  case ExprKind::RdTmp:
+  case ExprKind::Get:
+    return;
+  case ExprKind::Unop:
+  case ExprKind::Load:
+    Visit(E.Arg[0]);
+    return;
+  case ExprKind::Binop:
+    Visit(E.Arg[0]);
+    Visit(E.Arg[1]);
+    return;
+  case ExprKind::ITE:
+    Visit(E.Arg[0]);
+    Visit(E.Arg[1]);
+    Visit(E.Arg[2]);
+    return;
+  case ExprKind::CCall:
+    for (auto &A : E.CallArgs)
+      Visit(A);
+    return;
+  }
+}
+
+/// Calls \p F on each expression slot of \p S: the Data of a Put or WrTmp,
+/// Addr then Data of a Store or ShadowProbe (no Data in a load-form
+/// probe), CallArgs then Guard of a Dirty (no Guard when unguarded), the
+/// Guard of an Exit.
+template <typename StmtT, typename Fn> void forEachExpr(StmtT &S, Fn &&F) {
+  auto Visit = [&F](auto &Slot) {
+    if (Slot)
+      F(Slot);
+  };
+  switch (S.Kind) {
+  case StmtKind::NoOp:
+  case StmtKind::IMark:
+    return;
+  case StmtKind::Put:
+  case StmtKind::WrTmp:
+    Visit(S.Data);
+    return;
+  case StmtKind::Store:
+  case StmtKind::ShadowProbe:
+    Visit(S.Addr);
+    Visit(S.Data);
+    return;
+  case StmtKind::Dirty:
+    for (auto &A : S.CallArgs)
+      Visit(A);
+    Visit(S.Guard);
+    return;
+  case StmtKind::Exit:
+    Visit(S.Guard);
+    return;
+  }
+}
+
+//===----------------------------------------------------------------------===//
 // Superblocks
 //===----------------------------------------------------------------------===//
 

@@ -198,28 +198,8 @@ private:
 
   /// Makes all operands of \p E atoms (recursively flattening sub-trees).
   Expr *normalizeRhs(Expr *E) {
-    switch (E->Kind) {
-    case ExprKind::Unop:
-      E->Arg[0] = atomizeOperand(E->Arg[0]);
-      return E;
-    case ExprKind::Binop:
-      E->Arg[0] = atomizeOperand(E->Arg[0]);
-      E->Arg[1] = atomizeOperand(E->Arg[1]);
-      return E;
-    case ExprKind::Load:
-      E->Arg[0] = atomizeOperand(E->Arg[0]);
-      return E;
-    case ExprKind::ITE:
-      for (int I = 0; I != 3; ++I)
-        E->Arg[I] = atomizeOperand(E->Arg[I]);
-      return E;
-    case ExprKind::CCall:
-      for (Expr *&A : E->CallArgs)
-        A = atomizeOperand(A);
-      return E;
-    default:
-      return E;
-    }
+    forEachOperand(*E, [&](Expr *&A) { A = atomizeOperand(A); });
+    return E;
   }
 
   /// Resolves an atom through the tmp environment.
@@ -373,77 +353,26 @@ private:
   /// Rewrites operands of \p S through the environment; returns false if the
   /// statement should be dropped (its value captured in the environment).
   bool rewriteStmt(Stmt *S) {
-    switch (S->Kind) {
-    case StmtKind::NoOp:
+    if (S->Kind == StmtKind::NoOp)
       return false;
-    case StmtKind::IMark:
-      return true;
-    case StmtKind::Put:
-      S->Data = subst(S->Data);
-      return true;
-    case StmtKind::WrTmp: {
-      Expr *D = S->Data;
-      // Resolve operands.
-      switch (D->Kind) {
-      case ExprKind::Const:
-      case ExprKind::RdTmp:
-        D = subst(D);
-        break;
-      case ExprKind::Get:
-        break;
-      case ExprKind::Unop:
-        D->Arg[0] = subst(D->Arg[0]);
-        break;
-      case ExprKind::Binop:
-        D->Arg[0] = subst(D->Arg[0]);
-        D->Arg[1] = subst(D->Arg[1]);
-        break;
-      case ExprKind::Load:
-        D->Arg[0] = subst(D->Arg[0]);
-        break;
-      case ExprKind::ITE:
-        for (int I = 0; I != 3; ++I)
-          D->Arg[I] = subst(D->Arg[I]);
-        break;
-      case ExprKind::CCall:
-        for (Expr *&A : D->CallArgs)
-          A = subst(A);
-        break;
-      }
-      D = simplify(D);
-      if (D->isAtom()) {
-        Env[S->Tmp] = D;
-        return false;
-      }
-      D = normalizeRhs(D); // spec results may be small trees
-      S->Data = D;
-      return true;
+    auto Subst = [&](Expr *&E) { E = subst(E); };
+    if (S->Kind != StmtKind::WrTmp) {
+      forEachExpr(*S, Subst);
+      // A statically false guard drops the statement: the Dirty call never
+      // runs, the Exit is never taken.
+      return !(S->Guard && S->Guard->isConst(0));
     }
-    case StmtKind::Store:
-      S->Addr = subst(S->Addr);
-      S->Data = subst(S->Data);
-      return true;
-    case StmtKind::Dirty:
-      for (Expr *&A : S->CallArgs)
-        A = subst(A);
-      if (S->Guard) {
-        S->Guard = subst(S->Guard);
-        // A statically false guard removes the call entirely.
-        if (S->Guard->isConst(0))
-          return false;
-      }
-      return true;
-    case StmtKind::Exit:
-      S->Guard = subst(S->Guard);
-      if (S->Guard->isConst(0))
-        return false; // never taken
-      return true;
-    case StmtKind::ShadowProbe:
-      S->Addr = subst(S->Addr);
-      if (S->Data)
-        S->Data = subst(S->Data);
-      return true;
+    Expr *D = S->Data;
+    if (D->isAtom())
+      D = subst(D);
+    else
+      forEachOperand(*D, Subst);
+    D = simplify(D);
+    if (D->isAtom()) {
+      Env[S->Tmp] = D;
+      return false;
     }
+    S->Data = normalizeRhs(D); // spec results may be small trees
     return true;
   }
 
@@ -701,32 +630,21 @@ private:
     K += '.';
   }
 
+  /// \p D is a Unop, Binop, ITE or CCall (see run()).
   static std::string keyOf(const Expr *D) {
     std::string K;
-    switch (D->Kind) {
-    case ExprKind::Unop:
-    case ExprKind::Binop:
-      K += 'o';
-      K += std::to_string(static_cast<unsigned>(D->Opc));
-      K += '.';
-      for (unsigned I = 0; I != opArity(D->Opc); ++I)
-        atomKey(D->Arg[I], K);
-      break;
-    case ExprKind::ITE:
+    if (D->Kind == ExprKind::ITE) {
       K += 'i';
-      for (int I = 0; I != 3; ++I)
-        atomKey(D->Arg[I], K);
-      break;
-    case ExprKind::CCall:
+    } else if (D->Kind == ExprKind::CCall) {
       K += 'h';
       K += std::to_string(reinterpret_cast<uintptr_t>(D->CalleeFn));
       K += '.';
-      for (const Expr *A : D->CallArgs)
-        atomKey(A, K);
-      break;
-    default:
-      break;
+    } else {
+      K += 'o';
+      K += std::to_string(static_cast<unsigned>(D->Opc));
+      K += '.';
     }
+    forEachOperand(*D, [&](const Expr *A) { atomKey(A, K); });
     return K;
   }
 
@@ -752,7 +670,7 @@ public:
         continue;
       if (S->Kind == StmtKind::WrTmp && !Live[S->Tmp])
         continue; // dead def of a pure value
-      markStmt(S);
+      forEachExpr(*S, [&](const Expr *E) { markExpr(E); });
       Kept.push_back(S);
     }
     std::reverse(Kept.begin(), Kept.end());
@@ -761,61 +679,9 @@ public:
 
 private:
   void markExpr(const Expr *E) {
-    if (!E)
-      return;
-    switch (E->Kind) {
-    case ExprKind::RdTmp:
+    if (E->isRdTmp())
       Live[E->Tmp] = true;
-      break;
-    case ExprKind::Unop:
-      markExpr(E->Arg[0]);
-      break;
-    case ExprKind::Binop:
-      markExpr(E->Arg[0]);
-      markExpr(E->Arg[1]);
-      break;
-    case ExprKind::Load:
-      markExpr(E->Arg[0]);
-      break;
-    case ExprKind::ITE:
-      markExpr(E->Arg[0]);
-      markExpr(E->Arg[1]);
-      markExpr(E->Arg[2]);
-      break;
-    case ExprKind::CCall:
-      for (const Expr *A : E->CallArgs)
-        markExpr(A);
-      break;
-    default:
-      break;
-    }
-  }
-
-  void markStmt(const Stmt *S) {
-    switch (S->Kind) {
-    case StmtKind::Put:
-    case StmtKind::WrTmp:
-      markExpr(S->Data);
-      break;
-    case StmtKind::Store:
-      markExpr(S->Addr);
-      markExpr(S->Data);
-      break;
-    case StmtKind::Dirty:
-      for (const Expr *A : S->CallArgs)
-        markExpr(A);
-      markExpr(S->Guard);
-      break;
-    case StmtKind::Exit:
-      markExpr(S->Guard);
-      break;
-    case StmtKind::ShadowProbe:
-      markExpr(S->Addr);
-      markExpr(S->Data);
-      break;
-    default:
-      break;
-    }
+    forEachOperand(*E, [&](const Expr *A) { markExpr(A); });
   }
 
   IRSB &SB;
@@ -943,54 +809,36 @@ public:
     Emit = &NewStmts;
 
     for (Stmt *S : SB.stmts()) {
+      forEachExpr(*S, [&](Expr *&E) { E = substitute(E); });
       switch (S->Kind) {
       case StmtKind::NoOp:
         continue;
       case StmtKind::IMark:
-        NewStmts.push_back(S);
-        continue;
-      case StmtKind::WrTmp: {
-        S->Data = substitute(S->Data);
+        break;
+      case StmtKind::WrTmp:
         if (UseCount[S->Tmp] == 1) {
           hold(S);
           continue;
         }
-        NewStmts.push_back(S);
-        continue;
-      }
+        break;
       case StmtKind::Put:
-        S->Data = substitute(S->Data);
         flushConflicting(/*OnStore=*/false, /*OnPut=*/true,
                          rangeOfPut(S), /*All=*/false, /*OnExit=*/false);
-        NewStmts.push_back(S);
-        continue;
+        break;
       case StmtKind::Store:
-        S->Addr = substitute(S->Addr);
-        S->Data = substitute(S->Data);
         flushConflicting(/*OnStore=*/true, false, {}, false, false);
-        NewStmts.push_back(S);
-        continue;
+        break;
       case StmtKind::Dirty:
-        for (Expr *&A : S->CallArgs)
-          A = substitute(A);
-        if (S->Guard)
-          S->Guard = substitute(S->Guard);
         flushConflicting(false, false, {}, /*All=*/true, false);
-        NewStmts.push_back(S);
-        continue;
+        break;
       case StmtKind::Exit:
-        S->Guard = substitute(S->Guard);
         flushConflicting(false, false, {}, false, /*OnExit=*/true);
-        NewStmts.push_back(S);
-        continue;
+        break;
       case StmtKind::ShadowProbe:
         // Touches only shadow state, so held guest loads/gets may cross it.
-        S->Addr = substitute(S->Addr);
-        if (S->Data)
-          S->Data = substitute(S->Data);
-        NewStmts.push_back(S);
-        continue;
+        break;
       }
+      NewStmts.push_back(S);
     }
 
     SB.setNext(substitute(SB.next()), SB.endJumpKind());
@@ -1011,100 +859,29 @@ private:
   };
 
   void countExpr(const Expr *E) {
-    if (!E)
-      return;
-    switch (E->Kind) {
-    case ExprKind::RdTmp:
+    if (E->isRdTmp()) {
       if (E->Tmp >= UseCount.size())
         UseCount.resize(E->Tmp + 1, 0);
       ++UseCount[E->Tmp];
-      break;
-    case ExprKind::Unop:
-      countExpr(E->Arg[0]);
-      break;
-    case ExprKind::Binop:
-      countExpr(E->Arg[0]);
-      countExpr(E->Arg[1]);
-      break;
-    case ExprKind::Load:
-      countExpr(E->Arg[0]);
-      break;
-    case ExprKind::ITE:
-      countExpr(E->Arg[0]);
-      countExpr(E->Arg[1]);
-      countExpr(E->Arg[2]);
-      break;
-    case ExprKind::CCall:
-      for (const Expr *A : E->CallArgs)
-        countExpr(A);
-      break;
-    default:
-      break;
     }
+    forEachOperand(*E, [&](const Expr *A) { countExpr(A); });
   }
 
   void countUses() {
     UseCount.assign(SB.numTmps(), 0);
-    for (const Stmt *S : SB.stmts()) {
-      switch (S->Kind) {
-      case StmtKind::Put:
-      case StmtKind::WrTmp:
-        countExpr(S->Data);
-        break;
-      case StmtKind::Store:
-        countExpr(S->Addr);
-        countExpr(S->Data);
-        break;
-      case StmtKind::Dirty:
-        for (const Expr *A : S->CallArgs)
-          countExpr(A);
-        countExpr(S->Guard);
-        break;
-      case StmtKind::Exit:
-        countExpr(S->Guard);
-        break;
-      case StmtKind::ShadowProbe:
-        countExpr(S->Addr);
-        countExpr(S->Data);
-        break;
-      default:
-        break;
-      }
-    }
+    for (const Stmt *S : SB.stmts())
+      forEachExpr(*S, [&](const Expr *E) { countExpr(E); });
     countExpr(SB.next());
   }
 
   static void scanExpr(const Expr *E, Pending &P) {
-    if (!E)
-      return;
-    switch (E->Kind) {
-    case ExprKind::Load:
+    if (E->Kind == ExprKind::Load) {
       P.HasLoad = true;
-      scanExpr(E->Arg[0], P);
-      break;
-    case ExprKind::Get:
+    } else if (E->Kind == ExprKind::Get) {
       P.HasGet = true;
       P.GetRanges.push_back(rangeOfGet(E));
-      break;
-    case ExprKind::Unop:
-      scanExpr(E->Arg[0], P);
-      break;
-    case ExprKind::Binop:
-      scanExpr(E->Arg[0], P);
-      scanExpr(E->Arg[1], P);
-      break;
-    case ExprKind::ITE:
-      scanExpr(E->Arg[0], P);
-      scanExpr(E->Arg[1], P);
-      scanExpr(E->Arg[2], P);
-      break;
-    case ExprKind::CCall:
-      for (const Expr *A : E->CallArgs)
-        scanExpr(A, P);
-      break;
-    default:
-      break;
     }
+    forEachOperand(*E, [&](const Expr *A) { scanExpr(A, P); });
   }
 
   void hold(Stmt *Def) {
@@ -1116,9 +893,7 @@ private:
 
   /// Splices held single-use defs into \p E where their tmp is read.
   Expr *substitute(Expr *E) {
-    if (!E)
-      return E;
-    if (E->Kind == ExprKind::RdTmp) {
+    if (E->isRdTmp()) {
       for (Pending &P : Held) {
         if (!P.Consumed && P.Def->Tmp == E->Tmp) {
           P.Consumed = true;
@@ -1127,29 +902,7 @@ private:
       }
       return E;
     }
-    switch (E->Kind) {
-    case ExprKind::Unop:
-      E->Arg[0] = substitute(E->Arg[0]);
-      break;
-    case ExprKind::Binop:
-      E->Arg[0] = substitute(E->Arg[0]);
-      E->Arg[1] = substitute(E->Arg[1]);
-      break;
-    case ExprKind::Load:
-      E->Arg[0] = substitute(E->Arg[0]);
-      break;
-    case ExprKind::ITE:
-      E->Arg[0] = substitute(E->Arg[0]);
-      E->Arg[1] = substitute(E->Arg[1]);
-      E->Arg[2] = substitute(E->Arg[2]);
-      break;
-    case ExprKind::CCall:
-      for (Expr *&A : E->CallArgs)
-        A = substitute(A);
-      break;
-    default:
-      break;
-    }
+    forEachOperand(*E, [&](Expr *&A) { A = substitute(A); });
     return E;
   }
 

@@ -14,10 +14,13 @@
 
 namespace vg {
 
+constexpr uint64_t FnvOffsetBasis = 0xcbf29ce484222325ULL;
+
 /// 64-bit FNV-1a over a byte range. Cheap and adequate for detecting that
-/// translated guest bytes changed underneath a cached translation.
-inline uint64_t hashBytes(const uint8_t *Data, size_t Len) {
-  uint64_t H = 0xcbf29ce484222325ULL;
+/// translated guest bytes changed underneath a cached translation. Pass
+/// the previous result as \p H to hash a sequence of ranges as one.
+inline uint64_t hashBytes(const uint8_t *Data, size_t Len,
+                          uint64_t H = FnvOffsetBasis) {
   for (size_t I = 0; I != Len; ++I) {
     H ^= Data[I];
     H *= 0x100000001b3ULL;

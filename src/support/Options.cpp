@@ -44,19 +44,11 @@ OptionRegistry::parse(const std::vector<std::string> &Args) {
   return Unknown;
 }
 
-bool OptionRegistry::has(const std::string &Name) const {
-  return Entries.count(Name) != 0;
-}
-
 std::string OptionRegistry::getString(const std::string &Name) const {
   auto It = Entries.find(Name);
   if (It == Entries.end())
     unreachable("lookup of unregistered option");
   return It->second.Value;
-}
-
-int64_t OptionRegistry::getInt(const std::string &Name) const {
-  return std::strtoll(getString(Name).c_str(), nullptr, 0);
 }
 
 int64_t OptionRegistry::getIntChecked(const std::string &Name, int64_t Lo,

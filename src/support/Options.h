@@ -30,15 +30,11 @@ public:
   /// can report them all at once.
   std::vector<std::string> parse(const std::vector<std::string> &Args);
 
-  bool has(const std::string &Name) const;
   std::string getString(const std::string &Name) const;
-  int64_t getInt(const std::string &Name) const;
-  /// getInt with hard validation: the value must parse completely as an
-  /// integer and lie in [Lo, Hi]; anything else (--trace-max-blocks=abc,
+  /// The value must parse completely as an integer (decimal, 0x hex or 0
+  /// octal) and lie in [Lo, Hi]; anything else (--trace-max-blocks=abc,
   /// --tt-cache-max-mb=-1) is a usage error naming the option, the
-  /// offending value, and the accepted range. The predecessor of this API
-  /// silently clamped, which turned typos into surprising-but-running
-  /// configurations.
+  /// offending value, and the accepted range.
   int64_t getIntChecked(const std::string &Name, int64_t Lo, int64_t Hi) const;
   /// yes/true/1/on or no/false/0/off; any other spelling (--chaining=ye)
   /// is a usage error, like a malformed integer for getIntChecked.

@@ -12,20 +12,34 @@
 ///
 /// which rewrites the files in the source tree (VG_TEST_GOLDEN_DIR).
 ///
+/// CodegenIdentity pins more than IR text: the host code every workload
+/// leaves resident under the tools whose IR the optimiser shapes, and what
+/// those runs print. It is the gate for a change meant to emit exactly the
+/// same code; regenerate it only for an intended codegen change.
+///
 //===----------------------------------------------------------------------===//
 
+#include "core/Core.h"
 #include "core/Translate.h"
 #include "guest/Assembler.h"
+#include "hvm/HostVM.h"
 #include "ir/IRPrinter.h"
+#include "support/Hashing.h"
 #include "tools/ICnt.h"
 #include "tools/Memcheck.h"
 #include "tools/TaintGrind.h"
+#include "tools/ToolFactory.h"
+#include "workloads/Workloads.h"
 
 #include "gtest/gtest.h"
 
+#include <algorithm>
+#include <cinttypes>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -371,6 +385,105 @@ TEST(IRGolden, PrinterPrimitives) {
   SB.put(vg1::gso::gpr(3) + vg1::gso::ShadowOffset, SB.rdTmp(T1));
   SB.put(vg1::gso::PC, SB.constI32(0x1234));
   checkGolden("printer_primitives", toString(SB, vg1OffsetName));
+}
+
+//===----------------------------------------------------------------------===//
+// Codegen identity
+//===----------------------------------------------------------------------===//
+
+std::string hashHex(const std::string &S) {
+  char Buf[17];
+  std::snprintf(Buf, sizeof(Buf), "%016" PRIx64,
+                hashBytes(reinterpret_cast<const uint8_t *>(S.data()),
+                          S.size()));
+  return Buf;
+}
+
+/// The host code resident at the end of a run, in guest-address order,
+/// with each CALL's callee field (a host ir::Callee pointer, different in
+/// every build) replaced by the callee's name. A block with an SMC prelude
+/// fails the test: the prelude embeds the address of its own Translation,
+/// so its bytes change from run to run.
+std::string residentCode(TransTab &TT, const std::string &Run) {
+  std::vector<const Translation *> Ts;
+  TT.forEach([&](const Translation &T) { Ts.push_back(&T); });
+  std::sort(Ts.begin(), Ts.end(),
+            [](const Translation *A, const Translation *B) {
+              return A->Addr < B->Addr;
+            });
+  std::string Norm;
+  std::vector<uint32_t> Slots;
+  for (const Translation *T : Ts) {
+    const std::vector<uint8_t> &Bytes = T->Blob.Bytes;
+    Norm += "@" + std::to_string(T->Addr) + "/" + std::to_string(T->Tier) +
+            "/" + std::to_string(T->Blob.NumSpillSlots) + ":";
+    EXPECT_TRUE(hvm::findCalleeSlots(Bytes, Slots)) << Run;
+    size_t Pos = 0;
+    for (uint32_t Off : Slots) {
+      Norm.append(Bytes.begin() + Pos, Bytes.begin() + Off);
+      uint64_t Bits;
+      std::memcpy(&Bits, Bytes.data() + Off, sizeof(Bits));
+      const char *Name =
+          reinterpret_cast<const ir::Callee *>(static_cast<uintptr_t>(Bits))
+              ->Name;
+      EXPECT_STRNE(Name, "vg_smc_check")
+          << Run << ": the block at " << T->Addr << " has an SMC prelude";
+      Norm += Name;
+      Pos = Off + sizeof(Bits);
+    }
+    Norm.append(Bytes.begin() + Pos, Bytes.end());
+  }
+  return Norm;
+}
+
+/// One golden row: translations made, translations resident, and hashes
+/// of the resident code, the tool output and the guest's stdout.
+std::string codegenRow(const std::string &ToolName, const std::string &Config,
+                       const std::vector<std::string> &Opts,
+                       const std::string &Workload) {
+  std::string Run = ToolName + " " + Config + " " + Workload;
+  GuestImage Img = buildWorkload(Workload, 1);
+  std::unique_ptr<Tool> T = makeTool(ToolName);
+  Core C(T.get());
+  C.output().useBuffer();
+  EXPECT_TRUE(C.options().parse(Opts).empty()) << Run;
+  C.applyOptions();
+  C.loadImage(Img);
+  CoreExit E = C.run(~0ull);
+  EXPECT_EQ(E.K, CoreExit::Kind::Exited) << Run;
+  return Run + " translations=" + std::to_string(C.stats().Translations) +
+         " resident=" + std::to_string(C.transTab().size()) +
+         " code=" + hashHex(residentCode(C.transTab(), Run)) +
+         " tool=" + hashHex(C.output().takeBuffer()) +
+         " stdout=" + hashHex(C.kernel().stdoutText()) + "\n";
+}
+
+TEST(IRGolden, CodegenIdentity) {
+  struct Config {
+    const char *Name;
+    std::vector<std::string> Opts;
+    std::vector<const char *> Tools;
+  };
+  const Config Configs[] = {
+      {"default",
+       {},
+       {"nulgrind", "icnt", "icntc", "memcheck", "taintgrind"}},
+      {"hot20-trace",
+       {"--hot-threshold=20", "--trace-tier=yes"},
+       {"nulgrind", "icnt", "icntc", "memcheck", "taintgrind"}},
+      {"no-iropt", {"--no-iropt=yes"}, {"nulgrind", "memcheck"}},
+  };
+  std::vector<std::string> Workloads;
+  for (const WorkloadInfo &W : allWorkloads())
+    Workloads.push_back(W.Name);
+  Workloads.push_back("sigmt");
+  Workloads.push_back("mtcpu");
+  std::string Out;
+  for (const Config &Cfg : Configs)
+    for (const char *ToolName : Cfg.Tools)
+      for (const std::string &W : Workloads)
+        Out += codegenRow(ToolName, Cfg.Name, Cfg.Opts, W);
+  checkGolden("codegen_identity", Out);
 }
 
 } // namespace

@@ -57,12 +57,19 @@ TEST(IR, BuildAndTypecheckFlatBlock) {
 }
 
 TEST(IR, TypecheckRejectsNonFlat) {
-  IRSB SB;
-  // Put of a nested tree is fine in tree IR but not flat IR.
-  SB.put(0, SB.binop(Op::Add32, SB.get(4, Ty::I32), SB.constI32(1)));
-  SB.setNext(SB.constI32(0), JumpKind::Boring);
-  EXPECT_EQ(SB.typecheck(false), "");
-  EXPECT_NE(SB.typecheck(true), "");
+  // A nested tree is fine in tree IR but not flat IR: as a Put's data, or
+  // as an operand of a WrTmp's RHS (which flat IR keeps one operation deep).
+  for (bool AsWrTmpOperand : {false, true}) {
+    IRSB SB;
+    Expr *Tree = SB.binop(Op::Add32, SB.get(4, Ty::I32), SB.constI32(1));
+    if (AsWrTmpOperand)
+      SB.wrTmp(SB.unop(Op::Not32, Tree));
+    else
+      SB.put(0, Tree);
+    SB.setNext(SB.constI32(0), JumpKind::Boring);
+    EXPECT_EQ(SB.typecheck(false), "");
+    EXPECT_NE(SB.typecheck(true), "");
+  }
 }
 
 TEST(IR, TypecheckCatchesTypeErrors) {
@@ -78,6 +85,125 @@ TEST(IR, TypecheckCatchesTypeErrors) {
   SB.append(S);
   SB.setNext(SB.constI32(0), JumpKind::Boring);
   EXPECT_NE(SB.typecheck(false), "");
+}
+
+//===----------------------------------------------------------------------===//
+// Operand visitors
+//
+// Each test switches over every kind with no default:, so -Wswitch flags a
+// kind added later until it is given a case here (and in the visitor).
+//===----------------------------------------------------------------------===//
+
+const Callee VisitCallee = {"visit_test_helper", nullptr};
+
+using Slots = std::vector<const void *>;
+
+TEST(IR, ForEachOperandVisitsSlotsInOrder) {
+  IRSB SB;
+  Expr *A = SB.constI32(1), *B = SB.constI32(2);
+  for (ExprKind K : {ExprKind::Const, ExprKind::RdTmp, ExprKind::Get,
+                     ExprKind::Unop, ExprKind::Binop, ExprKind::Load,
+                     ExprKind::ITE, ExprKind::CCall}) {
+    Expr *E = nullptr;
+    Slots Want;
+    switch (K) {
+    case ExprKind::Const:
+      E = SB.constI32(7);
+      break;
+    case ExprKind::RdTmp:
+      E = SB.rdTmp(SB.newTmp(Ty::I32));
+      break;
+    case ExprKind::Get:
+      E = SB.get(0, Ty::I32);
+      break;
+    case ExprKind::Unop:
+      E = SB.unop(Op::Not32, A);
+      Want = {&E->Arg[0]};
+      break;
+    case ExprKind::Binop:
+      E = SB.binop(Op::Add32, A, B);
+      Want = {&E->Arg[0], &E->Arg[1]};
+      break;
+    case ExprKind::Load:
+      E = SB.load(Ty::I32, A);
+      Want = {&E->Arg[0]};
+      break;
+    case ExprKind::ITE:
+      E = SB.ite(SB.constI1(true), A, B);
+      Want = {&E->Arg[0], &E->Arg[1], &E->Arg[2]};
+      break;
+    case ExprKind::CCall:
+      E = SB.ccall(&VisitCallee, Ty::I32, {B, A, B});
+      Want = {&E->CallArgs[0], &E->CallArgs[1], &E->CallArgs[2]};
+      break;
+    }
+    ASSERT_EQ(E->Kind, K);
+    Slots Got, GotConst;
+    forEachOperand(*E, [&](Expr *&Slot) { Got.push_back(&Slot); });
+    const Expr &CE = *E;
+    forEachOperand(CE, [&](Expr *const &Slot) { GotConst.push_back(&Slot); });
+    EXPECT_EQ(Got, Want) << static_cast<int>(K);
+    EXPECT_EQ(GotConst, Want) << static_cast<int>(K);
+  }
+}
+
+TEST(IR, ForEachExprVisitsSlotsInOrderAndSkipsNulls) {
+  IRSB SB;
+  Expr *A = SB.constI32(1), *B = SB.constI32(2);
+  TmpId Probe = SB.newTmp(Ty::I64);
+  auto Check = [&](StmtKind K, Slots Want) {
+    Stmt *S = SB.stmts().back();
+    ASSERT_EQ(S->Kind, K);
+    Slots Got, GotConst;
+    forEachExpr(*S, [&](Expr *&Slot) { Got.push_back(&Slot); });
+    const Stmt &CS = *S;
+    forEachExpr(CS, [&](Expr *const &Slot) { GotConst.push_back(&Slot); });
+    EXPECT_EQ(Got, Want) << static_cast<int>(K);
+    EXPECT_EQ(GotConst, Want) << static_cast<int>(K);
+  };
+  auto Last = [&] { return SB.stmts().back(); };
+  for (StmtKind K : {StmtKind::NoOp, StmtKind::IMark, StmtKind::Put,
+                     StmtKind::WrTmp, StmtKind::Store, StmtKind::Dirty,
+                     StmtKind::Exit, StmtKind::ShadowProbe}) {
+    switch (K) {
+    case StmtKind::NoOp:
+      SB.noop();
+      Check(K, {});
+      break;
+    case StmtKind::IMark:
+      SB.imark(0x1000, 4);
+      Check(K, {});
+      break;
+    case StmtKind::Put:
+      SB.put(0, A);
+      Check(K, {&Last()->Data});
+      break;
+    case StmtKind::WrTmp:
+      SB.wrTmp(SB.binop(Op::Add32, A, B));
+      Check(K, {&Last()->Data});
+      break;
+    case StmtKind::Store:
+      SB.store(A, B);
+      Check(K, {&Last()->Addr, &Last()->Data});
+      break;
+    case StmtKind::Dirty:
+      SB.dirty(&VisitCallee, {A, B}, NoTmp, SB.constI1(true));
+      Check(K, {&Last()->CallArgs[0], &Last()->CallArgs[1], &Last()->Guard});
+      SB.dirty(&VisitCallee, {B}); // unguarded: the null Guard is skipped
+      Check(K, {&Last()->CallArgs[0]});
+      break;
+    case StmtKind::Exit:
+      SB.exit(SB.constI1(false), 0x2000);
+      Check(K, {&Last()->Guard});
+      break;
+    case StmtKind::ShadowProbe:
+      SB.shadowProbe(A, B, Probe, 4);
+      Check(K, {&Last()->Addr, &Last()->Data});
+      SB.shadowProbe(A, nullptr, Probe, 4); // load form: no Data slot
+      Check(K, {&Last()->Addr});
+      break;
+    }
+  }
 }
 
 TEST(IR, OpMetadataConsistency) {

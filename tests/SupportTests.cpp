@@ -35,7 +35,7 @@ TEST(Options, ParseTypedValues) {
   auto Unknown = O.parse({"--leak-check=no", "--threshold=0x1000",
                           "--log-file=/tmp/x", "--bogus=1", "stray"});
   EXPECT_FALSE(O.getBool("leak-check"));
-  EXPECT_EQ(O.getInt("threshold"), 0x1000);
+  EXPECT_EQ(O.getIntChecked("threshold", 0, INT64_MAX), 0x1000);
   EXPECT_EQ(O.getString("log-file"), "/tmp/x");
   ASSERT_EQ(Unknown.size(), 2u);
   EXPECT_EQ(Unknown[0], "--bogus=1");

@@ -582,6 +582,36 @@ TEST(OptionDeathTest, MalformedYesNoValuesAreFatal) {
               "--leak-check=maybe: expected yes\\|no");
 }
 
+// Core::applyOptions() itself rejects a bad core option, before any image
+// is loaded: --verify-ir and --no-iropt must not wait for the first
+// translation, and --stack-switch-threshold=abc must not read as 0 (every
+// SP move a stack switch, so no stack events fire).
+void applyOnly(const char *Opt) {
+  Memcheck M;
+  Core C(&M);
+  C.options().parse({Opt});
+  C.applyOptions();
+}
+
+TEST(OptionDeathTest, ApplyOptionsRejectsBadStackSwitchThreshold) {
+  EXPECT_EXIT(applyOnly("--stack-switch-threshold=abc"),
+              ::testing::ExitedWithCode(1),
+              "--stack-switch-threshold=abc: expected an integer in "
+              "\\[1, 4294967295\\]");
+  EXPECT_EXIT(applyOnly("--stack-switch-threshold=4294967296"),
+              ::testing::ExitedWithCode(1), "expected an integer");
+}
+
+TEST(OptionDeathTest, ApplyOptionsRejectsBadNoIROpt) {
+  EXPECT_EXIT(applyOnly("--no-iropt=bogus"), ::testing::ExitedWithCode(1),
+              "--no-iropt=bogus: expected yes\\|no");
+}
+
+TEST(OptionDeathTest, ApplyOptionsRejectsBadVerifyIR) {
+  EXPECT_EXIT(applyOnly("--verify-ir=bogus"), ::testing::ExitedWithCode(1),
+              "--verify-ir=bogus: expected yes\\|no");
+}
+
 TEST(OptionDeathTest, MalformedFaultInjectSpecIsFatal) {
   GuestImage Img = trivialProgram();
   Nulgrind T;
