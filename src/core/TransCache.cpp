@@ -2,7 +2,8 @@
 
 #include "core/TransCache.h"
 
-#include "hvm/HostVM.h"
+#include "guest/GuestArch.h"
+#include "hvm/Exec.h"
 #include "ir/IR.h"
 #include "support/Hashing.h"
 
@@ -221,11 +222,16 @@ TransCache::decodeEntryFile(const std::vector<uint8_t> &File,
     return LoadResult::Malformed;
 
   // Re-walk the blob with the same decoder encodeEntryFile() used, so a
-  // stored entry whose bytes do not decode — or that somehow smuggled an
-  // unpatched field — can never reach the executor. The structural walk
-  // and index bounds checks always run; only the name -> live pointer
-  // patch is skipped for out-of-process validators (the server daemon,
-  // where this process's Callee addresses mean nothing).
+  // stored entry whose bytes do not decode, whose operands would take the
+  // executor outside the guest state, the spill frame or the blob, or
+  // that somehow smuggled an unpatched field, can never reach the
+  // executor. The structural walk, the operand check and the index bounds
+  // checks always run; only the name -> live pointer patch is skipped for
+  // out-of-process validators (the server daemon, where this process's
+  // Callee addresses mean nothing).
+  if (E.NumSpillSlots > hvm::Executor::MaxSpillSlots ||
+      !hvm::checkOperands(E.Bytes, vg1::gso::TotalSize, E.NumSpillSlots))
+    return LoadResult::Malformed;
   std::vector<uint32_t> Slots;
   if (!hvm::findCalleeSlots(E.Bytes, Slots))
     return LoadResult::Malformed;

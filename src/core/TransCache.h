@@ -25,7 +25,17 @@
 ///  - Every entry carries a whole-payload FNV-1a checksum. Truncated,
 ///    bit-flipped, or otherwise malformed files are reported as Malformed
 ///    (counted as CacheRejects by the service) and fall through to the
-///    normal pipeline — never a crash, never garbage host code.
+///    normal pipeline.
+///  - The checksum only catches accidents, so the blob itself is checked
+///    too (hvm::checkOperands): every opcode byte is one the encoder
+///    writes, agrees with its size and op fields, and is followed by its
+///    group's members; registers, guest-state offsets, spill slots and
+///    call arities are in range; every JZ lands on a later instruction; and
+///    the blob ends in an exit. A blob that passes cannot make the
+///    executor touch host memory outside the guest state, the spill frame
+///    and its registers. What it computes is not checked: a well-formed
+///    blob with the wrong semantics for its guest code still installs,
+///    which is why a cache directory must be as trusted as the binary.
 ///  - Writes go to a temporary file and are renamed into place, so a
 ///    crashed writer leaves no half-written entry under the real name.
 ///
@@ -50,8 +60,9 @@ namespace vg {
 /// Bump on any change to the entry layout or to anything that alters
 /// generated code without being captured by the option fingerprint. 2:
 /// blobs carry specialised HVM opcode bytes (hvm::SpecOp), which a
-/// version-1 build cannot decode.
-constexpr uint32_t TransCacheFormatVersion = 2;
+/// version-1 build cannot decode. 3: they carry superinstruction group
+/// bytes (hvm::Group), which a version-2 build cannot decode.
+constexpr uint32_t TransCacheFormatVersion = 3;
 
 /// Same-run semantic-invalidation ranges. Redirects, unmaps, and TT
 /// flushes change what an address *means* without changing its bytes, so

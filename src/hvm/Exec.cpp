@@ -6,11 +6,13 @@
 /// what makes the cost ratios between inline analysis code, C-call
 /// analysis code, and client code representative (Section 5.4).
 ///
-/// One dispatch per host instruction: every opcode byte has its own
-/// handler, and the encoder writes a specialised byte for hot ir::Ops and
-/// for every access size (HostVM.h), so no handler switches a second time
-/// on an op or a size. The generic ALU handlers serve the long tail of ops
-/// through ir::evalOp.
+/// One dispatch per host instruction, or per superinstruction group:
+/// every opcode byte has its own handler, and the encoder writes a
+/// specialised byte for hot ir::Ops and for every access size (HostVM.h),
+/// so no handler switches a second time on an op or a size. Where a listed
+/// group of adjacent instructions starts, the encoder writes the group's
+/// byte instead, and one handler runs all its members. The generic ALU
+/// handlers serve the long tail of ops through ir::evalOp.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -160,8 +162,8 @@ RunOutcome Executor::run(const CodeBlob &Blob, uint64_t ChainBudget) {
   uint64_t *R = Regs;
 
   // Label table indexed by opcode byte: the generic HOps in enum order,
-  // then the SpecOps in their HostVM.h order. Unsized accesses are never
-  // encoded (every size has its own byte).
+  // then the SpecOps and the groups in their HostVM.h order. Unsized
+  // accesses are never encoded (every size has its own byte).
   static const void *const Table[] = {
       &&L_LI,      &&L_MOV,     &&L_ALU,     &&L_ALU1,   &&L_ALUI,
       &&L_UNSIZED, &&L_UNSIZED, &&L_UNSIZED, &&L_UNSIZED, &&L_SEL,
@@ -175,6 +177,9 @@ RunOutcome Executor::run(const CodeBlob &Blob, uint64_t ChainBudget) {
 #undef VG_HVM_X
 #define VG_HVM_X(O) &&L_ALU1_##O,
       VG_HVM_UNOPS(VG_HVM_X)
+#undef VG_HVM_X
+#define VG_HVM_X(Name, M0, M1, M2) &&L_G_##Name,
+      VG_HVM_GROUPS(VG_HVM_X)
 #undef VG_HVM_X
   };
   static_assert(sizeof(Table) / sizeof(Table[0]) == NumOpcodes,
@@ -385,6 +390,52 @@ L_SPILL:
 L_RELOAD:
   R[Code[Ip + 1]] = Frame[rdU32(Code + Ip + 2)];
   Ip += 6;
+  DISPATCH();
+
+  // Superinstruction groups (VG_HVM_GROUPS): each handler does the work of
+  // every member, then jumps past them all. Member M's bytes start at
+  // Code + Ip + (the lengths of the members before it); a member reads the
+  // register its predecessor writes, which encode() and checkOperands
+  // guarantee.
+L_G_LI_STG4: { // LI d, imm; STG4 off, d
+  uint64_t V = rdU64(Code + Ip + 2);
+  R[Code[Ip + 1]] = V;
+  auto W = static_cast<uint32_t>(V);
+  std::memcpy(Gst + rdU32(Code + Ip + 12), &W, 4);
+  Ip += 17;
+  DISPATCH();
+}
+
+L_G_GUARD: { // U1to32 t, c; CmpNEZ32 g, t; JZ g, L
+  uint64_t T = R[Code[Ip + 4]] & 1;
+  R[Code[Ip + 3]] = T;
+  R[Code[Ip + 8]] = T; // t is 0 or 1, so CmpNEZ32 leaves it as it is
+  Ip = T ? Ip + 16 : rdU32(Code + Ip + 12);
+  DISPATCH();
+}
+
+L_G_IMARK_LI_STG4: { // IMARK pc; LI d, imm; STG4 off, d
+  CurPC = rdU32(Code + Ip + 1);
+  uint64_t V = rdU64(Code + Ip + 7);
+  R[Code[Ip + 6]] = V;
+  auto W = static_cast<uint32_t>(V);
+  std::memcpy(Gst + rdU32(Code + Ip + 17), &W, 4);
+  Ip += 22;
+  DISPATCH();
+}
+
+L_G_IMARK_LDG4: { // IMARK pc; LDG4 d, off
+  CurPC = rdU32(Code + Ip + 1);
+  uint32_t W;
+  std::memcpy(&W, Gst + rdU32(Code + Ip + 7), 4);
+  R[Code[Ip + 6]] = W;
+  Ip += 12;
+  DISPATCH();
+}
+
+L_G_IMARK_IMARK: // IMARK pc0; IMARK pc1: only pc1 is ever reported
+  CurPC = rdU32(Code + Ip + 6);
+  Ip += 10;
   DISPATCH();
 
 L_SHPROBE: {

@@ -5,7 +5,8 @@
 /// the role of the host CPU in this reproduction; the dispatcher/scheduler
 /// (core/DispatchLoop.cpp) sits on top, exactly as in Section 3.9. Each
 /// opcode byte has its own handler, chosen by the encoder (hvm::SpecOp), so
-/// a host instruction costs one dispatch.
+/// a host instruction costs one dispatch; a listed group of adjacent
+/// instructions (hvm::Group) costs one dispatch in all.
 ///
 /// Translation chaining: when a chain resolver is supplied, a Boring
 /// constant-target exit whose chain slot has been filled transfers directly

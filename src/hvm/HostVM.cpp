@@ -2,6 +2,8 @@
 
 #include "hvm/HostVM.h"
 
+#include <algorithm>
+#include <array>
 #include <cassert>
 #include <cstdio>
 #include <cstring>
@@ -74,46 +76,116 @@ bool isAccess(HOp Op) {
   return Op == HOp::LDG || Op == HOp::STG || Op == HOp::LDM || Op == HOp::STM;
 }
 
-/// An instruction form paired with the field that picks its specialised
-/// opcode: the access size, or the ir::Op.
-constexpr uint32_t specKey(HOp Form, uint32_t Field) {
-  return static_cast<uint32_t>(Form) << 16 | Field;
-}
-constexpr uint32_t specKey(HOp Form, ir::Op O) {
-  return specKey(Form, static_cast<uint32_t>(O));
-}
+/// How many ir::Ops there are.
+constexpr unsigned NumIrOps =
+#define X(Name, RT, N, A1, A2) +1
+    0 VG_IROP_LIST(X);
+#undef X
 
-constexpr uint8_t specByte(SpecOp S) {
-  return static_cast<uint8_t>(NumGenericOps + static_cast<unsigned>(S));
-}
+/// Columns of SpecBytes: every access size and every ir::Op has one.
+constexpr unsigned SpecCols = 128;
+static_assert(NumIrOps <= SpecCols, "ir::Ops overflow SpecBytes");
 
-/// The opcode byte that selects \p I's handler: its specialised opcode
-/// where one exists, else its generic form.
+/// SpecBytes[Form][Field]: the specialised opcode byte of a Form
+/// instruction whose access size or ir::Op is Field, or 0 where it has
+/// none. A table, not a switch: the encoder looks it up for every
+/// instruction it writes and for the members of each group it checks.
+constexpr auto SpecBytes = [] {
+  std::array<std::array<uint8_t, SpecCols>, NumGenericOps> T{};
+  auto Set = [&](HOp Form, unsigned Field, SpecOp S) {
+    T[byteOf(Form)][Field] = byteOf(S);
+  };
+#define VG_HVM_X(Form, Size) Set(HOp::Form, Size, SpecOp::Form##Size);
+  VG_HVM_SIZED_OPS(VG_HVM_X)
+#undef VG_HVM_X
+#define VG_HVM_X(O)                                                            \
+  Set(HOp::ALU, static_cast<unsigned>(ir::Op::O), SpecOp::ALU_##O);            \
+  Set(HOp::ALUI, static_cast<unsigned>(ir::Op::O), SpecOp::ALUI_##O);          \
+  Set(HOp::ALUIS, static_cast<unsigned>(ir::Op::O), SpecOp::ALUIS_##O);
+  VG_HVM_BINOPS(VG_HVM_X)
+#undef VG_HVM_X
+#define VG_HVM_X(O)                                                            \
+  Set(HOp::ALU1, static_cast<unsigned>(ir::Op::O), SpecOp::ALU1_##O);
+  VG_HVM_UNOPS(VG_HVM_X)
+#undef VG_HVM_X
+  return T;
+}();
+
+/// The opcode byte that selects \p I's handler when it runs alone: its
+/// specialised opcode where one exists, else its generic form (for an
+/// access of a size without one, a byte no walker accepts).
 uint8_t opcodeByte(const HInstr &I) {
-  bool Sized = isAccess(I.Op);
-  switch (specKey(I.Op, Sized ? I.Size : static_cast<uint32_t>(I.IrOp))) {
-#define VG_HVM_X(Form, Size)                                                   \
-  case specKey(HOp::Form, Size):                                               \
-    return specByte(SpecOp::Form##Size);
-    VG_HVM_SIZED_OPS(VG_HVM_X)
+  unsigned Field = isAccess(I.Op) ? I.Size : static_cast<unsigned>(I.IrOp);
+  uint8_t Spec = Field < SpecCols ? SpecBytes[byteOf(I.Op)][Field] : 0;
+  return Spec ? Spec : byteOf(I.Op);
+}
+
+/// The member opcode bytes of each group, in Group order.
+struct GroupDef {
+  uint8_t Members[3];
+  size_t size() const { return Members[2] == NoMember ? 2 : 3; }
+};
+constexpr GroupDef GroupDefs[] = {
+#define VG_HVM_X(Name, M0, M1, M2) {{M0, M1, M2}},
+    VG_HVM_GROUPS(VG_HVM_X)
 #undef VG_HVM_X
-#define VG_HVM_X(O)                                                            \
-  case specKey(HOp::ALU, ir::Op::O):                                           \
-    return specByte(SpecOp::ALU_##O);                                          \
-  case specKey(HOp::ALUI, ir::Op::O):                                          \
-    return specByte(SpecOp::ALUI_##O);                                         \
-  case specKey(HOp::ALUIS, ir::Op::O):                                         \
-    return specByte(SpecOp::ALUIS_##O);
-    VG_HVM_BINOPS(VG_HVM_X)
-#undef VG_HVM_X
-#define VG_HVM_X(O)                                                            \
-  case specKey(HOp::ALU1, ir::Op::O):                                          \
-    return specByte(SpecOp::ALU1_##O);
-    VG_HVM_UNOPS(VG_HVM_X)
-#undef VG_HVM_X
+};
+static_assert(std::size(GroupDefs) == static_cast<size_t>(Group::Count),
+              "GroupDefs out of step with Group");
+
+/// A group is named by its first two members' bytes: chooseByte tries only
+/// the one group they name.
+constexpr bool firstTwoMembersUnique(const GroupDef *Defs, size_t N) {
+  for (size_t A = 0; A != N; ++A)
+    for (size_t B = A + 1; B != N; ++B)
+      if (Defs[A].Members[0] == Defs[B].Members[0] &&
+          Defs[A].Members[1] == Defs[B].Members[1])
+        return false;
+  return true;
+}
+static_assert(firstTwoMembersUnique(GroupDefs, std::size(GroupDefs)),
+              "two groups start with the same two opcode bytes");
+
+/// Whether \p Is[0..N), whose own opcode bytes are \p Bytes, begin with
+/// \p G's members: each has its member's byte, and each that reads a
+/// register (A) reads the one its predecessor writes (Dst), if any. The
+/// encoder asks this of the instructions it is about to write, and
+/// checkOperands of the instructions behind a group byte.
+bool fits(const GroupDef &G, const HInstr *Is, const uint8_t *Bytes,
+          size_t N) {
+  if (G.size() > N)
+    return false;
+  for (size_t J = 0; J != G.size(); ++J)
+    if (Bytes[J] != G.Members[J] ||
+        (J && Is[J - 1].Dst != NoReg && Is[J].A != NoReg &&
+         Is[J].A != Is[J - 1].Dst))
+      return false;
+  return true;
+}
+
+/// Whether some group's lead has this opcode byte.
+constexpr std::array<bool, 256> LeadsGroup = [] {
+  std::array<bool, 256> T{};
+  for (const GroupDef &G : GroupDefs)
+    T[G.Members[0]] = true;
+  return T;
+}();
+
+/// The byte encode() writes for \p Is[0], whose own byte is \p Own: the
+/// group whose members are \p Is[0..N) (N at most 3), else Own.
+uint8_t chooseByte(const HInstr *Is, uint8_t Own, size_t N) {
+  if (!LeadsGroup[Own] || N < 2)
+    return Own;
+  uint8_t Bytes[3] = {Own, opcodeByte(Is[1]), NoMember};
+  for (size_t G = 0; G != std::size(GroupDefs); ++G) {
+    const GroupDef &D = GroupDefs[G];
+    if (D.Members[0] != Own || D.Members[1] != Bytes[1])
+      continue;
+    if (N == 3)
+      Bytes[2] = opcodeByte(Is[2]);
+    return fits(D, Is, Bytes, N) ? byteOf(static_cast<Group>(G)) : Own;
   }
-  assert(!Sized && "access of unsupported size reaches encoder");
-  return static_cast<uint8_t>(I.Op);
+  return Own;
 }
 
 void putU16(std::vector<uint8_t> &B, uint16_t V) {
@@ -131,9 +203,116 @@ void putU64(std::vector<uint8_t> &B, uint64_t V) {
     B.push_back(static_cast<uint8_t>(V >> (8 * I)));
 }
 
+template <typename T> T rd(const uint8_t *P) {
+  T V;
+  std::memcpy(&V, P, sizeof(V));
+  return V;
+}
+
 uint8_t r8(RegId R) {
   assert(!isVirtual(R) && R < NumHostRegs && "unallocated register reaches encoder");
   return static_cast<uint8_t>(R);
+}
+
+/// Decodes the instruction at \p P, which the opcode walker has checked:
+/// the inverse of encode() for one instruction (a group byte decodes as
+/// its lead). Register bytes come back as written (CALL's and SHPROBE's
+/// 0xFF as NoReg), a JZ's Label is its target's byte offset, and a CALL's
+/// callee field is not read (findCalleeSlots finds it).
+HInstr decodeInstr(const uint8_t *P) {
+  HInstr I;
+  I.Op = opcodeInfo(P[0]).Form;
+  auto Reg = [](uint8_t R) { return R == 0xFF ? NoReg : RegId{R}; };
+  switch (I.Op) {
+  case HOp::LI:
+    I.Dst = P[1];
+    I.Imm = rd<uint64_t>(P + 2);
+    break;
+  case HOp::MOV:
+    I.Dst = P[1];
+    I.A = P[2];
+    break;
+  case HOp::ALU:
+  case HOp::ALU1:
+  case HOp::ALUI:
+  case HOp::ALUIS:
+    I.IrOp = static_cast<ir::Op>(rd<uint16_t>(P + 1));
+    I.Dst = P[3];
+    I.A = P[4];
+    if (I.Op == HOp::ALU)
+      I.B = P[5];
+    else if (I.Op == HOp::ALUI)
+      I.Imm = rd<uint64_t>(P + 5);
+    else if (I.Op == HOp::ALUIS)
+      I.Imm = P[5];
+    break;
+  case HOp::LDG:
+    I.Dst = P[1];
+    I.Off = rd<uint32_t>(P + 2);
+    I.Size = P[6];
+    break;
+  case HOp::STG:
+    I.A = P[1];
+    I.Off = rd<uint32_t>(P + 2);
+    I.Size = P[6];
+    break;
+  case HOp::LDM:
+    I.Dst = P[1];
+    I.A = P[2];
+    I.Disp = rd<int32_t>(P + 3);
+    I.Size = P[7];
+    break;
+  case HOp::STM:
+    I.A = P[1];
+    I.B = P[2];
+    I.Disp = rd<int32_t>(P + 3);
+    I.Size = P[7];
+    break;
+  case HOp::SEL:
+    I.Dst = P[1];
+    I.A = P[2];
+    I.B = P[3];
+    I.C = P[4];
+    break;
+  case HOp::CALL:
+    I.Dst = Reg(P[9]);
+    I.NArgs = P[10];
+    for (int J = 0; J != 4; ++J)
+      I.Args[J] = P[11 + J];
+    break;
+  case HOp::JZ:
+    I.A = P[1];
+    I.Label = rd<int32_t>(P + 2);
+    break;
+  case HOp::EXITI:
+    I.Imm = rd<uint32_t>(P + 1);
+    I.JKind = P[5];
+    I.ChainSlot = rd<uint32_t>(P + 6);
+    break;
+  case HOp::EXITR:
+    I.A = P[1];
+    I.JKind = P[2];
+    break;
+  case HOp::IMARK:
+    I.Imm = rd<uint32_t>(P + 1);
+    break;
+  case HOp::SPILL:
+    I.A = P[1];
+    I.Off = rd<uint32_t>(P + 2);
+    break;
+  case HOp::RELOAD:
+    I.Dst = P[1];
+    I.Off = rd<uint32_t>(P + 2);
+    break;
+  case HOp::SHPROBE:
+    I.Dst = P[1];
+    I.A = P[2];
+    I.B = Reg(P[3]);
+    I.Imm = P[4];
+    I.Size = P[5];
+    break;
+  }
+  return I;
 }
 
 } // namespace
@@ -157,8 +336,12 @@ std::vector<uint8_t> hvm::encode(const HostCode &CodeIn) {
 
   std::vector<uint8_t> B;
   B.reserve(Pos);
-  for (const HInstr &I : Code.Instrs) {
-    B.push_back(opcodeByte(I));
+  const size_t N = Code.Instrs.size();
+  for (size_t K = 0; K != N; ++K) {
+    const HInstr &I = Code.Instrs[K];
+    B.push_back(chooseByte(&I, opcodeByte(I), std::min<size_t>(3, N - K)));
+    assert(opcodeInfo(B.back()).Len &&
+           "access of unsupported size reaches encoder");
     switch (I.Op) {
     case HOp::LI:
       B.push_back(r8(I.Dst));
@@ -267,13 +450,87 @@ std::vector<uint8_t> hvm::encode(const HostCode &CodeIn) {
 
 OpcodeInfo hvm::opcodeInfo(uint8_t Byte) {
   if (Byte >= NumOpcodes)
-    return {HOp::LI, 0};
+    return {HOp::LI, 0, Byte, 0};
+  if (Byte >= FirstGroupByte) {
+    const GroupDef &G = GroupDefs[Byte - FirstGroupByte];
+    OpcodeInfo Info = opcodeInfo(G.Members[0]);
+    for (size_t J = 1; J != G.size(); ++J)
+      Info.GroupLen += opcodeInfo(G.Members[J]).Len;
+    return Info;
+  }
   HOp Form = Byte < NumGenericOps ? static_cast<HOp>(Byte)
                                   : SpecForm[Byte - NumGenericOps];
   // Accesses are always encoded with their size-specialised byte.
   if (Byte < NumGenericOps && isAccess(Form))
-    return {Form, 0};
-  return {Form, static_cast<uint8_t>(encodedSizeFor(Form))};
+    return {Form, 0, Byte, 0};
+  auto Len = static_cast<uint8_t>(encodedSizeFor(Form));
+  return {Form, Len, Byte, Len};
+}
+
+bool hvm::checkOperands(const std::vector<uint8_t> &Bytes,
+                        uint32_t GuestStateSize, uint32_t NumSpillSlots) {
+  std::vector<uint32_t> Starts;
+  if (!walkOpcodes(Bytes, [&](uint32_t Off, uint8_t, HOp) {
+        Starts.push_back(Off);
+      }) ||
+      Starts.empty())
+    return false;
+  std::vector<HInstr> Is;
+  Is.reserve(Starts.size());
+  for (uint32_t Off : Starts)
+    Is.push_back(decodeInstr(Bytes.data() + Off));
+
+  auto RegOk = [](RegId R) { return R == NoReg || R < NumHostRegs; };
+  for (size_t K = 0; K != Is.size(); ++K) {
+    const HInstr &I = Is[K];
+    OpcodeInfo Info = opcodeInfo(Bytes[Starts[K]]);
+    if (opcodeByte(I) != Info.Lead ||
+        static_cast<unsigned>(I.IrOp) >= NumIrOps || !RegOk(I.Dst) ||
+        !RegOk(I.A) || !RegOk(I.B) || !RegOk(I.C))
+      return false;
+    switch (I.Op) {
+    case HOp::LDG:
+    case HOp::STG:
+      if (uint64_t{I.Off} + I.Size > GuestStateSize)
+        return false;
+      break;
+    case HOp::SPILL:
+    case HOp::RELOAD:
+      if (I.Off >= NumSpillSlots)
+        return false;
+      break;
+    case HOp::CALL:
+      if (I.NArgs > 4 ||
+          !std::all_of(std::begin(I.Args), std::end(I.Args),
+                       [](RegId R) { return R < NumHostRegs; }))
+        return false;
+      break;
+    case HOp::JZ: {
+      auto Target = static_cast<uint32_t>(I.Label);
+      if (Target <= Starts[K] ||
+          !std::binary_search(Starts.begin(), Starts.end(), Target))
+        return false;
+      break;
+    }
+    case HOp::SHPROBE:
+      if ((I.Imm & 1) && I.B == NoReg) // the store form reads its V-word
+        return false;
+      break;
+    default:
+      break;
+    }
+    if (Bytes[Starts[K]] >= FirstGroupByte) {
+      const GroupDef &G = GroupDefs[Bytes[Starts[K]] - FirstGroupByte];
+      size_t N = std::min<size_t>(G.size(), Is.size() - K);
+      uint8_t Own[3] = {};
+      for (size_t J = 0; J != N; ++J)
+        Own[J] = opcodeInfo(Bytes[Starts[K + J]]).Lead;
+      if (!fits(G, &Is[K], Own, N))
+        return false;
+    }
+  }
+  HOp Last = Is.back().Op;
+  return Last == HOp::EXITI || Last == HOp::EXITR;
 }
 
 bool hvm::findCalleeSlots(const std::vector<uint8_t> &Bytes,

@@ -12,7 +12,8 @@
 ///   Phase 7 (RegAlloc.cpp): linear-scan register allocation with move
 ///                           coalescing hints and spill slots.
 ///   Phase 8 (encode()):     HInstr list -> code bytes; each opcode byte
-///                           picks the executor handler.
+///                           picks the executor handler, for one
+///                           instruction or for a superinstruction group.
 ///
 /// Host register conventions (Section 3.4/3.9): registers h0..h9 are
 /// allocatable, h10..h13 are spill-reload scratch, h14 conceptually holds
@@ -87,15 +88,16 @@ constexpr unsigned NumGenericOps = static_cast<unsigned>(HOp::SHPROBE) + 1;
 // Specialised opcodes (encode-time)
 //
 // The executor is a threaded interpreter: one computed goto per host
-// instruction. A generic ALU-form handler would pay a second dispatch on
-// the instruction's ir::Op, and an access a second dispatch on its size, so
-// encode() picks the handler instead: it writes a dedicated opcode byte
-// for every access size of LDG/STG/LDM/STM and for every (ir::Op, form)
-// pair listed below. A specialised byte keeps its generic form's operand
-// layout (the size or ir::Op field stays, unread), so no blob changes
-// length. The generic ALU forms serve the long tail of ops. The op lists
-// follow the measured host-instruction mix (bench/sec54_hostcode prints
-// the share still left on generic handlers).
+// instruction, or per superinstruction group (below). A generic ALU-form
+// handler would pay a second dispatch on the instruction's ir::Op, and an
+// access a second dispatch on its size, so encode() picks the handler
+// instead: it writes a dedicated opcode byte for every access size of
+// LDG/STG/LDM/STM and for every (ir::Op, form) pair listed below. A
+// specialised byte keeps its generic form's operand layout (the size or
+// ir::Op field stays, unread), so no blob changes length. The generic ALU
+// forms serve the long tail of ops. The op lists follow the measured
+// host-instruction mix (bench/sec54_hostcode prints the share still left
+// on generic handlers).
 //===----------------------------------------------------------------------===//
 
 /// Binary ir::Ops with a specialised byte in each binary form: ALU
@@ -133,10 +135,75 @@ enum class SpecOp : uint8_t {
   Count
 };
 
+/// The opcode byte of a generic form, of a SpecOp and (below) of a group.
+constexpr uint8_t byteOf(HOp Op) { return static_cast<uint8_t>(Op); }
+constexpr uint8_t byteOf(SpecOp S) {
+  return static_cast<uint8_t>(NumGenericOps + static_cast<unsigned>(S));
+}
+
+//===----------------------------------------------------------------------===//
+// Superinstruction groups (encode-time)
+//
+// Some adjacent instructions recur as one idiom. When the instruction being
+// encoded starts a listed group, encode() rewrites only its opcode byte, to
+// the group's byte; that handler does the work of every member and jumps
+// past them all. The members keep their own bytes, so blob lengths do not
+// change, a JZ into the middle of a group runs the rest of it member by
+// member, and the opcode walker still visits every instruction.
+//
+// Rules for a group:
+//  - no member faults, calls out or leaves the block (no LDM, STM, CALL,
+//    SHPROBE, EXITI or EXITR), so fault PCs, the helper-call ABI and
+//    chaining are untouched; a JZ may only end a group;
+//  - each member that reads a register (A) reads the one its predecessor
+//    writes (Dst), where the predecessor writes one; the handler writes
+//    every register any member writes (the encoder does no liveness);
+//  - the lead byte is chosen while encoding, by looking ahead; a group is
+//    named by its first two members' bytes, so at most one can start at
+//    an instruction.
+//
+// The list follows the measured mix: bench/sec54_hostcode prints the most
+// executed pairs of adjacent dispatches still left unfused. Shares are of
+// all executed dispatches before the groups existed, on the long benchmark
+// workloads nulgrind-long / memcheck-long:
+//  - LI; STG4, a constant PUT of cc_op, cc_ndep or pc: 13.5% / 11.9%;
+//  - U1to32 t, c; CmpNEZ32 g, t; JZ g, the guard before each side exit:
+//    each link 3.6% / 3.2% (t is 0 or 1, so g equals t);
+//  - IMARK; LI; STG4 and IMARK; LDG4: IMARK->LI 7.3% / 4.2%, IMARK->LDG4
+//    5.1% / 3.4%;
+//  - IMARK; IMARK: 4.1% / 1.5%; only the later PC is kept.
+//
+// X(name, lead byte, second byte, third byte or NoMember).
+//===----------------------------------------------------------------------===//
+
+constexpr uint8_t NoMember = 0xFF;
+
+#define VG_HVM_GROUPS(X)                                                       \
+  X(LI_STG4, byteOf(HOp::LI), byteOf(SpecOp::STG4), NoMember)                  \
+  X(GUARD, byteOf(SpecOp::ALU1_U1to32), byteOf(SpecOp::ALU1_CmpNEZ32),         \
+    byteOf(HOp::JZ))                                                           \
+  X(IMARK_LI_STG4, byteOf(HOp::IMARK), byteOf(HOp::LI), byteOf(SpecOp::STG4))  \
+  X(IMARK_LDG4, byteOf(HOp::IMARK), byteOf(SpecOp::LDG4), NoMember)            \
+  X(IMARK_IMARK, byteOf(HOp::IMARK), byteOf(HOp::IMARK), NoMember)
+
+/// Groups; the byte of Group G is FirstGroupByte + G.
+enum class Group : uint8_t {
+#define VG_HVM_X(Name, M0, M1, M2) Name,
+  VG_HVM_GROUPS(VG_HVM_X)
+#undef VG_HVM_X
+  Count
+};
+
+constexpr unsigned FirstGroupByte =
+    NumGenericOps + static_cast<unsigned>(SpecOp::Count);
+constexpr uint8_t byteOf(Group G) {
+  return static_cast<uint8_t>(FirstGroupByte + static_cast<unsigned>(G));
+}
+
 /// Every opcode byte encode() can write lies below this.
 constexpr unsigned NumOpcodes =
-    NumGenericOps + static_cast<unsigned>(SpecOp::Count);
-static_assert(NumOpcodes <= 256, "opcode bytes overflow");
+    FirstGroupByte + static_cast<unsigned>(Group::Count);
+static_assert(NumOpcodes < NoMember, "opcode bytes overflow");
 
 /// One host instruction (pre- or post-register-allocation).
 struct HInstr {
@@ -178,15 +245,21 @@ struct HostCode {
 
 /// Phase 8: encodes an instruction list into code-cache bytes. JZ labels
 /// are resolved to byte offsets; each instruction's opcode byte selects
-/// its executor handler (a SpecOp where one exists).
+/// its executor handler: the group it leads, else a SpecOp where one
+/// exists, else its generic form.
 std::vector<uint8_t> encode(const HostCode &Code);
 
 /// The decoder's view of one opcode byte: the generic form whose operand
-/// layout it uses, and its encoded length in bytes. Length 0 marks a byte
-/// encode() never writes (beyond NumOpcodes, or an unsized LDG/STG/LDM/STM).
+/// layout it uses, its encoded length in bytes, the byte its instruction
+/// would carry alone (a group byte's lead; else the byte itself), and the
+/// bytes one dispatch on it covers (a group's members together; else Len).
+/// Length 0 marks a byte encode() never writes (NumOpcodes or above, or an
+/// unsized LDG/STG/LDM/STM).
 struct OpcodeInfo {
   HOp Form;
   uint8_t Len;
+  uint8_t Lead;
+  uint8_t GroupLen;
 };
 OpcodeInfo opcodeInfo(uint8_t Byte);
 
@@ -215,6 +288,21 @@ bool walkOpcodes(const std::vector<uint8_t> &Bytes, Fn &&Visit) {
 /// must treat as a malformed entry.
 bool findCalleeSlots(const std::vector<uint8_t> &Bytes,
                      std::vector<uint32_t> &Slots);
+
+/// The operand check a blob from outside this process (the persistent
+/// translation cache) must pass before it may run: every instruction
+/// decodes, its opcode byte (a group byte read as its lead's) is the one
+/// encode() would write for its size and ir::Op fields, register bytes
+/// are below NumHostRegs (CALL's 0xFF "no result" aside),
+/// ir::Ops are real, guest-state accesses end within \p GuestStateSize,
+/// spill slots are below \p NumSpillSlots, a CALL has at most 4
+/// arguments, every JZ targets the start of a later instruction, each group
+/// byte is followed by its group's members, and the last instruction is
+/// an EXITI or EXITR. The executor then touches no host memory outside the
+/// guest state, the spill frame and its register file, and cannot run off
+/// the end of the blob or loop within it.
+bool checkOperands(const std::vector<uint8_t> &Bytes, uint32_t GuestStateSize,
+                   uint32_t NumSpillSlots);
 
 } // namespace hvm
 } // namespace vg

@@ -6,8 +6,9 @@
 /// images over a Unix-domain socket with the TransProto framing. Because
 /// the payload is exactly the on-disk format, a --tt-cache directory from
 /// any cold run can be served as-is, and everything a client fetches is
-/// re-validated on the client with the same checks a local file gets —
-/// the daemon is a blob store, never a trust anchor.
+/// re-validated on the client with the same checks a local file gets.
+/// Those checks bound what a blob can touch, not what it computes
+/// (TransCache.h), so the daemon must be as trusted as the binary.
 ///
 /// Embeddable by design: tests, the fuzz harness, and the warm-start
 /// bench run a TransServer in-process on a scratch socket; the standalone
@@ -20,9 +21,10 @@
 ///    stalls mid-frame or sends garbage is dropped);
 ///  - request coalescing: concurrent GETs for the same in-flight key
 ///    share one disk read (the followers park on a condvar);
-///  - PUT payloads are structurally validated (decode walk + FNV checksum,
-///    callee-name indexes bounds-checked) before they are stored — a
-///    malicious or buggy client cannot plant a non-decoding blob;
+///  - PUT payloads are structurally validated (decode walk, operand
+///    check, FNV checksum, callee-name indexes bounds-checked) before
+///    they are stored — a malicious or buggy client cannot plant a blob
+///    that does not decode or that reaches outside its guest state;
 ///  - poison notifications evict entries of that config whose extents
 ///    intersect the range (the in-memory extents index is built from a
 ///    startup scan and maintained on PUT);

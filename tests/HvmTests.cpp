@@ -65,6 +65,58 @@ HInstr exitTo(uint32_t PC) {
   return I;
 }
 
+HInstr li(RegId Dst, uint64_t Imm) {
+  HInstr I = hi(HOp::LI);
+  I.Dst = Dst, I.Imm = Imm;
+  return I;
+}
+
+HInstr stg(uint32_t Off, RegId A, uint8_t Size) {
+  HInstr I = hi(HOp::STG);
+  I.A = A, I.Off = Off, I.Size = Size;
+  return I;
+}
+
+HInstr ldg(RegId Dst, uint32_t Off, uint8_t Size) {
+  HInstr I = hi(HOp::LDG);
+  I.Dst = Dst, I.Off = Off, I.Size = Size;
+  return I;
+}
+
+HInstr alu1(Op O, RegId Dst, RegId A) {
+  HInstr I = hi(HOp::ALU1);
+  I.IrOp = O, I.Dst = Dst, I.A = A;
+  return I;
+}
+
+HInstr jz(RegId A, int32_t Label) {
+  HInstr I = hi(HOp::JZ);
+  I.A = A, I.Label = Label;
+  return I;
+}
+
+HInstr imark(uint32_t PC) {
+  HInstr I = hi(HOp::IMARK);
+  I.Imm = PC;
+  return I;
+}
+
+HInstr ldm(RegId Dst, RegId A) {
+  HInstr I = hi(HOp::LDM);
+  I.Dst = Dst, I.A = A, I.Size = 4;
+  return I;
+}
+
+/// The opcode bytes encode() wrote for \p HC, one per instruction.
+std::vector<uint8_t> opcodeBytes(const HostCode &HC) {
+  std::vector<uint8_t> Bytes = encode(HC), Ops;
+  EXPECT_TRUE(walkOpcodes(Bytes, [&](uint32_t, uint8_t Byte, HOp) {
+    Ops.push_back(Byte);
+  }));
+  EXPECT_EQ(Ops.size(), HC.Instrs.size());
+  return Ops;
+}
+
 bool isSpecialisedOp(Op O) {
   switch (O) {
 #define VG_HVM_X(Name) case Op::Name:
@@ -235,6 +287,31 @@ TEST(Exec, MemoryFaultReportsIMarkPC) {
   EXPECT_EQ(O.FaultPC, 0xABC0u);
   EXPECT_EQ(O.FaultAddr, 0x00990000u);
   EXPECT_FALSE(O.FaultWrite);
+
+  // A load that faults right after an IMARK-led group reports the PC of
+  // the group's (last) IMARK.
+  struct Case {
+    Group G;
+    std::vector<HInstr> Members;
+  };
+  const Case Cases[] = {
+      {Group::IMARK_IMARK, {imark(0xAB00), imark(0xABC4)}},
+      {Group::IMARK_LI_STG4, {imark(0xABC4), li(1, 7), stg(0, 1, 4)}},
+      {Group::IMARK_LDG4, {imark(0xABC4), ldg(1, 8, 4)}},
+  };
+  for (const Case &C : Cases) {
+    HostCode HC;
+    HC.Instrs = {imark(0xAAA0), li(2, 0x00990000)};
+    HC.Instrs.insert(HC.Instrs.end(), C.Members.begin(), C.Members.end());
+    HC.Instrs.push_back(ldm(3, 2));
+    HC.Instrs.push_back(exitTo(0));
+    EXPECT_EQ(opcodeBytes(HC)[2], byteOf(C.G));
+    alignas(8) uint8_t Gst[384] = {};
+    O = runHost(HC, Gst, Mem);
+    EXPECT_EQ(O.K, RunOutcome::Kind::Fault);
+    EXPECT_EQ(O.FaultPC, 0xABC4u) << unsigned(C.G);
+    EXPECT_EQ(O.FaultAddr, 0x00990000u);
+  }
 }
 
 TEST(Exec, StoreFaultReportsIMarkPC) {
@@ -553,6 +630,175 @@ TEST(Encode, EveryListedOpIsSpecialisedInEveryForm) {
     EXPECT_EQ(Got, evalOp(C.O, A, RHS))
         << opName(C.O) << " form " << unsigned(Expected);
   }
+}
+
+//===----------------------------------------------------------------------===//
+// Superinstruction groups
+//===----------------------------------------------------------------------===//
+
+/// One instance of each group, its members reading their predecessors'
+/// results, with its input registers h1 (the guard's condition) and gst[8]
+/// (the LDG4's source). The guard's JZ targets \p Target.
+struct GroupCase {
+  Group G;
+  std::vector<HInstr> Members;
+};
+
+std::vector<GroupCase> groupCases(int32_t Target) {
+  return {
+      {Group::LI_STG4, {li(2, 0x123456789Aull), stg(0, 2, 4)}},
+      {Group::GUARD,
+       {alu1(Op::U1to32, 2, 1), alu1(Op::CmpNEZ32, 3, 2), jz(3, Target)}},
+      {Group::IMARK_LI_STG4,
+       {imark(0x4000), li(2, 0xFFFFFFFF00000005ull), stg(4, 2, 4)}},
+      {Group::IMARK_LDG4, {imark(0x4000), ldg(2, 8, 4)}},
+      {Group::IMARK_IMARK, {imark(0x4000), imark(0x4004)}},
+  };
+}
+
+TEST(Encode, EachGroupGetsItsByteAndNearMissesDoNot) {
+  for (const GroupCase &C : groupCases(/*Target=*/3)) {
+    HostCode HC;
+    HC.Instrs = C.Members;
+    HC.Instrs.push_back(exitTo(0));
+    std::vector<uint8_t> Ops = opcodeBytes(HC);
+    ASSERT_EQ(Ops.size(), C.Members.size() + 1);
+    EXPECT_EQ(Ops[0], byteOf(C.G)) << unsigned(C.G);
+    // The lead decodes as itself, and the group covers all its members.
+    std::vector<uint8_t> Bytes = encode(HC);
+    OpcodeInfo Info = opcodeInfo(Ops[0]);
+    EXPECT_EQ(Info.Form, C.Members[0].Op);
+    EXPECT_EQ(Info.Lead, opcodeInfo(Info.Lead).Lead);
+    EXPECT_EQ(Info.GroupLen, Bytes.size() - opcodeInfo(Ops.back()).Len);
+    // Only the lead byte changes: the members keep the bytes they would
+    // have alone, which splitting the group with a MOV shows.
+    HostCode Split;
+    for (const HInstr &I : C.Members) {
+      Split.Instrs.push_back(I);
+      Split.Instrs.push_back(hi(HOp::MOV));
+      Split.Instrs.back().Dst = Split.Instrs.back().A = 9;
+    }
+    Split.Instrs.back() = exitTo(0);
+    for (HInstr &I : Split.Instrs)
+      if (I.Op == HOp::JZ)
+        I.Label = static_cast<int32_t>(Split.Instrs.size()) - 1;
+    std::vector<uint8_t> Alone = opcodeBytes(Split);
+    EXPECT_EQ(Info.Lead, Alone[0]);
+    for (size_t J = 1; J < C.Members.size(); ++J)
+      EXPECT_EQ(opcodeInfo(Ops[J]).Lead, Alone[2 * J]) << unsigned(C.G);
+  }
+
+  // Near misses keep their own bytes.
+  HInstr CmpOther = alu1(Op::CmpNEZ32, 3, 4); // reads h4, not the U1to32's h2
+  const std::vector<HInstr> Misses[] = {
+      {li(2, 5), stg(0, 3, 4)}, // the STG4 stores another register
+      {li(2, 5), stg(0, 2, 8)}, // an STG8
+      {imark(0x4000), ldm(2, 1)},
+      {imark(0x4000), li(2, 5), stg(0, 2, 8)},
+      {alu1(Op::U1to32, 2, 1), CmpOther, jz(3, 3)},
+      {alu1(Op::U1to32, 2, 1), alu1(Op::CmpNEZ32, 3, 2), jz(2, 3)},
+  };
+  for (const std::vector<HInstr> &Miss : Misses) {
+    HostCode HC;
+    HC.Instrs = Miss;
+    HC.Instrs.push_back(exitTo(0));
+    for (uint8_t Byte : opcodeBytes(HC))
+      EXPECT_LT(Byte, FirstGroupByte) << "lead " << unsigned(Miss[0].Op);
+  }
+}
+
+// Each group's handler does exactly what its members do one by one:
+// the same program with a no-op MOV between the members (so nothing is
+// fused) leaves the same registers and guest state, in both directions of
+// the guard's JZ.
+TEST(Exec, GroupsRunLikeTheirMembersSplit) {
+  constexpr uint32_t Dump = 160; // h0..h9 land in gst[160..240)
+  for (uint64_t Cond : {0ull, 1ull, 2ull, 0xFFFFFFFFFFFFFFFFull}) {
+    for (size_t Idx = 0; Idx != groupCases(0).size(); ++Idx) {
+      alignas(8) uint8_t Result[2][384];
+      for (bool Fused : {true, false}) {
+        HostCode HC;
+        // h0..h9 start as distinct patterns, so an unwritten register or
+        // one written with the wrong value shows in the dump.
+        for (RegId R = 0; R != 10; ++R)
+          HC.Instrs.push_back(li(R, 0xA5A5A5A500000000ull | (R * 0x1111)));
+        HC.Instrs.push_back(li(1, Cond));
+        GroupCase C = groupCases(0)[Idx];
+        for (const HInstr &I : C.Members) {
+          HC.Instrs.push_back(I);
+          if (!Fused && &I != &C.Members.back()) {
+            HC.Instrs.push_back(hi(HOp::MOV));
+            HC.Instrs.back().Dst = HC.Instrs.back().A = 9;
+          }
+        }
+        // On the fall-through path only: h5 and gst[248] change.
+        HC.Instrs.push_back(li(5, 0x77));
+        HC.Instrs.push_back(stg(248, 5, 8));
+        int32_t Label = static_cast<int32_t>(HC.Instrs.size());
+        for (HInstr &I : HC.Instrs)
+          if (I.Op == HOp::JZ)
+            I.Label = Label;
+        for (RegId R = 0; R != 10; ++R)
+          HC.Instrs.push_back(stg(Dump + 8 * R, R, 8));
+        HC.Instrs.push_back(exitTo(0));
+
+        std::vector<uint8_t> Ops = opcodeBytes(HC);
+        bool SawGroup = std::count(Ops.begin(), Ops.end(), byteOf(C.G)) != 0;
+        EXPECT_EQ(SawGroup, Fused) << unsigned(C.G);
+
+        alignas(8) uint8_t *Gst = Result[Fused];
+        std::memset(Gst, 0xCC, 384);
+        uint32_t Src = 0x89ABCDEF;
+        std::memcpy(Gst + 8, &Src, 4);
+        GuestMemory Mem;
+        RunOutcome O = runHost(HC, Gst, Mem);
+        EXPECT_EQ(O.K, RunOutcome::Kind::BlockEnd);
+      }
+      EXPECT_EQ(std::memcmp(Result[0], Result[1], 384), 0)
+          << "group " << Idx << ", condition 0x" << std::hex << Cond;
+    }
+  }
+}
+
+// A JZ may land on the second member of a group: that member, not the
+// group, runs from there, and the rest of the block runs as encoded.
+TEST(Exec, JumpIntoTheMiddleOfAGroup) {
+  // LI h2, 0x55; STG4 gst[0], h2 is a group; landing on its STG4 stores
+  // the h2 the LI never wrote.
+  HostCode A;
+  A.Instrs = {li(2, 0x77), li(1, 0), jz(1, 4), li(2, 0x55), stg(0, 2, 4),
+              exitTo(0)};
+  ASSERT_EQ(opcodeBytes(A)[3], byteOf(Group::LI_STG4));
+  alignas(8) uint8_t Gst[384] = {};
+  GuestMemory Mem;
+  runHost(A, Gst, Mem);
+  uint32_t V;
+  std::memcpy(&V, Gst, 4);
+  EXPECT_EQ(V, 0x77u);
+
+  // The guard U1to32 h2, h3; CmpNEZ32 h4, h2; JZ h4: landing on its
+  // CmpNEZ32 with h2 = 6 tests h2 itself (non-zero: fall through), where
+  // the group from its lead would have tested U1to32(h3) = 0.
+  HostCode B;
+  B.Instrs = {li(2, 6),
+              li(3, 0),
+              li(1, 0),
+              jz(1, 5),
+              alu1(Op::U1to32, 2, 3),
+              alu1(Op::CmpNEZ32, 4, 2),
+              jz(4, 9),
+              li(5, 0x99),
+              stg(0, 5, 8),
+              stg(8, 4, 8),
+              exitTo(0)};
+  ASSERT_EQ(opcodeBytes(B)[4], byteOf(Group::GUARD));
+  std::memset(Gst, 0, sizeof(Gst));
+  runHost(B, Gst, Mem);
+  uint64_t W;
+  std::memcpy(&W, Gst, 8);
+  EXPECT_EQ(W, 0x99u) << "the fall-through path did not run";
+  std::memcpy(&W, Gst + 8, 8);
+  EXPECT_EQ(W, 1u) << "CmpNEZ32 h4, h2 with h2 = 6";
 }
 
 TEST(Encode, DecoderRejectsBytesTheEncoderNeverWrites) {

@@ -400,10 +400,12 @@ std::string hashHex(const std::string &S) {
 }
 
 /// The host code resident at the end of a run, in guest-address order,
-/// with each CALL's callee field (a host ir::Callee pointer, different in
-/// every build) replaced by the callee's name. A block with an SMC prelude
-/// fails the test: the prelude embeds the address of its own Translation,
-/// so its bytes change from run to run.
+/// with each superinstruction group's byte mapped back to its lead
+/// instruction's own byte (grouping changes which handler runs, not the
+/// code), and each CALL's callee field (a host ir::Callee pointer,
+/// different in every build) replaced by the callee's name. A block with
+/// an SMC prelude fails the test: the prelude embeds the address of its
+/// own Translation, so its bytes change from run to run.
 std::string residentCode(TransTab &TT, const std::string &Run) {
   std::vector<const Translation *> Ts;
   TT.forEach([&](const Translation &T) { Ts.push_back(&T); });
@@ -414,9 +416,12 @@ std::string residentCode(TransTab &TT, const std::string &Run) {
   std::string Norm;
   std::vector<uint32_t> Slots;
   for (const Translation *T : Ts) {
-    const std::vector<uint8_t> &Bytes = T->Blob.Bytes;
+    std::vector<uint8_t> Bytes = T->Blob.Bytes;
     Norm += "@" + std::to_string(T->Addr) + "/" + std::to_string(T->Tier) +
             "/" + std::to_string(T->Blob.NumSpillSlots) + ":";
+    hvm::walkOpcodes(Bytes, [&](uint32_t Off, uint8_t Byte, hvm::HOp) {
+      Bytes[Off] = hvm::opcodeInfo(Byte).Lead;
+    });
     EXPECT_TRUE(hvm::findCalleeSlots(Bytes, Slots)) << Run;
     size_t Pos = 0;
     for (uint32_t Off : Slots) {

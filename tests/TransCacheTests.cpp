@@ -15,6 +15,7 @@
 #include "core/TransCache.h"
 #include "core/TranslationService.h"
 #include "guestlib/GuestLib.h"
+#include "hvm/HostVM.h"
 #include "tools/Memcheck.h"
 #include "tools/Nulgrind.h"
 #include "workloads/Workloads.h"
@@ -25,8 +26,10 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <thread>
 
 #include <unistd.h>
@@ -305,6 +308,216 @@ TEST(TransCache, ZeroLengthEntryIsMalformed) {
   ASSERT_NE(T, nullptr);
   EXPECT_EQ(Warm.XS.jitStats().CacheHits, 0u);
   EXPECT_EQ(Warm.XS.jitStats().CacheRejects, 1u);
+}
+
+//===----------------------------------------------------------------------===//
+// Operand checks: a checksum-valid blob that would take the executor
+// outside the guest state, the spill frame or the blob is Malformed
+//===----------------------------------------------------------------------===//
+
+using hvm::HInstr;
+using hvm::HOp;
+
+HInstr hinstr(HOp Op, hvm::RegId Dst = hvm::NoReg, hvm::RegId A = hvm::NoReg) {
+  HInstr I;
+  I.Op = Op, I.Dst = Dst, I.A = A;
+  return I;
+}
+
+HInstr exitInstr() {
+  HInstr I = hinstr(HOp::EXITI);
+  I.Imm = 0x1004, I.ChainSlot = 0;
+  return I;
+}
+
+/// Encodes \p Instrs, lets \p Patch rewrite the bytes (it gets the byte
+/// offset of each instruction), and decodes the result as an otherwise
+/// valid, checksummed entry.
+TransCache::LoadResult
+decodeCrafted(std::vector<HInstr> Instrs,
+              const std::function<void(std::vector<uint8_t> &,
+                                       const std::vector<uint32_t> &)> &Patch,
+              uint32_t NumSpillSlots = 1) {
+  hvm::HostCode HC;
+  HC.Instrs = std::move(Instrs);
+  TransCacheEntry E;
+  E.Addr = 0x1000;
+  E.NumInsns = 1;
+  E.Extents = {{0x1000, 0x1004}};
+  E.NumSpillSlots = NumSpillSlots;
+  E.NumChainSlots = 1;
+  E.ChainTargets = {0x1004};
+  E.Bytes = hvm::encode(HC);
+  std::vector<uint32_t> Starts;
+  EXPECT_TRUE(hvm::walkOpcodes(E.Bytes, [&](uint32_t Off, uint8_t, HOp) {
+    Starts.push_back(Off);
+  }));
+  Patch(E.Bytes, Starts);
+  std::vector<uint8_t> File;
+  EXPECT_TRUE(TransCache::encodeEntryFile(/*ConfigHash=*/1, /*Key=*/2, E,
+                                          File));
+  TransCacheEntry Out;
+  return TransCache::decodeEntryFile(File, 1, 2, Out,
+                                     /*ResolveCallees=*/true);
+}
+
+void writeU32(std::vector<uint8_t> &B, uint32_t Off, uint32_t V) {
+  std::memcpy(B.data() + Off, &V, 4);
+}
+
+auto NoPatch = [](std::vector<uint8_t> &, const std::vector<uint32_t> &) {};
+constexpr auto Found = TransCache::LoadResult::Found;
+constexpr auto Malformed = TransCache::LoadResult::Malformed;
+
+TEST(TransCacheOperands, RegisterBytesAreHostRegisters) {
+  HInstr Ld = hinstr(HOp::LDG, /*Dst=*/1);
+  Ld.Size = 4;
+  std::vector<HInstr> Code = {Ld, exitInstr()};
+  EXPECT_EQ(decodeCrafted(Code, NoPatch), Found);
+  for (uint8_t Reg : {16, 0x40, 0xFF})
+    EXPECT_EQ(decodeCrafted(Code,
+                            [&](std::vector<uint8_t> &B,
+                                const std::vector<uint32_t> &At) {
+                              B[At[0] + 1] = Reg; // LDG's destination
+                            }),
+              Malformed)
+        << unsigned(Reg);
+}
+
+TEST(TransCacheOperands, GuestStateAccessesEndInsideTheGuestState) {
+  HInstr St = hinstr(HOp::STG, hvm::NoReg, /*A=*/1);
+  St.Size = 4;
+  St.Off = vg1::gso::TotalSize - 4;
+  std::vector<HInstr> Code = {St, exitInstr()};
+  EXPECT_EQ(decodeCrafted(Code, NoPatch), Found);
+  for (uint32_t Off : {vg1::gso::TotalSize - 3, 0x7fffff00u})
+    EXPECT_EQ(decodeCrafted(Code,
+                            [&](std::vector<uint8_t> &B,
+                                const std::vector<uint32_t> &At) {
+                              writeU32(B, At[0] + 2, Off);
+                            }),
+              Malformed)
+        << Off;
+}
+
+TEST(TransCacheOperands, OpcodeBytesAgreeWithTheirSizeAndOpFields) {
+  // An STG4 byte whose size field says 8, and a generic ALU whose ir::Op
+  // is no op at all.
+  HInstr St = hinstr(HOp::STG, hvm::NoReg, /*A=*/1);
+  St.Size = 4;
+  EXPECT_EQ(decodeCrafted({St, exitInstr()},
+                          [](std::vector<uint8_t> &B,
+                             const std::vector<uint32_t> &At) {
+                            B[At[0] + 6] = 8;
+                          }),
+            Malformed);
+  HInstr Alu = hinstr(HOp::ALU, /*Dst=*/1, /*A=*/2);
+  Alu.B = 3, Alu.IrOp = ir::Op::Sub64; // not specialised: a generic byte
+  std::vector<HInstr> Code = {Alu, exitInstr()};
+  EXPECT_EQ(decodeCrafted(Code, NoPatch), Found);
+  EXPECT_EQ(decodeCrafted(Code,
+                          [](std::vector<uint8_t> &B,
+                             const std::vector<uint32_t> &At) {
+                            B[At[0] + 1] = 0xFF, B[At[0] + 2] = 0x7F;
+                          }),
+            Malformed);
+}
+
+TEST(TransCacheOperands, SpillSlotsAreInsideTheFrame) {
+  HInstr Sp = hinstr(HOp::SPILL, hvm::NoReg, /*A=*/1);
+  Sp.Off = 3;
+  std::vector<HInstr> Code = {Sp, exitInstr()};
+  EXPECT_EQ(decodeCrafted(Code, NoPatch, /*NumSpillSlots=*/4), Found);
+  EXPECT_EQ(decodeCrafted(Code, NoPatch, /*NumSpillSlots=*/3), Malformed);
+  EXPECT_EQ(decodeCrafted(Code,
+                          [](std::vector<uint8_t> &B,
+                             const std::vector<uint32_t> &At) {
+                            writeU32(B, At[0] + 2, 0x40000000);
+                          },
+                          /*NumSpillSlots=*/4),
+            Malformed);
+  // More slots than the executor's frame holds.
+  Sp.Off = 0;
+  EXPECT_EQ(decodeCrafted({Sp, exitInstr()}, NoPatch,
+                          /*NumSpillSlots=*/100000),
+            Malformed);
+}
+
+TEST(TransCacheOperands, CallsTakeAtMostFourArguments) {
+  HInstr Call = hinstr(HOp::CALL); // no result: its register byte is 0xFF
+  Call.CalleeFn = ir::findCalleeByName("vg1_calc_cond");
+  ASSERT_NE(Call.CalleeFn, nullptr);
+  Call.NArgs = 4;
+  for (hvm::RegId J = 0; J != 4; ++J)
+    Call.Args[J] = J;
+  std::vector<HInstr> Code = {Call, exitInstr()};
+  EXPECT_EQ(decodeCrafted(Code, NoPatch), Found);
+  EXPECT_EQ(decodeCrafted(Code,
+                          [](std::vector<uint8_t> &B,
+                             const std::vector<uint32_t> &At) {
+                            B[At[0] + 10] = 5; // NArgs
+                          }),
+            Malformed);
+}
+
+TEST(TransCacheOperands, JumpsLandOnALaterInstruction) {
+  HInstr Jz = hinstr(HOp::JZ, hvm::NoReg, /*A=*/1);
+  Jz.Label = 2;
+  std::vector<HInstr> Code = {hinstr(HOp::MOV, 1, 1), Jz, exitInstr(),
+                              exitInstr()};
+  EXPECT_EQ(decodeCrafted(Code, NoPatch), Found);
+  // Into the middle of an exit, past the end, and back to the start.
+  for (int Where : {1, 100, -1})
+    EXPECT_EQ(decodeCrafted(Code,
+                            [&](std::vector<uint8_t> &B,
+                                const std::vector<uint32_t> &At) {
+                              uint32_t Target = Where < 0   ? At[0]
+                                                : Where > 50 ? 1000
+                                                             : At[3] + 1;
+                              writeU32(B, At[1] + 2, Target);
+                            }),
+              Malformed)
+        << Where;
+}
+
+TEST(TransCacheOperands, BlobsEndInAnExit) {
+  std::vector<HInstr> Code = {hinstr(HOp::MOV, 1, 1), exitInstr()};
+  EXPECT_EQ(decodeCrafted(Code, NoPatch), Found);
+  Code.pop_back();
+  EXPECT_EQ(decodeCrafted(Code, NoPatch), Malformed);
+  HInstr ExitR = hinstr(HOp::EXITR, hvm::NoReg, /*A=*/1);
+  Code.push_back(ExitR);
+  EXPECT_EQ(decodeCrafted(Code, NoPatch), Found);
+}
+
+TEST(TransCacheOperands, GroupBytesAreFollowedByTheirMembers) {
+  // LI h1, 5; STG4 gst[0], h1 encodes as a group; storing h2 instead
+  // breaks the register chain its handler relies on.
+  HInstr Li = hinstr(HOp::LI, /*Dst=*/1);
+  Li.Imm = 5;
+  HInstr St = hinstr(HOp::STG, hvm::NoReg, /*A=*/1);
+  St.Size = 4;
+  std::vector<HInstr> Code = {Li, St, exitInstr()};
+  EXPECT_EQ(decodeCrafted(Code, NoPatch), Found);
+  EXPECT_EQ(decodeCrafted(Code,
+                          [](std::vector<uint8_t> &B,
+                             const std::vector<uint32_t> &At) {
+                            B[At[1] + 1] = 2;
+                          }),
+            Malformed);
+}
+
+TEST(TransCacheOperands, ShadowProbeStoresHaveAValueRegister) {
+  HInstr Probe = hinstr(HOp::SHPROBE, /*Dst=*/1, /*A=*/2);
+  Probe.B = 3, Probe.Imm = 1, Probe.Size = 4; // the store form
+  std::vector<HInstr> Code = {Probe, exitInstr()};
+  EXPECT_EQ(decodeCrafted(Code, NoPatch), Found);
+  EXPECT_EQ(decodeCrafted(Code,
+                          [](std::vector<uint8_t> &B,
+                             const std::vector<uint32_t> &At) {
+                            B[At[0] + 3] = 0xFF;
+                          }),
+            Malformed);
 }
 
 //===----------------------------------------------------------------------===//
