@@ -121,7 +121,7 @@ bool measure(const GuestImage &Img, Tool &T,
   bool Ok = E.K == CoreExit::Kind::Exited &&
             C.kernel().stdoutText() == NativeStdout;
   C.transTab().forEach([&](const Translation &Tr) {
-    double W = static_cast<double>(Tr.ExecCount);
+    double W = static_cast<double>(Tr.Blob.ExecCount);
     M.Guest += W * Tr.NumInsns;
     uint32_t GroupEnd = 0; // members before this ran in their group
     int Prev = -1;         // the previous dispatch's byte, if it falls through

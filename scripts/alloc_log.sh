@@ -13,11 +13,16 @@
 # where the harness reads /proc/self/status (the peak-RSS read, after the
 # timed passes and before memcheck-long's shape-check pass), and the first
 # event that differs, if any, with its distance from that read and from
-# the end of the log. The result line's JSON is built after the last Core
-# is freed, and its string sizes follow the printed numbers, so a
-# difference there (a few dozen events after the read, or after the
-# shape-check pass on memcheck-long) is expected; only the workload's
-# programs are freed after it.
+# the end of the log.
+#
+# A workload passes when its two logs agree through the /proc/self/status
+# read: nothing after it can move peak_rss_mb. A later difference is still
+# printed. The result line's JSON is built after the last Core is freed and
+# its string sizes follow the printed numbers, so a binary run against
+# itself differs there (a few dozen events after the read, or after the
+# shape-check pass on memcheck-long). The script exits 0 when every
+# workload passes and then deletes its logs; otherwise it exits 1 and
+# keeps them in the directory it prints.
 #
 # Build the two binaries from two checkouts, e.g. for the parent commit:
 #   git archive HEAD~1 | tar -x -C /tmp/parent
@@ -25,8 +30,7 @@
 #       -DCMAKE_BUILD_TYPE=RelWithDebInfo
 #   cmake --build /tmp/parent-bench --target vgbench -j4
 # and the same for this checkout (or use .bench_build/perfbench/vgbench
-# after `python3 perfbench/run.py ...`). The logs stay in the printed
-# directory for inspection.
+# after `python3 perfbench/run.py ...`).
 set -eu
 
 if [ $# -lt 2 ]; then
@@ -40,7 +44,6 @@ WORKLOADS=${*:-nulgrind-long memcheck-long memcheck-short}
 
 OUT=$(mktemp -d "${TMPDIR:-/tmp}/alloc-log.XXXXXX")
 cc -O2 -shared -fPIC -o "$OUT/shim.so" "$(dirname "$0")/alloc_log_shim.c" -ldl
-echo "alloc_log: logs in $OUT"
 
 STATUS=0
 for W in $WORKLOADS; do
@@ -50,6 +53,7 @@ for W in $WORKLOADS; do
         --workload "$W" --seed 1 --seconds 0.001 --trace 0 \
         >"$OUT/$W.$SIDE.out" 2>&1 || {
       echo "$W: $SIDE vgbench failed; see $OUT/$W.$SIDE.out" >&2
+      echo "alloc_log: logs kept in $OUT" >&2
       exit 1
     }
   done
@@ -62,28 +66,35 @@ for W in $WORKLOADS; do
       return (n - status) " events after the /proc/self/status read, " \
           (TOTAL - n) " before the end of the parent log"
     }
+    # Reports the first difference; it fails the workload only before the
+    # status read.
+    function differ(n, what) {
+      printf "%s: %s at event %d (%s): %s\n", W, \
+          status ? "identical through the /proc/self/status read; first difference" \
+                 : "first difference", n, where(n), what
+      exit status ? 0 : 1
+    }
     BEGIN {
       n = 0
       status = 0
       while ((ra = (getline a < A)) > 0) {
         rb = (getline b < B)
         n++
-        if (rb <= 0) {
-          printf "%s: first difference at event %d (%s): parent \"%s\", change has no more events\n", W, n, where(n), a
-          exit 1
-        }
-        if (a != b) {
-          printf "%s: first difference at event %d (%s): parent \"%s\", change \"%s\"\n", W, n, where(n), a, b
-          exit 1
-        }
+        if (rb <= 0)
+          differ(n, "parent \"" a "\", change has no more events")
+        if (a != b)
+          differ(n, "parent \"" a "\", change \"" b "\"")
         if (a == "S" && !status)
           status = n
       }
-      if ((getline b < B) > 0) {
-        printf "%s: first difference at event %d (%s): parent has no more events, change \"%s\"\n", W, n + 1, where(n + 1), b
-        exit 1
-      }
+      if ((getline b < B) > 0)
+        differ(n + 1, "parent has no more events, change \"" b "\"")
       printf "%s: identical, %d events (/proc/self/status read at event %d)\n", W, n, status
     }' || STATUS=1
 done
+if [ $STATUS -eq 0 ]; then
+  rm -rf "$OUT"
+else
+  echo "alloc_log: logs kept in $OUT" >&2
+fi
 exit $STATUS

@@ -32,8 +32,10 @@ Translation *DispatchLoop::findOrTranslate(uint32_t PC) {
   }
   ++C.Stats.FastCacheMisses;
   Translation *T = C.TT.lookup(PC);
-  if (!T)
+  if (!T) {
     T = C.XS->translateSync(PC, /*Hot=*/false);
+    T->Blob.CheckPoint = checkPoint(*T);
+  }
   if (FastCacheGen != C.TT.generation()) {
     std::fill(FastCache.begin(), FastCache.end(), FastCacheEntry{});
     FastCacheGen = C.TT.generation();
@@ -51,11 +53,13 @@ Translation *DispatchLoop::promoteHot(uint32_t PC) {
   double T0 = steadySeconds();
   Translation *T = C.XS->translateSync(PC, /*Hot=*/true);
   C.XS->noteSyncPromotion(steadySeconds() - T0);
+  T->Blob.CheckPoint = checkPoint(*T);
   return T;
 }
 
 void DispatchLoop::promotionInstalled(Translation *T, uint64_t GenBefore) {
   ++C.Stats.TracesFormed;
+  T->Blob.CheckPoint = checkPoint(*T);
   if (C.TT.generation() == GenBefore + 1) {
     // Only the replaced tier-1 head died in the insert: repair its
     // fast-cache line surgically, exactly as the hot promotion path does.
@@ -81,15 +85,15 @@ TraceSpec DispatchLoop::selectTracePath(Translation *Head) {
   while (Spec.Entries.size() < C.TraceMaxBlocks) {
     Translation *Best = nullptr;
     uint64_t BestEdge = 0;
-    for (size_t I = 0; I != Cur->Chain.size(); ++I) {
-      Translation *Succ = Cur->Chain[I];
-      uint64_t Edge = I < Cur->EdgeExecs.size() ? Cur->EdgeExecs[I] : 0;
+    for (uint32_t I = 0; I != Cur->Blob.Chain.size(); ++I) {
+      Translation *Succ = Cur->succ(I);
+      uint64_t Edge = Cur->Blob.EdgeExecs[I];
       if (Succ && Succ->Tier == 1 && Edge > BestEdge) {
         Best = Succ;
         BestEdge = Edge;
       }
     }
-    if (!Best || BestEdge * 4 < Cur->ExecCount * 3)
+    if (!Best || BestEdge * 4 < Cur->Blob.ExecCount * 3)
       break;
     auto It = std::find(Spec.Entries.begin(), Spec.Entries.end(),
                         Best->Addr);
@@ -106,19 +110,31 @@ TraceSpec DispatchLoop::selectTracePath(Translation *Head) {
   return Spec;
 }
 
-const hvm::CodeBlob *DispatchLoop::chainResolveThunk(void *User, void *Cookie,
-                                                     uint32_t Slot) {
+uint64_t DispatchLoop::checkPoint(const Translation &T) const {
+  // A trace's exits count side exits and its entries count TraceExecs, and
+  // --profile counts every entry: those transfers all go through the thunk.
+  if (C.Prof || T.Tier == 2)
+    return 0;
+  if (T.Tier == 0 && C.HotThreshold)
+    return C.HotThreshold;
+  if (T.Tier == 1 && C.TraceTier)
+    return std::max(C.effTraceThreshold(), T.TraceRetryAt);
+  return hvm::NoCheckPoint;
+}
+
+hvm::CodeBlob *DispatchLoop::chainResolveThunk(void *User, void *Cookie,
+                                               uint32_t Slot) {
   DispatchLoop *D = static_cast<DispatchLoop *>(User);
   Core &C = D->C;
   auto *T = static_cast<Translation *>(Cookie);
   // Side-exit accounting: a tier-2 exit through any slot other than the
   // terminal one means a guarded speculation failed and the trace bailed
   // to a constituent. (Counted here because with chaining on — a trace-
-  // formation precondition — every constant Boring exit consults this
-  // thunk whether or not the slot is filled.)
+  // formation precondition — every constant Boring exit of a trace calls
+  // back whether or not the slot is filled: its check point is 0.)
   if (T->Tier == 2 && Slot != T->Blob.TerminalChainSlot)
     ++C.Stats.TraceSideExits;
-  Translation *Succ = Slot < T->Chain.size() ? T->Chain[Slot] : nullptr;
+  Translation *Succ = T->succ(Slot);
   if (!Succ)
     return nullptr;
   // Hotness accounting happens here too, or chained loops would never
@@ -129,7 +145,7 @@ const hvm::CodeBlob *DispatchLoop::chainResolveThunk(void *User, void *Cookie,
   // the dispatcher, which selects the path and stitches there — never from
   // inside a chain. TraceRetryAt keeps a head whose chain graph proved
   // unbiased from bouncing every transfer.
-  uint64_t Execs = Succ->ExecCount + 1;
+  uint64_t Execs = Succ->Blob.ExecCount + 1;
   if ((C.HotThreshold && Succ->Tier == 0 && Execs >= C.HotThreshold) ||
       (C.TraceTier && Succ->Tier == 1 && Execs >= C.effTraceThreshold() &&
        Execs >= Succ->TraceRetryAt)) {
@@ -141,10 +157,8 @@ const hvm::CodeBlob *DispatchLoop::chainResolveThunk(void *User, void *Cookie,
           FastCacheEntry{Succ->Addr, Succ};
     return nullptr;
   }
-  Succ->ExecCount = Execs;
-  if (Slot < T->EdgeExecs.size())
-    ++T->EdgeExecs[Slot];
-  ++C.Stats.ChainedTransfers;
+  Succ->Blob.ExecCount = Execs;
+  ++T->Blob.EdgeExecs[Slot];
   if (Succ->Tier == 2)
     ++C.Stats.TraceExecs;
   if (C.Prof)
@@ -229,15 +243,14 @@ void DispatchLoop::dispatchLoop(ThreadState &TS, uint64_t &Quantum,
         C.TT.chainTo(Prev, LastSlot, T);
         // A dispatcher-mediated traversal of this edge (unfilled slot or a
         // thunk bounce) is edge-profile evidence just like a chained one.
-        if (LastSlot < Prev->EdgeExecs.size())
-          ++Prev->EdgeExecs[LastSlot];
+        ++Prev->Blob.EdgeExecs[LastSlot];
       }
     }
     LastCookie = nullptr;
     LastSlot = ~0u;
 
     // Hotness tier: promote once a block has proven itself.
-    uint64_t Execs = ++T->ExecCount;
+    uint64_t Execs = ++T->Blob.ExecCount;
     if (T->Tier == 2)
       ++C.Stats.TraceExecs;
     if (C.Prof)
@@ -260,7 +273,7 @@ void DispatchLoop::dispatchLoop(ThreadState &TS, uint64_t &Quantum,
     // profit mechanism) and runs only at this boundary — never inside a
     // chain, where an install could evict code being executed.
     // Re-read the exec count: the promotion above may have replaced T.
-    uint64_t TExecs = T->ExecCount;
+    uint64_t TExecs = T->Blob.ExecCount;
     if (C.TraceTier && C.ChainingEnabled && T->Tier == 1 &&
         TExecs >= C.effTraceThreshold() && TExecs >= T->TraceRetryAt) {
       TraceSpec Spec = selectTracePath(T);
@@ -268,11 +281,13 @@ void DispatchLoop::dispatchLoop(ThreadState &TS, uint64_t &Quantum,
           Spec.Entries.size() >= 2 ? C.XS->translateTrace(Spec) : nullptr;
       if (NT)
         T = NT; // the old T was replaced by the insert: run the trace now
-      else
+      else {
         // No dominant successor (the chain graph is unbiased at the head)
         // or spill overflow: back off exponentially rather than re-walking
         // the graph every entry.
         T->TraceRetryAt = TExecs * 2;
+        T->Blob.CheckPoint = checkPoint(*T);
+      }
     }
 
     // The chain budget is Quantum - 1 (this dispatch itself is one block);
@@ -283,6 +298,7 @@ void DispatchLoop::dispatchLoop(ThreadState &TS, uint64_t &Quantum,
         (C.ChainingEnabled && Quantum > 0) ? Quantum - 1 : 0;
     hvm::RunOutcome O = Exec.run(T->Blob, ChainBudget);
     C.Stats.BlocksDispatched += O.BlocksExecuted;
+    C.Stats.ChainedTransfers += O.BlocksExecuted - 1;
     Quantum -= std::min<uint64_t>(Quantum, O.BlocksExecuted);
 
     if (O.K == hvm::RunOutcome::Kind::Fault) {

@@ -76,8 +76,18 @@ private:
   /// top of the dispatch loop.
   void injectBoundaryFaults(ThreadState &TS);
 
-  static const hvm::CodeBlob *chainResolveThunk(void *User, void *Cookie,
-                                                uint32_t Slot);
+  /// The entry count at which a chained entry into \p T must call back
+  /// into chainResolveThunk (hvm::CodeBlob::CheckPoint): where the thunk
+  /// would bounce it to the dispatcher (hot promotion at tier 0, trace
+  /// formation at tier 1), or at once where every transfer needs the
+  /// thunk's bookkeeping (a trace, or --profile). Set when a translation
+  /// is made and wherever TraceRetryAt changes; a value below the true one
+  /// would only cost extra calls, never change a count.
+  uint64_t checkPoint(const Translation &T) const;
+
+  /// The executor's check-point callback (hvm::ChainResolveFn).
+  static hvm::CodeBlob *chainResolveThunk(void *User, void *Cookie,
+                                          uint32_t Slot);
 
   Core &C;
 

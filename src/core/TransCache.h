@@ -30,12 +30,17 @@
 ///    too (hvm::checkOperands): every opcode byte is one the encoder
 ///    writes, agrees with its size and op fields, and is followed by its
 ///    group's members; registers, guest-state offsets, spill slots and
-///    call arities are in range; every JZ lands on a later instruction; and
-///    the blob ends in an exit. A blob that passes cannot make the
-///    executor touch host memory outside the guest state, the spill frame
-///    and its registers. What it computes is not checked: a well-formed
-///    blob with the wrong semantics for its guest code still installs,
-///    which is why a cache directory must be as trusted as the binary.
+///    call arities are in range; every JZ lands on a later instruction;
+///    the blob ends in an exit; every jump kind is a real one; and the
+///    exits take the entry's chain slots one each, in order, each slot's
+///    target being its exit's PC when the exit is Boring and NoChainTarget
+///    otherwise. A blob that passes cannot make the executor touch host
+///    memory outside the guest state, the spill frame, its registers and
+///    the translation's chain slots, and a slot the table links by its
+///    target leads where the exit says. What it computes is not checked: a
+///    well-formed blob with the wrong semantics for its guest code still
+///    installs, which is why a cache directory must be as trusted as the
+///    binary.
 ///  - Writes go to a temporary file and are renamed into place, so a
 ///    crashed writer leaves no half-written entry under the real name.
 ///

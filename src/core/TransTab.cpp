@@ -206,14 +206,15 @@ void TransTab::removeWaiter(uint32_t Target, const Translation *From,
 }
 
 void TransTab::chainTo(Translation *From, uint32_t Slot, Translation *To) {
-  if (!From || !To || To->NoChainIn || Slot >= From->Chain.size())
+  if (!From || !To || To->NoChainIn || Slot >= From->Blob.Chain.size())
     return;
-  if (From->Chain[Slot] == To)
+  hvm::CodeBlob *&Link = From->Blob.Chain[Slot];
+  if (Link == &To->Blob)
     return;
-  assert(!From->Chain[Slot] && "chain slot already linked elsewhere");
+  assert(!Link && "chain slot already linked elsewhere");
   if (Slot < From->Blob.ChainTargets.size())
     removeWaiter(From->Blob.ChainTargets[Slot], From, Slot);
-  From->Chain[Slot] = To;
+  Link = &To->Blob;
   To->ChainedFrom.push_back(From);
   ++S.ChainsFilled;
 }
@@ -221,7 +222,7 @@ void TransTab::chainTo(Translation *From, uint32_t Slot, Translation *To) {
 void TransTab::linkChains(Translation *T) {
   // Outgoing: link against resident successors, park waiters otherwise.
   const std::vector<uint32_t> &Targets = T->Blob.ChainTargets;
-  for (uint32_t Slot = 0; Slot != T->Chain.size(); ++Slot) {
+  for (uint32_t Slot = 0; Slot != T->Blob.Chain.size(); ++Slot) {
     if (Slot >= Targets.size() || Targets[Slot] == hvm::NoChainTarget)
       continue;
     if (Translation *Succ = find(Targets[Slot]))
@@ -244,9 +245,9 @@ void TransTab::unlinkChains(Translation *T) {
   // Incoming edges: null every predecessor slot pointing at T and re-park
   // it, so a retranslation of T->Addr relinks the predecessors eagerly.
   for (Translation *P : T->ChainedFrom) {
-    for (uint32_t Slot = 0; Slot != P->Chain.size(); ++Slot) {
-      if (P->Chain[Slot] == T) {
-        P->Chain[Slot] = nullptr;
+    for (uint32_t Slot = 0; Slot != P->Blob.Chain.size(); ++Slot) {
+      if (P->Blob.Chain[Slot] == &T->Blob) {
+        P->Blob.Chain[Slot] = nullptr;
         ++S.Unchains;
         Pending[T->Addr].push_back({P, Slot});
       }
@@ -256,13 +257,13 @@ void TransTab::unlinkChains(Translation *T) {
   // Outgoing edges: drop our back-edges from successors; cancel waiters
   // for slots that never linked.
   const std::vector<uint32_t> &Targets = T->Blob.ChainTargets;
-  for (uint32_t Slot = 0; Slot != T->Chain.size(); ++Slot) {
-    if (Translation *Succ = T->Chain[Slot]) {
+  for (uint32_t Slot = 0; Slot != T->Blob.Chain.size(); ++Slot) {
+    if (Translation *Succ = T->succ(Slot)) {
       auto &BF = Succ->ChainedFrom;
       auto It = std::find(BF.begin(), BF.end(), T);
       if (It != BF.end())
         BF.erase(It);
-      T->Chain[Slot] = nullptr;
+      T->Blob.Chain[Slot] = nullptr;
     } else if (Slot < Targets.size() &&
                Targets[Slot] != hvm::NoChainTarget) {
       removeWaiter(Targets[Slot], T, Slot);

@@ -32,19 +32,21 @@
 
 namespace vg {
 
-/// One stored translation.
+/// One stored translation. Its chain state (successor slots, per-slot
+/// EdgeExecs, the entry count ExecCount that drives hot-tier promotion,
+/// and the check point) lives in the blob, where the executor keeps it.
 struct Translation {
   uint32_t Addr = 0;     ///< guest entry address
-  hvm::CodeBlob Blob;    ///< encoded host code (Blob.Cookie == this)
+  uint32_t NumInsns = 0;
+  /// Encoded host code (Blob.Cookie == this). Its chain slots are filled
+  /// eagerly by TransTab when the successor exists; otherwise parked as a
+  /// pending waiter and filled on the successor's insertion.
+  hvm::CodeBlob Blob;
   /// Guest ranges the translation was made from (for invalidation and SMC
   /// hashing; more than one when branches were chased).
   std::vector<std::pair<uint32_t, uint32_t>> Extents;
   uint64_t CodeHash = 0; ///< FNV-1a over the original guest bytes
-  uint32_t NumInsns = 0;
   uint64_t Seq = 0; ///< insertion order (FIFO eviction key)
-  /// Times the block was entered (dispatcher entries plus chained
-  /// transfers); drives hot-tier promotion.
-  uint64_t ExecCount = 0;
   /// 0 = baseline block, 1 = hot superblock (branch-chasing
   /// retranslation), 2 = trace (stitched hot path over several former
   /// superblocks; Extents then cover every constituent, so SMC or
@@ -68,21 +70,26 @@ struct Translation {
   /// setupTranslation; the translation itself exists only because a
   /// wrapper's one-shot bypass dispatched the original.
   bool NoChainIn = false;
-  /// Chain slots: successor translations for constant Boring exits. Filled
-  /// eagerly by TransTab when the successor exists; otherwise parked as a
-  /// pending waiter and filled on the successor's insertion.
-  std::vector<Translation *> Chain;
-  /// Per-slot transfer counts (parallel to Chain), bumped by the chain
-  /// thunk on every chained transfer out of this translation and by the
-  /// dispatcher when it fills or bounces through the slot. True edge
-  /// profiles: trace formation (DispatchLoop::selectTracePath) follows the
-  /// dominant *edge*, which a successor's ExecCount cannot substitute for
-  /// when the successor has other predecessors.
-  std::vector<uint64_t> EdgeExecs;
   /// Back-edges: one entry per filled chain slot pointing at this
   /// translation (duplicates allowed when a predecessor has several slots
   /// targeting us). Maintained by TransTab; makes unchaining O(degree).
   std::vector<Translation *> ChainedFrom;
+
+  /// Frees ChainedFrom and the blob's EdgeExecs and Chain before the other
+  /// members, the order in which they went when those two vectors were
+  /// this struct's last members: until ROADMAP item 1 lifts the allocation
+  /// freeze, a translation must make exactly the heap calls it made then.
+  ~Translation() {
+    std::vector<Translation *>().swap(ChainedFrom);
+    std::vector<uint64_t>().swap(Blob.EdgeExecs);
+    std::vector<hvm::CodeBlob *>().swap(Blob.Chain);
+  }
+
+  /// The translation chained through \p Slot, or null while it is unfilled.
+  Translation *succ(uint32_t Slot) const {
+    const hvm::CodeBlob *B = Blob.Chain[Slot];
+    return B ? static_cast<Translation *>(B->Cookie) : nullptr;
+  }
 };
 
 /// The fixed-size, linear-probe translation table.

@@ -36,8 +36,8 @@ void TranslationService::fillTranslation(Translation &T, uint32_t PC,
   if (T.Extents.empty())
     T.Extents.push_back({PC, PC + 1}); // NoDecode-at-entry blocks
   T.NumInsns = TB.Meta.NumInsns;
-  T.Chain.assign(T.Blob.NumChainSlots, nullptr);
-  T.EdgeExecs.assign(T.Blob.NumChainSlots, 0);
+  T.Blob.Chain.assign(T.Blob.NumChainSlots, nullptr);
+  T.Blob.EdgeExecs.assign(T.Blob.NumChainSlots, 0);
 }
 
 uint64_t TranslationService::hashLive(
@@ -173,8 +173,8 @@ TranslationService::installFromCache(std::unique_ptr<Translation> &TPtr,
   Raw->Blob.NumSpillSlots = E.NumSpillSlots;
   Raw->Blob.NumChainSlots = E.NumChainSlots;
   Raw->Blob.ChainTargets = std::move(E.ChainTargets);
-  Raw->Chain.assign(Raw->Blob.NumChainSlots, nullptr);
-  Raw->EdgeExecs.assign(Raw->Blob.NumChainSlots, 0);
+  Raw->Blob.Chain.assign(Raw->Blob.NumChainSlots, nullptr);
+  Raw->Blob.EdgeExecs.assign(Raw->Blob.NumChainSlots, 0);
 
   ++JS.CacheHits;
   double Seconds = steadySeconds() - T0;

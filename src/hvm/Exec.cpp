@@ -148,9 +148,11 @@ RunOutcome &memFault(RunOutcome &Out, const MemFault &F, bool Write,
 
 } // namespace
 
-RunOutcome Executor::run(const CodeBlob &Blob, uint64_t ChainBudget) {
+RunOutcome Executor::run(CodeBlob &Blob, uint64_t ChainBudget) {
   RunOutcome Out;
-  const CodeBlob *Cur = &Blob;
+  CodeBlob *Cur = &Blob;
+  if (!ChainFn)
+    ChainBudget = 0; // chaining is off: every exit returns
   const uint8_t *Code = Cur->Bytes.data();
   size_t Ip = 0;
   uint32_t CurPC = 0;
@@ -346,12 +348,23 @@ L_EXITI: {
   ir::JumpKind JK = static_cast<ir::JumpKind>(Code[Ip + 5]);
   uint32_t Slot = rdU32(Code + Ip + 6);
   std::memcpy(Gst + PCOffset, &NextPC, 4);
-  // Chaining: transfer directly into the successor translation.
-  if (ChainFn && JK == ir::JumpKind::Boring && ChainBudget > 0) {
-    if (const CodeBlob *NextBlob = ChainFn(ChainUser, Cur->Cookie, Slot)) {
+  // Chaining: transfer directly into the successor translation. A filled
+  // slot is followed here, counted in the successor's ExecCount and the
+  // slot's EdgeExecs; at a check point the callback does the core's
+  // bookkeeping (and the counting) instead, or ends the run at this exit.
+  if (JK == ir::JumpKind::Boring && ChainBudget > 0) {
+    CodeBlob *Next = Cur->Chain[Slot];
+    if (Cur->CheckPoint == 0 ||
+        (Next && Next->ExecCount + 1 >= Next->CheckPoint)) {
+      Next = ChainFn(ChainUser, Cur->Cookie, Slot);
+    } else if (Next) {
+      ++Next->ExecCount;
+      ++Cur->EdgeExecs[Slot];
+    }
+    if (Next) {
       --ChainBudget;
       ++Out.BlocksExecuted;
-      Cur = NextBlob;
+      Cur = Next;
       Code = Cur->Bytes.data();
       Ip = 0;
       DISPATCH();

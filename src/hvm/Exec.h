@@ -8,12 +8,16 @@
 /// a host instruction costs one dispatch; a listed group of adjacent
 /// instructions (hvm::Group) costs one dispatch in all.
 ///
-/// Translation chaining: when a chain resolver is supplied, a Boring
+/// Translation chaining: once the core supplies a callback, a Boring
 /// constant-target exit whose chain slot has been filled transfers directly
 /// to the successor translation without returning to the dispatcher (the
-/// technique Valgrind 3.2 lacked). The core supplies one by default;
-/// --chaining=no withholds it, giving the paper's unchained dispatcher for
-/// bench/sec39_dispatch's ablation.
+/// technique Valgrind 3.2 lacked). The executor follows the slot itself: it
+/// counts the successor's entry and the slot's edge, charges the chain
+/// budget and enters the successor's code, a few loads and increments. It
+/// calls back into the core only at a check point (CodeBlob::CheckPoint),
+/// where the core has bookkeeping to do or may end the chain. The core
+/// supplies the callback by default; --chaining=no withholds it, giving the
+/// paper's unchained dispatcher for bench/sec39_dispatch's ablation.
 ///
 //===----------------------------------------------------------------------===//
 #ifndef VG_HVM_EXEC_H
@@ -29,7 +33,11 @@
 namespace vg {
 namespace hvm {
 
-/// An encoded translation: code-cache bytes plus frame metadata.
+/// CodeBlob::CheckPoint of a blob whose chained entries never call back.
+constexpr uint64_t NoCheckPoint = ~uint64_t{0};
+
+/// An encoded translation: code-cache bytes plus frame metadata, and the
+/// chain state the executor keeps while the blob is resident.
 struct CodeBlob {
   std::vector<uint8_t> Bytes;
   uint32_t NumSpillSlots = 0;
@@ -44,12 +52,29 @@ struct CodeBlob {
   uint32_t TerminalChainSlot = ~0u;
   /// Opaque cookie identifying the owning translation (used by chaining).
   void *Cookie = nullptr;
+  /// Per chain slot: the successor's blob, or null while the slot is
+  /// unfilled. The translation table fills and clears the slots.
+  std::vector<CodeBlob *> Chain;
+  /// Per chain slot: transfers through it, chained or through the
+  /// dispatcher (an edge profile; trace formation follows the dominant
+  /// edge, which the successor's ExecCount cannot stand for when it has
+  /// other predecessors).
+  std::vector<uint64_t> EdgeExecs;
+  /// Times the blob was entered: dispatcher entries plus chained ones.
+  uint64_t ExecCount = 0;
+  /// The entry count at which a chained entry into this blob calls back
+  /// (ChainResolveFn) instead of entering: a chained transfer whose
+  /// successor's next ExecCount would reach its CheckPoint goes through
+  /// the callback. 0 also sends every chained exit from this blob through
+  /// it. The core sets it; NoCheckPoint never calls back.
+  uint64_t CheckPoint = NoCheckPoint;
 };
 
-/// Resolves a chain slot to the successor translation's blob, or null if
-/// the slot is unfilled. \p Cookie identifies the exiting translation.
-using ChainResolveFn = const CodeBlob *(*)(void *User, void *Cookie,
-                                           uint32_t Slot);
+/// The check-point callback: does the core's bookkeeping for a chained
+/// transfer out of slot \p Slot of the translation \p Cookie identifies
+/// and returns the successor's blob to enter, or null to end the run at
+/// that exit.
+using ChainResolveFn = CodeBlob *(*)(void *User, void *Cookie, uint32_t Slot);
 
 /// Why execution returned to the caller.
 struct RunOutcome {
@@ -79,16 +104,18 @@ public:
   Executor(ExecContext &Ctx, uint32_t PCOffset)
       : Ctx(Ctx), PCOffset(PCOffset) {}
 
-  /// Enables chaining: exits resolve their successors through \p Fn.
+  /// Enables chaining, with \p Fn as the check-point callback.
   void setChaining(ChainResolveFn Fn, void *User) {
     ChainFn = Fn;
     ChainUser = User;
   }
 
-  /// Runs \p Blob, following chained exits while \p ChainBudget lasts:
-  /// it limits how many chained transfers one run may make before
-  /// returning (the scheduler's quantum accounting).
-  RunOutcome run(const CodeBlob &Blob, uint64_t ChainBudget = 0);
+  /// Runs \p Blob, following filled chain slots while \p ChainBudget
+  /// lasts: it limits how many chained transfers one run may make before
+  /// returning (the scheduler's quantum accounting). Every EXITI's slot
+  /// must index the exiting blob's Chain and EdgeExecs (ISel numbers them
+  /// so; hvm::checkOperands holds stored blobs to it).
+  RunOutcome run(CodeBlob &Blob, uint64_t ChainBudget = 0);
 
   /// Maximum spill slots a translation may use.
   static constexpr uint32_t MaxSpillSlots = 256;

@@ -468,7 +468,8 @@ OpcodeInfo hvm::opcodeInfo(uint8_t Byte) {
 }
 
 bool hvm::checkOperands(const std::vector<uint8_t> &Bytes,
-                        uint32_t GuestStateSize, uint32_t NumSpillSlots) {
+                        uint32_t GuestStateSize, uint32_t NumSpillSlots,
+                        const std::vector<uint32_t> &ChainTargets) {
   std::vector<uint32_t> Starts;
   if (!walkOpcodes(Bytes, [&](uint32_t Off, uint8_t, HOp) {
         Starts.push_back(Off);
@@ -481,6 +482,10 @@ bool hvm::checkOperands(const std::vector<uint8_t> &Bytes,
     Is.push_back(decodeInstr(Bytes.data() + Off));
 
   auto RegOk = [](RegId R) { return R == NoReg || R < NumHostRegs; };
+  auto KindOk = [](uint8_t JK) {
+    return JK <= static_cast<uint8_t>(ir::JumpKind::SmcFail);
+  };
+  uint32_t NextSlot = 0; // ISel numbers the EXITIs' chain slots in order
   for (size_t K = 0; K != Is.size(); ++K) {
     const HInstr &I = Is[K];
     OpcodeInfo Info = opcodeInfo(Bytes[Starts[K]]);
@@ -516,6 +521,21 @@ bool hvm::checkOperands(const std::vector<uint8_t> &Bytes,
       if ((I.Imm & 1) && I.B == NoReg) // the store form reads its V-word
         return false;
       break;
+    case HOp::EXITI: {
+      // The executor indexes the blob's chain vectors by this slot, and
+      // the translation table links it by ChainTargets[slot].
+      bool Boring = I.JKind == static_cast<uint8_t>(ir::JumpKind::Boring);
+      if (!KindOk(I.JKind) || I.ChainSlot != NextSlot++ ||
+          I.ChainSlot >= ChainTargets.size() ||
+          ChainTargets[I.ChainSlot] !=
+              (Boring ? static_cast<uint32_t>(I.Imm) : NoChainTarget))
+        return false;
+      break;
+    }
+    case HOp::EXITR:
+      if (!KindOk(I.JKind))
+        return false;
+      break;
     default:
       break;
     }
@@ -530,7 +550,8 @@ bool hvm::checkOperands(const std::vector<uint8_t> &Bytes,
     }
   }
   HOp Last = Is.back().Op;
-  return Last == HOp::EXITI || Last == HOp::EXITR;
+  return (Last == HOp::EXITI || Last == HOp::EXITR) &&
+         NextSlot == ChainTargets.size();
 }
 
 bool hvm::findCalleeSlots(const std::vector<uint8_t> &Bytes,

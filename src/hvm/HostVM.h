@@ -298,11 +298,18 @@ bool findCalleeSlots(const std::vector<uint8_t> &Bytes,
 /// spill slots are below \p NumSpillSlots, a CALL has at most 4
 /// arguments, every JZ targets the start of a later instruction, each group
 /// byte is followed by its group's members, and the last instruction is
-/// an EXITI or EXITR. The executor then touches no host memory outside the
-/// guest state, the spill frame and its register file, and cannot run off
-/// the end of the blob or loop within it.
+/// an EXITI or EXITR. Exits are as ISel makes them: every jump kind is a
+/// real ir::JumpKind; the EXITIs take chain slots 0, 1, ... in order, one
+/// each, with one slot per entry of \p ChainTargets; and a slot's target is
+/// its EXITI's immediate for a Boring exit and NoChainTarget for any other.
+/// The executor then touches no host memory outside the guest state, the
+/// spill frame, its register file and the blob's chain vectors, cannot run
+/// off the end of the blob or loop within it, and a chain slot the
+/// translation table links by its target leads where the exit's guest PC
+/// says.
 bool checkOperands(const std::vector<uint8_t> &Bytes, uint32_t GuestStateSize,
-                   uint32_t NumSpillSlots);
+                   uint32_t NumSpillSlots,
+                   const std::vector<uint32_t> &ChainTargets);
 
 } // namespace hvm
 } // namespace vg

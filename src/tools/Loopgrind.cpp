@@ -157,14 +157,14 @@ void Loopgrind::fini(int ExitCode) {
 
   // Cross-check against the chain graph: a filled chain slot whose target
   // is at or below the source's own entry is the JIT's view of the same
-  // back-edge, with the exact transfer count the chain thunks profiled.
+  // back-edge, with the exact transfer count its EdgeExecs profiled.
   std::vector<std::pair<uint64_t, std::pair<uint32_t, uint32_t>>> Edges;
   C->transTab().forEach([&](const Translation &T) {
-    for (size_t S = 0; S != T.Chain.size(); ++S) {
-      const Translation *To = T.Chain[S];
+    for (uint32_t S = 0; S != T.Blob.Chain.size(); ++S) {
+      const Translation *To = T.succ(S);
       if (!To || To->Addr > T.Addr)
         continue;
-      uint64_t N = S < T.EdgeExecs.size() ? T.EdgeExecs[S] : 0;
+      uint64_t N = T.Blob.EdgeExecs[S];
       if (N)
         Edges.push_back({N, {T.Addr, To->Addr}});
     }

@@ -10,13 +10,13 @@
 /// the maximum trip, and a 16-bucket log2 trip-count histogram; fini()
 /// reports the hottest loops by iterations and cross-checks them against
 /// the translation chain graph (TransTab back-edges weighted by the
-/// EdgeExecs profile the chain thunks maintain anyway).
+/// per-slot EdgeExecs profile the executor and the dispatcher keep anyway).
 ///
 /// Trace-tier caveat: a tier-2 trace executes several former blocks per
 /// dispatch but carries one entry dirty call, so interior iterations that
 /// never leave the trace count once per trace pass. The chain-graph
-/// cross-section in the report is immune (EdgeExecs are bumped by the
-/// thunks regardless of tier).
+/// cross-section in the report is immune (EdgeExecs count every transfer
+/// through a slot, whatever the tier).
 ///
 /// Client requests ('L','G' namespace): LgStart/LgStop toggle collection
 /// (it starts on), LgAnnotate(head, str) names a loop so the report reads

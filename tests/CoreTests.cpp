@@ -784,6 +784,74 @@ TEST(Dispatch, ChainingReducesDispatches) {
   EXPECT_EQ(Plain.Stats.BlocksDispatched, Chained.Stats.BlocksDispatched);
 }
 
+TEST(Dispatch, ChainCountsAtDefaultOptions) {
+  // Nested loops whose inner body branches both ways: blocks with two
+  // chain slots, each entered both from the dispatcher and through chains.
+  // At default options no translation is replaced, so every block entry
+  // is counted exactly once, in the ExecCount of the translation entered;
+  // the per-translation and per-slot counts are pinned to the values the
+  // chain thunk kept before chained transfers were followed in the
+  // executor (bench/sec54_hostcode weights by ExecCount, and trace
+  // formation reads EdgeExecs).
+  GuestImage Img = buildProgram([](Assembler &Code, Assembler &,
+                                   GuestLibLabels &) {
+    Code.movi(Reg::R1, 0);
+    Code.movi(Reg::R3, 0);
+    Label Outer = Code.boundLabel();
+    Code.movi(Reg::R2, 0);
+    Label Inner = Code.boundLabel();
+    Label Skip = Code.newLabel();
+    Code.addi(Reg::R2, Reg::R2, 1);
+    Code.cmpi(Reg::R2, 20);
+    Code.blt(Skip);
+    Code.addi(Reg::R3, Reg::R3, 1);
+    Code.bind(Skip);
+    Code.cmpi(Reg::R2, 50);
+    Code.blt(Inner);
+    Code.addi(Reg::R1, Reg::R1, 1);
+    Code.cmpi(Reg::R1, 40);
+    Code.blt(Outer);
+    Code.andi(Reg::R0, Reg::R3, 0x7F);
+    Code.ret();
+  });
+  Nulgrind T;
+  Core C(&T);
+  C.output().useBuffer();
+  C.applyOptions();
+  C.loadImage(Img);
+  CoreExit E = C.run(~0ull);
+  ASSERT_EQ(E.K, CoreExit::Kind::Exited);
+  EXPECT_EQ(E.Code, (40 * 31) & 0x7F);
+
+  // One row per resident translation, by address: ExecCount, then the
+  // EdgeExecs of each chain slot.
+  std::map<uint32_t, std::string> Rows;
+  uint64_t Entries = 0;
+  C.transTab().forEach([&](const Translation &Tr) {
+    std::string &Row = Rows[Tr.Addr] = std::to_string(Tr.Blob.ExecCount);
+    for (uint64_t Edge : Tr.Blob.EdgeExecs)
+      Row += " " + std::to_string(Edge);
+    Entries += Tr.Blob.ExecCount;
+  });
+  EXPECT_EQ(Entries, C.stats().BlocksDispatched);
+  EXPECT_GT(C.stats().ChainedTransfers, Entries / 2);
+  std::string Got;
+  for (const auto &[Addr, Row] : Rows) {
+    char Hex[16];
+    std::snprintf(Hex, sizeof(Hex), "0x%x: ", Addr);
+    Got += Hex + Row + "\n";
+  }
+  EXPECT_EQ(Got, "0x11b1: 1 0\n"
+                 "0x11b6: 1 0\n"
+                 "0x11c0: 1 1 0\n"
+                 "0x11cc: 39 39 0\n"
+                 "0x11d2: 1960 720 1240\n"
+                 "0x11e3: 1240 1200 40\n"
+                 "0x11e9: 760 760 0\n"
+                 "0x11f4: 40 39 1\n"
+                 "0x1205: 1\n");
+}
+
 TEST(Dispatch, MunmapInvalidatesTranslations) {
   GuestImage Img = buildProgram([](Assembler &Code, Assembler &,
                                    GuestLibLabels &) {

@@ -801,6 +801,167 @@ TEST(Exec, JumpIntoTheMiddleOfAGroup) {
   EXPECT_EQ(W, 1u) << "CmpNEZ32 h4, h2 with h2 = 6";
 }
 
+//===----------------------------------------------------------------------===//
+// Chained transfers: the executor follows a filled slot itself and calls
+// back only at a check point
+//===----------------------------------------------------------------------===//
+
+/// A one-slot blob that stores \p Mark to gst[0] and leaves through a
+/// Boring EXITI to \p Target in slot 0, its slot still unfilled.
+CodeBlob chainBlob(uint32_t Mark, uint32_t Target) {
+  HostCode HC;
+  HC.Instrs = {li(1, Mark), stg(0, 1, 4), exitTo(Target)};
+  CodeBlob B;
+  B.Bytes = encode(HC);
+  B.NumChainSlots = 1;
+  B.ChainTargets = {Target};
+  B.Chain = {nullptr};
+  B.EdgeExecs = {0};
+  return B;
+}
+
+/// Counts its calls and returns Next; does none of the core's counting.
+struct ChainCallback {
+  unsigned Calls = 0;
+  void *Cookie = nullptr;
+  uint32_t Slot = ~0u;
+  CodeBlob *Next = nullptr;
+
+  static CodeBlob *call(void *User, void *Cookie, uint32_t Slot) {
+    auto *CB = static_cast<ChainCallback *>(User);
+    ++CB->Calls;
+    CB->Cookie = Cookie;
+    CB->Slot = Slot;
+    return CB->Next;
+  }
+};
+
+/// Two blobs, A at 0x1000 and B at 0x2000, each exiting to the other.
+struct ChainPair {
+  CodeBlob A = chainBlob(0xA, 0x2000), B = chainBlob(0xB, 0x1000);
+  alignas(8) uint8_t Gst[384] = {};
+  GuestMemory Mem;
+  ExecContext Ctx;
+  ChainCallback CB;
+  Executor Exec{Ctx, /*PCOffset=*/64};
+
+  ChainPair() {
+    A.Cookie = &A;
+    B.Cookie = &B;
+    Ctx.GuestState = Gst;
+    Ctx.Mem = &Mem;
+    Exec.setChaining(&ChainCallback::call, &CB);
+  }
+  uint32_t mark() const {
+    uint32_t V;
+    std::memcpy(&V, Gst, 4);
+    return V;
+  }
+};
+
+TEST(ExecChain, FilledSlotIsEnteredWithoutTheCallback) {
+  ChainPair P;
+  P.A.Chain[0] = &P.B;
+  P.B.Chain[0] = &P.A;
+  // Budget 1: A enters B, and B's exit finds the budget spent.
+  RunOutcome O = P.Exec.run(P.A, /*ChainBudget=*/1);
+  EXPECT_EQ(P.CB.Calls, 0u);
+  EXPECT_EQ(O.BlocksExecuted, 2u);
+  EXPECT_EQ(O.ExitCookie, &P.B);
+  EXPECT_EQ(O.ExitSlot, 0u);
+  EXPECT_EQ(O.NextPC, 0x1000u);
+  EXPECT_EQ(P.mark(), 0xBu);
+  EXPECT_EQ(P.B.ExecCount, 1u);
+  EXPECT_EQ(P.A.EdgeExecs[0], 1u);
+  EXPECT_EQ(P.A.ExecCount, 0u) << "the run's first entry is the caller's";
+  EXPECT_EQ(P.B.EdgeExecs[0], 0u);
+  // Budget 3: three transfers, each counted once on each side.
+  O = P.Exec.run(P.A, /*ChainBudget=*/3);
+  EXPECT_EQ(P.CB.Calls, 0u);
+  EXPECT_EQ(O.BlocksExecuted, 4u);
+  EXPECT_EQ(O.ExitCookie, &P.B);
+  EXPECT_EQ(P.B.ExecCount, 3u);
+  EXPECT_EQ(P.A.ExecCount, 1u);
+  EXPECT_EQ(P.A.EdgeExecs[0], 3u);
+  EXPECT_EQ(P.B.EdgeExecs[0], 1u);
+}
+
+TEST(ExecChain, BudgetZeroStopsAtTheExit) {
+  ChainPair P;
+  P.A.Chain[0] = &P.B;
+  RunOutcome O = P.Exec.run(P.A, /*ChainBudget=*/0);
+  EXPECT_EQ(O.BlocksExecuted, 1u);
+  EXPECT_EQ(O.ExitCookie, &P.A);
+  EXPECT_EQ(O.ExitSlot, 0u);
+  EXPECT_EQ(O.NextPC, 0x2000u);
+  EXPECT_EQ(P.mark(), 0xAu);
+  EXPECT_EQ(P.CB.Calls, 0u);
+  EXPECT_EQ(P.B.ExecCount, 0u);
+  EXPECT_EQ(P.A.EdgeExecs[0], 0u);
+}
+
+TEST(ExecChain, UnfilledSlotReturnsItsExitSlot) {
+  ChainPair P;
+  RunOutcome O = P.Exec.run(P.A, /*ChainBudget=*/5);
+  EXPECT_EQ(O.K, RunOutcome::Kind::BlockEnd);
+  EXPECT_EQ(O.BlocksExecuted, 1u);
+  EXPECT_EQ(O.ExitCookie, &P.A);
+  EXPECT_EQ(O.ExitSlot, 0u);
+  EXPECT_EQ(O.NextPC, 0x2000u);
+  EXPECT_EQ(P.CB.Calls, 0u);
+  EXPECT_EQ(P.A.EdgeExecs[0], 0u);
+}
+
+TEST(ExecChain, CheckPointCallsBackOnce) {
+  ChainPair P;
+  P.A.Chain[0] = &P.B;
+  P.B.Chain[0] = &P.A;
+  P.B.CheckPoint = 2;
+  // A -> B (B's first entry), B -> A, then A -> B would be B's second:
+  // the callback runs instead, and its null ends the run at A's exit.
+  RunOutcome O = P.Exec.run(P.A, /*ChainBudget=*/10);
+  EXPECT_EQ(P.CB.Calls, 1u);
+  EXPECT_EQ(P.CB.Cookie, &P.A);
+  EXPECT_EQ(P.CB.Slot, 0u);
+  EXPECT_EQ(O.BlocksExecuted, 3u);
+  EXPECT_EQ(O.ExitCookie, &P.A);
+  EXPECT_EQ(O.ExitSlot, 0u);
+  EXPECT_EQ(O.NextPC, 0x2000u);
+  EXPECT_EQ(P.B.ExecCount, 1u);
+  EXPECT_EQ(P.A.ExecCount, 1u);
+  EXPECT_EQ(P.A.EdgeExecs[0], 1u);
+  EXPECT_EQ(P.B.EdgeExecs[0], 1u);
+
+  // A callback that returns a blob is entered, for one unit of budget,
+  // and the counting is left to it.
+  P.CB.Next = &P.B;
+  O = P.Exec.run(P.A, /*ChainBudget=*/1);
+  EXPECT_EQ(P.CB.Calls, 2u);
+  EXPECT_EQ(O.BlocksExecuted, 2u);
+  EXPECT_EQ(O.ExitCookie, &P.B);
+  EXPECT_EQ(P.mark(), 0xBu);
+  EXPECT_EQ(P.B.ExecCount, 1u);
+  EXPECT_EQ(P.A.EdgeExecs[0], 1u);
+}
+
+TEST(ExecChain, CheckPointZeroCallsBackAtEveryChainedExit) {
+  // An exiting blob whose own check point is 0 calls back even where its
+  // slot is unfilled (a trace counts its side exits there).
+  ChainPair P;
+  P.A.CheckPoint = 0;
+  RunOutcome O = P.Exec.run(P.A, /*ChainBudget=*/5);
+  EXPECT_EQ(P.CB.Calls, 1u);
+  EXPECT_EQ(O.BlocksExecuted, 1u);
+  EXPECT_EQ(O.ExitCookie, &P.A);
+  // Without a callback, chaining is off: a filled slot is not followed.
+  ChainPair Q;
+  Q.A.Chain[0] = &Q.B;
+  Executor Plain(Q.Ctx, /*PCOffset=*/64);
+  O = Plain.run(Q.A, /*ChainBudget=*/5);
+  EXPECT_EQ(O.BlocksExecuted, 1u);
+  EXPECT_EQ(Q.B.ExecCount, 0u);
+}
+
 TEST(Encode, DecoderRejectsBytesTheEncoderNeverWrites) {
   for (HOp Unsized : {HOp::LDG, HOp::STG, HOp::LDM, HOp::STM})
     EXPECT_EQ(opcodeInfo(static_cast<uint8_t>(Unsized)).Len, 0u);

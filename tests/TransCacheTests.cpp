@@ -330,14 +330,15 @@ HInstr exitInstr() {
   return I;
 }
 
-/// Encodes \p Instrs, lets \p Patch rewrite the bytes (it gets the byte
-/// offset of each instruction), and decodes the result as an otherwise
-/// valid, checksummed entry.
-TransCache::LoadResult
-decodeCrafted(std::vector<HInstr> Instrs,
-              const std::function<void(std::vector<uint8_t> &,
-                                       const std::vector<uint32_t> &)> &Patch,
-              uint32_t NumSpillSlots = 1) {
+/// Encodes \p Instrs with their exits' chain slots numbered in order and
+/// one chain target per EXITI, as ISel makes them; lets \p Patch rewrite
+/// the entry (it gets the byte offset of each instruction); and decodes the
+/// result as an otherwise valid, checksummed entry.
+TransCache::LoadResult decodeCraftedEntry(
+    std::vector<HInstr> Instrs,
+    const std::function<void(TransCacheEntry &,
+                             const std::vector<uint32_t> &)> &Patch,
+    uint32_t NumSpillSlots = 1) {
   hvm::HostCode HC;
   HC.Instrs = std::move(Instrs);
   TransCacheEntry E;
@@ -345,20 +346,41 @@ decodeCrafted(std::vector<HInstr> Instrs,
   E.NumInsns = 1;
   E.Extents = {{0x1000, 0x1004}};
   E.NumSpillSlots = NumSpillSlots;
-  E.NumChainSlots = 1;
-  E.ChainTargets = {0x1004};
+  for (HInstr &I : HC.Instrs) {
+    if (I.Op != HOp::EXITI)
+      continue;
+    I.ChainSlot = E.NumChainSlots++;
+    E.ChainTargets.push_back(
+        I.JKind == static_cast<uint8_t>(ir::JumpKind::Boring)
+            ? static_cast<uint32_t>(I.Imm)
+            : hvm::NoChainTarget);
+  }
   E.Bytes = hvm::encode(HC);
   std::vector<uint32_t> Starts;
   EXPECT_TRUE(hvm::walkOpcodes(E.Bytes, [&](uint32_t Off, uint8_t, HOp) {
     Starts.push_back(Off);
   }));
-  Patch(E.Bytes, Starts);
+  Patch(E, Starts);
   std::vector<uint8_t> File;
   EXPECT_TRUE(TransCache::encodeEntryFile(/*ConfigHash=*/1, /*Key=*/2, E,
                                           File));
   TransCacheEntry Out;
   return TransCache::decodeEntryFile(File, 1, 2, Out,
                                      /*ResolveCallees=*/true);
+}
+
+/// decodeCraftedEntry with a \p Patch that rewrites only the bytes.
+TransCache::LoadResult
+decodeCrafted(std::vector<HInstr> Instrs,
+              const std::function<void(std::vector<uint8_t> &,
+                                       const std::vector<uint32_t> &)> &Patch,
+              uint32_t NumSpillSlots = 1) {
+  return decodeCraftedEntry(
+      std::move(Instrs),
+      [&](TransCacheEntry &E, const std::vector<uint32_t> &At) {
+        Patch(E.Bytes, At);
+      },
+      NumSpillSlots);
 }
 
 void writeU32(std::vector<uint8_t> &B, uint32_t Off, uint32_t V) {
@@ -517,6 +539,98 @@ TEST(TransCacheOperands, ShadowProbeStoresHaveAValueRegister) {
                              const std::vector<uint32_t> &At) {
                             B[At[0] + 3] = 0xFF;
                           }),
+            Malformed);
+}
+
+// The executor indexes the exiting blob's chain vectors by an EXITI's
+// slot, and the table links that slot by its chain target: a stored exit
+// must name a slot of its own, in ISel's order, whose target is its PC.
+TEST(TransCacheOperands, ExitsTakeTheirOwnChainSlotsInOrder) {
+  HInstr Jz = hinstr(HOp::JZ, hvm::NoReg, /*A=*/1);
+  Jz.Label = 2;
+  std::vector<HInstr> Code = {hinstr(HOp::MOV, 1, 1), Jz, exitInstr(),
+                              exitInstr()};
+  EXPECT_EQ(decodeCrafted(Code, NoPatch), Found);
+  // Slot 7 of a two-slot blob; both exits in slot 0; slots swapped.
+  for (auto [First, Second] : {std::pair{0u, 7u}, {0u, 0u}, {1u, 0u}})
+    EXPECT_EQ(decodeCrafted(Code,
+                            [&](std::vector<uint8_t> &B,
+                                const std::vector<uint32_t> &At) {
+                              writeU32(B, At[2] + 6, First);
+                              writeU32(B, At[3] + 6, Second);
+                            }),
+              Malformed)
+        << First << ", " << Second;
+  // A one-slot blob whose exit names slot 7.
+  EXPECT_EQ(decodeCrafted({exitInstr()},
+                          [](std::vector<uint8_t> &B,
+                             const std::vector<uint32_t> &At) {
+                            writeU32(B, At[0] + 6, 7);
+                          }),
+            Malformed);
+  // A slot no exit takes.
+  EXPECT_EQ(decodeCraftedEntry({exitInstr()},
+                               [](TransCacheEntry &E,
+                                  const std::vector<uint32_t> &) {
+                                 E.NumChainSlots = 2;
+                                 E.ChainTargets.push_back(0x2000);
+                               }),
+            Malformed);
+}
+
+TEST(TransCacheOperands, JumpKindsAreJumpKinds) {
+  uint8_t Last = static_cast<uint8_t>(ir::JumpKind::SmcFail);
+  HInstr Exit = exitInstr();
+  Exit.JKind = Last;
+  EXPECT_EQ(decodeCrafted({Exit}, NoPatch), Found);
+  HInstr ExitR = hinstr(HOp::EXITR, hvm::NoReg, /*A=*/1);
+  ExitR.JKind = Last;
+  EXPECT_EQ(decodeCrafted({ExitR}, NoPatch), Found);
+  for (uint8_t JK : {uint8_t(Last + 1), uint8_t(0xFF)}) {
+    EXPECT_EQ(decodeCrafted({Exit},
+                            [&](std::vector<uint8_t> &B,
+                                const std::vector<uint32_t> &At) {
+                              B[At[0] + 5] = JK;
+                            }),
+              Malformed)
+        << "EXITI " << unsigned(JK);
+    EXPECT_EQ(decodeCrafted({ExitR},
+                            [&](std::vector<uint8_t> &B,
+                                const std::vector<uint32_t> &At) {
+                              B[At[0] + 2] = JK;
+                            }),
+              Malformed)
+        << "EXITR " << unsigned(JK);
+  }
+}
+
+TEST(TransCacheOperands, ChainTargetsAreTheExitsTargets) {
+  std::vector<HInstr> Code = {exitInstr()};
+  // A Boring exit to 0x1008 whose slot the table would link to 0x1004.
+  EXPECT_EQ(decodeCrafted(Code,
+                          [](std::vector<uint8_t> &B,
+                             const std::vector<uint32_t> &At) {
+                            writeU32(B, At[0] + 1, 0x1008);
+                          }),
+            Malformed);
+  // A Syscall exit whose slot carries a target: any kind but Boring
+  // must say NoChainTarget.
+  EXPECT_EQ(decodeCrafted(Code,
+                          [](std::vector<uint8_t> &B,
+                             const std::vector<uint32_t> &At) {
+                            B[At[0] + 5] =
+                                static_cast<uint8_t>(ir::JumpKind::Syscall);
+                          }),
+            Malformed);
+  HInstr Sys = exitInstr();
+  Sys.JKind = static_cast<uint8_t>(ir::JumpKind::Syscall);
+  EXPECT_EQ(decodeCrafted({Sys}, NoPatch), Found);
+  // ... and a Boring exit must not.
+  EXPECT_EQ(decodeCraftedEntry(Code,
+                               [](TransCacheEntry &E,
+                                  const std::vector<uint32_t> &) {
+                                 E.ChainTargets[0] = hvm::NoChainTarget;
+                               }),
             Malformed);
 }
 

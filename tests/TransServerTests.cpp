@@ -27,6 +27,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
@@ -623,15 +624,24 @@ TEST(TransServerDaemon, EvictionHonoursByteBudget) {
 TEST(TransServerDaemon, StopWakesAnIdleAcceptor) {
   // stop() must not wait out the acceptor's poll timeout (100 ms): a
   // caller that starts and stops a daemon per run pays it every time.
+  // Without the wake every stop of an idle daemon waits about 90 ms; with
+  // it a stop takes well under a millisecond, but one stop on a host busy
+  // with parallel tests can still take tens. So the bound is on the median
+  // of ten start / idle / stop cycles.
   ScratchDir Dir;
-  Daemon D(Dir.str());
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  auto T0 = std::chrono::steady_clock::now();
-  D.Server.stop();
-  std::chrono::duration<double, std::milli> Took =
-      std::chrono::steady_clock::now() - T0;
-  EXPECT_LT(Took.count(), 50.0);
-  EXPECT_FALSE(D.Server.running());
+  std::vector<double> Ms;
+  for (int I = 0; I != 10; ++I) {
+    Daemon D(Dir.str());
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    auto T0 = std::chrono::steady_clock::now();
+    D.Server.stop();
+    std::chrono::duration<double, std::milli> Took =
+        std::chrono::steady_clock::now() - T0;
+    Ms.push_back(Took.count());
+    EXPECT_FALSE(D.Server.running());
+  }
+  std::nth_element(Ms.begin(), Ms.begin() + Ms.size() / 2, Ms.end());
+  EXPECT_LT(Ms[Ms.size() / 2], 50.0);
 }
 
 //===----------------------------------------------------------------------===//

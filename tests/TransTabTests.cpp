@@ -28,7 +28,7 @@ makeT(uint32_t Addr, std::vector<uint32_t> ChainTargets = {},
   T->Extents = Extents.empty()
                    ? std::vector<std::pair<uint32_t, uint32_t>>{{Addr, Addr + 4}}
                    : std::move(Extents);
-  T->Chain.assign(ChainTargets.size(), nullptr);
+  T->Blob.Chain.assign(ChainTargets.size(), nullptr);
   T->Blob.ChainTargets = std::move(ChainTargets);
   return T;
 }
@@ -172,8 +172,8 @@ TEST(TransTab, ChainsLinkEagerlyInBothInsertionOrders) {
     TransTab TT(1u << 6);
     Translation *B = TT.insert(makeT(0x2000));
     Translation *A = TT.insert(makeT(0x1000, {0x2000}));
-    ASSERT_EQ(A->Chain.size(), 1u);
-    EXPECT_EQ(A->Chain[0], B);
+    ASSERT_EQ(A->Blob.Chain.size(), 1u);
+    EXPECT_EQ(A->succ(0), B);
     EXPECT_EQ(TT.stats().ChainsFilled, 1u);
   }
   // Predecessor first: A's slot parks as a waiter and fills the moment B
@@ -181,9 +181,9 @@ TEST(TransTab, ChainsLinkEagerlyInBothInsertionOrders) {
   {
     TransTab TT(1u << 6);
     Translation *A = TT.insert(makeT(0x1000, {0x2000}));
-    EXPECT_EQ(A->Chain[0], nullptr);
+    EXPECT_EQ(A->succ(0), nullptr);
     Translation *B = TT.insert(makeT(0x2000));
-    EXPECT_EQ(A->Chain[0], B);
+    EXPECT_EQ(A->succ(0), B);
     EXPECT_EQ(TT.stats().ChainsFilled, 1u);
   }
 }
@@ -196,12 +196,12 @@ TEST(TransTab, EvictionNullsIncomingChainPointers) {
   Translation *B = TT.insert(makeT(0x2000));
   Translation *A1 = TT.insert(makeT(0x1000, {0x2000}));
   Translation *A2 = TT.insert(makeT(0x1100, {0x2000, hvm::NoChainTarget}));
-  ASSERT_EQ(A1->Chain[0], B);
-  ASSERT_EQ(A2->Chain[0], B);
+  ASSERT_EQ(A1->succ(0), B);
+  ASSERT_EQ(A2->succ(0), B);
 
   TT.invalidateRange(0x2000, 4);
-  EXPECT_EQ(A1->Chain[0], nullptr);
-  EXPECT_EQ(A2->Chain[0], nullptr);
+  EXPECT_EQ(A1->succ(0), nullptr);
+  EXPECT_EQ(A2->succ(0), nullptr);
   EXPECT_EQ(TT.stats().Unchains, 2u);
 }
 
@@ -212,10 +212,10 @@ TEST(TransTab, PredecessorsRelinkAfterReinsertion) {
   TT.insert(makeT(0x2000));
   Translation *A = TT.insert(makeT(0x1000, {0x2000}));
   TT.invalidateRange(0x2000, 4);
-  ASSERT_EQ(A->Chain[0], nullptr);
+  ASSERT_EQ(A->succ(0), nullptr);
 
   Translation *B2 = TT.insert(makeT(0x2000));
-  EXPECT_EQ(A->Chain[0], B2) << "waiter parked on 0x2000 must relink";
+  EXPECT_EQ(A->succ(0), B2) << "waiter parked on 0x2000 must relink";
 }
 
 // Evicting the *predecessor* must drop its parked waiter and its
@@ -231,7 +231,7 @@ TEST(TransTab, EvictingPredecessorCancelsWaitersAndBackEdges) {
 
   // Back-edge case: C links to B, C dies, B's back-edge list empties.
   Translation *C = TT.insert(makeT(0x1200, {0x2000}));
-  ASSERT_EQ(C->Chain[0], B);
+  ASSERT_EQ(C->succ(0), B);
   ASSERT_EQ(B->ChainedFrom.size(), 1u);
   TT.invalidateRange(0x1200, 4);
   EXPECT_TRUE(B->ChainedFrom.empty());
@@ -241,10 +241,10 @@ TEST(TransTab, SelfLoopChainsSurviveEviction) {
   TransTab TT(1u << 6);
   // A block whose Boring exit targets its own entry (a tight guest loop).
   Translation *A = TT.insert(makeT(0x1000, {0x1000}));
-  EXPECT_EQ(A->Chain[0], A);
+  EXPECT_EQ(A->succ(0), A);
   TT.invalidateRange(0x1000, 4); // must not crash or leave waiters behind
   Translation *A2 = TT.insert(makeT(0x1000, {0x1000}));
-  EXPECT_EQ(A2->Chain[0], A2);
+  EXPECT_EQ(A2->succ(0), A2);
   TT.invalidateAll(); // asserts Pending is empty
 }
 
@@ -252,7 +252,7 @@ TEST(TransTab, ChainPointersSurviveEvictionRehash) {
   TransTab TT(1u << 4);
   Translation *B = TT.insert(makeT(0x2000));
   Translation *A = TT.insert(makeT(0x1000, {0x2000}));
-  ASSERT_EQ(A->Chain[0], B);
+  ASSERT_EQ(A->succ(0), B);
   // Force eviction runs; A and B are the oldest pair, so walk right up to
   // the edge: after 10 more inserts the next run would evict B.
   for (uint32_t I = 0; I != 10; ++I)
@@ -263,7 +263,7 @@ TEST(TransTab, ChainPointersSurviveEvictionRehash) {
   ASSERT_NE(TT.find(0x2000), nullptr);
   EXPECT_EQ(TT.find(0x1000), A);
   EXPECT_EQ(TT.find(0x2000), B);
-  EXPECT_EQ(A->Chain[0], B);
+  EXPECT_EQ(A->succ(0), B);
 }
 
 //===----------------------------------------------------------------------===//
@@ -329,22 +329,22 @@ TEST(TransTab, TraceEvictionUnchainsAndReenablesConstituents) {
   TT.insert(makeT(0x1000, {0x2000}));
   TT.insert(makeT(0x2000));
   Translation *Tr = TT.insert(makeTrace({0x1000, 0x2000}, {0x1000}));
-  ASSERT_EQ(P->Chain[0], Tr) << "predecessor must relink to the trace";
-  ASSERT_EQ(Tr->Chain[0], Tr) << "loop trace chains to itself";
+  ASSERT_EQ(P->succ(0), Tr) << "predecessor must relink to the trace";
+  ASSERT_EQ(Tr->succ(0), Tr) << "loop trace chains to itself";
 
   // Poison the tail constituent: the trace and the tail die.
   TT.invalidateRange(0x2000, 4);
-  EXPECT_EQ(P->Chain[0], nullptr);
+  EXPECT_EQ(P->succ(0), nullptr);
   EXPECT_EQ(TT.find(0x1000), nullptr);
 
   // The head retranslates at tier 1: the parked predecessor relinks and
   // execution through 0x1000 is re-enabled without dispatcher help.
   Translation *A2 = TT.insert(makeT(0x1000, {0x2000}));
   A2->Tier = 1;
-  EXPECT_EQ(P->Chain[0], A2);
+  EXPECT_EQ(P->succ(0), A2);
   // And the tail's own retranslation refills the head's slot.
   Translation *B2 = TT.insert(makeT(0x2000));
-  EXPECT_EQ(A2->Chain[0], B2);
+  EXPECT_EQ(A2->succ(0), B2);
 }
 
 //===----------------------------------------------------------------------===//
