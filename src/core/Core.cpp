@@ -98,12 +98,18 @@ Core::~Core() = default;
 
 void Core::applyOptions() {
   std::string S = Opts.getString("smc-check");
-  if (S == "none")
+  if (S == "none") {
     Smc = SmcMode::None;
-  else if (S == "all")
+  } else if (S == "all") {
     Smc = SmcMode::All;
-  else
+  } else if (S == "stack") {
     Smc = SmcMode::Stack;
+  } else {
+    char Msg[256];
+    std::snprintf(Msg, sizeof(Msg), "--smc-check=%s: expected none|stack|all",
+                  S.c_str());
+    fatalError(Msg);
+  }
   ChainingEnabled = Opts.getBool("chaining");
   VerifyIR = Opts.getBool("verify-ir");
   NoIROpt = Opts.getBool("no-iropt");

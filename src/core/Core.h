@@ -134,8 +134,7 @@ public:
     TraceMaxBlocks = N < 2 ? 2 : (N > 8 ? 8 : N);
   }
   Profiler *profiler() { return Prof.get(); }
-  /// Non-null under --fault-inject / --trace-events.
-  FaultPlan *faultPlan() { return Faults.get(); }
+  /// Non-null under --trace-events.
   EventTracer *tracer() { return Tracer.get(); }
 
   // --- start-up (Section 3.3) --------------------------------------------

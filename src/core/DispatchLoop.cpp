@@ -110,16 +110,18 @@ TraceSpec DispatchLoop::selectTracePath(Translation *Head) {
   return Spec;
 }
 
+uint64_t DispatchLoop::promoteAt(const Translation &T) const {
+  if (T.Tier == 0 && C.HotThreshold)
+    return C.HotThreshold;
+  if (T.Tier == 1 && C.TraceTier && C.ChainingEnabled)
+    return std::max(C.effTraceThreshold(), T.TraceRetryAt);
+  return hvm::NoCheckPoint;
+}
+
 uint64_t DispatchLoop::checkPoint(const Translation &T) const {
   // A trace's exits count side exits and its entries count TraceExecs, and
   // --profile counts every entry: those transfers all go through the thunk.
-  if (C.Prof || T.Tier == 2)
-    return 0;
-  if (T.Tier == 0 && C.HotThreshold)
-    return C.HotThreshold;
-  if (T.Tier == 1 && C.TraceTier)
-    return std::max(C.effTraceThreshold(), T.TraceRetryAt);
-  return hvm::NoCheckPoint;
+  return C.Prof || T.Tier == 2 ? 0 : promoteAt(T);
 }
 
 hvm::CodeBlob *DispatchLoop::chainResolveThunk(void *User, void *Cookie,
@@ -146,9 +148,7 @@ hvm::CodeBlob *DispatchLoop::chainResolveThunk(void *User, void *Cookie,
   // inside a chain. TraceRetryAt keeps a head whose chain graph proved
   // unbiased from bouncing every transfer.
   uint64_t Execs = Succ->Blob.ExecCount + 1;
-  if ((C.HotThreshold && Succ->Tier == 0 && Execs >= C.HotThreshold) ||
-      (C.TraceTier && Succ->Tier == 1 && Execs >= C.effTraceThreshold() &&
-       Execs >= Succ->TraceRetryAt)) {
+  if (Execs >= D->promoteAt(*Succ)) {
     // The successor is known — the bounce exists only to run the promotion
     // from dispatcher context. Prefill its fast-cache line so the bounced
     // dispatch doesn't pay a table lookup for a block we are holding.
@@ -255,7 +255,7 @@ void DispatchLoop::dispatchLoop(ThreadState &TS, uint64_t &Quantum,
       ++C.Stats.TraceExecs;
     if (C.Prof)
       C.Prof->noteExec(PC);
-    if (C.HotThreshold && T->Tier == 0 && Execs >= C.HotThreshold) {
+    if (T->Tier == 0 && Execs >= promoteAt(*T)) {
       uint64_t GenBefore = C.TT.generation();
       T = promoteHot(PC);
       if (C.TT.generation() == GenBefore + 1) {
@@ -274,8 +274,7 @@ void DispatchLoop::dispatchLoop(ThreadState &TS, uint64_t &Quantum,
     // chain, where an install could evict code being executed.
     // Re-read the exec count: the promotion above may have replaced T.
     uint64_t TExecs = T->Blob.ExecCount;
-    if (C.TraceTier && C.ChainingEnabled && T->Tier == 1 &&
-        TExecs >= C.effTraceThreshold() && TExecs >= T->TraceRetryAt) {
+    if (T->Tier == 1 && TExecs >= promoteAt(*T)) {
       TraceSpec Spec = selectTracePath(T);
       Translation *NT =
           Spec.Entries.size() >= 2 ? C.XS->translateTrace(Spec) : nullptr;

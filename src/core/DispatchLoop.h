@@ -76,6 +76,13 @@ private:
   /// top of the dispatch loop.
   void injectBoundaryFaults(ThreadState &TS);
 
+  /// The entry count at which \p T moves up a tier: the hot threshold at
+  /// tier 0 under --hot-threshold, the trace threshold (or the later
+  /// TraceRetryAt) at tier 1 under --trace-tier with chaining, else never
+  /// (hvm::NoCheckPoint). The dispatcher promotes there, and the thunk
+  /// bounces a chained entry that reaches it back to the dispatcher.
+  uint64_t promoteAt(const Translation &T) const;
+
   /// The entry count at which a chained entry into \p T must call back
   /// into chainResolveThunk (hvm::CodeBlob::CheckPoint): where the thunk
   /// would bounce it to the dispatcher (hot promotion at tier 0, trace

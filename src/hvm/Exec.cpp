@@ -14,6 +14,11 @@
 /// byte instead, and one handler runs all its members. The generic ALU
 /// handlers serve the long tail of ops through ir::evalOp.
 ///
+/// No handler spells out a field offset or an instruction length: each
+/// reads At<form, field> and steps by Len<form>, compile-time constants
+/// derived from VG_HVM_FORMS (HostVM.h), so the machine code is what
+/// literal offsets would give.
+///
 //===----------------------------------------------------------------------===//
 
 #include "hvm/Exec.h"
@@ -163,14 +168,18 @@ RunOutcome Executor::run(CodeBlob &Blob, uint64_t ChainBudget) {
   void *Env = &Ctx;
   uint64_t *R = Regs;
 
-  // Label table indexed by opcode byte: the generic HOps in enum order,
-  // then the SpecOps and the groups in their HostVM.h order. Unsized
-  // accesses are never encoded (every size has its own byte).
+  // Label table indexed by opcode byte: the generic forms in VG_HVM_FORMS
+  // order, then the SpecOps and the groups in their HostVM.h order.
+  // Unsized accesses are never encoded (every size has its own byte), so
+  // their four generic entries share one label.
+#define L_LDG L_UNSIZED
+#define L_STG L_UNSIZED
+#define L_LDM L_UNSIZED
+#define L_STM L_UNSIZED
   static const void *const Table[] = {
-      &&L_LI,      &&L_MOV,     &&L_ALU,     &&L_ALU1,   &&L_ALUI,
-      &&L_UNSIZED, &&L_UNSIZED, &&L_UNSIZED, &&L_UNSIZED, &&L_SEL,
-      &&L_CALL,    &&L_JZ,      &&L_EXITI,   &&L_EXITR,  &&L_IMARK,
-      &&L_SPILL,   &&L_RELOAD,  &&L_ALUIS,   &&L_SHPROBE,
+#define VG_HVM_X(Name, ...) &&L_##Name,
+      VG_HVM_FORMS(VG_HVM_X)
+#undef VG_HVM_X
 #define VG_HVM_X(Form, Size) &&L_##Form##Size,
       VG_HVM_SIZED_OPS(VG_HVM_X)
 #undef VG_HVM_X
@@ -184,6 +193,10 @@ RunOutcome Executor::run(CodeBlob &Blob, uint64_t ChainBudget) {
       VG_HVM_GROUPS(VG_HVM_X)
 #undef VG_HVM_X
   };
+#undef L_LDG
+#undef L_STG
+#undef L_LDM
+#undef L_STM
   static_assert(sizeof(Table) / sizeof(Table[0]) == NumOpcodes,
                 "label table out of step with the opcode bytes");
 
@@ -192,61 +205,75 @@ RunOutcome Executor::run(CodeBlob &Blob, uint64_t ChainBudget) {
   DISPATCH();
 
 L_LI:
-  R[Code[Ip + 1]] = rdU64(Code + Ip + 2);
-  Ip += 10;
+  R[Code[Ip + At<HOp::LI, Fld::Dst>]] =
+      rdU64(Code + Ip + At<HOp::LI, Fld::Imm64>);
+  Ip += Len<HOp::LI>;
   DISPATCH();
 
 L_MOV:
-  R[Code[Ip + 1]] = R[Code[Ip + 2]];
-  Ip += 3;
+  R[Code[Ip + At<HOp::MOV, Fld::Dst>]] = R[Code[Ip + At<HOp::MOV, Fld::A>]];
+  Ip += Len<HOp::MOV>;
   DISPATCH();
 
   // Generic ALU forms: the long tail of ops, evaluated by ir::evalOp.
 L_ALU:
-  R[Code[Ip + 3]] = ir::evalOp(static_cast<ir::Op>(rdU16(Code + Ip + 1)),
-                               R[Code[Ip + 4]], R[Code[Ip + 5]]);
-  Ip += 6;
+  R[Code[Ip + At<HOp::ALU, Fld::Dst>]] = ir::evalOp(
+      static_cast<ir::Op>(rdU16(Code + Ip + At<HOp::ALU, Fld::IrOp>)),
+      R[Code[Ip + At<HOp::ALU, Fld::A>]], R[Code[Ip + At<HOp::ALU, Fld::B>]]);
+  Ip += Len<HOp::ALU>;
   DISPATCH();
 
 L_ALU1:
-  R[Code[Ip + 3]] =
-      ir::evalOp(static_cast<ir::Op>(rdU16(Code + Ip + 1)), R[Code[Ip + 4]], 0);
-  Ip += 5;
+  R[Code[Ip + At<HOp::ALU1, Fld::Dst>]] = ir::evalOp(
+      static_cast<ir::Op>(rdU16(Code + Ip + At<HOp::ALU1, Fld::IrOp>)),
+      R[Code[Ip + At<HOp::ALU1, Fld::A>]], 0);
+  Ip += Len<HOp::ALU1>;
   DISPATCH();
 
 L_ALUI:
-  R[Code[Ip + 3]] = ir::evalOp(static_cast<ir::Op>(rdU16(Code + Ip + 1)),
-                               R[Code[Ip + 4]], rdU64(Code + Ip + 5));
-  Ip += 13;
+  R[Code[Ip + At<HOp::ALUI, Fld::Dst>]] = ir::evalOp(
+      static_cast<ir::Op>(rdU16(Code + Ip + At<HOp::ALUI, Fld::IrOp>)),
+      R[Code[Ip + At<HOp::ALUI, Fld::A>]],
+      rdU64(Code + Ip + At<HOp::ALUI, Fld::Imm64>));
+  Ip += Len<HOp::ALUI>;
   DISPATCH();
 
 L_ALUIS:
-  R[Code[Ip + 3]] = ir::evalOp(static_cast<ir::Op>(rdU16(Code + Ip + 1)),
-                               R[Code[Ip + 4]], Code[Ip + 5]);
-  Ip += 6;
+  R[Code[Ip + At<HOp::ALUIS, Fld::Dst>]] = ir::evalOp(
+      static_cast<ir::Op>(rdU16(Code + Ip + At<HOp::ALUIS, Fld::IrOp>)),
+      R[Code[Ip + At<HOp::ALUIS, Fld::A>]],
+      Code[Ip + At<HOp::ALUIS, Fld::Imm8>]);
+  Ip += Len<HOp::ALUIS>;
   DISPATCH();
 
   // Specialised ALU forms: same layouts, the op fixed by the opcode byte.
 #define VG_HVM_X(O)                                                            \
   L_ALU_##O:                                                                   \
-  R[Code[Ip + 3]] = aluOp(ir::Op::O, R[Code[Ip + 4]], R[Code[Ip + 5]]);        \
-  Ip += 6;                                                                     \
+  R[Code[Ip + At<HOp::ALU, Fld::Dst>]] =                                       \
+      aluOp(ir::Op::O, R[Code[Ip + At<HOp::ALU, Fld::A>]],                     \
+            R[Code[Ip + At<HOp::ALU, Fld::B>]]);                               \
+  Ip += Len<HOp::ALU>;                                                         \
   DISPATCH();                                                                  \
   L_ALUI_##O:                                                                  \
-  R[Code[Ip + 3]] = aluOp(ir::Op::O, R[Code[Ip + 4]], rdU64(Code + Ip + 5));   \
-  Ip += 13;                                                                    \
+  R[Code[Ip + At<HOp::ALUI, Fld::Dst>]] =                                      \
+      aluOp(ir::Op::O, R[Code[Ip + At<HOp::ALUI, Fld::A>]],                    \
+            rdU64(Code + Ip + At<HOp::ALUI, Fld::Imm64>));                     \
+  Ip += Len<HOp::ALUI>;                                                        \
   DISPATCH();                                                                  \
   L_ALUIS_##O:                                                                 \
-  R[Code[Ip + 3]] = aluOp(ir::Op::O, R[Code[Ip + 4]], Code[Ip + 5]);           \
-  Ip += 6;                                                                     \
+  R[Code[Ip + At<HOp::ALUIS, Fld::Dst>]] =                                     \
+      aluOp(ir::Op::O, R[Code[Ip + At<HOp::ALUIS, Fld::A>]],                   \
+            Code[Ip + At<HOp::ALUIS, Fld::Imm8>]);                             \
+  Ip += Len<HOp::ALUIS>;                                                       \
   DISPATCH();
   VG_HVM_BINOPS(VG_HVM_X)
 #undef VG_HVM_X
 
 #define VG_HVM_X(O)                                                            \
   L_ALU1_##O:                                                                  \
-  R[Code[Ip + 3]] = aluOp(ir::Op::O, R[Code[Ip + 4]], 0);                      \
-  Ip += 5;                                                                     \
+  R[Code[Ip + At<HOp::ALU1, Fld::Dst>]] =                                      \
+      aluOp(ir::Op::O, R[Code[Ip + At<HOp::ALU1, Fld::A>]], 0);                \
+  Ip += Len<HOp::ALU1>;                                                        \
   DISPATCH();
   VG_HVM_UNOPS(VG_HVM_X)
 #undef VG_HVM_X
@@ -256,37 +283,39 @@ L_ALUIS:
 #define VG_HVM_LDG(Size)                                                       \
   L_LDG##Size: {                                                               \
     UInt<Size> W;                                                              \
-    std::memcpy(&W, Gst + rdU32(Code + Ip + 2), Size);                         \
-    R[Code[Ip + 1]] = W;                                                       \
-    Ip += 7;                                                                   \
+    std::memcpy(&W, Gst + rdU32(Code + Ip + At<HOp::LDG, Fld::Off>), Size);    \
+    R[Code[Ip + At<HOp::LDG, Fld::Dst>]] = W;                                  \
+    Ip += Len<HOp::LDG>;                                                       \
     DISPATCH();                                                                \
   }
 #define VG_HVM_STG(Size)                                                       \
   L_STG##Size: {                                                               \
-    auto W = static_cast<UInt<Size>>(R[Code[Ip + 1]]);                         \
-    std::memcpy(Gst + rdU32(Code + Ip + 2), &W, Size);                         \
-    Ip += 7;                                                                   \
+    auto W = static_cast<UInt<Size>>(R[Code[Ip + At<HOp::STG, Fld::A>]]);      \
+    std::memcpy(Gst + rdU32(Code + Ip + At<HOp::STG, Fld::Off>), &W, Size);    \
+    Ip += Len<HOp::STG>;                                                       \
     DISPATCH();                                                                \
   }
 #define VG_HVM_LDM(Size)                                                       \
   L_LDM##Size: {                                                               \
     uint32_t Addr =                                                            \
-        static_cast<uint32_t>(R[Code[Ip + 2]]) + rdU32(Code + Ip + 3);         \
+        static_cast<uint32_t>(R[Code[Ip + At<HOp::LDM, Fld::A>]]) +            \
+        rdU32(Code + Ip + At<HOp::LDM, Fld::Disp>);                            \
     UInt<Size> W = 0;                                                          \
     if (MemFault F = Mem.readT(Addr, W); F.Faulted)                            \
       return memFault(Out, F, /*Write=*/false, CurPC);                         \
-    R[Code[Ip + 1]] = W;                                                       \
-    Ip += 8;                                                                   \
+    R[Code[Ip + At<HOp::LDM, Fld::Dst>]] = W;                                  \
+    Ip += Len<HOp::LDM>;                                                       \
     DISPATCH();                                                                \
   }
 #define VG_HVM_STM(Size)                                                       \
   L_STM##Size: {                                                               \
     uint32_t Addr =                                                            \
-        static_cast<uint32_t>(R[Code[Ip + 1]]) + rdU32(Code + Ip + 3);         \
-    auto W = static_cast<UInt<Size>>(R[Code[Ip + 2]]);                         \
+        static_cast<uint32_t>(R[Code[Ip + At<HOp::STM, Fld::A>]]) +            \
+        rdU32(Code + Ip + At<HOp::STM, Fld::Disp>);                            \
+    auto W = static_cast<UInt<Size>>(R[Code[Ip + At<HOp::STM, Fld::B>]]);      \
     if (MemFault F = Mem.writeT(Addr, W); F.Faulted)                           \
       return memFault(Out, F, /*Write=*/true, CurPC);                          \
-    Ip += 8;                                                                   \
+    Ip += Len<HOp::STM>;                                                       \
     DISPATCH();                                                                \
   }
 #define VG_HVM_X(Form, Size) VG_HVM_##Form(Size)
@@ -301,18 +330,20 @@ L_UNSIZED:
   unreachable("HVM: unsized guest-state or memory access in encoded code");
 
 L_SEL:
-  R[Code[Ip + 1]] = R[Code[Ip + 2]] ? R[Code[Ip + 3]] : R[Code[Ip + 4]];
-  Ip += 5;
+  R[Code[Ip + At<HOp::SEL, Fld::Dst>]] =
+      R[Code[Ip + At<HOp::SEL, Fld::A>]] ? R[Code[Ip + At<HOp::SEL, Fld::B>]]
+                                         : R[Code[Ip + At<HOp::SEL, Fld::C>]];
+  Ip += Len<HOp::SEL>;
   DISPATCH();
 
 L_CALL: {
-  const ir::Callee *C =
-      reinterpret_cast<const ir::Callee *>(rdU64(Code + Ip + 1));
-  uint8_t Dst = Code[Ip + 9];
-  uint8_t N = Code[Ip + 10];
+  const ir::Callee *C = reinterpret_cast<const ir::Callee *>(
+      rdU64(Code + Ip + At<HOp::CALL, Fld::Callee>));
+  uint8_t Dst = Code[Ip + At<HOp::CALL, Fld::OptDst>];
+  uint8_t N = Code[Ip + At<HOp::CALL, Fld::NArgs>];
   uint64_t A[4] = {};
   for (unsigned J = 0; J != N; ++J)
-    A[J] = R[Code[Ip + 11 + J]];
+    A[J] = R[Code[Ip + At<HOp::CALL, Fld::Args> + J]];
   // The helper-call ABI: the caller's full register context is saved to
   // the call frame and callee-saved state restored afterwards — the
   // register save/restore traffic a real JIT's call sequences perform
@@ -332,21 +363,22 @@ L_CALL: {
     R[J] = 0xDEADDEADDEADDEADull;
   if (Dst != 0xFF)
     R[Dst] = Ret;
-  Ip += 15;
+  Ip += Len<HOp::CALL>;
   DISPATCH();
 }
 
 L_JZ:
-  if (R[Code[Ip + 1]] == 0)
-    Ip = rdU32(Code + Ip + 2);
+  if (R[Code[Ip + At<HOp::JZ, Fld::A>]] == 0)
+    Ip = rdU32(Code + Ip + At<HOp::JZ, Fld::Label>);
   else
-    Ip += 6;
+    Ip += Len<HOp::JZ>;
   DISPATCH();
 
 L_EXITI: {
-  uint32_t NextPC = rdU32(Code + Ip + 1);
-  ir::JumpKind JK = static_cast<ir::JumpKind>(Code[Ip + 5]);
-  uint32_t Slot = rdU32(Code + Ip + 6);
+  uint32_t NextPC = rdU32(Code + Ip + At<HOp::EXITI, Fld::Imm32>);
+  ir::JumpKind JK =
+      static_cast<ir::JumpKind>(Code[Ip + At<HOp::EXITI, Fld::JKind>]);
+  uint32_t Slot = rdU32(Code + Ip + At<HOp::EXITI, Fld::ChainSlot>);
   std::memcpy(Gst + PCOffset, &NextPC, 4);
   // Chaining: transfer directly into the successor translation. A filled
   // slot is followed here, counted in the successor's ExecCount and the
@@ -379,8 +411,9 @@ L_EXITI: {
 }
 
 L_EXITR: {
-  uint32_t NextPC = static_cast<uint32_t>(R[Code[Ip + 1]]);
-  ir::JumpKind JK = static_cast<ir::JumpKind>(Code[Ip + 2]);
+  uint32_t NextPC = static_cast<uint32_t>(R[Code[Ip + At<HOp::EXITR, Fld::A>]]);
+  ir::JumpKind JK =
+      static_cast<ir::JumpKind>(Code[Ip + At<HOp::EXITR, Fld::JKind>]);
   std::memcpy(Gst + PCOffset, &NextPC, 4);
   Out.K = RunOutcome::Kind::BlockEnd;
   Out.NextPC = NextPC;
@@ -391,81 +424,92 @@ L_EXITR: {
 }
 
 L_IMARK:
-  CurPC = rdU32(Code + Ip + 1);
-  Ip += 5;
+  CurPC = rdU32(Code + Ip + At<HOp::IMARK, Fld::Imm32>);
+  Ip += Len<HOp::IMARK>;
   DISPATCH();
 
 L_SPILL:
-  Frame[rdU32(Code + Ip + 2)] = R[Code[Ip + 1]];
-  Ip += 6;
+  Frame[rdU32(Code + Ip + At<HOp::SPILL, Fld::Off>)] =
+      R[Code[Ip + At<HOp::SPILL, Fld::A>]];
+  Ip += Len<HOp::SPILL>;
   DISPATCH();
 
 L_RELOAD:
-  R[Code[Ip + 1]] = Frame[rdU32(Code + Ip + 2)];
-  Ip += 6;
+  R[Code[Ip + At<HOp::RELOAD, Fld::Dst>]] =
+      Frame[rdU32(Code + Ip + At<HOp::RELOAD, Fld::Off>)];
+  Ip += Len<HOp::RELOAD>;
   DISPATCH();
 
   // Superinstruction groups (VG_HVM_GROUPS): each handler does the work of
-  // every member, then jumps past them all. Member M's bytes start at
-  // Code + Ip + (the lengths of the members before it); a member reads the
-  // register its predecessor writes, which encode() and checkOperands
-  // guarantee.
+  // every member, then jumps past them all. A member's fields start at
+  // Ip plus the Lens of the members before it; a member reads the register
+  // its predecessor writes, which encode() and checkOperands guarantee.
 L_G_LI_STG4: { // LI d, imm; STG4 off, d
-  uint64_t V = rdU64(Code + Ip + 2);
-  R[Code[Ip + 1]] = V;
+  constexpr unsigned St = Len<HOp::LI>;
+  uint64_t V = rdU64(Code + Ip + At<HOp::LI, Fld::Imm64>);
+  R[Code[Ip + At<HOp::LI, Fld::Dst>]] = V;
   auto W = static_cast<uint32_t>(V);
-  std::memcpy(Gst + rdU32(Code + Ip + 12), &W, 4);
-  Ip += 17;
+  std::memcpy(Gst + rdU32(Code + Ip + St + At<HOp::STG, Fld::Off>), &W, 4);
+  Ip += St + Len<HOp::STG>;
   DISPATCH();
 }
 
 L_G_GUARD: { // U1to32 t, c; CmpNEZ32 g, t; JZ g, L
-  uint64_t T = R[Code[Ip + 4]] & 1;
-  R[Code[Ip + 3]] = T;
-  R[Code[Ip + 8]] = T; // t is 0 or 1, so CmpNEZ32 leaves it as it is
-  Ip = T ? Ip + 16 : rdU32(Code + Ip + 12);
+  constexpr unsigned Cmp = Len<HOp::ALU1>, Jz = Cmp + Len<HOp::ALU1>;
+  uint64_t T = R[Code[Ip + At<HOp::ALU1, Fld::A>]] & 1;
+  R[Code[Ip + At<HOp::ALU1, Fld::Dst>]] = T;
+  // t is 0 or 1, so CmpNEZ32 leaves it as it is.
+  R[Code[Ip + Cmp + At<HOp::ALU1, Fld::Dst>]] = T;
+  Ip = T ? Ip + Jz + Len<HOp::JZ>
+         : rdU32(Code + Ip + Jz + At<HOp::JZ, Fld::Label>);
   DISPATCH();
 }
 
 L_G_IMARK_LI_STG4: { // IMARK pc; LI d, imm; STG4 off, d
-  CurPC = rdU32(Code + Ip + 1);
-  uint64_t V = rdU64(Code + Ip + 7);
-  R[Code[Ip + 6]] = V;
+  constexpr unsigned Li = Len<HOp::IMARK>, St = Li + Len<HOp::LI>;
+  CurPC = rdU32(Code + Ip + At<HOp::IMARK, Fld::Imm32>);
+  uint64_t V = rdU64(Code + Ip + Li + At<HOp::LI, Fld::Imm64>);
+  R[Code[Ip + Li + At<HOp::LI, Fld::Dst>]] = V;
   auto W = static_cast<uint32_t>(V);
-  std::memcpy(Gst + rdU32(Code + Ip + 17), &W, 4);
-  Ip += 22;
+  std::memcpy(Gst + rdU32(Code + Ip + St + At<HOp::STG, Fld::Off>), &W, 4);
+  Ip += St + Len<HOp::STG>;
   DISPATCH();
 }
 
 L_G_IMARK_LDG4: { // IMARK pc; LDG4 d, off
-  CurPC = rdU32(Code + Ip + 1);
+  constexpr unsigned Ld = Len<HOp::IMARK>;
+  CurPC = rdU32(Code + Ip + At<HOp::IMARK, Fld::Imm32>);
   uint32_t W;
-  std::memcpy(&W, Gst + rdU32(Code + Ip + 7), 4);
-  R[Code[Ip + 6]] = W;
-  Ip += 12;
+  std::memcpy(&W, Gst + rdU32(Code + Ip + Ld + At<HOp::LDG, Fld::Off>), 4);
+  R[Code[Ip + Ld + At<HOp::LDG, Fld::Dst>]] = W;
+  Ip += Ld + Len<HOp::LDG>;
   DISPATCH();
 }
 
-L_G_IMARK_IMARK: // IMARK pc0; IMARK pc1: only pc1 is ever reported
-  CurPC = rdU32(Code + Ip + 6);
-  Ip += 10;
+L_G_IMARK_IMARK: { // IMARK pc0; IMARK pc1: only pc1 is ever reported
+  constexpr unsigned Second = Len<HOp::IMARK>;
+  CurPC = rdU32(Code + Ip + Second + At<HOp::IMARK, Fld::Imm32>);
+  Ip += Second + Len<HOp::IMARK>;
   DISPATCH();
+}
 
 L_SHPROBE: {
   // Inline shadow-memory probe: runs in-line with no register save/restore
   // or caller-saved poisoning — the defining cost difference from a CALL
   // (Section 5.4, inline vs C-call analysis code).
-  uint32_t Addr = static_cast<uint32_t>(R[Code[Ip + 2]]);
+  uint32_t Addr =
+      static_cast<uint32_t>(R[Code[Ip + At<HOp::SHPROBE, Fld::A>]]);
   ShadowMap *SM = Ctx.ShadowSM;
   uint64_t Res;
-  if (Code[Ip + 4] & 1) {
-    uint32_t VWord = static_cast<uint32_t>(R[Code[Ip + 3]]);
+  if (Code[Ip + At<HOp::SHPROBE, Fld::Imm8>] & 1) {
+    uint32_t VWord =
+        static_cast<uint32_t>(R[Code[Ip + At<HOp::SHPROBE, Fld::OptB>]]);
     Res = SM ? SM->probeStoreW32(Addr, VWord) : 1;
   } else {
     Res = SM ? SM->probeLoadW32(Addr) : ShadowMap::ProbeSlow;
   }
-  R[Code[Ip + 1]] = Res;
-  Ip += 6;
+  R[Code[Ip + At<HOp::SHPROBE, Fld::Dst>]] = Res;
+  Ip += Len<HOp::SHPROBE>;
   DISPATCH();
 }
 

@@ -6,7 +6,9 @@
 /// (core/DispatchLoop.cpp) sits on top, exactly as in Section 3.9. Each
 /// opcode byte has its own handler, chosen by the encoder (hvm::SpecOp), so
 /// a host instruction costs one dispatch; a listed group of adjacent
-/// instructions (hvm::Group) costs one dispatch in all.
+/// instructions (hvm::Group) costs one dispatch in all. A handler reads
+/// its operands where the form's layout (hvm::At, from VG_HVM_FORMS)
+/// puts them and steps by the form's length (hvm::Len).
 ///
 /// Translation chaining: once the core supplies a callback, a Boring
 /// constant-target exit whose chain slot has been filled transfers directly

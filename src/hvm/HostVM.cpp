@@ -8,69 +8,35 @@
 #include <cstdio>
 #include <cstring>
 #include <iterator>
+#include <type_traits>
+#include <utility>
 
 using namespace vg;
 using namespace vg::hvm;
 
 namespace {
 
-unsigned encodedSizeFor(HOp Op) {
-  switch (Op) {
-  case HOp::LI:
-    return 10;
-  case HOp::MOV:
-    return 3;
-  case HOp::ALU:
-    return 6;
-  case HOp::ALU1:
-    return 5;
-  case HOp::ALUI:
-    return 13;
-  case HOp::LDG:
-  case HOp::STG:
-    return 7;
-  case HOp::LDM:
-  case HOp::STM:
-    return 8;
-  case HOp::SEL:
-    return 5;
-  case HOp::CALL:
-    return 15;
-  case HOp::JZ:
-    return 6;
-  case HOp::EXITI:
-    return 10;
-  case HOp::EXITR:
-    return 3;
-  case HOp::IMARK:
-    return 5;
-  case HOp::SPILL:
-  case HOp::RELOAD:
-    return 6;
-  case HOp::ALUIS:
-    return 6;
-  case HOp::SHPROBE:
-    return 6;
-  }
-  return 0;
-}
-
-unsigned encodedSize(const HInstr &I) { return encodedSizeFor(I.Op); }
-
-/// Generic form of each specialised opcode, in SpecOp order.
-constexpr HOp SpecForm[] = {
-#define VG_HVM_X(Form, Size) HOp::Form,
+/// Each specialised opcode's generic form, and the access size or ir::Op
+/// (its Field) it is specialised for, in SpecOp order.
+struct SpecDef {
+  HOp Form;
+  unsigned Field;
+};
+constexpr SpecDef SpecDefs[] = {
+#define VG_HVM_X(Form, Size) {HOp::Form, Size},
     VG_HVM_SIZED_OPS(VG_HVM_X)
 #undef VG_HVM_X
-#define VG_HVM_X(O) HOp::ALU, HOp::ALUI, HOp::ALUIS,
+#define VG_HVM_X(O)                                                            \
+  {HOp::ALU, unsigned(ir::Op::O)}, {HOp::ALUI, unsigned(ir::Op::O)},           \
+      {HOp::ALUIS, unsigned(ir::Op::O)},
     VG_HVM_BINOPS(VG_HVM_X)
 #undef VG_HVM_X
-#define VG_HVM_X(O) HOp::ALU1,
+#define VG_HVM_X(O) {HOp::ALU1, unsigned(ir::Op::O)},
     VG_HVM_UNOPS(VG_HVM_X)
 #undef VG_HVM_X
 };
-static_assert(std::size(SpecForm) == static_cast<size_t>(SpecOp::Count),
-              "SpecForm out of step with SpecOp");
+static_assert(std::size(SpecDefs) == static_cast<size_t>(SpecOp::Count),
+              "SpecDefs out of step with SpecOp");
 
 bool isAccess(HOp Op) {
   return Op == HOp::LDG || Op == HOp::STG || Op == HOp::LDM || Op == HOp::STM;
@@ -92,22 +58,9 @@ static_assert(NumIrOps <= SpecCols, "ir::Ops overflow SpecBytes");
 /// instruction it writes and for the members of each group it checks.
 constexpr auto SpecBytes = [] {
   std::array<std::array<uint8_t, SpecCols>, NumGenericOps> T{};
-  auto Set = [&](HOp Form, unsigned Field, SpecOp S) {
-    T[byteOf(Form)][Field] = byteOf(S);
-  };
-#define VG_HVM_X(Form, Size) Set(HOp::Form, Size, SpecOp::Form##Size);
-  VG_HVM_SIZED_OPS(VG_HVM_X)
-#undef VG_HVM_X
-#define VG_HVM_X(O)                                                            \
-  Set(HOp::ALU, static_cast<unsigned>(ir::Op::O), SpecOp::ALU_##O);            \
-  Set(HOp::ALUI, static_cast<unsigned>(ir::Op::O), SpecOp::ALUI_##O);          \
-  Set(HOp::ALUIS, static_cast<unsigned>(ir::Op::O), SpecOp::ALUIS_##O);
-  VG_HVM_BINOPS(VG_HVM_X)
-#undef VG_HVM_X
-#define VG_HVM_X(O)                                                            \
-  Set(HOp::ALU1, static_cast<unsigned>(ir::Op::O), SpecOp::ALU1_##O);
-  VG_HVM_UNOPS(VG_HVM_X)
-#undef VG_HVM_X
+  for (size_t S = 0; S != std::size(SpecDefs); ++S)
+    T[byteOf(SpecDefs[S].Form)][SpecDefs[S].Field] =
+        byteOf(static_cast<SpecOp>(S));
   return T;
 }();
 
@@ -188,129 +141,137 @@ uint8_t chooseByte(const HInstr *Is, uint8_t Own, size_t N) {
   return Own;
 }
 
-void putU16(std::vector<uint8_t> &B, uint16_t V) {
-  B.push_back(static_cast<uint8_t>(V));
-  B.push_back(static_cast<uint8_t>(V >> 8));
-}
-
-void putU32(std::vector<uint8_t> &B, uint32_t V) {
-  for (int I = 0; I != 4; ++I)
-    B.push_back(static_cast<uint8_t>(V >> (8 * I)));
-}
-
-void putU64(std::vector<uint8_t> &B, uint64_t V) {
-  for (int I = 0; I != 8; ++I)
-    B.push_back(static_cast<uint8_t>(V >> (8 * I)));
-}
-
-template <typename T> T rd(const uint8_t *P) {
-  T V;
-  std::memcpy(&V, P, sizeof(V));
-  return V;
-}
-
 uint8_t r8(RegId R) {
   assert(!isVirtual(R) && R < NumHostRegs && "unallocated register reaches encoder");
   return static_cast<uint8_t>(R);
 }
 
+/// The HInstr member a field of kind F holds.
+template <Fld F, typename Instr> auto &member(Instr &In) {
+  if constexpr (F == Fld::Dst || F == Fld::OptDst)
+    return In.Dst;
+  else if constexpr (F == Fld::A)
+    return In.A;
+  else if constexpr (F == Fld::B || F == Fld::OptB)
+    return In.B;
+  else if constexpr (F == Fld::C)
+    return In.C;
+  else if constexpr (F == Fld::Args)
+    return In.Args;
+  else if constexpr (F == Fld::IrOp)
+    return In.IrOp;
+  else if constexpr (F == Fld::Imm8 || F == Fld::Imm32 || F == Fld::Imm64)
+    return In.Imm;
+  else if constexpr (F == Fld::Off)
+    return In.Off;
+  else if constexpr (F == Fld::Disp)
+    return In.Disp;
+  else if constexpr (F == Fld::Size)
+    return In.Size;
+  else if constexpr (F == Fld::JKind)
+    return In.JKind;
+  else if constexpr (F == Fld::ChainSlot)
+    return In.ChainSlot;
+  else if constexpr (F == Fld::Label)
+    return In.Label;
+  else if constexpr (F == Fld::NArgs)
+    return In.NArgs;
+  else {
+    static_assert(F == Fld::Callee, "field kind without an HInstr member");
+    return In.CalleeFn;
+  }
+}
+
+constexpr bool isReg(Fld F) {
+  return F == Fld::Dst || F == Fld::A || F == Fld::B || F == Fld::C;
+}
+constexpr bool isOptReg(Fld F) { return F == Fld::OptDst || F == Fld::OptB; }
+
+/// Appends field F of \p I, little-endian; \p Offset maps instruction
+/// indices to byte offsets (for a JZ's Label).
+template <Fld F>
+[[gnu::always_inline]] inline void
+putField(std::vector<uint8_t> &B, const HInstr &I,
+         const std::vector<uint32_t> &Offset) {
+  const auto &M = member<F>(I);
+  if constexpr (F == Fld::Args) {
+    for (RegId R : M)
+      B.push_back(R == NoReg ? 0 : r8(R));
+  } else if constexpr (isReg(F)) {
+    B.push_back(r8(M));
+  } else if constexpr (isOptReg(F)) {
+    B.push_back(M == NoReg ? 0xFF : r8(M));
+  } else {
+    uint64_t V;
+    if constexpr (F == Fld::Label) {
+      assert(M >= 0 && static_cast<size_t>(M) < Offset.size() &&
+             "JZ with unresolved label");
+      V = Offset[M];
+    } else if constexpr (F == Fld::Callee) {
+      V = reinterpret_cast<uint64_t>(M);
+    } else {
+      V = static_cast<uint64_t>(M);
+    }
+    for (unsigned K = 0; K != widthOf(F); ++K)
+      B.push_back(static_cast<uint8_t>(V >> (8 * K)));
+  }
+}
+
+/// Reads field F, which starts at \p P, into \p I: the inverse of
+/// putField (a Label reads back as its target's byte offset). Register
+/// bytes come back as written, so that checkOperands sees them; only
+/// OptDst and OptB read 0xFF as NoReg.
+template <Fld F> void getField(HInstr &I, const uint8_t *P) {
+  auto &M = member<F>(I);
+  if constexpr (F == Fld::Args) {
+    for (int J = 0; J != 4; ++J)
+      M[J] = P[J];
+  } else if constexpr (isOptReg(F)) {
+    M = *P == 0xFF ? NoReg : RegId{*P};
+  } else {
+    uint64_t V = 0;
+    std::memcpy(&V, P, widthOf(F)); // V's low bytes, on a little-endian host
+    if constexpr (F == Fld::Callee)
+      M = reinterpret_cast<const ir::Callee *>(V);
+    else
+      M = static_cast<std::remove_reference_t<decltype(M)>>(V);
+  }
+}
+
+template <HOp Op>
+using FieldIndices =
+    std::make_index_sequence<std::size(FormLayout<Op>::Fields)>;
+
+/// Appends \p I's fields, form Op's layout unrolled: one inlined copy per
+/// form, so encode() switches on the form once, not on every field.
+template <HOp Op, size_t... K>
+[[gnu::always_inline]] inline void
+putFields(std::vector<uint8_t> &B, const HInstr &I,
+          const std::vector<uint32_t> &Offset, std::index_sequence<K...>) {
+  (putField<FormLayout<Op>::Fields[K]>(B, I, Offset), ...);
+}
+
+/// Reads form Op's fields of the instruction at \p P into \p I.
+template <HOp Op, size_t... K>
+void getFields(HInstr &I, const uint8_t *P, std::index_sequence<K...>) {
+  (getField<FormLayout<Op>::Fields[K]>(
+       I, P + At<Op, FormLayout<Op>::Fields[K]>),
+   ...);
+}
+
 /// Decodes the instruction at \p P, which the opcode walker has checked:
 /// the inverse of encode() for one instruction (a group byte decodes as
-/// its lead). Register bytes come back as written (CALL's and SHPROBE's
-/// 0xFF as NoReg), a JZ's Label is its target's byte offset, and a CALL's
-/// callee field is not read (findCalleeSlots finds it).
+/// its lead, and a JZ's Label is its target's byte offset).
 HInstr decodeInstr(const uint8_t *P) {
   HInstr I;
   I.Op = opcodeInfo(P[0]).Form;
-  auto Reg = [](uint8_t R) { return R == 0xFF ? NoReg : RegId{R}; };
   switch (I.Op) {
-  case HOp::LI:
-    I.Dst = P[1];
-    I.Imm = rd<uint64_t>(P + 2);
+#define VG_HVM_X(Name, ...)                                                    \
+  case HOp::Name:                                                              \
+    getFields<HOp::Name>(I, P, FieldIndices<HOp::Name>{});                     \
     break;
-  case HOp::MOV:
-    I.Dst = P[1];
-    I.A = P[2];
-    break;
-  case HOp::ALU:
-  case HOp::ALU1:
-  case HOp::ALUI:
-  case HOp::ALUIS:
-    I.IrOp = static_cast<ir::Op>(rd<uint16_t>(P + 1));
-    I.Dst = P[3];
-    I.A = P[4];
-    if (I.Op == HOp::ALU)
-      I.B = P[5];
-    else if (I.Op == HOp::ALUI)
-      I.Imm = rd<uint64_t>(P + 5);
-    else if (I.Op == HOp::ALUIS)
-      I.Imm = P[5];
-    break;
-  case HOp::LDG:
-    I.Dst = P[1];
-    I.Off = rd<uint32_t>(P + 2);
-    I.Size = P[6];
-    break;
-  case HOp::STG:
-    I.A = P[1];
-    I.Off = rd<uint32_t>(P + 2);
-    I.Size = P[6];
-    break;
-  case HOp::LDM:
-    I.Dst = P[1];
-    I.A = P[2];
-    I.Disp = rd<int32_t>(P + 3);
-    I.Size = P[7];
-    break;
-  case HOp::STM:
-    I.A = P[1];
-    I.B = P[2];
-    I.Disp = rd<int32_t>(P + 3);
-    I.Size = P[7];
-    break;
-  case HOp::SEL:
-    I.Dst = P[1];
-    I.A = P[2];
-    I.B = P[3];
-    I.C = P[4];
-    break;
-  case HOp::CALL:
-    I.Dst = Reg(P[9]);
-    I.NArgs = P[10];
-    for (int J = 0; J != 4; ++J)
-      I.Args[J] = P[11 + J];
-    break;
-  case HOp::JZ:
-    I.A = P[1];
-    I.Label = rd<int32_t>(P + 2);
-    break;
-  case HOp::EXITI:
-    I.Imm = rd<uint32_t>(P + 1);
-    I.JKind = P[5];
-    I.ChainSlot = rd<uint32_t>(P + 6);
-    break;
-  case HOp::EXITR:
-    I.A = P[1];
-    I.JKind = P[2];
-    break;
-  case HOp::IMARK:
-    I.Imm = rd<uint32_t>(P + 1);
-    break;
-  case HOp::SPILL:
-    I.A = P[1];
-    I.Off = rd<uint32_t>(P + 2);
-    break;
-  case HOp::RELOAD:
-    I.Dst = P[1];
-    I.Off = rd<uint32_t>(P + 2);
-    break;
-  case HOp::SHPROBE:
-    I.Dst = P[1];
-    I.A = P[2];
-    I.B = Reg(P[3]);
-    I.Imm = P[4];
-    I.Size = P[5];
-    break;
+    VG_HVM_FORMS(VG_HVM_X)
+#undef VG_HVM_X
   }
   return I;
 }
@@ -330,7 +291,7 @@ std::vector<uint8_t> hvm::encode(const HostCode &CodeIn) {
   uint32_t Pos = 0;
   for (size_t I = 0; I != Code.Instrs.size(); ++I) {
     Offset[I] = Pos;
-    Pos += encodedSize(Code.Instrs[I]);
+    Pos += Lengths[byteOf(Code.Instrs[I].Op)];
   }
   Offset[Code.Instrs.size()] = Pos;
 
@@ -343,106 +304,12 @@ std::vector<uint8_t> hvm::encode(const HostCode &CodeIn) {
     assert(opcodeInfo(B.back()).Len &&
            "access of unsupported size reaches encoder");
     switch (I.Op) {
-    case HOp::LI:
-      B.push_back(r8(I.Dst));
-      putU64(B, I.Imm);
-      break;
-    case HOp::MOV:
-      B.push_back(r8(I.Dst));
-      B.push_back(r8(I.A));
-      break;
-    case HOp::ALU:
-      putU16(B, static_cast<uint16_t>(I.IrOp));
-      B.push_back(r8(I.Dst));
-      B.push_back(r8(I.A));
-      B.push_back(r8(I.B));
-      break;
-    case HOp::ALU1:
-      putU16(B, static_cast<uint16_t>(I.IrOp));
-      B.push_back(r8(I.Dst));
-      B.push_back(r8(I.A));
-      break;
-    case HOp::ALUI:
-      putU16(B, static_cast<uint16_t>(I.IrOp));
-      B.push_back(r8(I.Dst));
-      B.push_back(r8(I.A));
-      putU64(B, I.Imm);
-      break;
-    case HOp::LDG:
-      B.push_back(r8(I.Dst));
-      putU32(B, I.Off);
-      B.push_back(I.Size);
-      break;
-    case HOp::STG:
-      B.push_back(r8(I.A));
-      putU32(B, I.Off);
-      B.push_back(I.Size);
-      break;
-    case HOp::LDM:
-      B.push_back(r8(I.Dst));
-      B.push_back(r8(I.A));
-      putU32(B, static_cast<uint32_t>(I.Disp));
-      B.push_back(I.Size);
-      break;
-    case HOp::STM:
-      B.push_back(r8(I.A));
-      B.push_back(r8(I.B));
-      putU32(B, static_cast<uint32_t>(I.Disp));
-      B.push_back(I.Size);
-      break;
-    case HOp::SEL:
-      B.push_back(r8(I.Dst));
-      B.push_back(r8(I.A));
-      B.push_back(r8(I.B));
-      B.push_back(r8(I.C));
-      break;
-    case HOp::CALL:
-      putU64(B, reinterpret_cast<uint64_t>(I.CalleeFn));
-      B.push_back(I.Dst == NoReg ? 0xFF : r8(I.Dst));
-      B.push_back(I.NArgs);
-      for (int J = 0; J != 4; ++J)
-        B.push_back(I.Args[J] == NoReg ? 0 : r8(I.Args[J]));
-      break;
-    case HOp::JZ:
-      B.push_back(r8(I.A));
-      assert(I.Label >= 0 &&
-             static_cast<size_t>(I.Label) < Offset.size() &&
-             "JZ with unresolved label");
-      putU32(B, Offset[I.Label]);
-      break;
-    case HOp::EXITI:
-      putU32(B, static_cast<uint32_t>(I.Imm));
-      B.push_back(I.JKind);
-      putU32(B, I.ChainSlot);
-      break;
-    case HOp::EXITR:
-      B.push_back(r8(I.A));
-      B.push_back(I.JKind);
-      break;
-    case HOp::IMARK:
-      putU32(B, static_cast<uint32_t>(I.Imm));
-      break;
-    case HOp::SPILL:
-      B.push_back(r8(I.A));
-      putU32(B, I.Off);
-      break;
-    case HOp::RELOAD:
-      B.push_back(r8(I.Dst));
-      putU32(B, I.Off);
-      break;
-    case HOp::ALUIS:
-      putU16(B, static_cast<uint16_t>(I.IrOp));
-      B.push_back(r8(I.Dst));
-      B.push_back(r8(I.A));
-      B.push_back(static_cast<uint8_t>(I.Imm));
-      break;
-    case HOp::SHPROBE:
-      B.push_back(r8(I.Dst));
-      B.push_back(r8(I.A));
-      B.push_back(I.B == NoReg ? 0xFF : r8(I.B));
-      B.push_back(static_cast<uint8_t>(I.Imm)); // bit 0: store form
-      B.push_back(I.Size);
-      break;
+#define VG_HVM_X(Name, ...)                                                    \
+  case HOp::Name:                                                              \
+    putFields<HOp::Name>(B, I, Offset, FieldIndices<HOp::Name>{});             \
+    break;
+      VG_HVM_FORMS(VG_HVM_X)
+#undef VG_HVM_X
     }
   }
   return B;
@@ -459,11 +326,11 @@ OpcodeInfo hvm::opcodeInfo(uint8_t Byte) {
     return Info;
   }
   HOp Form = Byte < NumGenericOps ? static_cast<HOp>(Byte)
-                                  : SpecForm[Byte - NumGenericOps];
+                                  : SpecDefs[Byte - NumGenericOps].Form;
   // Accesses are always encoded with their size-specialised byte.
   if (Byte < NumGenericOps && isAccess(Form))
     return {Form, 0, Byte, 0};
-  auto Len = static_cast<uint8_t>(encodedSizeFor(Form));
+  uint8_t Len = Lengths[byteOf(Form)];
   return {Form, Len, Byte, Len};
 }
 
@@ -559,7 +426,7 @@ bool hvm::findCalleeSlots(const std::vector<uint8_t> &Bytes,
   Slots.clear();
   return walkOpcodes(Bytes, [&](uint32_t Off, uint8_t, HOp Form) {
     if (Form == HOp::CALL)
-      Slots.push_back(Off + 1); // field follows opcode
+      Slots.push_back(Off + At<HOp::CALL, Fld::Callee>);
   });
 }
 

@@ -15,6 +15,10 @@
 ///                           picks the executor handler, for one
 ///                           instruction or for a superinstruction group.
 ///
+/// Each instruction form's encoded layout is written once, in
+/// VG_HVM_FORMS below; the encoder, the operand check's decoder and the
+/// executor's handlers all read their offsets and lengths from it.
+///
 /// Host register conventions (Section 3.4/3.9): registers h0..h9 are
 /// allocatable, h10..h13 are spill-reload scratch, h14 conceptually holds
 /// the guest program counter between blocks, and h15 is permanently
@@ -27,7 +31,9 @@
 
 #include "ir/IR.h"
 
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <vector>
 
 namespace vg {
@@ -53,36 +59,127 @@ constexpr unsigned FirstScratch = 10;
 constexpr RegId VirtBase = 0x10000;
 inline bool isVirtual(RegId R) { return R >= VirtBase; }
 
-/// Host opcodes: the instruction forms ISel and the register allocator
-/// work with. Each is also an encoded opcode byte, served by a generic
-/// executor handler; encode() writes a specialised byte (SpecOp) instead
-/// wherever one exists, so that byte alone selects the handler.
+//===----------------------------------------------------------------------===//
+// Instruction forms and their layouts
+//
+// Every encoded instruction is its opcode byte followed by its form's
+// fields, packed in the order VG_HVM_FORMS lists them. That list is the one
+// statement of each layout: the HOp enum, each form's length (Len, Lengths)
+// and each field's offset (At) derive from it, and encode(), the operand
+// check's decoder and the executor's handlers read them.
+//===----------------------------------------------------------------------===//
+
+/// The kinds of encoded field, each with its width in bytes (widthOf) and
+/// the HInstr member it holds:
+///  - Dst, A, B, C: a register byte (that member);
+///  - OptDst, OptB: a register byte of Dst or B in which 0xFF is NoReg;
+///  - Args: Args[0..4) as four register bytes, 0 for NoReg;
+///  - IrOp: the ir::Op, 2 bytes;
+///  - Imm8, Imm32, Imm64: Imm's low 1, 4 or 8 bytes;
+///  - Off, Disp, ChainSlot: 4 bytes; Size, JKind, NArgs: 1 byte;
+///  - Label: a JZ's target, written as the target's byte offset, 4 bytes;
+///  - Callee: the CalleeFn pointer, 8 bytes.
+enum class Fld : uint8_t {
+  Dst, A, B, C, OptDst, OptB, Args, IrOp, Imm8, Imm32, Imm64,
+  Off, Disp, Size, JKind, ChainSlot, Label, NArgs, Callee,
+};
+
+constexpr unsigned widthOf(Fld F) {
+  switch (F) {
+  case Fld::IrOp:
+    return 2;
+  case Fld::Args:
+  case Fld::Imm32:
+  case Fld::Off:
+  case Fld::Disp:
+  case Fld::ChainSlot:
+  case Fld::Label:
+    return 4;
+  case Fld::Imm64:
+  case Fld::Callee:
+    return 8;
+  default:
+    return 1;
+  }
+}
+
+/// The generic host instruction forms, the ones ISel and the register
+/// allocator work with, in opcode-byte order: X(form, its fields in byte
+/// order). Each is served by a generic executor handler; encode() writes a
+/// specialised byte (SpecOp) instead wherever one exists, so that byte
+/// alone selects the handler. SHPROBE is serviced inline by the tool's
+/// ShadowMap: no helper call, no caller-saved clobber.
+#define VG_HVM_FORMS(X)                                                        \
+  X(LI, Dst, Imm64)                    /* Dst = Imm */                         \
+  X(MOV, Dst, A)                       /* Dst = A */                           \
+  X(ALU, IrOp, Dst, A, B)              /* Dst = IrOp(A, B) */                  \
+  X(ALU1, IrOp, Dst, A)                /* Dst = IrOp(A) */                     \
+  X(ALUI, IrOp, Dst, A, Imm64)         /* Dst = IrOp(A, Imm), Imm folded */    \
+  X(LDG, Dst, Off, Size)               /* Dst = guest_state[Off ..) */         \
+  X(STG, A, Off, Size)                 /* guest_state[Off ..) = A */           \
+  X(LDM, Dst, A, Disp, Size)           /* Dst = mem[A + Disp], zero-ext. */    \
+  X(STM, A, B, Disp, Size)             /* mem[A + Disp] = B */                 \
+  X(SEL, Dst, A, B, C)                 /* Dst = A ? B : C */                   \
+  X(CALL, Callee, OptDst, NArgs, Args) /* Dst = CalleeFn(Args..) or none */    \
+  X(JZ, A, Label)                      /* if (A == 0) goto Label */            \
+  X(EXITI, Imm32, JKind, ChainSlot)    /* leave: next PC = Imm, chainable */   \
+  X(EXITR, A, JKind)                   /* leave: next PC = A */                \
+  X(IMARK, Imm32)                      /* guest instruction at Imm */          \
+  X(SPILL, A, Off)                     /* spill_frame[Off] = A */              \
+  X(RELOAD, Dst, Off)                  /* Dst = spill_frame[Off] */            \
+  X(ALUIS, IrOp, Dst, A, Imm8)         /* ALUI with Imm in [0, 255] */         \
+  X(SHPROBE, Dst, A, OptB, Imm8, Size) /* Dst = probe [A]; Imm 1: store B */
+
+/// Host opcodes: the generic forms.
 enum class HOp : uint8_t {
-  LI,     ///< Dst = Imm
-  MOV,    ///< Dst = A
-  ALU,    ///< Dst = IrOp(A, B)
-  ALU1,   ///< Dst = IrOp(A)
-  ALUI,   ///< Dst = IrOp(A, Imm)      (immediate folded by tree matching)
-  LDG,    ///< Dst = guest_state[Off .. Off+Size)
-  STG,    ///< guest_state[Off ..) = A
-  LDM,    ///< Dst = guest_mem[A + Disp], Size bytes (zero-extended)
-  STM,    ///< guest_mem[A + Disp] = B, Size bytes
-  SEL,    ///< Dst = A ? B : C
-  CALL,   ///< Dst = CalleeFn(Args[0..NArgs))      (Dst may be NoReg)
-  JZ,     ///< if (A == 0) goto Label
-  EXITI,  ///< leave block: next guest PC = Imm, kind JKind, chain ChainSlot
-  EXITR,  ///< leave block: next guest PC = A, kind JKind
-  IMARK,  ///< current guest instruction is at Imm (fault attribution)
-  SPILL,  ///< spill_frame[Off] = A
-  RELOAD, ///< Dst = spill_frame[Off]
-  ALUIS,  ///< Dst = IrOp(A, Imm) with Imm in [0,255] (compact encoding)
-  SHPROBE, ///< Dst = shadow probe at [A] (B = V-word for the store form);
-           ///< the tool's ShadowMap services it inline — no helper call,
-           ///< no caller-saved clobber. Imm bit 0: 1 = store, 0 = load.
+#define VG_HVM_X(Name, ...) Name,
+  VG_HVM_FORMS(VG_HVM_X)
+#undef VG_HVM_X
+};
+
+/// FormLayout<Op>::Fields: form Op's fields, in byte order.
+template <HOp Op> struct FormLayout;
+#define VG_HVM_X(Name, ...)                                                    \
+  template <> struct FormLayout<HOp::Name> {                                   \
+    using enum Fld;                                                            \
+    static constexpr Fld Fields[] = {__VA_ARGS__};                             \
+  };
+VG_HVM_FORMS(VG_HVM_X)
+#undef VG_HVM_X
+
+/// The byte offset of field \p F among \p Fields (the opcode byte is at
+/// 0); asking for a field the form lacks fails to compile.
+consteval unsigned fieldOffset(const Fld *Fields, size_t N, Fld F) {
+  unsigned Pos = 1;
+  for (size_t I = 0; I != N; Pos += widthOf(Fields[I++]))
+    if (Fields[I] == F)
+      return Pos;
+  throw "form has no such field";
+}
+
+/// Byte offset of field F in a form-Op instruction.
+template <HOp Op, Fld F>
+constexpr unsigned At = fieldOffset(FormLayout<Op>::Fields,
+                                    std::size(FormLayout<Op>::Fields), F);
+
+/// Encoded length of a form-Op instruction, its opcode byte included.
+template <HOp Op>
+constexpr unsigned Len = [] {
+  unsigned L = 1;
+  for (Fld F : FormLayout<Op>::Fields)
+    L += widthOf(F);
+  return L;
+}();
+
+/// Len of each form, indexed by HOp.
+constexpr uint8_t Lengths[] = {
+#define VG_HVM_X(Name, ...) Len<HOp::Name>,
+    VG_HVM_FORMS(VG_HVM_X)
+#undef VG_HVM_X
 };
 
 /// Opcode bytes [0, NumGenericOps) are the HOps themselves.
-constexpr unsigned NumGenericOps = static_cast<unsigned>(HOp::SHPROBE) + 1;
+constexpr unsigned NumGenericOps = std::size(Lengths);
 
 //===----------------------------------------------------------------------===//
 // Specialised opcodes (encode-time)
@@ -293,7 +390,8 @@ bool findCalleeSlots(const std::vector<uint8_t> &Bytes,
 /// translation cache) must pass before it may run: every instruction
 /// decodes, its opcode byte (a group byte read as its lead's) is the one
 /// encode() would write for its size and ir::Op fields, register bytes
-/// are below NumHostRegs (CALL's 0xFF "no result" aside),
+/// are below NumHostRegs (0xFF, "no register", in an OptDst or OptB field
+/// aside),
 /// ir::Ops are real, guest-state accesses end within \p GuestStateSize,
 /// spill slots are below \p NumSpillSlots, a CALL has at most 4
 /// arguments, every JZ targets the start of a later instruction, each group

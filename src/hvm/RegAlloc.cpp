@@ -27,8 +27,8 @@ struct Interval {
 };
 
 struct UseDef {
-  RegId *Regs[6];
-  bool IsDef[6];
+  RegId *Regs[8];
+  bool IsDef[8];
   unsigned N = 0;
   void add(RegId &R, bool Def) {
     if (R == NoReg || !isVirtual(R))
@@ -39,72 +39,17 @@ struct UseDef {
   }
 };
 
-/// Collects the virtual-register operands of an instruction.
+/// Collects the virtual-register operands of an instruction: the uses A,
+/// B, C and Args[0..NArgs), then the def Dst. A form leaves the registers
+/// it lacks NoReg, so one order serves every form.
 UseDef operands(HInstr &I) {
   UseDef U;
-  switch (I.Op) {
-  case HOp::LI:
-    U.add(I.Dst, true);
-    break;
-  case HOp::MOV:
-    U.add(I.A, false);
-    U.add(I.Dst, true);
-    break;
-  case HOp::ALU:
-    U.add(I.A, false);
-    U.add(I.B, false);
-    U.add(I.Dst, true);
-    break;
-  case HOp::ALU1:
-  case HOp::ALUI:
-  case HOp::ALUIS: // only created at encode time, but handle uniformly
-    U.add(I.A, false);
-    U.add(I.Dst, true);
-    break;
-  case HOp::LDG:
-    U.add(I.Dst, true);
-    break;
-  case HOp::STG:
-    U.add(I.A, false);
-    break;
-  case HOp::LDM:
-    U.add(I.A, false);
-    U.add(I.Dst, true);
-    break;
-  case HOp::STM:
-    U.add(I.A, false);
-    U.add(I.B, false);
-    break;
-  case HOp::SEL:
-    U.add(I.A, false);
-    U.add(I.B, false);
-    U.add(I.C, false);
-    U.add(I.Dst, true);
-    break;
-  case HOp::CALL:
-    for (unsigned J = 0; J != I.NArgs; ++J)
-      U.add(I.Args[J], false);
-    U.add(I.Dst, true);
-    break;
-  case HOp::JZ:
-  case HOp::EXITR:
-    U.add(I.A, false);
-    break;
-  case HOp::SPILL:
-    U.add(I.A, false);
-    break;
-  case HOp::RELOAD:
-    U.add(I.Dst, true);
-    break;
-  case HOp::SHPROBE:
-    U.add(I.A, false);
-    U.add(I.B, false); // NoReg for the load form; add() skips it
-    U.add(I.Dst, true);
-    break;
-  case HOp::EXITI:
-  case HOp::IMARK:
-    break;
-  }
+  U.add(I.A, false);
+  U.add(I.B, false);
+  U.add(I.C, false);
+  for (unsigned J = 0; J != I.NArgs; ++J)
+    U.add(I.Args[J], false);
+  U.add(I.Dst, true);
   return U;
 }
 

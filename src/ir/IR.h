@@ -451,7 +451,6 @@ public:
   // --- expression factories ---------------------------------------------
   Expr *constI1(bool V) { return mkConst(Ty::I1, V ? 1 : 0); }
   Expr *constI8(uint8_t V) { return mkConst(Ty::I8, V); }
-  Expr *constI16(uint16_t V) { return mkConst(Ty::I16, V); }
   Expr *constI32(uint32_t V) { return mkConst(Ty::I32, V); }
   Expr *constI64(uint64_t V) { return mkConst(Ty::I64, V); }
   Expr *constF64(double V);

@@ -102,9 +102,6 @@ public:
   void provideStdin(const std::string &S) {
     StdinBuf.assign(S.begin(), S.end());
   }
-  void addFile(const std::string &Name, std::vector<uint8_t> Data) {
-    Files[Name] = std::move(Data);
-  }
   const std::vector<uint8_t> *file(const std::string &Name) const {
     auto It = Files.find(Name);
     return It == Files.end() ? nullptr : &It->second;

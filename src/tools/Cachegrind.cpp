@@ -3,6 +3,9 @@
 #include "tools/Cachegrind.h"
 
 #include <algorithm>
+#include <bit>
+#include <charconv>
+#include <cstdio>
 
 using namespace vg;
 using namespace vg::ir;
@@ -93,13 +96,54 @@ void Cachegrind::registerOptions(OptionRegistry &Opts) {
   Opts.addOption("LL", "1048576,16,64", "LL cache: size,assoc,linesize");
 }
 
+namespace {
+
+/// Bounds on a simulated cache's shape.
+constexpr uint64_t MaxSets = 1u << 20, MaxAssoc = 64;
+
+/// Reads "size,assoc,linesize": three positive decimal integers, each
+/// below 2^32, and nothing else (no sign, space or trailing text).
+bool parseGeometry(const std::string &S, uint64_t (&V)[3]) {
+  const char *P = S.data(), *End = P + S.size();
+  for (int I = 0; I != 3; ++I) {
+    if (I && (P == End || *P++ != ','))
+      return false;
+    auto [Next, Err] = std::from_chars(P, End, V[I]);
+    if (Err != std::errc() || V[I] == 0 || V[I] > UINT32_MAX)
+      return false;
+    P = Next;
+  }
+  return P == End;
+}
+
+} // namespace
+
 void Cachegrind::init(Core &Core_) {
   C = &Core_;
+  // A line size that is a power of two, and a size that is a power-of-two
+  // number of sets of Assoc lines; checked in 64 bits, where Assoc *
+  // LineSize cannot wrap to 0. Anything else is a usage error.
   auto Parse = [&](const char *Name) {
     std::string S = C->options().getString(Name);
-    uint32_t Sz = 32768, As = 8, Ln = 64;
-    std::sscanf(S.c_str(), "%u,%u,%u", &Sz, &As, &Ln);
-    return std::make_unique<CacheModel>(Sz, As, Ln);
+    uint64_t V[3] = {};
+    bool Ok = parseGeometry(S, V);
+    uint64_t SetBytes = Ok ? V[1] * V[2] : 1;
+    Ok = Ok && std::has_single_bit(V[2]) && V[1] <= MaxAssoc &&
+         V[0] % SetBytes == 0 && std::has_single_bit(V[0] / SetBytes) &&
+         V[0] / SetBytes <= MaxSets;
+    if (!Ok) {
+      char Msg[320];
+      std::snprintf(Msg, sizeof(Msg),
+                    "--%s=%s: expected size,assoc,linesize: positive "
+                    "integers, linesize a power of two, assoc at most %llu, "
+                    "size / (assoc * linesize) a power of two at most %llu",
+                    Name, S.c_str(), static_cast<unsigned long long>(MaxAssoc),
+                    static_cast<unsigned long long>(MaxSets));
+      fatalError(Msg);
+    }
+    return std::make_unique<CacheModel>(static_cast<uint32_t>(V[0]),
+                                        static_cast<uint32_t>(V[1]),
+                                        static_cast<uint32_t>(V[2]));
   };
   I1 = Parse("I1");
   D1 = Parse("D1");

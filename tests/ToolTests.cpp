@@ -320,6 +320,41 @@ TEST(Cachegrind, StridePatternsChangeMissRate) {
   EXPECT_GT(Sparse, 0.80);
 }
 
+GuestImage exitAtOnce() {
+  return buildProgram([](Assembler &Code, Assembler &, GuestLibLabels &) {
+    Code.movi(Reg::R0, 0);
+    Code.ret();
+  });
+}
+
+TEST(Cachegrind, AcceptsEveryCacheShapeTheModelCanSimulate) {
+  Cachegrind T;
+  RunReport R = runUnderCore(exitAtOnce(), &T,
+                             {"--I1=16384,4,32", "--D1=64,1,64",
+                              "--LL=4194304,64,64"});
+  EXPECT_TRUE(R.Completed);
+}
+
+// A cache shape the model cannot simulate is a usage error naming the
+// option: not a division by zero (no ways, or Assoc * LineSize wrapping to
+// 0 in 32 bits), a set index past the last set (size not a power-of-two
+// number of sets), a silent default (no numbers), or a line size that is
+// not a power of two (which misplaces every line).
+TEST(CachegrindDeathTest, BadCacheShapesAreFatal) {
+  GuestImage Img = exitAtOnce();
+  for (const char *Opt :
+       {"--D1=32768,0,64", "--D1=100,8,64", "--D1=bogus", "--D1=32768,8,48",
+        "--LL=4294967295,64,67108864", "--I1=32768,8", "--I1=32768,8,64,1",
+        "--LL=1048576,128,64", "--I1=32768, 8,64"})
+    EXPECT_EXIT(
+        {
+          Cachegrind T;
+          runUnderCore(Img, &T, {Opt});
+        },
+        ::testing::ExitedWithCode(1),
+        std::string(Opt) + ": expected size,assoc,linesize");
+}
+
 //===----------------------------------------------------------------------===//
 // Massif
 //===----------------------------------------------------------------------===//

@@ -315,6 +315,7 @@ TEST(TransCache, ZeroLengthEntryIsMalformed) {
 // outside the guest state, the spill frame or the blob is Malformed
 //===----------------------------------------------------------------------===//
 
+using hvm::Fld;
 using hvm::HInstr;
 using hvm::HOp;
 
@@ -377,8 +378,8 @@ decodeCrafted(std::vector<HInstr> Instrs,
               uint32_t NumSpillSlots = 1) {
   return decodeCraftedEntry(
       std::move(Instrs),
-      [&](TransCacheEntry &E, const std::vector<uint32_t> &At) {
-        Patch(E.Bytes, At);
+      [&](TransCacheEntry &E, const std::vector<uint32_t> &Start) {
+        Patch(E.Bytes, Start);
       },
       NumSpillSlots);
 }
@@ -399,11 +400,65 @@ TEST(TransCacheOperands, RegisterBytesAreHostRegisters) {
   for (uint8_t Reg : {16, 0x40, 0xFF})
     EXPECT_EQ(decodeCrafted(Code,
                             [&](std::vector<uint8_t> &B,
-                                const std::vector<uint32_t> &At) {
-                              B[At[0] + 1] = Reg; // LDG's destination
+                                const std::vector<uint32_t> &Start) {
+                              B[Start[0] + hvm::At<HOp::LDG, Fld::Dst>] = Reg;
                             }),
               Malformed)
         << unsigned(Reg);
+}
+
+/// Writes 16 and then 0xFF into each register byte of an otherwise valid
+/// instruction of form \p Op with fields \p Fields, expecting each entry to
+/// be Malformed. Only OptDst and OptB may hold 0xFF ("no register"); the
+/// decoder must hand every other register byte to the check as written.
+/// Returns how many register bytes it tried.
+template <size_t N>
+unsigned expectRegisterBytesChecked(HOp Op, const Fld (&Fields)[N]) {
+  HInstr I = hinstr(Op, /*Dst=*/1, /*A=*/2);
+  I.B = 3, I.C = 4;
+  I.IrOp = Op == HOp::ALU1 ? ir::Op::Neg32 : ir::Op::Add32;
+  I.Imm = Op == HOp::ALUIS || Op == HOp::SHPROBE ? 1 : 0x1004;
+  I.Size = 4;
+  I.CalleeFn = ir::findCalleeByName("vg1_calc_cond");
+  I.NArgs = 4;
+  for (hvm::RegId J = 0; J != 4; ++J)
+    I.Args[J] = J;
+  I.Label = 1; // a JZ skips to the exit after it
+  std::vector<HInstr> Code = {I};
+  if (Op != HOp::EXITI && Op != HOp::EXITR)
+    Code.push_back(exitInstr());
+  EXPECT_EQ(decodeCrafted(Code, NoPatch), Found) << unsigned(Op);
+  unsigned Tried = 0;
+  uint32_t Pos = 1;
+  for (Fld F : Fields) {
+    bool Reg = F == Fld::Dst || F == Fld::A || F == Fld::B || F == Fld::C ||
+               F == Fld::Args;
+    for (uint32_t J = 0; Reg && J != hvm::widthOf(F); ++J) {
+      ++Tried;
+      for (uint8_t Bad : {16, 0xFF})
+        EXPECT_EQ(decodeCrafted(Code,
+                                [&](std::vector<uint8_t> &B,
+                                    const std::vector<uint32_t> &Start) {
+                                  B[Start[0] + Pos + J] = Bad;
+                                }),
+                  Malformed)
+            << "form " << unsigned(Op) << ", byte " << Pos + J << " = "
+            << unsigned(Bad);
+    }
+    Pos += hvm::widthOf(F);
+  }
+  return Tried;
+}
+
+TEST(TransCacheOperands, EveryRegisterByteOfEveryFormIsChecked) {
+  unsigned Tried = 0;
+#define VG_HVM_X(Name, ...)                                                    \
+  Tried += expectRegisterBytesChecked(HOp::Name,                               \
+                                      hvm::FormLayout<HOp::Name>::Fields);
+  VG_HVM_FORMS(VG_HVM_X)
+#undef VG_HVM_X
+  // Dst, A, B and C bytes plus CALL's four argument bytes, over all forms.
+  EXPECT_EQ(Tried, 32u);
 }
 
 TEST(TransCacheOperands, GuestStateAccessesEndInsideTheGuestState) {
@@ -415,8 +470,10 @@ TEST(TransCacheOperands, GuestStateAccessesEndInsideTheGuestState) {
   for (uint32_t Off : {vg1::gso::TotalSize - 3, 0x7fffff00u})
     EXPECT_EQ(decodeCrafted(Code,
                             [&](std::vector<uint8_t> &B,
-                                const std::vector<uint32_t> &At) {
-                              writeU32(B, At[0] + 2, Off);
+                                const std::vector<uint32_t> &Start) {
+                              writeU32(
+                                  B, Start[0] + hvm::At<HOp::STG, Fld::Off>,
+                                  Off);
                             }),
               Malformed)
         << Off;
@@ -429,8 +486,8 @@ TEST(TransCacheOperands, OpcodeBytesAgreeWithTheirSizeAndOpFields) {
   St.Size = 4;
   EXPECT_EQ(decodeCrafted({St, exitInstr()},
                           [](std::vector<uint8_t> &B,
-                             const std::vector<uint32_t> &At) {
-                            B[At[0] + 6] = 8;
+                             const std::vector<uint32_t> &Start) {
+                            B[Start[0] + hvm::At<HOp::STG, Fld::Size>] = 8;
                           }),
             Malformed);
   HInstr Alu = hinstr(HOp::ALU, /*Dst=*/1, /*A=*/2);
@@ -439,8 +496,10 @@ TEST(TransCacheOperands, OpcodeBytesAgreeWithTheirSizeAndOpFields) {
   EXPECT_EQ(decodeCrafted(Code, NoPatch), Found);
   EXPECT_EQ(decodeCrafted(Code,
                           [](std::vector<uint8_t> &B,
-                             const std::vector<uint32_t> &At) {
-                            B[At[0] + 1] = 0xFF, B[At[0] + 2] = 0x7F;
+                             const std::vector<uint32_t> &Start) {
+                            uint32_t Op =
+                                Start[0] + hvm::At<HOp::ALU, Fld::IrOp>;
+                            B[Op] = 0xFF, B[Op + 1] = 0x7F;
                           }),
             Malformed);
 }
@@ -453,8 +512,10 @@ TEST(TransCacheOperands, SpillSlotsAreInsideTheFrame) {
   EXPECT_EQ(decodeCrafted(Code, NoPatch, /*NumSpillSlots=*/3), Malformed);
   EXPECT_EQ(decodeCrafted(Code,
                           [](std::vector<uint8_t> &B,
-                             const std::vector<uint32_t> &At) {
-                            writeU32(B, At[0] + 2, 0x40000000);
+                             const std::vector<uint32_t> &Start) {
+                            writeU32(
+                                B, Start[0] + hvm::At<HOp::SPILL, Fld::Off>,
+                                0x40000000);
                           },
                           /*NumSpillSlots=*/4),
             Malformed);
@@ -476,8 +537,8 @@ TEST(TransCacheOperands, CallsTakeAtMostFourArguments) {
   EXPECT_EQ(decodeCrafted(Code, NoPatch), Found);
   EXPECT_EQ(decodeCrafted(Code,
                           [](std::vector<uint8_t> &B,
-                             const std::vector<uint32_t> &At) {
-                            B[At[0] + 10] = 5; // NArgs
+                             const std::vector<uint32_t> &Start) {
+                            B[Start[0] + hvm::At<HOp::CALL, Fld::NArgs>] = 5;
                           }),
             Malformed);
 }
@@ -492,11 +553,13 @@ TEST(TransCacheOperands, JumpsLandOnALaterInstruction) {
   for (int Where : {1, 100, -1})
     EXPECT_EQ(decodeCrafted(Code,
                             [&](std::vector<uint8_t> &B,
-                                const std::vector<uint32_t> &At) {
-                              uint32_t Target = Where < 0   ? At[0]
+                                const std::vector<uint32_t> &Start) {
+                              uint32_t Target = Where < 0   ? Start[0]
                                                 : Where > 50 ? 1000
-                                                             : At[3] + 1;
-                              writeU32(B, At[1] + 2, Target);
+                                                             : Start[3] + 1;
+                              writeU32(
+                                  B, Start[1] + hvm::At<HOp::JZ, Fld::Label>,
+                                  Target);
                             }),
               Malformed)
         << Where;
@@ -523,8 +586,8 @@ TEST(TransCacheOperands, GroupBytesAreFollowedByTheirMembers) {
   EXPECT_EQ(decodeCrafted(Code, NoPatch), Found);
   EXPECT_EQ(decodeCrafted(Code,
                           [](std::vector<uint8_t> &B,
-                             const std::vector<uint32_t> &At) {
-                            B[At[1] + 1] = 2;
+                             const std::vector<uint32_t> &Start) {
+                            B[Start[1] + hvm::At<HOp::STG, Fld::A>] = 2;
                           }),
             Malformed);
 }
@@ -536,8 +599,9 @@ TEST(TransCacheOperands, ShadowProbeStoresHaveAValueRegister) {
   EXPECT_EQ(decodeCrafted(Code, NoPatch), Found);
   EXPECT_EQ(decodeCrafted(Code,
                           [](std::vector<uint8_t> &B,
-                             const std::vector<uint32_t> &At) {
-                            B[At[0] + 3] = 0xFF;
+                             const std::vector<uint32_t> &Start) {
+                            B[Start[0] + hvm::At<HOp::SHPROBE, Fld::OptB>] =
+                                0xFF;
                           }),
             Malformed);
 }
@@ -555,17 +619,22 @@ TEST(TransCacheOperands, ExitsTakeTheirOwnChainSlotsInOrder) {
   for (auto [First, Second] : {std::pair{0u, 7u}, {0u, 0u}, {1u, 0u}})
     EXPECT_EQ(decodeCrafted(Code,
                             [&](std::vector<uint8_t> &B,
-                                const std::vector<uint32_t> &At) {
-                              writeU32(B, At[2] + 6, First);
-                              writeU32(B, At[3] + 6, Second);
+                                const std::vector<uint32_t> &Start) {
+                              constexpr unsigned Slot =
+                                  hvm::At<HOp::EXITI, Fld::ChainSlot>;
+                              writeU32(B, Start[2] + Slot, First);
+                              writeU32(B, Start[3] + Slot, Second);
                             }),
               Malformed)
         << First << ", " << Second;
   // A one-slot blob whose exit names slot 7.
   EXPECT_EQ(decodeCrafted({exitInstr()},
                           [](std::vector<uint8_t> &B,
-                             const std::vector<uint32_t> &At) {
-                            writeU32(B, At[0] + 6, 7);
+                             const std::vector<uint32_t> &Start) {
+                            writeU32(
+                                B,
+                                Start[0] + hvm::At<HOp::EXITI, Fld::ChainSlot>,
+                                7);
                           }),
             Malformed);
   // A slot no exit takes.
@@ -589,15 +658,17 @@ TEST(TransCacheOperands, JumpKindsAreJumpKinds) {
   for (uint8_t JK : {uint8_t(Last + 1), uint8_t(0xFF)}) {
     EXPECT_EQ(decodeCrafted({Exit},
                             [&](std::vector<uint8_t> &B,
-                                const std::vector<uint32_t> &At) {
-                              B[At[0] + 5] = JK;
+                                const std::vector<uint32_t> &Start) {
+                              B[Start[0] +
+                                hvm::At<HOp::EXITI, Fld::JKind>] = JK;
                             }),
               Malformed)
         << "EXITI " << unsigned(JK);
     EXPECT_EQ(decodeCrafted({ExitR},
                             [&](std::vector<uint8_t> &B,
-                                const std::vector<uint32_t> &At) {
-                              B[At[0] + 2] = JK;
+                                const std::vector<uint32_t> &Start) {
+                              B[Start[0] +
+                                hvm::At<HOp::EXITR, Fld::JKind>] = JK;
                             }),
               Malformed)
         << "EXITR " << unsigned(JK);
@@ -609,16 +680,18 @@ TEST(TransCacheOperands, ChainTargetsAreTheExitsTargets) {
   // A Boring exit to 0x1008 whose slot the table would link to 0x1004.
   EXPECT_EQ(decodeCrafted(Code,
                           [](std::vector<uint8_t> &B,
-                             const std::vector<uint32_t> &At) {
-                            writeU32(B, At[0] + 1, 0x1008);
+                             const std::vector<uint32_t> &Start) {
+                            writeU32(
+                                B, Start[0] + hvm::At<HOp::EXITI, Fld::Imm32>,
+                                0x1008);
                           }),
             Malformed);
   // A Syscall exit whose slot carries a target: any kind but Boring
   // must say NoChainTarget.
   EXPECT_EQ(decodeCrafted(Code,
                           [](std::vector<uint8_t> &B,
-                             const std::vector<uint32_t> &At) {
-                            B[At[0] + 5] =
+                             const std::vector<uint32_t> &Start) {
+                            B[Start[0] + hvm::At<HOp::EXITI, Fld::JKind>] =
                                 static_cast<uint8_t>(ir::JumpKind::Syscall);
                           }),
             Malformed);
@@ -937,6 +1010,13 @@ TEST(OptionDeathTest, ApplyOptionsRejectsBadNoIROpt) {
 TEST(OptionDeathTest, ApplyOptionsRejectsBadVerifyIR) {
   EXPECT_EXIT(applyOnly("--verify-ir=bogus"), ::testing::ExitedWithCode(1),
               "--verify-ir=bogus: expected yes\\|no");
+}
+
+// --smc-check=al must not quietly become the default mode, stack.
+TEST(OptionDeathTest, ApplyOptionsRejectsUnknownSmcCheck) {
+  for (const char *Opt : {"--smc-check=al", "--smc-check=", "--smc-check=ALL"})
+    EXPECT_EXIT(applyOnly(Opt), ::testing::ExitedWithCode(1),
+                std::string(Opt) + ": expected none\\|stack\\|all");
 }
 
 TEST(OptionDeathTest, MalformedFaultInjectSpecIsFatal) {
