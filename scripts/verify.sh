@@ -1,7 +1,9 @@
 #!/usr/bin/env sh
 # Tier-1 verification: configure, build, run the full test suite, then
 # smoke-run the dispatcher and slow-down benches (a crash or a hang here
-# is a regression even when the unit tests pass).
+# is a regression even when the unit tests pass). The benches that write
+# a BENCH_*.json run from build/, so the run leaves the working tree as it
+# found it; it fails if `git status` differs at the end.
 #
 #   --fuzz-soak   additionally run the full differential-fuzzing soak
 #                 (the 2000-iteration acceptance campaign plus forced
@@ -9,6 +11,13 @@
 set -eu
 
 cd "$(dirname "$0")/.."
+
+# What `git status` and the tracked files' contents are at the start.
+tree_state() {
+  git status --porcelain --untracked-files=all
+  git diff HEAD --no-ext-diff | cksum
+}
+TREE_BEFORE=$(tree_state)
 
 FUZZ_SOAK=0
 for arg in "$@"; do
@@ -38,13 +47,13 @@ TF=$(./build/examples/vgrun --tool=nulgrind --chaining=yes \
 echo "traces formed: $TF"
 
 echo "== smoke: table2_slowdown =="
-./build/bench/table2_slowdown
+(cd build && ./bench/table2_slowdown)
 
 echo "== smoke: sec33_warmstart (persistent translation cache) =="
 # Cold-then-warm runs of the table2 trio against one --tt-cache directory.
 # The bench itself enforces the contract: warm hit rate >= 70%, zero
 # rejects, and byte-identical stdout between cold and warm.
-./build/bench/sec33_warmstart
+(cd build && ./bench/sec33_warmstart)
 
 echo "== smoke: translation server (vgserve) =="
 # Cold run populates a cache directory, a vgserve daemon takes it over,
@@ -102,15 +111,17 @@ VG_SOAK_QUICK=1 ./build/bench/sec314_sched
 
 echo "== smoke: sec54_shadowmem (quick) =="
 # Quick mode: every layout x pattern cell runs and BENCH_shadowmem.json is
-# written, but the micro cells use fewer ops and the vortex macro
-# comparison is skipped.
-VG_SEC54_QUICK=1 ./build/bench/sec54_shadowmem \
-    --benchmark_min_time=0.05
+# written (to build/), but the micro cells use fewer ops and the vortex
+# macro comparison is skipped.
+(cd build && VG_SEC54_QUICK=1 ./bench/sec54_shadowmem \
+    --benchmark_min_time=0.05)
 
 echo "== smoke: sec54_hostcode (executed host-code mix) =="
-# Host instructions per guest instruction under Nulgrind and Memcheck on
-# every Table 2 workload; the bench fails if more than 2% of ALU-family
-# and sized host instructions run on a generic executor handler.
+# Host instructions and dispatches per guest instruction under Nulgrind
+# and Memcheck on every Table 2 workload; the bench fails if more than 2%
+# of ALU-family and sized host instructions run on a generic executor
+# handler, or if either tool's dispatches per guest instruction rise above
+# their ceiling (a superinstruction row undone).
 ./build/bench/sec54_hostcode
 
 echo "== smoke: vgfuzz (differential fuzzing) =="
@@ -146,6 +157,13 @@ if [ "$FUZZ_SOAK" = "1" ]; then
   ./build/src/vgfuzz --iters=300 --seed=77 --signals=always --quiet
   echo "== fuzz soak: forced self-modifying code =="
   ./build/src/vgfuzz --iters=300 --seed=99 --smc=always --quiet
+fi
+
+echo "== working tree unchanged =="
+if [ "$(tree_state)" != "$TREE_BEFORE" ]; then
+  echo "verify.sh: the run changed the working tree:" >&2
+  git status --porcelain --untracked-files=all >&2
+  exit 1
 fi
 
 echo "verify: OK"

@@ -66,8 +66,9 @@ namespace vg {
 /// generated code without being captured by the option fingerprint. 2:
 /// blobs carry specialised HVM opcode bytes (hvm::SpecOp), which a
 /// version-1 build cannot decode. 3: they carry superinstruction group
-/// bytes (hvm::Group), which a version-2 build cannot decode.
-constexpr uint32_t TransCacheFormatVersion = 3;
+/// bytes (hvm::Group), which a version-2 build cannot decode. 4: the group
+/// bytes name the rows of a longer list.
+constexpr uint32_t TransCacheFormatVersion = 4;
 
 /// Same-run semantic-invalidation ranges. Redirects, unmaps, and TT
 /// flushes change what an address *means* without changing its bytes, so

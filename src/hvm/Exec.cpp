@@ -10,14 +10,16 @@
 /// every opcode byte has its own handler, and the encoder writes a
 /// specialised byte for hot ir::Ops and for every access size (HostVM.h),
 /// so no handler switches a second time on an op or a size. Where a listed
-/// group of adjacent instructions starts, the encoder writes the group's
-/// byte instead, and one handler runs all its members. The generic ALU
+/// row of adjacent instructions starts, the encoder writes the row's byte
+/// instead, and one handler runs all its members. The generic ALU
 /// handlers serve the long tail of ops through ir::evalOp.
 ///
-/// No handler spells out a field offset or an instruction length: each
-/// reads At<form, field> and steps by Len<form>, compile-time constants
-/// derived from VG_HVM_FORMS (HostVM.h), so the machine code is what
-/// literal offsets would give.
+/// Each instruction that may join a row is written once, as a step; its
+/// own byte's handler and every row's handler are generated from the
+/// steps, so a new row is one line in VG_HVM_GROUPS. No handler spells out
+/// a field offset or an instruction length: each reads At<form, field> and
+/// steps by Len<form>, compile-time constants derived from VG_HVM_FORMS
+/// (HostVM.h), so the machine code is what literal offsets would give.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,8 +30,10 @@
 #include "shadow/ShadowMemory.h"
 #include "support/FpCanon.h"
 
+#include <array>
 #include <bit>
 #include <cstring>
+#include <utility>
 
 using namespace vg;
 using namespace vg::hvm;
@@ -151,6 +155,157 @@ RunOutcome &memFault(RunOutcome &Out, const MemFault &F, bool Write,
   return Out;
 }
 
+//===----------------------------------------------------------------------===//
+// Steps: each groupable instruction's work, written once
+//
+// The handler of a groupable instruction's own byte runs its step and
+// dispatches; a group's handler runs its members' steps in order and
+// dispatches once. A step hands its successor the value it wrote and the
+// value it read as A; a member whose row forwards an operand (hvm::Fwd)
+// takes it from there instead of from the register file. Every step still
+// writes its own Dst, so the registers a group leaves are its members'.
+//===----------------------------------------------------------------------===//
+
+/// What the steps touch besides the code: the register file, the guest
+/// state, the spill frame and the guest PC of the last IMARK.
+struct Machine {
+  uint64_t *R;
+  uint8_t *Gst;
+  uint64_t *Frame;
+  uint32_t CurPC;
+};
+
+/// What a step hands its successor: the value it wrote to its Dst and the
+/// value it read as its A. A JZ's Dst is whether it jumps.
+struct Handed {
+  uint64_t Dst = 0, A = 0;
+};
+
+/// Operand A of the form-Form instruction at \p P: its predecessor's value
+/// where its row forwards one (\p F), else its register.
+template <HOp Form, Fwd F>
+[[gnu::always_inline]] inline uint64_t opA(const Machine &M, const uint8_t *P,
+                                           Handed In) {
+  if constexpr (F == Fwd::A)
+    return In.Dst;
+  else if constexpr (F == Fwd::Left)
+    return In.A;
+  else
+    return M.R[P[At<Form, Fld::A>]];
+}
+
+/// Operand B, likewise.
+template <HOp Form, Fwd F>
+[[gnu::always_inline]] inline uint64_t opB(const Machine &M, const uint8_t *P,
+                                           Handed In) {
+  if constexpr (F == Fwd::Left)
+    return In.Dst;
+  else
+    return M.R[P[At<Form, Fld::B>]];
+}
+
+/// The work of the instruction at \p P, whose own opcode byte is Byte;
+/// \p In is what its predecessor in a row handed on.
+template <uint8_t Byte, Fwd F>
+[[gnu::always_inline]] inline Handed step(Machine &M, const uint8_t *P,
+                                          Handed In) {
+  constexpr OpcodeDef D = opcodeDef(Byte);
+  constexpr HOp Form = D.Form;
+  uint64_t *R = M.R;
+  if constexpr (Form == HOp::LI) {
+    uint64_t V = rdU64(P + At<HOp::LI, Fld::Imm64>);
+    R[P[At<HOp::LI, Fld::Dst>]] = V;
+    return {V};
+  } else if constexpr (Form == HOp::MOV) {
+    uint64_t V = opA<HOp::MOV, F>(M, P, In);
+    R[P[At<HOp::MOV, Fld::Dst>]] = V;
+    return {V, V};
+  } else if constexpr (Form == HOp::ALU || Form == HOp::ALU1 ||
+                       Form == HOp::ALUI || Form == HOp::ALUIS) {
+    uint64_t A = opA<Form, F>(M, P, In), B = 0;
+    if constexpr (Form == HOp::ALU)
+      B = opB<HOp::ALU, F>(M, P, In);
+    else if constexpr (Form == HOp::ALUI)
+      B = rdU64(P + At<HOp::ALUI, Fld::Imm64>);
+    else if constexpr (Form == HOp::ALUIS)
+      B = P[At<HOp::ALUIS, Fld::Imm8>];
+    // A specialised byte fixes the op, so aluOp folds to the operation;
+    // a generic one serves the long tail through ir::evalOp.
+    uint64_t V;
+    if constexpr (D.Field == NoField)
+      V = ir::evalOp(static_cast<ir::Op>(rdU16(P + At<Form, Fld::IrOp>)), A,
+                     B);
+    else
+      V = aluOp(static_cast<ir::Op>(D.Field), A, B);
+    R[P[At<Form, Fld::Dst>]] = V;
+    return {V, A};
+  } else if constexpr (Form == HOp::LDG) {
+    // The byte fixes the width; values are zero-extended.
+    UInt<D.Field> W;
+    std::memcpy(&W, M.Gst + rdU32(P + At<HOp::LDG, Fld::Off>), D.Field);
+    R[P[At<HOp::LDG, Fld::Dst>]] = W;
+    return {W};
+  } else if constexpr (Form == HOp::STG) {
+    uint64_t A = opA<HOp::STG, F>(M, P, In);
+    auto W = static_cast<UInt<D.Field>>(A);
+    std::memcpy(M.Gst + rdU32(P + At<HOp::STG, Fld::Off>), &W, D.Field);
+    return {0, A};
+  } else if constexpr (Form == HOp::SEL) {
+    uint64_t A = opA<HOp::SEL, F>(M, P, In);
+    uint64_t V = A ? opB<HOp::SEL, F>(M, P, In) : R[P[At<HOp::SEL, Fld::C>]];
+    R[P[At<HOp::SEL, Fld::Dst>]] = V;
+    return {V, A};
+  } else if constexpr (Form == HOp::JZ) {
+    return {opA<HOp::JZ, F>(M, P, In) == 0};
+  } else if constexpr (Form == HOp::IMARK) {
+    M.CurPC = rdU32(P + At<HOp::IMARK, Fld::Imm32>);
+    return {};
+  } else if constexpr (Form == HOp::SPILL) {
+    uint64_t A = opA<HOp::SPILL, F>(M, P, In);
+    M.Frame[rdU32(P + At<HOp::SPILL, Fld::Off>)] = A;
+    return {0, A};
+  } else {
+    static_assert(Form == HOp::RELOAD, "not a groupable instruction");
+    uint64_t V = M.Frame[rdU32(P + At<HOp::RELOAD, Fld::Off>)];
+    R[P[At<HOp::RELOAD, Fld::Dst>]] = V;
+    return {V};
+  }
+}
+
+/// Where each member of \p D starts, from its first's opcode byte, and
+/// (at N) where the group ends.
+consteval std::array<unsigned, MaxMembers + 1> memberOffsets(GroupDef D) {
+  std::array<unsigned, MaxMembers + 1> Off{};
+  for (unsigned J = 0; J != D.N; ++J)
+    Off[J + 1] = Off[J] + Lengths[byteOf(opcodeDef(D.Members[J].Byte).Form)];
+  return Off;
+}
+
+/// Runs the members of \p D laid out from \p Ip on, each on what its
+/// predecessor handed on, and returns where execution goes next: past the
+/// last member, or a final JZ's target if it jumps.
+template <GroupDef D, size_t... J>
+[[gnu::always_inline]] inline size_t runSteps(Machine &M, const uint8_t *Code,
+                                              size_t Ip,
+                                              std::index_sequence<J...>) {
+  constexpr auto Off = memberOffsets(D);
+  Handed V;
+  ((V = step<D.Members[J].Byte, D.Members[J].F>(M, Code + Ip + Off[J], V)),
+   ...);
+  if constexpr (D.Members[D.N - 1].Byte == byteOf(HOp::JZ)) {
+    if (V.Dst)
+      return rdU32(Code + Ip + Off[D.N - 1] + At<HOp::JZ, Fld::Label>);
+  }
+  return Ip + Off[D.N];
+}
+
+/// runSteps for row \p D.
+template <GroupDef D>
+[[gnu::always_inline]] inline size_t runRow(Machine &M, const uint8_t *Code,
+                                            size_t Ip) {
+  return runSteps<D>(M, Code, Ip, std::make_index_sequence<D.N>{});
+}
+
 } // namespace
 
 RunOutcome Executor::run(CodeBlob &Blob, uint64_t ChainBudget) {
@@ -160,13 +315,13 @@ RunOutcome Executor::run(CodeBlob &Blob, uint64_t ChainBudget) {
     ChainBudget = 0; // chaining is off: every exit returns
   const uint8_t *Code = Cur->Bytes.data();
   size_t Ip = 0;
-  uint32_t CurPC = 0;
   ++Out.BlocksExecuted;
 
-  uint8_t *Gst = Ctx.GuestState;
+  Machine M{Regs, Ctx.GuestState, Frame, 0};
+  uint8_t *Gst = M.Gst;
   GuestMemory &Mem = *Ctx.Mem;
   void *Env = &Ctx;
-  uint64_t *R = Regs;
+  uint64_t *R = M.R;
 
   // Label table indexed by opcode byte: the generic forms in VG_HVM_FORMS
   // order, then the SpecOps and the groups in their HostVM.h order.
@@ -189,7 +344,7 @@ RunOutcome Executor::run(CodeBlob &Blob, uint64_t ChainBudget) {
 #define VG_HVM_X(O) &&L_ALU1_##O,
       VG_HVM_UNOPS(VG_HVM_X)
 #undef VG_HVM_X
-#define VG_HVM_X(Name, M0, M1, M2) &&L_G_##Name,
+#define VG_HVM_X(Name, ...) &&L_G_##Name,
       VG_HVM_GROUPS(VG_HVM_X)
 #undef VG_HVM_X
   };
@@ -204,97 +359,39 @@ RunOutcome Executor::run(CodeBlob &Blob, uint64_t ChainBudget) {
 
   DISPATCH();
 
-L_LI:
-  R[Code[Ip + At<HOp::LI, Fld::Dst>]] =
-      rdU64(Code + Ip + At<HOp::LI, Fld::Imm64>);
-  Ip += Len<HOp::LI>;
+  // The groupable instructions: each byte's handler is its step.
+#define VG_HVM_STEP(Label, Op)                                                 \
+  Label:                                                                       \
+  Ip = runRow<row(own(Op))>(M, Code, Ip);                                      \
   DISPATCH();
-
-L_MOV:
-  R[Code[Ip + At<HOp::MOV, Fld::Dst>]] = R[Code[Ip + At<HOp::MOV, Fld::A>]];
-  Ip += Len<HOp::MOV>;
-  DISPATCH();
-
+  VG_HVM_STEP(L_LI, HOp::LI)
+  VG_HVM_STEP(L_MOV, HOp::MOV)
   // Generic ALU forms: the long tail of ops, evaluated by ir::evalOp.
-L_ALU:
-  R[Code[Ip + At<HOp::ALU, Fld::Dst>]] = ir::evalOp(
-      static_cast<ir::Op>(rdU16(Code + Ip + At<HOp::ALU, Fld::IrOp>)),
-      R[Code[Ip + At<HOp::ALU, Fld::A>]], R[Code[Ip + At<HOp::ALU, Fld::B>]]);
-  Ip += Len<HOp::ALU>;
-  DISPATCH();
-
-L_ALU1:
-  R[Code[Ip + At<HOp::ALU1, Fld::Dst>]] = ir::evalOp(
-      static_cast<ir::Op>(rdU16(Code + Ip + At<HOp::ALU1, Fld::IrOp>)),
-      R[Code[Ip + At<HOp::ALU1, Fld::A>]], 0);
-  Ip += Len<HOp::ALU1>;
-  DISPATCH();
-
-L_ALUI:
-  R[Code[Ip + At<HOp::ALUI, Fld::Dst>]] = ir::evalOp(
-      static_cast<ir::Op>(rdU16(Code + Ip + At<HOp::ALUI, Fld::IrOp>)),
-      R[Code[Ip + At<HOp::ALUI, Fld::A>]],
-      rdU64(Code + Ip + At<HOp::ALUI, Fld::Imm64>));
-  Ip += Len<HOp::ALUI>;
-  DISPATCH();
-
-L_ALUIS:
-  R[Code[Ip + At<HOp::ALUIS, Fld::Dst>]] = ir::evalOp(
-      static_cast<ir::Op>(rdU16(Code + Ip + At<HOp::ALUIS, Fld::IrOp>)),
-      R[Code[Ip + At<HOp::ALUIS, Fld::A>]],
-      Code[Ip + At<HOp::ALUIS, Fld::Imm8>]);
-  Ip += Len<HOp::ALUIS>;
-  DISPATCH();
-
-  // Specialised ALU forms: same layouts, the op fixed by the opcode byte.
+  VG_HVM_STEP(L_ALU, HOp::ALU)
+  VG_HVM_STEP(L_ALU1, HOp::ALU1)
+  VG_HVM_STEP(L_ALUI, HOp::ALUI)
+  VG_HVM_STEP(L_ALUIS, HOp::ALUIS)
+  VG_HVM_STEP(L_SEL, HOp::SEL)
+  VG_HVM_STEP(L_JZ, HOp::JZ)
+  VG_HVM_STEP(L_IMARK, HOp::IMARK)
+  VG_HVM_STEP(L_SPILL, HOp::SPILL)
+  VG_HVM_STEP(L_RELOAD, HOp::RELOAD)
+  // Specialised ALU forms and guest-state accesses: the op or the size
+  // fixed by the opcode byte.
 #define VG_HVM_X(O)                                                            \
-  L_ALU_##O:                                                                   \
-  R[Code[Ip + At<HOp::ALU, Fld::Dst>]] =                                       \
-      aluOp(ir::Op::O, R[Code[Ip + At<HOp::ALU, Fld::A>]],                     \
-            R[Code[Ip + At<HOp::ALU, Fld::B>]]);                               \
-  Ip += Len<HOp::ALU>;                                                         \
-  DISPATCH();                                                                  \
-  L_ALUI_##O:                                                                  \
-  R[Code[Ip + At<HOp::ALUI, Fld::Dst>]] =                                      \
-      aluOp(ir::Op::O, R[Code[Ip + At<HOp::ALUI, Fld::A>]],                    \
-            rdU64(Code + Ip + At<HOp::ALUI, Fld::Imm64>));                     \
-  Ip += Len<HOp::ALUI>;                                                        \
-  DISPATCH();                                                                  \
-  L_ALUIS_##O:                                                                 \
-  R[Code[Ip + At<HOp::ALUIS, Fld::Dst>]] =                                     \
-      aluOp(ir::Op::O, R[Code[Ip + At<HOp::ALUIS, Fld::A>]],                   \
-            Code[Ip + At<HOp::ALUIS, Fld::Imm8>]);                             \
-  Ip += Len<HOp::ALUIS>;                                                       \
-  DISPATCH();
+  VG_HVM_STEP(L_ALU_##O, SpecOp::ALU_##O)                                      \
+  VG_HVM_STEP(L_ALUI_##O, SpecOp::ALUI_##O)                                    \
+  VG_HVM_STEP(L_ALUIS_##O, SpecOp::ALUIS_##O)
   VG_HVM_BINOPS(VG_HVM_X)
 #undef VG_HVM_X
-
-#define VG_HVM_X(O)                                                            \
-  L_ALU1_##O:                                                                  \
-  R[Code[Ip + At<HOp::ALU1, Fld::Dst>]] =                                      \
-      aluOp(ir::Op::O, R[Code[Ip + At<HOp::ALU1, Fld::A>]], 0);                \
-  Ip += Len<HOp::ALU1>;                                                        \
-  DISPATCH();
+#define VG_HVM_X(O) VG_HVM_STEP(L_ALU1_##O, SpecOp::ALU1_##O)
   VG_HVM_UNOPS(VG_HVM_X)
 #undef VG_HVM_X
+#define VG_HVM_LDG(Size) VG_HVM_STEP(L_LDG##Size, SpecOp::LDG##Size)
+#define VG_HVM_STG(Size) VG_HVM_STEP(L_STG##Size, SpecOp::STG##Size)
 
-  // Sized accesses: the opcode byte fixes the width; values are
-  // zero-extended into the 64-bit register.
-#define VG_HVM_LDG(Size)                                                       \
-  L_LDG##Size: {                                                               \
-    UInt<Size> W;                                                              \
-    std::memcpy(&W, Gst + rdU32(Code + Ip + At<HOp::LDG, Fld::Off>), Size);    \
-    R[Code[Ip + At<HOp::LDG, Fld::Dst>]] = W;                                  \
-    Ip += Len<HOp::LDG>;                                                       \
-    DISPATCH();                                                                \
-  }
-#define VG_HVM_STG(Size)                                                       \
-  L_STG##Size: {                                                               \
-    auto W = static_cast<UInt<Size>>(R[Code[Ip + At<HOp::STG, Fld::A>]]);      \
-    std::memcpy(Gst + rdU32(Code + Ip + At<HOp::STG, Fld::Off>), &W, Size);    \
-    Ip += Len<HOp::STG>;                                                       \
-    DISPATCH();                                                                \
-  }
+  // Memory accesses may fault, so they are no step: the fault names the
+  // guest instruction of the last IMARK.
 #define VG_HVM_LDM(Size)                                                       \
   L_LDM##Size: {                                                               \
     uint32_t Addr =                                                            \
@@ -302,7 +399,7 @@ L_ALUIS:
         rdU32(Code + Ip + At<HOp::LDM, Fld::Disp>);                            \
     UInt<Size> W = 0;                                                          \
     if (MemFault F = Mem.readT(Addr, W); F.Faulted)                            \
-      return memFault(Out, F, /*Write=*/false, CurPC);                         \
+      return memFault(Out, F, /*Write=*/false, M.CurPC);                       \
     R[Code[Ip + At<HOp::LDM, Fld::Dst>]] = W;                                  \
     Ip += Len<HOp::LDM>;                                                       \
     DISPATCH();                                                                \
@@ -314,7 +411,7 @@ L_ALUIS:
         rdU32(Code + Ip + At<HOp::STM, Fld::Disp>);                            \
     auto W = static_cast<UInt<Size>>(R[Code[Ip + At<HOp::STM, Fld::B>]]);      \
     if (MemFault F = Mem.writeT(Addr, W); F.Faulted)                           \
-      return memFault(Out, F, /*Write=*/true, CurPC);                          \
+      return memFault(Out, F, /*Write=*/true, M.CurPC);                        \
     Ip += Len<HOp::STM>;                                                       \
     DISPATCH();                                                                \
   }
@@ -325,16 +422,19 @@ L_ALUIS:
 #undef VG_HVM_STG
 #undef VG_HVM_LDM
 #undef VG_HVM_STM
+#undef VG_HVM_STEP
+
+  // Superinstruction groups (VG_HVM_GROUPS): each row's handler is its
+  // members' steps, one dispatch in all.
+#define VG_HVM_X(Name, ...)                                                    \
+  L_G_##Name:                                                                  \
+  Ip = runRow<GroupDefs[static_cast<unsigned>(Group::Name)]>(M, Code, Ip);     \
+  DISPATCH();
+  VG_HVM_GROUPS(VG_HVM_X)
+#undef VG_HVM_X
 
 L_UNSIZED:
   unreachable("HVM: unsized guest-state or memory access in encoded code");
-
-L_SEL:
-  R[Code[Ip + At<HOp::SEL, Fld::Dst>]] =
-      R[Code[Ip + At<HOp::SEL, Fld::A>]] ? R[Code[Ip + At<HOp::SEL, Fld::B>]]
-                                         : R[Code[Ip + At<HOp::SEL, Fld::C>]];
-  Ip += Len<HOp::SEL>;
-  DISPATCH();
 
 L_CALL: {
   const ir::Callee *C = reinterpret_cast<const ir::Callee *>(
@@ -366,13 +466,6 @@ L_CALL: {
   Ip += Len<HOp::CALL>;
   DISPATCH();
 }
-
-L_JZ:
-  if (R[Code[Ip + At<HOp::JZ, Fld::A>]] == 0)
-    Ip = rdU32(Code + Ip + At<HOp::JZ, Fld::Label>);
-  else
-    Ip += Len<HOp::JZ>;
-  DISPATCH();
 
 L_EXITI: {
   uint32_t NextPC = rdU32(Code + Ip + At<HOp::EXITI, Fld::Imm32>);
@@ -421,76 +514,6 @@ L_EXITR: {
   Out.ExitCookie = Cur->Cookie;
   Out.ExitSlot = ~0u;
   return Out;
-}
-
-L_IMARK:
-  CurPC = rdU32(Code + Ip + At<HOp::IMARK, Fld::Imm32>);
-  Ip += Len<HOp::IMARK>;
-  DISPATCH();
-
-L_SPILL:
-  Frame[rdU32(Code + Ip + At<HOp::SPILL, Fld::Off>)] =
-      R[Code[Ip + At<HOp::SPILL, Fld::A>]];
-  Ip += Len<HOp::SPILL>;
-  DISPATCH();
-
-L_RELOAD:
-  R[Code[Ip + At<HOp::RELOAD, Fld::Dst>]] =
-      Frame[rdU32(Code + Ip + At<HOp::RELOAD, Fld::Off>)];
-  Ip += Len<HOp::RELOAD>;
-  DISPATCH();
-
-  // Superinstruction groups (VG_HVM_GROUPS): each handler does the work of
-  // every member, then jumps past them all. A member's fields start at
-  // Ip plus the Lens of the members before it; a member reads the register
-  // its predecessor writes, which encode() and checkOperands guarantee.
-L_G_LI_STG4: { // LI d, imm; STG4 off, d
-  constexpr unsigned St = Len<HOp::LI>;
-  uint64_t V = rdU64(Code + Ip + At<HOp::LI, Fld::Imm64>);
-  R[Code[Ip + At<HOp::LI, Fld::Dst>]] = V;
-  auto W = static_cast<uint32_t>(V);
-  std::memcpy(Gst + rdU32(Code + Ip + St + At<HOp::STG, Fld::Off>), &W, 4);
-  Ip += St + Len<HOp::STG>;
-  DISPATCH();
-}
-
-L_G_GUARD: { // U1to32 t, c; CmpNEZ32 g, t; JZ g, L
-  constexpr unsigned Cmp = Len<HOp::ALU1>, Jz = Cmp + Len<HOp::ALU1>;
-  uint64_t T = R[Code[Ip + At<HOp::ALU1, Fld::A>]] & 1;
-  R[Code[Ip + At<HOp::ALU1, Fld::Dst>]] = T;
-  // t is 0 or 1, so CmpNEZ32 leaves it as it is.
-  R[Code[Ip + Cmp + At<HOp::ALU1, Fld::Dst>]] = T;
-  Ip = T ? Ip + Jz + Len<HOp::JZ>
-         : rdU32(Code + Ip + Jz + At<HOp::JZ, Fld::Label>);
-  DISPATCH();
-}
-
-L_G_IMARK_LI_STG4: { // IMARK pc; LI d, imm; STG4 off, d
-  constexpr unsigned Li = Len<HOp::IMARK>, St = Li + Len<HOp::LI>;
-  CurPC = rdU32(Code + Ip + At<HOp::IMARK, Fld::Imm32>);
-  uint64_t V = rdU64(Code + Ip + Li + At<HOp::LI, Fld::Imm64>);
-  R[Code[Ip + Li + At<HOp::LI, Fld::Dst>]] = V;
-  auto W = static_cast<uint32_t>(V);
-  std::memcpy(Gst + rdU32(Code + Ip + St + At<HOp::STG, Fld::Off>), &W, 4);
-  Ip += St + Len<HOp::STG>;
-  DISPATCH();
-}
-
-L_G_IMARK_LDG4: { // IMARK pc; LDG4 d, off
-  constexpr unsigned Ld = Len<HOp::IMARK>;
-  CurPC = rdU32(Code + Ip + At<HOp::IMARK, Fld::Imm32>);
-  uint32_t W;
-  std::memcpy(&W, Gst + rdU32(Code + Ip + Ld + At<HOp::LDG, Fld::Off>), 4);
-  R[Code[Ip + Ld + At<HOp::LDG, Fld::Dst>]] = W;
-  Ip += Ld + Len<HOp::LDG>;
-  DISPATCH();
-}
-
-L_G_IMARK_IMARK: { // IMARK pc0; IMARK pc1: only pc1 is ever reported
-  constexpr unsigned Second = Len<HOp::IMARK>;
-  CurPC = rdU32(Code + Ip + Second + At<HOp::IMARK, Fld::Imm32>);
-  Ip += Second + Len<HOp::IMARK>;
-  DISPATCH();
 }
 
 L_SHPROBE: {

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cassert>
 #include <cstdio>
 #include <cstring>
@@ -16,29 +17,7 @@ using namespace vg::hvm;
 
 namespace {
 
-/// Each specialised opcode's generic form, and the access size or ir::Op
-/// (its Field) it is specialised for, in SpecOp order.
-struct SpecDef {
-  HOp Form;
-  unsigned Field;
-};
-constexpr SpecDef SpecDefs[] = {
-#define VG_HVM_X(Form, Size) {HOp::Form, Size},
-    VG_HVM_SIZED_OPS(VG_HVM_X)
-#undef VG_HVM_X
-#define VG_HVM_X(O)                                                            \
-  {HOp::ALU, unsigned(ir::Op::O)}, {HOp::ALUI, unsigned(ir::Op::O)},           \
-      {HOp::ALUIS, unsigned(ir::Op::O)},
-    VG_HVM_BINOPS(VG_HVM_X)
-#undef VG_HVM_X
-#define VG_HVM_X(O) {HOp::ALU1, unsigned(ir::Op::O)},
-    VG_HVM_UNOPS(VG_HVM_X)
-#undef VG_HVM_X
-};
-static_assert(std::size(SpecDefs) == static_cast<size_t>(SpecOp::Count),
-              "SpecDefs out of step with SpecOp");
-
-bool isAccess(HOp Op) {
+constexpr bool isAccess(HOp Op) {
   return Op == HOp::LDG || Op == HOp::STG || Op == HOp::LDM || Op == HOp::STM;
 }
 
@@ -55,7 +34,7 @@ static_assert(NumIrOps <= SpecCols, "ir::Ops overflow SpecBytes");
 /// SpecBytes[Form][Field]: the specialised opcode byte of a Form
 /// instruction whose access size or ir::Op is Field, or 0 where it has
 /// none. A table, not a switch: the encoder looks it up for every
-/// instruction it writes and for the members of each group it checks.
+/// instruction it writes.
 constexpr auto SpecBytes = [] {
   std::array<std::array<uint8_t, SpecCols>, NumGenericOps> T{};
   for (size_t S = 0; S != std::size(SpecDefs); ++S)
@@ -73,72 +52,114 @@ uint8_t opcodeByte(const HInstr &I) {
   return Spec ? Spec : byteOf(I.Op);
 }
 
-/// The member opcode bytes of each group, in Group order.
-struct GroupDef {
-  uint8_t Members[3];
-  size_t size() const { return Members[2] == NoMember ? 2 : 3; }
-};
-constexpr GroupDef GroupDefs[] = {
-#define VG_HVM_X(Name, M0, M1, M2) {{M0, M1, M2}},
-    VG_HVM_GROUPS(VG_HVM_X)
-#undef VG_HVM_X
-};
-static_assert(std::size(GroupDefs) == static_cast<size_t>(Group::Count),
-              "GroupDefs out of step with Group");
+/// What the row rules ask of up to MaxMembers adjacent instructions,
+/// packed into a word: instruction J's own opcode byte in bits [8J, 8J + 8)
+/// (0xFF past the end, which no member has), and for J >= 1, at bit
+/// RelBit + 2(J - 1), whether its A is instruction J - 1's Dst (Fwd::A
+/// holds) and, at the next bit, whether Fwd::Left holds.
+using Window = uint64_t;
+constexpr unsigned RelBit = 8 * MaxMembers;
+constexpr Window NoBytes = (Window{1} << RelBit) - 1;
+static_assert(FirstGroupByte <= 0xFF, "0xFF must not be a member byte");
 
-/// A group is named by its first two members' bytes: chooseByte tries only
-/// the one group they name.
-constexpr bool firstTwoMembersUnique(const GroupDef *Defs, size_t N) {
-  for (size_t A = 0; A != N; ++A)
-    for (size_t B = A + 1; B != N; ++B)
-      if (Defs[A].Members[0] == Defs[B].Members[0] &&
-          Defs[A].Members[1] == Defs[B].Members[1])
-        return false;
-  return true;
-}
-static_assert(firstTwoMembersUnique(GroupDefs, std::size(GroupDefs)),
-              "two groups start with the same two opcode bytes");
-
-/// Whether \p Is[0..N), whose own opcode bytes are \p Bytes, begin with
-/// \p G's members: each has its member's byte, and each that reads a
-/// register (A) reads the one its predecessor writes (Dst), if any. The
-/// encoder asks this of the instructions it is about to write, and
-/// checkOperands of the instructions behind a group byte.
-bool fits(const GroupDef &G, const HInstr *Is, const uint8_t *Bytes,
-          size_t N) {
-  if (G.size() > N)
-    return false;
-  for (size_t J = 0; J != G.size(); ++J)
-    if (Bytes[J] != G.Members[J] ||
-        (J && Is[J - 1].Dst != NoReg && Is[J].A != NoReg &&
-         Is[J].A != Is[J - 1].Dst))
-      return false;
-  return true;
+/// The relation bits of \p I to the instruction \p P before it.
+Window relation(const HInstr &P, const HInstr &I) {
+  return Window(I.A == P.Dst) |
+         Window((I.A == P.A) & (I.B == P.Dst) & (P.A != P.Dst)) << 1;
 }
 
-/// Whether some group's lead has this opcode byte.
-constexpr std::array<bool, 256> LeadsGroup = [] {
-  std::array<bool, 256> T{};
-  for (const GroupDef &G : GroupDefs)
-    T[G.Members[0]] = true;
+/// The window of \p Is[0..N), whose J-th own byte is Byte(J).
+template <typename Fn>
+Window windowOf(const HInstr *Is, size_t N, Fn &&Byte) {
+  Window W = NoBytes;
+  N = N < MaxMembers ? N : MaxMembers;
+  for (size_t J = N; J--;)
+    W = W << 8 | Byte(J);
+  W &= NoBytes;
+  for (size_t J = 1; J < N; ++J)
+    W |= relation(Is[J - 1], Is[J]) << (RelBit + 2 * (J - 1));
+  return W;
+}
+
+/// Each row as a Window: its member bytes and forwarding relations, and
+/// the mask of what it constrains.
+struct RowKey {
+  Window Bits, Mask;
+};
+constexpr auto RowKeys = [] {
+  std::array<RowKey, std::size(GroupDefs)> T{};
+  for (size_t G = 0; G != T.size(); ++G) {
+    const GroupDef &D = GroupDefs[G];
+    T[G].Mask = (Window{1} << (8 * D.N)) - 1;
+    for (unsigned J = 0; J != D.N; ++J) {
+      T[G].Bits |= Window{D.Members[J].Byte} << (8 * J);
+      if (D.Members[J].F == Fwd::Own)
+        continue;
+      Window Rel = Window{D.Members[J].F == Fwd::A ? 1u : 2u}
+                   << (RelBit + 2 * (J - 1));
+      T[G].Bits |= Rel;
+      T[G].Mask |= Rel;
+    }
+  }
   return T;
 }();
 
-/// The byte encode() writes for \p Is[0], whose own byte is \p Own: the
-/// group whose members are \p Is[0..N) (N at most 3), else Own.
-uint8_t chooseByte(const HInstr *Is, uint8_t Own, size_t N) {
-  if (!LeadsGroup[Own] || N < 2)
-    return Own;
-  uint8_t Bytes[3] = {Own, opcodeByte(Is[1]), NoMember};
-  for (size_t G = 0; G != std::size(GroupDefs); ++G) {
-    const GroupDef &D = GroupDefs[G];
-    if (D.Members[0] != Own || D.Members[1] != Bytes[1])
-      continue;
-    if (N == 3)
-      Bytes[2] = opcodeByte(Is[2]);
-    return fits(D, Is, Bytes, N) ? byteOf(static_cast<Group>(G)) : Own;
+/// Whether the instructions window \p W describes begin with row \p G:
+/// each has its member's byte, and each forwarded operand is the register
+/// the row names (for Left, the Neg32 also did not overwrite its operand).
+/// The encoder asks this of the instructions it is about to write, and
+/// checkOperands of the instructions behind a group byte.
+bool fits(unsigned G, Window W) {
+  return (W & RowKeys[G].Mask) == RowKeys[G].Bits;
+}
+
+/// Per opcode byte below the groups, the rows it leads, longest first
+/// (ties in list order), at most MaxRowsPerLead: their keys (an unused
+/// slot's matches no window) and bytes, and after them the lead's own
+/// byte. A table over every own byte, not a lookup of the leads: a branch
+/// per instruction on whether it leads a row, and one per row, doubled the
+/// matcher's share of encode time on memcheck-short.
+constexpr unsigned MaxRowsPerLead = 4;
+struct LeadRows {
+  RowKey Keys[MaxRowsPerLead];
+  uint8_t Bytes[MaxRowsPerLead + 1];
+};
+constexpr auto Leads = [] {
+  std::array<LeadRows, FirstGroupByte> T{};
+  for (unsigned L = 0; L != T.size(); ++L) {
+    for (RowKey &K : T[L].Keys)
+      K = {~Window{0}, ~Window{0}};
+    for (uint8_t &B : T[L].Bytes)
+      B = static_cast<uint8_t>(L);
   }
-  return Own;
+  std::array<uint8_t, std::size(GroupDefs)> Order{};
+  for (size_t G = 0; G != Order.size(); ++G)
+    Order[G] = static_cast<uint8_t>(G);
+  std::sort(Order.begin(), Order.end(), [](uint8_t X, uint8_t Y) {
+    return GroupDefs[X].N != GroupDefs[Y].N ? GroupDefs[X].N > GroupDefs[Y].N
+                                            : X < Y;
+  });
+  std::array<uint8_t, FirstGroupByte> Used{};
+  for (uint8_t G : Order) {
+    uint8_t L = GroupDefs[G].Members[0].Byte;
+    if (Used[L] == MaxRowsPerLead)
+      throw "more rows share a lead byte than MaxRowsPerLead";
+    T[L].Keys[Used[L]] = RowKeys[G];
+    T[L].Bytes[Used[L]++] = byteOf(static_cast<Group>(G));
+  }
+  return T;
+}();
+
+/// The byte encode() writes for the first of the instructions \p W
+/// describes: the longest row they begin with, else its own byte. Every
+/// row its byte leads is compared, and none is branched on.
+uint8_t chooseByte(Window W) {
+  assert(static_cast<uint8_t>(W) < FirstGroupByte && "not an own byte");
+  const LeadRows &R = Leads[static_cast<uint8_t>(W)];
+  unsigned Hits = 1u << MaxRowsPerLead;
+  for (unsigned J = 0; J != MaxRowsPerLead; ++J)
+    Hits |= unsigned((W & R.Keys[J].Mask) == R.Keys[J].Bits) << J;
+  return R.Bytes[std::countr_zero(Hits)];
 }
 
 uint8_t r8(RegId R) {
@@ -298,9 +319,13 @@ std::vector<uint8_t> hvm::encode(const HostCode &CodeIn) {
   std::vector<uint8_t> B;
   B.reserve(Pos);
   const size_t N = Code.Instrs.size();
+  // What the rows ask of the instructions from K on: each own byte and
+  // relation is computed once, as its instruction enters the window.
+  Window W = windowOf(Code.Instrs.data(), N,
+                      [&](size_t J) { return opcodeByte(Code.Instrs[J]); });
   for (size_t K = 0; K != N; ++K) {
     const HInstr &I = Code.Instrs[K];
-    B.push_back(chooseByte(&I, opcodeByte(I), std::min<size_t>(3, N - K)));
+    B.push_back(chooseByte(W));
     assert(opcodeInfo(B.back()).Len &&
            "access of unsupported size reaches encoder");
     switch (I.Op) {
@@ -311,28 +336,48 @@ std::vector<uint8_t> hvm::encode(const HostCode &CodeIn) {
       VG_HVM_FORMS(VG_HVM_X)
 #undef VG_HVM_X
     }
+    // Slide the window on: instruction K + MaxMembers enters its last
+    // slot, past the end 0xFF with no relation.
+    Window Bytes = (W & NoBytes) >> 8, Rels = W >> (RelBit + 2);
+    if (K + MaxMembers < N) {
+      const HInstr &Next = Code.Instrs[K + MaxMembers];
+      Bytes |= Window{opcodeByte(Next)} << (8 * (MaxMembers - 1));
+      Rels |= relation(Code.Instrs[K + MaxMembers - 1], Next)
+              << (2 * (MaxMembers - 2));
+    } else {
+      Bytes |= Window{0xFF} << (8 * (MaxMembers - 1));
+    }
+    W = Bytes | Rels << RelBit;
   }
   return B;
 }
 
-OpcodeInfo hvm::opcodeInfo(uint8_t Byte) {
-  if (Byte >= NumOpcodes)
-    return {HOp::LI, 0, Byte, 0};
-  if (Byte >= FirstGroupByte) {
-    const GroupDef &G = GroupDefs[Byte - FirstGroupByte];
-    OpcodeInfo Info = opcodeInfo(G.Members[0]);
-    for (size_t J = 1; J != G.size(); ++J)
-      Info.GroupLen += opcodeInfo(G.Members[J]).Len;
-    return Info;
+/// opcodeInfo of every byte: a group byte reads as its lead, with the
+/// length of all its members beside it.
+constexpr auto OpcodeInfos = [] {
+  std::array<OpcodeInfo, 256> T{};
+  for (unsigned Byte = 0; Byte != T.size(); ++Byte) {
+    if (Byte >= FirstGroupByte) {
+      T[Byte] = {HOp::LI, 0, static_cast<uint8_t>(Byte), 0};
+      continue;
+    }
+    HOp Form = opcodeDef(static_cast<uint8_t>(Byte)).Form;
+    // Accesses are always encoded with their size-specialised byte.
+    uint8_t Len =
+        Byte < NumGenericOps && isAccess(Form) ? 0 : Lengths[byteOf(Form)];
+    T[Byte] = {Form, Len, static_cast<uint8_t>(Byte), Len};
   }
-  HOp Form = Byte < NumGenericOps ? static_cast<HOp>(Byte)
-                                  : SpecDefs[Byte - NumGenericOps].Form;
-  // Accesses are always encoded with their size-specialised byte.
-  if (Byte < NumGenericOps && isAccess(Form))
-    return {Form, 0, Byte, 0};
-  uint8_t Len = Lengths[byteOf(Form)];
-  return {Form, Len, Byte, Len};
-}
+  for (unsigned G = 0; G != std::size(GroupDefs); ++G) {
+    const GroupDef &D = GroupDefs[G];
+    OpcodeInfo &Info = T[byteOf(static_cast<Group>(G))];
+    Info = T[D.Members[0].Byte];
+    for (unsigned J = 1; J != D.N; ++J)
+      Info.GroupLen += T[D.Members[J].Byte].Len;
+  }
+  return T;
+}();
+
+OpcodeInfo hvm::opcodeInfo(uint8_t Byte) { return OpcodeInfos[Byte]; }
 
 bool hvm::checkOperands(const std::vector<uint8_t> &Bytes,
                         uint32_t GuestStateSize, uint32_t NumSpillSlots,
@@ -406,15 +451,12 @@ bool hvm::checkOperands(const std::vector<uint8_t> &Bytes,
     default:
       break;
     }
-    if (Bytes[Starts[K]] >= FirstGroupByte) {
-      const GroupDef &G = GroupDefs[Bytes[Starts[K]] - FirstGroupByte];
-      size_t N = std::min<size_t>(G.size(), Is.size() - K);
-      uint8_t Own[3] = {};
-      for (size_t J = 0; J != N; ++J)
-        Own[J] = opcodeInfo(Bytes[Starts[K + J]]).Lead;
-      if (!fits(G, &Is[K], Own, N))
-        return false;
-    }
+    if (Bytes[Starts[K]] >= FirstGroupByte &&
+        !fits(Bytes[Starts[K]] - FirstGroupByte,
+              windowOf(&Is[K], Is.size() - K, [&](size_t J) {
+                return opcodeInfo(Bytes[Starts[K + J]]).Lead;
+              })))
+      return false;
   }
   HOp Last = Is.back().Op;
   return (Last == HOp::EXITI || Last == HOp::EXITR) &&

@@ -238,57 +238,165 @@ constexpr uint8_t byteOf(SpecOp S) {
   return static_cast<uint8_t>(NumGenericOps + static_cast<unsigned>(S));
 }
 
+/// What an opcode byte below the groups selects: its generic form, and the
+/// access size or ir::Op (Field) it is specialised for, NoField for a
+/// generic form's own byte.
+struct OpcodeDef {
+  HOp Form;
+  unsigned Field;
+};
+constexpr unsigned NoField = ~0u;
+
+/// Each SpecOp's OpcodeDef, in SpecOp order.
+constexpr OpcodeDef SpecDefs[] = {
+#define VG_HVM_X(Form, Size) {HOp::Form, Size},
+    VG_HVM_SIZED_OPS(VG_HVM_X)
+#undef VG_HVM_X
+#define VG_HVM_X(O)                                                            \
+  {HOp::ALU, unsigned(ir::Op::O)}, {HOp::ALUI, unsigned(ir::Op::O)},           \
+      {HOp::ALUIS, unsigned(ir::Op::O)},
+    VG_HVM_BINOPS(VG_HVM_X)
+#undef VG_HVM_X
+#define VG_HVM_X(O) {HOp::ALU1, unsigned(ir::Op::O)},
+    VG_HVM_UNOPS(VG_HVM_X)
+#undef VG_HVM_X
+};
+static_assert(std::size(SpecDefs) == static_cast<size_t>(SpecOp::Count),
+              "SpecDefs out of step with SpecOp");
+
+/// The OpcodeDef of a generic form's or a SpecOp's byte.
+constexpr OpcodeDef opcodeDef(uint8_t Byte) {
+  return Byte < NumGenericOps ? OpcodeDef{static_cast<HOp>(Byte), NoField}
+                              : SpecDefs[Byte - NumGenericOps];
+}
+
 //===----------------------------------------------------------------------===//
 // Superinstruction groups (encode-time)
 //
-// Some adjacent instructions recur as one idiom. When the instruction being
-// encoded starts a listed group, encode() rewrites only its opcode byte, to
-// the group's byte; that handler does the work of every member and jumps
-// past them all. The members keep their own bytes, so blob lengths do not
-// change, a JZ into the middle of a group runs the rest of it member by
-// member, and the opcode walker still visits every instruction.
+// Some runs of adjacent instructions recur as one idiom. Where the
+// instruction being encoded starts a listed row, encode() rewrites only its
+// opcode byte, to the row's byte; that handler does the work of every
+// member and jumps past them all. The members keep their own bytes, so blob
+// lengths do not change, a JZ into the middle of a group runs the rest of
+// it as encoded, and the opcode walker still visits every instruction.
 //
-// Rules for a group:
+// Each member is written once, as a step (hvm/Exec.cpp): its own byte's
+// handler is that step and a dispatch, and a row's handler is its members'
+// steps in order. A member whose operand is its predecessor's result gets
+// the value in a local instead of reading it back from the register file;
+// its row fixes which operand that is (Fwd).
+//
+// Rules for a row (checkRows below holds each row to all but the fourth
+// when compiling; the fourth is the step's, in hvm/Exec.cpp):
+//  - it has 2 to 5 members, the first reading nothing forwarded;
 //  - no member faults, calls out or leaves the block (no LDM, STM, CALL,
 //    SHPROBE, EXITI or EXITR), so fault PCs, the helper-call ABI and
-//    chaining are untouched; a JZ may only end a group;
-//  - each member that reads a register (A) reads the one its predecessor
-//    writes (Dst), where the predecessor writes one; the handler writes
-//    every register any member writes (the encoder does no liveness);
-//  - the lead byte is chosen while encoding, by looking ahead; a group is
-//    named by its first two members' bytes, so at most one can start at
-//    an instruction.
-//
-// The list follows the measured mix: bench/sec54_hostcode prints the most
-// executed pairs of adjacent dispatches still left unfused. Shares are of
-// all executed dispatches before the groups existed, on the long benchmark
-// workloads nulgrind-long / memcheck-long:
-//  - LI; STG4, a constant PUT of cc_op, cc_ndep or pc: 13.5% / 11.9%;
-//  - U1to32 t, c; CmpNEZ32 g, t; JZ g, the guard before each side exit:
-//    each link 3.6% / 3.2% (t is 0 or 1, so g equals t);
-//  - IMARK; LI; STG4 and IMARK; LDG4: IMARK->LI 7.3% / 4.2%, IMARK->LDG4
-//    5.1% / 3.4%;
-//  - IMARK; IMARK: 4.1% / 1.5%; only the later PC is kept.
-//
-// X(name, lead byte, second byte, third byte or NoMember).
+//    chaining are untouched; a JZ may only end a row;
+//  - a forwarded operand names a register its member has and a value its
+//    predecessor makes; encode() writes the row's byte only where the
+//    instructions' registers agree with it (and, for Left, where the Neg32
+//    did not overwrite its own operand), and checkOperands checks the same
+//    of a stored blob;
+//  - the handler still writes every register any member writes (the
+//    encoder does no liveness);
+//  - no two rows have the same member bytes; where several rows start at
+//    one instruction, the longest that fits wins.
 //===----------------------------------------------------------------------===//
 
-constexpr uint8_t NoMember = 0xFF;
+/// Which of a member's operands is its predecessor's value.
+enum class Fwd : uint8_t {
+  Own,  ///< none: it reads its registers, if any, from the register file
+  A,    ///< its A is the predecessor's Dst
+  Left, ///< its A is the predecessor's A and its B the predecessor's Dst:
+        ///< Or32 after Neg32, Memcheck's Left (x | -x)
+};
 
+/// A row's member: the opcode byte its instruction has alone, and what it
+/// takes from its predecessor.
+struct Member {
+  uint8_t Byte;
+  Fwd F = Fwd::Own;
+};
+template <typename Op> constexpr Member own(Op O) { return {byteOf(O)}; }
+template <typename Op> constexpr Member fwdA(Op O) {
+  return {byteOf(O), Fwd::A};
+}
+constexpr Member fwdLeft(SpecOp S) { return {byteOf(S), Fwd::Left}; }
+
+/// X(name, its members in order). The rows come from the measured mix:
+/// bench/sec54_hostcode prints the runs of adjacent dispatches left
+/// unfused that one row would shorten most, and the share of executed
+/// dispatches each row starts, shown after it here (the Table 2 workloads
+/// at scale 1, Nulgrind / Memcheck). With these rows a guest instruction
+/// costs 2.57 dispatches under Nulgrind and 7.32 under Memcheck; with only
+/// LI_STG4, IMARK_LI_STG4, IMARK_LDG4, IMARK_IMARK and GUARD it cost 3.13
+/// and 10.03.
 #define VG_HVM_GROUPS(X)                                                       \
-  X(LI_STG4, byteOf(HOp::LI), byteOf(SpecOp::STG4), NoMember)                  \
-  X(GUARD, byteOf(SpecOp::ALU1_U1to32), byteOf(SpecOp::ALU1_CmpNEZ32),         \
-    byteOf(HOp::JZ))                                                           \
-  X(IMARK_LI_STG4, byteOf(HOp::IMARK), byteOf(HOp::LI), byteOf(SpecOp::STG4))  \
-  X(IMARK_LDG4, byteOf(HOp::IMARK), byteOf(SpecOp::LDG4), NoMember)            \
-  X(IMARK_IMARK, byteOf(HOp::IMARK), byteOf(HOp::IMARK), NoMember)
+  /* Guest-state PUTs: constant ones (LI; STG4) of cc_op, cc_ndep and pc, */   \
+  /* register ones, and the IMARK between two guest instructions. */           \
+  X(LI_STG4, own(HOp::LI), fwdA(SpecOp::STG4)) /* 1.2% / 0.1% */               \
+  X(LI_STG4_LI_STG4, own(HOp::LI), fwdA(SpecOp::STG4), own(HOp::LI),           \
+    fwdA(SpecOp::STG4)) /* 0.2% / 3.4% */                                      \
+  X(STG4_STG4, own(SpecOp::STG4), own(SpecOp::STG4)) /* 0.3% / 4.8% */         \
+  X(STG4_LI_STG4_LI_STG4, own(SpecOp::STG4), own(HOp::LI),                     \
+    fwdA(SpecOp::STG4), own(HOp::LI), fwdA(SpecOp::STG4)) /* 4.0% / 0.0% */    \
+  X(STG4_IMARK_LI_STG4, own(SpecOp::STG4), own(HOp::IMARK), own(HOp::LI),      \
+    fwdA(SpecOp::STG4)) /* 3.9% / 0.1% */                                      \
+  X(STG4_IMARK_LDG4, own(SpecOp::STG4), own(HOp::IMARK),                       \
+    own(SpecOp::LDG4)) /* 2.2% / 0.5% */                                       \
+  X(STG8_IMARK, own(SpecOp::STG8), own(HOp::IMARK)) /* 4.9% / 1.7% */          \
+  X(ADD32_STG4, own(SpecOp::ALU_Add32), fwdA(SpecOp::STG4)) /* 3.4% / 0.3% */  \
+  X(LI_LI, own(HOp::LI), own(HOp::LI)) /* 0.0% / 4.6% */                       \
+  /* A guest instruction's start, then a PUT or GET. Of two IMARKs in a */     \
+  /* row only the later PC is ever reported. */                                \
+  X(IMARK_LI_STG4, own(HOp::IMARK), own(HOp::LI),                              \
+    fwdA(SpecOp::STG4)) /* 7.2% / 0.0% */                                      \
+  X(IMARK_LI_STG4_LI_STG4, own(HOp::IMARK), own(HOp::LI), fwdA(SpecOp::STG4),  \
+    own(HOp::LI), fwdA(SpecOp::STG4)) /* 0.2% / 4.0% */                        \
+  X(IMARK_LDG4, own(HOp::IMARK), own(SpecOp::LDG4)) /* 5.1% / 2.1% */          \
+  X(IMARK_IMARK, own(HOp::IMARK), own(HOp::IMARK)) /* 5.0% / 1.1% */           \
+  /* The guard before each side exit: t is 0 or 1, so g equals t. */           \
+  X(GUARD, own(SpecOp::ALU1_U1to32), fwdA(SpecOp::ALU1_CmpNEZ32),              \
+    fwdA(HOp::JZ)) /* 5.1% / 1.8% */                                           \
+  X(CMPNEZ32_JZ, own(SpecOp::ALU1_CmpNEZ32), fwdA(HOp::JZ)) /* 0.0% / 1.5% */  \
+  /* Memcheck's shadow chains: Left (x | -x), the PCast of a UifU */           \
+  /* (Or64; CmpNEZ64; U1to64; Neg64), and a V-bit test kept in a */            \
+  /* register or spilled. */                                                   \
+  X(LEFT32, own(SpecOp::ALU1_Neg32), fwdLeft(SpecOp::ALU_Or32))                \
+  /* 0.0% / 3.4% */                                                            \
+  X(OR64_PCAST64, own(SpecOp::ALU_Or64), fwdA(SpecOp::ALU1_CmpNEZ64),          \
+    fwdA(SpecOp::ALU1_U1to64), fwdA(SpecOp::ALU1_Neg64)) /* 0.0% / 2.0% */     \
+  X(CMPNEZ32_MOV, own(SpecOp::ALU1_CmpNEZ32), fwdA(HOp::MOV))                  \
+  /* 0.0% / 1.2% */                                                            \
+  X(U1TO32_CMPNEZ32_MOV, own(SpecOp::ALU1_U1to32),                             \
+    fwdA(SpecOp::ALU1_CmpNEZ32), fwdA(HOp::MOV)) /* 0.0% / 1.8% */             \
+  X(MOV_SPILL, own(HOp::MOV), fwdA(HOp::SPILL)) /* 0.0% / 2.4% */
 
 /// Groups; the byte of Group G is FirstGroupByte + G.
 enum class Group : uint8_t {
-#define VG_HVM_X(Name, M0, M1, M2) Name,
+#define VG_HVM_X(Name, ...) Name,
   VG_HVM_GROUPS(VG_HVM_X)
 #undef VG_HVM_X
   Count
+};
+
+/// The most members a row may have.
+constexpr unsigned MaxMembers = 5;
+
+/// One row: its members, Members[0..N).
+struct GroupDef {
+  Member Members[MaxMembers];
+  uint8_t N;
+};
+template <typename... Ms> constexpr GroupDef row(Ms... Members) {
+  return {{Members...}, sizeof...(Members)};
+}
+
+/// The rows of VG_HVM_GROUPS, in Group order.
+constexpr GroupDef GroupDefs[] = {
+#define VG_HVM_X(Name, ...) row(__VA_ARGS__),
+    VG_HVM_GROUPS(VG_HVM_X)
+#undef VG_HVM_X
 };
 
 constexpr unsigned FirstGroupByte =
@@ -300,7 +408,78 @@ constexpr uint8_t byteOf(Group G) {
 /// Every opcode byte encode() can write lies below this.
 constexpr unsigned NumOpcodes =
     FirstGroupByte + static_cast<unsigned>(Group::Count);
-static_assert(NumOpcodes < NoMember, "opcode bytes overflow");
+static_assert(NumOpcodes <= 256, "opcode bytes overflow");
+
+/// Whether form \p Op has a field of kind \p F.
+constexpr bool hasField(HOp Op, Fld F) {
+  switch (Op) {
+#define VG_HVM_X(Name, ...)                                                    \
+  case HOp::Name:                                                              \
+    for (Fld G : FormLayout<HOp::Name>::Fields)                                \
+      if (G == F)                                                              \
+        return true;                                                           \
+    return false;
+    VG_HVM_FORMS(VG_HVM_X)
+#undef VG_HVM_X
+  }
+  return false;
+}
+
+/// Whether an instruction of form \p Form may join a row: it cannot fault,
+/// call out or leave the block.
+constexpr bool groupable(HOp Form) {
+  switch (Form) {
+  case HOp::LDM:
+  case HOp::STM:
+  case HOp::CALL:
+  case HOp::SHPROBE:
+  case HOp::EXITI:
+  case HOp::EXITR:
+    return false;
+  default:
+    return true;
+  }
+}
+
+/// The group rules above, checked for every row; a row that breaks one
+/// fails to compile, naming the rule.
+consteval bool checkRows() {
+  for (size_t G = 0; G != std::size(GroupDefs); ++G) {
+    const GroupDef &D = GroupDefs[G];
+    if (D.N < 2)
+      throw "a row needs at least two members";
+    if (D.Members[0].F != Fwd::Own)
+      throw "a row's first member has no predecessor to take a value from";
+    for (unsigned J = 0; J != D.N; ++J) {
+      Member M = D.Members[J];
+      OpcodeDef Def = opcodeDef(M.Byte);
+      if (!groupable(Def.Form))
+        throw "a member may not fault, call out or leave the block";
+      if ((Def.Form == HOp::LDG || Def.Form == HOp::STG) &&
+          Def.Field == NoField)
+        throw "an access member needs its sized byte";
+      if (Def.Form == HOp::JZ && J + 1 != D.N)
+        throw "a JZ may only end a row";
+      HOp Prev = J ? opcodeDef(D.Members[J - 1].Byte).Form : Def.Form;
+      if (M.F != Fwd::Own &&
+          (!hasField(Def.Form, Fld::A) || !hasField(Prev, Fld::Dst)))
+        throw "a forwarded A needs an A and a predecessor's Dst";
+      if (M.F == Fwd::Left &&
+          (!hasField(Def.Form, Fld::B) || !hasField(Prev, Fld::A)))
+        throw "Left forwarding needs a B and a predecessor's A";
+    }
+    for (size_t H = 0; H != G; ++H) {
+      const GroupDef &E = GroupDefs[H];
+      bool Same = E.N == D.N;
+      for (unsigned J = 0; Same && J != D.N; ++J)
+        Same = E.Members[J].Byte == D.Members[J].Byte;
+      if (Same)
+        throw "two rows have the same member bytes";
+    }
+  }
+  return true;
+}
+static_assert(checkRows());
 
 /// One host instruction (pre- or post-register-allocation).
 struct HInstr {

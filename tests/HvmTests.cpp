@@ -14,6 +14,8 @@
 #include "ir/IR.h"
 #include "ir/IROpt.h"
 
+#include "RowInstances.h"
+
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,6 +25,7 @@
 using namespace vg;
 using namespace vg::hvm;
 using namespace vg::ir;
+using namespace vg::rowcases;
 
 namespace {
 
@@ -80,12 +83,6 @@ HInstr stg(uint32_t Off, RegId A, uint8_t Size) {
 HInstr ldg(RegId Dst, uint32_t Off, uint8_t Size) {
   HInstr I = hi(HOp::LDG);
   I.Dst = Dst, I.Off = Off, I.Size = Size;
-  return I;
-}
-
-HInstr alu1(Op O, RegId Dst, RegId A) {
-  HInstr I = hi(HOp::ALU1);
-  I.IrOp = O, I.Dst = Dst, I.A = A;
   return I;
 }
 
@@ -633,172 +630,207 @@ TEST(Encode, EveryListedOpIsSpecialisedInEveryForm) {
 }
 
 //===----------------------------------------------------------------------===//
-// Superinstruction groups
+// Superinstruction groups: every case is generated from VG_HVM_GROUPS, so a
+// new row is checked as soon as it is listed
 //===----------------------------------------------------------------------===//
 
-/// One instance of each group, its members reading their predecessors'
-/// results, with its input registers h1 (the guard's condition) and gst[8]
-/// (the LDG4's source). The guard's JZ targets \p Target.
-struct GroupCase {
-  Group G;
-  std::vector<HInstr> Members;
-};
-
-std::vector<GroupCase> groupCases(int32_t Target) {
-  return {
-      {Group::LI_STG4, {li(2, 0x123456789Aull), stg(0, 2, 4)}},
-      {Group::GUARD,
-       {alu1(Op::U1to32, 2, 1), alu1(Op::CmpNEZ32, 3, 2), jz(3, Target)}},
-      {Group::IMARK_LI_STG4,
-       {imark(0x4000), li(2, 0xFFFFFFFF00000005ull), stg(4, 2, 4)}},
-      {Group::IMARK_LDG4, {imark(0x4000), ldg(2, 8, 4)}},
-      {Group::IMARK_IMARK, {imark(0x4000), imark(0x4004)}},
-  };
+HInstr separator() {
+  HInstr I = hi(HOp::MOV);
+  I.Dst = I.A = SepReg;
+  return I;
 }
 
-TEST(Encode, EachGroupGetsItsByteAndNearMissesDoNot) {
-  for (const GroupCase &C : groupCases(/*Target=*/3)) {
+/// The opcode byte \p I has alone.
+uint8_t ownByte(HInstr I) {
+  HostCode HC;
+  if (I.Op == HOp::JZ)
+    I.Label = 1;
+  HC.Instrs = {I, exitTo(0)};
+  return opcodeBytes(HC)[0];
+}
+
+/// The byte the group rules give \p Is[0]: the longest row whose member
+/// bytes and forwarded registers \p Is begin with, found by trying every
+/// row, else Is[0]'s own byte. The encoder must agree.
+uint8_t expectedLead(const std::vector<HInstr> &Is) {
+  uint8_t Best = ownByte(Is[0]);
+  unsigned BestN = 0;
+  for (unsigned G = 0; G != unsigned(Group::Count); ++G) {
+    const GroupDef &D = GroupDefs[G];
+    bool Fits = D.N <= Is.size() && D.N > BestN;
+    for (unsigned J = 0; Fits && J != D.N; ++J) {
+      const HInstr &I = Is[J];
+      Fits = ownByte(I) == D.Members[J].Byte;
+      if (Fits && D.Members[J].F == Fwd::A)
+        Fits = I.A == Is[J - 1].Dst;
+      if (Fits && D.Members[J].F == Fwd::Left)
+        Fits = I.A == Is[J - 1].A && I.B == Is[J - 1].Dst &&
+               Is[J - 1].A != Is[J - 1].Dst;
+    }
+    if (Fits) {
+      Best = byteOf(static_cast<Group>(G));
+      BestN = D.N;
+    }
+  }
+  return Best;
+}
+
+/// The byte encode() gives the first of \p Is, followed by an exit; each
+/// JZ among them targets that exit.
+uint8_t encodedLead(std::vector<HInstr> Is) {
+  for (HInstr &I : Is)
+    if (I.Op == HOp::JZ)
+      I.Label = static_cast<int32_t>(Is.size());
+  HostCode HC;
+  HC.Instrs = std::move(Is);
+  HC.Instrs.push_back(exitTo(0));
+  return opcodeBytes(HC)[0];
+}
+
+TEST(Encode, EveryRowGetsItsByteAndWinsOverItsPrefixes) {
+  for (unsigned G = 0; G != unsigned(Group::Count); ++G) {
+    const GroupDef &D = GroupDefs[G];
+    std::vector<HInstr> Is = rowInstance(D, /*Target=*/D.N);
     HostCode HC;
-    HC.Instrs = C.Members;
+    HC.Instrs = Is;
     HC.Instrs.push_back(exitTo(0));
     std::vector<uint8_t> Ops = opcodeBytes(HC);
-    ASSERT_EQ(Ops.size(), C.Members.size() + 1);
-    EXPECT_EQ(Ops[0], byteOf(C.G)) << unsigned(C.G);
-    // The lead decodes as itself, and the group covers all its members.
+    ASSERT_EQ(Ops.size(), D.N + 1u);
+    EXPECT_EQ(Ops[0], byteOf(static_cast<Group>(G))) << rowName(G);
+    // The lead decodes as its own instruction, the group covers every
+    // member, and each member keeps the byte it has alone, or leads a row
+    // of its own.
     std::vector<uint8_t> Bytes = encode(HC);
     OpcodeInfo Info = opcodeInfo(Ops[0]);
-    EXPECT_EQ(Info.Form, C.Members[0].Op);
-    EXPECT_EQ(Info.Lead, opcodeInfo(Info.Lead).Lead);
-    EXPECT_EQ(Info.GroupLen, Bytes.size() - opcodeInfo(Ops.back()).Len);
-    // Only the lead byte changes: the members keep the bytes they would
-    // have alone, which splitting the group with a MOV shows.
-    HostCode Split;
-    for (const HInstr &I : C.Members) {
-      Split.Instrs.push_back(I);
-      Split.Instrs.push_back(hi(HOp::MOV));
-      Split.Instrs.back().Dst = Split.Instrs.back().A = 9;
+    EXPECT_EQ(Info.Form, Is[0].Op) << rowName(G);
+    EXPECT_EQ(Info.Lead, ownByte(Is[0])) << rowName(G);
+    EXPECT_EQ(Info.GroupLen, Bytes.size() - opcodeInfo(Ops.back()).Len)
+        << rowName(G);
+    for (unsigned J = 0; J != D.N; ++J)
+      EXPECT_EQ(opcodeInfo(Ops[J]).Lead, D.Members[J].Byte)
+          << rowName(G) << ", member " << J;
+    // Every shorter prefix gets what the rules give it, which is never
+    // this row's byte: a longer row wins only where it fits.
+    for (unsigned N = 1; N != D.N; ++N) {
+      std::vector<HInstr> Prefix(Is.begin(), Is.begin() + N);
+      EXPECT_EQ(encodedLead(Prefix), expectedLead(Prefix))
+          << rowName(G) << ", first " << N;
     }
-    Split.Instrs.back() = exitTo(0);
-    for (HInstr &I : Split.Instrs)
-      if (I.Op == HOp::JZ)
-        I.Label = static_cast<int32_t>(Split.Instrs.size()) - 1;
-    std::vector<uint8_t> Alone = opcodeBytes(Split);
-    EXPECT_EQ(Info.Lead, Alone[0]);
-    for (size_t J = 1; J < C.Members.size(); ++J)
-      EXPECT_EQ(opcodeInfo(Ops[J]).Lead, Alone[2 * J]) << unsigned(C.G);
-  }
-
-  // Near misses keep their own bytes.
-  HInstr CmpOther = alu1(Op::CmpNEZ32, 3, 4); // reads h4, not the U1to32's h2
-  const std::vector<HInstr> Misses[] = {
-      {li(2, 5), stg(0, 3, 4)}, // the STG4 stores another register
-      {li(2, 5), stg(0, 2, 8)}, // an STG8
-      {imark(0x4000), ldm(2, 1)},
-      {imark(0x4000), li(2, 5), stg(0, 2, 8)},
-      {alu1(Op::U1to32, 2, 1), CmpOther, jz(3, 3)},
-      {alu1(Op::U1to32, 2, 1), alu1(Op::CmpNEZ32, 3, 2), jz(2, 3)},
-  };
-  for (const std::vector<HInstr> &Miss : Misses) {
-    HostCode HC;
-    HC.Instrs = Miss;
-    HC.Instrs.push_back(exitTo(0));
-    for (uint8_t Byte : opcodeBytes(HC))
-      EXPECT_LT(Byte, FirstGroupByte) << "lead " << unsigned(Miss[0].Op);
   }
 }
 
-// Each group's handler does exactly what its members do one by one:
-// the same program with a no-op MOV between the members (so nothing is
-// fused) leaves the same registers and guest state, in both directions of
-// the guard's JZ.
-TEST(Exec, GroupsRunLikeTheirMembersSplit) {
-  constexpr uint32_t Dump = 160; // h0..h9 land in gst[160..240)
-  for (uint64_t Cond : {0ull, 1ull, 2ull, 0xFFFFFFFFFFFFFFFFull}) {
-    for (size_t Idx = 0; Idx != groupCases(0).size(); ++Idx) {
-      alignas(8) uint8_t Result[2][384];
-      for (bool Fused : {true, false}) {
-        HostCode HC;
-        // h0..h9 start as distinct patterns, so an unwritten register or
-        // one written with the wrong value shows in the dump.
-        for (RegId R = 0; R != 10; ++R)
-          HC.Instrs.push_back(li(R, 0xA5A5A5A500000000ull | (R * 0x1111)));
-        HC.Instrs.push_back(li(1, Cond));
-        GroupCase C = groupCases(0)[Idx];
-        for (const HInstr &I : C.Members) {
-          HC.Instrs.push_back(I);
-          if (!Fused && &I != &C.Members.back()) {
-            HC.Instrs.push_back(hi(HOp::MOV));
-            HC.Instrs.back().Dst = HC.Instrs.back().A = 9;
+TEST(Encode, NearMissesOfEveryRowKeepTheirBytes) {
+  unsigned Tried = 0;
+  for (unsigned G = 0; G != unsigned(Group::Count); ++G) {
+    const GroupDef &D = GroupDefs[G];
+    for (const auto &[What, Miss] : nearMisses(D, /*Target=*/D.N)) {
+      ++Tried;
+      uint8_t Lead = encodedLead(Miss);
+      EXPECT_NE(Lead, byteOf(static_cast<Group>(G))) << rowName(G) << ": "
+                                                     << What;
+      EXPECT_EQ(Lead, expectedLead(Miss)) << rowName(G) << ": " << What;
+    }
+  }
+  EXPECT_GE(Tried, 2 * unsigned(Group::Count));
+}
+
+/// A program around row \p G's instance: h0..h9 set to distinct patterns
+/// and h1 to \p Cond; the members, with separators between them unless
+/// \p Fused; a tail that only the fall-through path of a final JZ runs; a
+/// dump of h0..h9 to gst[160..240) and spill slots 0..4 to gst[256..296);
+/// and a load that faults, so the run reports the PC of the last IMARK.
+/// With \p JumpTo, a JZ first jumps to that member. Sets \p Region to the
+/// indices of the members and the separators around them.
+HostCode rowProgram(unsigned G, uint64_t Cond, bool Fused, int JumpTo,
+                    std::pair<size_t, size_t> &Region) {
+  const GroupDef &D = GroupDefs[G];
+  HostCode HC;
+  for (RegId R = 0; R != 10; ++R)
+    HC.Instrs.push_back(li(R, 0xA5A5A5A500000000ull | (R * 0x1111)));
+  HC.Instrs.push_back(li(InputReg, Cond));
+  size_t JumpAt = 0;
+  if (JumpTo > 0) {
+    HC.Instrs.push_back(li(SepReg, 0));
+    JumpAt = HC.Instrs.size();
+    HC.Instrs.push_back(jz(SepReg, -1));
+  }
+  Region.first = HC.Instrs.size();
+  HC.Instrs.push_back(separator());
+  std::vector<size_t> MemberAt;
+  for (const HInstr &I : rowInstance(D, -1)) {
+    if (!Fused && !MemberAt.empty())
+      HC.Instrs.push_back(separator());
+    MemberAt.push_back(HC.Instrs.size());
+    HC.Instrs.push_back(I);
+  }
+  HC.Instrs.push_back(separator());
+  Region.second = HC.Instrs.size();
+  HC.Instrs.push_back(li(5, 0x77));
+  HC.Instrs.push_back(stg(248, 5, 8));
+  auto Label = static_cast<int32_t>(HC.Instrs.size());
+  for (size_t K : MemberAt)
+    if (HC.Instrs[K].Op == HOp::JZ)
+      HC.Instrs[K].Label = Label;
+  if (JumpTo > 0)
+    HC.Instrs[JumpAt].Label = static_cast<int32_t>(MemberAt[JumpTo]);
+  for (RegId R = 0; R != 10; ++R)
+    HC.Instrs.push_back(stg(160 + 8 * R, R, 8));
+  for (uint32_t Slot = 0; Slot != MaxMembers; ++Slot) {
+    HInstr Reload = hi(HOp::RELOAD);
+    Reload.Dst = SepReg, Reload.Off = Slot;
+    HC.Instrs.push_back(Reload);
+    HC.Instrs.push_back(stg(256 + 8 * Slot, SepReg, 8));
+  }
+  HC.Instrs.push_back(li(SepReg, 0x00990000));
+  HC.Instrs.push_back(ldm(SepReg, SepReg));
+  HC.Instrs.push_back(exitTo(0));
+  return HC;
+}
+
+// Each row's handler does exactly what its members do one by one: the
+// same program with a separator between the members (so none is fused)
+// leaves the same registers, guest state, spill slots and fault PC, in
+// both directions of a final JZ, also when a JZ lands on a later member
+// (which then runs as encoded: alone, or leading a row of its own).
+TEST(Exec, EveryRowRunsLikeItsMembersSplit) {
+  for (unsigned G = 0; G != unsigned(Group::Count); ++G) {
+    for (int JumpTo = 0; JumpTo != GroupDefs[G].N; ++JumpTo) {
+      for (uint64_t Cond : {0ull, 1ull, 2ull, 0xFFFFFFFFFFFFFFFFull}) {
+        alignas(8) uint8_t Result[2][384];
+        uint32_t FaultPC[2];
+        for (bool Fused : {true, false}) {
+          std::pair<size_t, size_t> Region;
+          HostCode HC = rowProgram(G, Cond, Fused, JumpTo, Region);
+          std::vector<uint8_t> Ops = opcodeBytes(HC);
+          // Fused, the lead has the row's byte; split, no separator joins
+          // a member to a row, nor the instructions around them.
+          for (size_t K = Region.first; K != Region.second; ++K) {
+            if (Fused && K == Region.first + 1) {
+              EXPECT_EQ(Ops[K], byteOf(static_cast<Group>(G))) << rowName(G);
+            } else if (!Fused) {
+              EXPECT_LT(Ops[K], FirstGroupByte)
+                  << rowName(G) << ", split, instruction " << K;
+            }
           }
+          uint8_t *Gst = Result[Fused];
+          std::memset(Gst, 0xCC, 384);
+          for (uint32_t Off = 8; Off != 64; Off += 8) {
+            uint64_t Src = 0x89ABCDEF01234567ull * Off;
+            std::memcpy(Gst + Off, &Src, 8);
+          }
+          GuestMemory Mem;
+          RunOutcome O = runHost(HC, Gst, Mem);
+          EXPECT_EQ(O.K, RunOutcome::Kind::Fault) << rowName(G);
+          FaultPC[Fused] = O.FaultPC;
         }
-        // On the fall-through path only: h5 and gst[248] change.
-        HC.Instrs.push_back(li(5, 0x77));
-        HC.Instrs.push_back(stg(248, 5, 8));
-        int32_t Label = static_cast<int32_t>(HC.Instrs.size());
-        for (HInstr &I : HC.Instrs)
-          if (I.Op == HOp::JZ)
-            I.Label = Label;
-        for (RegId R = 0; R != 10; ++R)
-          HC.Instrs.push_back(stg(Dump + 8 * R, R, 8));
-        HC.Instrs.push_back(exitTo(0));
-
-        std::vector<uint8_t> Ops = opcodeBytes(HC);
-        bool SawGroup = std::count(Ops.begin(), Ops.end(), byteOf(C.G)) != 0;
-        EXPECT_EQ(SawGroup, Fused) << unsigned(C.G);
-
-        alignas(8) uint8_t *Gst = Result[Fused];
-        std::memset(Gst, 0xCC, 384);
-        uint32_t Src = 0x89ABCDEF;
-        std::memcpy(Gst + 8, &Src, 4);
-        GuestMemory Mem;
-        RunOutcome O = runHost(HC, Gst, Mem);
-        EXPECT_EQ(O.K, RunOutcome::Kind::BlockEnd);
+        EXPECT_EQ(std::memcmp(Result[0], Result[1], 384), 0)
+            << rowName(G) << ", condition 0x" << std::hex << Cond
+            << ", entered at member " << std::dec << JumpTo;
+        EXPECT_EQ(FaultPC[0], FaultPC[1])
+            << rowName(G) << ", entered at member " << JumpTo;
       }
-      EXPECT_EQ(std::memcmp(Result[0], Result[1], 384), 0)
-          << "group " << Idx << ", condition 0x" << std::hex << Cond;
     }
   }
-}
-
-// A JZ may land on the second member of a group: that member, not the
-// group, runs from there, and the rest of the block runs as encoded.
-TEST(Exec, JumpIntoTheMiddleOfAGroup) {
-  // LI h2, 0x55; STG4 gst[0], h2 is a group; landing on its STG4 stores
-  // the h2 the LI never wrote.
-  HostCode A;
-  A.Instrs = {li(2, 0x77), li(1, 0), jz(1, 4), li(2, 0x55), stg(0, 2, 4),
-              exitTo(0)};
-  ASSERT_EQ(opcodeBytes(A)[3], byteOf(Group::LI_STG4));
-  alignas(8) uint8_t Gst[384] = {};
-  GuestMemory Mem;
-  runHost(A, Gst, Mem);
-  uint32_t V;
-  std::memcpy(&V, Gst, 4);
-  EXPECT_EQ(V, 0x77u);
-
-  // The guard U1to32 h2, h3; CmpNEZ32 h4, h2; JZ h4: landing on its
-  // CmpNEZ32 with h2 = 6 tests h2 itself (non-zero: fall through), where
-  // the group from its lead would have tested U1to32(h3) = 0.
-  HostCode B;
-  B.Instrs = {li(2, 6),
-              li(3, 0),
-              li(1, 0),
-              jz(1, 5),
-              alu1(Op::U1to32, 2, 3),
-              alu1(Op::CmpNEZ32, 4, 2),
-              jz(4, 9),
-              li(5, 0x99),
-              stg(0, 5, 8),
-              stg(8, 4, 8),
-              exitTo(0)};
-  ASSERT_EQ(opcodeBytes(B)[4], byteOf(Group::GUARD));
-  std::memset(Gst, 0, sizeof(Gst));
-  runHost(B, Gst, Mem);
-  uint64_t W;
-  std::memcpy(&W, Gst, 8);
-  EXPECT_EQ(W, 0x99u) << "the fall-through path did not run";
-  std::memcpy(&W, Gst + 8, 8);
-  EXPECT_EQ(W, 1u) << "CmpNEZ32 h4, h2 with h2 = 6";
 }
 
 //===----------------------------------------------------------------------===//

@@ -20,6 +20,8 @@
 #include "tools/Nulgrind.h"
 #include "workloads/Workloads.h"
 
+#include "RowInstances.h"
+
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -590,6 +592,44 @@ TEST(TransCacheOperands, GroupBytesAreFollowedByTheirMembers) {
                             B[Start[1] + hvm::At<HOp::STG, Fld::A>] = 2;
                           }),
             Malformed);
+}
+
+// Every row: its instance loads, and its byte written over the lead of
+// one of its near misses (a wrong member after it, a broken forwarding
+// chain, the forwarded register in another operand) makes the entry
+// Malformed, though each instruction on its own is valid.
+TEST(TransCacheOperands, EveryRowsByteNeedsItsMembersAndItsChain) {
+  unsigned Tried = 0;
+  for (unsigned G = 0; G != unsigned(hvm::Group::Count); ++G) {
+    const hvm::GroupDef &D = hvm::GroupDefs[G];
+    uint8_t Byte = hvm::byteOf(static_cast<hvm::Group>(G));
+    std::vector<HInstr> Code = rowcases::rowInstance(D, /*Target=*/D.N);
+    Code.push_back(exitInstr());
+    EXPECT_EQ(decodeCrafted(
+                  Code,
+                  [&](std::vector<uint8_t> &B,
+                      const std::vector<uint32_t> &Start) {
+                    EXPECT_EQ(B[Start[0]], Byte) << rowcases::rowName(G);
+                  },
+                  hvm::MaxMembers),
+              Found)
+        << rowcases::rowName(G);
+    for (const rowcases::NearMiss &M : rowcases::nearMisses(D, D.N)) {
+      ++Tried;
+      Code = M.Is;
+      Code.push_back(exitInstr());
+      EXPECT_EQ(decodeCrafted(
+                    Code,
+                    [&](std::vector<uint8_t> &B,
+                        const std::vector<uint32_t> &Start) {
+                      B[Start[0]] = Byte;
+                    },
+                    hvm::MaxMembers),
+                Malformed)
+          << rowcases::rowName(G) << ": " << M.What;
+    }
+  }
+  EXPECT_GE(Tried, 2 * unsigned(hvm::Group::Count));
 }
 
 TEST(TransCacheOperands, ShadowProbeStoresHaveAValueRegister) {
