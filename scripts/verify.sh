@@ -27,7 +27,9 @@ for arg in "$@"; do
   esac
 done
 
-cmake -B build -S . >/dev/null
+# Any compiler warning fails the build (the IR and instruction-format
+# switches have no default:, so -Wswitch flags a missing case).
+cmake -B build -S . -DCMAKE_COMPILE_WARNING_AS_ERROR=ON >/dev/null
 cmake --build build -j >/dev/null
 ctest --test-dir build --output-on-failure -j
 

@@ -622,5 +622,3 @@ std::vector<uint32_t> Core::captureStackTrace(ThreadState &TS, unsigned Max) {
   }
   return Trace;
 }
-
-void Core::internalError(const char *Msg) { fatalError(Msg); }

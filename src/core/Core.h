@@ -249,8 +249,6 @@ private:
   /// construction. Called by DispatchLoop::run.
   CoreExit finishRun();
 
-  [[noreturn]] void internalError(const char *Msg);
-
   /// The core's own instrumentation layered around the tool's: SMC check
   /// prelude (when \p WantSmc — sampled at options-build time from the
   /// live stack geometry) and SP-change tracking (R7). For trace

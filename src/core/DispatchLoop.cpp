@@ -183,10 +183,10 @@ void DispatchLoop::dispatchLoop(ThreadState &TS, uint64_t &Quantum,
   if (C.ChainingEnabled)
     Exec.setChaining(&chainResolveThunk, this);
 
-  // Lazy chain-fill fallback (register-constant edges the eager linker
-  // could not resolve at insert time never reach here; this catches edges
-  // whose slot was parked and has since been cancelled). LastGen guards
-  // against the cookie dangling after an eviction.
+  // The previous run's Boring exit, so the edge it took through the
+  // dispatcher (not chained, or bounced at a check point) is counted in
+  // its EdgeExecs. The table links every slot eagerly (TransTab::insert);
+  // LastGen guards against the cookie dangling after an eviction.
   void *LastCookie = nullptr;
   uint32_t LastSlot = ~0u;
   uint64_t LastGen = 0;
@@ -230,21 +230,17 @@ void DispatchLoop::dispatchLoop(ThreadState &TS, uint64_t &Quantum,
 
     Translation *T = findOrTranslate(PC);
 
-    // Fill the previous exit's chain slot now that the successor is known.
-    // Safe only if no eviction ran since the exit (the cookie would dangle).
+    // A dispatcher-mediated traversal of the previous exit's edge is
+    // edge-profile evidence just like a chained one. Safe only if no
+    // eviction ran since the exit (the cookie would dangle), and only for
+    // the exit's own constant target (a guest redirect may have rewritten
+    // the PC we dispatched).
     if (C.ChainingEnabled && LastCookie && LastSlot != ~0u &&
         C.TT.generation() == LastGen) {
       auto *Prev = static_cast<Translation *>(LastCookie);
-      // Only link true fall-through edges: if the exit's recorded constant
-      // target is not the PC we dispatched (a guest redirect rewrote it),
-      // chaining would bypass the dispatcher's redirect check.
       if (LastSlot < Prev->Blob.ChainTargets.size() &&
-          Prev->Blob.ChainTargets[LastSlot] == PC) {
-        C.TT.chainTo(Prev, LastSlot, T);
-        // A dispatcher-mediated traversal of this edge (unfilled slot or a
-        // thunk bounce) is edge-profile evidence just like a chained one.
+          Prev->Blob.ChainTargets[LastSlot] == PC)
         ++Prev->Blob.EdgeExecs[LastSlot];
-      }
     }
     LastCookie = nullptr;
     LastSlot = ~0u;

@@ -72,8 +72,3 @@ void RedirectEngine::setImageSymbols(
       wrap(ImageSymbols.at(Sym), Hooks);
   PendingSymbolWraps.clear();
 }
-
-uint32_t RedirectEngine::symbolAddr(const std::string &Symbol) const {
-  auto It = ImageSymbols.find(Symbol);
-  return It == ImageSymbols.end() ? 0 : It->second;
-}

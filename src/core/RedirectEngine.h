@@ -72,8 +72,6 @@ public:
   /// redirects/wraps resolve here and later registrations resolve
   /// immediately.
   void setImageSymbols(const std::map<std::string, uint32_t> &Symbols);
-  /// Resolved address of \p Symbol (0 if unknown).
-  uint32_t symbolAddr(const std::string &Symbol) const;
 
   // --- dispatcher queries (every dispatcher entry; keep inline) ----------
   /// Guest->guest redirect target for \p PC, or null.

@@ -96,13 +96,6 @@ public:
   }
   void setPCVal(uint32_t V) { std::memcpy(Guest + vg1::gso::PC, &V, 4); }
 
-  /// Shadow of a guest register (first-class shadow state, R1).
-  uint32_t shadowGpr(unsigned I) const {
-    uint32_t V;
-    std::memcpy(&V, Guest + vg1::gso::ShadowOffset + vg1::gso::gpr(I), 4);
-    return V;
-  }
-
   // --- CpuView (used by the simulated kernel) ----------------------------
   uint32_t readReg(unsigned Index) const override { return gpr(Index); }
   void writeReg(unsigned Index, uint32_t Value) override {

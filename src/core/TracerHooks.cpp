@@ -5,125 +5,67 @@
 #include "core/Events.h"
 #include "support/EventTrace.h"
 
+#include <type_traits>
+
 using namespace vg;
+
+namespace {
+
+/// Records one event: a leading int argument is the thread id (0 when the
+/// callback has none), and the integer arguments after it, in order, are
+/// A, B and C. Names (const char *) are not recorded.
+template <typename First, typename... Rest>
+void record(EventTracer *Tr, TraceEvent E, First F, Rest... R) {
+  static_assert((std::is_integral_v<First> + ... + std::is_integral_v<Rest>) <=
+                    3 + std::is_same_v<First, int>,
+                "a trace record holds three arguments after the thread id");
+  uint32_t V[3] = {};
+  unsigned N = 0;
+  auto Add = [&](auto X) {
+    if constexpr (std::is_integral_v<decltype(X)>)
+      V[N++] = static_cast<uint32_t>(X);
+  };
+  int Tid = 0;
+  if constexpr (std::is_same_v<First, int>)
+    Tid = F;
+  else
+    Add(F);
+  (Add(R), ...);
+  Tr->record(Tid, E, V[0], V[1], V[2]);
+}
+
+/// Replaces \p Hook with one that records \p E and then calls \p Hook.
+template <TraceEvent E, typename... Args>
+void layer(std::function<void(Args...)> &Hook, EventTracer *Tr) {
+  auto Prev = Hook;
+  Hook = [Tr, Prev](Args... As) {
+    record(Tr, E, As...);
+    if (Prev)
+      Prev(As...);
+  };
+}
+
+} // namespace
 
 void vg::installTracerHooks(EventHub &Events, EventTracer *Tr) {
   if (!Tr)
     return;
-
-  auto P1 = Events.PreRegRead;
-  Events.PreRegRead = [Tr, P1](int Tid, uint32_t Off, uint32_t Size,
-                               const char *Name) {
-    Tr->record(Tid, TraceEvent::PreRegRead, Off, Size);
-    if (P1)
-      P1(Tid, Off, Size, Name);
-  };
-  auto P2 = Events.PostRegWrite;
-  Events.PostRegWrite = [Tr, P2](int Tid, uint32_t Off, uint32_t Size) {
-    Tr->record(Tid, TraceEvent::PostRegWrite, Off, Size);
-    if (P2)
-      P2(Tid, Off, Size);
-  };
-  auto P3 = Events.PreMemRead;
-  Events.PreMemRead = [Tr, P3](int Tid, uint32_t Addr, uint32_t Len,
-                               const char *Name) {
-    Tr->record(Tid, TraceEvent::PreMemRead, Addr, Len);
-    if (P3)
-      P3(Tid, Addr, Len, Name);
-  };
-  auto P4 = Events.PreMemReadAsciiz;
-  Events.PreMemReadAsciiz = [Tr, P4](int Tid, uint32_t Addr,
-                                     const char *Name) {
-    Tr->record(Tid, TraceEvent::PreMemReadAsciiz, Addr);
-    if (P4)
-      P4(Tid, Addr, Name);
-  };
-  auto P5 = Events.PreMemWrite;
-  Events.PreMemWrite = [Tr, P5](int Tid, uint32_t Addr, uint32_t Len,
-                                const char *Name) {
-    Tr->record(Tid, TraceEvent::PreMemWrite, Addr, Len);
-    if (P5)
-      P5(Tid, Addr, Len, Name);
-  };
-  auto P6 = Events.PostMemWrite;
-  Events.PostMemWrite = [Tr, P6](int Tid, uint32_t Addr, uint32_t Len) {
-    Tr->record(Tid, TraceEvent::PostMemWrite, Addr, Len);
-    if (P6)
-      P6(Tid, Addr, Len);
-  };
-  auto P7 = Events.NewMemStartup;
-  Events.NewMemStartup = [Tr, P7](uint32_t Addr, uint32_t Len,
-                                  uint8_t Perms) {
-    Tr->record(0, TraceEvent::NewMemStartup, Addr, Len, Perms);
-    if (P7)
-      P7(Addr, Len, Perms);
-  };
-  auto P8 = Events.NewMemMmap;
-  Events.NewMemMmap = [Tr, P8](uint32_t Addr, uint32_t Len, uint8_t Perms) {
-    Tr->record(0, TraceEvent::NewMemMmap, Addr, Len, Perms);
-    if (P8)
-      P8(Addr, Len, Perms);
-  };
-  auto P9 = Events.DieMemMunmap;
-  Events.DieMemMunmap = [Tr, P9](uint32_t Addr, uint32_t Len) {
-    Tr->record(0, TraceEvent::DieMemMunmap, Addr, Len);
-    if (P9)
-      P9(Addr, Len);
-  };
-  auto P10 = Events.NewMemBrk;
-  Events.NewMemBrk = [Tr, P10](uint32_t Addr, uint32_t Len) {
-    Tr->record(0, TraceEvent::NewMemBrk, Addr, Len);
-    if (P10)
-      P10(Addr, Len);
-  };
-  auto P11 = Events.DieMemBrk;
-  Events.DieMemBrk = [Tr, P11](uint32_t Addr, uint32_t Len) {
-    Tr->record(0, TraceEvent::DieMemBrk, Addr, Len);
-    if (P11)
-      P11(Addr, Len);
-  };
-  auto P12 = Events.CopyMemMremap;
-  Events.CopyMemMremap = [Tr, P12](uint32_t Src, uint32_t Dst,
-                                   uint32_t Len) {
-    Tr->record(0, TraceEvent::CopyMemMremap, Src, Dst, Len);
-    if (P12)
-      P12(Src, Dst, Len);
-  };
-  auto P13 = Events.NewMemStack;
-  Events.NewMemStack = [Tr, P13](uint32_t Addr, uint32_t Len) {
-    Tr->record(0, TraceEvent::NewMemStack, Addr, Len);
-    if (P13)
-      P13(Addr, Len);
-  };
-  auto P14 = Events.DieMemStack;
-  Events.DieMemStack = [Tr, P14](uint32_t Addr, uint32_t Len) {
-    Tr->record(0, TraceEvent::DieMemStack, Addr, Len);
-    if (P14)
-      P14(Addr, Len);
-  };
-  auto P15 = Events.PostFileRead;
-  Events.PostFileRead = [Tr, P15](int Tid, uint32_t Fd, uint32_t Addr,
-                                  uint32_t Len, const char *Source) {
-    Tr->record(Tid, TraceEvent::PostFileRead, Fd, Addr, Len);
-    if (P15)
-      P15(Tid, Fd, Addr, Len, Source);
-  };
-  auto P16 = Events.PreSyscall;
-  Events.PreSyscall = [Tr, P16](int Tid, uint32_t Num) {
-    Tr->record(Tid, TraceEvent::SyscallEnter, Num);
-    if (P16)
-      P16(Tid, Num);
-  };
-  auto P17 = Events.PostSyscall;
-  Events.PostSyscall = [Tr, P17](int Tid, uint32_t Num, uint32_t Result) {
-    Tr->record(Tid, TraceEvent::SyscallExit, Num, Result);
-    if (P17)
-      P17(Tid, Num, Result);
-  };
-  auto P18 = Events.FaultInjected;
-  Events.FaultInjected = [Tr, P18](int Tid, uint32_t Kind, uint32_t Arg) {
-    Tr->record(Tid, TraceEvent::FaultInjected, Kind, Arg);
-    if (P18)
-      P18(Tid, Kind, Arg);
-  };
+  layer<TraceEvent::PreRegRead>(Events.PreRegRead, Tr);
+  layer<TraceEvent::PostRegWrite>(Events.PostRegWrite, Tr);
+  layer<TraceEvent::PreMemRead>(Events.PreMemRead, Tr);
+  layer<TraceEvent::PreMemReadAsciiz>(Events.PreMemReadAsciiz, Tr);
+  layer<TraceEvent::PreMemWrite>(Events.PreMemWrite, Tr);
+  layer<TraceEvent::PostMemWrite>(Events.PostMemWrite, Tr);
+  layer<TraceEvent::NewMemStartup>(Events.NewMemStartup, Tr);
+  layer<TraceEvent::NewMemMmap>(Events.NewMemMmap, Tr);
+  layer<TraceEvent::DieMemMunmap>(Events.DieMemMunmap, Tr);
+  layer<TraceEvent::NewMemBrk>(Events.NewMemBrk, Tr);
+  layer<TraceEvent::DieMemBrk>(Events.DieMemBrk, Tr);
+  layer<TraceEvent::CopyMemMremap>(Events.CopyMemMremap, Tr);
+  layer<TraceEvent::NewMemStack>(Events.NewMemStack, Tr);
+  layer<TraceEvent::DieMemStack>(Events.DieMemStack, Tr);
+  layer<TraceEvent::PostFileRead>(Events.PostFileRead, Tr);
+  layer<TraceEvent::SyscallEnter>(Events.PreSyscall, Tr);
+  layer<TraceEvent::SyscallExit>(Events.PostSyscall, Tr);
+  layer<TraceEvent::FaultInjected>(Events.FaultInjected, Tr);
 }

@@ -16,8 +16,8 @@
 /// scanning the whole table. Slots whose successor does not exist yet are
 /// parked in a pending-waiter map and filled eagerly the moment the
 /// successor is inserted — including re-insertion after SMC invalidation or
-/// hot-tier retranslation — so the dispatcher almost never has to fill a
-/// chain slot lazily.
+/// hot-tier retranslation — so every chainable slot is linked while both
+/// ends are resident; the dispatcher never links one.
 ///
 //===----------------------------------------------------------------------===//
 #ifndef VG_CORE_TRANSTAB_H
@@ -65,7 +65,7 @@ struct Translation {
   /// host in setupTranslation; false is always the safe default.
   bool Cacheable = false;
   /// Entering this address must go through the dispatcher, which runs the
-  /// redirect registered there (RedirectEngine::isRedirected): chainTo
+  /// redirect registered there (RedirectEngine::isRedirected): the table
   /// never links an exit into this translation. Set by the host in
   /// setupTranslation; the translation itself exists only because a
   /// wrapper's one-shot bypass dispatched the original.
@@ -116,12 +116,6 @@ public:
 
   void invalidateAll();
 
-  /// Fills one chain slot (dispatcher's lazy fallback path). Records the
-  /// back-edge and removes any pending waiter for the slot. No-op if the
-  /// slot is out of range, already chained to \p To, or \p To is marked
-  /// NoChainIn (a chained jump would skip its redirect).
-  void chainTo(Translation *From, uint32_t Slot, Translation *To);
-
   /// The dispatcher's fast cache resolved a block without consulting the
   /// table; fold the hit into the same statistics view so reported hit
   /// rates are honest.
@@ -151,7 +145,7 @@ public:
     uint64_t EvictionRuns = 0;
     uint64_t Evicted = 0;
     uint64_t Invalidated = 0;
-    uint64_t ChainsFilled = 0; ///< chain slots linked (eager + lazy)
+    uint64_t ChainsFilled = 0; ///< chain slots linked
     uint64_t Unchains = 0;     ///< chain slots nulled by eviction
   };
   const Stats &stats() const { return S; }
@@ -179,6 +173,11 @@ private:
   /// into empties (tombs otherwise accumulate forever and drive every
   /// missed probe to a full-table scan). Translation pointers are stable.
   void rehash();
+  /// Fills one chain slot. Records the back-edge and removes any pending
+  /// waiter for the slot. No-op if the slot is out of range, already
+  /// chained to \p To, or \p To is marked NoChainIn (a chained jump would
+  /// skip its redirect).
+  void chainTo(Translation *From, uint32_t Slot, Translation *To);
   /// Links \p T's outgoing slots against resident successors (or parks
   /// waiters) and resolves waiters parked on T->Addr.
   void linkChains(Translation *T);

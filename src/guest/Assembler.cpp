@@ -32,206 +32,16 @@ void Assembler::addFixup(Label L, size_t Offset) {
   Fixups.push_back(Fixup{L.Id, Offset});
 }
 
-void Assembler::movi(Reg Rd, uint32_t Imm) {
-  Code.push_back(static_cast<uint8_t>(Opcode::MOVI));
-  emitRegPair(Rd, Reg::R0);
-  emitU32(Imm);
-}
-
-void Assembler::mov(Reg Rd, Reg Rs) {
-  Code.push_back(static_cast<uint8_t>(Opcode::MOV));
-  emitRegPair(Rd, Rs);
-}
-
-void Assembler::alu3(Opcode Op, Reg Rd, Reg Rs, Reg Rt) {
-  Code.push_back(static_cast<uint8_t>(Op));
-  emitRegPair(Rd, Rs);
-  Code.push_back(static_cast<uint8_t>(static_cast<uint8_t>(Rt) << 4));
-}
-
-void Assembler::falu3(Opcode Op, FReg Fd, FReg Fs, FReg Ft) {
-  Code.push_back(static_cast<uint8_t>(Op));
-  Code.push_back(static_cast<uint8_t>((static_cast<uint8_t>(Fd) << 4) |
-                                      static_cast<uint8_t>(Fs)));
-  Code.push_back(static_cast<uint8_t>(static_cast<uint8_t>(Ft) << 4));
-}
-
-void Assembler::addi(Reg Rd, Reg Rs, int32_t Imm) {
-  Code.push_back(static_cast<uint8_t>(Opcode::ADDI));
-  emitRegPair(Rd, Rs);
-  emitU32(static_cast<uint32_t>(Imm));
-}
-
-void Assembler::andi(Reg Rd, Reg Rs, uint32_t Imm) {
-  Code.push_back(static_cast<uint8_t>(Opcode::ANDI));
-  emitRegPair(Rd, Rs);
-  emitU32(Imm);
-}
-
-void Assembler::shli(Reg Rd, Reg Rs, uint8_t Imm) {
-  Code.push_back(static_cast<uint8_t>(Opcode::SHLI));
-  emitRegPair(Rd, Rs);
-  Code.push_back(Imm);
-}
-
-void Assembler::shri(Reg Rd, Reg Rs, uint8_t Imm) {
-  Code.push_back(static_cast<uint8_t>(Opcode::SHRI));
-  emitRegPair(Rd, Rs);
-  Code.push_back(Imm);
-}
-
-void Assembler::sari(Reg Rd, Reg Rs, uint8_t Imm) {
-  Code.push_back(static_cast<uint8_t>(Opcode::SARI));
-  emitRegPair(Rd, Rs);
-  Code.push_back(Imm);
-}
-
-void Assembler::cmp(Reg Rs, Reg Rt) {
-  Code.push_back(static_cast<uint8_t>(Opcode::CMP));
-  emitRegPair(Rs, Rt);
-}
-
-void Assembler::cmpi(Reg Rs, int32_t Imm) {
-  Code.push_back(static_cast<uint8_t>(Opcode::CMPI));
-  emitRegPair(Rs, Reg::R0);
-  emitU32(static_cast<uint32_t>(Imm));
-}
-
-void Assembler::mem(Opcode Op, Reg A, Reg B, int16_t Disp) {
-  Code.push_back(static_cast<uint8_t>(Op));
-  emitRegPair(A, B);
-  emitU16(static_cast<uint16_t>(Disp));
-}
-
-void Assembler::ldx(Reg Rd, Reg BaseR, Reg Index, uint8_t Scale,
-                    int32_t Disp) {
-  assert(Scale <= 3 && "LDX scale must be 0..3");
-  Code.push_back(static_cast<uint8_t>(Opcode::LDX));
-  emitRegPair(Rd, BaseR);
-  Code.push_back(
-      static_cast<uint8_t>((static_cast<uint8_t>(Index) << 4) | Scale));
-  emitU32(static_cast<uint32_t>(Disp));
-}
-
-void Assembler::stx(Reg BaseR, Reg Index, uint8_t Scale, int32_t Disp,
-                    Reg Rv) {
-  assert(Scale <= 3 && "STX scale must be 0..3");
-  Code.push_back(static_cast<uint8_t>(Opcode::STX));
-  emitRegPair(BaseR, Rv);
-  Code.push_back(
-      static_cast<uint8_t>((static_cast<uint8_t>(Index) << 4) | Scale));
-  emitU32(static_cast<uint32_t>(Disp));
-}
-
-void Assembler::push(Reg Rs) {
-  Code.push_back(static_cast<uint8_t>(Opcode::PUSH));
-  emitRegPair(Rs, Reg::R0);
-}
-
-void Assembler::pop(Reg Rd) {
-  Code.push_back(static_cast<uint8_t>(Opcode::POP));
-  emitRegPair(Rd, Reg::R0);
-}
-
-void Assembler::bcc(Cond C, Label Target) {
-  Code.push_back(
-      static_cast<uint8_t>(static_cast<uint8_t>(Opcode::BCC) +
-                           static_cast<uint8_t>(C)));
-  addFixup(Target, Code.size());
-  emitU32(0);
-}
-
-void Assembler::jmp(Label Target) {
-  Code.push_back(static_cast<uint8_t>(Opcode::JMP));
-  addFixup(Target, Code.size());
-  emitU32(0);
-}
-
-void Assembler::jmpAbs(uint32_t Target) {
-  Code.push_back(static_cast<uint8_t>(Opcode::JMP));
-  emitU32(Target);
-}
-
-void Assembler::jmpr(Reg Rs) {
-  Code.push_back(static_cast<uint8_t>(Opcode::JMPR));
-  emitRegPair(Rs, Reg::R0);
-}
-
-void Assembler::call(Label Target) {
-  Code.push_back(static_cast<uint8_t>(Opcode::CALL));
-  addFixup(Target, Code.size());
-  emitU32(0);
-}
-
-void Assembler::callAbs(uint32_t Target) {
-  Code.push_back(static_cast<uint8_t>(Opcode::CALL));
-  emitU32(Target);
-}
-
-void Assembler::callr(Reg Rs) {
-  Code.push_back(static_cast<uint8_t>(Opcode::CALLR));
-  emitRegPair(Rs, Reg::R0);
-}
-
-void Assembler::ret() { Code.push_back(static_cast<uint8_t>(Opcode::RET)); }
-void Assembler::sys() { Code.push_back(static_cast<uint8_t>(Opcode::SYS)); }
-void Assembler::cpuinfo() {
-  Code.push_back(static_cast<uint8_t>(Opcode::CPUINFO));
-}
-void Assembler::clreq() {
-  Code.push_back(static_cast<uint8_t>(Opcode::CLREQ));
-}
-void Assembler::nop() { Code.push_back(static_cast<uint8_t>(Opcode::NOP)); }
-void Assembler::hlt() { Code.push_back(static_cast<uint8_t>(Opcode::HLT)); }
-
-void Assembler::fneg(FReg Fd, FReg Fs) {
-  Code.push_back(static_cast<uint8_t>(Opcode::FNEG));
-  Code.push_back(static_cast<uint8_t>((static_cast<uint8_t>(Fd) << 4) |
-                                      static_cast<uint8_t>(Fs)));
-}
-
-void Assembler::fmov(FReg Fd, FReg Fs) {
-  Code.push_back(static_cast<uint8_t>(Opcode::FMOV));
-  Code.push_back(static_cast<uint8_t>((static_cast<uint8_t>(Fd) << 4) |
-                                      static_cast<uint8_t>(Fs)));
-}
-
-void Assembler::fld(FReg Fd, Reg BaseR, int16_t Disp) {
-  Code.push_back(static_cast<uint8_t>(Opcode::FLD));
-  Code.push_back(static_cast<uint8_t>((static_cast<uint8_t>(Fd) << 4) |
-                                      static_cast<uint8_t>(BaseR)));
-  emitU16(static_cast<uint16_t>(Disp));
-}
-
-void Assembler::fst(Reg BaseR, int16_t Disp, FReg Fs) {
-  Code.push_back(static_cast<uint8_t>(Opcode::FST));
-  Code.push_back(static_cast<uint8_t>((static_cast<uint8_t>(BaseR) << 4) |
-                                      static_cast<uint8_t>(Fs)));
-  emitU16(static_cast<uint16_t>(Disp));
-}
-
-void Assembler::fitod(FReg Fd, Reg Rs) {
-  Code.push_back(static_cast<uint8_t>(Opcode::FITOD));
-  Code.push_back(static_cast<uint8_t>((static_cast<uint8_t>(Fd) << 4) |
-                                      static_cast<uint8_t>(Rs)));
-}
-
-void Assembler::fdtoi(Reg Rd, FReg Fs) {
-  Code.push_back(static_cast<uint8_t>(Opcode::FDTOI));
-  Code.push_back(static_cast<uint8_t>((static_cast<uint8_t>(Rd) << 4) |
-                                      static_cast<uint8_t>(Fs)));
-}
-
-void Assembler::fcmp(FReg Fs, FReg Ft) {
-  Code.push_back(static_cast<uint8_t>(Opcode::FCMP));
-  Code.push_back(static_cast<uint8_t>((static_cast<uint8_t>(Fs) << 4) |
-                                      static_cast<uint8_t>(Ft)));
-}
-
-void Assembler::fmovi(FReg Fd, double Value) {
-  Code.push_back(static_cast<uint8_t>(Opcode::FMOVI));
-  Code.push_back(static_cast<uint8_t>(static_cast<uint8_t>(Fd) << 4));
-  emitF64(Value);
+void Assembler::emit(const Instr &I, Label Target) {
+  uint8_t Bytes[MaxInstrLen];
+  unsigned Len = encodeInstr(I, Bytes);
+  if (Len == 0)
+    fatalError("assembler: unencodable instruction");
+  for (unsigned K = 0; K != Len; ++K) {
+    if (Target.valid() && K + 4 == Len)
+      addFixup(Target, Code.size());
+    Code.push_back(Bytes[K]);
+  }
 }
 
 void Assembler::emitU16(uint16_t V) {
@@ -249,11 +59,7 @@ void Assembler::emitU64(uint64_t V) {
     Code.push_back(static_cast<uint8_t>(V >> (8 * I)));
 }
 
-void Assembler::emitF64(double V) {
-  uint64_t Bits;
-  std::memcpy(&Bits, &V, 8);
-  emitU64(Bits);
-}
+void Assembler::emitF64(double V) { emitU64(std::bit_cast<uint64_t>(V)); }
 
 void Assembler::emitBytes(const void *Data, size_t Len) {
   const uint8_t *P = static_cast<const uint8_t *>(Data);
@@ -270,18 +76,6 @@ void Assembler::emitZeros(size_t Len) { Code.insert(Code.end(), Len, 0); }
 void Assembler::align(uint32_t A) {
   while (here() % A != 0)
     Code.push_back(0);
-}
-
-void Assembler::emitLabelAddr(Label L) {
-  addFixup(L, Code.size());
-  emitU32(0);
-}
-
-void Assembler::leai(Reg Rd, Label L) {
-  Code.push_back(static_cast<uint8_t>(Opcode::MOVI));
-  emitRegPair(Rd, Reg::R0);
-  addFixup(L, Code.size());
-  emitU32(0);
 }
 
 std::vector<uint8_t> Assembler::finalize() {
@@ -302,13 +96,8 @@ std::vector<uint8_t> Assembler::finalize() {
 
 namespace {
 
-void putU32(uint8_t *P, uint32_t V) {
-  for (int I = 0; I != 4; ++I)
-    P[I] = static_cast<uint8_t>(V >> (8 * I));
-}
-
-void putU64(uint8_t *P, uint64_t V) {
-  for (int I = 0; I != 8; ++I)
+void putLE(uint8_t *P, uint64_t V, unsigned Bytes) {
+  for (unsigned I = 0; I != Bytes; ++I)
     P[I] = static_cast<uint8_t>(V >> (8 * I));
 }
 
@@ -317,116 +106,60 @@ void putU64(uint8_t *P, uint64_t V) {
 unsigned vg1::encodeInstr(const Instr &I, uint8_t *Out) {
   if (I.Rd > 15 || I.Rs > 15 || I.Rt > 15 || I.Scale > 3)
     return 0;
+  // Only an opcode's own byte names it, not one inside Bcc's range.
+  const OpcodeInfo &Info = OpcodeTable[static_cast<uint8_t>(I.Op)];
+  if (Info.Op != I.Op)
+    return 0;
   uint8_t RdRs = static_cast<uint8_t>((I.Rd << 4) | I.Rs);
-
-  if (I.Op == Opcode::BCC) {
-    if (static_cast<uint8_t>(I.BCond) >= NumConds)
-      return 0;
-    Out[0] = static_cast<uint8_t>(static_cast<uint8_t>(Opcode::BCC) +
-                                  static_cast<uint8_t>(I.BCond));
-    putU32(Out + 1, static_cast<uint32_t>(I.Imm));
-    return 5;
-  }
-
+  uint32_t Imm = static_cast<uint32_t>(I.Imm);
   Out[0] = static_cast<uint8_t>(I.Op);
-  switch (I.Op) {
-  case Opcode::NOP:
-  case Opcode::HLT:
-  case Opcode::RET:
-  case Opcode::SYS:
-  case Opcode::CPUINFO:
-  case Opcode::CLREQ:
-    return 1;
 
-  case Opcode::MOV:
-  case Opcode::CMP:
-  case Opcode::JMPR:
-  case Opcode::CALLR:
-  case Opcode::PUSH:
-  case Opcode::POP:
-  case Opcode::FNEG:
-  case Opcode::FITOD:
-  case Opcode::FDTOI:
-  case Opcode::FCMP:
-  case Opcode::FMOV:
+  switch (Info.F) {
+  case Format::Undefined:
+    return 0;
+  case Format::None:
+    break;
+  case Format::RR:
     Out[1] = RdRs;
-    return 2;
-
-  case Opcode::ADD:
-  case Opcode::SUB:
-  case Opcode::AND:
-  case Opcode::OR:
-  case Opcode::XOR:
-  case Opcode::SHL:
-  case Opcode::SHR:
-  case Opcode::SAR:
-  case Opcode::MUL:
-  case Opcode::DIVU:
-  case Opcode::DIVS:
-  case Opcode::FADD:
-  case Opcode::FSUB:
-  case Opcode::FMUL:
-  case Opcode::FDIV:
-  case Opcode::VADD8:
-  case Opcode::VSUB8:
-  case Opcode::VCMPGT8:
+    break;
+  case Format::RRR:
     Out[1] = RdRs;
     Out[2] = static_cast<uint8_t>(I.Rt << 4);
-    return 3;
-
-  case Opcode::SHLI:
-  case Opcode::SHRI:
-  case Opcode::SARI:
+    break;
+  case Format::RRI8:
     if (I.Imm < 0 || I.Imm > 0xFF)
       return 0;
     Out[1] = RdRs;
-    Out[2] = static_cast<uint8_t>(I.Imm);
-    return 3;
-
-  case Opcode::LD:
-  case Opcode::ST:
-  case Opcode::LDB:
-  case Opcode::LDSB:
-  case Opcode::STB:
-  case Opcode::LDH:
-  case Opcode::LDSH:
-  case Opcode::STH:
-  case Opcode::FLD:
-  case Opcode::FST:
+    Out[2] = static_cast<uint8_t>(Imm);
+    break;
+  case Format::RRD16:
     if (I.Imm < INT16_MIN || I.Imm > INT16_MAX)
       return 0;
     Out[1] = RdRs;
-    Out[2] = static_cast<uint8_t>(static_cast<uint16_t>(I.Imm) & 0xFF);
-    Out[3] = static_cast<uint8_t>(static_cast<uint16_t>(I.Imm) >> 8);
-    return 4;
-
-  case Opcode::JMP:
-  case Opcode::CALL:
-    putU32(Out + 1, static_cast<uint32_t>(I.Imm));
-    return 5;
-
-  case Opcode::MOVI:
-  case Opcode::CMPI:
-  case Opcode::ADDI:
-  case Opcode::ANDI:
+    putLE(Out + 2, Imm, 2);
+    break;
+  case Format::T32:
+    // Bcc's condition is part of its byte.
+    if (I.Op == Opcode::BCC) {
+      if (static_cast<uint8_t>(I.BCond) >= NumConds)
+        return 0;
+      Out[0] += static_cast<uint8_t>(I.BCond);
+    }
+    putLE(Out + 1, Imm, 4);
+    break;
+  case Format::RRI32:
     Out[1] = RdRs;
-    putU32(Out + 2, static_cast<uint32_t>(I.Imm));
-    return 6;
-
-  case Opcode::LDX:
-  case Opcode::STX:
+    putLE(Out + 2, Imm, 4);
+    break;
+  case Format::RRX:
     Out[1] = RdRs;
     Out[2] = static_cast<uint8_t>((I.Rt << 4) | I.Scale);
-    putU32(Out + 3, static_cast<uint32_t>(I.Imm));
-    return 7;
-
-  case Opcode::FMOVI:
+    putLE(Out + 3, Imm, 4);
+    break;
+  case Format::FI64:
     Out[1] = static_cast<uint8_t>(I.Rd << 4);
-    putU64(Out + 2, I.Imm64);
-    return 10;
-
-  case Opcode::BCC: // handled above
-    return 0;
+    putLE(Out + 2, I.Imm64, 8);
+    break;
   }
-  return 0;
+  return formatLen(Info.F);
 }

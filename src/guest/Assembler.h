@@ -14,6 +14,7 @@
 
 #include "guest/GuestArch.h"
 
+#include <bit>
 #include <cassert>
 #include <cstring>
 #include <map>
@@ -65,8 +66,10 @@ public:
   uint32_t labelAddr(Label L) const;
 
   // --- Moves and ALU ---------------------------------------------------
-  void movi(Reg Rd, uint32_t Imm);
-  void mov(Reg Rd, Reg Rs);
+  void movi(Reg Rd, uint32_t Imm) {
+    emit(Opcode::MOVI, n(Rd), 0, 0, static_cast<int32_t>(Imm));
+  }
+  void mov(Reg Rd, Reg Rs) { emit(Opcode::MOV, n(Rd), n(Rs)); }
   void add(Reg Rd, Reg Rs, Reg Rt) { alu3(Opcode::ADD, Rd, Rs, Rt); }
   void sub(Reg Rd, Reg Rs, Reg Rt) { alu3(Opcode::SUB, Rd, Rs, Rt); }
   void and_(Reg Rd, Reg Rs, Reg Rt) { alu3(Opcode::AND, Rd, Rs, Rt); }
@@ -78,13 +81,23 @@ public:
   void mul(Reg Rd, Reg Rs, Reg Rt) { alu3(Opcode::MUL, Rd, Rs, Rt); }
   void divu(Reg Rd, Reg Rs, Reg Rt) { alu3(Opcode::DIVU, Rd, Rs, Rt); }
   void divs(Reg Rd, Reg Rs, Reg Rt) { alu3(Opcode::DIVS, Rd, Rs, Rt); }
-  void addi(Reg Rd, Reg Rs, int32_t Imm);
-  void andi(Reg Rd, Reg Rs, uint32_t Imm);
-  void shli(Reg Rd, Reg Rs, uint8_t Imm);
-  void shri(Reg Rd, Reg Rs, uint8_t Imm);
-  void sari(Reg Rd, Reg Rs, uint8_t Imm);
-  void cmp(Reg Rs, Reg Rt);
-  void cmpi(Reg Rs, int32_t Imm);
+  void addi(Reg Rd, Reg Rs, int32_t Imm) {
+    emit(Opcode::ADDI, n(Rd), n(Rs), 0, Imm);
+  }
+  void andi(Reg Rd, Reg Rs, uint32_t Imm) {
+    emit(Opcode::ANDI, n(Rd), n(Rs), 0, static_cast<int32_t>(Imm));
+  }
+  void shli(Reg Rd, Reg Rs, uint8_t Imm) {
+    emit(Opcode::SHLI, n(Rd), n(Rs), 0, Imm);
+  }
+  void shri(Reg Rd, Reg Rs, uint8_t Imm) {
+    emit(Opcode::SHRI, n(Rd), n(Rs), 0, Imm);
+  }
+  void sari(Reg Rd, Reg Rs, uint8_t Imm) {
+    emit(Opcode::SARI, n(Rd), n(Rs), 0, Imm);
+  }
+  void cmp(Reg Rs, Reg Rt) { emit(Opcode::CMP, n(Rs), n(Rt)); }
+  void cmpi(Reg Rs, int32_t Imm) { emit(Opcode::CMPI, n(Rs), 0, 0, Imm); }
 
   // --- Memory ----------------------------------------------------------
   void ld(Reg Rd, Reg Base, int16_t Disp) { mem(Opcode::LD, Rd, Base, Disp); }
@@ -95,13 +108,21 @@ public:
   void ldh(Reg Rd, Reg B, int16_t D) { mem(Opcode::LDH, Rd, B, D); }
   void ldsh(Reg Rd, Reg B, int16_t D) { mem(Opcode::LDSH, Rd, B, D); }
   void sth(Reg B, int16_t D, Reg Rv) { mem(Opcode::STH, B, Rv, D); }
-  void ldx(Reg Rd, Reg Base, Reg Index, uint8_t Scale, int32_t Disp);
-  void stx(Reg Base, Reg Index, uint8_t Scale, int32_t Disp, Reg Rv);
-  void push(Reg Rs);
-  void pop(Reg Rd);
+  void ldx(Reg Rd, Reg Base, Reg Index, uint8_t Scale, int32_t Disp) {
+    emit({.Op = Opcode::LDX, .Rd = n(Rd), .Rs = n(Base), .Rt = n(Index),
+          .Scale = Scale, .Imm = Disp});
+  }
+  void stx(Reg Base, Reg Index, uint8_t Scale, int32_t Disp, Reg Rv) {
+    emit({.Op = Opcode::STX, .Rd = n(Base), .Rs = n(Rv), .Rt = n(Index),
+          .Scale = Scale, .Imm = Disp});
+  }
+  void push(Reg Rs) { emit(Opcode::PUSH, n(Rs)); }
+  void pop(Reg Rd) { emit(Opcode::POP, n(Rd)); }
 
   // --- Control flow ----------------------------------------------------
-  void bcc(Cond C, Label Target);
+  void bcc(Cond C, Label Target) {
+    emit({.Op = Opcode::BCC, .BCond = C}, Target);
+  }
   void beq(Label T) { bcc(Cond::EQ, T); }
   void bne(Label T) { bcc(Cond::NE, T); }
   void blt(Label T) { bcc(Cond::LTS, T); }
@@ -110,32 +131,37 @@ public:
   void bgeu(Label T) { bcc(Cond::GEU, T); }
   void bgt(Label T) { bcc(Cond::GTS, T); }
   void ble(Label T) { bcc(Cond::LES, T); }
-  void jmp(Label Target);
-  void jmpAbs(uint32_t Target);
-  void jmpr(Reg Rs);
-  void call(Label Target);
-  void callAbs(uint32_t Target);
-  void callr(Reg Rs);
-  void ret();
-  void sys();
-  void cpuinfo();
-  void clreq();
-  void nop();
-  void hlt();
+  void jmp(Label Target) { emit({.Op = Opcode::JMP}, Target); }
+  void jmpr(Reg Rs) { emit(Opcode::JMPR, n(Rs)); }
+  void call(Label Target) { emit({.Op = Opcode::CALL}, Target); }
+  void callr(Reg Rs) { emit(Opcode::CALLR, n(Rs)); }
+  void ret() { emit(Opcode::RET); }
+  void sys() { emit(Opcode::SYS); }
+  void cpuinfo() { emit(Opcode::CPUINFO); }
+  void clreq() { emit(Opcode::CLREQ); }
+  void nop() { emit(Opcode::NOP); }
+  void hlt() { emit(Opcode::HLT); }
 
   // --- Floating point and SIMD ----------------------------------------
   void fadd(FReg Fd, FReg Fs, FReg Ft) { falu3(Opcode::FADD, Fd, Fs, Ft); }
   void fsub(FReg Fd, FReg Fs, FReg Ft) { falu3(Opcode::FSUB, Fd, Fs, Ft); }
   void fmul(FReg Fd, FReg Fs, FReg Ft) { falu3(Opcode::FMUL, Fd, Fs, Ft); }
   void fdiv(FReg Fd, FReg Fs, FReg Ft) { falu3(Opcode::FDIV, Fd, Fs, Ft); }
-  void fneg(FReg Fd, FReg Fs);
-  void fmov(FReg Fd, FReg Fs);
-  void fld(FReg Fd, Reg Base, int16_t Disp);
-  void fst(Reg Base, int16_t Disp, FReg Fs);
-  void fitod(FReg Fd, Reg Rs);
-  void fdtoi(Reg Rd, FReg Fs);
-  void fcmp(FReg Fs, FReg Ft);
-  void fmovi(FReg Fd, double Value);
+  void fneg(FReg Fd, FReg Fs) { emit(Opcode::FNEG, n(Fd), n(Fs)); }
+  void fmov(FReg Fd, FReg Fs) { emit(Opcode::FMOV, n(Fd), n(Fs)); }
+  void fld(FReg Fd, Reg Base, int16_t Disp) {
+    emit(Opcode::FLD, n(Fd), n(Base), 0, Disp);
+  }
+  void fst(Reg Base, int16_t Disp, FReg Fs) {
+    emit(Opcode::FST, n(Base), n(Fs), 0, Disp);
+  }
+  void fitod(FReg Fd, Reg Rs) { emit(Opcode::FITOD, n(Fd), n(Rs)); }
+  void fdtoi(Reg Rd, FReg Fs) { emit(Opcode::FDTOI, n(Rd), n(Fs)); }
+  void fcmp(FReg Fs, FReg Ft) { emit(Opcode::FCMP, n(Fs), n(Ft)); }
+  void fmovi(FReg Fd, double Value) {
+    emit({.Op = Opcode::FMOVI, .Rd = n(Fd),
+          .Imm64 = std::bit_cast<uint64_t>(Value)});
+  }
   void vadd8(Reg Rd, Reg Rs, Reg Rt) { alu3(Opcode::VADD8, Rd, Rs, Rt); }
   void vsub8(Reg Rd, Reg Rs, Reg Rt) { alu3(Opcode::VSUB8, Rd, Rs, Rt); }
   void vcmpgt8(Reg Rd, Reg Rs, Reg Rt) { alu3(Opcode::VCMPGT8, Rd, Rs, Rt); }
@@ -150,10 +176,8 @@ public:
   void emitString(const std::string &S); ///< bytes + NUL terminator
   void emitZeros(size_t Len);
   void align(uint32_t A);
-  /// Emits a placeholder u32 that is patched with a label's address.
-  void emitLabelAddr(Label L);
   /// Loads a label's absolute address into a register (a MOVI fixup).
-  void leai(Reg Rd, Label L);
+  void leai(Reg Rd, Label L) { emit({.Op = Opcode::MOVI, .Rd = n(Rd)}, L); }
 
   // --- Finalisation ----------------------------------------------------
   /// Resolves all fixups and returns the image bytes. All referenced labels
@@ -162,12 +186,24 @@ public:
   const std::map<std::string, uint32_t> &symbols() const { return Symbols; }
 
 private:
-  void alu3(Opcode Op, Reg Rd, Reg Rs, Reg Rt);
-  void falu3(Opcode Op, FReg Fd, FReg Fs, FReg Ft);
-  void mem(Opcode Op, Reg A, Reg B, int16_t Disp);
-  void emitRegPair(Reg A, Reg B) {
-    Code.push_back(static_cast<uint8_t>(
-        (static_cast<uint8_t>(A) << 4) | static_cast<uint8_t>(B)));
+  static uint8_t n(Reg R) { return static_cast<uint8_t>(R); }
+  static uint8_t n(FReg F) { return static_cast<uint8_t>(F); }
+  /// Writes \p I through encodeInstr, one byte at a time. A valid
+  /// \p Target is the label whose address finalize() patches into the
+  /// instruction's trailing u32 (a branch target or MOVI's immediate).
+  void emit(const Instr &I, Label Target = Label());
+  void emit(Opcode Op, uint8_t Rd = 0, uint8_t Rs = 0, uint8_t Rt = 0,
+            int32_t Imm = 0) {
+    emit({.Op = Op, .Rd = Rd, .Rs = Rs, .Rt = Rt, .Imm = Imm});
+  }
+  void alu3(Opcode Op, Reg Rd, Reg Rs, Reg Rt) {
+    emit(Op, n(Rd), n(Rs), n(Rt));
+  }
+  void falu3(Opcode Op, FReg Fd, FReg Fs, FReg Ft) {
+    emit(Op, n(Fd), n(Fs), n(Ft));
+  }
+  void mem(Opcode Op, Reg A, Reg B, int16_t Disp) {
+    emit(Op, n(A), n(B), 0, Disp);
   }
   void addFixup(Label L, size_t Offset);
 
@@ -185,8 +221,9 @@ private:
 
 /// Re-encodes a decoded instruction back into machine code. \p Out must
 /// have room for MaxInstrLen (10) bytes. Returns the encoded length, or 0
-/// if \p I is not encodable (field out of range: register > 15, LDX scale
-/// > 3, memory displacement outside int16, shift imm8 outside 0..255).
+/// if \p I is not encodable (no VG1_OPCODES row, or a field out of range:
+/// register > 15, LDX scale > 3, memory displacement outside int16, shift
+/// imm8 outside 0..255, Bcc condition >= NumConds).
 ///
 /// This is the inverse of decode(): for every decodable byte sequence B,
 /// encodeInstr(decode(B)) reproduces B exactly, up to the don't-care

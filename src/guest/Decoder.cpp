@@ -33,164 +33,55 @@ bool vg1::decode(const uint8_t *Buf, size_t Avail, Instr &Out) {
   Out = Instr();
   if (Avail == 0)
     return false;
-  uint8_t B0 = Buf[0];
-
-  // Bcc occupies the range [0x20, 0x20 + NumConds).
-  if (B0 >= static_cast<uint8_t>(Opcode::BCC) &&
-      B0 < static_cast<uint8_t>(Opcode::BCC) + NumConds) {
-    if (Avail < 5)
-      return false;
-    Out.Op = Opcode::BCC;
-    Out.BCond = static_cast<Cond>(B0 - static_cast<uint8_t>(Opcode::BCC));
-    Out.Imm = static_cast<int32_t>(readU32(Buf + 1));
-    Out.Len = 5;
-    return true;
-  }
-
-  Opcode Op = static_cast<Opcode>(B0);
-  auto Need = [&](unsigned N) { return Avail >= N; };
+  const OpcodeInfo &Info = OpcodeTable[Buf[0]];
+  if (Avail < formatLen(Info.F))
+    return false;
   auto RegsAB = [&](uint8_t Byte, uint8_t &A, uint8_t &B) {
     A = Byte >> 4;
     B = Byte & 0xF;
   };
 
-  switch (Op) {
-  case Opcode::NOP:
-  case Opcode::HLT:
-  case Opcode::RET:
-  case Opcode::SYS:
-  case Opcode::CPUINFO:
-  case Opcode::CLREQ:
-    Out.Op = Op;
-    Out.Len = 1;
-    return true;
-
-  case Opcode::MOV:
-  case Opcode::CMP:
-  case Opcode::JMPR:
-  case Opcode::CALLR:
-  case Opcode::PUSH:
-  case Opcode::POP:
-  case Opcode::FNEG:
-  case Opcode::FITOD:
-  case Opcode::FDTOI:
-  case Opcode::FCMP:
-  case Opcode::FMOV:
-    if (!Need(2))
-      return false;
-    Out.Op = Op;
+  switch (Info.F) {
+  case Format::Undefined:
+    return false;
+  case Format::None:
+    break;
+  case Format::RR:
     RegsAB(Buf[1], Out.Rd, Out.Rs);
-    Out.Len = 2;
-    return true;
-
-  case Opcode::ADD:
-  case Opcode::SUB:
-  case Opcode::AND:
-  case Opcode::OR:
-  case Opcode::XOR:
-  case Opcode::SHL:
-  case Opcode::SHR:
-  case Opcode::SAR:
-  case Opcode::MUL:
-  case Opcode::DIVU:
-  case Opcode::DIVS:
-  case Opcode::FADD:
-  case Opcode::FSUB:
-  case Opcode::FMUL:
-  case Opcode::FDIV:
-  case Opcode::VADD8:
-  case Opcode::VSUB8:
-  case Opcode::VCMPGT8:
-    if (!Need(3))
-      return false;
-    Out.Op = Op;
+    break;
+  case Format::RRR:
     RegsAB(Buf[1], Out.Rd, Out.Rs);
     Out.Rt = Buf[2] >> 4;
-    Out.Len = 3;
-    return true;
-
-  case Opcode::SHLI:
-  case Opcode::SHRI:
-  case Opcode::SARI:
-    if (!Need(3))
-      return false;
-    Out.Op = Op;
+    break;
+  case Format::RRI8:
     RegsAB(Buf[1], Out.Rd, Out.Rs);
     Out.Imm = Buf[2];
-    Out.Len = 3;
-    return true;
-
-  case Opcode::LD:
-  case Opcode::ST:
-  case Opcode::LDB:
-  case Opcode::LDSB:
-  case Opcode::STB:
-  case Opcode::LDH:
-  case Opcode::LDSH:
-  case Opcode::STH:
-  case Opcode::FLD:
-  case Opcode::FST:
-    if (!Need(4))
-      return false;
-    Out.Op = Op;
+    break;
+  case Format::RRD16:
     RegsAB(Buf[1], Out.Rd, Out.Rs);
     Out.Imm = readS16(Buf + 2);
-    Out.Len = 4;
-    return true;
-
-  case Opcode::JMP:
-  case Opcode::CALL:
-    if (!Need(5))
-      return false;
-    Out.Op = Op;
+    break;
+  case Format::T32:
     Out.Imm = static_cast<int32_t>(readU32(Buf + 1));
-    Out.Len = 5;
-    return true;
-
-  case Opcode::MOVI:
-  case Opcode::CMPI:
-    if (!Need(6))
-      return false;
-    Out.Op = Op;
+    break;
+  case Format::RRI32:
     RegsAB(Buf[1], Out.Rd, Out.Rs);
     Out.Imm = static_cast<int32_t>(readU32(Buf + 2));
-    Out.Len = 6;
-    return true;
-
-  case Opcode::ADDI:
-  case Opcode::ANDI:
-    if (!Need(6))
-      return false;
-    Out.Op = Op;
-    RegsAB(Buf[1], Out.Rd, Out.Rs);
-    Out.Imm = static_cast<int32_t>(readU32(Buf + 2));
-    Out.Len = 6;
-    return true;
-
-  case Opcode::LDX:
-  case Opcode::STX:
-    if (!Need(7))
-      return false;
-    Out.Op = Op;
+    break;
+  case Format::RRX:
     RegsAB(Buf[1], Out.Rd, Out.Rs);
     RegsAB(Buf[2], Out.Rt, Out.Scale);
     Out.Scale &= 0x3;
     Out.Imm = static_cast<int32_t>(readU32(Buf + 3));
-    Out.Len = 7;
-    return true;
-
-  case Opcode::FMOVI:
-    if (!Need(10))
-      return false;
-    Out.Op = Op;
+    break;
+  case Format::FI64:
     Out.Rd = Buf[1] >> 4;
     Out.Imm64 = readU64(Buf + 2);
-    Out.Len = 10;
-    return true;
-
-  case Opcode::BCC: // handled above; 0x20 with cond EQ reaches here only
-                    // via the range check, never through this switch.
-    return false;
+    break;
   }
-  return false;
+  Out.Op = Info.Op;
+  // Bcc's condition is the byte's distance from 0x20; 0 (EQ) for the rest.
+  Out.BCond = static_cast<Cond>(Buf[0] - static_cast<uint8_t>(Info.Op));
+  Out.Len = static_cast<uint8_t>(formatLen(Info.F));
+  return true;
 }

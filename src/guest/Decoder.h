@@ -16,9 +16,6 @@
 namespace vg {
 namespace vg1 {
 
-/// Maximum encoded length of any VG1 instruction (FMOVI).
-constexpr unsigned MaxInstrLen = 10;
-
 /// Decodes one instruction from \p Buf (at most \p Avail valid bytes).
 /// Returns false on an undefined opcode or a truncated encoding; \p Out.Len
 /// is left 0 in that case.

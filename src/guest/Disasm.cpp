@@ -4,9 +4,9 @@
 
 #include "guest/Decoder.h"
 
+#include <bit>
 #include <cstdarg>
 #include <cstdio>
-#include <cstring>
 
 using namespace vg;
 using namespace vg::vg1;
@@ -32,129 +32,47 @@ const char *condName(Cond C) {
 } // namespace
 
 std::string vg1::toString(const Instr &I) {
-  auto R = [](unsigned N) { return fmt("r%u", N); };
-  auto F = [](unsigned N) { return fmt("f%u", N); };
-  switch (I.Op) {
-  case Opcode::NOP:
-    return "nop";
-  case Opcode::HLT:
-    return "hlt";
-  case Opcode::MOVI:
-    return fmt("movi r%u, 0x%x", I.Rd, static_cast<uint32_t>(I.Imm));
-  case Opcode::MOV:
-    return "mov " + R(I.Rd) + ", " + R(I.Rs);
-  case Opcode::ADD:
-  case Opcode::SUB:
-  case Opcode::AND:
-  case Opcode::OR:
-  case Opcode::XOR:
-  case Opcode::SHL:
-  case Opcode::SHR:
-  case Opcode::SAR:
-  case Opcode::MUL:
-  case Opcode::DIVU:
-  case Opcode::DIVS: {
-    static const char *Names[] = {"add", "sub", "and", "or",  "xor", "shl",
-                                  "shr", "sar", "mul", "divu", "divs"};
-    unsigned Idx = static_cast<unsigned>(I.Op) -
-                   static_cast<unsigned>(Opcode::ADD);
-    return fmt("%s r%u, r%u, r%u", Names[Idx], I.Rd, I.Rs, I.Rt);
+  const OpcodeInfo &Info = OpcodeTable[static_cast<uint8_t>(I.Op)];
+  if (Info.Op != I.Op)
+    return "<bad>";
+  // Expand the opcode's Asm template (VG1_OPCODES).
+  std::string Out;
+  for (const char *P = Info.Asm; *P; ++P) {
+    if (*P != '$') {
+      Out += *P;
+      continue;
+    }
+    switch (*++P) {
+    case 'd':
+      Out += fmt("%u", unsigned(I.Rd));
+      break;
+    case 's':
+      Out += fmt("%u", unsigned(I.Rs));
+      break;
+    case 't':
+      Out += fmt("%u", unsigned(I.Rt));
+      break;
+    case 'c':
+      Out += fmt("%u", unsigned(I.Scale));
+      break;
+    case 'i':
+      Out += fmt("%d", I.Imm);
+      break;
+    case 'o':
+      Out += fmt("%+d", I.Imm);
+      break;
+    case 'x':
+      Out += fmt("%x", static_cast<uint32_t>(I.Imm));
+      break;
+    case 'g':
+      Out += fmt("%g", std::bit_cast<double>(I.Imm64));
+      break;
+    case 'b':
+      Out += condName(I.BCond);
+      break;
+    }
   }
-  case Opcode::ADDI:
-    return fmt("addi r%u, r%u, %d", I.Rd, I.Rs, I.Imm);
-  case Opcode::ANDI:
-    return fmt("andi r%u, r%u, 0x%x", I.Rd, I.Rs,
-               static_cast<uint32_t>(I.Imm));
-  case Opcode::SHLI:
-    return fmt("shli r%u, r%u, %d", I.Rd, I.Rs, I.Imm);
-  case Opcode::SHRI:
-    return fmt("shri r%u, r%u, %d", I.Rd, I.Rs, I.Imm);
-  case Opcode::SARI:
-    return fmt("sari r%u, r%u, %d", I.Rd, I.Rs, I.Imm);
-  case Opcode::CMP:
-    return fmt("cmp r%u, r%u", I.Rd, I.Rs);
-  case Opcode::CMPI:
-    return fmt("cmpi r%u, %d", I.Rd, I.Imm);
-  case Opcode::LD:
-    return fmt("ld r%u, [r%u%+d]", I.Rd, I.Rs, I.Imm);
-  case Opcode::ST:
-    return fmt("st [r%u%+d], r%u", I.Rd, I.Imm, I.Rs);
-  case Opcode::LDB:
-    return fmt("ldb r%u, [r%u%+d]", I.Rd, I.Rs, I.Imm);
-  case Opcode::LDSB:
-    return fmt("ldsb r%u, [r%u%+d]", I.Rd, I.Rs, I.Imm);
-  case Opcode::STB:
-    return fmt("stb [r%u%+d], r%u", I.Rd, I.Imm, I.Rs);
-  case Opcode::LDH:
-    return fmt("ldh r%u, [r%u%+d]", I.Rd, I.Rs, I.Imm);
-  case Opcode::LDSH:
-    return fmt("ldsh r%u, [r%u%+d]", I.Rd, I.Rs, I.Imm);
-  case Opcode::STH:
-    return fmt("sth [r%u%+d], r%u", I.Rd, I.Imm, I.Rs);
-  case Opcode::LDX:
-    return fmt("ldx r%u, [r%u + r%u<<%u %+d]", I.Rd, I.Rs, I.Rt, I.Scale,
-               I.Imm);
-  case Opcode::STX:
-    return fmt("stx [r%u + r%u<<%u %+d], r%u", I.Rd, I.Rt, I.Scale, I.Imm,
-               I.Rs);
-  case Opcode::BCC:
-    return fmt("b%s 0x%x", condName(I.BCond), static_cast<uint32_t>(I.Imm));
-  case Opcode::JMP:
-    return fmt("jmp 0x%x", static_cast<uint32_t>(I.Imm));
-  case Opcode::JMPR:
-    return "jmp* " + R(I.Rd);
-  case Opcode::CALL:
-    return fmt("call 0x%x", static_cast<uint32_t>(I.Imm));
-  case Opcode::CALLR:
-    return "call* " + R(I.Rd);
-  case Opcode::RET:
-    return "ret";
-  case Opcode::PUSH:
-    return "push " + R(I.Rd);
-  case Opcode::POP:
-    return "pop " + R(I.Rd);
-  case Opcode::SYS:
-    return "sys";
-  case Opcode::CPUINFO:
-    return "cpuinfo";
-  case Opcode::CLREQ:
-    return "clreq";
-  case Opcode::FADD:
-  case Opcode::FSUB:
-  case Opcode::FMUL:
-  case Opcode::FDIV: {
-    static const char *Names[] = {"fadd", "fsub", "fmul", "fdiv"};
-    unsigned Idx = static_cast<unsigned>(I.Op) -
-                   static_cast<unsigned>(Opcode::FADD);
-    return fmt("%s f%u, f%u, f%u", Names[Idx], I.Rd, I.Rs, I.Rt);
-  }
-  case Opcode::FNEG:
-    return "fneg " + F(I.Rd) + ", " + F(I.Rs);
-  case Opcode::FMOV:
-    return "fmov " + F(I.Rd) + ", " + F(I.Rs);
-  case Opcode::FLD:
-    return fmt("fld f%u, [r%u%+d]", I.Rd, I.Rs, I.Imm);
-  case Opcode::FST:
-    return fmt("fst [r%u%+d], f%u", I.Rd, I.Imm, I.Rs);
-  case Opcode::FITOD:
-    return "fitod " + F(I.Rd) + ", " + R(I.Rs);
-  case Opcode::FDTOI:
-    return "fdtoi " + R(I.Rd) + ", " + F(I.Rs);
-  case Opcode::FCMP:
-    return "fcmp " + F(I.Rd) + ", " + F(I.Rs);
-  case Opcode::FMOVI: {
-    double D;
-    std::memcpy(&D, &I.Imm64, 8);
-    return fmt("fmovi f%u, %g", I.Rd, D);
-  }
-  case Opcode::VADD8:
-    return fmt("vadd8 r%u, r%u, r%u", I.Rd, I.Rs, I.Rt);
-  case Opcode::VSUB8:
-    return fmt("vsub8 r%u, r%u, r%u", I.Rd, I.Rs, I.Rt);
-  case Opcode::VCMPGT8:
-    return fmt("vcmpgt8 r%u, r%u, r%u", I.Rd, I.Rs, I.Rt);
-  }
-  return "<bad>";
+  return Out;
 }
 
 std::string vg1::disassembleRange(const uint8_t *Bytes, size_t Len,

@@ -28,6 +28,7 @@
 #ifndef VG_GUEST_GUESTARCH_H
 #define VG_GUEST_GUESTARCH_H
 
+#include <array>
 #include <cstdint>
 
 namespace vg {
@@ -174,83 +175,128 @@ inline uint32_t calcCond(uint32_t CondKind, uint32_t Op, uint32_t Dep1,
 
 //===----------------------------------------------------------------------===//
 // Opcodes and encodings
-//
-// Encodings (r:r means two 4-bit register fields packed into one byte,
-// immediates are little-endian):
-//   NOP/HLT/RET/SYS/CPUINFO/CLREQ      [op]                         len 1
-//   MOV rd,rs / JMPR / CALLR / PUSH /
-//   POP / FNEG / FITOD / FDTOI / FCMP
-//   / FMOV                             [op][a:b]                    len 2
-//   ALU3 rd,rs,rt / F-ALU3 / V-ALU3    [op][rd:rs][rt:0]            len 3
-//   SHLI/SHRI/SARI rd,rs,imm8          [op][rd:rs][imm8]            len 3
-//   LD/ST/LDB../FLD/FST  [r+disp16]    [op][a:b][disp16]            len 4
-//   JMP/CALL/Bcc target32              [op][target32]               len 5
-//   MOVI rd,imm32 / CMPI rs,imm32      [op][r:0][imm32]             len 6
-//   ADDI/ANDI rd,rs,imm32              [op][rd:rs][imm32]           len 6
-//   LDX/STX [rs+rt<<sc+disp32]         [op][a:b][c:d][disp32]       len 7
-//   FMOVI fd,imm64                     [op][fd:0][imm64]            len 10
 //===----------------------------------------------------------------------===//
 
-enum class Opcode : uint8_t {
-  NOP = 0x00,
-  HLT = 0x01,
-  MOVI = 0x02,
-  MOV = 0x03,
-  ADD = 0x04,
-  SUB = 0x05,
-  AND = 0x06,
-  OR = 0x07,
-  XOR = 0x08,
-  SHL = 0x09,
-  SHR = 0x0A,
-  SAR = 0x0B,
-  MUL = 0x0C, // no flag update
-  DIVU = 0x0D, // no flag update
-  DIVS = 0x0E, // no flag update
-  ADDI = 0x0F,
-  CMP = 0x10,
-  CMPI = 0x11,
-  LD = 0x12,
-  ST = 0x13,
-  LDX = 0x14,
-  STX = 0x15,
-  LDB = 0x16,
-  LDSB = 0x17,
-  STB = 0x18,
-  LDH = 0x19,
-  LDSH = 0x1A,
-  STH = 0x1B,
-  SHLI = 0x1C,
-  SHRI = 0x1D,
-  SARI = 0x1E,
-  ANDI = 0x1F,
-  BCC = 0x20, // 0x20 + Cond, occupies 0x20..0x29
-  JMP = 0x2E,
-  JMPR = 0x2F,
-  CALL = 0x30,
-  CALLR = 0x31,
-  RET = 0x32,
-  PUSH = 0x33,
-  POP = 0x34,
-  SYS = 0x35,
-  CPUINFO = 0x36,
-  CLREQ = 0x37,
-  FADD = 0x40,
-  FSUB = 0x41,
-  FMUL = 0x42,
-  FDIV = 0x43,
-  FNEG = 0x44,
-  FLD = 0x45,
-  FST = 0x46,
-  FITOD = 0x47,
-  FDTOI = 0x48,
-  FCMP = 0x49,
-  FMOVI = 0x4A,
-  FMOV = 0x4B,
-  VADD8 = 0x50,
-  VSUB8 = 0x51,
-  VCMPGT8 = 0x52,
+/// The byte layouts an instruction can have ("a:b" packs two 4-bit fields
+/// into one byte, high nibble first; immediates are little-endian), and
+/// Undefined for a byte that starts no instruction.
+enum class Format : uint8_t {
+  Undefined,
+  None,  ///< [op]                              len 1
+  RR,    ///< [op][rd:rs]                       len 2
+  RRR,   ///< [op][rd:rs][rt:0]                 len 3
+  RRI8,  ///< [op][rd:rs][imm8]                 len 3
+  RRD16, ///< [op][rd:rs][disp16]               len 4
+  T32,   ///< [op][target32]                    len 5
+  RRI32, ///< [op][rd:rs][imm32]                len 6
+  RRX,   ///< [op][rd:rs][rt:scale][disp32]     len 7
+  FI64,  ///< [op][fd:0][imm64]                 len 10
 };
+constexpr unsigned formatLen(Format F) {
+  constexpr uint8_t Len[] = {0, 1, 2, 3, 3, 4, 5, 6, 7, 10};
+  return Len[static_cast<unsigned>(F)];
+}
+
+/// Every VG1 instruction, one row each:
+///   X(Name, Byte, Format, Asm, SetsFlags)
+/// Byte is the opcode byte; Bcc's row covers 0x20 + Cond for every Cond.
+/// Asm is how toString renders it: "$d", "$s", "$t", "$c" print Rd, Rs,
+/// Rt and Scale; "$i", "$o" and "$x" print Imm as %d, %+d and %x; "$g"
+/// prints Imm64 as a double and "$b" the condition's name. SetsFlags says
+/// whether it writes the CC thunk. Adding an instruction is one row here
+/// plus its semantics in RefInterp and the front end.
+#define VG1_OPCODES(X)                                                        \
+  X(NOP, 0x00, None, "nop", false)                                            \
+  X(HLT, 0x01, None, "hlt", false)                                            \
+  X(MOVI, 0x02, RRI32, "movi r$d, 0x$x", false)                               \
+  X(MOV, 0x03, RR, "mov r$d, r$s", false)                                     \
+  X(ADD, 0x04, RRR, "add r$d, r$s, r$t", true)                                \
+  X(SUB, 0x05, RRR, "sub r$d, r$s, r$t", true)                                \
+  X(AND, 0x06, RRR, "and r$d, r$s, r$t", true)                                \
+  X(OR, 0x07, RRR, "or r$d, r$s, r$t", true)                                  \
+  X(XOR, 0x08, RRR, "xor r$d, r$s, r$t", true)                                \
+  X(SHL, 0x09, RRR, "shl r$d, r$s, r$t", true)                                \
+  X(SHR, 0x0A, RRR, "shr r$d, r$s, r$t", true)                                \
+  X(SAR, 0x0B, RRR, "sar r$d, r$s, r$t", true)                                \
+  X(MUL, 0x0C, RRR, "mul r$d, r$s, r$t", false)                               \
+  X(DIVU, 0x0D, RRR, "divu r$d, r$s, r$t", false)                             \
+  X(DIVS, 0x0E, RRR, "divs r$d, r$s, r$t", false)                             \
+  X(ADDI, 0x0F, RRI32, "addi r$d, r$s, $i", true)                             \
+  X(CMP, 0x10, RR, "cmp r$d, r$s", true)                                      \
+  X(CMPI, 0x11, RRI32, "cmpi r$d, $i", true)                                  \
+  X(LD, 0x12, RRD16, "ld r$d, [r$s$o]", false)                                \
+  X(ST, 0x13, RRD16, "st [r$d$o], r$s", false)                                \
+  X(LDX, 0x14, RRX, "ldx r$d, [r$s + r$t<<$c $o]", false)                     \
+  X(STX, 0x15, RRX, "stx [r$d + r$t<<$c $o], r$s", false)                     \
+  X(LDB, 0x16, RRD16, "ldb r$d, [r$s$o]", false)                              \
+  X(LDSB, 0x17, RRD16, "ldsb r$d, [r$s$o]", false)                            \
+  X(STB, 0x18, RRD16, "stb [r$d$o], r$s", false)                              \
+  X(LDH, 0x19, RRD16, "ldh r$d, [r$s$o]", false)                              \
+  X(LDSH, 0x1A, RRD16, "ldsh r$d, [r$s$o]", false)                            \
+  X(STH, 0x1B, RRD16, "sth [r$d$o], r$s", false)                              \
+  X(SHLI, 0x1C, RRI8, "shli r$d, r$s, $i", true)                              \
+  X(SHRI, 0x1D, RRI8, "shri r$d, r$s, $i", true)                              \
+  X(SARI, 0x1E, RRI8, "sari r$d, r$s, $i", true)                              \
+  X(ANDI, 0x1F, RRI32, "andi r$d, r$s, 0x$x", true)                           \
+  X(BCC, 0x20, T32, "b$b 0x$x", false)                                        \
+  X(JMP, 0x2E, T32, "jmp 0x$x", false)                                        \
+  X(JMPR, 0x2F, RR, "jmp* r$d", false)                                        \
+  X(CALL, 0x30, T32, "call 0x$x", false)                                      \
+  X(CALLR, 0x31, RR, "call* r$d", false)                                      \
+  X(RET, 0x32, None, "ret", false)                                            \
+  X(PUSH, 0x33, RR, "push r$d", false)                                        \
+  X(POP, 0x34, RR, "pop r$d", false)                                          \
+  X(SYS, 0x35, None, "sys", false)                                            \
+  X(CPUINFO, 0x36, None, "cpuinfo", false)                                    \
+  X(CLREQ, 0x37, None, "clreq", false)                                        \
+  X(FADD, 0x40, RRR, "fadd f$d, f$s, f$t", false)                             \
+  X(FSUB, 0x41, RRR, "fsub f$d, f$s, f$t", false)                             \
+  X(FMUL, 0x42, RRR, "fmul f$d, f$s, f$t", false)                             \
+  X(FDIV, 0x43, RRR, "fdiv f$d, f$s, f$t", false)                             \
+  X(FNEG, 0x44, RR, "fneg f$d, f$s", false)                                   \
+  X(FLD, 0x45, RRD16, "fld f$d, [r$s$o]", false)                              \
+  X(FST, 0x46, RRD16, "fst [r$d$o], f$s", false)                              \
+  X(FITOD, 0x47, RR, "fitod f$d, r$s", false)                                 \
+  X(FDTOI, 0x48, RR, "fdtoi r$d, f$s", false)                                 \
+  X(FCMP, 0x49, RR, "fcmp f$d, f$s", true)                                    \
+  X(FMOVI, 0x4A, FI64, "fmovi f$d, $g", false)                                \
+  X(FMOV, 0x4B, RR, "fmov f$d, f$s", false)                                   \
+  X(VADD8, 0x50, RRR, "vadd8 r$d, r$s, r$t", false)                           \
+  X(VSUB8, 0x51, RRR, "vsub8 r$d, r$s, r$t", false)                           \
+  X(VCMPGT8, 0x52, RRR, "vcmpgt8 r$d, r$s, r$t", false)
+
+enum class Opcode : uint8_t {
+#define VG1_OPCODE_ENUM(Name, Byte, Fmt, Asm, Flags) Name = Byte,
+  VG1_OPCODES(VG1_OPCODE_ENUM)
+#undef VG1_OPCODE_ENUM
+};
+
+/// What a first byte starts: its opcode (Bcc for all of 0x20 + Cond), the
+/// layout, whether it writes the CC thunk, and its Asm template.
+struct OpcodeInfo {
+  Opcode Op = Opcode::NOP;
+  Format F = Format::Undefined;
+  bool SetsFlags = false;
+  const char *Asm = nullptr;
+};
+
+/// OpcodeInfo for every first byte, built from VG1_OPCODES.
+inline constexpr std::array<OpcodeInfo, 256> OpcodeTable = [] {
+  std::array<OpcodeInfo, 256> T{};
+#define VG1_OPCODE_ROW(Name, Byte, Fmt, Asm, Flags)                           \
+  for (unsigned B = Byte;                                                     \
+       B != Byte + (Opcode::Name == Opcode::BCC ? NumConds : 1); ++B) {       \
+    if (T[B].F != Format::Undefined)                                          \
+      throw "two VG1_OPCODES rows claim one byte";                            \
+    T[B] = OpcodeInfo{Opcode::Name, Format::Fmt, Flags, Asm};                 \
+  }
+  VG1_OPCODES(VG1_OPCODE_ROW)
+#undef VG1_OPCODE_ROW
+  return T;
+}();
+
+/// Maximum encoded length of any VG1 instruction (FMOVI).
+constexpr unsigned MaxInstrLen = formatLen(Format::FI64);
 
 /// Values CPUINFO deposits in r0/r1 (emulated via a dirty helper under DBI).
 constexpr uint32_t CpuInfoMagic = 0x56473100; // "VG1\0"
@@ -269,27 +315,7 @@ struct Instr {
 
 /// Whether \p Op writes the condition-code thunk.
 inline bool opSetsFlags(Opcode Op) {
-  switch (Op) {
-  case Opcode::ADD:
-  case Opcode::SUB:
-  case Opcode::AND:
-  case Opcode::OR:
-  case Opcode::XOR:
-  case Opcode::SHL:
-  case Opcode::SHR:
-  case Opcode::SAR:
-  case Opcode::ADDI:
-  case Opcode::ANDI:
-  case Opcode::SHLI:
-  case Opcode::SHRI:
-  case Opcode::SARI:
-  case Opcode::CMP:
-  case Opcode::CMPI:
-  case Opcode::FCMP:
-    return true;
-  default:
-    return false;
-  }
+  return OpcodeTable[static_cast<uint8_t>(Op)].SetsFlags;
 }
 
 } // namespace vg1

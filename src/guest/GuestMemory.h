@@ -64,12 +64,6 @@ public:
 
   bool isMapped(uint32_t Addr) const { return lookup(Addr >> PageShift); }
 
-  /// Permissions of the page containing \p Addr (PermNone if unmapped).
-  uint8_t permsAt(uint32_t Addr) const {
-    const Page *P = lookup(Addr >> PageShift);
-    return P ? P->Perms : static_cast<uint8_t>(PermNone);
-  }
-
   /// Reads \p Len bytes. Requires PermRead on every page unless
   /// \p IgnorePerms (used by kernel/tool accesses which are not subject to
   /// guest protections). Returns fault info.

@@ -21,7 +21,6 @@
 #include "guest/GuestArch.h"
 #include "guest/GuestMemory.h"
 
-#include <algorithm>
 #include <vector>
 
 namespace vg {
@@ -59,9 +58,12 @@ struct RunResult {
 /// To be a credible stand-in for hardware execution (Table 2's "native"
 /// baseline), fetch/decode is amortised through a direct-mapped predecoded
 /// instruction cache — the software analogue of an instruction cache plus
-/// hardware decoders. The cache is not coherent with code stores; programs
-/// that modify code must call flushDecodeCache() (real hardware needs its
-/// analogous flush on most architectures too, Section 3.16).
+/// hardware decoders. The cache is not coherent with code stores (real
+/// hardware needs an explicit flush on most architectures too, Section
+/// 3.16). It is direct-mapped on the low 16 address bits, so a program
+/// that rewrites code it has run evicts the stale entries by running code
+/// at the rewritten bytes' +64 KiB alias first, as the fuzzer's SMC atoms
+/// do (DCacheAlias in fuzz/ProgramGen.cpp).
 class RefInterp : public CpuView {
 public:
   RefInterp(GuestMemory &Mem, SyscallSink *Sys = nullptr)
@@ -69,11 +71,6 @@ public:
 
   /// Runs until HLT, exit, fault, or \p MaxInsns instructions.
   RunResult run(uint64_t MaxInsns);
-
-  /// Discards predecoded instructions (after self-modifying code).
-  void flushDecodeCache() {
-    std::fill(DCache.begin(), DCache.end(), DEntry());
-  }
 
   // CpuView implementation.
   uint32_t readReg(unsigned Index) const override { return R[Index]; }

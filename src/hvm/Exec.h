@@ -92,7 +92,8 @@ struct RunOutcome {
   uint64_t BlocksExecuted = 0;
   /// Identifies the exit site: the cookie of the translation that ended the
   /// run, and its chain slot (~0u for register-target exits). The
-  /// dispatcher uses this to fill chain slots lazily.
+  /// dispatcher counts the edge in that slot's EdgeExecs once it has
+  /// dispatched the successor.
   void *ExitCookie = nullptr;
   uint32_t ExitSlot = ~0u;
 };

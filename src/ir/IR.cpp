@@ -432,20 +432,12 @@ uint64_t ir::evalOp(Op O, uint64_t A, uint64_t B) {
 // IRSB factories
 //===----------------------------------------------------------------------===//
 
-Ty IRSB::typeOf(const Expr *E) const { return E->T; }
-
 Expr *IRSB::mkConst(Ty T, uint64_t Bits) {
   Expr *E = alloc();
   E->Kind = ExprKind::Const;
   E->T = T;
   E->ConstVal = truncToTy(Bits, T);
   return E;
-}
-
-Expr *IRSB::constF64(double V) {
-  uint64_t Bits;
-  std::memcpy(&Bits, &V, 8);
-  return mkConst(Ty::F64, Bits);
 }
 
 Expr *IRSB::rdTmp(TmpId T) {

@@ -445,15 +445,11 @@ public:
   }
   size_t numTmps() const { return TmpTypes.size(); }
 
-  /// Type of any expression in this block's environment.
-  Ty typeOf(const Expr *E) const;
-
   // --- expression factories ---------------------------------------------
   Expr *constI1(bool V) { return mkConst(Ty::I1, V ? 1 : 0); }
   Expr *constI8(uint8_t V) { return mkConst(Ty::I8, V); }
   Expr *constI32(uint32_t V) { return mkConst(Ty::I32, V); }
   Expr *constI64(uint64_t V) { return mkConst(Ty::I64, V); }
-  Expr *constF64(double V);
   Expr *mkConst(Ty T, uint64_t Bits);
   Expr *rdTmp(TmpId T);
   Expr *get(uint32_t Offset, Ty T);

@@ -107,7 +107,6 @@ public:
     return It == Files.end() ? nullptr : &It->second;
   }
   int exitCode() const { return TheExitCode; }
-  uint64_t virtualTimeUsec() const { return ClockUsec; }
   uint64_t syscallCount() const { return NumSyscalls; }
 
 private:

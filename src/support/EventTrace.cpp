@@ -9,61 +9,13 @@
 using namespace vg;
 
 const char *vg::traceEventName(TraceEvent E) {
-  switch (E) {
-  case TraceEvent::PreRegRead:
-    return "pre-reg-read";
-  case TraceEvent::PostRegWrite:
-    return "post-reg-write";
-  case TraceEvent::PreMemRead:
-    return "pre-mem-read";
-  case TraceEvent::PreMemReadAsciiz:
-    return "pre-mem-read-asciiz";
-  case TraceEvent::PreMemWrite:
-    return "pre-mem-write";
-  case TraceEvent::PostMemWrite:
-    return "post-mem-write";
-  case TraceEvent::NewMemStartup:
-    return "new-mem-startup";
-  case TraceEvent::NewMemMmap:
-    return "new-mem-mmap";
-  case TraceEvent::DieMemMunmap:
-    return "die-mem-munmap";
-  case TraceEvent::NewMemBrk:
-    return "new-mem-brk";
-  case TraceEvent::DieMemBrk:
-    return "die-mem-brk";
-  case TraceEvent::CopyMemMremap:
-    return "copy-mem-mremap";
-  case TraceEvent::NewMemStack:
-    return "new-mem-stack";
-  case TraceEvent::DieMemStack:
-    return "die-mem-stack";
-  case TraceEvent::PostFileRead:
-    return "post-file-read";
-  case TraceEvent::SyscallEnter:
-    return "syscall-enter";
-  case TraceEvent::SyscallExit:
-    return "syscall-exit";
-  case TraceEvent::SigQueue:
-    return "sig-queue";
-  case TraceEvent::SigDrop:
-    return "sig-drop";
-  case TraceEvent::SigDeliver:
-    return "sig-deliver";
-  case TraceEvent::SigReturn:
-    return "sig-return";
-  case TraceEvent::SigFatal:
-    return "sig-fatal";
-  case TraceEvent::ThreadSwitch:
-    return "thread-switch";
-  case TraceEvent::ThreadExit:
-    return "thread-exit";
-  case TraceEvent::FaultInjected:
-    return "fault-injected";
-  case TraceEvent::NumEvents:
-    break;
-  }
-  return "?";
+  static const char *const Names[] = {
+#define VG_TRACE_EVENT_NAME(Name, Str) Str,
+      VG_TRACE_EVENTS(VG_TRACE_EVENT_NAME)
+#undef VG_TRACE_EVENT_NAME
+  };
+  unsigned I = static_cast<unsigned>(E);
+  return I < NumTraceEvents ? Names[I] : "?";
 }
 
 EventTracer::EventTracer(size_t Capacity) {

@@ -23,40 +23,46 @@ namespace vg {
 
 class OutputSink;
 
-/// Everything the tracer can record. The first block mirrors EventHub
-/// (Table 1 plus the extension events); the rest are scheduler/signal
-/// transitions the hub has no callback for.
+/// Everything the tracer can record, with the stable short name the dump
+/// uses. The first block mirrors EventHub (Table 1 plus the extension
+/// events); the rest are scheduler/signal transitions the hub has no
+/// callback for.
+#define VG_TRACE_EVENTS(X)                                                    \
+  /* Table-1 / EventHub events. */                                            \
+  X(PreRegRead, "pre-reg-read")                                               \
+  X(PostRegWrite, "post-reg-write")                                           \
+  X(PreMemRead, "pre-mem-read")                                               \
+  X(PreMemReadAsciiz, "pre-mem-read-asciiz")                                  \
+  X(PreMemWrite, "pre-mem-write")                                             \
+  X(PostMemWrite, "post-mem-write")                                           \
+  X(NewMemStartup, "new-mem-startup")                                         \
+  X(NewMemMmap, "new-mem-mmap")                                               \
+  X(DieMemMunmap, "die-mem-munmap")                                           \
+  X(NewMemBrk, "new-mem-brk")                                                 \
+  X(DieMemBrk, "die-mem-brk")                                                 \
+  X(CopyMemMremap, "copy-mem-mremap")                                         \
+  X(NewMemStack, "new-mem-stack")                                             \
+  X(DieMemStack, "die-mem-stack")                                             \
+  X(PostFileRead, "post-file-read")                                           \
+  /* Syscall boundary. */                                                     \
+  X(SyscallEnter, "syscall-enter") /* A = syscall number */                   \
+  X(SyscallExit, "syscall-exit")   /* A = syscall number, B = result */       \
+  /* Signal machinery. */                                                     \
+  X(SigQueue, "sig-queue")     /* A = signal, B = target tid */               \
+  X(SigDrop, "sig-drop")       /* ... C = reason (SigDropReason) */           \
+  X(SigDeliver, "sig-deliver") /* A = signal, B = handler PC */               \
+  X(SigReturn, "sig-return")   /* A = restored PC */                          \
+  X(SigFatal, "sig-fatal")     /* A = signal */                               \
+  /* Scheduler. */                                                            \
+  X(ThreadSwitch, "thread-switch") /* A = from tid, B = to tid */             \
+  X(ThreadExit, "thread-exit")     /* A = exit code */                        \
+  /* Fault injection. */                                                      \
+  X(FaultInjected, "fault-injected") /* A = FaultKind, B = site argument */
+
 enum class TraceEvent : uint8_t {
-  // Table-1 / EventHub events.
-  PreRegRead,
-  PostRegWrite,
-  PreMemRead,
-  PreMemReadAsciiz,
-  PreMemWrite,
-  PostMemWrite,
-  NewMemStartup,
-  NewMemMmap,
-  DieMemMunmap,
-  NewMemBrk,
-  DieMemBrk,
-  CopyMemMremap,
-  NewMemStack,
-  DieMemStack,
-  PostFileRead,
-  // Syscall boundary.
-  SyscallEnter, ///< A = syscall number
-  SyscallExit,  ///< A = syscall number, B = result
-  // Signal machinery.
-  SigQueue,   ///< A = signal, B = target tid
-  SigDrop,    ///< A = signal, B = target tid, C = reason (SigDropReason)
-  SigDeliver, ///< A = signal, B = handler PC
-  SigReturn,  ///< A = restored PC
-  SigFatal,   ///< A = signal
-  // Scheduler.
-  ThreadSwitch, ///< A = from tid, B = to tid
-  ThreadExit,   ///< A = exit code
-  // Fault injection.
-  FaultInjected, ///< A = FaultKind, B = site-specific argument
+#define VG_TRACE_EVENT_ENUM(Name, Str) Name,
+  VG_TRACE_EVENTS(VG_TRACE_EVENT_ENUM)
+#undef VG_TRACE_EVENT_ENUM
   NumEvents
 };
 

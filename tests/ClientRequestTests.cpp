@@ -22,6 +22,7 @@
 #include "tools/Nulgrind.h"
 #include "tools/TaintGrind.h"
 
+#include "GoldenFile.h"
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -401,27 +402,6 @@ TEST(Wrap, JmpEntryIsNeverChasedIntoTheOriginal) {
 //===----------------------------------------------------------------------===//
 // Loopgrind end to end
 //===----------------------------------------------------------------------===//
-
-#ifndef VG_TEST_GOLDEN_DIR
-#error "VG_TEST_GOLDEN_DIR must point at tests/goldens"
-#endif
-
-void checkGolden(const std::string &Name, const std::string &Actual) {
-  std::string Path = std::string(VG_TEST_GOLDEN_DIR) + "/" + Name + ".txt";
-  if (std::getenv("UPDATE_GOLDENS")) {
-    std::ofstream Out(Path);
-    ASSERT_TRUE(Out) << "cannot write " << Path;
-    Out << Actual;
-    return;
-  }
-  std::ifstream In(Path);
-  ASSERT_TRUE(In) << "missing golden " << Path
-                  << " (run with UPDATE_GOLDENS=1 to create)";
-  std::ostringstream SS;
-  SS << In.rdbuf();
-  EXPECT_EQ(SS.str(), Actual)
-      << "(UPDATE_GOLDENS=1 regenerates " << Path << ")";
-}
 
 TEST(Loopgrind, GoldenReportForNestedLoops) {
   // Two loops with known shapes: an inner loop of 8 trips entered 3 times

@@ -31,6 +31,7 @@
 #include "tools/ToolFactory.h"
 #include "workloads/Workloads.h"
 
+#include "GoldenFile.h"
 #include "gtest/gtest.h"
 
 #include <algorithm>
@@ -47,48 +48,7 @@
 using namespace vg;
 using namespace vg::vg1;
 
-#ifndef VG_TEST_GOLDEN_DIR
-#error "VG_TEST_GOLDEN_DIR must point at tests/goldens"
-#endif
-
 namespace {
-
-bool updating() { return std::getenv("UPDATE_GOLDENS") != nullptr; }
-
-std::string goldenPath(const std::string &Name) {
-  return std::string(VG_TEST_GOLDEN_DIR) + "/" + Name + ".txt";
-}
-
-/// Compares \p Actual against the named golden (or rewrites it under
-/// UPDATE_GOLDENS=1). On mismatch the full actual text is printed so the
-/// diff is inspectable from the test log.
-void checkGolden(const std::string &Name, const std::string &Actual) {
-  std::string Path = goldenPath(Name);
-  if (updating()) {
-    std::ofstream Out(Path);
-    ASSERT_TRUE(Out) << "cannot write " << Path;
-    Out << Actual;
-    return;
-  }
-  std::ifstream In(Path);
-  ASSERT_TRUE(In) << "missing golden " << Path
-                  << " (run with UPDATE_GOLDENS=1 to create)";
-  std::ostringstream SS;
-  SS << In.rdbuf();
-  std::string Expect = SS.str();
-  if (Expect != Actual) {
-    // Locate the first differing line for a readable failure.
-    std::istringstream EL(Expect), AL(Actual);
-    std::string E, A;
-    unsigned Line = 1;
-    while (std::getline(EL, E) && std::getline(AL, A) && E == A)
-      ++Line;
-    FAIL() << Name << ": IR text diverges from golden at line " << Line
-           << "\n  golden: " << E << "\n  actual: " << A
-           << "\nFull actual output:\n" << Actual
-           << "\n(UPDATE_GOLDENS=1 regenerates " << Path << ")";
-  }
-}
 
 FetchFn fetchOf(uint32_t Base, const std::vector<uint8_t> &Img) {
   return [Base, &Img](uint32_t Addr, uint8_t *Buf,

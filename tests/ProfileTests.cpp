@@ -21,6 +21,7 @@
 #include "tools/Nulgrind.h"
 #include "workloads/Workloads.h"
 
+#include "GoldenFile.h"
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -34,28 +35,7 @@
 using namespace vg;
 namespace fs = std::filesystem;
 
-#ifndef VG_TEST_GOLDEN_DIR
-#error "VG_TEST_GOLDEN_DIR must point at tests/goldens"
-#endif
-
 namespace {
-
-void checkGolden(const std::string &Name, const std::string &Actual) {
-  std::string Path = std::string(VG_TEST_GOLDEN_DIR) + "/" + Name + ".txt";
-  if (std::getenv("UPDATE_GOLDENS")) {
-    std::ofstream Out(Path);
-    ASSERT_TRUE(Out) << "cannot write " << Path;
-    Out << Actual;
-    return;
-  }
-  std::ifstream In(Path);
-  ASSERT_TRUE(In) << "missing golden " << Path
-                  << " (run with UPDATE_GOLDENS=1 to create)";
-  std::ostringstream SS;
-  SS << In.rdbuf();
-  EXPECT_EQ(SS.str(), Actual)
-      << "(UPDATE_GOLDENS=1 regenerates " << Path << ")";
-}
 
 /// Replaces the wall-clock figures of a report with '*': every "...us"
 /// value, and in the phase and hot-block tables every decimal column (the

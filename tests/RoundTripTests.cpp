@@ -9,12 +9,18 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "fuzz/ProgramGen.h"
 #include "guest/Assembler.h"
 #include "guest/Decoder.h"
 #include "guest/Disasm.h"
+#include "support/Hashing.h"
+#include "workloads/Workloads.h"
 
+#include "GoldenFile.h"
 #include "gtest/gtest.h"
 
+#include <cinttypes>
+#include <cstdio>
 #include <cstring>
 #include <vector>
 
@@ -45,6 +51,41 @@ const Opcode Jmp32Ops[] = {Opcode::JMP, Opcode::CALL};
 const Opcode Imm32Ops[] = {Opcode::MOVI, Opcode::CMPI, Opcode::ADDI,
                            Opcode::ANDI};
 const Opcode IndexOps[] = {Opcode::LDX, Opcode::STX};
+
+// The tables above, written independently of VG1_OPCODES, must agree with
+// it: every opcode in exactly one table, with that table's format.
+TEST(RoundTrip, FormTablesMatchTheOpcodeList) {
+  struct Form {
+    Format F;
+    std::vector<Opcode> Ops;
+  };
+  const Form Forms[] = {
+      {Format::None, {std::begin(Len1Ops), std::end(Len1Ops)}},
+      {Format::RR, {std::begin(Len2Ops), std::end(Len2Ops)}},
+      {Format::RRR, {std::begin(Alu3Ops), std::end(Alu3Ops)}},
+      {Format::RRI8, {std::begin(ShiftIOps), std::end(ShiftIOps)}},
+      {Format::RRD16, {std::begin(MemOps), std::end(MemOps)}},
+      {Format::T32, {Opcode::JMP, Opcode::CALL, Opcode::BCC}},
+      {Format::RRI32, {std::begin(Imm32Ops), std::end(Imm32Ops)}},
+      {Format::RRX, {std::begin(IndexOps), std::end(IndexOps)}},
+      {Format::FI64, {Opcode::FMOVI}},
+  };
+  unsigned Seen[256] = {};
+  for (const Form &Fm : Forms)
+    for (Opcode Op : Fm.Ops) {
+      uint8_t B = static_cast<uint8_t>(Op);
+      ++Seen[B];
+      EXPECT_EQ(OpcodeTable[B].F, Fm.F) << "opcode 0x" << std::hex << +B;
+    }
+  unsigned Listed = 0;
+  for (unsigned B = 0; B != 256; ++B) {
+    bool Own = OpcodeTable[B].F != Format::Undefined &&
+               static_cast<unsigned>(OpcodeTable[B].Op) == B;
+    Listed += Own;
+    EXPECT_EQ(Seen[B], Own ? 1u : 0u) << "opcode 0x" << std::hex << B;
+  }
+  EXPECT_EQ(Listed, 58u);
+}
 
 // decode(encodeInstr(I)) must reproduce I field-for-field, and re-encoding
 // the decode must reproduce the same bytes (full canonical round trip).
@@ -257,6 +298,93 @@ TEST(RoundTrip, UndefinedOpcodesRejected) {
     if (Ok)
       expectRoundTrip(I);
   }
+}
+
+//===----------------------------------------------------------------------===//
+// Identity goldens: what the decoder makes of every first byte, and the
+// bytes of every guest image the workloads and the fuzzer build. A change
+// to the encoding tables must leave both unchanged.
+// Regenerate with: UPDATE_GOLDENS=1 ./tests/test_roundtrip
+//===----------------------------------------------------------------------===//
+
+uint64_t mix(uint64_t H, uint64_t V) {
+  uint8_t B[8];
+  for (int I = 0; I != 8; ++I)
+    B[I] = static_cast<uint8_t>(V >> (8 * I));
+  return hashBytes(B, 8, H);
+}
+
+// One FNV-1a per first byte over decode()'s verdict, every Instr field and
+// the rendering, for three operand tails at every available length.
+TEST(RoundTrip, DecodeIdentityGolden) {
+  const uint8_t Pattern[MaxInstrLen] = {0,    0x5A, 0xC3, 0x81, 0x7E,
+                                        0xF0, 0x0F, 0x92, 0x24, 0xB6};
+  std::string Out;
+  for (unsigned B = 0; B != 256; ++B) {
+    uint64_t H = FnvOffsetBasis;
+    for (int Tail = 0; Tail != 3; ++Tail) {
+      uint8_t Buf[MaxInstrLen];
+      for (unsigned I = 1; I != MaxInstrLen; ++I)
+        Buf[I] = Tail == 0 ? 0x00 : Tail == 1 ? 0xFF : Pattern[I];
+      Buf[0] = static_cast<uint8_t>(B);
+      for (size_t Avail = 0; Avail <= MaxInstrLen; ++Avail) {
+        Instr I;
+        bool Ok = decode(Buf, Avail, I);
+        for (uint64_t V :
+             {uint64_t(Ok), uint64_t(I.Op), uint64_t(I.Len), uint64_t(I.Rd),
+              uint64_t(I.Rs), uint64_t(I.Rt), uint64_t(I.Scale),
+              uint64_t(I.BCond), uint64_t(uint32_t(I.Imm)), I.Imm64})
+          H = mix(H, V);
+        if (Ok) {
+          std::string S = toString(I);
+          H = hashBytes(reinterpret_cast<const uint8_t *>(S.data()),
+                        S.size() + 1, H);
+        }
+      }
+    }
+    char Line[64];
+    std::snprintf(Line, sizeof(Line), "0x%02x %016" PRIx64 "\n", B, H);
+    Out += Line;
+  }
+  checkGolden("guest_decode", Out);
+}
+
+void appendImage(std::string &Out, const std::string &Name,
+                 const GuestImage &Img) {
+  char Line[160];
+  std::snprintf(Line, sizeof(Line), "%s entry=0x%x\n", Name.c_str(),
+                Img.Entry);
+  Out += Line;
+  for (const ImageSegment &S : Img.Segments) {
+    std::snprintf(Line, sizeof(Line),
+                  "  base=0x%x perms=%u len=%zu fnv=%016" PRIx64 "\n", S.Base,
+                  S.Perms, S.Bytes.size(),
+                  hashBytes(S.Bytes.data(), S.Bytes.size()));
+    Out += Line;
+  }
+}
+
+// Every segment of every workload at scale 1, and of 50 fuzz programs
+// under default options and with signals and SMC forced.
+TEST(RoundTrip, ImageIdentityGolden) {
+  std::string Out;
+  std::vector<std::string> Names;
+  for (const WorkloadInfo &W : allWorkloads())
+    Names.push_back(W.Name);
+  Names.push_back("sigmt");
+  Names.push_back("mtcpu");
+  for (const std::string &N : Names)
+    appendImage(Out, N, buildWorkload(N, 1));
+  fuzz::GenOptions Forced;
+  Forced.Signals = 2;
+  Forced.Smc = 2;
+  for (uint64_t S = 1; S <= 50; ++S) {
+    appendImage(Out, "fuzz-default-" + std::to_string(S),
+                fuzz::render(fuzz::generate(S, fuzz::GenOptions())));
+    appendImage(Out, "fuzz-forced-" + std::to_string(S),
+                fuzz::render(fuzz::generate(S, Forced)));
+  }
+  checkGolden("guest_images", Out);
 }
 
 } // namespace

@@ -177,7 +177,7 @@ TEST(TransTab, ChainsLinkEagerlyInBothInsertionOrders) {
     EXPECT_EQ(TT.stats().ChainsFilled, 1u);
   }
   // Predecessor first: A's slot parks as a waiter and fills the moment B
-  // is inserted — the dispatcher never has to fill it lazily.
+  // is inserted; the dispatcher never fills a slot.
   {
     TransTab TT(1u << 6);
     Translation *A = TT.insert(makeT(0x1000, {0x2000}));
