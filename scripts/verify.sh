@@ -137,8 +137,9 @@ FUZZ_ITERS=200
 echo "== smoke: ThreadSanitizer (concurrency label) =="
 # The only tests that still start host threads: concurrent --tt-cache
 # writers and the vgserve daemon with its clients (everything carrying the
-# `concurrency` ctest label, via the tsan preset).
-cmake --preset tsan >/dev/null
+# `concurrency` ctest label, via the tsan preset). Warnings fail this
+# build too.
+cmake --preset tsan -DCMAKE_COMPILE_WARNING_AS_ERROR=ON >/dev/null
 cmake --build --preset tsan -j \
     --target test_transcache --target test_transserver >/dev/null
 ctest --preset tsan
@@ -147,8 +148,8 @@ echo "== smoke: AddressSanitizer + UBSan (unit tests, fuzz corpus) =="
 # Every test_* binary plus the committed fuzz corpus replay, built with
 # -fsanitize=address,undefined: use-after-free, out-of-bounds access and
 # calls through destroyed objects fail the run. The whole tree is rebuilt
-# instrumented, so the job count is bounded.
-cmake --preset asan >/dev/null
+# instrumented, so the job count is bounded; warnings fail it, as above.
+cmake --preset asan -DCMAKE_COMPILE_WARNING_AS_ERROR=ON >/dev/null
 cmake --build --preset asan -j "$(nproc)" >/dev/null
 ctest --preset asan
 

@@ -27,11 +27,10 @@
 
 #include "guest/GuestMemory.h"
 #include "hvm/HostVM.h"
+#include "ir/OpEval.h"
 #include "shadow/ShadowMemory.h"
-#include "support/FpCanon.h"
 
 #include <array>
-#include <bit>
 #include <cstring>
 #include <utility>
 
@@ -64,87 +63,6 @@ template <> struct UIntOf<2> { using T = uint16_t; };
 template <> struct UIntOf<4> { using T = uint32_t; };
 template <> struct UIntOf<8> { using T = uint64_t; };
 template <unsigned N> using UInt = typename UIntOf<N>::T;
-
-double asF64(uint64_t Bits) { return std::bit_cast<double>(Bits); }
-uint64_t fromF64(double D) { return std::bit_cast<uint64_t>(D); }
-
-/// The semantics of every op with specialised handlers (VG_HVM_BINOPS,
-/// VG_HVM_UNOPS), written once. Each handler passes its op as a constant,
-/// so the switch folds away and the handler is just the operation. Must
-/// agree with ir::evalOp, which serves the generic handlers; OpProperty in
-/// tests/HvmTests.cpp checks every op in every form against it.
-[[gnu::always_inline]] inline uint64_t aluOp(ir::Op O, uint64_t A,
-                                             uint64_t B) {
-  using ir::Op;
-  switch (O) {
-  case Op::Add32:
-    return static_cast<uint32_t>(A + B);
-  case Op::Sub32:
-    return static_cast<uint32_t>(A - B);
-  case Op::And32:
-    return static_cast<uint32_t>(A & B);
-  case Op::Or32:
-    return static_cast<uint32_t>(A | B);
-  case Op::Xor32:
-    return static_cast<uint32_t>(A ^ B);
-  case Op::Mul32:
-    return static_cast<uint32_t>(A * B);
-  case Op::Shl32:
-    return static_cast<uint32_t>(A << (B & 31));
-  case Op::Shr32:
-    return static_cast<uint32_t>(static_cast<uint32_t>(A) >> (B & 31));
-  case Op::Sar32:
-    return static_cast<uint32_t>(static_cast<int32_t>(A) >> (B & 31));
-  case Op::Add64:
-    return A + B;
-  case Op::Or64:
-    return A | B;
-  case Op::And64:
-    return A & B;
-  case Op::CmpEQ32:
-    return static_cast<uint32_t>(A) == static_cast<uint32_t>(B);
-  case Op::CmpNE32:
-    return static_cast<uint32_t>(A) != static_cast<uint32_t>(B);
-  case Op::CmpLT32S:
-    return static_cast<int32_t>(A) < static_cast<int32_t>(B);
-  case Op::CmpLE32S:
-    return static_cast<int32_t>(A) <= static_cast<int32_t>(B);
-  case Op::CmpLT32U:
-    return static_cast<uint32_t>(A) < static_cast<uint32_t>(B);
-  case Op::CmpLE32U:
-    return static_cast<uint32_t>(A) <= static_cast<uint32_t>(B);
-  // F64 results are NaN-canonicalised exactly as evalOp does
-  // (support/FpCanon.h).
-  case Op::AddF64:
-    return fromF64(canonF64(asF64(A) + asF64(B)));
-  case Op::SubF64:
-    return fromF64(canonF64(asF64(A) - asF64(B)));
-  case Op::MulF64:
-    return fromF64(canonF64(asF64(A) * asF64(B)));
-  case Op::CmpNEZ32:
-    return (A & 0xFFFFFFFFull) != 0;
-  case Op::U1to32:
-    return A & 1;
-  case Op::Neg32:
-    return static_cast<uint32_t>(0 - A);
-  case Op::CmpNEZ64:
-    return A != 0;
-  case Op::U1to64:
-    return A & 1;
-  case Op::Neg64:
-    return 0 - A;
-  case Op::T64to32:
-    return A & 0xFFFFFFFFull;
-  case Op::T64HIto32:
-    return A >> 32;
-  case Op::T32to8:
-    return A & 0xFF;
-  case Op::U8to32:
-    return A & 0xFF;
-  default:
-    unreachable("aluOp: op has no specialised handler");
-  }
-}
 
 RunOutcome &memFault(RunOutcome &Out, const MemFault &F, bool Write,
                      uint32_t PC) {
@@ -229,14 +147,14 @@ template <uint8_t Byte, Fwd F>
       B = rdU64(P + At<HOp::ALUI, Fld::Imm64>);
     else if constexpr (Form == HOp::ALUIS)
       B = P[At<HOp::ALUIS, Fld::Imm8>];
-    // A specialised byte fixes the op, so aluOp folds to the operation;
+    // A specialised byte fixes the op, so evalOpAt folds to the operation;
     // a generic one serves the long tail through ir::evalOp.
     uint64_t V;
     if constexpr (D.Field == NoField)
       V = ir::evalOp(static_cast<ir::Op>(rdU16(P + At<Form, Fld::IrOp>)), A,
                      B);
     else
-      V = aluOp(static_cast<ir::Op>(D.Field), A, B);
+      V = ir::evalOpAt<static_cast<ir::Op>(D.Field)>(A, B);
     R[P[At<Form, Fld::Dst>]] = V;
     return {V, A};
   } else if constexpr (Form == HOp::LDG) {

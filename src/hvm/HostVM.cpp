@@ -21,15 +21,9 @@ constexpr bool isAccess(HOp Op) {
   return Op == HOp::LDG || Op == HOp::STG || Op == HOp::LDM || Op == HOp::STM;
 }
 
-/// How many ir::Ops there are.
-constexpr unsigned NumIrOps =
-#define X(Name, RT, N, A1, A2) +1
-    0 VG_IROP_LIST(X);
-#undef X
-
 /// Columns of SpecBytes: every access size and every ir::Op has one.
 constexpr unsigned SpecCols = 128;
-static_assert(NumIrOps <= SpecCols, "ir::Ops overflow SpecBytes");
+static_assert(ir::NumOps <= SpecCols, "ir::Ops overflow SpecBytes");
 
 /// SpecBytes[Form][Field]: the specialised opcode byte of a Form
 /// instruction whose access size or ir::Op is Field, or 0 where it has
@@ -402,7 +396,7 @@ bool hvm::checkOperands(const std::vector<uint8_t> &Bytes,
     const HInstr &I = Is[K];
     OpcodeInfo Info = opcodeInfo(Bytes[Starts[K]]);
     if (opcodeByte(I) != Info.Lead ||
-        static_cast<unsigned>(I.IrOp) >= NumIrOps || !RegOk(I.Dst) ||
+        static_cast<unsigned>(I.IrOp) >= ir::NumOps || !RegOk(I.Dst) ||
         !RegOk(I.A) || !RegOk(I.B) || !RegOk(I.C))
       return false;
     switch (I.Op) {

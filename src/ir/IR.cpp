@@ -1,11 +1,8 @@
 //===-- ir/IR.cpp - IR factories, typing, and evaluation ------------------==//
 
 #include "ir/IR.h"
+#include "ir/OpEval.h"
 
-#include "support/FpCanon.h"
-
-#include <cmath>
-#include <cstring>
 #include <map>
 #include <mutex>
 
@@ -61,77 +58,8 @@ const char *ir::registeredCalleeName(const Callee *C) {
 //===----------------------------------------------------------------------===//
 
 const char *ir::tyName(Ty T) {
-  switch (T) {
-  case Ty::I1:
-    return "I1";
-  case Ty::I8:
-    return "I8";
-  case Ty::I16:
-    return "I16";
-  case Ty::I32:
-    return "I32";
-  case Ty::I64:
-    return "I64";
-  case Ty::F64:
-    return "F64";
-  }
-  return "?";
-}
-
-unsigned ir::tySizeBits(Ty T) {
-  switch (T) {
-  case Ty::I1:
-    return 1;
-  case Ty::I8:
-    return 8;
-  case Ty::I16:
-    return 16;
-  case Ty::I32:
-    return 32;
-  case Ty::I64:
-  case Ty::F64:
-    return 64;
-  }
-  return 0;
-}
-
-namespace {
-struct OpInfo {
-  const char *Name;
-  Ty Ret;
-  unsigned NArgs;
-  Ty A1, A2;
-};
-const OpInfo OpTable[] = {
-#define X(name, rt, n, a1, a2) {#name, Ty::rt, n, Ty::a1, Ty::a2},
-    VG_IROP_LIST(X)
-#undef X
-};
-} // namespace
-
-const char *ir::opName(Op O) { return OpTable[static_cast<unsigned>(O)].Name; }
-Ty ir::opResultTy(Op O) { return OpTable[static_cast<unsigned>(O)].Ret; }
-unsigned ir::opArity(Op O) { return OpTable[static_cast<unsigned>(O)].NArgs; }
-Ty ir::opArgTy(Op O, unsigned Idx) {
-  const OpInfo &I = OpTable[static_cast<unsigned>(O)];
-  return Idx == 0 ? I.A1 : I.A2;
-}
-
-uint64_t ir::truncToTy(uint64_t V, Ty T) {
-  switch (T) {
-  case Ty::I1:
-    return V & 1;
-  case Ty::I8:
-    return V & 0xFF;
-  case Ty::I16:
-    return V & 0xFFFF;
-  case Ty::I32:
-    return V & 0xFFFFFFFFull;
-  case Ty::I64:
-  case Ty::F64:
-    return V;
-  }
-  return V;
+  static const char *const Names[] = {"I1", "I8", "I16", "I32", "I64", "F64"};
+  return Names[static_cast<unsigned>(T)];
 }
 
 const char *ir::jumpKindName(JumpKind K) {
@@ -164,266 +92,13 @@ const char *ir::jumpKindName(JumpKind K) {
 // Op evaluation (shared by folder, executor, tests)
 //===----------------------------------------------------------------------===//
 
-namespace {
-
-double asF64(uint64_t Bits) {
-  double D;
-  std::memcpy(&D, &Bits, 8);
-  return D;
-}
-
-uint64_t fromF64(double D) {
-  uint64_t Bits;
-  std::memcpy(&Bits, &D, 8);
-  return Bits;
-}
-
-uint64_t lanes8(uint64_t A, uint64_t B, int Mode) {
-  uint32_t Out = 0;
-  for (int L = 0; L != 4; ++L) {
-    uint8_t X = static_cast<uint8_t>(A >> (8 * L));
-    uint8_t Y = static_cast<uint8_t>(B >> (8 * L));
-    uint8_t R = 0;
-    switch (Mode) {
-    case 0:
-      R = static_cast<uint8_t>(X + Y);
-      break;
-    case 1:
-      R = static_cast<uint8_t>(X - Y);
-      break;
-    case 2:
-      R = static_cast<int8_t>(X) > static_cast<int8_t>(Y) ? 0xFF : 0;
-      break;
-    }
-    Out |= static_cast<uint32_t>(R) << (8 * L);
-  }
-  return Out;
-}
-
-} // namespace
-
 uint64_t ir::evalOp(Op O, uint64_t A, uint64_t B) {
-  Ty RT = opResultTy(O);
-  auto T = [&](uint64_t V) { return truncToTy(V, RT); };
   switch (O) {
-  case Op::Add8:
-  case Op::Add16:
-  case Op::Add32:
-  case Op::Add64:
-    return T(A + B);
-  case Op::Sub8:
-  case Op::Sub16:
-  case Op::Sub32:
-  case Op::Sub64:
-    return T(A - B);
-  case Op::Mul8:
-  case Op::Mul16:
-  case Op::Mul32:
-  case Op::Mul64:
-    return T(A * B);
-  case Op::And8:
-  case Op::And16:
-  case Op::And32:
-  case Op::And64:
-    return T(A & B);
-  case Op::Or8:
-  case Op::Or16:
-  case Op::Or32:
-  case Op::Or64:
-    return T(A | B);
-  case Op::Xor8:
-  case Op::Xor16:
-  case Op::Xor32:
-  case Op::Xor64:
-    return T(A ^ B);
-  case Op::Shl8:
-    return T(A << (B & 7));
-  case Op::Shr8:
-    return T((A & 0xFF) >> (B & 7));
-  case Op::Sar8:
-    return T(static_cast<uint64_t>(
-        static_cast<int64_t>(static_cast<int8_t>(A)) >> (B & 7)));
-  case Op::Shl16:
-    return T(A << (B & 15));
-  case Op::Shr16:
-    return T((A & 0xFFFF) >> (B & 15));
-  case Op::Sar16:
-    return T(static_cast<uint64_t>(
-        static_cast<int64_t>(static_cast<int16_t>(A)) >> (B & 15)));
-  case Op::Shl32:
-    return T(A << (B & 31));
-  case Op::Shr32:
-    return T((A & 0xFFFFFFFFull) >> (B & 31));
-  case Op::Sar32:
-    return T(static_cast<uint64_t>(
-        static_cast<int64_t>(static_cast<int32_t>(A)) >> (B & 31)));
-  case Op::Shl64:
-    return A << (B & 63);
-  case Op::Shr64:
-    return A >> (B & 63);
-  case Op::Sar64:
-    return static_cast<uint64_t>(static_cast<int64_t>(A) >> (B & 63));
-  case Op::DivU32: {
-    uint32_t D = static_cast<uint32_t>(B);
-    return D == 0 ? 0xFFFFFFFFull : (static_cast<uint32_t>(A) / D);
-  }
-  case Op::DivS32: {
-    int32_t N = static_cast<int32_t>(A), D = static_cast<int32_t>(B);
-    int32_t Q;
-    if (D == 0)
-      Q = -1;
-    else if (N == INT32_MIN && D == -1)
-      Q = INT32_MIN;
-    else
-      Q = N / D;
-    return static_cast<uint32_t>(Q);
-  }
-  case Op::Not8:
-  case Op::Not16:
-  case Op::Not32:
-  case Op::Not64:
-    return T(~A);
-  case Op::Neg8:
-  case Op::Neg16:
-  case Op::Neg32:
-  case Op::Neg64:
-    return T(0 - A);
-  case Op::MullU32:
-    return (A & 0xFFFFFFFFull) * (B & 0xFFFFFFFFull);
-  case Op::MullS32:
-    return static_cast<uint64_t>(
-        static_cast<int64_t>(static_cast<int32_t>(A)) *
-        static_cast<int64_t>(static_cast<int32_t>(B)));
-  case Op::CmpEQ8:
-    return static_cast<uint8_t>(A) == static_cast<uint8_t>(B);
-  case Op::CmpNE8:
-    return static_cast<uint8_t>(A) != static_cast<uint8_t>(B);
-  case Op::CmpEQ16:
-    return static_cast<uint16_t>(A) == static_cast<uint16_t>(B);
-  case Op::CmpNE16:
-    return static_cast<uint16_t>(A) != static_cast<uint16_t>(B);
-  case Op::CmpEQ32:
-    return static_cast<uint32_t>(A) == static_cast<uint32_t>(B);
-  case Op::CmpNE32:
-    return static_cast<uint32_t>(A) != static_cast<uint32_t>(B);
-  case Op::CmpEQ64:
-    return A == B;
-  case Op::CmpNE64:
-    return A != B;
-  case Op::CmpLT32S:
-    return static_cast<int32_t>(A) < static_cast<int32_t>(B);
-  case Op::CmpLE32S:
-    return static_cast<int32_t>(A) <= static_cast<int32_t>(B);
-  case Op::CmpLT32U:
-    return static_cast<uint32_t>(A) < static_cast<uint32_t>(B);
-  case Op::CmpLE32U:
-    return static_cast<uint32_t>(A) <= static_cast<uint32_t>(B);
-  case Op::CmpLT64S:
-    return static_cast<int64_t>(A) < static_cast<int64_t>(B);
-  case Op::CmpLE64S:
-    return static_cast<int64_t>(A) <= static_cast<int64_t>(B);
-  case Op::CmpLT64U:
-    return A < B;
-  case Op::CmpLE64U:
-    return A <= B;
-  case Op::CmpNEZ8:
-    return (A & 0xFF) != 0;
-  case Op::CmpNEZ16:
-    return (A & 0xFFFF) != 0;
-  case Op::CmpNEZ32:
-    return (A & 0xFFFFFFFFull) != 0;
-  case Op::CmpNEZ64:
-    return A != 0;
-  case Op::U1to8:
-  case Op::U1to32:
-  case Op::U1to64:
-    return A & 1;
-  case Op::U8to16:
-  case Op::U8to32:
-  case Op::U8to64:
-    return A & 0xFF;
-  case Op::S8to32:
-    return truncToTy(
-        static_cast<uint64_t>(static_cast<int64_t>(static_cast<int8_t>(A))),
-        Ty::I32);
-  case Op::U16to32:
-  case Op::U16to64:
-    return A & 0xFFFF;
-  case Op::S16to32:
-    return truncToTy(
-        static_cast<uint64_t>(static_cast<int64_t>(static_cast<int16_t>(A))),
-        Ty::I32);
-  case Op::U32to64:
-    return A & 0xFFFFFFFFull;
-  case Op::S32to64:
-    return static_cast<uint64_t>(
-        static_cast<int64_t>(static_cast<int32_t>(A)));
-  case Op::T16to8:
-    return A & 0xFF;
-  case Op::T32to8:
-    return A & 0xFF;
-  case Op::T32to16:
-    return A & 0xFFFF;
-  case Op::T64to32:
-    return A & 0xFFFFFFFFull;
-  case Op::T64HIto32:
-    return (A >> 32) & 0xFFFFFFFFull;
-  case Op::T32to1:
-  case Op::T64to1:
-    return A & 1;
-  case Op::Concat32HLto64:
-    return (A << 32) | (B & 0xFFFFFFFFull);
-  // Arithmetic results are NaN-canonicalised (support/FpCanon.h): which
-  // input payload propagates is IEEE-unspecified, so without this the JIT
-  // and the reference interpreter can legally disagree bit-for-bit.
-  case Op::AddF64:
-    return fromF64(canonF64(asF64(A) + asF64(B)));
-  case Op::SubF64:
-    return fromF64(canonF64(asF64(A) - asF64(B)));
-  case Op::MulF64:
-    return fromF64(canonF64(asF64(A) * asF64(B)));
-  case Op::DivF64:
-    return fromF64(canonF64(asF64(A) / asF64(B)));
-  case Op::NegF64: // sign-bit op: fully determined, never canonicalised
-    return fromF64(-asF64(A));
-  case Op::AbsF64: // sign-bit op, as above
-    return fromF64(std::fabs(asF64(A)));
-  case Op::SqrtF64:
-    return fromF64(canonF64(std::sqrt(asF64(A))));
-  case Op::I32StoF64:
-    return fromF64(static_cast<double>(static_cast<int32_t>(A)));
-  case Op::F64toI32S: {
-    double D = asF64(A);
-    int32_t V;
-    if (std::isnan(D) || D >= 2147483648.0 || D < -2147483648.0)
-      V = INT32_MIN;
-    else
-      V = static_cast<int32_t>(D);
-    return static_cast<uint32_t>(V);
-  }
-  case Op::CmpF64: {
-    // Produces the VG1 NZCV word, matching RefInterp's FCMP.
-    double X = asF64(A), Y = asF64(B);
-    if (std::isnan(X) || std::isnan(Y))
-      return 1; // FlagV
-    uint32_t Fl = 0;
-    if (X == Y)
-      Fl |= 4; // FlagZ
-    if (X < Y)
-      Fl |= 8; // FlagN
-    if (X >= Y)
-      Fl |= 2; // FlagC
-    return Fl;
-  }
-  case Op::ReinterpF64asI64:
-  case Op::ReinterpI64asF64:
-    return A;
-  case Op::Add8x4:
-    return lanes8(A, B, 0);
-  case Op::Sub8x4:
-    return lanes8(A, B, 1);
-  case Op::CmpGT8Sx4:
-    return lanes8(A, B, 2);
+#define X(name, ...)                                                           \
+  case Op::name:                                                               \
+    return evalOpAt<Op::name>(A, B);
+    VG_IROP_LIST(X)
+#undef X
   }
   unreachable("evalOp: unhandled op");
 }

@@ -42,152 +42,237 @@ namespace ir {
 enum class Ty : uint8_t { I1, I8, I16, I32, I64, F64 };
 
 const char *tyName(Ty T);
-unsigned tySizeBits(Ty T);
+
+constexpr unsigned tySizeBits(Ty T) {
+  constexpr unsigned Bits[] = {1, 8, 16, 32, 64, 64};
+  return Bits[static_cast<unsigned>(T)];
+}
+
+/// Truncates \p V to the bit width of \p T (canonical constant form).
+constexpr uint64_t truncToTy(uint64_t V, Ty T) {
+  return tySizeBits(T) == 64 ? V : V & ((1ull << tySizeBits(T)) - 1);
+}
 
 //===----------------------------------------------------------------------===//
 // Primitive operations
 //
-// The X-macro keeps the op list, the printer, the typechecker and the
-// evaluator in sync. Grouped as in VEX: integer ALU per size, widening
-// multiplies, comparisons, conversions, FP, and packed-SIMD lanes.
+// VG_IROP_LIST is the one statement of each op's types and family; the op
+// enum, the printer, the typechecker and the metadata below derive from
+// it. Grouped as in VEX: integer ALU per size, widening multiplies,
+// comparisons, conversions, FP, and packed-SIMD lanes.
 //===----------------------------------------------------------------------===//
 
-// VG_IROP(name, result-type, nargs, arg1-type, arg2-type)
+/// An op apart from its width (paper Section 3.6's typed ops come in
+/// families such as Add8..Add64). Each family is evaluated (OpEval.h),
+/// folded and shadowed by one rule; opFor() picks a family's op at a width.
+enum class OpFam : uint8_t {
+  // Ops that exist at several widths, each evaluated by one template over
+  // its operand width. The conversions come last.
+  Add, Sub, Mul, And, Or, Xor, Shl, Shr, Sar, Not, Neg,
+  CmpEQ, CmpNE, CmpLTS, CmpLES, CmpLTU, CmpLEU, CmpNEZ,
+  ZExt, SExt, Trunc,
+  // Ops that exist at one width: a family each, the reinterprets apart.
+  DivU32, DivS32, MullU32, MullS32, T64HIto32, Concat32HLto64,
+  AddF64, SubF64, MulF64, DivF64, NegF64, AbsF64, SqrtF64, I32StoF64,
+  F64toI32S, CmpF64, Reinterp, Add8x4, Sub8x4, CmpGT8Sx4,
+};
+
+/// Whether \p F exists at several widths.
+constexpr bool isMultiWidth(OpFam F) { return F <= OpFam::Trunc; }
+
+// X(name, result-type, nargs, arg1-type, arg2-type, family)
 #define VG_IROP_LIST(X)                                                        \
   /* --- integer ALU, I8 --- */                                                \
-  X(Add8, I8, 2, I8, I8)                                                       \
-  X(Sub8, I8, 2, I8, I8)                                                       \
-  X(Mul8, I8, 2, I8, I8)                                                       \
-  X(And8, I8, 2, I8, I8)                                                       \
-  X(Or8, I8, 2, I8, I8)                                                        \
-  X(Xor8, I8, 2, I8, I8)                                                       \
-  X(Shl8, I8, 2, I8, I8)                                                       \
-  X(Shr8, I8, 2, I8, I8)                                                       \
-  X(Sar8, I8, 2, I8, I8)                                                       \
-  X(Not8, I8, 1, I8, I8)                                                       \
-  X(Neg8, I8, 1, I8, I8)                                                       \
+  X(Add8, I8, 2, I8, I8, Add)                                                  \
+  X(Sub8, I8, 2, I8, I8, Sub)                                                  \
+  X(Mul8, I8, 2, I8, I8, Mul)                                                  \
+  X(And8, I8, 2, I8, I8, And)                                                  \
+  X(Or8, I8, 2, I8, I8, Or)                                                    \
+  X(Xor8, I8, 2, I8, I8, Xor)                                                  \
+  X(Shl8, I8, 2, I8, I8, Shl)                                                  \
+  X(Shr8, I8, 2, I8, I8, Shr)                                                  \
+  X(Sar8, I8, 2, I8, I8, Sar)                                                  \
+  X(Not8, I8, 1, I8, I8, Not)                                                  \
+  X(Neg8, I8, 1, I8, I8, Neg)                                                  \
   /* --- integer ALU, I16 --- */                                               \
-  X(Add16, I16, 2, I16, I16)                                                   \
-  X(Sub16, I16, 2, I16, I16)                                                   \
-  X(Mul16, I16, 2, I16, I16)                                                   \
-  X(And16, I16, 2, I16, I16)                                                   \
-  X(Or16, I16, 2, I16, I16)                                                    \
-  X(Xor16, I16, 2, I16, I16)                                                   \
-  X(Shl16, I16, 2, I16, I16)                                                   \
-  X(Shr16, I16, 2, I16, I16)                                                   \
-  X(Sar16, I16, 2, I16, I16)                                                   \
-  X(Not16, I16, 1, I16, I16)                                                   \
-  X(Neg16, I16, 1, I16, I16)                                                   \
+  X(Add16, I16, 2, I16, I16, Add)                                              \
+  X(Sub16, I16, 2, I16, I16, Sub)                                              \
+  X(Mul16, I16, 2, I16, I16, Mul)                                              \
+  X(And16, I16, 2, I16, I16, And)                                              \
+  X(Or16, I16, 2, I16, I16, Or)                                                \
+  X(Xor16, I16, 2, I16, I16, Xor)                                              \
+  X(Shl16, I16, 2, I16, I16, Shl)                                              \
+  X(Shr16, I16, 2, I16, I16, Shr)                                              \
+  X(Sar16, I16, 2, I16, I16, Sar)                                              \
+  X(Not16, I16, 1, I16, I16, Not)                                              \
+  X(Neg16, I16, 1, I16, I16, Neg)                                              \
   /* --- integer ALU, I32 --- */                                               \
-  X(Add32, I32, 2, I32, I32)                                                   \
-  X(Sub32, I32, 2, I32, I32)                                                   \
-  X(Mul32, I32, 2, I32, I32)                                                   \
-  X(And32, I32, 2, I32, I32)                                                   \
-  X(Or32, I32, 2, I32, I32)                                                    \
-  X(Xor32, I32, 2, I32, I32)                                                   \
-  X(Shl32, I32, 2, I32, I8)                                                    \
-  X(Shr32, I32, 2, I32, I8)                                                    \
-  X(Sar32, I32, 2, I32, I8)                                                    \
-  X(DivU32, I32, 2, I32, I32)                                                  \
-  X(DivS32, I32, 2, I32, I32)                                                  \
-  X(Not32, I32, 1, I32, I32)                                                   \
-  X(Neg32, I32, 1, I32, I32)                                                   \
+  X(Add32, I32, 2, I32, I32, Add)                                              \
+  X(Sub32, I32, 2, I32, I32, Sub)                                              \
+  X(Mul32, I32, 2, I32, I32, Mul)                                              \
+  X(And32, I32, 2, I32, I32, And)                                              \
+  X(Or32, I32, 2, I32, I32, Or)                                                \
+  X(Xor32, I32, 2, I32, I32, Xor)                                              \
+  X(Shl32, I32, 2, I32, I8, Shl)                                               \
+  X(Shr32, I32, 2, I32, I8, Shr)                                               \
+  X(Sar32, I32, 2, I32, I8, Sar)                                               \
+  X(DivU32, I32, 2, I32, I32, DivU32)                                          \
+  X(DivS32, I32, 2, I32, I32, DivS32)                                          \
+  X(Not32, I32, 1, I32, I32, Not)                                              \
+  X(Neg32, I32, 1, I32, I32, Neg)                                              \
   /* --- integer ALU, I64 --- */                                               \
-  X(Add64, I64, 2, I64, I64)                                                   \
-  X(Sub64, I64, 2, I64, I64)                                                   \
-  X(Mul64, I64, 2, I64, I64)                                                   \
-  X(And64, I64, 2, I64, I64)                                                   \
-  X(Or64, I64, 2, I64, I64)                                                    \
-  X(Xor64, I64, 2, I64, I64)                                                   \
-  X(Shl64, I64, 2, I64, I8)                                                    \
-  X(Shr64, I64, 2, I64, I8)                                                    \
-  X(Sar64, I64, 2, I64, I8)                                                    \
-  X(Not64, I64, 1, I64, I64)                                                   \
-  X(Neg64, I64, 1, I64, I64)                                                   \
+  X(Add64, I64, 2, I64, I64, Add)                                              \
+  X(Sub64, I64, 2, I64, I64, Sub)                                              \
+  X(Mul64, I64, 2, I64, I64, Mul)                                              \
+  X(And64, I64, 2, I64, I64, And)                                              \
+  X(Or64, I64, 2, I64, I64, Or)                                                \
+  X(Xor64, I64, 2, I64, I64, Xor)                                              \
+  X(Shl64, I64, 2, I64, I8, Shl)                                               \
+  X(Shr64, I64, 2, I64, I8, Shr)                                               \
+  X(Sar64, I64, 2, I64, I8, Sar)                                               \
+  X(Not64, I64, 1, I64, I64, Not)                                              \
+  X(Neg64, I64, 1, I64, I64, Neg)                                              \
   /* --- widening multiplies --- */                                            \
-  X(MullU32, I64, 2, I32, I32)                                                 \
-  X(MullS32, I64, 2, I32, I32)                                                 \
+  X(MullU32, I64, 2, I32, I32, MullU32)                                        \
+  X(MullS32, I64, 2, I32, I32, MullS32)                                        \
   /* --- comparisons (result I1) --- */                                        \
-  X(CmpEQ8, I1, 2, I8, I8)                                                     \
-  X(CmpNE8, I1, 2, I8, I8)                                                     \
-  X(CmpEQ16, I1, 2, I16, I16)                                                  \
-  X(CmpNE16, I1, 2, I16, I16)                                                  \
-  X(CmpEQ32, I1, 2, I32, I32)                                                  \
-  X(CmpNE32, I1, 2, I32, I32)                                                  \
-  X(CmpEQ64, I1, 2, I64, I64)                                                  \
-  X(CmpNE64, I1, 2, I64, I64)                                                  \
-  X(CmpLT32S, I1, 2, I32, I32)                                                 \
-  X(CmpLE32S, I1, 2, I32, I32)                                                 \
-  X(CmpLT32U, I1, 2, I32, I32)                                                 \
-  X(CmpLE32U, I1, 2, I32, I32)                                                 \
-  X(CmpLT64S, I1, 2, I64, I64)                                                 \
-  X(CmpLE64S, I1, 2, I64, I64)                                                 \
-  X(CmpLT64U, I1, 2, I64, I64)                                                 \
-  X(CmpLE64U, I1, 2, I64, I64)                                                 \
-  X(CmpNEZ8, I1, 1, I8, I8)                                                    \
-  X(CmpNEZ16, I1, 1, I16, I16)                                                 \
-  X(CmpNEZ32, I1, 1, I32, I32)                                                 \
-  X(CmpNEZ64, I1, 1, I64, I64)                                                 \
+  X(CmpEQ8, I1, 2, I8, I8, CmpEQ)                                              \
+  X(CmpNE8, I1, 2, I8, I8, CmpNE)                                              \
+  X(CmpEQ16, I1, 2, I16, I16, CmpEQ)                                           \
+  X(CmpNE16, I1, 2, I16, I16, CmpNE)                                           \
+  X(CmpEQ32, I1, 2, I32, I32, CmpEQ)                                           \
+  X(CmpNE32, I1, 2, I32, I32, CmpNE)                                           \
+  X(CmpEQ64, I1, 2, I64, I64, CmpEQ)                                           \
+  X(CmpNE64, I1, 2, I64, I64, CmpNE)                                           \
+  X(CmpLT32S, I1, 2, I32, I32, CmpLTS)                                         \
+  X(CmpLE32S, I1, 2, I32, I32, CmpLES)                                         \
+  X(CmpLT32U, I1, 2, I32, I32, CmpLTU)                                         \
+  X(CmpLE32U, I1, 2, I32, I32, CmpLEU)                                         \
+  X(CmpLT64S, I1, 2, I64, I64, CmpLTS)                                         \
+  X(CmpLE64S, I1, 2, I64, I64, CmpLES)                                         \
+  X(CmpLT64U, I1, 2, I64, I64, CmpLTU)                                         \
+  X(CmpLE64U, I1, 2, I64, I64, CmpLEU)                                         \
+  X(CmpNEZ8, I1, 1, I8, I8, CmpNEZ)                                            \
+  X(CmpNEZ16, I1, 1, I16, I16, CmpNEZ)                                         \
+  X(CmpNEZ32, I1, 1, I32, I32, CmpNEZ)                                         \
+  X(CmpNEZ64, I1, 1, I64, I64, CmpNEZ)                                         \
   /* --- widening conversions --- */                                           \
-  X(U1to8, I8, 1, I1, I1)                                                      \
-  X(U1to32, I32, 1, I1, I1)                                                    \
-  X(U1to64, I64, 1, I1, I1)                                                    \
-  X(U8to16, I16, 1, I8, I8)                                                    \
-  X(U8to32, I32, 1, I8, I8)                                                    \
-  X(S8to32, I32, 1, I8, I8)                                                    \
-  X(U8to64, I64, 1, I8, I8)                                                    \
-  X(U16to32, I32, 1, I16, I16)                                                 \
-  X(S16to32, I32, 1, I16, I16)                                                 \
-  X(U16to64, I64, 1, I16, I16)                                                 \
-  X(U32to64, I64, 1, I32, I32)                                                 \
-  X(S32to64, I64, 1, I32, I32)                                                 \
+  X(U1to8, I8, 1, I1, I1, ZExt)                                                \
+  X(U1to32, I32, 1, I1, I1, ZExt)                                              \
+  X(U1to64, I64, 1, I1, I1, ZExt)                                              \
+  X(U8to16, I16, 1, I8, I8, ZExt)                                              \
+  X(U8to32, I32, 1, I8, I8, ZExt)                                              \
+  X(S8to32, I32, 1, I8, I8, SExt)                                              \
+  X(U8to64, I64, 1, I8, I8, ZExt)                                              \
+  X(U16to32, I32, 1, I16, I16, ZExt)                                           \
+  X(S16to32, I32, 1, I16, I16, SExt)                                           \
+  X(U16to64, I64, 1, I16, I16, ZExt)                                           \
+  X(U32to64, I64, 1, I32, I32, ZExt)                                           \
+  X(S32to64, I64, 1, I32, I32, SExt)                                           \
   /* --- narrowing conversions --- */                                          \
-  X(T16to8, I8, 1, I16, I16)                                                   \
-  X(T32to8, I8, 1, I32, I32)                                                   \
-  X(T32to16, I16, 1, I32, I32)                                                 \
-  X(T64to32, I32, 1, I64, I64)                                                 \
-  X(T64HIto32, I32, 1, I64, I64)                                               \
-  X(T32to1, I1, 1, I32, I32)                                                   \
-  X(T64to1, I1, 1, I64, I64)                                                   \
-  X(Concat32HLto64, I64, 2, I32, I32)                                          \
+  X(T16to8, I8, 1, I16, I16, Trunc)                                            \
+  X(T32to8, I8, 1, I32, I32, Trunc)                                            \
+  X(T32to16, I16, 1, I32, I32, Trunc)                                          \
+  X(T64to32, I32, 1, I64, I64, Trunc)                                          \
+  X(T64HIto32, I32, 1, I64, I64, T64HIto32)                                    \
+  X(T32to1, I1, 1, I32, I32, Trunc)                                            \
+  X(T64to1, I1, 1, I64, I64, Trunc)                                            \
+  X(Concat32HLto64, I64, 2, I32, I32, Concat32HLto64)                          \
   /* --- floating point (F64) --- */                                           \
-  X(AddF64, F64, 2, F64, F64)                                                  \
-  X(SubF64, F64, 2, F64, F64)                                                  \
-  X(MulF64, F64, 2, F64, F64)                                                  \
-  X(DivF64, F64, 2, F64, F64)                                                  \
-  X(NegF64, F64, 1, F64, F64)                                                  \
-  X(AbsF64, F64, 1, F64, F64)                                                  \
-  X(SqrtF64, F64, 1, F64, F64)                                                 \
-  X(I32StoF64, F64, 1, I32, I32)                                               \
-  X(F64toI32S, I32, 1, F64, F64)                                               \
-  X(CmpF64, I32, 2, F64, F64)                                                  \
-  X(ReinterpF64asI64, I64, 1, F64, F64)                                        \
-  X(ReinterpI64asF64, F64, 1, I64, I64)                                        \
+  X(AddF64, F64, 2, F64, F64, AddF64)                                          \
+  X(SubF64, F64, 2, F64, F64, SubF64)                                          \
+  X(MulF64, F64, 2, F64, F64, MulF64)                                          \
+  X(DivF64, F64, 2, F64, F64, DivF64)                                          \
+  X(NegF64, F64, 1, F64, F64, NegF64)                                          \
+  X(AbsF64, F64, 1, F64, F64, AbsF64)                                          \
+  X(SqrtF64, F64, 1, F64, F64, SqrtF64)                                        \
+  X(I32StoF64, F64, 1, I32, I32, I32StoF64)                                    \
+  X(F64toI32S, I32, 1, F64, F64, F64toI32S)                                    \
+  X(CmpF64, I32, 2, F64, F64, CmpF64)                                          \
+  X(ReinterpF64asI64, I64, 1, F64, F64, Reinterp)                              \
+  X(ReinterpI64asF64, F64, 1, I64, I64, Reinterp)                              \
   /* --- packed SIMD: 4 x I8 lanes in an I32 --- */                            \
-  X(Add8x4, I32, 2, I32, I32)                                                  \
-  X(Sub8x4, I32, 2, I32, I32)                                                  \
-  X(CmpGT8Sx4, I32, 2, I32, I32)
+  X(Add8x4, I32, 2, I32, I32, Add8x4)                                          \
+  X(Sub8x4, I32, 2, I32, I32, Sub8x4)                                          \
+  X(CmpGT8Sx4, I32, 2, I32, I32, CmpGT8Sx4)
 
 /// Primitive operation opcodes (~100 distinct operations).
 enum class Op : uint16_t {
-#define X(name, rt, n, a1, a2) name,
+#define X(name, ...) name,
   VG_IROP_LIST(X)
 #undef X
 };
 
-const char *opName(Op O);
-Ty opResultTy(Op O);
-unsigned opArity(Op O);
-Ty opArgTy(Op O, unsigned Idx);
+/// One row of VG_IROP_LIST.
+struct OpInfo {
+  const char *Name;
+  Ty Ret;
+  unsigned NArgs;
+  Ty A1, A2;
+  OpFam Fam;
+};
 
-/// Evaluates a primitive op on constant bits (used by the constant folder,
-/// the HVM executor, and differential tests, so all three agree). Operand
-/// and result values are zero-extended into 64 bits; F64 travels as raw
-/// IEEE754 bits.
+inline constexpr OpInfo OpTable[] = {
+#define X(name, rt, n, a1, a2, fam)                                            \
+  {#name, Ty::rt, n, Ty::a1, Ty::a2, OpFam::fam},
+    VG_IROP_LIST(X)
+#undef X
+};
+inline constexpr unsigned NumOps = sizeof(OpTable) / sizeof(OpTable[0]);
+
+constexpr const char *opName(Op O) {
+  return OpTable[static_cast<unsigned>(O)].Name;
+}
+constexpr Ty opResultTy(Op O) { return OpTable[static_cast<unsigned>(O)].Ret; }
+constexpr unsigned opArity(Op O) {
+  return OpTable[static_cast<unsigned>(O)].NArgs;
+}
+constexpr Ty opArgTy(Op O, unsigned Idx) {
+  const OpInfo &I = OpTable[static_cast<unsigned>(O)];
+  return Idx == 0 ? I.A1 : I.A2;
+}
+constexpr OpFam opFam(Op O) { return OpTable[static_cast<unsigned>(O)].Fam; }
+
+namespace detail {
+constexpr unsigned NumFams = static_cast<unsigned>(OpFam::CmpGT8Sx4) + 1;
+
+/// Column of opFor's table: the operand width, I1 and F64 as I64.
+constexpr unsigned widthCol(Ty T) {
+  return T == Ty::I8 ? 0 : T == Ty::I16 ? 1 : T == Ty::I32 ? 2 : 3;
+}
+
+/// Each family's op at each operand width, NumOps where it has none.
+struct OpsByWidth {
+  Op At[NumFams][4];
+};
+constexpr OpsByWidth opsByWidth() {
+  OpsByWidth T{};
+  for (auto &Row : T.At)
+    for (Op &O : Row)
+      O = static_cast<Op>(NumOps);
+  for (unsigned I = 0; I != NumOps; ++I) {
+    Op &Slot = T.At[static_cast<unsigned>(OpTable[I].Fam)]
+                   [widthCol(OpTable[I].A1)];
+    if (Slot == static_cast<Op>(NumOps))
+      Slot = static_cast<Op>(I);
+  }
+  return T;
+}
+inline constexpr OpsByWidth OpsByFamWidth = opsByWidth();
+} // namespace detail
+
+/// The op of family \p F over operands of type \p T (a conversion family:
+/// its first op from \p T). I1, I64 and F64 take the 64-bit op.
+constexpr Op opFor(OpFam F, Ty T) {
+  return detail::OpsByFamWidth
+      .At[static_cast<unsigned>(F)][detail::widthCol(T)];
+}
+
+/// Evaluates a primitive op on constant bits (the constant folder, the HVM
+/// executor's generic handlers and the tests; OpEval.h's evalOpAt is the
+/// same with the op fixed at compile time). Operand and result values are
+/// zero-extended into 64 bits; F64 travels as raw IEEE754 bits.
 uint64_t evalOp(Op O, uint64_t A, uint64_t B);
-
-/// Truncates \p V to the bit width of \p T (canonical constant form).
-uint64_t truncToTy(uint64_t V, Ty T);
 
 //===----------------------------------------------------------------------===//
 // Helper callees

@@ -228,19 +228,12 @@ private:
       if (A->isConst() && B->isConst())
         return SB.mkConst(E->T, evalOp(E->Opc, A->ConstVal, B->ConstVal));
       // Algebraic identities (a representative, conservative set).
-      switch (E->Opc) {
-      case Op::Add8:
-      case Op::Add16:
-      case Op::Add32:
-      case Op::Add64:
-      case Op::Or8:
-      case Op::Or16:
-      case Op::Or32:
-      case Op::Or64:
-      case Op::Xor8:
-      case Op::Xor16:
-      case Op::Xor32:
-      case Op::Xor64:
+      OpFam F = opFam(E->Opc);
+      bool SameTmp = A->isRdTmp() && B->isRdTmp() && A->Tmp == B->Tmp;
+      switch (F) {
+      case OpFam::Add:
+      case OpFam::Or:
+      case OpFam::Xor:
         if (B->isConst(0))
           return A;
         if (A->isConst(0))
@@ -250,45 +243,24 @@ private:
         if (fuzzPlant() == 1 && E->Opc == Op::Add32 && B->isConst(1))
           return A;
         break;
-      case Op::Sub8:
-      case Op::Sub16:
-      case Op::Sub32:
-      case Op::Sub64:
+      case OpFam::Sub:
+      case OpFam::Shl:
+      case OpFam::Shr:
+      case OpFam::Sar:
         if (B->isConst(0))
           return A;
         break;
-      case Op::And8:
-      case Op::And16:
-      case Op::And32:
-      case Op::And64:
+      case OpFam::And:
         if (B->isConst(0) || A->isConst(0))
           return SB.mkConst(E->T, 0);
         if (B->isConst(truncToTy(~0ull, E->T)))
           return A;
         if (A->isConst(truncToTy(~0ull, E->T)))
           return B;
-        if (A->isRdTmp() && B->isRdTmp() && A->Tmp == B->Tmp)
+        if (SameTmp)
           return A;
         break;
-      case Op::Shl8:
-      case Op::Shl16:
-      case Op::Shl32:
-      case Op::Shl64:
-      case Op::Shr8:
-      case Op::Shr16:
-      case Op::Shr32:
-      case Op::Shr64:
-      case Op::Sar8:
-      case Op::Sar16:
-      case Op::Sar32:
-      case Op::Sar64:
-        if (B->isConst(0))
-          return A;
-        break;
-      case Op::Mul8:
-      case Op::Mul16:
-      case Op::Mul32:
-      case Op::Mul64:
+      case OpFam::Mul:
         if (B->isConst(1))
           return A;
         if (A->isConst(1))
@@ -299,32 +271,17 @@ private:
       default:
         break;
       }
-      // Or/Xor/Sub with identical tmps.
-      if (A->isRdTmp() && B->isRdTmp() && A->Tmp == B->Tmp) {
-        switch (E->Opc) {
-        case Op::Or8:
-        case Op::Or16:
-        case Op::Or32:
-        case Op::Or64:
+      // Or/Xor/Sub/CmpEQ/CmpNE with identical tmps.
+      if (SameTmp) {
+        switch (F) {
+        case OpFam::Or:
           return A;
-        case Op::Xor8:
-        case Op::Xor16:
-        case Op::Xor32:
-        case Op::Xor64:
-        case Op::Sub8:
-        case Op::Sub16:
-        case Op::Sub32:
-        case Op::Sub64:
+        case OpFam::Xor:
+        case OpFam::Sub:
           return SB.mkConst(E->T, 0);
-        case Op::CmpEQ8:
-        case Op::CmpEQ16:
-        case Op::CmpEQ32:
-        case Op::CmpEQ64:
+        case OpFam::CmpEQ:
           return SB.constI1(true);
-        case Op::CmpNE8:
-        case Op::CmpNE16:
-        case Op::CmpNE32:
-        case Op::CmpNE64:
+        case OpFam::CmpNE:
           return SB.constI1(false);
         default:
           break;

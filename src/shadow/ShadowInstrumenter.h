@@ -52,6 +52,7 @@ public:
 protected:
   using Expr = ir::Expr;
   using Op = ir::Op;
+  using OpFam = ir::OpFam;
   using Stmt = ir::Stmt;
   using Ty = ir::Ty;
 
@@ -87,89 +88,31 @@ protected:
     return SB.rdTmp(SB.wrTmp(E));
   }
 
-  static Op orOp(Ty T) {
-    switch (T) {
-    case Ty::I8:
-      return Op::Or8;
-    case Ty::I16:
-      return Op::Or16;
-    case Ty::I32:
-      return Op::Or32;
-    default:
-      return Op::Or64;
-    }
-  }
-  static Op cmpNEZOp(Ty T) {
-    switch (T) {
-    case Ty::I8:
-      return Op::CmpNEZ8;
-    case Ty::I16:
-      return Op::CmpNEZ16;
-    case Ty::I32:
-      return Op::CmpNEZ32;
-    default:
-      return Op::CmpNEZ64;
-    }
-  }
-
   /// UifU: dirty if either input is (paper Figure 2, "shadow addl 1/3").
-  Expr *uifu(Ty T, Expr *A, Expr *B) { return atom(SB.binop(orOp(T), A, B)); }
+  Expr *uifu(Ty T, Expr *A, Expr *B) {
+    return atom(SB.binop(ir::opFor(OpFam::Or, T), A, B));
+  }
 
-  /// PCast: if any input bit is dirty, every output bit is.
+  /// PCast: if any input bit is dirty, every output bit is. The dirty bit
+  /// C becomes all ones as Neg(U1toN(C)); with no U1to16, I16 takes I32's
+  /// and truncates.
   Expr *pcast(Ty From, Ty To, Expr *V) {
-    Expr *C = From == Ty::I1 ? V : atom(SB.unop(cmpNEZOp(From), V));
-    switch (To) {
-    case Ty::I1:
+    Expr *C =
+        From == Ty::I1 ? V : atom(SB.unop(ir::opFor(OpFam::CmpNEZ, From), V));
+    if (To == Ty::I1)
       return C;
-    case Ty::I8: {
-      Expr *W = atom(SB.unop(Op::U1to8, C));
-      return atom(SB.unop(Op::Neg8, W));
-    }
-    case Ty::I16: {
-      Expr *W32 = atom(SB.unop(Op::U1to32, C));
-      Expr *N32 = atom(SB.unop(Op::Neg32, W32));
-      return atom(SB.unop(Op::T32to16, N32));
-    }
-    case Ty::I32: {
-      Expr *W = atom(SB.unop(Op::U1to32, C));
-      return atom(SB.unop(Op::Neg32, W));
-    }
-    case Ty::I64:
-    case Ty::F64: {
-      Expr *W = atom(SB.unop(Op::U1to64, C));
-      return atom(SB.unop(Op::Neg64, W));
-    }
-    }
-    unreachable("pcast: bad target type");
+    Ty W = To == Ty::I16 ? Ty::I32 : To;
+    Op Widen = W == Ty::I8 ? Op::U1to8 : W == Ty::I32 ? Op::U1to32 : Op::U1to64;
+    Expr *N = atom(SB.unop(ir::opFor(OpFam::Neg, W), atom(SB.unop(Widen, C))));
+    return To == Ty::I16 ? atom(SB.unop(Op::T32to16, N)) : N;
   }
 
   /// Zero/sign extensions and truncations: the same conversion applied to
   /// the shadow keeps every shadow bit with its guest bit.
   static bool isWidthConversion(Op O) {
-    switch (O) {
-    case Op::U1to8:
-    case Op::U1to32:
-    case Op::U1to64:
-    case Op::U8to16:
-    case Op::U8to32:
-    case Op::S8to32:
-    case Op::U8to64:
-    case Op::U16to32:
-    case Op::S16to32:
-    case Op::U16to64:
-    case Op::U32to64:
-    case Op::S32to64:
-    case Op::T16to8:
-    case Op::T32to8:
-    case Op::T32to16:
-    case Op::T64to32:
-    case Op::T64HIto32:
-    case Op::T32to1:
-    case Op::T64to1:
-      return true;
-    default:
-      return false;
-    }
+    OpFam F = ir::opFam(O);
+    return F == OpFam::ZExt || F == OpFam::SExt || F == OpFam::Trunc ||
+           F == OpFam::T64HIto32;
   }
 
   /// The selected arm's shadow, dirtied wholesale by a dirty condition.

@@ -131,24 +131,11 @@ public:
 private:
   friend ShadowInstrumenter;
 
-  static Op negOp(Ty T) {
-    switch (T) {
-    case Ty::I8:
-      return Op::Neg8;
-    case Ty::I16:
-      return Op::Neg16;
-    case Ty::I32:
-      return Op::Neg32;
-    default:
-      return Op::Neg64;
-    }
-  }
-
   /// Left: smear undefinedness towards the MSB — Or(x, Neg(x)) (Figure 2,
   /// "shadow addl 2/3 and 3/3": carries propagate leftward).
   Expr *left(Ty T, Expr *V) {
-    Expr *N = atom(SB.unop(negOp(T), V));
-    return atom(SB.binop(orOp(T), V, N));
+    Expr *N = atom(SB.unop(opFor(OpFam::Neg, T), V));
+    return atom(SB.binop(opFor(OpFam::Or, T), V, N));
   }
 
   /// Shadow for a unary operation.
@@ -158,20 +145,13 @@ private:
     // sign bit).
     if (isWidthConversion(O))
       return atom(SB.unop(O, V));
-    switch (O) {
-    case Op::Not8:
-    case Op::Not16:
-    case Op::Not32:
-    case Op::Not64:
-    case Op::NegF64: // sign-bit flip: V-bits unchanged
-    case Op::AbsF64:
-    case Op::ReinterpF64asI64:
-    case Op::ReinterpI64asF64:
+    switch (opFam(O)) {
+    case OpFam::Not:
+    case OpFam::NegF64: // sign-bit flip: V-bits unchanged
+    case OpFam::AbsF64:
+    case OpFam::Reinterp:
       return V;
-    case Op::Neg8:
-    case Op::Neg16:
-    case Op::Neg32:
-    case Op::Neg64:
+    case OpFam::Neg:
       return left(opResultTy(O), V);
     default:
       // CmpNEZ, int/FP conversions, sqrt: PCast.
@@ -183,47 +163,21 @@ private:
   Expr *shadowBinop(const Expr *D, Expr *V1, Expr *V2) {
     Op O = D->Opc;
     Ty RT = shTy(opResultTy(O));
-    switch (O) {
-    case Op::And8:
-    case Op::And16:
-    case Op::And32:
-    case Op::And64:
-    case Op::Or8:
-    case Op::Or16:
-    case Op::Or32:
-    case Op::Or64:
-    case Op::Xor8:
-    case Op::Xor16:
-    case Op::Xor32:
-    case Op::Xor64:
+    switch (opFam(O)) {
+    case OpFam::And:
+    case OpFam::Or:
+    case OpFam::Xor:
       return uifu(RT, V1, V2);
-    case Op::Add8:
-    case Op::Add16:
-    case Op::Add32:
-    case Op::Add64:
-    case Op::Sub8:
-    case Op::Sub16:
-    case Op::Sub32:
-    case Op::Sub64:
-    case Op::Mul8:
-    case Op::Mul16:
-    case Op::Mul32:
-    case Op::Mul64:
-    case Op::Add8x4:
-    case Op::Sub8x4:
+    case OpFam::Add:
+    case OpFam::Sub:
+    case OpFam::Mul:
+    case OpFam::Add8x4:
+    case OpFam::Sub8x4:
+    case OpFam::CmpGT8Sx4:
       return left(RT, uifu(RT, V1, V2));
-    case Op::Shl8:
-    case Op::Shl16:
-    case Op::Shl32:
-    case Op::Shl64:
-    case Op::Shr8:
-    case Op::Shr16:
-    case Op::Shr32:
-    case Op::Shr64:
-    case Op::Sar8:
-    case Op::Sar16:
-    case Op::Sar32:
-    case Op::Sar64:
+    case OpFam::Shl:
+    case OpFam::Shr:
+    case OpFam::Sar:
       if (D->Arg[1]->isConst()) {
         // Constant shift: shift the V-bits identically.
         return atom(
@@ -233,10 +187,8 @@ private:
       // Variable shift: any undefinedness in the amount poisons all.
       return pcast(RT, RT,
                    uifu(RT, V1, pcast(Ty::I8, RT, V2)));
-    case Op::Concat32HLto64:
-      return atom(SB.binop(Op::Concat32HLto64, V1, V2));
-    case Op::CmpGT8Sx4:
-      return left(Ty::I32, uifu(Ty::I32, V1, V2));
+    case OpFam::Concat32HLto64:
+      return atom(SB.binop(O, V1, V2));
     default: {
       // Comparisons, divisions, widening multiplies, FP arithmetic: PCast
       // of the operands' combined V-bits.

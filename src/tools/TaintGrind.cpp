@@ -136,17 +136,9 @@ private:
     // leave them in place, and everything else PCasts.
     if (isWidthConversion(O))
       return atom(SB.unop(O, V));
-    switch (O) {
-    case Op::Not8:
-    case Op::Not16:
-    case Op::Not32:
-    case Op::Not64:
-    case Op::ReinterpF64asI64:
-    case Op::ReinterpI64asF64:
+    if (opFam(O) == OpFam::Not || opFam(O) == OpFam::Reinterp)
       return V;
-    default:
-      return pcast(shTy(opArgTy(O, 0)), shTy(opResultTy(O)), V);
-    }
+    return pcast(shTy(opArgTy(O, 0)), shTy(opResultTy(O)), V);
   }
 
   Expr *shadowBinop(const Expr *D, Expr *V1, Expr *V2) {

@@ -51,7 +51,7 @@ void epilogue(Assembler &C, GuestLibLabels &Lib) {
 void wlBzip2(Assembler &C, Assembler &D, GuestLibLabels &Lib,
              uint32_t Scale) {
   const uint32_t N = 4096;
-  C.movi(Reg::R1, N);
+  C.movi(Reg::R1, N + 3); // the word accesses at src[N-1] end 3 bytes on
   C.call(Lib.Malloc);
   C.mov(Reg::R6, Reg::R0); // src
   C.movi(Reg::R1, 2 * N + 16); // +16: the last 32-bit emit may overhang
@@ -151,6 +151,8 @@ void wlGcc(Assembler &C, Assembler &D, GuestLibLabels &Lib, uint32_t Scale) {
   std::mt19937 Rng(42);
   for (int I = 0; I != 256; ++I)
     D.emitU8(static_cast<uint8_t>(Rng() & 0xFF));
+  for (int I = 0; I != 3; ++I) // the last bytecode's word load ends here
+    D.emitU8(0);
   uint32_t ProgAddr = D.labelAddr(Prog);
 
   C.movi(Reg::R6, 1);  // a

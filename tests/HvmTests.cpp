@@ -14,6 +14,7 @@
 #include "ir/IR.h"
 #include "ir/IROpt.h"
 
+#include "OpEdgeValues.h"
 #include "RowInstances.h"
 
 #include <gtest/gtest.h>
@@ -431,31 +432,6 @@ TEST(Exec, PageStraddlingLoadsAndStores) {
 // Property sweep: every op agrees with evalOp through the whole back end
 //===----------------------------------------------------------------------===//
 
-/// Operand values that sit on the edges the handlers must get right:
-/// sign and width boundaries, shift counts of 32 and more, and F64 NaN
-/// payloads, signed zeros and infinities (as raw bits).
-const uint64_t EdgeValues[] = {
-    0,
-    1,
-    0x7FFFFFFFull,
-    0x80000000ull,
-    0xFFFFFFFFull,
-    1ull << 32,
-    ~0ull,
-    31,
-    32,
-    33,
-    63,
-    64,
-    255,
-    0x7FF8000000000001ull, // quiet NaN with a payload
-    0xFFF8000000000000ull, // negative quiet NaN
-    0x7FF0000000000001ull, // signalling NaN
-    0x8000000000000000ull, // -0.0
-    0x3FF0000000000000ull, // 1.0
-    0x7FF0000000000000ull, // +inf
-};
-
 /// How the back end sees the operands of one op instance.
 enum class Form {
   Reg,      ///< every operand a guest-state GET (ALU / ALU1)
@@ -564,7 +540,7 @@ TEST_P(OpProperty, BackEndMatchesEvaluator) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllOps, OpProperty,
-    ::testing::Range(0u, static_cast<unsigned>(Op::CmpGT8Sx4) + 1),
+    ::testing::Range(0u, NumOps),
     [](const ::testing::TestParamInfo<unsigned> &I) {
       return opName(static_cast<Op>(I.param));
     });

@@ -17,12 +17,17 @@
 /// those runs print. It is the gate for a change meant to emit exactly the
 /// same code; regenerate it only for an intended codegen change.
 ///
+/// OpIdentity pins every IR op's evaluation, both shadow tools' rules for
+/// it and the folder's identities on it, so that an op given the wrong
+/// family (ir::OpFam) shows even where no workload uses it.
+///
 //===----------------------------------------------------------------------===//
 
 #include "core/Core.h"
 #include "core/Translate.h"
 #include "guest/Assembler.h"
 #include "hvm/HostVM.h"
+#include "ir/IROpt.h"
 #include "ir/IRPrinter.h"
 #include "support/Hashing.h"
 #include "tools/ICnt.h"
@@ -32,6 +37,7 @@
 #include "workloads/Workloads.h"
 
 #include "GoldenFile.h"
+#include "OpEdgeValues.h"
 #include "gtest/gtest.h"
 
 #include <algorithm>
@@ -41,6 +47,7 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -345,6 +352,123 @@ TEST(IRGolden, PrinterPrimitives) {
   SB.put(vg1::gso::gpr(3) + vg1::gso::ShadowOffset, SB.rdTmp(T1));
   SB.put(vg1::gso::PC, SB.constI32(0x1234));
   checkGolden("printer_primitives", toString(SB, vg1OffsetName));
+}
+
+//===----------------------------------------------------------------------===//
+// Per-op identity
+//===----------------------------------------------------------------------===//
+
+/// FNV-1a of evalOp over every pair of edge values, raw or each truncated
+/// to its operand type.
+uint64_t evalHash(ir::Op O, bool Truncate) {
+  uint64_t H = FnvOffsetBasis;
+  for (uint64_t A : EdgeValues)
+    for (uint64_t B : EdgeValues) {
+      uint64_t V = Truncate ? ir::evalOp(O, ir::truncToTy(A, ir::opArgTy(O, 0)),
+                                         ir::truncToTy(B, ir::opArgTy(O, 1)))
+                            : ir::evalOp(O, A, B);
+      H = hashBytes(reinterpret_cast<const uint8_t *>(&V), sizeof(V), H);
+    }
+  return H;
+}
+
+/// A guest-state offset to GET operand \p Idx of type \p T from.
+uint32_t operandOffset(ir::Ty T, unsigned Idx) {
+  return T == ir::Ty::F64 ? gso::fpr(1 + Idx) : gso::gpr(1 + Idx);
+}
+
+/// The flat block "t0 = GET; [t1 = GET;] t = O(t0[, t1 or Amount])".
+void buildOpBlock(ir::IRSB &SB, ir::Op O, std::optional<uint8_t> Amount) {
+  using namespace vg::ir;
+  Expr *A = SB.rdTmp(SB.wrTmp(SB.get(operandOffset(opArgTy(O, 0), 0),
+                                     opArgTy(O, 0))));
+  if (opArity(O) == 1) {
+    SB.wrTmp(SB.unop(O, A));
+  } else {
+    Expr *B = Amount ? SB.constI8(*Amount)
+                     : SB.rdTmp(SB.wrTmp(SB.get(
+                           operandOffset(opArgTy(O, 1), 1), opArgTy(O, 1))));
+    SB.wrTmp(SB.binop(O, A, B));
+  }
+  SB.setNext(SB.constI32(0), JumpKind::Boring);
+}
+
+/// Both shadow tools' Phase 3 output for O's block.
+std::string shadowRules(ir::Op O, std::optional<uint8_t> Amount) {
+  std::string Out;
+  for (int Which = 0; Which != 2; ++Which) {
+    ir::IRSB SB;
+    buildOpBlock(SB, O, Amount);
+    if (Which == 0)
+      Memcheck().instrument(SB);
+    else
+      TaintGrind().instrument(SB);
+    Out += std::string("-- ") + (Which == 0 ? "memcheck" : "taintgrind") +
+           (Amount ? " (constant amount)" : "") + "\n" +
+           ir::toString(SB, ir::vg1OffsetName);
+  }
+  return Out;
+}
+
+/// optimise1's output for O applied to the operands \p Ops, each a
+/// constant or (none) a tmp read from the guest state, its result PUT.
+std::string foldOp(ir::Op O, std::vector<std::optional<uint64_t>> Ops) {
+  using namespace vg::ir;
+  IRSB SB;
+  TmpId T0 = NoTmp;
+  std::vector<Expr *> Args;
+  for (unsigned I = 0; I != Ops.size(); ++I) {
+    if (Ops[I]) {
+      Args.push_back(SB.mkConst(opArgTy(O, I), *Ops[I]));
+      continue;
+    }
+    if (T0 == NoTmp)
+      T0 = SB.wrTmp(SB.get(operandOffset(opArgTy(O, I), 0), opArgTy(O, I)));
+    Args.push_back(SB.rdTmp(T0));
+  }
+  Expr *E = Args.size() == 1 ? SB.unop(O, Args[0])
+                             : SB.binop(O, Args[0], Args[1]);
+  SB.put(gso::gpr(3), SB.rdTmp(SB.wrTmp(E)));
+  SB.setNext(SB.constI32(0), JumpKind::Boring);
+  optimise1(SB, nullptr);
+  return toString(SB, vg1OffsetName);
+}
+
+/// Every op's evaluation, both shadow tools' rules and the folder's
+/// identities, so that grouping an op into the wrong family shows.
+TEST(IRGolden, OpIdentity) {
+  using namespace vg::ir;
+  std::string Out;
+  for (unsigned I = 0; I != NumOps; ++I) {
+    Op O = static_cast<Op>(I);
+    char Buf[80];
+    std::snprintf(Buf, sizeof(Buf), "eval raw=%016" PRIx64
+                  " trunc=%016" PRIx64 "\n",
+                  evalHash(O, false), evalHash(O, true));
+    Out += std::string("== ") + opName(O) + " ==\n" + Buf;
+    Out += shadowRules(O, std::nullopt);
+    bool Shift = false;
+    for (const char *P : {"Shl", "Shr", "Sar"})
+      Shift |= std::strncmp(opName(O), P, 3) == 0;
+    if (Shift)
+      Out += shadowRules(O, 3);
+    Ty TA = opArgTy(O, 0), TB = opArgTy(O, 1);
+    for (uint64_t C : {0ull, 1ull, ~0ull}) {
+      Out += "-- fold, constant " + std::to_string(truncToTy(C, TA)) + "\n";
+      if (opArity(O) == 1) {
+        Out += foldOp(O, {C});
+        continue;
+      }
+      Out += foldOp(O, {std::nullopt, C});
+      Out += foldOp(O, {C, std::nullopt});
+    }
+    if (opArity(O) == 1) {
+      Out += "-- fold, tmp\n" + foldOp(O, {std::nullopt});
+    } else if (TA == TB) {
+      Out += "-- fold, same tmp\n" + foldOp(O, {std::nullopt, std::nullopt});
+    }
+  }
+  checkGolden("ir_ops", Out);
 }
 
 //===----------------------------------------------------------------------===//

@@ -15,6 +15,8 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 using namespace vg;
 using namespace vg::ir;
 
@@ -208,11 +210,35 @@ TEST(IR, ForEachExprVisitsSlotsInOrderAndSkipsNulls) {
 
 TEST(IR, OpMetadataConsistency) {
   // Every op's evaluator result fits its declared result type.
-  for (unsigned O = 0; O <= static_cast<unsigned>(Op::CmpGT8Sx4); ++O) {
+  for (unsigned O = 0; O != NumOps; ++O) {
     Op TheOp = static_cast<Op>(O);
     uint64_t V = evalOp(TheOp, 0x123456789ABCDEFull, 0x3);
     EXPECT_EQ(V, truncToTy(V, opResultTy(TheOp))) << opName(TheOp);
   }
+}
+
+TEST(IR, OpFamilies) {
+  // opFor finds every op of a family with one op per operand width; a
+  // single-width family has one op, the reinterprets one each way.
+  std::map<OpFam, unsigned> Members;
+  for (unsigned O = 0; O != NumOps; ++O) {
+    Op TheOp = static_cast<Op>(O);
+    OpFam F = opFam(TheOp);
+    ++Members[F];
+    if (F != OpFam::ZExt && F != OpFam::SExt && F != OpFam::Trunc &&
+        F != OpFam::Reinterp) {
+      EXPECT_EQ(opFor(F, opArgTy(TheOp, 0)), TheOp) << opName(TheOp);
+    }
+    if (!isMultiWidth(F)) {
+      EXPECT_EQ(Members[F],
+                TheOp == Op::ReinterpI64asF64 ? 2u : 1u)
+          << opName(TheOp);
+    }
+  }
+  EXPECT_EQ(opFor(OpFam::Or, Ty::I1), Op::Or64);
+  EXPECT_EQ(opFor(OpFam::CmpNEZ, Ty::F64), Op::CmpNEZ64);
+  EXPECT_EQ(opFor(OpFam::Neg, Ty::I64), Op::Neg64);
+  EXPECT_EQ(opFor(OpFam::Neg, Ty::I16), Op::Neg16);
 }
 
 TEST(IR, EvalOpSpotChecks) {

@@ -24,10 +24,11 @@
 #include "GoldenFile.h"
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <regex>
 #include <sstream>
 #include <string>
 #include <unistd.h>
@@ -37,13 +38,23 @@ namespace fs = std::filesystem;
 
 namespace {
 
+/// The length of the decimal "<digits>.<digits>" at \p Pos of \p S, or 0.
+size_t decimalAt(const std::string &S, size_t Pos) {
+  auto Digits = [&S](size_t P) {
+    return std::min(S.find_first_not_of("0123456789", P), S.size()) - P;
+  };
+  size_t Int = Digits(Pos);
+  if (Int == 0 || S.compare(Pos + Int, 1, ".") != 0)
+    return 0;
+  size_t Frac = Digits(Pos + Int + 1);
+  return Frac == 0 ? 0 : Int + 1 + Frac;
+}
+
 /// Replaces the wall-clock figures of a report with '*': every "...us"
 /// value, and in the phase and hot-block tables every decimal column (the
 /// phase total and mean, the hot blocks' xlate(us)) together with its
 /// padding, whose width follows the number.
 std::string maskTimings(const std::string &Report) {
-  static const std::regex Micros("[0-9]+\\.[0-9]+us");
-  static const std::regex Column(" +[0-9]+\\.[0-9]+");
   std::istringstream In(Report);
   std::string Out, Line;
   bool TimedTable = false;
@@ -51,8 +62,27 @@ std::string maskTimings(const std::string &Report) {
     if (Line.rfind("== profile: ", 0) == 0)
       TimedTable = Line.find("translation phases") != std::string::npos ||
                    Line.find("hot blocks") != std::string::npos;
-    Out += TimedTable ? std::regex_replace(Line, Column, " *")
-                      : std::regex_replace(Line, Micros, "*us");
+    // A figure starts a run of digits ("...us"), or follows a run of
+    // spaces (a table column); any other run is copied whole.
+    const char *Run = TimedTable ? " " : "0123456789";
+    for (size_t I = 0; I != Line.size();) {
+      if (!std::strchr(Run, Line[I])) {
+        Out += Line[I++];
+        continue;
+      }
+      size_t End = std::min(Line.find_first_not_of(Run, I), Line.size());
+      size_t Len = decimalAt(Line, TimedTable ? End : I);
+      if (TimedTable && Len) {
+        Out += " *";
+        I = End + Len;
+      } else if (!TimedTable && Len && Line.compare(I + Len, 2, "us") == 0) {
+        Out += "*us";
+        I += Len + 2;
+      } else {
+        Out.append(Line, I, End - I);
+        I = End;
+      }
+    }
     Out += '\n';
   }
   return Out;
