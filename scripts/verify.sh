@@ -1,9 +1,11 @@
 #!/usr/bin/env sh
-# Tier-1 verification: configure, build, run the full test suite, then
-# smoke-run the dispatcher and slow-down benches (a crash or a hang here
-# is a regression even when the unit tests pass). The benches that write
-# a BENCH_*.json run from build/, so the run leaves the working tree as it
-# found it; it fails if `git status` differs at the end.
+# Tier-1 verification: configure, build, run the full test suite (whose
+# fuzz label runs the 200-program vgfuzz campaign, the planted-bug
+# self-test and the corpus replay), then smoke-run the dispatcher and
+# slow-down benches (a crash or a hang here is a regression even when the
+# unit tests pass). The benches that write a BENCH_*.json run from build/,
+# so the run leaves the working tree as it found it; it fails if
+# `git status` differs at the end.
 #
 #   --fuzz-soak   additionally run the full differential-fuzzing soak
 #                 (the 2000-iteration acceptance campaign plus forced
@@ -125,14 +127,6 @@ echo "== smoke: sec54_hostcode (executed host-code mix) =="
 # handler, or if either tool's dispatches per guest instruction rise above
 # their ceiling (a superinstruction row undone).
 ./build/bench/sec54_hostcode
-
-echo "== smoke: vgfuzz (differential fuzzing) =="
-# Short deterministic campaign + the planted-bug self-test. Honours
-# VG_SOAK_QUICK like the scheduler soak: quick mode trims the campaign.
-FUZZ_ITERS=200
-[ "${VG_SOAK_QUICK:-0}" = "1" ] && FUZZ_ITERS=50
-./build/src/vgfuzz --iters="$FUZZ_ITERS" --seed=1 --quiet
-./build/src/vgfuzz --self-test --seed=1 --quiet
 
 echo "== smoke: ThreadSanitizer (concurrency label) =="
 # The only tests that still start host threads: concurrent --tt-cache

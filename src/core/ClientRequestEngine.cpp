@@ -10,11 +10,7 @@
 using namespace vg;
 
 void ClientRequestEngine::handle(ThreadState &TS) {
-  uint32_t RawCode = TS.gpr(0);
-  // Legacy flat core/allocator codes become their canonical tagged
-  // equivalents; everything else (tagged, tool-space, unknown) passes
-  // through untouched.
-  uint32_t Code = vgNormalizeRequest(RawCode);
+  uint32_t Code = TS.gpr(0);
   uint32_t Args[4] = {TS.gpr(1), TS.gpr(2), TS.gpr(3), TS.gpr(4)};
   uint32_t Result = 0;
 
@@ -74,11 +70,10 @@ void ClientRequestEngine::handle(ThreadState &TS) {
     Result = clientRealloc(TS.Tid, Args[0], Args[1]);
     break;
   default:
-    // Not a core request: offer the tool the code exactly as the guest
-    // issued it (tools service both their tagged namespace and their
-    // legacy CrToolBase aliases themselves).
+    // Not a core request: offer it to the tool, which services its own
+    // tagged namespace.
     if (C.ToolPlugin &&
-        C.ToolPlugin->handleClientRequest(TS.Tid, RawCode, Args, Result))
+        C.ToolPlugin->handleClientRequest(TS.Tid, Code, Args, Result))
       break;
     ++UnknownRequests;
     Result = 0; // unknown requests read as 0, like native CLREQ

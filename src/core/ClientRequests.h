@@ -19,14 +19,6 @@
 /// tool's Tool::handleClientRequest(); unrecognised requests return 0 and
 /// are counted, never fatal.
 ///
-/// Compatibility: the original flat code space (0x1001-0x1006 core
-/// requests, 0x2001-0x2004 allocator requests, and CrToolBase=0x10000 tool
-/// codes) predates the tag encoding. Those raw values are still accepted —
-/// the engine normalises the legacy core/allocator codes to their
-/// canonical tagged equivalents before dispatch, and tools keep alias
-/// cases for their old CrToolBase-relative values. The CrLegacy* constants
-/// below exist so the regression tests can pin that promise.
-///
 //===----------------------------------------------------------------------===//
 #ifndef VG_CORE_CLIENTREQUESTS_H
 #define VG_CORE_CLIENTREQUESTS_H
@@ -76,58 +68,6 @@ enum ClientRequest : uint32_t {
   CrCalloc = vgRequest(CrCoreTag, 0x0103),  ///< arg1=n, arg2=sz -> zeroed
   CrRealloc = vgRequest(CrCoreTag, 0x0104), ///< arg1=addr, arg2=newsize
 };
-
-/// Pre-namespacing raw codes, still accepted at runtime (normalised to the
-/// canonical codes above by ClientRequestEngine). New code should use the
-/// tagged constants; these exist for old guest binaries and the
-/// compatibility regression tests.
-enum LegacyClientRequest : uint32_t {
-  CrLegacyDiscardTranslations = 0x1001,
-  CrLegacyStackRegister = 0x1002,
-  CrLegacyStackDeregister = 0x1003,
-  CrLegacyStackChange = 0x1004,
-  CrLegacyPrint = 0x1005,
-  CrLegacyRunningOnValgrind = 0x1006,
-  CrLegacyMalloc = 0x2001,
-  CrLegacyFree = 0x2002,
-  CrLegacyCalloc = 0x2003,
-  CrLegacyRealloc = 0x2004,
-};
-
-/// First code of the legacy flat tool space. Tools that shipped requests
-/// as CrToolBase+N keep accepting those values as aliases of their tagged
-/// codes; new tool requests should be vgRequest(vgToolTag(...), N).
-constexpr uint32_t CrToolBase = 0x10000;
-
-/// Normalises a legacy flat core/allocator code to its canonical tagged
-/// equivalent; any other code (tagged, tool-space, or unknown) passes
-/// through unchanged.
-constexpr uint32_t vgNormalizeRequest(uint32_t Code) {
-  switch (Code) {
-  case CrLegacyDiscardTranslations:
-    return CrDiscardTranslations;
-  case CrLegacyStackRegister:
-    return CrStackRegister;
-  case CrLegacyStackDeregister:
-    return CrStackDeregister;
-  case CrLegacyStackChange:
-    return CrStackChange;
-  case CrLegacyPrint:
-    return CrPrint;
-  case CrLegacyRunningOnValgrind:
-    return CrRunningOnValgrind;
-  case CrLegacyMalloc:
-    return CrMalloc;
-  case CrLegacyFree:
-    return CrFree;
-  case CrLegacyCalloc:
-    return CrCalloc;
-  case CrLegacyRealloc:
-    return CrRealloc;
-  default:
-    return Code;
-  }
-}
 
 } // namespace vg
 

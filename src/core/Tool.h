@@ -49,8 +49,9 @@ public:
   /// directly; returning null makes every probe punt to the helper call.
   virtual ShadowMap *shadowMap() { return nullptr; }
 
-  /// Tool client requests (codes >= 0x10000 are tool space). Returns true
-  /// if the request was recognised.
+  /// Tool client requests: every code outside the core's 'C','R'
+  /// namespace, as the guest issued it. Returns true if the request was
+  /// recognised.
   virtual bool handleClientRequest(int Tid, uint32_t Code,
                                    const uint32_t Args[4],
                                    uint32_t &Result) {

@@ -16,7 +16,7 @@
 ///
 /// Condition codes use a lazy thunk (CC_OP/CC_DEP1/CC_DEP2) exactly as
 /// Valgrind models x86 %eflags; conditional branches call a clean helper
-/// which the optimiser can partially evaluate via specFn().
+/// which the optimiser can partially evaluate via vg1SpecFn().
 ///
 /// The architecture-specific CPUINFO instruction is not modelled in IR;
 /// it becomes an annotated dirty helper call (Section 3.6's cpuid

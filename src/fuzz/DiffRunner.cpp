@@ -3,6 +3,7 @@
 #include "fuzz/DiffRunner.h"
 
 #include "server/TransServer.h"
+#include "support/Errors.h"
 #include "tools/ICnt.h"
 #include "tools/Memcheck.h"
 #include "tools/ToolFactory.h"
@@ -10,6 +11,7 @@
 #include <atomic>
 #include <filesystem>
 #include <memory>
+#include <optional>
 #include <sstream>
 
 #include <unistd.h>
@@ -32,11 +34,11 @@ std::string brief(const std::string &S) {
 }
 
 void compareReports(const RunReport &Oracle, const RunReport &Got,
-                    const FuzzConfig &C, const ICnt *Counter,
-                    const Memcheck *Mc, bool Smc, bool Signals,
+                    const FuzzConfig &C, const std::string &Name,
+                    const Tool *T, const FuzzProgram &P,
                     std::vector<Divergence> &Out) {
   auto div = [&](const char *Field, std::string E, std::string G) {
-    Out.push_back({C.Name, Field, std::move(E), std::move(G)});
+    Out.push_back({Name, Field, std::move(E), std::move(G)});
   };
   if (Oracle.Completed != Got.Completed)
     div("completed", Oracle.Completed ? "completed" : "did-not-complete",
@@ -53,137 +55,95 @@ void compareReports(const RunReport &Oracle, const RunReport &Got,
   // Tool invariants — only meaningful when both runs completed.
   if (!Oracle.Completed || !Got.Completed)
     return;
-  if (C.CheckInsnCount && Counter && !Signals) {
-    // Signal programs execute handler instructions only under the core, so
-    // the equality only holds for signal-free programs.
-    if (Counter->count() != Oracle.NativeInsns)
-      div("icnt", std::to_string(Oracle.NativeInsns),
-          std::to_string(Counter->count()));
-  }
-  if (C.CheckMemcheckClean && Mc && Mc->uniqueErrors() != 0)
+  // Signal programs execute handler instructions only under the core, so
+  // the count equality only holds for signal-free programs.
+  const ICnt *Counter = dynamic_cast<const ICnt *>(T);
+  if (Counter && !P.Signals && Counter->count() != Oracle.NativeInsns)
+    div("icnt", std::to_string(Oracle.NativeInsns),
+        std::to_string(Counter->count()));
+  const Memcheck *Mc = dynamic_cast<const Memcheck *>(T);
+  if (Mc && Mc->uniqueErrors() != 0)
     div("mc-errors", "0", std::to_string(Mc->uniqueErrors()));
-  if (Smc && C.CheckSmcRetrans && Got.Stats.SmcRetranslations == 0)
+  if (P.Smc && checksSmcRetrans(C) && Got.Stats.SmcRetranslations == 0)
     div("smc", ">=1 retranslation", "0");
 }
 
 } // namespace
 
+bool vg::fuzz::checksSmcRetrans(const FuzzConfig &C) {
+  for (const std::string &O : C.Opts)
+    if (O.rfind("--hot-threshold", 0) == 0 ||
+        O.rfind("--fault-inject", 0) == 0)
+      return false;
+  return true;
+}
+
 std::vector<FuzzConfig> vg::fuzz::defaultMatrix(const FuzzProgram &P) {
-  std::vector<FuzzConfig> M;
-  // The paper's unchained dispatcher (Section 3.9) stays under the oracle;
-  // cells without a --chaining flag run the chained default.
-  M.push_back({"nulgrind", "nulgrind", {"--chaining=no"}, false, false});
-  M.push_back({"nulgrind-noopt", "nulgrind", {"--no-iropt"}, false, false});
-  M.push_back({"nulgrind-chain",
-               "nulgrind",
-               {"--chaining=yes", "--hot-threshold=2"},
-               false,
-               false,
-               /*CheckSmcRetrans=*/false});
-  M.push_back({"nulgrind-verify", "nulgrind", {"--verify-ir"}, false, false});
-  {
-    // Scheduler fuzzing: only observation-neutral fault kinds (preempts,
-    // translation-table flushes, and signal storms when handlers exist —
-    // anything else perturbs guest-visible results by design).
-    std::ostringstream Spec;
-    Spec << "--fault-inject=preempt:20,ttflush:50"; // rates are 1-in-N
-    if (P.Signals)
-      Spec << ",sigstorm:20";
-    Spec << ",seed=" << (P.Seed ^ 0xFA01Du);
-    // No SMC-retranslation assertion here: an injected ttflush between the
-    // patch and the re-execution retranslates from the patched bytes, so
-    // the SmcFail path (correctly) never fires.
-    M.push_back({"nulgrind-fault", "nulgrind", {Spec.str()}, false, false,
-                 /*CheckSmcRetrans=*/false});
-  }
+  // Scheduler fuzzing: only observation-neutral fault kinds (preempts,
+  // translation-table flushes, and signal storms when handlers exist —
+  // anything else perturbs guest-visible results by design); rates are
+  // 1-in-N.
+  std::ostringstream Fault;
+  Fault << "--fault-inject=preempt:20,ttflush:50"
+        << (P.Signals ? ",sigstorm:20" : "")
+        << ",seed=" << (P.Seed ^ 0xFA01Du);
+  using Opts = std::vector<std::string>;
+  const Opts Hot2 = {"--chaining=yes", "--hot-threshold=2"};
+  const Opts Hot3 = {"--chaining=yes", "--hot-threshold=3"};
   // Trace tier: aggressive thresholds so fuzz-sized loops actually stitch
-  // traces. Same SMC waiver as the hot cell — a trace formed after
-  // the patch was translated from the patched bytes, so SmcFail may
-  // legitimately never fire.
-  M.push_back({"nulgrind-traces",
-               "nulgrind",
-               {"--chaining=yes", "--hot-threshold=2", "--trace-tier=yes",
-                "--trace-threshold=8"},
-               false,
-               false,
-               /*CheckSmcRetrans=*/false});
-  M.push_back({"icnt", "icnt", {}, true, false});
-  M.push_back({"icntc", "icntc", {"--chaining=yes"}, true, false});
-  M.push_back({"memcheck",
-               "memcheck",
-               {"--chaining=yes", "--hot-threshold=3"},
-               false,
-               true,
-               /*CheckSmcRetrans=*/false});
-  M.push_back({"memcheck-traces",
-               "memcheck",
-               {"--chaining=yes", "--hot-threshold=2", "--trace-tier=yes",
-                "--trace-threshold=8"},
-               false,
-               true,
-               /*CheckSmcRetrans=*/false});
-  M.push_back({"cachegrind", "cachegrind", {}, false, false});
-  M.push_back({"taintgrind", "taintgrind", {}, false, false});
-  // Client-request cell: requests end blocks with JumpKind::ClientReq, and
-  // the ClReq/ClReqCore/ClReqTool atoms put them in every program, so this
-  // cell drives them across every tier boundary at once — chained blocks,
-  // hot promotion, and trace stitching. The JIT and the RefInterp oracle
-  // must agree on every request's result.
-  M.push_back({"nulgrind-creq",
-               "nulgrind",
-               {"--chaining=yes", "--hot-threshold=2", "--trace-tier=yes",
-                "--trace-threshold=8"},
-               false,
-               false,
-               /*CheckSmcRetrans=*/false});
-  // Loopgrind: its entry dirty call rides inside every translation, and
-  // the LG-tagged atoms flip collection on and off mid-program. Guest-
-  // visible state must be bit-identical to the oracle regardless.
-  M.push_back({"loopgrind",
-               "loopgrind",
-               {"--chaining=yes", "--hot-threshold=2", "--trace-tier=yes",
-                "--trace-threshold=8"},
-               false,
-               false,
-               /*CheckSmcRetrans=*/false});
-  // Persistent translation cache: cold run writes, warm run installs the
-  // deserialized translations — both must match the oracle bit for bit.
-  // (SMC programs get --smc-check=all below, which marks every block
-  // non-cacheable; the cells then degenerate to plain double runs, still
-  // divergence-checked.)
-  M.push_back({"nulgrind-cache",
-               "nulgrind",
-               {"--chaining=yes", "--hot-threshold=2"},
-               false,
-               false,
-               /*CheckSmcRetrans=*/false,
-               /*CacheTwice=*/true});
-  M.push_back({"memcheck-cache",
-               "memcheck",
-               {"--chaining=yes", "--hot-threshold=3"},
-               false,
-               true,
-               /*CheckSmcRetrans=*/false,
-               /*CacheTwice=*/true});
-  // Translation server: same double-run shape as the cache cells, but the
-  // translations travel through a live in-process vgserve daemon — cold run
-  // warms it via write-back PUTs, warm run installs over the socket after
-  // full client-side re-validation.
-  M.push_back({"nulgrind-served",
-               "nulgrind",
-               {"--chaining=yes", "--hot-threshold=2"},
-               false,
-               false,
-               /*CheckSmcRetrans=*/false,
-               /*CacheTwice=*/false,
-               /*ServeTwice=*/true});
+  // traces.
+  const Opts Traces = {"--chaining=yes", "--hot-threshold=2",
+                       "--trace-tier=yes", "--trace-threshold=8"};
+  std::vector<FuzzConfig> M = {
+      // The paper's unchained dispatcher (Section 3.9) stays under the
+      // oracle; cells without a --chaining flag run the chained default.
+      {"nulgrind", "nulgrind", {"--chaining=no"}},
+      {"nulgrind-noopt", "nulgrind", {"--no-iropt"}},
+      {"nulgrind-chain", "nulgrind", Hot2},
+      {"nulgrind-verify", "nulgrind", {"--verify-ir"}},
+      {"nulgrind-fault", "nulgrind", {Fault.str()}},
+      {"nulgrind-traces", "nulgrind", Traces},
+      {"icnt", "icnt", {}},
+      {"icntc", "icntc", {"--chaining=yes"}},
+      {"memcheck", "memcheck", Hot3},
+      {"memcheck-traces", "memcheck", Traces},
+      {"cachegrind", "cachegrind", {}},
+      {"taintgrind", "taintgrind", {}},
+      // Client-request cell: requests end blocks with JumpKind::ClientReq,
+      // and the ClReq/ClReqCore/ClReqTool atoms put them in every program,
+      // so this cell drives them across every tier boundary at once —
+      // chained blocks, hot promotion, and trace stitching. The JIT and the
+      // RefInterp oracle must agree on every request's result.
+      {"nulgrind-creq", "nulgrind", Traces},
+      // Loopgrind: its entry dirty call rides inside every translation, and
+      // the LG-tagged atoms flip collection on and off mid-program. Guest-
+      // visible state must be bit-identical to the oracle regardless.
+      {"loopgrind", "loopgrind", Traces},
+      // Persistent translation cache. SMC programs get --smc-check=all
+      // below, which marks every block non-cacheable; the cells then
+      // degenerate to plain double runs, still divergence-checked.
+      {"nulgrind-cache", "nulgrind", Hot2, RunMode::CacheTwice},
+      {"memcheck-cache", "memcheck", Hot3, RunMode::CacheTwice},
+      {"nulgrind-served", "nulgrind", Hot2, RunMode::ServeTwice},
+  };
   if (P.Smc)
     for (FuzzConfig &C : M)
       C.Opts.push_back("--smc-check=all");
   return M;
 }
 
-/// A unique scratch directory per cache cell: fuzz processes run in
+FuzzConfig vg::fuzz::cellFor(const FuzzProgram &P, const Divergence &D) {
+  std::vector<FuzzConfig> M = defaultMatrix(P);
+  if (D.Config == "oracle")
+    return M.front();
+  for (const FuzzConfig &C : M)
+    if (D.Config == C.Name ||
+        (C.Mode != RunMode::Once && D.Config == C.Name + "-warm"))
+      return C;
+  fatalError(("no fuzz matrix cell is named '" + D.Config + "'").c_str());
+}
+
+/// A unique scratch directory per two-run cell: fuzz processes run in
 /// parallel under ctest, so the name carries the pid, and diffRun is
 /// re-entered per iteration, so it also carries a process-wide counter.
 static std::string freshCacheDir() {
@@ -198,60 +158,45 @@ static std::string freshCacheDir() {
 static void runOne(const FuzzProgram &P, const GuestImage &Img,
                    const RunReport &Oracle, const FuzzConfig &C,
                    std::vector<Divergence> &Out) {
-  std::string CacheDir;
-  std::string ServerSock;
-  auto runAs = [&](const FuzzConfig &Cell) {
-    std::unique_ptr<Tool> T = makeTool(Cell.ToolName);
+  std::vector<std::string> Opts = C.Opts;
+  auto runAs = [&](const std::string &Name) {
+    std::unique_ptr<Tool> T = makeTool(C.ToolName);
     if (!T) {
-      Out.push_back({Cell.Name, "config", "known tool", Cell.ToolName});
+      Out.push_back({Name, "config", "known tool", C.ToolName});
       return;
     }
-    std::vector<std::string> Opts = Cell.Opts;
-    if (!CacheDir.empty())
-      Opts.push_back("--tt-cache=" + CacheDir);
-    if (!ServerSock.empty())
-      Opts.push_back("--tt-server=" + ServerSock);
     RunReport Got =
         runUnderCore(Img, T.get(), Opts, P.StdinData, CoreMaxBlocks);
-    const ICnt *Counter = dynamic_cast<const ICnt *>(T.get());
-    const Memcheck *Mc = dynamic_cast<const Memcheck *>(T.get());
-    compareReports(Oracle, Got, Cell, Counter, Mc, P.Smc, P.Signals, Out);
+    compareReports(Oracle, Got, C, Name, T.get(), P, Out);
   };
-  if (C.ServeTwice) {
-    std::string Dir = freshCacheDir();
+  if (C.Mode == RunMode::Once) {
+    runAs(C.Name);
+    return;
+  }
+  std::string Dir = freshCacheDir();
+  std::optional<TransServer> Server;
+  if (C.Mode == RunMode::ServeTwice) {
     TransServer::Options SO;
     SO.Dir = Dir;
     SO.SocketPath = Dir + ".sock";
-    TransServer Server(SO);
     std::string SrvErr;
-    if (!Server.start(SrvErr)) {
+    if (!Server.emplace(SO).start(SrvErr)) {
       // No socket to serve on (exotic sandbox): the client would just fall
       // back to inline JIT, which the plain cells already cover — skip.
       std::error_code EC;
       std::filesystem::remove_all(Dir, EC);
       return;
     }
-    ServerSock = SO.SocketPath;
-    runAs(C); // cold: warms the daemon via write-back PUTs
-    FuzzConfig Warm = C;
-    Warm.Name += "-warm";
-    runAs(Warm); // warm: installs over the wire
-    Server.stop();
-    std::error_code EC;
-    std::filesystem::remove_all(Dir, EC);
-    return;
+    Opts.push_back("--tt-server=" + SO.SocketPath);
+  } else {
+    Opts.push_back("--tt-cache=" + Dir);
   }
-  if (!C.CacheTwice) {
-    runAs(C);
-    return;
-  }
-  CacheDir = freshCacheDir();
-  runAs(C); // cold: populates the cache
-  FuzzConfig Warm = C;
-  Warm.Name += "-warm";
-  runAs(Warm); // warm: installs from it
+  runAs(C.Name);           // cold: populates the cache or warms the daemon
+  runAs(C.Name + "-warm"); // warm: installs what the cold run produced
+  if (Server)
+    Server->stop();
   std::error_code EC;
-  std::filesystem::remove_all(CacheDir, EC);
+  std::filesystem::remove_all(Dir, EC);
 }
 
 DiffResult vg::fuzz::diffRun(const FuzzProgram &P,
@@ -270,17 +215,5 @@ DiffResult vg::fuzz::diffRun(const FuzzProgram &P,
   }
   for (const FuzzConfig &C : M)
     runOne(P, Img, Oracle, C, R.Divs);
-  return R;
-}
-
-DiffResult vg::fuzz::diffRunOne(const FuzzProgram &P, const FuzzConfig &C) {
-  DiffResult R;
-  GuestImage Img = render(P);
-  RunReport Oracle = runNative(Img, P.StdinData, OracleMaxInsns);
-  if (!Oracle.Completed) {
-    R.Divs.push_back({"oracle", "completed", "completed", "did-not-complete"});
-    return R;
-  }
-  runOne(P, Img, Oracle, C, R.Divs);
   return R;
 }

@@ -22,38 +22,32 @@
 namespace vg {
 namespace fuzz {
 
+/// How a cell runs the program: once, or cold then warm against one fresh
+/// --tt-cache directory or one live translation server (an in-process
+/// vgserve daemon on a fresh socket), so that the warm run installs every
+/// translation the cold run made from the cache or over the wire. Both runs
+/// are diffed against the oracle; the warm run's divergences name
+/// "<cell>-warm".
+enum class RunMode : uint8_t { Once, CacheTwice, ServeTwice };
+
 /// One cell of the config matrix.
 struct FuzzConfig {
   std::string Name;
   std::string ToolName; ///< a makeTool() name
   std::vector<std::string> Opts;
-  bool CheckInsnCount = false;     ///< ICnt count == oracle instruction count
-  bool CheckMemcheckClean = false; ///< zero unique Memcheck errors expected
-  /// SMC programs must show >= 1 SmcFail retranslation. Only asserted in
-  /// cells without aggressive hot promotion: a tiny --hot-threshold lets
-  /// the re-executed block be *hot-retranslated* from the already-patched
-  /// bytes, which is correct behaviour (the guest sees new code) but never
-  /// takes the SmcFail path. Data transparency is still checked everywhere
-  /// via the stdout comparison.
-  bool CheckSmcRetrans = true;
-  /// Run the program twice against one fresh --tt-cache directory: the
-  /// first (cold) run populates it, the second (warm) run installs from it.
-  /// Both runs are diffed against the oracle; warm divergences are reported
-  /// under "<name>-warm". Exercises serialize -> deserialize -> install for
-  /// every translation the program produces.
-  bool CacheTwice = false;
-  /// Like CacheTwice, but through a live translation server: an in-process
-  /// vgserve daemon is started on a fresh socket over a fresh directory,
-  /// the cold run warms it via write-back PUTs, and the warm run installs
-  /// its translations over the wire (validated client-side). Exercises
-  /// encode -> frame -> serve -> decode -> install end to end; both runs
-  /// must still match the oracle bit for bit.
-  bool ServeTwice = false;
+  RunMode Mode = RunMode::Once;
 };
+
+/// Whether an SMC program must show >= 1 SmcFail retranslation in the cell:
+/// not if its options name --hot-threshold or --fault-inject. Hot promotion
+/// (traces included) or an injected ttflush between the patch and the
+/// re-execution translates the patched bytes afresh, which is correct but
+/// never takes the SmcFail path. Stdout is still compared in every cell.
+bool checksSmcRetrans(const FuzzConfig &C);
 
 /// One observed disagreement between the oracle and a config.
 struct Divergence {
-  std::string Config; ///< matrix cell name, or "oracle" for oracle failures
+  std::string Config; ///< cell name (+"-warm" for a warm run), or "oracle"
   std::string Field;  ///< stdout|exit|completed|fatalsig|icnt|mc-errors|smc
   std::string Expect, Got;
 
@@ -74,11 +68,15 @@ struct DiffResult {
 /// program installs handlers).
 std::vector<FuzzConfig> defaultMatrix(const FuzzProgram &P);
 
-/// Executes the oracle once and every config against it.
-DiffResult diffRun(const FuzzProgram &P, const std::vector<FuzzConfig> &M);
+/// The cell \p D came from: the cell of that name, or the two-run cell
+/// whose warm run diverged ("<name>-warm"). Oracle divergences map to the
+/// first cell, the cheapest to shrink against. Any other name is a harness
+/// bug, and the process exits with an error.
+FuzzConfig cellFor(const FuzzProgram &P, const Divergence &D);
 
-/// Executes the oracle plus a single config (the shrinker's predicate).
-DiffResult diffRunOne(const FuzzProgram &P, const FuzzConfig &C);
+/// Executes the oracle once and every config against it (the shrinker's
+/// predicate passes the one failing config).
+DiffResult diffRun(const FuzzProgram &P, const std::vector<FuzzConfig> &M);
 
 } // namespace fuzz
 } // namespace vg

@@ -3,11 +3,13 @@
 #include "fuzz/ProgramGen.h"
 
 #include "core/ClientRequests.h"
+#include "core/Core.h"
+#include "guest/Decoder.h"
 #include "guest/Disasm.h"
 #include "guest/GuestMemory.h"
 #include "guestlib/GuestLib.h"
 #include "kernel/SimKernel.h"
-#include "core/Core.h"
+#include "support/Errors.h"
 
 #include <cstring>
 #include <sstream>
@@ -72,11 +74,10 @@ uint32_t normConst(const Atom &At, uint32_t Salt) {
 
 struct RenderCtx {
   Assembler &Code;
-  GuestLibLabels &Lib;
   std::vector<Label> LeafL;
   unsigned ProbeSlot = 0;
 
-  RenderCtx(Assembler &C, GuestLibLabels &L) : Code(C), Lib(L) {}
+  explicit RenderCtx(Assembler &C) : Code(C) {}
 
   void emitAtom(const Atom &At) {
     Assembler &A = Code;
@@ -256,13 +257,12 @@ struct RenderCtx {
       A.clreq();
       break;
     case AtomKind::ClReqCore:
-      // RUNNING_ON_VALGRIND through either encoding: the canonical tagged
-      // code or its legacy flat alias (the engine must normalise both to
-      // the same answer). The result differs by construction — 1 under the
-      // core, 0 natively — so r0 is renormalised to a seeded constant.
-      A.movi(Reg::R0,
-             (At.A & 1) ? static_cast<uint32_t>(CrLegacyRunningOnValgrind)
-                        : static_cast<uint32_t>(CrRunningOnValgrind));
+      // RUNNING_ON_VALGRIND, whose answer differs by construction (1 under
+      // the core, 0 natively), or for odd A the untagged code 0x1006, which
+      // no namespace claims and every engine answers with 0. Either way r0
+      // is renormalised to a seeded constant.
+      A.movi(Reg::R0, (At.A & 1) ? 0x1006u
+                                 : static_cast<uint32_t>(CrRunningOnValgrind));
       A.clreq();
       A.movi(Reg::R0, normConst(At, 0x43));
       break;
@@ -386,7 +386,7 @@ GuestImage vg::fuzz::render(const FuzzProgram &P) {
   uint32_t Entry = emitStart(Code, Main);
 
   Rng R(P.Seed ^ 0xC0FFEEull); // render-time constants
-  RenderCtx Ctx(Code, Lib);
+  RenderCtx Ctx(Code);
 
   // --- leaf functions ----------------------------------------------------
   for (const auto &Leaf : P.Leaves) {
@@ -572,33 +572,12 @@ GuestImage vg::fuzz::render(const FuzzProgram &P) {
 
 namespace {
 
-/// (kind, weight, allowed-in-leaf) — biases follow the ISSUE: addressing
-/// modes, flags, FP/SIMD, CPUINFO, syscalls, control flow.
-struct KindWeight {
-  AtomKind K;
-  unsigned W;
-  bool Leaf;
-};
-const KindWeight Weights[] = {
-    {AtomKind::Alu3, 20, true},     {AtomKind::AluImm, 12, true},
-    {AtomKind::MovImm, 6, true},    {AtomKind::MovReg, 3, true},
-    {AtomKind::CmpRR, 4, true},     {AtomKind::CmpImm, 4, true},
-    {AtomKind::Load, 8, true},      {AtomKind::Store, 8, true},
-    {AtomKind::LoadX, 5, true},     {AtomKind::StoreX, 5, true},
-    {AtomKind::PushPop, 3, true},   {AtomKind::SkipInc, 6, true},
-    {AtomKind::FlagProbe, 6, true}, {AtomKind::FAlu3, 5, true},
-    {AtomKind::FUnary, 2, true},    {AtomKind::FMovImm, 3, true},
-    {AtomKind::FConvI2D, 2, true},  {AtomKind::FConvD2I, 3, true},
-    {AtomKind::FCmp, 3, true},      {AtomKind::FLoad, 2, true},
-    {AtomKind::FStore, 2, true},    {AtomKind::CpuInfo, 1, true},
-    {AtomKind::ClReq, 1, true},     {AtomKind::SysWrite, 2, false},
-    {AtomKind::SysRead, 2, false},  {AtomKind::LoadIo, 2, true},
-    {AtomKind::SysTime, 1, false},  {AtomKind::SysGetpid, 1, false},
-    {AtomKind::SysYield, 1, false}, {AtomKind::SysKill, 3, false},
-    {AtomKind::CallFn, 3, false},   {AtomKind::CallrFn, 2, false},
-    {AtomKind::JmprSkip, 2, true},  {AtomKind::ClReqCore, 1, true},
-    {AtomKind::ClReqTool, 1, true},
-};
+constexpr unsigned TotalWeight = [] {
+  unsigned T = 0;
+  for (const AtomInfo &I : AtomTable)
+    T += I.Weight;
+  return T;
+}();
 
 int64_t interestingImm(Rng &R) {
   static const int64_t Pool[] = {
@@ -610,29 +589,21 @@ int64_t interestingImm(Rng &R) {
                     : static_cast<int64_t>(R.next());
 }
 
-Atom randomAtom(Rng &R, bool LeafSafe, bool Signals, unsigned NLeaves) {
+Atom randomAtom(Rng &R, bool InLeaf, bool Signals, unsigned NLeaves) {
   for (;;) {
-    unsigned Total = 0;
-    for (const auto &KW : Weights)
-      Total += KW.W;
-    uint64_t Pick = R.below(Total);
-    const KindWeight *Sel = nullptr;
-    for (const auto &KW : Weights) {
-      if (Pick < KW.W) {
-        Sel = &KW;
-        break;
-      }
-      Pick -= KW.W;
-    }
-    if (LeafSafe && !Sel->Leaf)
-      continue;
-    if (Sel->K == AtomKind::SysKill && !Signals)
-      continue;
-    if ((Sel->K == AtomKind::CallFn || Sel->K == AtomKind::CallrFn) &&
-        NLeaves == 0)
+    uint64_t Pick = R.below(TotalWeight);
+    unsigned K = 0;
+    while (Pick >= AtomTable[K].Weight)
+      Pick -= AtomTable[K++].Weight;
+    // Leaves take only Anywhere kinds; the body also takes the others,
+    // given the handlers or leaves they need.
+    AtomWhere W = AtomTable[K].Where;
+    if (W != AtomWhere::Anywhere &&
+        (InLeaf || (W == AtomWhere::BodyWithHandlers && !Signals) ||
+         (W == AtomWhere::BodyWithLeaves && NLeaves == 0)))
       continue;
     Atom At;
-    At.K = Sel->K;
+    At.K = static_cast<AtomKind>(K);
     At.A = static_cast<uint8_t>(R.next());
     At.B = static_cast<uint8_t>(R.next());
     At.C = static_cast<uint8_t>(R.next());
@@ -666,14 +637,14 @@ FuzzProgram vg::fuzz::generate(uint64_t Seed, const GenOptions &O) {
     std::vector<Atom> Leaf;
     unsigned N = 1 + static_cast<unsigned>(R.below(8));
     for (unsigned J = 0; J < N; ++J)
-      Leaf.push_back(randomAtom(R, /*LeafSafe=*/true, P.Signals, 0));
+      Leaf.push_back(randomAtom(R, /*InLeaf=*/true, P.Signals, 0));
     P.Leaves.push_back(std::move(Leaf));
   }
 
   unsigned Span = O.MaxBodyAtoms - O.MinBodyAtoms + 1;
   unsigned NBody = O.MinBodyAtoms + static_cast<unsigned>(R.below(Span));
   for (unsigned I = 0; I < NBody; ++I)
-    P.Body.push_back(randomAtom(R, /*LeafSafe=*/false, P.Signals, NLeaves));
+    P.Body.push_back(randomAtom(R, /*InLeaf=*/false, P.Signals, NLeaves));
 
   unsigned StdinLen = static_cast<unsigned>(R.below(33));
   for (unsigned I = 0; I < StdinLen; ++I)
@@ -685,61 +656,28 @@ FuzzProgram vg::fuzz::generate(uint64_t Seed, const GenOptions &O) {
 // Instruction-count metric
 //===----------------------------------------------------------------------===//
 
-static unsigned atomInstrCount(const Atom &At) {
-  switch (At.K) {
-  case AtomKind::Alu3:
-  case AtomKind::AluImm:
-  case AtomKind::MovImm:
-  case AtomKind::MovReg:
-  case AtomKind::CmpRR:
-  case AtomKind::CmpImm:
-  case AtomKind::FAlu3:
-  case AtomKind::FUnary:
-  case AtomKind::FMovImm:
-  case AtomKind::FConvI2D:
-  case AtomKind::FConvD2I:
-  case AtomKind::FCmp:
-  case AtomKind::CpuInfo:
-  case AtomKind::CallFn:
-    return 1;
-  case AtomKind::PushPop:
-  case AtomKind::LoadX:
-  case AtomKind::StoreX:
-  case AtomKind::ClReq:
-  case AtomKind::LoadIo:
-  case AtomKind::CallrFn:
-    return 2;
-  case AtomKind::Load:
-  case AtomKind::Store:
-  case AtomKind::FLoad:
-  case AtomKind::FStore:
-  case AtomKind::SkipInc:
-  case AtomKind::FlagProbe:
-  case AtomKind::SysGetpid:
-  case AtomKind::SysYield:
-  case AtomKind::ClReqCore:
-  case AtomKind::ClReqTool:
-    return 3;
-  case AtomKind::JmprSkip:
-    return 4;
-  case AtomKind::SysTime:
-    return 5;
-  case AtomKind::SysWrite:
-  case AtomKind::SysRead:
-    return 6;
-  case AtomKind::SysKill:
-    return 7;
-  }
-  return 1;
-}
-
 unsigned vg::fuzz::bodyInstrCount(const FuzzProgram &P) {
-  unsigned N = 0;
+  // Render the atoms alone, after a RET for each leaf to call, and decode.
+  Assembler Code(0x1000);
+  RenderCtx Ctx(Code);
+  for (size_t I = 0; I != P.Leaves.size(); ++I) {
+    Ctx.LeafL.push_back(Code.boundLabel());
+    Code.ret();
+  }
+  size_t Off = Code.here() - Code.baseAddr();
   for (const Atom &At : P.Body)
-    N += atomInstrCount(At);
+    Ctx.emitAtom(At);
   for (const auto &L : P.Leaves)
     for (const Atom &At : L)
-      N += atomInstrCount(At);
+      Ctx.emitAtom(At);
+  std::vector<uint8_t> Bytes = Code.finalize();
+  unsigned N = 0;
+  for (; Off < Bytes.size(); ++N) {
+    vg1::Instr I;
+    if (!vg1::decode(Bytes.data() + Off, Bytes.size() - Off, I))
+      unreachable("the assembler emitted an undecodable atom");
+    Off += I.Len;
+  }
   return N;
 }
 
@@ -747,19 +685,10 @@ unsigned vg::fuzz::bodyInstrCount(const FuzzProgram &P) {
 // Serialisation (.vg1 case files)
 //===----------------------------------------------------------------------===//
 
-static const char *KindNames[NumAtomKinds] = {
-    "alu3",     "aluimm",   "movimm",  "movreg",   "cmprr",    "cmpimm",
-    "load",     "store",    "loadx",   "storex",   "pushpop",  "skipinc",
-    "flagprobe", "falu3",   "funary",  "fmovimm",  "fconvi2d", "fconvd2i",
-    "fcmp",     "fload",    "fstore",  "cpuinfo",  "clreq",    "syswrite",
-    "sysread",  "loadio",   "systime", "sysgetpid", "sysyield", "syskill",
-    "callfn",   "callrfn",  "jmprskip", "clreqcore", "clreqtool",
-};
-
 static void serializeAtoms(std::ostringstream &OS,
                            const std::vector<Atom> &Atoms) {
   for (const Atom &At : Atoms)
-    OS << "atom " << KindNames[static_cast<unsigned>(At.K)] << ' '
+    OS << "atom " << AtomTable[static_cast<unsigned>(At.K)].Name << ' '
        << unsigned(At.A) << ' ' << unsigned(At.B) << ' ' << unsigned(At.C)
        << ' ' << unsigned(At.D) << ' ' << At.Imm << '\n';
 }
@@ -892,16 +821,13 @@ bool vg::fuzz::parse(const std::string &Text, FuzzProgram &Out,
       LS >> Name >> A >> B >> C >> D >> Imm;
       if (LS.fail())
         return fail("malformed atom");
-      Atom At;
-      bool Found = false;
-      for (unsigned I = 0; I < NumAtomKinds; ++I)
-        if (Name == KindNames[I]) {
-          At.K = static_cast<AtomKind>(I);
-          Found = true;
-          break;
-        }
-      if (!Found)
+      unsigned K = 0;
+      while (K != NumAtomKinds && Name != AtomTable[K].Name)
+        ++K;
+      if (K == NumAtomKinds)
         return fail("unknown atom kind '" + Name + "'");
+      Atom At;
+      At.K = static_cast<AtomKind>(K);
       At.A = static_cast<uint8_t>(A);
       At.B = static_cast<uint8_t>(B);
       At.C = static_cast<uint8_t>(C);

@@ -36,6 +36,7 @@
 #define VG_FUZZ_PROGRAMGEN_H
 
 #include "core/GuestImage.h"
+#include "support/SplitMix64.h"
 
 #include <cstdint>
 #include <string>
@@ -44,49 +45,97 @@
 namespace vg {
 namespace fuzz {
 
-/// Atom kinds. Each expands to 1..6 concrete instructions with the hygiene
-/// rules above baked in. Operand fields are reduced modulo the legal range
-/// at render time, so every (Kind, A, B, C, D, Imm) tuple is valid — the
-/// shrinker can mutate freely.
-enum class AtomKind : uint8_t {
-  Alu3,      ///< A=subop(14: add..divs,vadd8..vcmpgt8) B=rd C=rs D=rt
-  AluImm,    ///< A=subop(5: addi,andi,shli,shri,sari) B=rd C=rs Imm
-  MovImm,    ///< B=rd, Imm
-  MovReg,    ///< B=rd, C=rs
-  CmpRR,     ///< C=rs, D=rt
-  CmpImm,    ///< C=rs, Imm
-  Load,      ///< A=width(0=ld 1=ldb 2=ldsb 3=ldh 4=ldsh) B=rd C=src Imm=disp
-  Store,     ///< A=width(0=st 1=stb 2=sth) C=src D=rv Imm=disp
-  LoadX,     ///< A=scale B=rd C=idxsrc Imm=disp (4-aligned)
-  StoreX,    ///< A=scale C=idxsrc D=rv Imm=disp (4-aligned)
-  PushPop,   ///< push C; pop B
-  SkipInc,   ///< cmp C,D; b<A> over; addi B,B,1
-  FlagProbe, ///< movi r11,Imm(tag); b<A> over; st [r12+slot], r11
-  FAlu3,     ///< A=subop(4: fadd,fsub,fmul,fdiv) B=fd C=fs D=ft
-  FUnary,    ///< A=subop(0=fneg 1=fmov) B=fd C=fs
-  FMovImm,   ///< B=fd, Imm=raw IEEE754 bits
-  FConvI2D,  ///< fitod: B=fd C=rs
-  FConvD2I,  ///< fdtoi: B=rd C=fs (saturating)
-  FCmp,      ///< C=fs D=ft
-  FLoad,     ///< B=fd C=src Imm=disp (8-aligned)
-  FStore,    ///< C=src D=fs Imm=disp (8-aligned)
-  CpuInfo,   ///< cpuinfo (r0/r1 get the architectural constants)
-  ClReq,     ///< movi r0,0; clreq (unknown request: returns 0 everywhere)
-  SysWrite,  ///< write(1, buf+off, len): A=len Imm=off
-  SysRead,   ///< read(0, scratch+io+off, len): A=len Imm=off
-  LoadIo,    ///< ld B, [r13 + io + Imm] (deterministic stdin-backed bytes)
-  SysTime,   ///< gettimeofday into scratch; r0/r1 renormalised
-  SysGetpid, ///< getpid; r0 renormalised
-  SysYield,  ///< yield; r0 renormalised
-  SysKill,   ///< kill(0, USR1/USR2): A=sig-select; r0..r2 renormalised
-  CallFn,    ///< call leaf function A
-  CallrFn,   ///< leai r11, leaf A; callr r11
-  JmprSkip,  ///< leai r11,L; jmpr r11; movi B,Imm(poison); L:
-  ClReqCore, ///< RUNNING_ON_VALGRIND (canonical/legacy by A); r0 renormed
-  ClReqTool, ///< tool-tagged request (LG start/stop or unknown 'Z','Z')
+/// Where generate() may place an atom kind.
+enum class AtomWhere : uint8_t {
+  Anywhere,         ///< the body or a leaf function
+  Body,             ///< the body only: not leaf-safe
+  BodyWithHandlers, ///< the body, when signal handlers are installed
+  BodyWithLeaves,   ///< the body, when there are leaf functions to call
 };
-constexpr unsigned NumAtomKinds =
-    static_cast<unsigned>(AtomKind::ClReqTool) + 1;
+
+/// The atoms, one row per kind in draw order: X(Kind, "name in .vg1 case
+/// files", Weight in generate()'s draws, Where). A row with a nonzero weight
+/// changes every generated program. emitAtom (ProgramGen.cpp) expands each
+/// kind to 1..7 instructions with the hygiene rules above baked in, reducing
+/// the operand fields modulo their legal ranges, so every (Kind, A, B, C, D,
+/// Imm) tuple is valid: the shrinker can mutate freely.
+#define VG_FUZZ_ATOMS(X)                                                       \
+  /* A=subop(14: add..divs,vadd8..vcmpgt8) B=rd C=rs D=rt */                   \
+  X(Alu3, "alu3", 20, Anywhere)                                                \
+  /* A=subop(5: addi,andi,shli,shri,sari) B=rd C=rs Imm */                     \
+  X(AluImm, "aluimm", 12, Anywhere)                                            \
+  X(MovImm, "movimm", 6, Anywhere)       /* B=rd, Imm */                       \
+  X(MovReg, "movreg", 3, Anywhere)       /* B=rd, C=rs */                      \
+  X(CmpRR, "cmprr", 4, Anywhere)         /* C=rs, D=rt */                      \
+  X(CmpImm, "cmpimm", 4, Anywhere)       /* C=rs, Imm */                       \
+  /* A=width(0=ld 1=ldb 2=ldsb 3=ldh 4=ldsh) B=rd C=src Imm=disp */            \
+  X(Load, "load", 8, Anywhere)                                                 \
+  /* A=width(0=st 1=stb 2=sth) C=src D=rv Imm=disp */                          \
+  X(Store, "store", 8, Anywhere)                                               \
+  /* A=scale B=rd C=idxsrc Imm=disp (4-aligned) */                             \
+  X(LoadX, "loadx", 5, Anywhere)                                               \
+  /* A=scale C=idxsrc D=rv Imm=disp (4-aligned) */                             \
+  X(StoreX, "storex", 5, Anywhere)                                             \
+  X(PushPop, "pushpop", 3, Anywhere)     /* push C; pop B */                   \
+  X(SkipInc, "skipinc", 6, Anywhere)     /* cmp C,D; b<A> over; addi B,B,1 */  \
+  /* movi r11,Imm(tag); b<A> over; st [r12+slot], r11 */                       \
+  X(FlagProbe, "flagprobe", 6, Anywhere)                                       \
+  /* A=subop(4: fadd,fsub,fmul,fdiv) B=fd C=fs D=ft */                         \
+  X(FAlu3, "falu3", 5, Anywhere)                                               \
+  /* A=subop(0=fneg 1=fmov) B=fd C=fs */                                       \
+  X(FUnary, "funary", 2, Anywhere)                                             \
+  X(FMovImm, "fmovimm", 3, Anywhere)     /* B=fd, Imm=raw IEEE754 bits */      \
+  X(FConvI2D, "fconvi2d", 2, Anywhere)   /* fitod: B=fd C=rs */                \
+  X(FConvD2I, "fconvd2i", 3, Anywhere)   /* fdtoi: B=rd C=fs (saturating) */   \
+  X(FCmp, "fcmp", 3, Anywhere)           /* C=fs D=ft */                       \
+  X(FLoad, "fload", 2, Anywhere)         /* B=fd C=src Imm=disp (8-aligned) */ \
+  X(FStore, "fstore", 2, Anywhere)       /* C=src D=fs Imm=disp (8-aligned) */ \
+  /* cpuinfo (r0/r1 get the architectural constants) */                        \
+  X(CpuInfo, "cpuinfo", 1, Anywhere)                                           \
+  /* movi r0,0; clreq (unknown request: returns 0 everywhere) */               \
+  X(ClReq, "clreq", 1, Anywhere)                                               \
+  /* write(1, buf+off, len): A=len Imm=off */                                  \
+  X(SysWrite, "syswrite", 2, Body)                                             \
+  /* read(0, scratch+io+off, len): A=len Imm=off */                            \
+  X(SysRead, "sysread", 2, Body)                                               \
+  /* ld B, [r13 + io + Imm] (deterministic stdin-backed bytes) */              \
+  X(LoadIo, "loadio", 2, Anywhere)                                             \
+  /* gettimeofday into scratch; r0/r1 renormalised */                          \
+  X(SysTime, "systime", 1, Body)                                               \
+  X(SysGetpid, "sysgetpid", 1, Body)     /* getpid; r0 renormalised */         \
+  X(SysYield, "sysyield", 1, Body)       /* yield; r0 renormalised */          \
+  /* kill(0, USR1/USR2): A=sig-select; r0..r2 renormalised */                  \
+  X(SysKill, "syskill", 3, BodyWithHandlers)                                   \
+  X(CallFn, "callfn", 3, BodyWithLeaves) /* call leaf function A */            \
+  X(CallrFn, "callrfn", 2, BodyWithLeaves) /* leai r11, leaf A; callr r11 */   \
+  /* leai r11,L; jmpr r11; movi B,Imm(poison); L: */                           \
+  X(JmprSkip, "jmprskip", 2, Anywhere)                                         \
+  /* RUNNING_ON_VALGRIND, or for odd A an unclaimed code; r0 renormed */       \
+  X(ClReqCore, "clreqcore", 1, Anywhere)                                       \
+  /* tool-tagged request (LG start/stop or unknown 'Z','Z') */                 \
+  X(ClReqTool, "clreqtool", 1, Anywhere)
+
+enum class AtomKind : uint8_t {
+#define VG_FUZZ_ATOM_KIND(Kind, Name, Weight, Where) Kind,
+  VG_FUZZ_ATOMS(VG_FUZZ_ATOM_KIND)
+#undef VG_FUZZ_ATOM_KIND
+};
+
+/// What VG_FUZZ_ATOMS says about one kind.
+struct AtomInfo {
+  const char *Name;
+  unsigned Weight;
+  AtomWhere Where;
+};
+
+/// AtomInfo for every kind, indexed by AtomKind.
+inline constexpr AtomInfo AtomTable[] = {
+#define VG_FUZZ_ATOM_INFO(Kind, Name, Weight, Where)                           \
+  {Name, Weight, AtomWhere::Where},
+    VG_FUZZ_ATOMS(VG_FUZZ_ATOM_INFO)
+#undef VG_FUZZ_ATOM_INFO
+};
+constexpr unsigned NumAtomKinds = sizeof(AtomTable) / sizeof(AtomTable[0]);
 
 /// One generated atom. All fields are free-form; render() maps them into
 /// the legal ranges.
@@ -132,8 +181,8 @@ FuzzProgram generate(uint64_t Seed, const GenOptions &Opts = GenOptions());
 /// Renders the program to a loadable image (pure function of \p P).
 GuestImage render(const FuzzProgram &P);
 
-/// Number of concrete instructions the body atoms expand to (the repro
-/// size metric quoted by the shrinker).
+/// Number of instructions the body's and leaves' atoms render to (the
+/// repro size metric quoted by the shrinker).
 unsigned bodyInstrCount(const FuzzProgram &P);
 
 /// Textual .vg1 case format: header, atoms, and (on save) a disassembly
@@ -141,19 +190,8 @@ unsigned bodyInstrCount(const FuzzProgram &P);
 std::string serialize(const FuzzProgram &P, bool WithDisasm = true);
 bool parse(const std::string &Text, FuzzProgram &Out, std::string &Err);
 
-/// splitmix64 — the shared PRNG of the fuzz subsystem.
-struct Rng {
-  uint64_t State;
-  explicit Rng(uint64_t Seed) : State(Seed) {}
-  uint64_t next() {
-    uint64_t Z = (State += 0x9E3779B97F4A7C15ull);
-    Z = (Z ^ (Z >> 30)) * 0xBF58476D1CE4E5B9ull;
-    Z = (Z ^ (Z >> 27)) * 0x94D049BB133111EBull;
-    return Z ^ (Z >> 31);
-  }
-  /// Uniform in [0, N).
-  uint64_t below(uint64_t N) { return N ? next() % N : 0; }
-};
+/// The fuzz subsystem's PRNG.
+using Rng = SplitMix64;
 
 } // namespace fuzz
 } // namespace vg

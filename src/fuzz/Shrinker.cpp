@@ -22,7 +22,7 @@ struct Shrinker {
   /// The predicate: still diverges on the failing config?
   bool fails(const FuzzProgram &P) {
     ++Evals;
-    DiffResult R = diffRunOne(P, Cfg);
+    DiffResult R = diffRun(P, {Cfg});
     if (!R.ok())
       LastDiv = R.Divs.front();
     return !R.ok();

@@ -97,17 +97,7 @@ bool replayProgram(const FuzzProgram &P, const std::string &Label,
 /// Shrinks a diverging program and saves the minimal repro.
 void shrinkAndSave(const FuzzProgram &P, const Divergence &First,
                    const std::string &SaveDir, bool Quiet) {
-  FuzzConfig Failing;
-  bool Oracle = First.Config == "oracle";
-  if (!Oracle) {
-    for (const FuzzConfig &C : defaultMatrix(P))
-      if (C.Name == First.Config)
-        Failing = C;
-  } else {
-    // Oracle failures shrink against any cell; nulgrind is the cheapest.
-    Failing = defaultMatrix(P).front();
-  }
-  ShrinkOutcome S = shrinkProgram(P, Failing);
+  ShrinkOutcome S = shrinkProgram(P, cellFor(P, First));
   std::error_code EC;
   std::filesystem::create_directories(SaveDir, EC);
   std::string Path =
@@ -165,11 +155,7 @@ int runSelfTest(uint64_t Seed, unsigned Iters, const GenOptions &GO) {
     const Divergence &First = R.Divs.front();
     std::printf("self-test: caught at seed %llu: %s\n",
                 static_cast<unsigned long long>(S), First.describe().c_str());
-    FuzzConfig Failing;
-    for (const FuzzConfig &C : defaultMatrix(P))
-      if (C.Name == First.Config)
-        Failing = C;
-    ShrinkOutcome Sh = shrinkProgram(P, Failing);
+    ShrinkOutcome Sh = shrinkProgram(P, cellFor(P, First));
     std::printf("self-test: shrunk %u -> %u atoms, %u body instrs, %u evals\n",
                 Sh.AtomsBefore, Sh.AtomsAfter, Sh.InstrsAfter, Sh.Evals);
     std::printf("---- minimal case ----\n%s----------------------\n",

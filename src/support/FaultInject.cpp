@@ -121,16 +121,8 @@ bool FaultPlan::parse(const std::string &Spec, std::string &Err) {
   }
   // splitmix64 wants a nonzero-ish starting point; golden-ratio-stir the
   // seed so seed=0 and seed=1 diverge immediately.
-  State = Seed + 0x9E3779B97F4A7C15ULL;
+  Gen.State = Seed + 0x9E3779B97F4A7C15ULL;
   return true;
-}
-
-uint64_t FaultPlan::next() {
-  // splitmix64: tiny, fast, and plenty for 1-in-N decisions.
-  uint64_t Z = (State += 0x9E3779B97F4A7C15ULL);
-  Z = (Z ^ (Z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  Z = (Z ^ (Z >> 27)) * 0x94D049BB133111EBULL;
-  return Z ^ (Z >> 31);
 }
 
 bool FaultPlan::roll(FaultKind K) {
@@ -138,14 +130,14 @@ bool FaultPlan::roll(FaultKind K) {
   if (Rate[I] == 0)
     return false;
   ++Rolls;
-  bool Hit = next() % Rate[I] == 0;
+  bool Hit = Gen.next() % Rate[I] == 0;
   if (Hit)
     ++Injected[I];
   return Hit;
 }
 
 uint32_t FaultPlan::pick(uint32_t Bound) {
-  return static_cast<uint32_t>(next() % Bound);
+  return static_cast<uint32_t>(Gen.next() % Bound);
 }
 
 uint64_t FaultPlan::injectedTotal() const {

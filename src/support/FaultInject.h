@@ -27,6 +27,8 @@
 #ifndef VG_SUPPORT_FAULTINJECT_H
 #define VG_SUPPORT_FAULTINJECT_H
 
+#include "support/SplitMix64.h"
+
 #include <cstdint>
 #include <string>
 
@@ -77,10 +79,8 @@ public:
   uint64_t injectedTotal() const;
 
 private:
-  uint64_t next(); // splitmix64 step
-
   uint64_t Seed = 0;
-  uint64_t State = 0;
+  SplitMix64 Gen{0};
   uint32_t Rate[NumFaultKinds] = {}; // 0 = disabled
   uint64_t Rolls = 0;
   uint64_t Injected[NumFaultKinds] = {};

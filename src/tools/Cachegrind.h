@@ -31,8 +31,6 @@ public:
   /// hit (an access spanning two lines hits only if both do).
   bool access(uint32_t Addr, uint32_t Len);
 
-  uint32_t lineSize() const { return LineSize; }
-
 private:
   bool touchLine(uint32_t LineAddr);
 
@@ -59,7 +57,6 @@ public:
   void fini(int ExitCode) override;
 
   const CacheLineCounts &totals() const { return Totals; }
-  const std::map<uint32_t, CacheLineCounts> &perPC() const { return PerPC; }
 
   // Helpers bound into Callee descriptors.
   static uint64_t helperInstr(void *Env, uint64_t PC, uint64_t Size,

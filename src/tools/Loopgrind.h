@@ -59,7 +59,6 @@ public:
                            uint32_t &Result) override;
 
   // Accessors for tests.
-  uint64_t blocksSeen() const { return BlocksSeen; }
   uint64_t backEdges() const { return BackEdges; }
 
   static uint64_t helperBlockEntry(void *Env, uint64_t Addr, uint64_t,

@@ -401,32 +401,26 @@ bool Memcheck::handleClientRequest(int Tid, uint32_t Code,
                                    const uint32_t Args[4], uint32_t &Result) {
   switch (Code) {
   case McMakeMemDefined:
-  case McLegacyMakeMemDefined:
     SM.makeDefined(Args[0], Args[1]);
     return true;
   case McMakeMemUndefined:
-  case McLegacyMakeMemUndefined:
     SM.makeUndefined(Args[0], Args[1]);
     return true;
   case McMakeMemNoAccess:
-  case McLegacyMakeMemNoAccess:
     SM.makeNoAccess(Args[0], Args[1]);
     return true;
-  case McCheckMemIsDefined:
-  case McLegacyCheckMemIsDefined: {
+  case McCheckMemIsDefined: {
     uint32_t Bad;
     bool Unaddr;
     Result = SM.isDefined(Args[0], Args[1], Bad, Unaddr) ? 0 : Bad;
     return true;
   }
-  case McCheckMemIsAddressable:
-  case McLegacyCheckMemIsAddressable: {
+  case McCheckMemIsAddressable: {
     uint32_t Bad;
     Result = SM.isAddressable(Args[0], Args[1], Bad) ? 0 : Bad;
     return true;
   }
   case McCountErrors:
-  case McLegacyCountErrors:
     Result = static_cast<uint32_t>(C->errors().uniqueErrors());
     return true;
   default:

@@ -57,17 +57,6 @@ enum MemcheckRequest : uint32_t {
   McCountErrors = vgRequest(McTag, 6), ///< () -> unique error count
 };
 
-/// Pre-namespacing flat codes (CrToolBase+N). Old guest binaries still
-/// issue these; handleClientRequest keeps alias cases for them.
-enum LegacyMemcheckRequest : uint32_t {
-  McLegacyMakeMemDefined = CrToolBase + 1,
-  McLegacyMakeMemUndefined = CrToolBase + 2,
-  McLegacyMakeMemNoAccess = CrToolBase + 3,
-  McLegacyCheckMemIsDefined = CrToolBase + 4,
-  McLegacyCheckMemIsAddressable = CrToolBase + 5,
-  McLegacyCountErrors = CrToolBase + 6,
-};
-
 class Memcheck : public Tool {
 public:
   Memcheck() = default;

@@ -235,15 +235,12 @@ bool TaintGrind::handleClientRequest(int Tid, uint32_t Code,
                                      uint32_t &Result) {
   switch (Code) {
   case TgTaint:
-  case TgLegacyTaint:
     TM.set(Args[0], Args[1], true);
     return true;
   case TgUntaint:
-  case TgLegacyUntaint:
     TM.set(Args[0], Args[1], false);
     return true;
   case TgIsTainted:
-  case TgLegacyIsTainted:
     Result = TM.any(Args[0], Args[1]) ? 1 : 0;
     return true;
   default:

@@ -45,14 +45,6 @@ enum TaintRequest : uint32_t {
   TgIsTainted = vgRequest(TgTag, 3), ///< (addr, len) -> nonzero if any
 };
 
-/// Pre-namespacing flat codes (CrToolBase+0x100..). Still accepted as
-/// aliases in handleClientRequest.
-enum LegacyTaintRequest : uint32_t {
-  TgLegacyTaint = CrToolBase + 0x100,
-  TgLegacyUntaint = CrToolBase + 0x101,
-  TgLegacyIsTainted = CrToolBase + 0x102,
-};
-
 /// Sparse byte-granular taint plane (default: untainted).
 class TaintMap {
 public:

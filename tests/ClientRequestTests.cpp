@@ -2,8 +2,7 @@
 ///
 /// \file
 /// The tool plug-in surface opened by the engine split: namespaced client
-/// requests (tagged encoding + legacy-code compatibility), unknown-request
-/// accounting, RefInterp-vs-JIT agreement, function wrapping ordering, the
+/// requests (the tagged encoding), unknown-request accounting, RefInterp-vs-JIT agreement, function wrapping ordering, the
 /// Loopgrind tool end to end (golden report), and client requests hammered
 /// from four guest threads.
 ///
@@ -56,7 +55,7 @@ GuestImage buildProgram(
 }
 
 //===----------------------------------------------------------------------===//
-// Encoding: (tag << 16) | code, with the legacy flat space still accepted
+// Encoding: (tag << 16) | code
 //===----------------------------------------------------------------------===//
 
 // The canonical values are ABI: guest binaries embed them as immediates.
@@ -75,32 +74,6 @@ static_assert(TgTaint == 0x54470001u);
 static_assert(LgTag == 0x4C47u, "'L','G'");
 static_assert(LgStart == 0x4C470001u);
 static_assert(vgRequestTag(McMakeMemDefined) == McTag);
-static_assert(vgRequestTag(CrLegacyPrint) == 0, "legacy codes are untagged");
-
-// Normalisation: every legacy core/allocator code maps to its canonical
-// equivalent; everything else passes through untouched.
-static_assert(vgNormalizeRequest(CrLegacyDiscardTranslations) ==
-              CrDiscardTranslations);
-static_assert(vgNormalizeRequest(CrLegacyStackRegister) == CrStackRegister);
-static_assert(vgNormalizeRequest(CrLegacyStackDeregister) ==
-              CrStackDeregister);
-static_assert(vgNormalizeRequest(CrLegacyStackChange) == CrStackChange);
-static_assert(vgNormalizeRequest(CrLegacyPrint) == CrPrint);
-static_assert(vgNormalizeRequest(CrLegacyRunningOnValgrind) ==
-              CrRunningOnValgrind);
-static_assert(vgNormalizeRequest(CrLegacyMalloc) == CrMalloc);
-static_assert(vgNormalizeRequest(CrLegacyFree) == CrFree);
-static_assert(vgNormalizeRequest(CrLegacyCalloc) == CrCalloc);
-static_assert(vgNormalizeRequest(CrLegacyRealloc) == CrRealloc);
-static_assert(vgNormalizeRequest(CrRunningOnValgrind) ==
-              CrRunningOnValgrind);
-static_assert(vgNormalizeRequest(McMakeMemDefined) == McMakeMemDefined);
-static_assert(vgNormalizeRequest(0) == 0);
-static_assert(vgNormalizeRequest(0x5A5A1234u) == 0x5A5A1234u);
-
-// Tool legacy aliases keep their historical flat values.
-static_assert(McLegacyMakeMemDefined == CrToolBase + 1);
-static_assert(TgLegacyTaint == CrToolBase + 0x100);
 
 TEST(Encoding, TagBuilderMatchesHandRolledValues) {
   EXPECT_EQ(vgToolTag('Z', 'Z'), 0x5A5Au);
@@ -109,62 +82,22 @@ TEST(Encoding, TagBuilderMatchesHandRolledValues) {
 }
 
 //===----------------------------------------------------------------------===//
-// Core requests: legacy and canonical encodings agree end to end
+// Core requests
 //===----------------------------------------------------------------------===//
-
-TEST(CoreRequests, LegacyAndCanonicalRunningOnValgrindBothAnswerOne) {
-  GuestImage Img = buildProgram([](Assembler &Code, Assembler &,
-                                   GuestLibLabels &) {
-    emitClientRequest(Code, CrRunningOnValgrind);
-    Code.mov(Reg::R6, Reg::R0);
-    emitClientRequest(Code, CrLegacyRunningOnValgrind);
-    Code.add(Reg::R0, Reg::R0, Reg::R6); // canonical + legacy == 2
-    Code.ret();
-  });
-  Nulgrind T;
-  RunReport R = runUnderCore(Img, &T);
-  ASSERT_TRUE(R.Completed);
-  EXPECT_EQ(R.ExitCode, 2);
-}
-
-TEST(CoreRequests, LegacyAllocatorCodesStillReachTheReplacementHeap) {
-  // malloc(64) then free through the legacy flat codes; a heap-tracking
-  // tool must see the block come and go with no error.
-  GuestImage Img = buildProgram([](Assembler &Code, Assembler &,
-                                   GuestLibLabels &) {
-    Code.movi(Reg::R0, CrLegacyMalloc);
-    Code.movi(Reg::R1, 64);
-    Code.clreq();
-    Code.mov(Reg::R6, Reg::R0);
-    Code.cmpi(Reg::R6, 0);
-    Label Fail = Code.newLabel();
-    Code.beq(Fail);
-    Code.movi(Reg::R0, CrLegacyFree);
-    Code.mov(Reg::R1, Reg::R6);
-    Code.clreq();
-    Code.movi(Reg::R0, 0);
-    Code.ret();
-    Code.bind(Fail);
-    Code.movi(Reg::R0, 1);
-    Code.ret();
-  });
-  Memcheck T;
-  RunReport R = runUnderCore(Img, &T, {"--leak-check=no"});
-  ASSERT_TRUE(R.Completed);
-  EXPECT_EQ(R.ExitCode, 0);
-  EXPECT_EQ(T.uniqueErrors(), 0u);
-}
 
 TEST(CoreRequests, UnknownTagReturnsZeroAndIsCounted) {
   GuestImage Img = buildProgram([](Assembler &Code, Assembler &,
                                    GuestLibLabels &) {
-    // Two unclaimed 'Z','Z' requests plus the all-zero code: every one
+    // Two unclaimed 'Z','Z' requests, the all-zero code and an untagged
+    // one (0x1006, which the fuzzer's clreqcore atom issues): every one
     // must come back 0 (exit code accumulates any nonzero result).
     emitClientRequest(Code, vgRequest(vgToolTag('Z', 'Z'), 1), 7, 8, 9, 10);
     Code.mov(Reg::R6, Reg::R0);
     emitClientRequest(Code, vgRequest(vgToolTag('Z', 'Z'), 0xFFFF));
     Code.add(Reg::R6, Reg::R6, Reg::R0);
     emitClientRequest(Code, 0);
+    Code.add(Reg::R6, Reg::R6, Reg::R0);
+    emitClientRequest(Code, 0x1006);
     Code.add(Reg::R0, Reg::R6, Reg::R0);
     Code.ret();
   });
@@ -176,7 +109,7 @@ TEST(CoreRequests, UnknownTagReturnsZeroAndIsCounted) {
   CoreExit E = C.run(~0ull);
   EXPECT_EQ(E.K, CoreExit::Kind::Exited);
   EXPECT_EQ(E.Code, 0);
-  EXPECT_EQ(C.clientRequests().unknownRequests(), 3u);
+  EXPECT_EQ(C.clientRequests().unknownRequests(), 4u);
 }
 
 TEST(CoreRequests, RefInterpAndJitAgreeOnRequestResults) {
@@ -473,7 +406,7 @@ TEST(Loopgrind, StartStopGateCollection) {
 //===----------------------------------------------------------------------===//
 
 TEST(MtClientRequests, FourThreadsHammerRequests) {
-  // Four cloned threads each issue a mix of canonical, legacy, and
+  // Four cloned threads each issue a mix of canonical, untagged and
   // unknown-tag requests in a loop while the scheduler switches between
   // them; every answer must still be right. Each thread accumulates wrong
   // answers into an error word; main sums them into the exit code.
@@ -532,9 +465,9 @@ TEST(MtClientRequests, FourThreadsHammerRequests) {
     Code.beq(Ok1);
     Code.addi(Reg::R7, Reg::R7, 1);
     Code.bind(Ok1);
-    Code.movi(Reg::R0, CrLegacyRunningOnValgrind);
+    Code.movi(Reg::R0, 0x1006); // untagged: no namespace claims it
     Code.clreq();
-    Code.cmpi(Reg::R0, 1);
+    Code.cmpi(Reg::R0, 0);
     Label Ok2 = Code.newLabel();
     Code.beq(Ok2);
     Code.addi(Reg::R7, Reg::R7, 1);

@@ -357,7 +357,7 @@ TEST(ClientRequests, ToolRequestsRouted) {
     const char *name() const override { return "reqtool"; }
     bool handleClientRequest(int, uint32_t Code, const uint32_t Args[4],
                              uint32_t &Result) override {
-      if (Code != CrToolBase + 5)
+      if (Code != vgRequest(vgToolTag('R', 'Q'), 5))
         return false;
       Result = Args[0] * Args[1];
       return true;
@@ -365,7 +365,7 @@ TEST(ClientRequests, ToolRequestsRouted) {
   };
   GuestImage Img = buildProgram([](Assembler &Code, Assembler &,
                                    GuestLibLabels &) {
-    Code.movi(Reg::R0, CrToolBase + 5);
+    Code.movi(Reg::R0, vgRequest(vgToolTag('R', 'Q'), 5));
     Code.movi(Reg::R1, 6);
     Code.movi(Reg::R2, 7);
     Code.clreq();

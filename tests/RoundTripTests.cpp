@@ -9,11 +9,15 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "fuzz/DiffRunner.h"
 #include "fuzz/ProgramGen.h"
 #include "guest/Assembler.h"
 #include "guest/Decoder.h"
 #include "guest/Disasm.h"
 #include "support/Hashing.h"
+#include "tools/ICnt.h"
+#include "tools/Memcheck.h"
+#include "tools/ToolFactory.h"
 #include "workloads/Workloads.h"
 
 #include "GoldenFile.h"
@@ -22,6 +26,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <vector>
 
 using namespace vg;
@@ -385,6 +390,227 @@ TEST(RoundTrip, ImageIdentityGolden) {
                 fuzz::render(fuzz::generate(S, Forced)));
   }
   checkGolden("guest_images", Out);
+}
+
+//===----------------------------------------------------------------------===//
+// The fuzzer's vocabulary: every atom kind's case-file name, weight and
+// placement, and every matrix cell with its tool, options, run mode and the
+// checks it applies. A refactor of the generator or the matrix must leave
+// both goldens unchanged.
+//===----------------------------------------------------------------------===//
+
+using fuzz::AtomKind;
+using fuzz::FuzzConfig;
+using fuzz::FuzzProgram;
+
+std::string atomName(AtomKind K) {
+  return fuzz::AtomTable[static_cast<unsigned>(K)].Name;
+}
+
+unsigned atomWeight(AtomKind K) {
+  return fuzz::AtomTable[static_cast<unsigned>(K)].Weight;
+}
+
+const char *atomWhere(AtomKind K) {
+  switch (fuzz::AtomTable[static_cast<unsigned>(K)].Where) {
+  case fuzz::AtomWhere::Anywhere:
+    return "anywhere";
+  case fuzz::AtomWhere::Body:
+    return "body";
+  case fuzz::AtomWhere::BodyWithHandlers:
+    return "body-with-handlers";
+  case fuzz::AtomWhere::BodyWithLeaves:
+    return "body-with-leaves";
+  }
+  return "?";
+}
+
+const char *cellMode(const FuzzConfig &C) {
+  switch (C.Mode) {
+  case fuzz::RunMode::Once:
+    return "once";
+  case fuzz::RunMode::CacheTwice:
+    return "cache-twice";
+  case fuzz::RunMode::ServeTwice:
+    return "serve-twice";
+  }
+  return "?";
+}
+
+/// The tool invariants a cell checks on top of the observable behaviour.
+std::string cellChecks(const FuzzConfig &C) {
+  std::unique_ptr<Tool> T = makeTool(C.ToolName);
+  std::string S;
+  if (dynamic_cast<const ICnt *>(T.get()))
+    S += " insn-count";
+  if (dynamic_cast<const Memcheck *>(T.get()))
+    S += " memcheck-clean";
+  if (fuzz::checksSmcRetrans(C))
+    S += " smc-retrans";
+  return S.empty() ? " none" : S;
+}
+
+AtomKind kind(unsigned K) { return static_cast<AtomKind>(K); }
+
+TEST(FuzzVocabulary, AtomGolden) {
+  std::string Out;
+  for (unsigned K = 0; K != fuzz::NumAtomKinds; ++K)
+    Out += atomName(kind(K)) + " weight=" + std::to_string(atomWeight(kind(K))) +
+           " where=" + atomWhere(kind(K)) + "\n";
+  checkGolden("fuzz_atoms", Out);
+}
+
+// A plain program and one with signals and SMC: the matrix adds
+// --smc-check=all to every cell of the second and a signal storm to its
+// fault cell.
+std::vector<std::pair<std::string, FuzzProgram>> matrixPrograms() {
+  fuzz::GenOptions Plain, Forced;
+  Plain.Signals = Plain.Smc = 0;
+  Forced.Signals = Forced.Smc = 2;
+  return {{"plain", fuzz::generate(7, Plain)},
+          {"signals-smc", fuzz::generate(7, Forced)}};
+}
+
+TEST(FuzzVocabulary, MatrixGolden) {
+  std::string Out;
+  for (const auto &[Label, P] : matrixPrograms())
+    for (const FuzzConfig &C : fuzz::defaultMatrix(P)) {
+      Out += Label + " " + C.Name + " tool=" + C.ToolName + " mode=" +
+             cellMode(C) + " checks:" + cellChecks(C) + "\n  opts:";
+      for (const std::string &O : C.Opts)
+        Out += " " + O;
+      Out += "\n";
+    }
+  checkGolden("fuzz_matrix", Out);
+}
+
+void expectSameAtoms(const std::vector<fuzz::Atom> &A,
+                     const std::vector<fuzz::Atom> &B) {
+  ASSERT_EQ(A.size(), B.size());
+  for (size_t I = 0; I != A.size(); ++I) {
+    EXPECT_EQ(A[I].K, B[I].K) << I;
+    EXPECT_EQ(A[I].A, B[I].A) << I;
+    EXPECT_EQ(A[I].B, B[I].B) << I;
+    EXPECT_EQ(A[I].C, B[I].C) << I;
+    EXPECT_EQ(A[I].D, B[I].D) << I;
+    EXPECT_EQ(A[I].Imm, B[I].Imm) << I;
+  }
+}
+
+// parse(serialize(P)) reproduces P field for field, for programs whose body
+// and leaves hold every kind with extreme operands.
+TEST(FuzzVocabulary, EveryKindSurvivesTheCaseFormat) {
+  const int64_t Imms[] = {0, -1, INT64_MIN, INT64_MAX, 0x7FF8000000000001};
+  for (uint64_t S = 1; S != 9; ++S) {
+    FuzzProgram P = fuzz::generate(S);
+    P.Leaves.emplace_back();
+    P.Smc = S & 1;
+    P.Signals = S & 2;
+    for (unsigned K = 0; K != fuzz::NumAtomKinds; ++K) {
+      fuzz::Atom At;
+      At.K = kind(K);
+      At.A = static_cast<uint8_t>(K * S);
+      At.B = static_cast<uint8_t>(255 - K);
+      At.C = static_cast<uint8_t>(K * 37 + S);
+      At.D = static_cast<uint8_t>(S << 5);
+      At.Imm = Imms[(K + S) % 5];
+      P.Body.push_back(At);
+      P.Leaves.back().push_back(At);
+    }
+    FuzzProgram Q;
+    std::string Err;
+    ASSERT_TRUE(fuzz::parse(fuzz::serialize(P), Q, Err)) << Err;
+    EXPECT_EQ(Q.Seed, P.Seed);
+    EXPECT_EQ(Q.LoopCount, P.LoopCount);
+    EXPECT_EQ(Q.Signals, P.Signals);
+    EXPECT_EQ(Q.Smc, P.Smc);
+    EXPECT_EQ(Q.StdinData, P.StdinData);
+    expectSameAtoms(Q.Body, P.Body);
+    ASSERT_EQ(Q.Leaves.size(), P.Leaves.size());
+    for (size_t L = 0; L != P.Leaves.size(); ++L)
+      expectSameAtoms(Q.Leaves[L], P.Leaves[L]);
+  }
+}
+
+/// Instructions in an image's executable segments, decoded in a line (the
+/// generator puts no data among its instructions).
+unsigned decodedInstrs(const GuestImage &Img) {
+  unsigned N = 0;
+  for (const ImageSegment &S : Img.Segments) {
+    if (!(S.Perms & PermExec))
+      continue;
+    for (size_t Off = 0; Off < S.Bytes.size(); ++N) {
+      Instr I;
+      if (!decode(S.Bytes.data() + Off, S.Bytes.size() - Off, I)) {
+        ADD_FAILURE() << "undecodable byte at 0x" << std::hex << S.Base + Off;
+        return 0;
+      }
+      Off += I.Len;
+    }
+  }
+  return N;
+}
+
+// bodyInstrCount of a one-atom body is what that atom adds to the rendered
+// image: every kind, 256 operand values, without leaves and with two.
+TEST(FuzzVocabulary, BodyInstrCountMatchesTheRendering) {
+  for (size_t NLeaves : {0, 2}) {
+    FuzzProgram P;
+    P.Seed = 5;
+    P.Leaves.resize(NLeaves);
+    unsigned Scaffold = decodedInstrs(fuzz::render(P));
+    for (unsigned K = 0; K != fuzz::NumAtomKinds; ++K)
+      for (unsigned V = 0; V != 256; ++V) {
+        fuzz::Atom At;
+        At.K = kind(K);
+        At.A = static_cast<uint8_t>(V);
+        At.B = static_cast<uint8_t>(V * 7 + 1);
+        At.C = static_cast<uint8_t>(V * 13 + 2);
+        At.D = static_cast<uint8_t>(V * 29 + 3);
+        At.Imm = static_cast<int64_t>(V * 0x9E3779B97F4A7C15ull);
+        P.Body = {At};
+        unsigned Rendered = decodedInstrs(fuzz::render(P)) - Scaffold;
+        unsigned Counted = fuzz::bodyInstrCount(P);
+        if (Counted != Rendered) {
+          ADD_FAILURE() << atomName(At.K) << " with " << NLeaves
+                        << " leaves, operands " << V << ": counted "
+                        << Counted << ", rendered " << Rendered;
+          break;
+        }
+      }
+  }
+}
+
+// Every divergence names the cell to shrink against: a cell's own name, a
+// two-run cell's name with "-warm" (its second run diverged), or "oracle"
+// (the first cell). Any other name is a harness bug and stops the run.
+TEST(FuzzVocabulary, EveryDivergenceFindsItsCell) {
+  for (const auto &[Label, P] : matrixPrograms()) {
+    std::vector<FuzzConfig> M = fuzz::defaultMatrix(P);
+    auto cellFor = [&](const std::string &Name) {
+      return fuzz::cellFor(P, fuzz::Divergence{Name, "stdout", "", ""});
+    };
+    unsigned TwoRun = 0;
+    for (const FuzzConfig &C : M) {
+      FuzzConfig Cold = cellFor(C.Name);
+      EXPECT_EQ(Cold.Name, C.Name) << Label;
+      EXPECT_EQ(Cold.Opts, C.Opts) << Label;
+      if (C.Mode == fuzz::RunMode::Once)
+        continue;
+      ++TwoRun;
+      FuzzConfig Warm = cellFor(C.Name + "-warm");
+      EXPECT_EQ(Warm.Name, C.Name) << Label;
+      EXPECT_EQ(Warm.Mode, C.Mode) << Label;
+      EXPECT_EQ(Warm.Opts, C.Opts) << Label;
+    }
+    EXPECT_EQ(TwoRun, 3u) << Label;
+    EXPECT_EQ(cellFor("oracle").Name, M.front().Name) << Label;
+  }
+  FuzzProgram P = fuzz::generate(1);
+  EXPECT_EXIT(fuzz::cellFor(P, {"nulgrind-warm", "stdout", "", ""}),
+              ::testing::ExitedWithCode(1), "no fuzz matrix cell");
+  EXPECT_EXIT(fuzz::cellFor(P, {"no-such-cell", "stdout", "", ""}),
+              ::testing::ExitedWithCode(1), "no fuzz matrix cell");
 }
 
 } // namespace
