@@ -2,10 +2,10 @@
 # Tier-1 verification: configure, build, run the full test suite (whose
 # fuzz label runs the 200-program vgfuzz campaign, the planted-bug
 # self-test and the corpus replay), then smoke-run the dispatcher and
-# slow-down benches (a crash or a hang here is a regression even when the
-# unit tests pass). The benches that write a BENCH_*.json run from build/,
-# so the run leaves the working tree as it found it; it fails if
-# `git status` differs at the end.
+# slow-down benches and the repository benchmark's harness (a crash or a
+# hang here is a regression even when the unit tests pass). The benches
+# that write a BENCH_*.json run from build/, so the run leaves the working
+# tree as it found it; it fails if `git status` differs at the end.
 #
 #   --fuzz-soak   additionally run the full differential-fuzzing soak
 #                 (the 2000-iteration acceptance campaign plus forced
@@ -127,6 +127,26 @@ echo "== smoke: sec54_hostcode (executed host-code mix) =="
 # handler, or if either tool's dispatches per guest instruction rise above
 # their ceiling (a superinstruction row undone).
 ./build/bench/sec54_hostcode
+
+echo "== smoke: perfbench (the repository benchmark's harness) =="
+# The benchmark's own command, once per workload. It builds perfbench/
+# against src/ (into build/perfbench, which git ignores), so a src/ change
+# that breaks the harness fails here, and it checks every program against
+# RefInterp. memcheck-short runs traced: its pass also replays the
+# pipeline. memcheck-long's run includes the Nulgrind shape pass.
+for W in nulgrind-long memcheck-long memcheck-short; do
+  T=0
+  [ "$W" = memcheck-short ] && T=1
+  LAST=$(CARGO_TARGET_DIR=build python3 perfbench/run.py --workload "$W" \
+      --seed 1 --seconds 1 --trace "$T" | tail -n 1)
+  echo "$LAST" | grep -q '"correct": true' &&
+    echo "$LAST" | grep -Eq '"failed": 0[,}]' || {
+    echo "perfbench smoke: $W: expected correct and 0 failed, got:" >&2
+    echo "$LAST" | cut -c1-160 >&2
+    exit 1
+  }
+  echo "perfbench $W: correct, 0 failed"
+done
 
 echo "== smoke: ThreadSanitizer (concurrency label) =="
 # The only tests that still start host threads: concurrent --tt-cache

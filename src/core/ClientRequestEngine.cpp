@@ -52,23 +52,6 @@ void ClientRequestEngine::handle(ThreadState &TS) {
   case CrRunningOnValgrind:
     Result = 1;
     break;
-  case CrMalloc:
-    Result = clientMalloc(TS.Tid, Args[0], /*Zeroed=*/false);
-    break;
-  case CrFree:
-    clientFree(TS.Tid, Args[0]);
-    break;
-  case CrCalloc: {
-    uint64_t Total = static_cast<uint64_t>(Args[0]) * Args[1];
-    Result = Total > 0xFFFFFFFFull
-                 ? 0
-                 : clientMalloc(TS.Tid, static_cast<uint32_t>(Total),
-                                /*Zeroed=*/true);
-    break;
-  }
-  case CrRealloc:
-    Result = clientRealloc(TS.Tid, Args[0], Args[1]);
-    break;
   default:
     // Not a core request: offer it to the tool, which services its own
     // tagged namespace.
@@ -103,7 +86,7 @@ bool ClientRequestEngine::onRegisteredStack(uint32_t Addr) const {
 namespace {
 constexpr uint32_t HeapArenaSize = 64u << 20;
 constexpr uint32_t HeapChunk = 1u << 20;
-uint32_t align16(uint32_t V) { return (V + 15) & ~15u; }
+uint64_t align16(uint64_t V) { return (V + 15) & ~uint64_t{15}; }
 } // namespace
 
 uint32_t ClientRequestEngine::clientMalloc(int Tid, uint32_t Size,
@@ -121,7 +104,12 @@ uint32_t ClientRequestEngine::clientMalloc(int Tid, uint32_t Size,
   uint32_t RZ = (C.ToolPlugin && C.ToolPlugin->tracksHeap())
                     ? C.ToolPlugin->redzoneBytes()
                     : 0;
-  uint32_t RawSize = align16(std::max<uint32_t>(Size, 1) + 2 * RZ);
+  // Sized in 64 bits: a request near 4 GiB must not wrap to a small
+  // block. One the arena cannot hold gets the guest's NULL.
+  uint64_t Need = align16(std::max<uint64_t>(Size, 1) + 2 * uint64_t{RZ});
+  if (Need > HeapArenaSize)
+    return 0;
+  uint32_t RawSize = static_cast<uint32_t>(Need);
 
   uint32_t Raw = 0;
   // First fit over the free list.
@@ -138,7 +126,7 @@ uint32_t ClientRequestEngine::clientMalloc(int Tid, uint32_t Size,
     }
   }
   if (!Raw) {
-    if (HeapBump + RawSize > HeapArenaEnd)
+    if (uint64_t{HeapBump} + RawSize > HeapArenaEnd)
       return 0; // arena exhausted
     Raw = HeapBump;
     HeapBump += RawSize;
@@ -206,9 +194,4 @@ uint32_t ClientRequestEngine::clientRealloc(int Tid, uint32_t Addr,
     C.Events.CopyMemMremap(Addr, NewAddr, N);
   clientFree(Tid, Addr);
   return NewAddr;
-}
-
-uint32_t ClientRequestEngine::heapBlockSize(uint32_t Addr) const {
-  auto It = HeapLive.find(Addr);
-  return It == HeapLive.end() ? 0 : It->second;
 }

@@ -8,10 +8,10 @@
 /// the running tool. Unrecognised requests return 0 — exactly what CLREQ
 /// yields when run natively — and are counted, never fatal.
 ///
-/// The engine owns the two services core requests reach for: the
-/// registered-stack table (CrStackRegister and friends, consulted by the
-/// stack-switch heuristic) and the replacement allocator (R8: CrMalloc and
-/// friends, plus the host redirects of the program's allocator symbols).
+/// The engine owns the registered-stack table (CrStackRegister and
+/// friends, consulted by the stack-switch heuristic) and the replacement
+/// allocator (R8), which the host redirects of the program's malloc, free,
+/// calloc and realloc symbols reach (Core::loadImage).
 ///
 //===----------------------------------------------------------------------===//
 #ifndef VG_CORE_CLIENTREQUESTENGINE_H
@@ -48,7 +48,6 @@ public:
   uint32_t clientMalloc(int Tid, uint32_t Size, bool Zeroed);
   bool clientFree(int Tid, uint32_t Addr);
   uint32_t clientRealloc(int Tid, uint32_t Addr, uint32_t NewSize);
-  uint32_t heapBlockSize(uint32_t Addr) const;
   const std::map<uint32_t, uint32_t> &heapBlocks() const { return HeapLive; }
   uint64_t heapBytesLive() const { return HeapLiveBytes; }
 

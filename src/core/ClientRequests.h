@@ -60,13 +60,9 @@ enum ClientRequest : uint32_t {
   CrPrint = vgRequest(CrCoreTag, 0x0005),
   /// True (1) when running under the core — lets guest code detect it.
   CrRunningOnValgrind = vgRequest(CrCoreTag, 0x0006),
-
-  // --- replacement-allocator requests (issued by guestlib malloc etc.,
-  //     the moral equivalent of Valgrind's vgpreload stubs; R8) ----------
-  CrMalloc = vgRequest(CrCoreTag, 0x0101),  ///< arg1=size -> payload (0=OOM)
-  CrFree = vgRequest(CrCoreTag, 0x0102),    ///< arg1=addr
-  CrCalloc = vgRequest(CrCoreTag, 0x0103),  ///< arg1=n, arg2=sz -> zeroed
-  CrRealloc = vgRequest(CrCoreTag, 0x0104), ///< arg1=addr, arg2=newsize
+  // The replacement allocator (R8) has no request of its own: the core
+  // redirects the program's malloc, free, calloc and realloc symbols to it
+  // (Core::loadImage), the moral equivalent of Valgrind's vgpreload stubs.
 };
 
 } // namespace vg

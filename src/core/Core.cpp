@@ -118,8 +118,8 @@ void Core::applyOptions() {
   TraceTier = Opts.getBool("trace-tier");
   TraceThreshold = static_cast<uint64_t>(
       Opts.getIntChecked("trace-threshold", 0, INT64_MAX));
-  setTraceMaxBlocks(static_cast<unsigned>(
-      Opts.getIntChecked("trace-max-blocks", 2, 8)));
+  TraceMaxBlocks = static_cast<unsigned>(
+      Opts.getIntChecked("trace-max-blocks", 2, 8));
   if (Opts.getBool("profile") && !Prof)
     Prof = std::make_unique<Profiler>();
   StackSwitchThreshold = static_cast<uint32_t>(
@@ -505,10 +505,6 @@ void Core::noteTranslation(uint32_t PC, const Translation &T,
   Stats.TranslateSeconds += Seconds;
   if (Prof)
     Prof->noteTranslation(PC, T.NumInsns, T.Tier, Seconds);
-}
-
-void Core::promotionInstalled(Translation *T, uint64_t GenBefore) {
-  Dispatch->promotionInstalled(T, GenBefore);
 }
 
 //===----------------------------------------------------------------------===//

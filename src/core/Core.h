@@ -129,10 +129,6 @@ public:
   // --- the engines (direct access for tools and tests) --------------------
   ClientRequestEngine &clientRequests() { return *ClReqs; }
 
-  /// Maximum superblocks stitched into one trace (clamped to [2, 8]).
-  void setTraceMaxBlocks(unsigned N) {
-    TraceMaxBlocks = N < 2 ? 2 : (N > 8 ? 8 : N);
-  }
   Profiler *profiler() { return Prof.get(); }
   /// Non-null under --trace-events.
   EventTracer *tracer() { return Tracer.get(); }
@@ -192,10 +188,6 @@ public:
   uint32_t clientRealloc(int Tid, uint32_t Addr, uint32_t NewSize) {
     return ClReqs->clientRealloc(Tid, Addr, NewSize);
   }
-  /// Size of a live block (0 if unknown).
-  uint32_t heapBlockSize(uint32_t Addr) const {
-    return ClReqs->heapBlockSize(Addr);
-  }
   /// Live heap blocks (leak checking, Massif).
   const std::map<uint32_t, uint32_t> &heapBlocks() const {
     return ClReqs->heapBlocks();
@@ -225,7 +217,6 @@ public:
                         Translation *Raw) override;
   void noteTranslation(uint32_t PC, const Translation &T,
                        double Seconds) override;
-  void promotionInstalled(Translation *T, uint64_t GenBefore) override;
 
   // Helper callees referenced from generated code (public because the
   // Callee descriptors binding them are defined at namespace scope).

@@ -18,12 +18,8 @@ using namespace vg::vg1;
 //===----------------------------------------------------------------------===//
 
 Translation *DispatchLoop::findOrTranslate(uint32_t PC) {
-  if (FastCacheGen != C.TT.generation()) {
-    std::fill(FastCache.begin(), FastCache.end(), FastCacheEntry{});
-    FastCacheGen = C.TT.generation();
-  }
   FastCacheEntry &E = FastCache[hashAddr(PC) & (FastCacheSize - 1)];
-  if (E.Addr == PC && E.T) {
+  if (E.Addr == PC && E.T && FastCacheGen == C.TT.generation()) {
     ++C.Stats.FastCacheHits;
     // The table was bypassed, but the lookup still logically happened:
     // fold it into the table's statistics so hit rates stay honest.
@@ -36,39 +32,53 @@ Translation *DispatchLoop::findOrTranslate(uint32_t PC) {
     T = C.XS->translateSync(PC, /*Hot=*/false);
     T->Blob.CheckPoint = checkPoint(*T);
   }
+  fillFastCache(T);
+  return T;
+}
+
+void DispatchLoop::fillFastCache(Translation *T) {
   if (FastCacheGen != C.TT.generation()) {
+    // A translation died since the cache was last known live: any line
+    // may dangle, so wipe them all.
     std::fill(FastCache.begin(), FastCache.end(), FastCacheEntry{});
     FastCacheGen = C.TT.generation();
   }
-  FastCache[hashAddr(PC) & (FastCacheSize - 1)] = FastCacheEntry{PC, T};
-  return T;
+  FastCache[hashAddr(T->Addr) & (FastCacheSize - 1)] =
+      FastCacheEntry{T->Addr, T};
 }
 
-Translation *DispatchLoop::promoteHot(uint32_t PC) {
-  ++C.Stats.HotPromotions;
-  // insert() replaces the cold translation; its predecessors' chain slots
-  // are re-parked and relink to the superblock immediately (TransTab's
-  // eager waiter resolution), so the hot path re-forms without further
-  // dispatcher round-trips.
-  double T0 = steadySeconds();
-  Translation *T = C.XS->translateSync(PC, /*Hot=*/true);
-  C.XS->noteSyncPromotion(steadySeconds() - T0);
-  T->Blob.CheckPoint = checkPoint(*T);
-  return T;
-}
-
-void DispatchLoop::promotionInstalled(Translation *T, uint64_t GenBefore) {
-  ++C.Stats.TracesFormed;
-  T->Blob.CheckPoint = checkPoint(*T);
-  if (C.TT.generation() == GenBefore + 1) {
-    // Only the replaced tier-1 head died in the insert: repair its
-    // fast-cache line surgically, exactly as the hot promotion path does.
-    // Any bigger generation jump (an eviction run) lets the generation
-    // check wipe the cache wholesale on the next dispatch.
-    FastCacheGen = C.TT.generation();
-    FastCache[hashAddr(T->Addr) & (FastCacheSize - 1)] =
-        FastCacheEntry{T->Addr, T};
+Translation *DispatchLoop::promote(Translation *T) {
+  uint64_t GenBefore = C.TT.generation();
+  Translation *NT = nullptr;
+  if (T->Tier == 0) {
+    // Tier 1: retranslate as a branch-chasing superblock.
+    NT = C.XS->translateSync(T->Addr, /*Hot=*/true);
+  } else if (TraceSpec Spec = selectTracePath(T); Spec.Entries.size() >= 2) {
+    // Tier 2: stitch the superblock's dominant path into one trace.
+    NT = C.XS->translateSync(T->Addr, /*Hot=*/true, &Spec);
   }
+  if (!NT) {
+    // No dominant successor (the chain graph is unbiased at the head) or
+    // spill overflow: back off exponentially rather than re-walking the
+    // graph every entry.
+    T->TraceRetryAt = T->Blob.ExecCount * 2;
+    T->Blob.CheckPoint = checkPoint(*T);
+    return T;
+  }
+  // The insert replaced T (which is gone): its predecessors' chain slots
+  // were re-parked and relink to NT at once (TransTab's eager waiter
+  // resolution), so the hot path re-forms without dispatcher round trips.
+  ++(NT->Tier == 1 ? C.Stats.HotPromotions : C.Stats.TracesFormed);
+  NT->Blob.CheckPoint = checkPoint(*NT);
+  if (C.TT.generation() == GenBefore + 1) {
+    // Only the replaced translation died: repair its line instead of
+    // letting the next lookup wipe the whole cache (every other line
+    // still points at live memory). A bigger jump (an eviction run)
+    // leaves the cache stale for that wipe.
+    FastCacheGen = C.TT.generation();
+    fillFastCache(NT);
+  }
+  return NT;
 }
 
 TraceSpec DispatchLoop::selectTracePath(Translation *Head) {
@@ -153,8 +163,7 @@ hvm::CodeBlob *DispatchLoop::chainResolveThunk(void *User, void *Cookie,
     // from dispatcher context. Prefill its fast-cache line so the bounced
     // dispatch doesn't pay a table lookup for a block we are holding.
     if (D->FastCacheGen == C.TT.generation())
-      D->FastCache[hashAddr(Succ->Addr) & (FastCacheSize - 1)] =
-          FastCacheEntry{Succ->Addr, Succ};
+      D->fillFastCache(Succ);
     return nullptr;
   }
   Succ->Blob.ExecCount = Execs;
@@ -245,45 +254,18 @@ void DispatchLoop::dispatchLoop(ThreadState &TS, uint64_t &Quantum,
     LastCookie = nullptr;
     LastSlot = ~0u;
 
-    // Hotness tier: promote once a block has proven itself.
+    // Entry accounting, and the one way up the tiers: a block that has
+    // proven itself moves up a tier here, at a dispatcher entry, never
+    // inside a chain, where an install could free code being executed. A
+    // trace needs chaining (the chain graph is both its evidence and its
+    // profit mechanism); promoteAt says when.
     uint64_t Execs = ++T->Blob.ExecCount;
     if (T->Tier == 2)
       ++C.Stats.TraceExecs;
     if (C.Prof)
       C.Prof->noteExec(PC);
-    if (T->Tier == 0 && Execs >= promoteAt(*T)) {
-      uint64_t GenBefore = C.TT.generation();
-      T = promoteHot(PC);
-      if (C.TT.generation() == GenBefore + 1) {
-        // Only the replaced translation died: repair its fast-cache line
-        // surgically instead of letting the generation check wipe the
-        // whole cache (every other entry still points at live memory).
-        FastCacheGen = C.TT.generation();
-        FastCache[hashAddr(PC) & (FastCacheSize - 1)] = FastCacheEntry{PC, T};
-      }
-    }
-
-    // Trace tier: a tier-1 superblock whose chain edges have proven
-    // strongly biased gets its dominant path stitched into one trace.
-    // Requires chaining (the chain graph is both the evidence and the
-    // profit mechanism) and runs only at this boundary — never inside a
-    // chain, where an install could evict code being executed.
-    // Re-read the exec count: the promotion above may have replaced T.
-    uint64_t TExecs = T->Blob.ExecCount;
-    if (T->Tier == 1 && TExecs >= promoteAt(*T)) {
-      TraceSpec Spec = selectTracePath(T);
-      Translation *NT =
-          Spec.Entries.size() >= 2 ? C.XS->translateTrace(Spec) : nullptr;
-      if (NT)
-        T = NT; // the old T was replaced by the insert: run the trace now
-      else {
-        // No dominant successor (the chain graph is unbiased at the head)
-        // or spill overflow: back off exponentially rather than re-walking
-        // the graph every entry.
-        T->TraceRetryAt = TExecs * 2;
-        T->Blob.CheckPoint = checkPoint(*T);
-      }
-    }
+    if (Execs >= promoteAt(*T))
+      T = promote(T);
 
     // The chain budget is Quantum - 1 (this dispatch itself is one block);
     // guard the subtraction — delivery charges above can leave the quantum
@@ -472,6 +454,9 @@ double meanUs(double Seconds, uint64_t Events) {
   return Events ? Seconds * 1e6 / static_cast<double>(Events) : 0.0;
 }
 
+/// A count as printf's %llu reads it.
+unsigned long long ull(uint64_t V) { return V; }
+
 } // namespace
 
 void DispatchLoop::dumpProfile() {
@@ -485,86 +470,66 @@ void DispatchLoop::dumpProfile() {
 
   Out.printf("\n== profile: dispatcher ==\n");
   Out.printf("blocks=%llu dispatcher-entries=%llu chained=%llu\n",
-             static_cast<unsigned long long>(S.BlocksDispatched),
-             static_cast<unsigned long long>(S.BlocksDispatched -
-                                             S.ChainedTransfers),
-             static_cast<unsigned long long>(S.ChainedTransfers));
+             ull(S.BlocksDispatched),
+             ull(S.BlocksDispatched - S.ChainedTransfers),
+             ull(S.ChainedTransfers));
   Out.printf("fast-cache hits=%llu misses=%llu (%.2f%%)\n",
-             static_cast<unsigned long long>(S.FastCacheHits),
-             static_cast<unsigned long long>(S.FastCacheMisses),
+             ull(S.FastCacheHits), ull(S.FastCacheMisses),
              pct(S.FastCacheHits, S.FastCacheHits + S.FastCacheMisses));
   Out.printf("table lookups=%llu hits=%llu chains-filled=%llu "
              "unchains=%llu\n",
-             static_cast<unsigned long long>(TS.Lookups),
-             static_cast<unsigned long long>(TS.Hits),
-             static_cast<unsigned long long>(TS.ChainsFilled),
-             static_cast<unsigned long long>(TS.Unchains));
+             ull(TS.Lookups), ull(TS.Hits), ull(TS.ChainsFilled),
+             ull(TS.Unchains));
   Out.printf("translations=%llu hot-promotions=%llu eviction-runs=%llu "
              "evicted=%llu invalidated=%llu\n",
-             static_cast<unsigned long long>(S.Translations),
-             static_cast<unsigned long long>(S.HotPromotions),
-             static_cast<unsigned long long>(TS.EvictionRuns),
-             static_cast<unsigned long long>(TS.Evicted),
-             static_cast<unsigned long long>(TS.Invalidated));
+             ull(S.Translations), ull(S.HotPromotions), ull(TS.EvictionRuns),
+             ull(TS.Evicted), ull(TS.Invalidated));
   Out.printf("promotion stall: hot-promotions=%llu inline=%.1fus\n",
-             static_cast<unsigned long long>(S.HotPromotions),
-             J.SyncPromoStallSeconds * 1e6);
+             ull(S.HotPromotions), J.SyncPromoStallSeconds * 1e6);
 
   if (const ShadowMap *SM =
           C.ToolPlugin ? C.ToolPlugin->shadowMap() : nullptr) {
     const ShadowStats &SS = SM->stats();
     Out.printf("\n== profile: shadow memory ==\n");
     Out.printf("probe loads fast=%llu slow=%llu (%.2f%% fast)\n",
-               static_cast<unsigned long long>(SS.FastLoads),
-               static_cast<unsigned long long>(SS.SlowLoads),
+               ull(SS.FastLoads), ull(SS.SlowLoads),
                pct(SS.FastLoads, SS.FastLoads + SS.SlowLoads));
     Out.printf("probe stores fast=%llu slow=%llu (%.2f%% fast)\n",
-               static_cast<unsigned long long>(SS.FastStores),
-               static_cast<unsigned long long>(SS.SlowStores),
+               ull(SS.FastStores), ull(SS.SlowStores),
                pct(SS.FastStores, SS.FastStores + SS.SlowStores));
     Out.printf("secondary cache hits=%llu misses=%llu (%.2f%%)\n",
-               static_cast<unsigned long long>(SS.SecCacheHits),
-               static_cast<unsigned long long>(SS.SecCacheMisses),
+               ull(SS.SecCacheHits), ull(SS.SecCacheMisses),
                pct(SS.SecCacheHits, SS.SecCacheHits + SS.SecCacheMisses));
     Out.printf("chunks materialised=%llu reclaimed=%llu live=%llu "
                "high-water=%llu\n",
-               static_cast<unsigned long long>(SS.Materialised),
-               static_cast<unsigned long long>(SS.Reclaimed),
-               static_cast<unsigned long long>(SS.LiveChunks),
-               static_cast<unsigned long long>(SS.HighWater));
+               ull(SS.Materialised), ull(SS.Reclaimed), ull(SS.LiveChunks),
+               ull(SS.HighWater));
   }
 
   Out.printf("\n== profile: scheduler/signals ==\n");
   Out.printf("thread-switches=%llu signals delivered=%llu dropped=%llu\n",
-             static_cast<unsigned long long>(S.ThreadSwitches),
-             static_cast<unsigned long long>(S.SignalsDelivered),
-             static_cast<unsigned long long>(S.SignalsDropped));
+             ull(S.ThreadSwitches), ull(S.SignalsDelivered),
+             ull(S.SignalsDropped));
 
   if (const FaultPlan *F = C.Faults.get()) {
     Out.printf("\n== profile: fault injection ==\n");
-    Out.printf("rolls=%llu injected=%llu\n",
-               static_cast<unsigned long long>(F->rolls()),
-               static_cast<unsigned long long>(F->injectedTotal()));
+    Out.printf("rolls=%llu injected=%llu\n", ull(F->rolls()),
+               ull(F->injectedTotal()));
     for (unsigned I = 0; I != NumFaultKinds; ++I) {
       FaultKind K = static_cast<FaultKind>(I);
-      Out.printf("  %-12s %llu\n", faultKindName(K),
-                 static_cast<unsigned long long>(F->injected(K)));
+      Out.printf("  %-12s %llu\n", faultKindName(K), ull(F->injected(K)));
     }
   }
 
   if (C.TraceTier) {
     Out.printf("\n== profile: trace tier ==\n");
     Out.printf("requests=%llu traces-formed=%llu aborts=%llu\n",
-               static_cast<unsigned long long>(J.TraceRequests),
-               static_cast<unsigned long long>(S.TracesFormed),
-               static_cast<unsigned long long>(J.TraceAborts));
+               ull(J.TraceRequests), ull(S.TracesFormed), ull(J.TraceAborts));
     Out.printf("trace-execs=%llu side-exits=%llu (%.2f%% side-exit rate)\n",
-               static_cast<unsigned long long>(S.TraceExecs),
-               static_cast<unsigned long long>(S.TraceSideExits),
+               ull(S.TraceExecs), ull(S.TraceSideExits),
                pct(S.TraceSideExits, S.TraceExecs));
     Out.printf("dead-flag-puts-eliminated=%llu probes-csed=%llu\n",
-               static_cast<unsigned long long>(J.TraceDeadFlagPuts),
-               static_cast<unsigned long long>(J.TraceProbesCSEd));
+               ull(J.TraceDeadFlagPuts), ull(J.TraceProbesCSEd));
   }
 
   if (const TransCache *TC = C.XS->cache()) {
@@ -572,15 +537,11 @@ void DispatchLoop::dumpProfile() {
     Out.printf("\n== profile: translation cache ==\n");
     Out.printf("lookups=%llu hits=%llu misses=%llu rejects=%llu "
                "(%.2f%% hit)\n",
-               static_cast<unsigned long long>(Lookups),
-               static_cast<unsigned long long>(J.CacheHits),
-               static_cast<unsigned long long>(J.CacheMisses),
-               static_cast<unsigned long long>(J.CacheRejects),
-               pct(J.CacheHits, Lookups));
+               ull(Lookups), ull(J.CacheHits), ull(J.CacheMisses),
+               ull(J.CacheRejects), pct(J.CacheHits, Lookups));
     Out.printf("writes=%llu evicted-files=%llu dir-bytes=%llu\n",
-               static_cast<unsigned long long>(J.CacheWrites),
-               static_cast<unsigned long long>(TC->evictedFiles()),
-               static_cast<unsigned long long>(TC->totalBytes()));
+               ull(J.CacheWrites), ull(TC->evictedFiles()),
+               ull(TC->totalBytes()));
     Out.printf("load total=%.1fus mean=%.1fus store total=%.1fus "
                "mean=%.1fus\n",
                J.CacheLoadSeconds * 1e6,
@@ -593,22 +554,16 @@ void DispatchLoop::dumpProfile() {
     Out.printf("\n== profile: translation server ==\n");
     Out.printf("server requests=%llu hits=%llu misses=%llu rejects=%llu "
                "(%.2f%% hit)\n",
-               static_cast<unsigned long long>(J.ServerRequests),
-               static_cast<unsigned long long>(J.ServerHits),
-               static_cast<unsigned long long>(J.ServerMisses),
-               static_cast<unsigned long long>(J.ServerRejects),
-               pct(J.ServerHits, J.ServerRequests));
+               ull(J.ServerRequests), ull(J.ServerHits), ull(J.ServerMisses),
+               ull(J.ServerRejects), pct(J.ServerHits, J.ServerRequests));
     Out.printf("server timeouts=%llu retries=%llu fallbacks=%llu "
                "writes=%llu alive-at-exit=%s\n",
-               static_cast<unsigned long long>(J.ServerTimeouts),
-               static_cast<unsigned long long>(J.ServerRetries),
-               static_cast<unsigned long long>(J.ServerFallbacks),
-               static_cast<unsigned long long>(J.ServerWrites),
+               ull(J.ServerTimeouts), ull(J.ServerRetries),
+               ull(J.ServerFallbacks), ull(J.ServerWrites),
                SC->alive() ? "yes" : "no");
     Out.printf("server bytes fetched=%llu sent=%llu fetch total=%.1fus "
                "mean=%.1fus\n",
-               static_cast<unsigned long long>(J.ServerBytesFetched),
-               static_cast<unsigned long long>(J.ServerBytesSent),
+               ull(J.ServerBytesFetched), ull(J.ServerBytesSent),
                J.ServerFetchSeconds * 1e6,
                meanUs(J.ServerFetchSeconds, J.ServerHits));
   }
@@ -617,12 +572,9 @@ void DispatchLoop::dumpProfile() {
     Out.printf("\n== profile: event trace ==\n");
     Out.printf("recorded=%llu dropped=%llu syscalls=%llu signal-records="
                "%llu\n",
-               static_cast<unsigned long long>(Tr->recorded()),
-               static_cast<unsigned long long>(Tr->dropped()),
-               static_cast<unsigned long long>(
-                   Tr->count(TraceEvent::SyscallEnter)),
-               static_cast<unsigned long long>(
-                   Tr->count(TraceEvent::SigQueue) +
+               ull(Tr->recorded()), ull(Tr->dropped()),
+               ull(Tr->count(TraceEvent::SyscallEnter)),
+               ull(Tr->count(TraceEvent::SigQueue) +
                    Tr->count(TraceEvent::SigDeliver) +
                    Tr->count(TraceEvent::SigReturn) +
                    Tr->count(TraceEvent::SigDrop)));

@@ -8,8 +8,9 @@
 ///   - the scheduler (the big lock of Section 3.14: one guest thread runs
 ///     at a time, round-robin, 100k-block quanta) and its dispatch loop;
 ///   - the dispatcher fast cache and the chain-resolve thunk;
-///   - hot-tier promotion and trace-formation gating (the policy decisions;
-///     translation itself stays in the TranslationService);
+///   - the one promotion step up the tiers (the policy decisions;
+///     translation itself stays in the TranslationService, which never
+///     calls back into the dispatcher);
 ///   - call-into-guest (the mechanism replacement and wrapping functions
 ///     use to run the code they replaced).
 ///
@@ -47,10 +48,6 @@ public:
   /// Ends the running thread's quantum at the next block boundary.
   void requestYield() { YieldRequested = true; }
 
-  /// Trace install hook: count the trace and surgically repair the fast
-  /// cache's line when only the replaced tier-1 head died.
-  void promotionInstalled(Translation *T, uint64_t GenBefore);
-
   /// The --profile report: the Profiler's phase and hot-block sections
   /// around one section per subsystem, each printed straight from the
   /// struct that owns its counters.
@@ -64,10 +61,17 @@ private:
   static constexpr size_t FastCacheSize = 1u << 13; // direct-mapped
 
   Translation *findOrTranslate(uint32_t PC);
-  /// Hot-tier promotion: retranslate \p PC as a superblock, stalling the
-  /// guest. Replaces the old translation (predecessor chain slots relink
-  /// eagerly via TransTab).
-  Translation *promoteHot(uint32_t PC);
+  /// Points \p T's fast-cache line at it, wiping the cache first if a
+  /// translation died since the cache was last known live.
+  void fillFastCache(Translation *T);
+  /// The one promotion step, taken at a dispatcher entry that reached
+  /// promoteAt(*T): retranslates a tier-0 block as a hot superblock, or
+  /// stitches a tier-1 superblock's dominant path into a trace, stalling
+  /// the guest. The install replaces \p T (predecessor chain slots relink
+  /// eagerly via TransTab); the new translation is counted, gets its check
+  /// point and fast-cache line, and is returned. A tier-1 block with no
+  /// trace to form backs off through TraceRetryAt and is returned.
+  Translation *promote(Translation *T);
   /// Walks the chain graph from \p Head picking the dominant successor at
   /// each step. Returns a spec with fewer than 2 entries when no biased
   /// path exists (caller backs off via TraceRetryAt).

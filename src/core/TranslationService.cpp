@@ -20,17 +20,10 @@ TranslationService::~TranslationService() = default;
 //===----------------------------------------------------------------------===//
 
 void TranslationService::fillTranslation(Translation &T, uint32_t PC,
-                                         bool Hot, TranslatedBlock TB) {
-  T.Addr = PC;
-  // A trace pipeline marks its result through the disassembly metadata;
-  // the extents then span every constituent, so invalidateRange poisoning
-  // any one of them evicts the whole trace.
-  if (!TB.Meta.TraceEntries.empty()) {
-    T.Tier = 2;
-    T.TraceEntries = TB.Meta.TraceEntries;
-  } else {
-    T.Tier = Hot ? 1 : 0;
-  }
+                                         TranslatedBlock TB) {
+  // A trace's extents span every constituent, so invalidateRange
+  // poisoning any one of them evicts the whole trace.
+  T.TraceEntries = TB.Meta.TraceEntries;
   T.Blob = std::move(TB.Blob);
   T.Extents = TB.Meta.Extents;
   if (T.Extents.empty())
@@ -120,9 +113,9 @@ TranslationService::loadFromServer(uint64_t Key, TransCacheEntry &E,
                                      /*ResolveCallees=*/true);
 }
 
-Translation *
-TranslationService::installFromCache(std::unique_ptr<Translation> &TPtr,
-                                     uint64_t Key, uint32_t PC, bool Hot) {
+bool TranslationService::loadFromCache(Translation &T, uint64_t Key,
+                                       uint32_t PC, bool Hot,
+                                       double &Seconds) {
   double T0 = steadySeconds();
   TransCacheEntry E;
   TransCache::LoadResult R = TransCache::LoadResult::NotFound;
@@ -138,7 +131,7 @@ TranslationService::installFromCache(std::unique_ptr<Translation> &TPtr,
   if (R == TransCache::LoadResult::NotFound) {
     ++JS.CacheMisses;
     JS.CacheLoadSeconds += steadySeconds() - T0;
-    return nullptr;
+    return false;
   }
   // Found entries still run a gauntlet before install: the live guest
   // bytes must hash to what the entry was translated from,
@@ -152,7 +145,7 @@ TranslationService::installFromCache(std::unique_ptr<Translation> &TPtr,
     if (FromServer)
       ++JS.ServerRejects;
     JS.CacheLoadSeconds += steadySeconds() - T0;
-    return nullptr;
+    return false;
   }
   if (FromServer) {
     ++JS.ServerHits;
@@ -163,24 +156,20 @@ TranslationService::installFromCache(std::unique_ptr<Translation> &TPtr,
       Cache->storeFile(Key, ServerImage);
   }
 
-  Translation *Raw = TPtr.get();
-  Raw->Addr = PC;
-  Raw->Tier = Hot ? 1 : 0;
-  Raw->Extents = std::move(E.Extents);
-  Raw->CodeHash = E.CodeHash;
-  Raw->NumInsns = E.NumInsns;
-  Raw->Blob.Bytes = std::move(E.Bytes);
-  Raw->Blob.NumSpillSlots = E.NumSpillSlots;
-  Raw->Blob.NumChainSlots = E.NumChainSlots;
-  Raw->Blob.ChainTargets = std::move(E.ChainTargets);
-  Raw->Blob.Chain.assign(Raw->Blob.NumChainSlots, nullptr);
-  Raw->Blob.EdgeExecs.assign(Raw->Blob.NumChainSlots, 0);
+  T.Extents = std::move(E.Extents);
+  T.CodeHash = E.CodeHash;
+  T.NumInsns = E.NumInsns;
+  T.Blob.Bytes = std::move(E.Bytes);
+  T.Blob.NumSpillSlots = E.NumSpillSlots;
+  T.Blob.NumChainSlots = E.NumChainSlots;
+  T.Blob.ChainTargets = std::move(E.ChainTargets);
+  T.Blob.Chain.assign(T.Blob.NumChainSlots, nullptr);
+  T.Blob.EdgeExecs.assign(T.Blob.NumChainSlots, 0);
 
   ++JS.CacheHits;
-  double Seconds = steadySeconds() - T0;
+  Seconds = steadySeconds() - T0;
   JS.CacheLoadSeconds += Seconds;
-  Host.noteTranslation(PC, *Raw, Seconds);
-  return TT.insert(std::move(TPtr));
+  return true;
 }
 
 void TranslationService::writeBackToCache(uint64_t Key, const Translation &T) {
@@ -221,84 +210,66 @@ void TranslationService::writeBackToCache(uint64_t Key, const Translation &T) {
   JS.CacheStoreSeconds += steadySeconds() - T0;
 }
 
-Translation *TranslationService::translateSync(uint32_t PC, bool Hot) {
+Translation *TranslationService::translateSync(uint32_t PC, bool Hot,
+                                               const TraceSpec *Trace) {
+  double Start = Hot && !Trace ? steadySeconds() : 0;
   auto TPtr = std::make_unique<Translation>();
   Translation *Raw = TPtr.get();
 
   TranslationOptions TO;
+  ir::TraceOptStats TS;
+  if (Trace) {
+    // The spec must be pinned before setupTranslation: the host scales the
+    // frontend limits off it, forces Cacheable off, and binds the seam list
+    // into the instrument hook (per-seam SMC checks).
+    TO.Trace = *Trace;
+    TO.TraceStats = &TS;
+    ++JS.TraceRequests;
+  }
   Host.setupTranslation(TO, PC, Hot, Raw);
 
   // The persistent cache sits in front of the pipeline. Eligibility
   // (Raw->Cacheable) was just decided by setupTranslation, so
   // position-dependent blobs (SMC prelude) never consult the disk.
   uint64_t Key = 0;
-  bool UseCache = (Cache || Server) && Raw->Cacheable;
-  if (UseCache) {
+  double Seconds = 0;
+  bool UseCache = (Cache || Server) && Raw->Cacheable && !Trace;
+  if (UseCache)
     Key = TransCache::entryKey(PC, Hot, cachePrefixHash(PC));
-    if (Translation *T = installFromCache(TPtr, Key, PC, Hot))
-      return T;
+  bool Hit = UseCache && loadFromCache(*Raw, Key, PC, Hot, Seconds);
+  if (!Hit) {
+    FetchFn Fetch = [this](uint32_t Addr, uint8_t *Buf,
+                           uint32_t MaxLen) -> uint32_t {
+      uint32_t N = 0;
+      while (N < MaxLen && !Memory.fetch(Addr + N, Buf + N, 1).Faulted)
+        ++N;
+      return N;
+    };
+    // Timed unconditionally (not just under --profile): CoreStats carries
+    // the total so the warm-start bench can compare pipeline time against
+    // cache-load time. Two clock reads per translation is noise next to
+    // the eight-phase pipeline they bracket.
+    double T0 = steadySeconds();
+    TranslatedBlock TB = translateBlock(PC, Fetch, TO);
+    if (TB.SpillOverflow) {
+      ++JS.TraceAborts;
+      return nullptr; // keep running the constituent tier-1 blocks
+    }
+    fillTranslation(*Raw, PC, std::move(TB));
+    Raw->CodeHash = hashLive(Memory, Raw->Extents);
+    Seconds = steadySeconds() - T0;
   }
-
-  FetchFn Fetch = [this](uint32_t Addr, uint8_t *Buf,
-                         uint32_t MaxLen) -> uint32_t {
-    uint32_t N = 0;
-    while (N < MaxLen && !Memory.fetch(Addr + N, Buf + N, 1).Faulted)
-      ++N;
-    return N;
-  };
-
-  // Timed unconditionally (not just under --profile): CoreStats carries
-  // the total so the warm-start bench can compare pipeline time against
-  // cache-load time. Two clock reads per translation is noise next to the
-  // eight-phase pipeline they bracket.
-  double T0 = steadySeconds();
-  TranslatedBlock TB = translateBlock(PC, Fetch, TO);
-  fillTranslation(*Raw, PC, Hot, std::move(TB));
-  Raw->CodeHash = hashLive(Memory, Raw->Extents);
-  Host.noteTranslation(PC, *Raw, steadySeconds() - T0);
-  Translation *Res = TT.insert(std::move(TPtr));
-  if (UseCache && !poisonedExtents(Res->Extents))
-    writeBackToCache(Key, *Res);
-  return Res;
-}
-
-Translation *TranslationService::translateTrace(const TraceSpec &Spec) {
-  auto TPtr = std::make_unique<Translation>();
-  Translation *Raw = TPtr.get();
-  uint32_t PC = Spec.Entries.at(0);
-
-  TranslationOptions TO;
-  // The spec must be pinned before setupTranslation: the host scales the
-  // frontend limits off it, forces Cacheable off, and binds the seam list
-  // into the instrument hook (per-seam SMC checks).
-  TO.Trace = Spec;
-  ir::TraceOptStats TS;
-  TO.TraceStats = &TS;
-  Host.setupTranslation(TO, PC, /*Hot=*/true, Raw);
-  ++JS.TraceRequests;
-
-  FetchFn Fetch = [this](uint32_t Addr, uint8_t *Buf,
-                         uint32_t MaxLen) -> uint32_t {
-    uint32_t N = 0;
-    while (N < MaxLen && !Memory.fetch(Addr + N, Buf + N, 1).Faulted)
-      ++N;
-    return N;
-  };
-
-  double T0 = steadySeconds();
-  TranslatedBlock TB = translateBlock(PC, Fetch, TO);
-  if (TB.SpillOverflow) {
-    ++JS.TraceAborts;
-    return nullptr; // keep running the constituent tier-1 blocks
-  }
-  fillTranslation(*Raw, PC, /*Hot=*/true, std::move(TB));
-  Raw->CodeHash = hashLive(Memory, Raw->Extents);
-  Host.noteTranslation(PC, *Raw, steadySeconds() - T0);
+  Raw->Addr = PC;
+  Raw->Tier = Trace ? 2 : Hot;
+  Host.noteTranslation(PC, *Raw, Seconds);
   JS.TraceDeadFlagPuts += TS.DeadFlagPuts;
   JS.TraceProbesCSEd += TS.ProbesCSEd;
-  uint64_t GenBefore = TT.generation();
+  if (Trace)
+    ++JS.TraceInstalled;
   Translation *Res = TT.insert(std::move(TPtr));
-  ++JS.TraceInstalled;
-  Host.promotionInstalled(Res, GenBefore);
+  if (UseCache && !Hit && !poisonedExtents(Res->Extents))
+    writeBackToCache(Key, *Res);
+  if (Hot && !Trace)
+    JS.SyncPromoStallSeconds += steadySeconds() - Start;
   return Res;
 }

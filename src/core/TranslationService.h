@@ -90,11 +90,6 @@ public:
   /// pipeline (or the cache load) that produced it.
   virtual void noteTranslation(uint32_t PC, const Translation &T,
                                double Seconds) = 0;
-
-  /// A trace was just installed over its tier-1 head. \p GenBefore is the
-  /// TT generation sampled immediately before the insert (the host repairs
-  /// its fast cache the same way hot promotion does).
-  virtual void promotionInstalled(Translation *T, uint64_t GenBefore) = 0;
 };
 
 /// The tiered translation service. One instance per Core; owns the
@@ -144,28 +139,21 @@ public:
   /// discarded, the whole cache poisoned.
   unsigned invalidateAll();
 
-  /// The synchronous pipeline: translate the block at \p PC (hot = chase
-  /// branches into a superblock), hash its bytes, account it through the
-  /// host, and insert it into the table. With a cache
-  /// attached, an eligible PC is first looked up on disk (a validated hit
-  /// skips the pipeline entirely) and a fresh translation is written back
-  /// after install.
-  Translation *translateSync(uint32_t PC, bool Hot);
-
-  /// The trace tier (tier 2). Synchronously stitches the hot path
-  /// described by \p Spec into one trace translation and installs it over
-  /// the head's tier-1 block. Returns null (leaving the tier-1 block
-  /// resident) when register allocation overflows the executor frame —
-  /// the only way a stitch can fail once the frontend has a path.
-  /// Dispatch-boundary only. Never consults or feeds the
-  /// persistent cache: a trace encodes this run's branch bias and chain
-  /// graph, which no cache key captures.
-  Translation *translateTrace(const TraceSpec &Spec);
-
-  /// Accounts the guest stall of one hot promotion.
-  void noteSyncPromotion(double Seconds) {
-    JS.SyncPromoStallSeconds += Seconds;
-  }
+  /// The one way into the table, at every tier: translate the block at
+  /// \p PC (tier 0; \p Hot = chase branches into a tier-1 superblock; a
+  /// \p Trace, whose Entries[0] is \p PC, stitches that hot path into a
+  /// tier-2 trace), hash its bytes, account it through the host, and
+  /// insert it into the table, replacing any translation of \p PC. With a
+  /// cache attached, an eligible PC is first looked up on disk (a
+  /// validated hit skips the pipeline entirely) and a fresh translation is
+  /// written back after install. A trace never consults or feeds the
+  /// cache: it encodes this run's branch bias and chain graph, which no
+  /// cache key captures. Returns null only for a trace whose register
+  /// allocation overflows the executor frame (the only way a stitch can
+  /// fail once the frontend has a path); the tier-1 head stays resident.
+  /// A hot request's own time is the guest's promotion stall.
+  Translation *translateSync(uint32_t PC, bool Hot,
+                             const TraceSpec *Trace = nullptr);
 
   /// FNV-1a over the live guest bytes of \p Extents, in order: a
   /// translation's CodeHash at install, and what the SMC check and a cache
@@ -180,11 +168,11 @@ private:
   /// shorten the window; see TransCache::entryKey for why any window is
   /// correct.
   uint64_t cachePrefixHash(uint32_t PC) const;
-  /// On Found+validated: fills \p TPtr (an already-set-up shell), accounts
-  /// the hit, installs, and returns the resident translation. Null on
-  /// miss/reject (the shell stays reusable by the pipeline).
-  Translation *installFromCache(std::unique_ptr<Translation> &TPtr,
-                                uint64_t Key, uint32_t PC, bool Hot);
+  /// On Found+validated: fills \p T's code, extents and hash, accounts
+  /// the hit, sets \p Seconds to the load time and returns true. False on
+  /// miss/reject (\p T stays as it was, for the pipeline).
+  bool loadFromCache(Translation &T, uint64_t Key, uint32_t PC, bool Hot,
+                     double &Seconds);
   /// Fetches \p Key from the daemon and decodes it. NotFound on miss or
   /// any transport failure (the ladder's "degrade" rung), Malformed when
   /// the daemon returned bytes that fail validation. On Found, \p Image
@@ -204,7 +192,11 @@ private:
   /// published to the local cache (counts CacheWrites) and pushed to the
   /// daemon (counts ServerWrites).
   void writeBackToCache(uint64_t Key, const Translation &T);
-  static void fillTranslation(Translation &T, uint32_t PC, bool Hot,
+  /// Moves the pipeline's code and metadata into \p T and sizes its chain
+  /// state. \p TB is taken by value so that its leftovers are freed here,
+  /// before the install: the order of heap calls on the benchmark path is
+  /// pinned until ROADMAP item 1 lands.
+  static void fillTranslation(Translation &T, uint32_t PC,
                               TranslatedBlock TB);
   TranslationHost &Host;
   GuestMemory &Memory;

@@ -3,6 +3,7 @@
 #include "guest/GuestMemory.h"
 
 #include <algorithm>
+#include <cassert>
 
 using namespace vg;
 
@@ -16,6 +17,7 @@ std::unique_ptr<GuestMemory::Page> &GuestMemory::slot(uint32_t PageIdx) {
 void GuestMemory::map(uint32_t Addr, uint32_t Len, uint8_t Perms) {
   if (Len == 0)
     return;
+  assert(uint64_t{Addr} + Len <= (1ull << 32) && "range wraps the space");
   uint32_t First = Addr >> PageShift;
   uint32_t Last = (Addr + Len - 1) >> PageShift;
   for (uint32_t PI = First;; ++PI) {
@@ -33,6 +35,7 @@ void GuestMemory::map(uint32_t Addr, uint32_t Len, uint8_t Perms) {
 void GuestMemory::unmap(uint32_t Addr, uint32_t Len) {
   if (Len == 0)
     return;
+  assert(uint64_t{Addr} + Len <= (1ull << 32) && "range wraps the space");
   uint32_t First = Addr >> PageShift;
   uint32_t Last = (Addr + Len - 1) >> PageShift;
   for (uint32_t PI = First;; ++PI) {
@@ -51,6 +54,7 @@ void GuestMemory::unmap(uint32_t Addr, uint32_t Len) {
 void GuestMemory::protect(uint32_t Addr, uint32_t Len, uint8_t Perms) {
   if (Len == 0)
     return;
+  assert(uint64_t{Addr} + Len <= (1ull << 32) && "range wraps the space");
   uint32_t First = Addr >> PageShift;
   uint32_t Last = (Addr + Len - 1) >> PageShift;
   for (uint32_t PI = First;; ++PI) {

@@ -516,8 +516,15 @@ uint32_t SimKernel::doMprotect(CpuView &Cpu) {
   preRegRead(Tid, 3, "mprotect(prot)");
   uint32_t Addr = Cpu.readReg(1), Len = Cpu.readReg(2);
   uint32_t Prot = Cpu.readReg(3);
+  // The range must not wrap past 2^32 (the page walk would run off the
+  // page table) nor reach into the core's region, whose trampoline page
+  // must stay executable (Section 3.10). Unmapped pages inside it are
+  // skipped.
+  uint64_t End = uint64_t{Addr} + Len;
   const Segment *S = AS.segmentAt(Addr);
-  if (!S || S->Kind == SegKind::CoreReserved)
+  if (!S || S->Kind == SegKind::CoreReserved || End > (1ull << 32) ||
+      (Addr < AddressSpace::CoreBase + AddressSpace::CoreSize &&
+       End > AddressSpace::CoreBase))
     return SysErr;
   Cpu.mem().protect(Addr, Len, static_cast<uint8_t>(Prot));
   return 0;

@@ -7,41 +7,22 @@
 
 using namespace vg;
 
-const char *vg::faultKindName(FaultKind K) {
-  switch (K) {
-  case FaultKind::Syscall:
-    return "syscall";
-  case FaultKind::ShortIO:
-    return "shortio";
-  case FaultKind::MemPressure:
-    return "mempressure";
-  case FaultKind::Wakeup:
-    return "wakeup";
-  case FaultKind::SigStorm:
-    return "sigstorm";
-  case FaultKind::Preempt:
-    return "preempt";
-  case FaultKind::TTFlush:
-    return "ttflush";
-  case FaultKind::NumKinds:
-    break;
-  }
-  return "?";
-}
-
 namespace {
 
-/// Default 1-in-N rates per kind. Block-boundary kinds (sigstorm, preempt,
-/// ttflush) are consulted once per dispatched block and therefore get much
-/// longer odds than the per-syscall kinds.
-constexpr uint32_t DefaultRate[NumFaultKinds] = {
-    /*syscall=*/16,  /*shortio=*/8,    /*mempressure=*/24,
-    /*wakeup=*/4,    /*sigstorm=*/512, /*preempt=*/1024,
-    /*ttflush=*/4096};
+struct FaultKindInfo {
+  const char *Name;
+  uint32_t DefaultRate;
+};
+
+constexpr FaultKindInfo KindTable[NumFaultKinds] = {
+#define VG_FAULT_KIND_INFO(Kind, Name, Rate) {Name, Rate},
+    VG_FAULT_KINDS(VG_FAULT_KIND_INFO)
+#undef VG_FAULT_KIND_INFO
+};
 
 int kindFromName(const std::string &Name) {
   for (unsigned I = 0; I != NumFaultKinds; ++I)
-    if (Name == faultKindName(static_cast<FaultKind>(I)))
+    if (Name == KindTable[I].Name)
       return static_cast<int>(I);
   return -1;
 }
@@ -63,6 +44,11 @@ bool parseU64Checked(const char *C, uint64_t &Out) {
 }
 
 } // namespace
+
+const char *vg::faultKindName(FaultKind K) {
+  unsigned I = static_cast<unsigned>(K);
+  return I < NumFaultKinds ? KindTable[I].Name : "?";
+}
 
 bool FaultPlan::parse(const std::string &Spec, std::string &Err) {
   for (uint32_t &R : Rate)
@@ -102,7 +88,7 @@ bool FaultPlan::parse(const std::string &Spec, std::string &Err) {
 
     if (Name == "all") {
       for (unsigned I = 0; I != NumFaultKinds; ++I)
-        Rate[I] = R ? R : DefaultRate[I];
+        Rate[I] = R ? R : KindTable[I].DefaultRate;
       AnyKind = true;
       continue;
     }
@@ -111,7 +97,7 @@ bool FaultPlan::parse(const std::string &Spec, std::string &Err) {
       Err = "unknown fault-inject kind '" + Name + "'";
       return false;
     }
-    Rate[K] = R ? R : DefaultRate[K];
+    Rate[K] = R ? R : KindTable[K].DefaultRate;
     AnyKind = true;
   }
 

@@ -15,8 +15,7 @@
 ///
 ///   spec    := item ("," item)*
 ///   item    := kind (":" rate)? | "all" (":" rate)? | "seed=" N
-///   kind    := syscall | shortio | mempressure | wakeup | sigstorm
-///            | preempt | ttflush
+///   kind    := a name in VG_FAULT_KINDS below
 ///   rate    := decimal "1-in-N" chance per decision point (default per
 ///              kind, below)
 ///
@@ -34,15 +33,24 @@
 
 namespace vg {
 
-/// The injectable fault categories.
+/// The injectable fault categories, one row each: X(Kind, "name", rate),
+/// with the name specs, traces and the --profile report use, and the
+/// default 1-in-N rate. Block-boundary kinds (sigstorm, preempt, ttflush)
+/// are consulted once per dispatched block and therefore get much longer
+/// odds than the per-syscall kinds.
+#define VG_FAULT_KINDS(X)                                                      \
+  X(Syscall, "syscall", 16)         /* a syscall fails, doing no work */       \
+  X(ShortIO, "shortio", 8)          /* read/write moves fewer bytes */         \
+  X(MemPressure, "mempressure", 24) /* mmap/brk/mremap report exhaustion */    \
+  X(Wakeup, "wakeup", 4)            /* nanosleep/yield return early */         \
+  X(SigStorm, "sigstorm", 512)      /* a handled signal queued at a block */   \
+  X(Preempt, "preempt", 1024)       /* a scheduling slice cut to 1 block */    \
+  X(TTFlush, "ttflush", 4096)       /* the whole translation table flushed */
+
 enum class FaultKind : unsigned {
-  Syscall,     ///< fallible syscall returns 0xFFFFFFFF without doing work
-  ShortIO,     ///< read/write transfers fewer bytes than requested
-  MemPressure, ///< mmap/brk/mremap report exhaustion
-  Wakeup,      ///< nanosleep/yield return early/spuriously
-  SigStorm,    ///< an installed-handler signal is queued at a block boundary
-  Preempt,     ///< a scheduling slice is cut to quantum = 1
-  TTFlush,     ///< the whole translation table is invalidated
+#define VG_FAULT_KIND_ENUM(Kind, Name, Rate) Kind,
+  VG_FAULT_KINDS(VG_FAULT_KIND_ENUM)
+#undef VG_FAULT_KIND_ENUM
   NumKinds
 };
 

@@ -64,8 +64,6 @@ static_assert(CrDiscardTranslations == 0x43520001u);
 static_assert(CrStackRegister == 0x43520002u);
 static_assert(CrPrint == 0x43520005u);
 static_assert(CrRunningOnValgrind == 0x43520006u);
-static_assert(CrMalloc == 0x43520101u);
-static_assert(CrRealloc == 0x43520104u);
 static_assert(McTag == 0x4D43u, "'M','C'");
 static_assert(McMakeMemDefined == 0x4D430001u);
 static_assert(McCountErrors == 0x4D430006u);

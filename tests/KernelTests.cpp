@@ -8,6 +8,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/Events.h"
+#include "core/Launcher.h"
 #include "guest/Assembler.h"
 #include "guest/RefInterp.h"
 #include "kernel/SimKernel.h"
@@ -273,6 +274,71 @@ TEST(SimKernel, UnknownSyscallReturnsError) {
   Machine M(A);
   ASSERT_EQ(M.Cpu.run(100).Status, RunStatus::Halted);
   EXPECT_EQ(M.Cpu.R[0], SysErr);
+}
+
+//===----------------------------------------------------------------------===//
+// mprotect's range checks, natively and under the core
+//===----------------------------------------------------------------------===//
+
+constexpr uint32_t ProtBase = 0x10000;
+
+/// A guest at ProtBase that runs \p Body and exits with r0.
+GuestImage exitWithR0After(const std::function<void(Assembler &)> &Body) {
+  Assembler A(ProtBase);
+  Body(A);
+  A.mov(Reg::R1, Reg::R0);
+  A.movi(Reg::R0, SysExit);
+  A.sys();
+  A.hlt();
+  return GuestImageBuilder().addCode(A).entry(ProtBase).build();
+}
+
+void emitSyscall(Assembler &A, uint32_t No, std::vector<uint32_t> Args) {
+  A.movi(Reg::R0, No);
+  for (unsigned I = 0; I != Args.size(); ++I)
+    A.movi(static_cast<Reg>(1 + I), Args[I]);
+  A.sys();
+}
+
+/// Runs \p Img natively and under the core; both must exit with SysErr,
+/// and under the core the sigreturn trampoline must still be executable.
+void expectMprotectFails(const GuestImage &Img) {
+  RunReport N = runNative(Img);
+  EXPECT_TRUE(N.Completed);
+  EXPECT_EQ(N.ExitCode, static_cast<int>(SysErr));
+  Core C;
+  C.output().useBuffer();
+  C.applyOptions();
+  C.loadImage(Img);
+  CoreExit E = C.run();
+  EXPECT_EQ(E.K, CoreExit::Kind::Exited);
+  EXPECT_EQ(E.Code, static_cast<int>(SysErr));
+  uint8_t Insn[4];
+  EXPECT_FALSE(
+      C.memory().fetch(AddressSpace::CoreBase, Insn, sizeof(Insn)).Faulted);
+}
+
+// A length that runs past 2^32 walked the page table past its end (at
+// 0xFFFFFFFF bytes from a mapped page it killed the host).
+TEST(SimKernel, MprotectRangeWrappingTheSpaceFails) {
+  expectMprotectFails(exitWithR0After([](Assembler &A) {
+    emitSyscall(A, SysMprotect, {ProtBase, 0xFFFFFFFFu, 3});
+  }));
+}
+
+// A client mapping that ends where the core's region begins cannot lend
+// its mprotect to the core's trampoline page.
+TEST(SimKernel, MprotectCannotReachTheCoreRegion) {
+  constexpr uint32_t Below = AddressSpace::CoreBase - 0x10000;
+  expectMprotectFails(exitWithR0After([](Assembler &A) {
+    emitSyscall(A, SysMmap, {Below, 0x10000, 3, /*fixed=*/1});
+    A.mov(Reg::R6, Reg::R0);
+    emitSyscall(A, SysMprotect, {Below, 0x11000, 3});
+    // r0 + (r6 - Below): SysErr only if the mmap landed and mprotect failed.
+    A.add(Reg::R0, Reg::R0, Reg::R6);
+    A.movi(Reg::R6, Below);
+    A.sub(Reg::R0, Reg::R0, Reg::R6);
+  }));
 }
 
 //===----------------------------------------------------------------------===//

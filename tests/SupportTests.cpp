@@ -6,6 +6,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "core/Core.h"
 #include "core/ErrorManager.h"
 #include "core/GuestImage.h"
 #include "guest/GuestMemory.h"
@@ -211,6 +212,20 @@ TEST(FaultPlan, AllEnablesEveryKind) {
   for (unsigned I = 0; I != NumFaultKinds; ++I)
     EXPECT_TRUE(P.enabled(static_cast<FaultKind>(I)))
         << faultKindName(static_cast<FaultKind>(I));
+}
+
+// The option's help text is written out by hand; it must name every kind
+// VG_FAULT_KINDS lists.
+TEST(FaultPlan, HelpTextNamesEveryKind) {
+  Core C;
+  std::string H = C.options().helpText();
+  size_t At = H.find("--fault-inject ");
+  ASSERT_NE(At, std::string::npos) << H;
+  std::string Entry = H.substr(At, H.find("\n  --", At) - At);
+  for (unsigned I = 0; I != NumFaultKinds; ++I) {
+    const char *Name = faultKindName(static_cast<FaultKind>(I));
+    EXPECT_NE(Entry.find(Name), std::string::npos) << Name << " in " << Entry;
+  }
 }
 
 TEST(FaultPlan, RejectsMalformedSpecs) {

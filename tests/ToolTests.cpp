@@ -13,6 +13,7 @@
 #include "kernel/SimKernel.h"
 #include "tools/Cachegrind.h"
 #include "tools/Massif.h"
+#include "tools/Memcheck.h"
 #include "tools/TaintGrind.h"
 
 #include <gtest/gtest.h>
@@ -401,6 +402,95 @@ TEST(Massif, PeakAndTimelineTracked) {
   for (auto [Site, Bytes] : T.bytesBySite())
     Live += Bytes;
   EXPECT_EQ(Live, 512u);
+}
+
+//===----------------------------------------------------------------------===//
+// The replacement allocator's limits (R8)
+//===----------------------------------------------------------------------===//
+
+/// A 16-byte block p holding a marker, then requests no 64 MiB arena can
+/// hold: malloc(0xFFFFFFF0) and malloc(0xA0000000), and unless
+/// \p MallocOnly also calloc(1, 0xFFFFFFF0) and realloc(p, 0xFFFFFFF0).
+/// Exits with the OR of every result and of p's marker XOR its value:
+/// 0 when each request got NULL and p kept its bytes. Frees p.
+GuestImage hugeAllocs(bool MallocOnly) {
+  return buildProgram([MallocOnly](Assembler &Code, Assembler &Data,
+                                   GuestLibLabels &Lib) {
+    constexpr uint32_t Marker = 0x12345678;
+    Label Vars = Data.boundLabel();
+    Data.emitZeros(8);
+    uint32_t P = Data.labelAddr(Vars), Acc = P + 4;
+    auto Accumulate = [&](Reg R) {
+      Code.movi(Reg::R2, Acc);
+      Code.ld(Reg::R3, Reg::R2, 0);
+      Code.or_(Reg::R3, Reg::R3, R);
+      Code.st(Reg::R2, 0, Reg::R3);
+    };
+    auto LoadP = [&] {
+      Code.movi(Reg::R2, P);
+      Code.ld(Reg::R1, Reg::R2, 0);
+    };
+    Code.movi(Reg::R1, 16);
+    Code.call(Lib.Malloc);
+    Code.movi(Reg::R2, P);
+    Code.st(Reg::R2, 0, Reg::R0);
+    Code.movi(Reg::R3, Marker);
+    Code.st(Reg::R0, 0, Reg::R3);
+    for (uint32_t Size : {0xFFFFFFF0u, 0xA0000000u}) {
+      Code.movi(Reg::R1, Size);
+      Code.call(Lib.Malloc);
+      Accumulate(Reg::R0);
+    }
+    if (!MallocOnly) {
+      Code.movi(Reg::R1, 1);
+      Code.movi(Reg::R2, 0xFFFFFFF0u);
+      Code.call(Lib.Calloc);
+      Accumulate(Reg::R0);
+      LoadP();
+      Code.movi(Reg::R2, 0xFFFFFFF0u);
+      Code.call(Lib.Realloc);
+      Accumulate(Reg::R0);
+    }
+    LoadP();
+    Code.ld(Reg::R4, Reg::R1, 0);
+    Code.movi(Reg::R5, Marker);
+    Code.xor_(Reg::R4, Reg::R4, Reg::R5);
+    Accumulate(Reg::R4);
+    LoadP();
+    Code.call(Lib.Free);
+    Code.movi(Reg::R2, Acc);
+    Code.ld(Reg::R0, Reg::R2, 0);
+    Code.ret();
+  });
+}
+
+// Sized in 32 bits, malloc(0xFFFFFFF0) wrapped to a block at the arena's
+// base and the next block landed below the arena.
+TEST(ReplacementHeap, MallocBeyondTheArenaReturnsNullUnderMassif) {
+  Massif T;
+  RunReport R = runUnderCore(hugeAllocs(/*MallocOnly=*/true), &T);
+  ASSERT_TRUE(R.Completed);
+  EXPECT_EQ(R.ExitCode, 0);
+  EXPECT_NE(R.ToolOutput.find("peak heap usage: 16 bytes"), std::string::npos)
+      << R.ToolOutput;
+}
+
+TEST(ReplacementHeap, CallocAndReallocBeyondTheArenaReturnNullUnderMassif) {
+  Massif T;
+  RunReport R = runUnderCore(hugeAllocs(/*MallocOnly=*/false), &T);
+  ASSERT_TRUE(R.Completed);
+  EXPECT_EQ(R.ExitCode, 0);
+  EXPECT_NE(R.ToolOutput.find("peak heap usage: 16 bytes"), std::string::npos)
+      << R.ToolOutput;
+}
+
+TEST(ReplacementHeap, BlocksBeyondTheArenaReturnNullUnderMemcheck) {
+  Memcheck T;
+  RunReport R = runUnderCore(hugeAllocs(/*MallocOnly=*/false), &T);
+  ASSERT_TRUE(R.Completed);
+  EXPECT_EQ(R.ExitCode, 0);
+  EXPECT_NE(R.ToolOutput.find("ERROR SUMMARY: 0 errors"), std::string::npos)
+      << R.ToolOutput;
 }
 
 } // namespace

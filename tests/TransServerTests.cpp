@@ -116,7 +116,6 @@ struct StubHost : TranslationHost {
   void noteTranslation(uint32_t, const Translation &, double) override {
     ++Notes;
   }
-  void promotionInstalled(Translation *, uint64_t) override {}
 };
 
 /// A bank of tiny blocks plus a service wired to a local cache dir and/or

@@ -35,8 +35,6 @@ constexpr uint32_t CodeBase = 0x1000;
 struct StubHost : TranslationHost {
   bool MarkCacheable = false; ///< mimic the Core's no-SMC-prelude decision
   unsigned Notes = 0;
-  unsigned Installs = 0;
-  Translation *LastInstalled = nullptr;
 
   void setupTranslation(TranslationOptions &, uint32_t, bool,
                         Translation *Raw) override {
@@ -44,10 +42,6 @@ struct StubHost : TranslationHost {
   }
   void noteTranslation(uint32_t, const Translation &, double) override {
     ++Notes;
-  }
-  void promotionInstalled(Translation *T, uint64_t) override {
-    ++Installs;
-    LastInstalled = T;
   }
 };
 
@@ -93,8 +87,6 @@ TEST(TranslationService, SyncTranslateInsertsAndAccounts) {
   EXPECT_EQ(F.XS.transTab().find(F.Blocks[0]), T2);
   EXPECT_EQ(T2->Tier, 1u);
   EXPECT_EQ(F.Host.Notes, 2u);
-  // Only traces report through promotionInstalled.
-  EXPECT_EQ(F.Host.Installs, 0u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -131,18 +123,22 @@ struct TraceFixture {
   }
 };
 
-// translateTrace installs the stitched path over its head immediately and
-// reports the install to the host.
+// A trace request installs the stitched path over its head immediately,
+// accounts it through the host like any other translation, and hands it
+// back to the caller.
 TEST(TranslationService, SyncTranslateTraceInstallsImmediately) {
   TraceFixture F;
   F.XS.translateSync(F.A, /*Hot=*/true);
   F.XS.translateSync(F.B, /*Hot=*/true);
-  Translation *Tr = F.XS.translateTrace(F.Spec);
+  double Stall = F.XS.jitStats().SyncPromoStallSeconds;
+  Translation *Tr = F.XS.translateSync(F.A, /*Hot=*/true, &F.Spec);
   ASSERT_NE(Tr, nullptr);
   EXPECT_EQ(Tr->Tier, 2u);
   EXPECT_EQ(Tr->TraceEntries, (std::vector<uint32_t>{F.A, F.B}));
   EXPECT_EQ(F.XS.transTab().find(F.A), Tr);
-  EXPECT_EQ(F.Host.LastInstalled, Tr);
+  EXPECT_EQ(F.Host.Notes, 3u);
+  // A trace request is not a hot promotion.
+  EXPECT_EQ(F.XS.jitStats().SyncPromoStallSeconds, Stall);
   // The tail constituent stays resident for side exits.
   ASSERT_NE(F.XS.transTab().find(F.B), nullptr);
   EXPECT_EQ(F.XS.transTab().find(F.B)->Tier, 1u);
@@ -171,6 +167,25 @@ struct CacheDir {
   }
   std::string str() const { return Path.string(); }
 };
+
+// A trace request never consults or feeds the cache, even through a host
+// that marks it cacheable: a trace encodes this run's branch bias and
+// chain graph, which no cache key captures.
+TEST(TranslationService, TraceRequestBypassesTheCache) {
+  CacheDir Dir;
+  TraceFixture F;
+  F.Host.MarkCacheable = true;
+  F.XS.attachCache(std::make_unique<TransCache>(Dir.str(), 0, /*CH=*/1));
+  F.XS.translateSync(F.A, /*Hot=*/true);
+  F.XS.translateSync(F.B, /*Hot=*/true);
+  const JitStats Before = F.XS.jitStats();
+  ASSERT_NE(F.XS.translateSync(F.A, /*Hot=*/true, &F.Spec), nullptr);
+  const JitStats &J = F.XS.jitStats();
+  EXPECT_EQ(J.CacheHits + J.CacheMisses + J.CacheRejects,
+            Before.CacheHits + Before.CacheMisses + Before.CacheRejects);
+  EXPECT_EQ(J.CacheWrites, Before.CacheWrites);
+  EXPECT_EQ(J.TraceInstalled, 1u);
+}
 
 // Every cache lookup settles into exactly one of hit/miss/reject, every
 // pipeline run is written back, and a hot promotion whose superblock is on
