@@ -63,9 +63,12 @@ int usage() {
                "usage: vgrun [--tool=NAME] [core/tool options] PROGRAM\n"
                "  tools: nulgrind memcheck icnt icntc cachegrind massif "
                "taintgrind loopgrind\n  programs: demo, or a workload name (");
-  for (const WorkloadInfo &W : allWorkloads())
-    std::fprintf(stderr, "%s ", W.Name.c_str());
-  std::fprintf(stderr, "sigmt mtcpu)\n"
+  const char *Sep = "";
+  for (const WorkloadInfo &W : allWorkloads(/*WithExtras=*/true)) {
+    std::fprintf(stderr, "%s%s", Sep, W.Name.c_str());
+    Sep = " ";
+  }
+  std::fprintf(stderr, ")\n"
                        "  extras: --scale=N --stdin=TEXT --native\n");
   return 2;
 }
@@ -102,10 +105,8 @@ int main(int argc, char **argv) {
   if (Program == "demo") {
     Img = demoImage();
   } else {
-    // "sigmt" and "mtcpu" are runnable by name but kept out of
-    // allWorkloads() so they never perturb the Table 2 benchmark set.
-    bool Known = Program == "sigmt" || Program == "mtcpu";
-    for (const WorkloadInfo &W : allWorkloads())
+    bool Known = false;
+    for (const WorkloadInfo &W : allWorkloads(/*WithExtras=*/true))
       Known = Known || W.Name == Program;
     if (!Known)
       return usage();

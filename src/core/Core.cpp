@@ -13,6 +13,7 @@
 #include "core/Core.h"
 
 #include "core/DispatchLoop.h"
+#include "core/Launcher.h"
 #include "core/TracerHooks.h"
 #include "support/Errors.h"
 
@@ -244,45 +245,15 @@ void Core::loadImage(const GuestImage &Img) {
                  static_cast<uint32_t>(T.size()), /*IgnorePerms=*/true);
   }
 
-  uint32_t HighestEnd = 0;
-  for (const ImageSegment &S : Img.Segments) {
-    uint32_t Len = static_cast<uint32_t>(S.Bytes.size());
-    Memory.map(S.Base, Len, S.Perms);
-    Memory.write(S.Base, S.Bytes.data(), Len, /*IgnorePerms=*/true);
-    AS.add(S.Base, Len, S.Perms,
-           (S.Perms & PermExec) ? SegKind::ClientText : SegKind::ClientData,
-           (S.Perms & PermExec) ? "text" : "data");
-    if (Events.NewMemStartup)
-      Events.NewMemStartup(S.Base, Len, S.Perms);
-    HighestEnd = std::max(HighestEnd, S.Base + Len);
-  }
-
-  // The brk segment starts one page past the highest load segment.
-  uint32_t HeapStart = AddressSpace::pageUp(HighestEnd) + AddressSpace::PageSize;
-  AS.add(HeapStart, AddressSpace::PageSize, PermRW, SegKind::ClientHeap,
-         "brk");
-  Memory.map(HeapStart, AddressSpace::PageSize, PermRW);
-  if (Events.NewMemStartup)
-    Events.NewMemStartup(HeapStart, AddressSpace::PageSize, PermRW);
-
-  // Client stack.
-  uint32_t StackTop = 0xBFFF0000;
-  uint32_t StackSize = AddressSpace::pageUp(Img.StackSize);
-  Memory.map(StackTop - StackSize, StackSize, PermRW);
-  AS.add(StackTop - StackSize, StackSize, PermRW, SegKind::ClientStack,
-         "stack");
-  uint32_t InitSP = StackTop - 64; // start-up setup area
-  if (Events.NewMemStartup)
-    Events.NewMemStartup(InitSP, StackTop - InitSP, PermRW);
-
+  ClientStack St = mapImage(Img, Memory, AS, &Events);
   ThreadState &TS = Threads[0];
   TS.Tid = 0;
   TS.Status = ThreadStatus::Runnable;
   TS.Memory = &Memory;
-  TS.StackBase = StackTop;
-  TS.StackLimit = StackTop - StackSize;
-  TS.TrackedSP = InitSP;
-  TS.setGpr(RegSP, InitSP);
+  TS.StackBase = St.Top;
+  TS.StackLimit = St.Limit;
+  TS.TrackedSP = St.InitialSP;
+  TS.setGpr(RegSP, St.InitialSP);
   TS.setPCVal(Img.Entry);
 
   // R8: heap-tracking tools get the replacement allocator. The core

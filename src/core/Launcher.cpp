@@ -7,6 +7,42 @@
 using namespace vg;
 using namespace vg::vg1;
 
+ClientStack vg::mapImage(const GuestImage &Img, GuestMemory &Mem,
+                         AddressSpace &AS, EventHub *Events) {
+  auto Startup = [Events](uint32_t Addr, uint32_t Len, uint8_t Perms) {
+    if (Events && Events->NewMemStartup)
+      Events->NewMemStartup(Addr, Len, Perms);
+  };
+  uint32_t HighestEnd = 0;
+  for (const ImageSegment &S : Img.Segments) {
+    uint32_t Len = static_cast<uint32_t>(S.Bytes.size());
+    bool Text = S.Perms & PermExec;
+    Mem.map(S.Base, Len, S.Perms);
+    Mem.write(S.Base, S.Bytes.data(), Len, /*IgnorePerms=*/true);
+    AS.add(S.Base, Len, S.Perms,
+           Text ? SegKind::ClientText : SegKind::ClientData,
+           Text ? "text" : "data");
+    Startup(S.Base, Len, S.Perms);
+    HighestEnd = std::max(HighestEnd, S.Base + Len);
+  }
+
+  // The brk segment starts one page past the highest load segment.
+  uint32_t HeapStart =
+      AddressSpace::pageUp(HighestEnd) + AddressSpace::PageSize;
+  AS.add(HeapStart, AddressSpace::PageSize, PermRW, SegKind::ClientHeap,
+         "brk");
+  Mem.map(HeapStart, AddressSpace::PageSize, PermRW);
+  Startup(HeapStart, AddressSpace::PageSize, PermRW);
+
+  uint32_t StackSize = AddressSpace::pageUp(Img.StackSize);
+  ClientStack St{ClientStackTop, ClientStackTop - StackSize,
+                 ClientStackTop - ClientInitialSPGap};
+  Mem.map(St.Limit, StackSize, PermRW);
+  AS.add(St.Limit, StackSize, PermRW, SegKind::ClientStack, "stack");
+  Startup(St.InitialSP, ClientInitialSPGap, PermRW); // start-up setup area
+  return St;
+}
+
 RunReport vg::runNative(const GuestImage &Img, const std::string &StdinData,
                         uint64_t MaxInsns) {
   RunReport R;
@@ -15,30 +51,11 @@ RunReport vg::runNative(const GuestImage &Img, const std::string &StdinData,
   AS.reserveCoreRegion(); // same layout constraints as under the core
   SimKernel Kernel(AS, /*Events=*/nullptr, /*Host=*/nullptr);
   Kernel.provideStdin(StdinData);
-
-  uint32_t HighestEnd = 0;
-  for (const ImageSegment &S : Img.Segments) {
-    uint32_t Len = static_cast<uint32_t>(S.Bytes.size());
-    Mem.map(S.Base, Len, S.Perms);
-    Mem.write(S.Base, S.Bytes.data(), Len, /*IgnorePerms=*/true);
-    AS.add(S.Base, Len, S.Perms,
-           (S.Perms & PermExec) ? SegKind::ClientText : SegKind::ClientData,
-           "seg");
-    HighestEnd = std::max(HighestEnd, S.Base + Len);
-  }
-  uint32_t HeapStart =
-      AddressSpace::pageUp(HighestEnd) + AddressSpace::PageSize;
-  AS.add(HeapStart, AddressSpace::PageSize, PermRW, SegKind::ClientHeap,
-         "brk");
-  Mem.map(HeapStart, AddressSpace::PageSize, PermRW);
-  uint32_t StackSize = AddressSpace::pageUp(Img.StackSize);
-  Mem.map(ClientStackTop - StackSize, StackSize, PermRW);
-  AS.add(ClientStackTop - StackSize, StackSize, PermRW, SegKind::ClientStack,
-         "stack");
+  ClientStack St = mapImage(Img, Mem, AS);
 
   RefInterp Cpu(Mem, &Kernel);
   Cpu.PC = Img.Entry;
-  Cpu.R[RegSP] = ClientStackTop - ClientInitialSPGap;
+  Cpu.R[RegSP] = St.InitialSP;
 
   double T0 = steadySeconds();
   RunResult RR = Cpu.run(MaxInsns);

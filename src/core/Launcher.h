@@ -21,6 +21,18 @@ namespace vg {
 constexpr uint32_t ClientStackTop = 0xBFFF0000;
 constexpr uint32_t ClientInitialSPGap = 64;
 
+/// Where a loaded image's stack lies: [Limit, Top), entered at InitialSP.
+struct ClientStack {
+  uint32_t Top, Limit, InitialSP;
+};
+
+/// The start-up layout both runners share (Section 3.3): maps \p Img's
+/// segments, a one-page brk heap one page past the highest of them, and
+/// the stack below ClientStackTop into \p Mem and \p AS, announcing each
+/// through \p Events' new_mem_startup when given.
+ClientStack mapImage(const GuestImage &Img, GuestMemory &Mem, AddressSpace &AS,
+                     EventHub *Events = nullptr);
+
 /// Everything a caller might want to know about a finished run.
 struct RunReport {
   bool Completed = false; ///< reached exit (not fault/limit)

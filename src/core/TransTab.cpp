@@ -179,9 +179,12 @@ unsigned TransTab::invalidateRange(uint32_t Addr, uint32_t Len) {
 }
 
 void TransTab::invalidateAll() {
-  for (size_t I = 0; I != Slots.size(); ++I)
-    if (Slots[I].St == Slot::State::Full)
+  for (size_t I = 0; I != Slots.size(); ++I) {
+    if (Slots[I].St == Slot::State::Full) {
       eraseSlot(I);
+      ++S.Invalidated;
+    }
+  }
   rehash(); // purge the tombs
   assert(Pending.empty() && "waiters must not outlive their translations");
 }

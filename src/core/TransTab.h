@@ -114,6 +114,7 @@ public:
   /// Returns how many were discarded.
   unsigned invalidateRange(uint32_t Addr, uint32_t Len);
 
+  /// Discards every translation, each counted in Stats::Invalidated.
   void invalidateAll();
 
   /// The dispatcher's fast cache resolved a block without consulting the

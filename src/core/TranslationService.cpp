@@ -68,16 +68,14 @@ unsigned TranslationService::invalidate(uint32_t Addr, uint32_t Len) {
   return TT.invalidateRange(Addr, Len);
 }
 
-unsigned TranslationService::invalidateAll() {
+void TranslationService::invalidateAll() {
   if (Cache)
     Cache->poisonAll();
   else if (Server)
     ServerPoison.poisonAll();
   if (Server)
     Server->poisonAll(ServerCfg); // best-effort
-  unsigned N = static_cast<unsigned>(TT.size());
   TT.invalidateAll();
-  return N;
 }
 
 TransCache::LoadResult

@@ -137,7 +137,7 @@ public:
   /// silently missed translations covering the final guest byte — the
   /// fault-injected TT flush used exactly that spelling. Every translation
   /// discarded, the whole cache poisoned.
-  unsigned invalidateAll();
+  void invalidateAll();
 
   /// The one way into the table, at every tier: translate the block at
   /// \p PC (tier 0; \p Hot = chase branches into a tier-1 superblock; a

@@ -8,45 +8,18 @@
 using namespace vg;
 using namespace vg::vg1;
 
+// A wrapper's head, naming what it is given: the caller's CPU, its thread
+// and its arguments A[0..] (r1..).
+#define VG_SYSCALL(Name)                                                       \
+  SimKernel::SysResult SimKernel::sys##Name(CpuView &Cpu, int Tid,             \
+                                            const uint32_t *A)
+
 //===----------------------------------------------------------------------===//
-// Event helpers
+// Helpers
 //===----------------------------------------------------------------------===//
-
-void SimKernel::preRegRead(int Tid, unsigned Reg, const char *Name) {
-  if (Events && Events->PreRegRead)
-    Events->PreRegRead(Tid, gso::gpr(Reg), 4, Name);
-}
-
-void SimKernel::postRegWrite(int Tid, unsigned Reg) {
-  if (Events && Events->PostRegWrite)
-    Events->PostRegWrite(Tid, gso::gpr(Reg), 4);
-}
-
-void SimKernel::preMemRead(int Tid, uint32_t Addr, uint32_t Len,
-                           const char *Name) {
-  if (Events && Events->PreMemRead)
-    Events->PreMemRead(Tid, Addr, Len, Name);
-}
-
-void SimKernel::preMemReadAsciiz(int Tid, uint32_t Addr, const char *Name) {
-  if (Events && Events->PreMemReadAsciiz)
-    Events->PreMemReadAsciiz(Tid, Addr, Name);
-}
-
-void SimKernel::preMemWrite(int Tid, uint32_t Addr, uint32_t Len,
-                            const char *Name) {
-  if (Events && Events->PreMemWrite)
-    Events->PreMemWrite(Tid, Addr, Len, Name);
-}
-
-void SimKernel::postMemWrite(int Tid, uint32_t Addr, uint32_t Len) {
-  if (Events && Events->PostMemWrite)
-    Events->PostMemWrite(Tid, Addr, Len);
-}
 
 void SimKernel::faultInjected(int Tid, FaultKind K, uint32_t Arg) {
-  if (Events && Events->FaultInjected)
-    Events->FaultInjected(Tid, static_cast<uint32_t>(K), Arg);
+  fire<&EventHub::FaultInjected>(Tid, static_cast<uint32_t>(K), Arg);
 }
 
 std::string SimKernel::readGuestString(CpuView &Cpu, uint32_t Addr) {
@@ -65,181 +38,103 @@ std::string SimKernel::readGuestString(CpuView &Cpu, uint32_t Addr) {
 // Dispatch
 //===----------------------------------------------------------------------===//
 
-namespace {
-
-/// Syscalls the --fault-inject plan may fail outright with SysErr. Control
-/// transfers (exit/exit_thread/sigreturn) and the scheduling calls (which
-/// have their own Wakeup fault kind) are excluded: a client cannot
-/// meaningfully retry them, and failing sigreturn would wedge the signal
-/// machinery rather than exercise it.
-bool isFallibleSyscall(uint32_t Num) {
-  switch (Num) {
-  case SysWrite:
-  case SysRead:
-  case SysOpen:
-  case SysClose:
-  case SysBrk:
-  case SysMmap:
-  case SysMunmap:
-  case SysMremap:
-  case SysMprotect:
-  case SysGettimeofday:
-  case SysSettimeofday:
-  case SysKill:
-  case SysSigaction:
-  case SysClone:
-  case SysFsize:
-    return true;
-  default:
-    return false;
-  }
-}
-
-} // namespace
-
 SimKernel::Action SimKernel::onSyscall(CpuView &Cpu) {
   ++NumSyscalls;
   ClockUsec += 5; // syscalls take time on the virtual clock
   int Tid = Cpu.threadId();
-  preRegRead(Tid, 0, "syscall");
+  fire<&EventHub::PreRegRead>(Tid, gso::gpr(0), 4u, "syscall");
   uint32_t Num = Cpu.readReg(0);
-  if (Events && Events->PreSyscall)
-    Events->PreSyscall(Tid, Num);
-  uint32_t Result = SysErr;
+  fire<&EventHub::PreSyscall>(Tid, Num);
+  const SyscallDesc *D = Num < SyscallTable.size() && SyscallTable[Num].Name
+                             ? &SyscallTable[Num]
+                             : nullptr;
+  SysResult Result = SysErr; // ENOSYS
 
   // Injected failure: the call errors before its wrapper runs, so no
   // argument reads happen and no post_mem_write/post_reg_write can fire
   // for work that was never done (only the result register is written).
-  if (Faults && isFallibleSyscall(Num) && Faults->roll(FaultKind::Syscall)) {
+  if (Faults && D && D->Fallible && Faults->roll(FaultKind::Syscall)) {
     faultInjected(Tid, FaultKind::Syscall, Num);
-    Cpu.writeReg(0, SysErr);
-    postRegWrite(Tid, 0);
-    if (Events && Events->PostSyscall)
-      Events->PostSyscall(Tid, Num, SysErr);
-    return Action::Continue;
+  } else if (D) {
+    uint32_t A[MaxSyscallArgs] = {};
+    for (unsigned I = 0; I != MaxSyscallArgs && D->Args[I]; ++I) {
+      fire<&EventHub::PreRegRead>(Tid, gso::gpr(1 + I), 4u, D->Args[I]);
+      A[I] = Cpu.readReg(1 + I);
+    }
+    switch (Num) {
+#define VG_SYS_CASE(Name, ...)                                                 \
+  case Sys##Name:                                                              \
+    Result = sys##Name(Cpu, Tid, A);                                           \
+    break;
+      VG_SYSCALLS(VG_SYS_CASE)
+#undef VG_SYS_CASE
+    }
   }
 
-  switch (Num) {
-  case SysExit:
-    preRegRead(Tid, 1, "exit(status)");
-    TheExitCode = static_cast<int>(Cpu.readReg(1));
+  if (Result.K == SysResult::ProcessExit)
     return Action::Exit;
-  case SysWrite:
-    Result = doWrite(Cpu);
-    break;
-  case SysRead:
-    Result = doRead(Cpu);
-    break;
-  case SysOpen:
-    Result = doOpen(Cpu);
-    break;
-  case SysClose:
-    Result = doClose(Cpu);
-    break;
-  case SysBrk:
-    Result = doBrk(Cpu);
-    break;
-  case SysMmap:
-    Result = doMmap(Cpu);
-    break;
-  case SysMunmap:
-    Result = doMunmap(Cpu);
-    break;
-  case SysMremap:
-    Result = doMremap(Cpu);
-    break;
-  case SysMprotect:
-    Result = doMprotect(Cpu);
-    break;
-  case SysGettimeofday:
-    Result = doGettimeofday(Cpu);
-    break;
-  case SysSettimeofday:
-    Result = doSettimeofday(Cpu);
-    break;
-  case SysGetpid:
-    Result = static_cast<uint32_t>(NextPid);
-    break;
-  case SysKill:
-    Result = doKill(Cpu);
-    break;
-  case SysSigaction:
-    Result = doSigaction(Cpu);
-    break;
-  case SysSigreturn:
-    if (Host) {
-      Host->sigreturn(Tid);
-      // State was replaced wholesale; do not write a result register.
-      return Action::Continue;
-    }
-    break;
-  case SysClone:
-    Result = doClone(Cpu);
-    break;
-  case SysExitThread:
-    preRegRead(Tid, 1, "exit_thread(status)");
-    if (Host) {
-      Host->exitThread(Tid, static_cast<int>(Cpu.readReg(1)));
-      return Action::Continue;
-    }
-    // Single-threaded native runs: thread exit is process exit.
-    TheExitCode = static_cast<int>(Cpu.readReg(1));
-    return Action::Exit;
-  case SysYield:
-    if (Faults && Faults->roll(FaultKind::Wakeup)) {
-      // Spurious return: the caller resumes without the scheduler having
-      // been asked to switch away.
-      faultInjected(Tid, FaultKind::Wakeup, 0);
-    } else if (Host) {
-      Host->requestYield(Tid);
-    }
-    Result = 0;
-    break;
-  case SysNanosleep: {
-    preRegRead(Tid, 1, "nanosleep(usec)");
-    uint32_t Usec = Cpu.readReg(1);
-    if (Faults && Usec > 0 && Faults->roll(FaultKind::Wakeup)) {
-      // Spurious early wakeup: only part of the interval elapses.
-      uint32_t Slept = Faults->pick(Usec);
-      ClockUsec += Slept;
-      faultInjected(Tid, FaultKind::Wakeup, Usec - Slept);
-    } else {
-      ClockUsec += Usec;
-    }
-    Result = 0;
-    break;
+  if (Result.K == SysResult::Value) {
+    Cpu.writeReg(0, Result.R);
+    fire<&EventHub::PostRegWrite>(Tid, gso::gpr(0), 4u);
+    fire<&EventHub::PostSyscall>(Tid, Num, Result.R);
   }
-  case SysTime:
-    Result = static_cast<uint32_t>(ClockUsec / 1'000'000);
-    break;
-  case SysFsize:
-    Result = doFsize(Cpu);
-    break;
-  default:
-    Result = SysErr; // ENOSYS
-    break;
-  }
-
-  Cpu.writeReg(0, Result);
-  postRegWrite(Tid, 0);
-  if (Events && Events->PostSyscall)
-    Events->PostSyscall(Tid, Num, Result);
   return Action::Continue;
+}
+
+bool SimKernel::release(CpuView &Cpu, uint32_t Addr, uint32_t Len,
+                        bool Announce) {
+  auto Removed = AS.release(Addr, Len);
+  for (auto [Lo, Hi] : Removed) {
+    Cpu.mem().unmap(Lo, Hi - Lo);
+    if (Announce)
+      fire<&EventHub::DieMemMunmap>(Lo, Hi - Lo);
+  }
+  return !Removed.empty();
+}
+
+//===----------------------------------------------------------------------===//
+// Process and scheduling syscalls
+//===----------------------------------------------------------------------===//
+
+VG_SYSCALL(Exit) {
+  TheExitCode = static_cast<int>(A[0]);
+  return SysResult::ProcessExit;
+}
+
+VG_SYSCALL(ExitThread) {
+  if (Host) {
+    Host->exitThread(Tid, static_cast<int>(A[0]));
+    return SysResult::NoResult;
+  }
+  // Single-threaded native runs: thread exit is process exit.
+  TheExitCode = static_cast<int>(A[0]);
+  return SysResult::ProcessExit;
+}
+
+VG_SYSCALL(Getpid) {
+  return static_cast<uint32_t>(NextPid);
+}
+
+VG_SYSCALL(Yield) {
+  if (Faults && Faults->roll(FaultKind::Wakeup)) {
+    // Spurious return: the caller resumes without the scheduler having
+    // been asked to switch away.
+    faultInjected(Tid, FaultKind::Wakeup, 0);
+  } else if (Host) {
+    Host->requestYield(Tid);
+  }
+  return 0;
 }
 
 //===----------------------------------------------------------------------===//
 // File syscalls
 //===----------------------------------------------------------------------===//
 
-uint32_t SimKernel::doWrite(CpuView &Cpu) {
-  int Tid = Cpu.threadId();
-  preRegRead(Tid, 1, "write(fd)");
-  preRegRead(Tid, 2, "write(buf)");
-  preRegRead(Tid, 3, "write(len)");
-  uint32_t Fd = Cpu.readReg(1), Buf = Cpu.readReg(2), Len = Cpu.readReg(3);
+VG_SYSCALL(Write) {
+  uint32_t Fd = A[0], Buf = A[1], Len = A[2];
   if (Fd >= Fds.size() || !Fds[Fd].Open)
     return SysErr;
-  preMemRead(Tid, Buf, Len, "write(buf)");
+  fire<&EventHub::PreMemRead>(Tid, Buf, Len, SyscallTable[SysWrite].Args[1]);
   // Short write: the kernel consumes only the first N bytes. The pre event
   // still covers the whole buffer (the client asked for all of it to be
   // readable), exactly as real wrappers do.
@@ -248,9 +143,18 @@ uint32_t SimKernel::doWrite(CpuView &Cpu) {
     N = 1 + Faults->pick(Len - 1);
     faultInjected(Tid, FaultKind::ShortIO, N);
   }
+  // EFAULT before the copy is sized: a length the guest chose becomes a
+  // host allocation only once every page it covers is known to be mapped.
+  uint64_t End = uint64_t{Buf} + N;
+  if (End > (1ull << 32))
+    return SysErr;
+  for (uint64_t P = Buf; P < End;
+       P = AddressSpace::pageDown(static_cast<uint32_t>(P)) +
+           uint64_t{AddressSpace::PageSize})
+    if (!Cpu.mem().isMapped(static_cast<uint32_t>(P)))
+      return SysErr;
   std::vector<uint8_t> Data(N);
-  if (Cpu.mem().read(Buf, Data.data(), N, /*IgnorePerms=*/true).Faulted)
-    return SysErr; // EFAULT
+  Cpu.mem().read(Buf, Data.data(), N, /*IgnorePerms=*/true);
   OpenFd &F = Fds[Fd];
   switch (F.Kind) {
   case FdKind::Stdout:
@@ -274,15 +178,11 @@ uint32_t SimKernel::doWrite(CpuView &Cpu) {
   }
 }
 
-uint32_t SimKernel::doRead(CpuView &Cpu) {
-  int Tid = Cpu.threadId();
-  preRegRead(Tid, 1, "read(fd)");
-  preRegRead(Tid, 2, "read(buf)");
-  preRegRead(Tid, 3, "read(len)");
-  uint32_t Fd = Cpu.readReg(1), Buf = Cpu.readReg(2), Len = Cpu.readReg(3);
+VG_SYSCALL(Read) {
+  uint32_t Fd = A[0], Buf = A[1], Len = A[2];
   if (Fd >= Fds.size() || !Fds[Fd].Open)
     return SysErr;
-  preMemWrite(Tid, Buf, Len, "read(buf)");
+  fire<&EventHub::PreMemWrite>(Tid, Buf, Len, SyscallTable[SysRead].Args[1]);
   const uint8_t *Src = nullptr;
   uint32_t Avail = 0;
   OpenFd &F = Fds[Fd];
@@ -314,21 +214,17 @@ uint32_t SimKernel::doRead(CpuView &Cpu) {
   // post_mem_write covers exactly the transferred length — and therefore
   // does not fire at all for a zero-byte (EOF) read.
   if (N) {
-    postMemWrite(Tid, Buf, N);
-    if (Events && Events->PostFileRead)
-      Events->PostFileRead(Tid, Fd, Buf, N,
+    fire<&EventHub::PostMemWrite>(Tid, Buf, N);
+    fire<&EventHub::PostFileRead>(Tid, Fd, Buf, N,
                            F.Kind == FdKind::Stdin ? "<stdin>"
                                                    : F.Name.c_str());
   }
   return N;
 }
 
-uint32_t SimKernel::doOpen(CpuView &Cpu) {
-  int Tid = Cpu.threadId();
-  preRegRead(Tid, 1, "open(path)");
-  preRegRead(Tid, 2, "open(flags)");
-  uint32_t Path = Cpu.readReg(1), Flags = Cpu.readReg(2);
-  preMemReadAsciiz(Tid, Path, "open(path)");
+VG_SYSCALL(Open) {
+  uint32_t Path = A[0], Flags = A[1];
+  fire<&EventHub::PreMemReadAsciiz>(Tid, Path, SyscallTable[SysOpen].Args[0]);
   std::string Name = readGuestString(Cpu, Path);
   bool Write = Flags & 1;
   if (!Write && !Files.count(Name))
@@ -347,18 +243,16 @@ uint32_t SimKernel::doOpen(CpuView &Cpu) {
   return static_cast<uint32_t>(Fds.size() - 1);
 }
 
-uint32_t SimKernel::doClose(CpuView &Cpu) {
-  preRegRead(Cpu.threadId(), 1, "close(fd)");
-  uint32_t Fd = Cpu.readReg(1);
+VG_SYSCALL(Close) {
+  uint32_t Fd = A[0];
   if (Fd >= Fds.size() || !Fds[Fd].Open || Fd < 3)
     return SysErr;
   Fds[Fd] = OpenFd{};
   return 0;
 }
 
-uint32_t SimKernel::doFsize(CpuView &Cpu) {
-  preRegRead(Cpu.threadId(), 1, "fsize(fd)");
-  uint32_t Fd = Cpu.readReg(1);
+VG_SYSCALL(Fsize) {
+  uint32_t Fd = A[0];
   if (Fd >= Fds.size() || Fds[Fd].Kind != FdKind::File)
     return SysErr;
   return static_cast<uint32_t>(Files[Fds[Fd].Name].size());
@@ -368,10 +262,8 @@ uint32_t SimKernel::doFsize(CpuView &Cpu) {
 // Memory syscalls (R6 events)
 //===----------------------------------------------------------------------===//
 
-uint32_t SimKernel::doBrk(CpuView &Cpu) {
-  int Tid = Cpu.threadId();
-  preRegRead(Tid, 1, "brk(addr)");
-  uint32_t NewEnd = Cpu.readReg(1);
+VG_SYSCALL(Brk) {
+  uint32_t NewEnd = A[0];
   const Segment *Heap = AS.segmentByKind(SegKind::ClientHeap);
   if (!Heap)
     return SysErr;
@@ -390,24 +282,16 @@ uint32_t SimKernel::doBrk(CpuView &Cpu) {
     return SysErr;
   if (NewEnd > OldEnd) {
     Cpu.mem().map(OldEnd, NewEnd - OldEnd, PermRW);
-    if (Events && Events->NewMemBrk)
-      Events->NewMemBrk(OldEnd, NewEnd - OldEnd);
+    fire<&EventHub::NewMemBrk>(OldEnd, NewEnd - OldEnd);
   } else {
     Cpu.mem().unmap(NewEnd, OldEnd - NewEnd);
-    if (Events && Events->DieMemBrk)
-      Events->DieMemBrk(NewEnd, OldEnd - NewEnd);
+    fire<&EventHub::DieMemBrk>(NewEnd, OldEnd - NewEnd);
   }
   return NewEnd;
 }
 
-uint32_t SimKernel::doMmap(CpuView &Cpu) {
-  int Tid = Cpu.threadId();
-  preRegRead(Tid, 1, "mmap(addr)");
-  preRegRead(Tid, 2, "mmap(len)");
-  preRegRead(Tid, 3, "mmap(prot)");
-  preRegRead(Tid, 4, "mmap(flags)");
-  uint32_t Addr = Cpu.readReg(1), Len = Cpu.readReg(2);
-  uint32_t Prot = Cpu.readReg(3), Flags = Cpu.readReg(4);
+VG_SYSCALL(Mmap) {
+  uint32_t Addr = A[0], Len = A[1], Prot = A[2], Flags = A[3];
   if (Len == 0)
     return SysErr;
   Len = AddressSpace::pageUp(Len);
@@ -430,35 +314,21 @@ uint32_t SimKernel::doMmap(CpuView &Cpu) {
   if (!AS.add(Addr, Len, Perms, SegKind::ClientMmap, "mmap"))
     return SysErr;
   Cpu.mem().map(Addr, Len, Perms);
-  if (Events && Events->NewMemMmap)
-    Events->NewMemMmap(Addr, Len, Perms);
+  fire<&EventHub::NewMemMmap>(Addr, Len, Perms);
   return Addr;
 }
 
-uint32_t SimKernel::doMunmap(CpuView &Cpu) {
-  int Tid = Cpu.threadId();
-  preRegRead(Tid, 1, "munmap(addr)");
-  preRegRead(Tid, 2, "munmap(len)");
-  uint32_t Addr = Cpu.readReg(1), Len = Cpu.readReg(2);
+VG_SYSCALL(Munmap) {
+  uint32_t Addr = A[0], Len = A[1];
   if (Len == 0)
     return SysErr;
-  auto Removed = AS.release(Addr, Len);
-  for (auto [Lo, Hi] : Removed) {
-    Cpu.mem().unmap(Lo, Hi - Lo);
-    if (Events && Events->DieMemMunmap)
-      Events->DieMemMunmap(Lo, Hi - Lo);
-  }
-  return Removed.empty() ? SysErr : 0;
+  return release(Cpu, Addr, Len, /*Announce=*/true) ? 0 : SysErr;
 }
 
-uint32_t SimKernel::doMremap(CpuView &Cpu) {
-  int Tid = Cpu.threadId();
-  preRegRead(Tid, 1, "mremap(old)");
-  preRegRead(Tid, 2, "mremap(oldlen)");
-  preRegRead(Tid, 3, "mremap(newlen)");
-  uint32_t Old = Cpu.readReg(1);
-  uint32_t OldLen = AddressSpace::pageUp(Cpu.readReg(2));
-  uint32_t NewLen = AddressSpace::pageUp(Cpu.readReg(3));
+VG_SYSCALL(Mremap) {
+  uint32_t Old = A[0];
+  uint32_t OldLen = AddressSpace::pageUp(A[1]);
+  uint32_t NewLen = AddressSpace::pageUp(A[2]);
   const Segment *S = AS.segmentAt(Old);
   if (!S || S->Start != Old || OldLen == 0 || NewLen == 0)
     return SysErr;
@@ -470,12 +340,7 @@ uint32_t SimKernel::doMremap(CpuView &Cpu) {
 
   if (NewLen <= OldLen) {
     // Shrink in place.
-    auto Removed = AS.release(Old + NewLen, OldLen - NewLen);
-    for (auto [Lo, Hi] : Removed) {
-      Cpu.mem().unmap(Lo, Hi - Lo);
-      if (Events && Events->DieMemMunmap)
-        Events->DieMemMunmap(Lo, Hi - Lo);
-    }
+    release(Cpu, Old + NewLen, OldLen - NewLen, /*Announce=*/true);
     return Old;
   }
   // Grow: move to a fresh range, copying contents (and firing
@@ -492,30 +357,17 @@ uint32_t SimKernel::doMremap(CpuView &Cpu) {
     // Back out the new range. It was never announced (no new_mem_mmap
     // fired), so it must not stay mapped — and its removal needs no
     // die_mem_munmap either.
-    for (auto [Lo, Hi] : AS.release(NewAddr, NewLen))
-      Cpu.mem().unmap(Lo, Hi - Lo);
+    release(Cpu, NewAddr, NewLen, /*Announce=*/false);
     return SysErr;
   }
-  if (Events && Events->NewMemMmap)
-    Events->NewMemMmap(NewAddr, NewLen, Perms);
-  if (Events && Events->CopyMemMremap)
-    Events->CopyMemMremap(Old, NewAddr, OldLen);
-  auto Removed = AS.release(Old, OldLen);
-  for (auto [Lo, Hi] : Removed) {
-    Cpu.mem().unmap(Lo, Hi - Lo);
-    if (Events && Events->DieMemMunmap)
-      Events->DieMemMunmap(Lo, Hi - Lo);
-  }
+  fire<&EventHub::NewMemMmap>(NewAddr, NewLen, Perms);
+  fire<&EventHub::CopyMemMremap>(Old, NewAddr, OldLen);
+  release(Cpu, Old, OldLen, /*Announce=*/true);
   return NewAddr;
 }
 
-uint32_t SimKernel::doMprotect(CpuView &Cpu) {
-  int Tid = Cpu.threadId();
-  preRegRead(Tid, 1, "mprotect(addr)");
-  preRegRead(Tid, 2, "mprotect(len)");
-  preRegRead(Tid, 3, "mprotect(prot)");
-  uint32_t Addr = Cpu.readReg(1), Len = Cpu.readReg(2);
-  uint32_t Prot = Cpu.readReg(3);
+VG_SYSCALL(Mprotect) {
+  uint32_t Addr = A[0], Len = A[1], Prot = A[2];
   // The range must not wrap past 2^32 (the page walk would run off the
   // page table) nor reach into the core's region, whose trampoline page
   // must stay executable (Section 3.10). Unmapped pages inside it are
@@ -534,28 +386,26 @@ uint32_t SimKernel::doMprotect(CpuView &Cpu) {
 // Time syscalls
 //===----------------------------------------------------------------------===//
 
-uint32_t SimKernel::doGettimeofday(CpuView &Cpu) {
-  int Tid = Cpu.threadId();
-  preRegRead(Tid, 1, "gettimeofday(tv)");
-  uint32_t Tv = Cpu.readReg(1);
-  preMemWrite(Tid, Tv, 8, "gettimeofday(tv)");
+VG_SYSCALL(Gettimeofday) {
+  uint32_t Tv = A[0];
+  fire<&EventHub::PreMemWrite>(Tid, Tv, 8,
+                               SyscallTable[SysGettimeofday].Args[0]);
   uint32_t Sec = static_cast<uint32_t>(ClockUsec / 1'000'000);
   uint32_t Usec = static_cast<uint32_t>(ClockUsec % 1'000'000);
   if (Cpu.mem().writeU32(Tv, Sec).Faulted)
     return SysErr; // nothing landed, nothing to announce
   if (Cpu.mem().writeU32(Tv + 4, Usec).Faulted) {
-    postMemWrite(Tid, Tv, 4); // only the seconds word landed
+    fire<&EventHub::PostMemWrite>(Tid, Tv, 4); // only the seconds word landed
     return SysErr;
   }
-  postMemWrite(Tid, Tv, 8);
+  fire<&EventHub::PostMemWrite>(Tid, Tv, 8);
   return 0;
 }
 
-uint32_t SimKernel::doSettimeofday(CpuView &Cpu) {
-  int Tid = Cpu.threadId();
-  preRegRead(Tid, 1, "settimeofday(tv)");
-  uint32_t Tv = Cpu.readReg(1);
-  preMemRead(Tid, Tv, 8, "settimeofday(tv)");
+VG_SYSCALL(Settimeofday) {
+  uint32_t Tv = A[0];
+  fire<&EventHub::PreMemRead>(Tid, Tv, 8,
+                              SyscallTable[SysSettimeofday].Args[0]);
   uint32_t Sec, Usec;
   if (Cpu.mem().readU32(Tv, Sec).Faulted ||
       Cpu.mem().readU32(Tv + 4, Usec).Faulted)
@@ -564,45 +414,58 @@ uint32_t SimKernel::doSettimeofday(CpuView &Cpu) {
   return 0;
 }
 
+VG_SYSCALL(Time) {
+  return static_cast<uint32_t>(ClockUsec / 1'000'000);
+}
+
+VG_SYSCALL(Nanosleep) {
+  uint32_t Usec = A[0];
+  if (Faults && Usec > 0 && Faults->roll(FaultKind::Wakeup)) {
+    // Spurious early wakeup: only part of the interval elapses.
+    uint32_t Slept = Faults->pick(Usec);
+    ClockUsec += Slept;
+    faultInjected(Tid, FaultKind::Wakeup, Usec - Slept);
+  } else {
+    ClockUsec += Usec;
+  }
+  return 0;
+}
+
 //===----------------------------------------------------------------------===//
 // Threads and signals (forwarded to the core)
 //===----------------------------------------------------------------------===//
 
-uint32_t SimKernel::doKill(CpuView &Cpu) {
-  int Tid = Cpu.threadId();
-  preRegRead(Tid, 1, "kill(tid)");
-  preRegRead(Tid, 2, "kill(sig)");
+VG_SYSCALL(Kill) {
   if (!Host)
     return SysErr;
-  return Host->raiseSignal(static_cast<int>(Cpu.readReg(1)),
-                           static_cast<int>(Cpu.readReg(2)))
+  return Host->raiseSignal(static_cast<int>(A[0]), static_cast<int>(A[1]))
              ? 0
              : SysErr;
 }
 
-uint32_t SimKernel::doSigaction(CpuView &Cpu) {
-  int Tid = Cpu.threadId();
-  preRegRead(Tid, 1, "sigaction(sig)");
-  preRegRead(Tid, 2, "sigaction(handler)");
+VG_SYSCALL(Sigaction) {
   if (!Host)
     return SysErr;
-  int Sig = static_cast<int>(Cpu.readReg(1));
+  int Sig = static_cast<int>(A[0]);
   uint32_t Old = Host->signalHandler(Sig);
   // This is the interception point of Section 3.15: the handler address
   // is recorded by the core, never given to a real kernel, so the client's
   // handler only ever runs under the core's control.
-  Host->setSignalHandler(Sig, Cpu.readReg(2));
+  Host->setSignalHandler(Sig, A[1]);
   return Old;
 }
 
-uint32_t SimKernel::doClone(CpuView &Cpu) {
-  int Tid = Cpu.threadId();
-  preRegRead(Tid, 1, "clone(entry)");
-  preRegRead(Tid, 2, "clone(stack)");
-  preRegRead(Tid, 3, "clone(arg)");
+VG_SYSCALL(Sigreturn) {
   if (!Host)
     return SysErr;
-  int NewTid = Host->spawnThread(Cpu.readReg(1), Cpu.readReg(2),
-                                 Cpu.readReg(3));
+  // State was replaced wholesale; do not write a result register.
+  Host->sigreturn(Tid);
+  return SysResult::NoResult;
+}
+
+VG_SYSCALL(Clone) {
+  if (!Host)
+    return SysErr;
+  int NewTid = Host->spawnThread(A[0], A[1], A[2]);
   return NewTid < 0 ? SysErr : static_cast<uint32_t>(NewTid);
 }

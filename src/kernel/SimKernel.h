@@ -1,7 +1,7 @@
 //===-- kernel/SimKernel.h - The simulated kernel ---------------*- C++ -*-==//
 ///
 /// \file
-/// The substrate standing in for the Linux kernel: ~20 system calls over an
+/// The substrate standing in for the Linux kernel: 22 system calls over an
 /// in-memory virtual filesystem, guest memory (brk/mmap/munmap/mremap), a
 /// virtual clock, and hooks into the core for threads and signals.
 ///
@@ -11,7 +11,10 @@
 /// post_mem_write, post_reg_write, new_mem_mmap, die_mem_munmap,
 /// new_mem_brk, die_mem_brk, copy_mem_mremap) — the reproduction of
 /// Valgrind's 15k lines of syscall wrappers (Section 3.12), scaled to this
-/// kernel's surface.
+/// kernel's surface. Each call is one VG_SYSCALLS row, from which its
+/// number, its fault-injection policy, its wrapper's declaration and
+/// dispatch, and its register-argument reads all follow; adding a call is
+/// one row plus its sys<Name> wrapper.
 ///
 /// The kernel serves both execution engines: under the DBI core (events
 /// live, threads/signals via KernelHost) and under the reference
@@ -26,38 +29,87 @@
 #include "kernel/AddressSpace.h"
 #include "support/FaultInject.h"
 
+#include <array>
 #include <map>
 #include <string>
 #include <vector>
 
 namespace vg {
 
-/// Syscall numbers (the guest ABI: number in r0, args in r1..r5, result to
-/// r0; errors return 0xFFFFFFFF).
+/// The system calls, one row each: X(Name, name, number, fallible,
+/// args...). The guest ABI: number in r0, the arguments in r1..r4 in the
+/// listed order, the result to r0; errors return SysErr. Name gives
+/// SysName and the wrapper SimKernel::sysName; name(arg) is what every
+/// event about an argument reports (Memcheck's "Syscall parameter
+/// write(buf)"). Fallible calls are the ones --fault-inject may fail
+/// outright with SysErr: not the control transfers (exit, exit_thread,
+/// sigreturn), which a client cannot meaningfully retry, nor the
+/// scheduling calls, which have their own Wakeup fault kind.
+#define VG_SYSCALLS(X)                                                         \
+  X(Exit, exit, 1, false, status)                                              \
+  X(Write, write, 2, true, fd, buf, len)                                       \
+  X(Read, read, 3, true, fd, buf, len)                                         \
+  X(Open, open, 4, true, path, flags)                                          \
+  X(Close, close, 5, true, fd)                                                 \
+  X(Brk, brk, 6, true, addr)                                                   \
+  X(Mmap, mmap, 7, true, addr, len, prot, flags)                               \
+  X(Munmap, munmap, 8, true, addr, len)                                        \
+  X(Mremap, mremap, 9, true, old, oldlen, newlen)                              \
+  X(Gettimeofday, gettimeofday, 10, true, tv)                                  \
+  X(Settimeofday, settimeofday, 11, true, tv)                                  \
+  X(Getpid, getpid, 12, false)                                                 \
+  X(Kill, kill, 13, true, tid, sig)                                            \
+  X(Sigaction, sigaction, 14, true, sig, handler)                              \
+  X(Sigreturn, sigreturn, 15, false)                                           \
+  X(Clone, clone, 16, true, entry, stack, arg)                                 \
+  X(ExitThread, exit_thread, 17, false, status)                                \
+  X(Yield, yield, 18, false)                                                   \
+  X(Nanosleep, nanosleep, 19, false, usec)                                     \
+  X(Time, time, 20, false)                                                     \
+  X(Fsize, fsize, 21, true, fd)                                                \
+  X(Mprotect, mprotect, 22, true, addr, len, prot)
+
 enum Syscalls : uint32_t {
-  SysExit = 1,
-  SysWrite = 2,
-  SysRead = 3,
-  SysOpen = 4,
-  SysClose = 5,
-  SysBrk = 6,
-  SysMmap = 7,
-  SysMunmap = 8,
-  SysMremap = 9,
-  SysGettimeofday = 10,
-  SysSettimeofday = 11,
-  SysGetpid = 12,
-  SysKill = 13,
-  SysSigaction = 14,
-  SysSigreturn = 15,
-  SysClone = 16,
-  SysExitThread = 17,
-  SysYield = 18,
-  SysNanosleep = 19,
-  SysTime = 20,
-  SysFsize = 21,
-  SysMprotect = 22,
+#define VG_SYS_ENUM(Name, name, Num, ...) Sys##Name = Num,
+  VG_SYSCALLS(VG_SYS_ENUM)
+#undef VG_SYS_ENUM
 };
+
+// "name(arg)" for each of a row's arguments, as string literals.
+#define VG_SYS_ARG(n, a) #n "(" #a ")"
+#define VG_SYS_ARGS0(n)
+#define VG_SYS_ARGS1(n, a) VG_SYS_ARG(n, a)
+#define VG_SYS_ARGS2(n, a, ...) VG_SYS_ARG(n, a), VG_SYS_ARGS1(n, __VA_ARGS__)
+#define VG_SYS_ARGS3(n, a, ...) VG_SYS_ARG(n, a), VG_SYS_ARGS2(n, __VA_ARGS__)
+#define VG_SYS_ARGS4(n, a, ...) VG_SYS_ARG(n, a), VG_SYS_ARGS3(n, __VA_ARGS__)
+#define VG_SYS_PICK(_1, _2, _3, _4, M, ...) M
+#define VG_SYS_ARGNAMES(n, ...)                                                \
+  VG_SYS_PICK(__VA_ARGS__ __VA_OPT__(, ) VG_SYS_ARGS4, VG_SYS_ARGS3,           \
+              VG_SYS_ARGS2, VG_SYS_ARGS1, VG_SYS_ARGS0)                        \
+  (n __VA_OPT__(, ) __VA_ARGS__)
+
+constexpr unsigned MaxSyscallArgs = 4;
+
+/// One VG_SYSCALLS row, as the kernel reads it.
+struct SyscallDesc {
+  const char *Name = nullptr; ///< null: no call has this number (ENOSYS)
+  bool Fallible = false;
+  const char *Args[MaxSyscallArgs] = {}; ///< "name(arg)" for r1.., then null
+};
+
+#define VG_SYS_COUNT(...) +1
+constexpr unsigned SyscallCount = 0 VG_SYSCALLS(VG_SYS_COUNT);
+#undef VG_SYS_COUNT
+
+/// VG_SYSCALLS indexed by number (entry 0 is unassigned).
+inline constexpr auto SyscallTable = [] {
+  std::array<SyscallDesc, 1 + SyscallCount> T{};
+#define VG_SYS_ROW(Name, name, Num, Fallible, ...)                             \
+  T[Num] = {#name, Fallible, {VG_SYS_ARGNAMES(name, __VA_ARGS__)}};
+  VG_SYSCALLS(VG_SYS_ROW)
+#undef VG_SYS_ROW
+  return T;
+}();
 
 constexpr uint32_t SysErr = 0xFFFFFFFFu;
 
@@ -119,30 +171,34 @@ private:
     bool Writable = false;
   };
 
-  // Individual syscall implementations (the "wrappers").
-  uint32_t doWrite(CpuView &Cpu);
-  uint32_t doRead(CpuView &Cpu);
-  uint32_t doOpen(CpuView &Cpu);
-  uint32_t doClose(CpuView &Cpu);
-  uint32_t doBrk(CpuView &Cpu);
-  uint32_t doMmap(CpuView &Cpu);
-  uint32_t doMunmap(CpuView &Cpu);
-  uint32_t doMremap(CpuView &Cpu);
-  uint32_t doMprotect(CpuView &Cpu);
-  uint32_t doGettimeofday(CpuView &Cpu);
-  uint32_t doSettimeofday(CpuView &Cpu);
-  uint32_t doKill(CpuView &Cpu);
-  uint32_t doSigaction(CpuView &Cpu);
-  uint32_t doClone(CpuView &Cpu);
-  uint32_t doFsize(CpuView &Cpu);
+  /// A wrapper's outcome: a result for r0, no result (sigreturn replaced
+  /// the caller's state; exit_thread ended its thread), or the end of the
+  /// process.
+  struct SysResult {
+    enum Kind : uint8_t { Value, NoResult, ProcessExit };
+    SysResult(uint32_t V) : R(V) {}
+    SysResult(Kind K) : K(K) {}
+    Kind K = Value;
+    uint32_t R = 0;
+  };
 
-  // Event-firing helpers (no-ops when Events is null).
-  void preRegRead(int Tid, unsigned Reg, const char *Name);
-  void postRegWrite(int Tid, unsigned Reg);
-  void preMemRead(int Tid, uint32_t Addr, uint32_t Len, const char *Name);
-  void preMemReadAsciiz(int Tid, uint32_t Addr, const char *Name);
-  void preMemWrite(int Tid, uint32_t Addr, uint32_t Len, const char *Name);
-  void postMemWrite(int Tid, uint32_t Addr, uint32_t Len);
+  // The wrappers, one per VG_SYSCALLS row. \p A holds r1..rN, already
+  // announced through pre_reg_read.
+#define VG_SYS_DECL(Name, ...)                                                 \
+  SysResult sys##Name(CpuView &Cpu, int Tid, const uint32_t *A);
+  VG_SYSCALLS(VG_SYS_DECL)
+#undef VG_SYS_DECL
+
+  /// Releases [Addr, Addr+Len) from the address space and unmaps what went,
+  /// announcing each range as die_mem_munmap when \p Announce. Returns
+  /// whether anything was released.
+  bool release(CpuView &Cpu, uint32_t Addr, uint32_t Len, bool Announce);
+
+  /// Fires the EventHub callback \p Cb, if there are events and it is set.
+  template <auto Cb, typename... Ts> void fire(Ts... Args) {
+    if (Events && Events->*Cb)
+      (Events->*Cb)(Args...);
+  }
   void faultInjected(int Tid, FaultKind K, uint32_t Arg);
 
   std::string readGuestString(CpuView &Cpu, uint32_t Addr);

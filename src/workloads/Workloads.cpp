@@ -8,6 +8,7 @@
 #include "support/Errors.h"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <functional>
 #include <random>
@@ -1134,53 +1135,44 @@ void wlMtCpu(Assembler &C, Assembler &D, GuestLibLabels &Lib,
   epilogue(C, Lib);
 }
 
+/// Every workload, one row each: its name, its body, whether it is a
+/// Table 2 row (sigmt and mtcpu are runnable by name but stay out of the
+/// benchmark set), and whether it is floating-point.
+struct WorkloadRow {
+  const char *Name;
+  void (*Body)(Assembler &, Assembler &, GuestLibLabels &, uint32_t);
+  bool InTable2;
+  bool IsFP;
+};
+constexpr WorkloadRow Workloads[] = {
+    {"bzip2", wlBzip2, true, false},    {"crafty", wlCrafty, true, false},
+    {"gcc", wlGcc, true, false},        {"gzip", wlGzip, true, false},
+    {"mcf", wlMcf, true, false},        {"parser", wlParser, true, false},
+    {"perlbmk", wlPerlbmk, true, false}, {"vortex", wlVortex, true, false},
+    {"ammp", wlAmmp, true, true},       {"applu", wlApplu, true, true},
+    {"art", wlArt, true, true},         {"equake", wlEquake, true, true},
+    {"mesa", wlMesa, true, true},       {"swim", wlSwim, true, true},
+    {"sigmt", wlSigMt, false, false},   {"mtcpu", wlMtCpu, false, false},
+};
+
 } // namespace
 
-const std::vector<WorkloadInfo> &vg::allWorkloads() {
-  static const std::vector<WorkloadInfo> W = {
-      {"bzip2", false},  {"crafty", false}, {"gcc", false},
-      {"gzip", false},   {"mcf", false},    {"parser", false},
-      {"perlbmk", false}, {"vortex", false}, {"ammp", true},
-      {"applu", true},   {"art", true},     {"equake", true},
-      {"mesa", true},    {"swim", true},
-  };
-  return W;
+const std::vector<WorkloadInfo> &vg::allWorkloads(bool WithExtras) {
+  static const auto Lists = [] {
+    std::vector<WorkloadInfo> Table2, All;
+    for (const WorkloadRow &W : Workloads) {
+      if (W.InTable2)
+        Table2.push_back({W.Name, W.IsFP});
+      All.push_back({W.Name, W.IsFP});
+    }
+    return std::array{Table2, All};
+  }();
+  return Lists[WithExtras];
 }
 
 GuestImage vg::buildWorkload(const std::string &Name, uint32_t Scale) {
-  if (Scale == 0)
-    Scale = 1;
-  if (Name == "bzip2")
-    return build(wlBzip2, Scale);
-  if (Name == "crafty")
-    return build(wlCrafty, Scale);
-  if (Name == "gcc")
-    return build(wlGcc, Scale);
-  if (Name == "gzip")
-    return build(wlGzip, Scale);
-  if (Name == "mcf")
-    return build(wlMcf, Scale);
-  if (Name == "parser")
-    return build(wlParser, Scale);
-  if (Name == "perlbmk")
-    return build(wlPerlbmk, Scale);
-  if (Name == "vortex")
-    return build(wlVortex, Scale);
-  if (Name == "ammp")
-    return build(wlAmmp, Scale);
-  if (Name == "applu")
-    return build(wlApplu, Scale);
-  if (Name == "art")
-    return build(wlArt, Scale);
-  if (Name == "equake")
-    return build(wlEquake, Scale);
-  if (Name == "mesa")
-    return build(wlMesa, Scale);
-  if (Name == "swim")
-    return build(wlSwim, Scale);
-  if (Name == "sigmt")
-    return build(wlSigMt, Scale);
-  if (Name == "mtcpu")
-    return build(wlMtCpu, Scale);
+  for (const WorkloadRow &W : Workloads)
+    if (Name == W.Name)
+      return build(W.Body, Scale ? Scale : 1);
   fatalError(("unknown workload: " + Name).c_str());
 }

@@ -563,10 +563,8 @@ TEST(IRGolden, CodegenIdentity) {
       {"no-iropt", {"--no-iropt=yes"}, {"nulgrind", "memcheck"}},
   };
   std::vector<std::string> Workloads;
-  for (const WorkloadInfo &W : allWorkloads())
+  for (const WorkloadInfo &W : allWorkloads(/*WithExtras=*/true))
     Workloads.push_back(W.Name);
-  Workloads.push_back("sigmt");
-  Workloads.push_back("mtcpu");
   std::string Out;
   for (const Config &Cfg : Configs)
     for (const char *ToolName : Cfg.Tools)

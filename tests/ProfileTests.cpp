@@ -226,10 +226,8 @@ TEST(ProfileGolden, TierCounts) {
       {"unchained-hot20", {"--chaining=no", "--hot-threshold=20"}},
   };
   std::vector<std::string> Workloads;
-  for (const WorkloadInfo &W : allWorkloads())
+  for (const WorkloadInfo &W : allWorkloads(/*WithExtras=*/true))
     Workloads.push_back(W.Name);
-  Workloads.push_back("sigmt");
-  Workloads.push_back("mtcpu");
   std::string Out =
       "# tool config workload exit=kind/code/signal stdout=<fnv> "
       "resident=<fnv of each translation's addr, tier, insns, execs, edge "

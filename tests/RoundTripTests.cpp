@@ -373,13 +373,8 @@ void appendImage(std::string &Out, const std::string &Name,
 // under default options and with signals and SMC forced.
 TEST(RoundTrip, ImageIdentityGolden) {
   std::string Out;
-  std::vector<std::string> Names;
-  for (const WorkloadInfo &W : allWorkloads())
-    Names.push_back(W.Name);
-  Names.push_back("sigmt");
-  Names.push_back("mtcpu");
-  for (const std::string &N : Names)
-    appendImage(Out, N, buildWorkload(N, 1));
+  for (const WorkloadInfo &W : allWorkloads(/*WithExtras=*/true))
+    appendImage(Out, W.Name, buildWorkload(W.Name, 1));
   fuzz::GenOptions Forced;
   Forced.Signals = 2;
   Forced.Smc = 2;

@@ -80,6 +80,12 @@ TEST(TransTab, FullTablePressureNeverDestroysUnrelatedTranslations) {
   const TransTab::Stats &S = TT.stats();
   EXPECT_EQ(S.Inserts, 64u);
   EXPECT_EQ(S.Inserts, TT.size() + S.Evicted + S.Invalidated);
+  // A whole-table flush accounts for every translation it erases too.
+  ASSERT_GT(TT.size(), 0u);
+  TT.invalidateAll();
+  EXPECT_EQ(TT.size(), 0u);
+  TT.insert(makeT(0x9000));
+  EXPECT_EQ(S.Inserts, TT.size() + S.Evicted + S.Invalidated);
 }
 
 TEST(TransTab, InsertKeepsOccupancyAtOrBelow80Percent) {

@@ -53,10 +53,8 @@ INSTANTIATE_TEST_SUITE_P(All, WorkloadSuite,
 // reports no error.
 std::vector<std::string> allNames() {
   std::vector<std::string> Names;
-  for (const WorkloadInfo &W : allWorkloads())
+  for (const WorkloadInfo &W : allWorkloads(/*WithExtras=*/true))
     Names.push_back(W.Name);
-  Names.push_back("sigmt");
-  Names.push_back("mtcpu");
   return Names;
 }
 
