@@ -190,8 +190,7 @@ uint32_t ClientRequestEngine::clientRealloc(int Tid, uint32_t Addr,
   std::vector<uint8_t> Tmp(N);
   C.Memory.read(Addr, Tmp.data(), N, true);
   C.Memory.write(NewAddr, Tmp.data(), N, true);
-  if (C.Events.CopyMemMremap)
-    C.Events.CopyMemMremap(Addr, NewAddr, N);
+  C.Events.fire<&EventHub::CopyMemMremap>(Addr, NewAddr, N);
   clientFree(Tid, Addr);
   return NewAddr;
 }

@@ -3,10 +3,10 @@
 /// \file
 /// The client-request trap door of Section 3.11, extracted from the Core
 /// monolith. A guest CLREQ lands here (between code blocks): the engine
-/// normalises legacy flat codes, decodes the 16-bit namespace tag,
-/// services the core's own 'C','R' requests, and offers everything else to
-/// the running tool. Unrecognised requests return 0 — exactly what CLREQ
-/// yields when run natively — and are counted, never fatal.
+/// decodes the 16-bit namespace tag, services the core's own 'C','R'
+/// requests, and offers everything else to the running tool. Unrecognised
+/// requests return 0 — exactly what CLREQ yields when run natively — and
+/// are counted, never fatal.
 ///
 /// The engine owns the registered-stack table (CrStackRegister and
 /// friends, consulted by the stack-switch heuristic) and the replacement

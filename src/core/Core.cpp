@@ -14,7 +14,6 @@
 
 #include "core/DispatchLoop.h"
 #include "core/Launcher.h"
-#include "core/TracerHooks.h"
 #include "support/Errors.h"
 
 #include <algorithm>
@@ -210,26 +209,24 @@ void Core::loadImage(const GuestImage &Img) {
   // its callbacks): unmapped code must lose its translations (Section 3.8:
   // "translations are also evicted when code in shared objects is
   // unloaded").
-  {
-    auto ToolMunmap = Events.DieMemMunmap;
-    Events.DieMemMunmap = [this, ToolMunmap](uint32_t Addr, uint32_t Len) {
-      discardTranslations(Addr, Len);
-      if (ToolMunmap)
-        ToolMunmap(Addr, Len);
-    };
-    auto ToolBrk = Events.DieMemBrk;
-    Events.DieMemBrk = [this, ToolBrk](uint32_t Addr, uint32_t Len) {
-      discardTranslations(Addr, Len);
-      if (ToolBrk)
-        ToolBrk(Addr, Len);
-    };
-  }
+  auto Discard = [](Core *C, uint32_t Addr, uint32_t Len) {
+    C->discardTranslations(Addr, Len);
+  };
+  Events.layer<&EventHub::DieMemMunmap>(this, Discard);
+  Events.layer<&EventHub::DieMemBrk>(this, Discard);
 
   // --trace-events sees everything from here on, including the start-up
   // mappings below. (Layering the tracer over every EventHub callback makes
   // wantsStackEvents() true even for tools that ignore stacks — traced runs
   // deliberately instrument SP changes so the trace is complete.)
-  installTracerHooks(Events, Tracer.get());
+  if (EventTracer *Tr = Tracer.get()) {
+#define VG_TRACE_HUB_EVENT(Member, ...)                                        \
+  Events.layer<&EventHub::Member>(Tr, [](EventTracer *T, auto... As) {         \
+    T->recordHub(TraceEvent::Member, As...);                                   \
+  });
+    VG_HUB_EVENTS(VG_TRACE_HUB_EVENT)
+#undef VG_TRACE_HUB_EVENT
+  }
 
   // The sigreturn trampoline lives in the core's own region: a handler
   // returning normally lands here, which re-enters the core via the
@@ -317,13 +314,10 @@ uint64_t Core::helperTrackSp(void *Env, uint64_t, uint64_t, uint64_t,
     TS.TrackedSP = NewSP;
     return 0;
   }
-  if (NewSP < Old) {
-    if (C->Events.NewMemStack)
-      C->Events.NewMemStack(NewSP, Old - NewSP);
-  } else {
-    if (C->Events.DieMemStack)
-      C->Events.DieMemStack(Old, NewSP - Old);
-  }
+  if (NewSP < Old)
+    C->Events.fire<&EventHub::NewMemStack>(NewSP, Old - NewSP);
+  else
+    C->Events.fire<&EventHub::DieMemStack>(Old, NewSP - Old);
   TS.TrackedSP = NewSP;
   return 0;
 }
@@ -486,7 +480,42 @@ CoreExit Core::run(uint64_t MaxBlocks) { return Dispatch->run(MaxBlocks); }
 
 uint32_t Core::callGuest(ThreadState &TS, uint32_t Addr,
                          const std::vector<uint32_t> &Args) {
-  return Dispatch->callGuest(TS, Addr, Args);
+  // Save the registers the call clobbers.
+  uint32_t SavedPC = TS.getPC();
+  uint32_t SavedRegs[NumGPRs];
+  for (unsigned I = 0; I != NumGPRs; ++I)
+    SavedRegs[I] = TS.gpr(I);
+
+  enterGuest(TS, Addr, DispatchLoop::ReturnSentinel, Args);
+  uint64_t Quantum = ~0ull >> 1;
+  Dispatch->dispatchLoop(TS, Quantum, DispatchLoop::ReturnSentinel);
+  uint32_t Result = TS.gpr(0);
+
+  for (unsigned I = 0; I != NumGPRs; ++I)
+    TS.setGpr(I, SavedRegs[I]);
+  TS.setPCVal(SavedPC);
+  return Result;
+}
+
+void Core::enterGuest(ThreadState &TS, uint32_t PC, uint32_t Ret,
+                      std::span<const uint32_t> Args) {
+  Args = Args.first(std::min<size_t>(Args.size(), 5));
+  uint32_t SP = TS.gpr(RegSP) - 4;
+  Memory.write(SP, &Ret, 4, /*IgnorePerms=*/true);
+  // The slot became active stack and then was written by the core.
+  Events.fire<&EventHub::NewMemStack>(SP, 4u);
+  Events.fire<&EventHub::PostMemWrite>(TS.Tid, SP, 4u);
+  TS.TrackedSP = SP;
+  TS.setGpr(RegSP, SP);
+  for (size_t I = 0; I != Args.size(); ++I)
+    TS.setGpr(static_cast<unsigned>(1 + I), Args[I]);
+  // The core wrote SP and the arguments behind the client's back; without
+  // these a definedness tool sees the callee read undefined inputs.
+  Events.fire<&EventHub::PostRegWrite>(TS.Tid, gso::gpr(RegSP), 4u);
+  for (size_t I = 0; I != Args.size(); ++I)
+    Events.fire<&EventHub::PostRegWrite>(
+        TS.Tid, gso::gpr(static_cast<unsigned>(1 + I)), 4u);
+  TS.setPCVal(PC);
 }
 
 CoreExit Core::finishRun() {
@@ -538,8 +567,7 @@ void Core::exitThread(int Tid, int Code) {
   ThreadState &TS = Threads[Tid];
   Signals->threadExiting(TS);
   TS.Status = ThreadStatus::Exited;
-  if (Tracer)
-    Tracer->record(Tid, TraceEvent::ThreadExit, static_cast<uint32_t>(Code));
+  trace(Tid, TraceEvent::ThreadExit, static_cast<uint32_t>(Code));
   if (liveThreads() == 0) {
     ProcessExited = true;
     ProcessExitCode = Code;

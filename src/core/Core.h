@@ -42,6 +42,7 @@
 
 #include <array>
 #include <memory>
+#include <span>
 
 namespace vg {
 
@@ -171,7 +172,8 @@ public:
 
   /// Calls back into guest code from host context (the mechanism that lets
   /// a replacement function invoke the function it replaced — wrapping).
-  /// Returns the callee's r0.
+  /// \p Args fill r1-r5 (any beyond the fifth are ignored). Returns the
+  /// callee's r0.
   uint32_t callGuest(ThreadState &TS, uint32_t Addr,
                      const std::vector<uint32_t> &Args);
 
@@ -239,6 +241,20 @@ private:
   /// The run epilogue: tool fini, profile/trace dumps, exit-status
   /// construction. Called by DispatchLoop::run.
   CoreExit finishRun();
+
+  /// Records \p E in the --trace-events ring, when tracing.
+  void trace(int Tid, TraceEvent E, uint32_t A = 0, uint32_t B = 0,
+             uint32_t C = 0) {
+    if (Tracer)
+      Tracer->record(Tid, E, A, B, C);
+  }
+
+  /// Enters guest code at \p PC on \p TS from host context, as a call to
+  /// return to \p Ret with \p Args in r1-r5, announcing the pushed slot,
+  /// SP and each argument as written. Signal delivery and callGuest both
+  /// enter guest code here.
+  void enterGuest(ThreadState &TS, uint32_t PC, uint32_t Ret,
+                  std::span<const uint32_t> Args);
 
   /// The core's own instrumentation layered around the tool's: SMC check
   /// prelude (when \p WantSmc — sampled at options-build time from the

@@ -340,18 +340,16 @@ void DispatchLoop::injectBoundaryFaults(ThreadState &TS) {
         Installed[Count++] = S;
     if (Count) {
       int Sig = Installed[C.Faults->pick(static_cast<uint32_t>(Count))];
-      if (C.Events.FaultInjected)
-        C.Events.FaultInjected(TS.Tid,
-                               static_cast<uint32_t>(FaultKind::SigStorm),
-                               static_cast<uint32_t>(Sig));
+      C.Events.fire<&EventHub::FaultInjected>(
+          TS.Tid, static_cast<uint32_t>(FaultKind::SigStorm),
+          static_cast<uint32_t>(Sig));
       C.Signals->raise(TS.Tid, Sig);
     }
   }
   // Translation-table flush pressure: everything retranslates from here.
   if (C.Faults->roll(FaultKind::TTFlush)) {
-    if (C.Events.FaultInjected)
-      C.Events.FaultInjected(TS.Tid, static_cast<uint32_t>(FaultKind::TTFlush),
-                             0);
+    C.Events.fire<&EventHub::FaultInjected>(
+        TS.Tid, static_cast<uint32_t>(FaultKind::TTFlush), 0u);
     // Whole-space flush. Not invalidate(0, 0xFFFFFFFFu): a 32-bit length
     // cannot express the full 4GB and left translations covering the final
     // guest byte alive.
@@ -376,10 +374,8 @@ CoreExit DispatchLoop::run(uint64_t MaxBlocks) {
       break;
     if (Next != C.CurTid) {
       ++C.Stats.ThreadSwitches;
-      if (C.Tracer)
-        C.Tracer->record(Next, TraceEvent::ThreadSwitch,
-                         static_cast<uint32_t>(C.CurTid),
-                         static_cast<uint32_t>(Next));
+      C.trace(Next, TraceEvent::ThreadSwitch, static_cast<uint32_t>(C.CurTid),
+              static_cast<uint32_t>(Next));
     }
     C.CurTid = Next;
     YieldRequested = false;
@@ -388,53 +384,14 @@ CoreExit DispatchLoop::run(uint64_t MaxBlocks) {
     // Forced preemption: shrink this slice to a single block, shaking out
     // scheduling assumptions the 100k-block quantum normally hides.
     if (C.Faults && Quantum > 1 && C.Faults->roll(FaultKind::Preempt)) {
-      if (C.Events.FaultInjected)
-        C.Events.FaultInjected(C.CurTid,
-                               static_cast<uint32_t>(FaultKind::Preempt), 1);
+      C.Events.fire<&EventHub::FaultInjected>(
+          C.CurTid, static_cast<uint32_t>(FaultKind::Preempt), 1u);
       Quantum = 1;
     }
     dispatchLoop(C.Threads[C.CurTid], Quantum, /*StopPC=*/0xFFFFFFFF);
   }
 
   return C.finishRun();
-}
-
-uint32_t DispatchLoop::callGuest(ThreadState &TS, uint32_t Addr,
-                                 const std::vector<uint32_t> &Args) {
-  // Save the registers the call clobbers.
-  uint32_t SavedPC = TS.getPC();
-  uint32_t SavedRegs[NumGPRs];
-  for (unsigned I = 0; I != NumGPRs; ++I)
-    SavedRegs[I] = TS.gpr(I);
-
-  uint32_t SP = TS.gpr(RegSP) - 4;
-  C.Memory.write(SP, &ReturnSentinel, 4, /*IgnorePerms=*/true);
-  if (C.Events.NewMemStack)
-    C.Events.NewMemStack(SP, 4);
-  if (C.Events.PostMemWrite)
-    C.Events.PostMemWrite(TS.Tid, SP, 4);
-  TS.TrackedSP = SP;
-  TS.setGpr(RegSP, SP);
-  for (size_t I = 0; I != Args.size() && I < 5; ++I)
-    TS.setGpr(static_cast<unsigned>(1 + I), Args[I]);
-  // As in SignalEngine::deliver: the core set SP and the argument
-  // registers, so definedness tools must see them as written.
-  if (C.Events.PostRegWrite) {
-    C.Events.PostRegWrite(TS.Tid, gso::gpr(RegSP), 4);
-    for (size_t I = 0; I != Args.size() && I < 5; ++I)
-      C.Events.PostRegWrite(TS.Tid, gso::gpr(static_cast<unsigned>(1 + I)),
-                            4);
-  }
-  TS.setPCVal(Addr);
-
-  uint64_t Quantum = ~0ull >> 1;
-  dispatchLoop(TS, Quantum, ReturnSentinel);
-  uint32_t Result = TS.gpr(0);
-
-  for (unsigned I = 0; I != NumGPRs; ++I)
-    TS.setGpr(I, SavedRegs[I]);
-  TS.setPCVal(SavedPC);
-  return Result;
 }
 
 //===----------------------------------------------------------------------===//
@@ -573,7 +530,7 @@ void DispatchLoop::dumpProfile() {
     Out.printf("recorded=%llu dropped=%llu syscalls=%llu signal-records="
                "%llu\n",
                ull(Tr->recorded()), ull(Tr->dropped()),
-               ull(Tr->count(TraceEvent::SyscallEnter)),
+               ull(Tr->count(TraceEvent::PreSyscall)),
                ull(Tr->count(TraceEvent::SigQueue) +
                    Tr->count(TraceEvent::SigDeliver) +
                    Tr->count(TraceEvent::SigReturn) +

@@ -37,13 +37,10 @@ public:
 
   /// Dispatches blocks for \p TS until the quantum is spent, the process
   /// exits, a fatal signal lands, the thread stops being runnable, or the
-  /// PC reaches \p StopPC (callGuest's sentinel).
+  /// PC reaches \p StopPC (ReturnSentinel for Core::callGuest).
   void dispatchLoop(ThreadState &TS, uint64_t &Quantum, uint32_t StopPC);
-
-  /// Calls back into guest code from host context (replacement/wrapping).
-  /// Returns the callee's r0.
-  uint32_t callGuest(ThreadState &TS, uint32_t Addr,
-                     const std::vector<uint32_t> &Args);
+  /// The return address Core::callGuest enters guest code with.
+  static constexpr uint32_t ReturnSentinel = 0xFFFF0000;
 
   /// Ends the running thread's quantum at the next block boundary.
   void requestYield() { YieldRequested = true; }
@@ -106,9 +103,6 @@ private:
 
   std::vector<FastCacheEntry> FastCache;
   uint64_t FastCacheGen = 0;
-
-  /// Sentinel return address used by callGuest.
-  static constexpr uint32_t ReturnSentinel = 0xFFFF0000;
 };
 
 } // namespace vg

@@ -5,95 +5,55 @@
 /// state changes made by system calls, start-up allocations, or stack
 /// growth, so the core describes them through these callbacks. A tool
 /// registers a callback per event; the core and the system-call wrappers
-/// invoke them. The event list is exactly the paper's Table 1.
-///
-/// Requirement mapping:
-///   R4: pre_reg_read, post_reg_write, pre_mem_read{,_asciiz},
-///       pre_mem_write, post_mem_write      (from every syscall wrapper)
-///   R5: new_mem_startup                    (from the code loader)
-///   R6: new_mem_mmap, die_mem_munmap, new_mem_brk, die_mem_brk,
-///       copy_mem_mremap                    (from mmap/munmap/brk/mremap
-///                                           wrappers)
-///   R7: new_mem_stack, die_mem_stack       (from instrumentation of SP
-///                                           changes)
+/// fire them. The events, with each one's requirement and trigger site,
+/// are the rows of VG_HUB_EVENTS (support/HubEvents.h).
 ///
 //===----------------------------------------------------------------------===//
 #ifndef VG_CORE_EVENTS_H
 #define VG_CORE_EVENTS_H
 
-#include <cstdint>
+#include "support/HubEvents.h"
+
 #include <functional>
+#include <type_traits>
 
 namespace vg {
 
 /// Event callbacks a tool may register. Null members are simply skipped,
 /// so lightweight tools pay nothing for events they ignore.
 struct EventHub {
-  // --- R4: system-call register/memory accesses -------------------------
-  /// The wrapper for \p Syscall is about to read \p Size bytes of guest
-  /// state at \p Offset (a register argument).
-  std::function<void(int Tid, uint32_t Offset, uint32_t Size,
-                     const char *Syscall)>
-      PreRegRead;
-  /// The wrapper for a syscall has written guest state (e.g. the result
-  /// register).
-  std::function<void(int Tid, uint32_t Offset, uint32_t Size)> PostRegWrite;
-  /// The kernel is about to read client memory [Addr, Addr+Len).
-  std::function<void(int Tid, uint32_t Addr, uint32_t Len,
-                     const char *Syscall)>
-      PreMemRead;
-  /// The kernel is about to read a NUL-terminated string at Addr.
-  std::function<void(int Tid, uint32_t Addr, const char *Syscall)>
-      PreMemReadAsciiz;
-  /// The kernel is about to write client memory [Addr, Addr+Len).
-  std::function<void(int Tid, uint32_t Addr, uint32_t Len,
-                     const char *Syscall)>
-      PreMemWrite;
-  /// The kernel has written client memory [Addr, Addr+Len).
-  std::function<void(int Tid, uint32_t Addr, uint32_t Len)> PostMemWrite;
-
-  // --- R5: start-up allocations ------------------------------------------
-  /// The loader mapped [Addr, Addr+Len) at program start-up.
-  std::function<void(uint32_t Addr, uint32_t Len, uint8_t Perms)>
-      NewMemStartup;
-
-  // --- R6: system-call (de)allocations ------------------------------------
-  std::function<void(uint32_t Addr, uint32_t Len, uint8_t Perms)> NewMemMmap;
-  std::function<void(uint32_t Addr, uint32_t Len)> DieMemMunmap;
-  std::function<void(uint32_t Addr, uint32_t Len)> NewMemBrk;
-  std::function<void(uint32_t Addr, uint32_t Len)> DieMemBrk;
-  /// mremap moved memory: shadow state for [Src, Src+Len) must be copied
-  /// to [Dst, Dst+Len).
-  std::function<void(uint32_t Src, uint32_t Dst, uint32_t Len)>
-      CopyMemMremap;
-
-  // --- R7: stack (de)allocations ------------------------------------------
-  std::function<void(uint32_t Addr, uint32_t Len)> NewMemStack;
-  std::function<void(uint32_t Addr, uint32_t Len)> DieMemStack;
-
-  // --- extension events (beyond Table 1, in the spirit of Valgrind's
-  //     fuller event list) ------------------------------------------------
-  /// A read() syscall delivered \p Len bytes from \p Fd (named \p Source)
-  /// into client memory — taint tools use this to mark input sources.
-  std::function<void(int Tid, uint32_t Fd, uint32_t Addr, uint32_t Len,
-                     const char *Source)>
-      PostFileRead;
-
-  /// A system call is about to be dispatched to its wrapper.
-  std::function<void(int Tid, uint32_t Num)> PreSyscall;
-  /// A system call's wrapper finished with \p Result in r0. Not fired for
-  /// control transfers that never return a result to the caller
-  /// (exit/exit_thread/sigreturn).
-  std::function<void(int Tid, uint32_t Num, uint32_t Result)> PostSyscall;
-  /// The --fault-inject plan fired: \p Kind is a FaultKind value, \p Arg a
-  /// site-specific detail (syscall number, shortened length, signal, ...).
-  std::function<void(int Tid, uint32_t Kind, uint32_t Arg)> FaultInjected;
+#define VG_HUB_MEMBER(Member, Dump, Req, Trigger, Params)                      \
+  std::function<void Params> Member;
+  VG_HUB_EVENTS(VG_HUB_MEMBER)
+#undef VG_HUB_MEMBER
 
   /// True when a tool wants stack events: the core only instruments SP
   /// changes in that case (they are frequent and therefore costly,
   /// Section 2 R7).
   bool wantsStackEvents() const {
     return static_cast<bool>(NewMemStack) || static_cast<bool>(DieMemStack);
+  }
+
+  /// Fires callback \p Cb (e.g. &EventHub::NewMemStack) with \p Args, if
+  /// one is registered.
+  template <auto Cb, typename... Ts> void fire(Ts... Args) const {
+    if (this->*Cb)
+      (this->*Cb)(Args...);
+  }
+
+  /// Puts a listener in front of callback \p Cb: from now on each firing
+  /// calls Fn()(Ctx, args...), then whatever was registered before. \p Fn
+  /// must be captureless; the new callback holds \p Ctx and a copy of the
+  /// old one.
+  template <auto Cb, typename Ctx, typename Fn> void layer(Ctx *C, Fn) {
+    static_assert(std::is_empty_v<Fn>, "a listener carries no state");
+    auto &Hook = this->*Cb;
+    auto Prev = Hook;
+    Hook = [C, Prev](auto... As) {
+      Fn()(C, As...);
+      if (Prev)
+        Prev(As...);
+    };
   }
 };
 

@@ -10,8 +10,8 @@ using namespace vg::vg1;
 ClientStack vg::mapImage(const GuestImage &Img, GuestMemory &Mem,
                          AddressSpace &AS, EventHub *Events) {
   auto Startup = [Events](uint32_t Addr, uint32_t Len, uint8_t Perms) {
-    if (Events && Events->NewMemStartup)
-      Events->NewMemStartup(Addr, Len, Perms);
+    if (Events)
+      Events->fire<&EventHub::NewMemStartup>(Addr, Len, Perms);
   };
   uint32_t HighestEnd = 0;
   for (const ImageSegment &S : Img.Segments) {

@@ -3,7 +3,6 @@
 #include "core/SignalEngine.h"
 
 #include "core/Core.h"
-#include "core/DispatchLoop.h"
 
 #include <cstdio>
 
@@ -27,9 +26,8 @@ bool SignalEngine::raise(int Tid, int Sig) {
     // Exited/empty target: the signal has nowhere to go. Reject it rather
     // than queueing into a dead slot a future thread would inherit.
     ++C.Stats.SignalsDropped;
-    if (C.Tracer)
-      C.Tracer->record(Tid, TraceEvent::SigDrop, static_cast<uint32_t>(Sig),
-                       static_cast<uint32_t>(Tid), SigDropBadTarget);
+    C.trace(Tid, TraceEvent::SigDrop, static_cast<uint32_t>(Sig),
+            static_cast<uint32_t>(Tid), SigDropBadTarget);
     return false;
   }
   ThreadState &TS = C.Threads[Tid];
@@ -38,16 +36,14 @@ bool SignalEngine::raise(int Tid, int Sig) {
   for (int P : TS.PendingSignals) {
     if (P == Sig) {
       ++C.Stats.SignalsDropped;
-      if (C.Tracer)
-        C.Tracer->record(Tid, TraceEvent::SigDrop, static_cast<uint32_t>(Sig),
-                         static_cast<uint32_t>(Tid), SigDropCoalesced);
+      C.trace(Tid, TraceEvent::SigDrop, static_cast<uint32_t>(Sig),
+              static_cast<uint32_t>(Tid), SigDropCoalesced);
       return true;
     }
   }
   TS.PendingSignals.push_back(Sig);
-  if (C.Tracer)
-    C.Tracer->record(Tid, TraceEvent::SigQueue, static_cast<uint32_t>(Sig),
-                     static_cast<uint32_t>(Tid));
+  C.trace(Tid, TraceEvent::SigQueue, static_cast<uint32_t>(Sig),
+          static_cast<uint32_t>(Tid));
   return true;
 }
 
@@ -64,9 +60,7 @@ bool SignalEngine::deliverPending(ThreadState &TS) {
     TS.PendingSignals.erase(TS.PendingSignals.begin() +
                             static_cast<long>(I));
     if (SigHandlers[Sig] == 0) {
-      if (C.Tracer)
-        C.Tracer->record(TS.Tid, TraceEvent::SigFatal,
-                         static_cast<uint32_t>(Sig));
+      C.trace(TS.Tid, TraceEvent::SigFatal, static_cast<uint32_t>(Sig));
       C.FatalSignal = Sig; // default action: terminate
       return true;
     }
@@ -86,28 +80,12 @@ void SignalEngine::deliver(ThreadState &TS, int Sig) {
   TS.SignalFrames.push_back(
       {std::vector<uint8_t>(TS.Guest, TS.Guest + gso::TotalSize), Sig});
   TS.SigMask |= 1ull << Sig;
-  uint32_t SP = TS.gpr(RegSP) - 4;
-  uint32_t Tramp = AddressSpace::CoreBase;
-  C.Memory.write(SP, &Tramp, 4, /*IgnorePerms=*/true);
-  // Keep shadow-memory tools consistent: the slot became active stack and
-  // then was written by the core.
-  if (C.Events.NewMemStack)
-    C.Events.NewMemStack(SP, 4);
-  if (C.Events.PostMemWrite)
-    C.Events.PostMemWrite(TS.Tid, SP, 4);
-  TS.TrackedSP = SP;
-  TS.setGpr(RegSP, SP);
-  TS.setGpr(1, static_cast<uint32_t>(Sig));
-  // The core wrote SP and r1 behind the client's back; without these a
-  // definedness tool sees the handler read an undefined signal number.
-  if (C.Events.PostRegWrite) {
-    C.Events.PostRegWrite(TS.Tid, gso::gpr(RegSP), 4);
-    C.Events.PostRegWrite(TS.Tid, gso::gpr(1), 4);
-  }
-  TS.setPCVal(SigHandlers[Sig]);
-  if (C.Tracer)
-    C.Tracer->record(TS.Tid, TraceEvent::SigDeliver,
-                     static_cast<uint32_t>(Sig), SigHandlers[Sig]);
+  // The handler is called with the signal number in r1 and returns to the
+  // sigreturn trampoline.
+  const uint32_t Arg[] = {static_cast<uint32_t>(Sig)};
+  C.enterGuest(TS, SigHandlers[Sig], AddressSpace::CoreBase, Arg);
+  C.trace(TS.Tid, TraceEvent::SigDeliver, static_cast<uint32_t>(Sig),
+          SigHandlers[Sig]);
 }
 
 void SignalEngine::handleFault(ThreadState &TS, uint32_t FaultPC,
@@ -122,8 +100,7 @@ void SignalEngine::handleFault(ThreadState &TS, uint32_t FaultPC,
   }
   C.Out.printf("vg: fatal signal %d at pc=0x%08X (%s address 0x%08X)\n", Sig,
                FaultPC, Write ? "writing" : "reading", FaultAddr);
-  if (C.Tracer)
-    C.Tracer->record(TS.Tid, TraceEvent::SigFatal, static_cast<uint32_t>(Sig));
+  C.trace(TS.Tid, TraceEvent::SigFatal, static_cast<uint32_t>(Sig));
   C.FatalSignal = Sig;
 }
 
@@ -146,21 +123,16 @@ void SignalEngine::sigreturn(int Tid) {
   TS.SigMask &= ~(1ull << F.Sig);
   std::copy(F.Guest.begin(), F.Guest.end(), TS.Guest);
   TS.SignalFrames.pop_back();
-  if (C.Tracer)
-    C.Tracer->record(Tid, TraceEvent::SigReturn, TS.getPC());
+  C.trace(Tid, TraceEvent::SigReturn, TS.getPC());
 }
 
 void SignalEngine::threadExiting(ThreadState &TS) {
   // Signals queued at a dying thread die with it (they were addressed to
   // this thread, and the slot may be reused by a future spawn).
-  if (!TS.PendingSignals.empty()) {
-    C.Stats.SignalsDropped += TS.PendingSignals.size();
-    if (C.Tracer)
-      for (int Sig : TS.PendingSignals)
-        C.Tracer->record(TS.Tid, TraceEvent::SigDrop,
-                         static_cast<uint32_t>(Sig),
-                         static_cast<uint32_t>(TS.Tid), SigDropThreadExit);
-  }
+  C.Stats.SignalsDropped += TS.PendingSignals.size();
+  for (int Sig : TS.PendingSignals)
+    C.trace(TS.Tid, TraceEvent::SigDrop, static_cast<uint32_t>(Sig),
+            static_cast<uint32_t>(TS.Tid), SigDropThreadExit);
   TS.PendingSignals.clear();
   TS.SignalFrames.clear();
   TS.SigMask = 0;

@@ -22,16 +22,16 @@ void SimKernel::faultInjected(int Tid, FaultKind K, uint32_t Arg) {
   fire<&EventHub::FaultInjected>(Tid, static_cast<uint32_t>(K), Arg);
 }
 
-std::string SimKernel::readGuestString(CpuView &Cpu, uint32_t Addr) {
-  std::string S;
+bool SimKernel::readGuestString(CpuView &Cpu, uint32_t Addr, std::string &S) {
   for (uint32_t I = 0; I != 4096; ++I) {
     uint8_t B;
-    if (Cpu.mem().read(Addr + I, &B, 1, /*IgnorePerms=*/true).Faulted ||
-        B == 0)
-      break;
+    if (Cpu.mem().read(Addr + I, &B, 1, /*IgnorePerms=*/true).Faulted)
+      return false;
+    if (B == 0)
+      return true;
     S.push_back(static_cast<char>(B));
   }
-  return S;
+  return false;
 }
 
 //===----------------------------------------------------------------------===//
@@ -225,7 +225,9 @@ VG_SYSCALL(Read) {
 VG_SYSCALL(Open) {
   uint32_t Path = A[0], Flags = A[1];
   fire<&EventHub::PreMemReadAsciiz>(Tid, Path, SyscallTable[SysOpen].Args[0]);
-  std::string Name = readGuestString(Cpu, Path);
+  std::string Name;
+  if (!readGuestString(Cpu, Path, Name))
+    return SysErr; // EFAULT, or ENAMETOOLONG
   bool Write = Flags & 1;
   if (!Write && !Files.count(Name))
     return SysErr; // ENOENT
@@ -444,7 +446,7 @@ VG_SYSCALL(Kill) {
 }
 
 VG_SYSCALL(Sigaction) {
-  if (!Host)
+  if (!Host || A[0] - 1 >= 63) // EINVAL outside signals 1-63
     return SysErr;
   int Sig = static_cast<int>(A[0]);
   uint32_t Old = Host->signalHandler(Sig);

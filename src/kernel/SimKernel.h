@@ -194,14 +194,16 @@ private:
   /// whether anything was released.
   bool release(CpuView &Cpu, uint32_t Addr, uint32_t Len, bool Announce);
 
-  /// Fires the EventHub callback \p Cb, if there are events and it is set.
+  /// EventHub::fire<Cb>, when there is a hub (a native run has none).
   template <auto Cb, typename... Ts> void fire(Ts... Args) {
-    if (Events && Events->*Cb)
-      (Events->*Cb)(Args...);
+    if (Events)
+      Events->fire<Cb>(Args...);
   }
   void faultInjected(int Tid, FaultKind K, uint32_t Arg);
 
-  std::string readGuestString(CpuView &Cpu, uint32_t Addr);
+  /// Reads the NUL-terminated string at \p Addr into \p S. False when it
+  /// faults before its NUL or has none within 4,096 bytes.
+  bool readGuestString(CpuView &Cpu, uint32_t Addr, std::string &S);
 
   AddressSpace &AS;
   EventHub *Events;

@@ -10,7 +10,7 @@ using namespace vg;
 
 const char *vg::traceEventName(TraceEvent E) {
   static const char *const Names[] = {
-#define VG_TRACE_EVENT_NAME(Name, Str) Str,
+#define VG_TRACE_EVENT_NAME(Name, Str, ...) Str,
       VG_TRACE_EVENTS(VG_TRACE_EVENT_NAME)
 #undef VG_TRACE_EVENT_NAME
   };

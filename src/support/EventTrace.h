@@ -15,8 +15,11 @@
 #ifndef VG_SUPPORT_EVENTTRACE_H
 #define VG_SUPPORT_EVENTTRACE_H
 
+#include "support/HubEvents.h"
+
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace vg {
@@ -24,29 +27,10 @@ namespace vg {
 class OutputSink;
 
 /// Everything the tracer can record, with the stable short name the dump
-/// uses. The first block mirrors EventHub (Table 1 plus the extension
-/// events); the rest are scheduler/signal transitions the hub has no
-/// callback for.
+/// uses: the hub's events (VG_HUB_EVENTS, recorded through recordHub),
+/// around the scheduler/signal transitions the hub has no callback for.
 #define VG_TRACE_EVENTS(X)                                                    \
-  /* Table-1 / EventHub events. */                                            \
-  X(PreRegRead, "pre-reg-read")                                               \
-  X(PostRegWrite, "post-reg-write")                                           \
-  X(PreMemRead, "pre-mem-read")                                               \
-  X(PreMemReadAsciiz, "pre-mem-read-asciiz")                                  \
-  X(PreMemWrite, "pre-mem-write")                                             \
-  X(PostMemWrite, "post-mem-write")                                           \
-  X(NewMemStartup, "new-mem-startup")                                         \
-  X(NewMemMmap, "new-mem-mmap")                                               \
-  X(DieMemMunmap, "die-mem-munmap")                                           \
-  X(NewMemBrk, "new-mem-brk")                                                 \
-  X(DieMemBrk, "die-mem-brk")                                                 \
-  X(CopyMemMremap, "copy-mem-mremap")                                         \
-  X(NewMemStack, "new-mem-stack")                                             \
-  X(DieMemStack, "die-mem-stack")                                             \
-  X(PostFileRead, "post-file-read")                                           \
-  /* Syscall boundary. */                                                     \
-  X(SyscallEnter, "syscall-enter") /* A = syscall number */                   \
-  X(SyscallExit, "syscall-exit")   /* A = syscall number, B = result */       \
+  VG_HUB_EVENTS_MAIN(X)                                                       \
   /* Signal machinery. */                                                     \
   X(SigQueue, "sig-queue")     /* A = signal, B = target tid */               \
   X(SigDrop, "sig-drop")       /* ... C = reason (SigDropReason) */           \
@@ -56,11 +40,10 @@ class OutputSink;
   /* Scheduler. */                                                            \
   X(ThreadSwitch, "thread-switch") /* A = from tid, B = to tid */             \
   X(ThreadExit, "thread-exit")     /* A = exit code */                        \
-  /* Fault injection. */                                                      \
-  X(FaultInjected, "fault-injected") /* A = FaultKind, B = site argument */
+  VG_HUB_EVENTS_FAULT(X)
 
 enum class TraceEvent : uint8_t {
-#define VG_TRACE_EVENT_ENUM(Name, Str) Name,
+#define VG_TRACE_EVENT_ENUM(Name, ...) Name,
   VG_TRACE_EVENTS(VG_TRACE_EVENT_ENUM)
 #undef VG_TRACE_EVENT_ENUM
   NumEvents
@@ -68,7 +51,7 @@ enum class TraceEvent : uint8_t {
 
 constexpr unsigned NumTraceEvents = static_cast<unsigned>(TraceEvent::NumEvents);
 
-/// Stable short name used in the dump ("sig-deliver", "syscall-enter", ...).
+/// Stable short name used in the dump ("sig-deliver", "thread-switch", ...).
 const char *traceEventName(TraceEvent E);
 
 /// Why a SigDrop happened (the C argument of that record).
@@ -91,6 +74,30 @@ public:
 
   void record(int Tid, TraceEvent E, uint32_t A = 0, uint32_t B = 0,
               uint32_t C = 0);
+
+  /// Records hub event \p E from its callback's arguments: a leading int
+  /// is the thread id (0 when the callback has none), and the integer
+  /// arguments after it, in order, are A, B and C. Names (const char *)
+  /// are not recorded.
+  template <typename First, typename... Rest>
+  void recordHub(TraceEvent E, First F, Rest... R) {
+    static_assert((std::is_integral_v<First> + ... +
+                   std::is_integral_v<Rest>) <= 3 + std::is_same_v<First, int>,
+                  "a trace record holds three arguments after the thread id");
+    uint32_t V[3] = {};
+    unsigned N = 0;
+    auto Add = [&](auto X) {
+      if constexpr (std::is_integral_v<decltype(X)>)
+        V[N++] = static_cast<uint32_t>(X);
+    };
+    int Tid = 0;
+    if constexpr (std::is_same_v<First, int>)
+      Tid = F;
+    else
+      Add(F);
+    (Add(R), ...);
+    record(Tid, E, V[0], V[1], V[2]);
+  }
 
   // --- counters ----------------------------------------------------------
   uint64_t recorded() const { return Recorded; }

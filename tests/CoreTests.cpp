@@ -7,6 +7,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "GoldenFile.h"
+
 #include "core/ClientRequests.h"
 #include "core/Launcher.h"
 #include "guestlib/GuestLib.h"
@@ -14,6 +16,8 @@
 #include "tools/Nulgrind.h"
 
 #include <gtest/gtest.h>
+
+#include <cstdio>
 
 using namespace vg;
 using namespace vg::vg1;
@@ -1037,6 +1041,169 @@ TEST(Core, CallGuestNestsInsideHostReplacement) {
       });
   ASSERT_TRUE(R.Completed);
   EXPECT_EQ(R.ExitCode, 8);
+}
+
+/// Writes one line per EventHub callback with every argument, plus the
+/// marks a test's host code writes around its calls into guest code.
+class HubLog : public Tool {
+public:
+  const char *name() const override { return "hublog"; }
+  void init(Core &C) override {
+    EventHub &E = C.events();
+    E.PreRegRead = [this](int T, uint32_t Off, uint32_t Size, const char *S) {
+      line("pre_reg_read", T, {Off, Size}, S);
+    };
+    E.PostRegWrite = [this](int T, uint32_t Off, uint32_t Size) {
+      line("post_reg_write", T, {Off, Size});
+    };
+    E.PreMemRead = [this](int T, uint32_t A, uint32_t L, const char *S) {
+      line("pre_mem_read", T, {A, L}, S);
+    };
+    E.PreMemReadAsciiz = [this](int T, uint32_t A, const char *S) {
+      line("pre_mem_read_asciiz", T, {A}, S);
+    };
+    E.PreMemWrite = [this](int T, uint32_t A, uint32_t L, const char *S) {
+      line("pre_mem_write", T, {A, L}, S);
+    };
+    E.PostMemWrite = [this](int T, uint32_t A, uint32_t L) {
+      line("post_mem_write", T, {A, L});
+    };
+    E.NewMemStartup = [this](uint32_t A, uint32_t L, uint8_t P) {
+      line("new_mem_startup", -1, {A, L, P});
+    };
+    E.NewMemMmap = [this](uint32_t A, uint32_t L, uint8_t P) {
+      line("new_mem_mmap", -1, {A, L, P});
+    };
+    E.DieMemMunmap = [this](uint32_t A, uint32_t L) {
+      line("die_mem_munmap", -1, {A, L});
+    };
+    E.NewMemBrk = [this](uint32_t A, uint32_t L) {
+      line("new_mem_brk", -1, {A, L});
+    };
+    E.DieMemBrk = [this](uint32_t A, uint32_t L) {
+      line("die_mem_brk", -1, {A, L});
+    };
+    E.CopyMemMremap = [this](uint32_t Src, uint32_t Dst, uint32_t L) {
+      line("copy_mem_mremap", -1, {Src, Dst, L});
+    };
+    E.NewMemStack = [this](uint32_t A, uint32_t L) {
+      line("new_mem_stack", -1, {A, L});
+    };
+    E.DieMemStack = [this](uint32_t A, uint32_t L) {
+      line("die_mem_stack", -1, {A, L});
+    };
+    E.PostFileRead = [this](int T, uint32_t Fd, uint32_t A, uint32_t L,
+                            const char *S) {
+      line("post_file_read", T, {Fd, A, L}, S);
+    };
+    E.PreSyscall = [this](int T, uint32_t Num) {
+      line("pre_syscall", T, {Num});
+    };
+    E.PostSyscall = [this](int T, uint32_t Num, uint32_t Result) {
+      line("post_syscall", T, {Num, Result});
+    };
+    E.FaultInjected = [this](int T, uint32_t Kind, uint32_t Arg) {
+      line("fault_injected", T, {Kind, Arg});
+    };
+  }
+
+  void mark(const char *What) { Log += std::string("-- ") + What + "\n"; }
+
+  std::string Log;
+
+private:
+  void line(const char *Ev, int Tid, std::initializer_list<uint32_t> Args,
+            const char *Name = nullptr) {
+    char Buf[64];
+    Log += Ev;
+    if (Tid >= 0) {
+      std::snprintf(Buf, sizeof(Buf), " t%d", Tid);
+      Log += Buf;
+    }
+    for (uint32_t A : Args) {
+      std::snprintf(Buf, sizeof(Buf), " 0x%x", A);
+      Log += Buf;
+    }
+    if (Name)
+      Log += std::string(" \"") + Name + "\"";
+    Log += "\n";
+  }
+};
+
+// What the core announces when host code enters guest code: a host
+// replacement calling a five-argument guest function through callGuest,
+// and a wrapped guest function (wrapping reaches the original through
+// callGuest too). Each run's whole event stream, in order.
+TEST(CallGuest, EventsGolden) {
+  std::string Out;
+  {
+    GuestImage Img = buildProgram([](Assembler &Code, Assembler &,
+                                     GuestLibLabels &) {
+      Label Target = Code.newLabel(), Sum = Code.newLabel();
+      Code.movi(Reg::R1, 9);
+      Code.call(Target);
+      Code.ret();
+      Code.bind(Target);
+      Code.symbol("target");
+      Code.movi(Reg::R0, 0); // replaced
+      Code.ret();
+      Code.bind(Sum);
+      Code.symbol("sum5"); // sum5(a, b, c, d, e) = a + b + c + d + e
+      Code.push(Reg::R6);
+      Code.add(Reg::R0, Reg::R1, Reg::R2);
+      Code.add(Reg::R0, Reg::R0, Reg::R3);
+      Code.add(Reg::R0, Reg::R0, Reg::R4);
+      Code.add(Reg::R0, Reg::R0, Reg::R5);
+      Code.pop(Reg::R6);
+      Code.ret();
+    });
+    HubLog T;
+    uint32_t SumAddr = Img.symbol("sum5");
+    RunReport R = runUnderCoreWith(
+        Img, &T, {}, "", ~0ull, [&](Core &C) {
+          C.redirectSymbolToHost("target", [&T, SumAddr](Core &Core_,
+                                                         ThreadState &TS) {
+            T.mark("callGuest sum5(1, 2, 3, 4, 5)");
+            uint32_t V = Core_.callGuest(TS, SumAddr, {1, 2, 3, 4, 5});
+            T.mark("callGuest returned");
+            TS.setGpr(0, V);
+          });
+        });
+    ASSERT_TRUE(R.Completed);
+    EXPECT_EQ(R.ExitCode, 15);
+    Out += "== callGuest exit=" + std::to_string(R.ExitCode) + "\n" + T.Log;
+  }
+  {
+    GuestImage Img = buildProgram([](Assembler &Code, Assembler &,
+                                     GuestLibLabels &) {
+      Label Victim = Code.newLabel();
+      Code.movi(Reg::R1, 20);
+      Code.movi(Reg::R2, 22);
+      Code.call(Victim);
+      Code.ret();
+      Code.bind(Victim);
+      Code.symbol("victim"); // victim(a, b) = a + b
+      Code.push(Reg::R6);
+      Code.add(Reg::R0, Reg::R1, Reg::R2);
+      Code.pop(Reg::R6);
+      Code.ret();
+    });
+    HubLog T;
+    RunReport R = runUnderCoreWith(
+        Img, &T, {}, "", ~0ull, [&](Core &C) {
+          WrapHooks H;
+          H.Pre = [&T](Core &, ThreadState &) { T.mark("wrap pre"); };
+          H.Post = [&T](Core &, ThreadState &, uint32_t &Result) {
+            T.mark("wrap post");
+            Result += 1;
+          };
+          C.wrapSymbolFunction("victim", H);
+        });
+    ASSERT_TRUE(R.Completed);
+    EXPECT_EQ(R.ExitCode, 43);
+    Out += "== wrapFunction exit=" + std::to_string(R.ExitCode) + "\n" + T.Log;
+  }
+  checkGolden("callguest_events", Out);
 }
 
 } // namespace

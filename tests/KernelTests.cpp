@@ -185,6 +185,46 @@ TEST(SimKernel, OpenMissingFileFails) {
   EXPECT_EQ(M.Cpu.R[0], SysErr);
 }
 
+/// A guest that makes one system call and exits with its r0, over 8 KiB
+/// of data at 0x100000 that holds no NUL byte.
+GuestImage oneCallImage(uint32_t No, uint32_t A1, uint32_t A2) {
+  Assembler Code(0x1000);
+  Code.movi(Reg::R0, No);
+  Code.movi(Reg::R1, A1);
+  Code.movi(Reg::R2, A2);
+  Code.sys();
+  Code.mov(Reg::R1, Reg::R0);
+  Code.movi(Reg::R0, SysExit);
+  Code.sys();
+  Assembler Data(0x100000);
+  std::string NoNul(8192, 'a');
+  Data.emitBytes(NoNul.data(), NoNul.size());
+  return GuestImageBuilder().addCode(Code).addData(Data).entry(0x1000).build();
+}
+
+// open(path, create) fails for a path that is unmapped, that runs off the
+// end of its mapping before a NUL, or that has no NUL within 4,096 bytes,
+// rather than creating a file named by whatever it could read.
+TEST(SimKernel, OpenOfAnUnreadablePathFails) {
+  for (uint32_t Path : {0x70000000u, 0x100000u + 8192 - 8, 0x100000u}) {
+    GuestImage Img = oneCallImage(SysOpen, Path, 1);
+    EXPECT_EQ(runNative(Img).ExitCode, -1) << std::hex << Path;
+    Memcheck T;
+    EXPECT_EQ(runUnderCore(Img, &T).ExitCode, -1) << std::hex << Path;
+  }
+}
+
+// Only signals 1-63 have handlers: sigaction outside them fails under the
+// core, as it does natively, rather than dropping the handler unseen.
+TEST(SimKernel, SigactionOutsideSignalsOneToSixtyThreeFails) {
+  for (uint32_t Sig : {0u, 64u, 99u}) {
+    GuestImage Img = oneCallImage(SysSigaction, Sig, 0x1000);
+    EXPECT_EQ(runNative(Img).ExitCode, -1) << Sig;
+    Memcheck T;
+    EXPECT_EQ(runUnderCore(Img, &T).ExitCode, -1) << Sig;
+  }
+}
+
 TEST(SimKernel, BrkGrowAndShrink) {
   Assembler A(0x1000);
   A.movi(Reg::R0, SysBrk);
@@ -810,7 +850,7 @@ void signalsProgram(SysProgram &P) {
   P.Code.leai(Reg::R6, Handler);
   P.call(SysSigaction, {10, Reg::R6});
   P.call(SysSigaction, {10, Reg::R6}); // returns the handler just set
-  P.call(SysSigaction, {99, Reg::R6}); // out of range: ignored
+  P.call(SysSigaction, {99, Reg::R6}); // out of range: fails
   P.call(SysKill, {0, 10});
   P.call(SysGetpid); // the handler runs before this block
   P.call(SysKill, {5, 10}); // no such thread

@@ -281,12 +281,12 @@ TEST(EventTracer, RecordsAndCounts) {
   EventTracer T(16);
   uint64_t Clock = 7;
   T.setClock(&Clock);
-  T.record(0, TraceEvent::SyscallEnter, 2);
+  T.record(0, TraceEvent::PreSyscall, 2);
   Clock = 9;
   T.record(1, TraceEvent::SigDeliver, 10, 0x2000);
   EXPECT_EQ(T.recorded(), 2u);
   EXPECT_EQ(T.dropped(), 0u);
-  EXPECT_EQ(T.count(TraceEvent::SyscallEnter), 1u);
+  EXPECT_EQ(T.count(TraceEvent::PreSyscall), 1u);
   EXPECT_EQ(T.count(TraceEvent::SigDeliver), 1u);
   std::string S = T.serialize();
   EXPECT_NE(S.find("=== event trace (records=2 dropped=0) ==="),
@@ -299,14 +299,14 @@ TEST(EventTracer, RecordsAndCounts) {
 TEST(EventTracer, RingWrapKeepsNewestAndCountsDropped) {
   EventTracer T(4);
   for (int I = 0; I != 10; ++I)
-    T.record(0, TraceEvent::SyscallEnter, static_cast<uint32_t>(I));
+    T.record(0, TraceEvent::PreSyscall, static_cast<uint32_t>(I));
   EXPECT_EQ(T.recorded(), 10u);
   EXPECT_EQ(T.dropped(), 6u);
   std::string S = T.serialize();
   EXPECT_EQ(S.find("a=0x5"), std::string::npos);  // oldest overwritten
   EXPECT_NE(S.find("a=0x6"), std::string::npos);  // four newest retained
   EXPECT_NE(S.find("a=0x9"), std::string::npos);
-  EXPECT_EQ(T.count(TraceEvent::SyscallEnter), 10u); // counts are total
+  EXPECT_EQ(T.count(TraceEvent::PreSyscall), 10u); // counts are total
 }
 
 TEST(EventTracer, ZeroCapacityClampsToOne) {
